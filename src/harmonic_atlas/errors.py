@@ -6,7 +6,7 @@ class HarmonicAtlasError(Exception):
 
 
 class ZeroConstantTerm(HarmonicAtlasError):
-    """Series reciprocal requested for a series with c0 = 0."""
+    """Series division by a series with zero constant term (c0 = 0)."""
 
 
 class InvalidExpression(HarmonicAtlasError):

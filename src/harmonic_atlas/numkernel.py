@@ -4,7 +4,10 @@ Everything in this module is exact.  Coefficients live in Q(i), complex
 numbers whose real and imaginary parts are arbitrary-precision rationals
 (`fractions.Fraction`).  A :class:`Series` keeps coefficients c0..cN for a
 fixed truncation order N; arithmetic never extends the trustworthy range,
-so mixed-order operands truncate to the minimum order.  Floating point
+so mixed-order operands truncate to the minimum order.  Products and
+quotients touch only nonzero coefficients: a product costs O(nonzero
+pairs) and a quotient O(N * nonzeros of the denominator), so expanding a
+rational function P/Q to order N costs O(N * deg Q).  Floating point
 enters only through the explicit ``complex()`` conversions used by callers
 that sample values numerically.
 """
@@ -178,6 +181,11 @@ _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
 
 
+def _nonzero_terms(coeffs) -> list:
+    """(index, coefficient) for the nonzero coefficients, indices ascending."""
+    return [(k, c) for k, c in enumerate(coeffs) if c]
+
+
 class Series:
     """Truncated Taylor series c0 + c1 z + ... + cN z^N over Q(i).
 
@@ -273,19 +281,23 @@ class Series:
         return Series([-c for c in self.coeffs])
 
     def __mul__(self, other):
+        """Product truncated to the smaller order, or a scalar multiple.
+
+        Only pairs of nonzero coefficients are multiplied, so the cost is
+        O(nonzero pairs): O(N * deg) when one operand is a polynomial.
+        """
         if isinstance(other, (int, Fraction, GaussRational)):
             return self.scale(other)
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(n + 1):
-            acc = _ZERO
-            for j in range(k + 1):
-                if j <= self.order and k - j <= other.order:
-                    acc = acc + a[j] * b[k - j]
-            out.append(acc)
+        b = _nonzero_terms(other.coeffs[: n + 1])
+        out = [_ZERO] * (n + 1)
+        for j, x in _nonzero_terms(self.coeffs[: n + 1]):
+            for k, y in b:
+                if j + k > n:
+                    break
+                out[j + k] = out[j + k] + x * y
         return Series(out)
 
     __rmul__ = __mul__
@@ -294,23 +306,38 @@ class Series:
         c = gauss(c)
         return Series([c * x for x in self.coeffs])
 
-    def reciprocal(self) -> "Series":
-        """Multiplicative inverse up to the series order.
+    def __truediv__(self, den):
+        """Quotient self/den, truncated to the smaller order.
 
-        Uses the triangular recurrence d0 = 1/c0,
-        dn = -(sum_{k=1..n} ck d(n-k)) / c0.
+        Runs the triangular recurrence
+        q_n = (a_n - sum_{k>=1, d_k != 0} d_k q_{n-k}) / d_0
+        over the nonzero coefficients of ``den`` only, so the cost is
+        O(N * nonzeros of den): O(N * deg Q) for a polynomial Q.
         """
-        c0 = self.coeffs[0]
-        if c0.is_zero:
-            raise ZeroConstantTerm("reciprocal of a series with zero constant term")
-        inv0 = _ONE / c0
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            acc = _ZERO
-            for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k]
-            out.append(-acc * inv0)
+        if not isinstance(den, Series):
+            return NotImplemented
+        n = min(self.order, den.order)
+        d0 = den.coeffs[0]
+        if d0.is_zero:
+            raise ZeroConstantTerm("division by a series with zero constant term")
+        inv0 = _ONE / d0
+        tail = _nonzero_terms(den.coeffs[: n + 1])[1:]  # d0 heads the list
+        out = []
+        for m in range(n + 1):
+            acc = self.coeffs[m]
+            for k, d in tail:
+                if k > m:
+                    break
+                acc = acc - d * out[m - k]
+            out.append(acc * inv0)
         return Series(out)
+
+    def reciprocal(self) -> "Series":
+        """Multiplicative inverse up to the series order, as 1/self.
+
+        Costs O(N * nonzeros of self), see :meth:`__truediv__`.
+        """
+        return Series.one(self.order) / self
 
     def derivative(self) -> "Series":
         """Termwise d/dz; the order drops by one (a constant stays order 0)."""

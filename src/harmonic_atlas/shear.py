@@ -163,7 +163,7 @@ def shear_real(phi: AnalyticExpr, omega: AnalyticExpr, order: int = 64) -> Harmo
     """
     s_phi = _check_shear_inputs(phi, omega, order)
     n1 = order - 1
-    hp = s_phi.derivative() * (Series.one(n1) - omega.series(n1)).reciprocal()
+    hp = s_phi.derivative() / (Series.one(n1) - omega.series(n1))
     h = hp.antiderivative()
     g = h - s_phi
     return HarmonicMap(h, g, omega, source=phi, axis="real")
@@ -176,7 +176,7 @@ def shear_imag(psi: AnalyticExpr, omega: AnalyticExpr, order: int = 64) -> Harmo
     """
     s_psi = _check_shear_inputs(psi, omega, order)
     n1 = order - 1
-    hp = s_psi.derivative() * (Series.one(n1) + omega.series(n1)).reciprocal()
+    hp = s_psi.derivative() / (Series.one(n1) + omega.series(n1))
     h = hp.antiderivative()
     g = s_psi - h
     return HarmonicMap(h, g, omega, source=psi, axis="imag")

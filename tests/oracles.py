@@ -53,3 +53,31 @@ def quotient_rule(num, den):
     num = [Fraction(c) for c in num]
     den = [Fraction(c) for c in den]
     return sub(mul(deriv(num), den), mul(num, deriv(den))), mul(den, den)
+
+
+def gaussian_long_division(num, den, order):
+    """Coefficients of num(z)/den(z) over Q(i), by real long division.
+
+    num, den: lists of (re, im) pairs (ascending degree), den[0] != 0.
+    Multiplying top and bottom by den with conjugated coefficients makes
+    the denominator real (its n-th coefficient sum_{j+k=n} d_j conj(d_k)
+    is its own conjugate), so the real and imaginary parts of the
+    quotient each come from :func:`long_division_series`.
+    """
+    def mul(p, q):
+        out = [(Fraction(0), Fraction(0))] * (len(p) + len(q) - 1)
+        for i, (a, b) in enumerate(p):
+            for j, (c, d) in enumerate(q):
+                re, im = out[i + j]
+                out[i + j] = (re + a * c - b * d, im + a * d + b * c)
+        return out
+
+    num = [(Fraction(a), Fraction(b)) for a, b in num]
+    den = [(Fraction(a), Fraction(b)) for a, b in den]
+    conj = [(a, -b) for a, b in den]
+    real_den = mul(den, conj)
+    assert all(im == 0 for _, im in real_den)
+    top = mul(num, conj)
+    re = long_division_series([a for a, _ in top], [a for a, _ in real_den], order)
+    im = long_division_series([b for _, b in top], [a for a, _ in real_den], order)
+    return list(zip(re, im))

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from harmonic_atlas import GaussRational, Series, ZeroConstantTerm, gauss
-from oracles import binomial_inverse_power, long_division_series
+from oracles import (binomial_inverse_power, gaussian_long_division,
+                     long_division_series)
 
 F = Fraction
 
@@ -119,6 +120,67 @@ def test_reciprocal_zero_constant_term():
         Series.var(4).reciprocal()
 
 
+# ---------------------------------------------------------------------------
+# Series division: one sparse triangular kernel
+# ---------------------------------------------------------------------------
+
+def _pairs(coeffs):
+    return [c if isinstance(c, tuple) else (c, 0) for c in coeffs]
+
+
+def _gauss_list(pairs):
+    return [GaussRational(a, b) for a, b in pairs]
+
+
+_DIVISION_CASES = [
+    # (numerator, denominator), coefficients as ints, Fractions or (re, im)
+    ([0, 1], [1, -1, 1]),                       # hslits_wide, sparse
+    ([1, 0, -1], [1, -2, 3, -2, 1]),            # phi' of hslits_wide, sparse
+    ([0, 1, F(-1, 2)], [1, -2, 1]),             # (1 - z)^2
+    ([2, 0, 0, 0, 1], [1, 0, 0, 1]),            # 1 + z^3: zeros inside the band
+    ([(0, 1), (1, -2)], [(1, 1), 0, (0, F(-1, 3))]),   # non-real, sparse
+    # dense denominators: every coefficient up to the order is nonzero
+    ([1, 1], [F(1, 2 ** k) for k in range(17)]),
+    ([(1, 2), (F(-1, 3), 1), 5],
+     [(F(k + 1, 3), F(k % 4 - 2, k + 1)) for k in range(17)]),
+]
+
+
+@pytest.mark.parametrize("num, den", _DIVISION_CASES)
+def test_division_matches_long_division_oracle(num, den):
+    order = 16
+    quotient = Series(_gauss_list(_pairs(num)), order=order) / Series(
+        _gauss_list(_pairs(den)), order=order)
+    expected = gaussian_long_division(_pairs(num), _pairs(den), order)
+    assert list(quotient.coeffs) == _gauss_list(expected)
+
+
+def test_division_zero_constant_term():
+    with pytest.raises(ZeroConstantTerm, match="division by a series with zero constant term"):
+        Series.one(6) / Series.var(6)
+    assert Series.__truediv__(Series.one(6), 2) is NotImplemented
+
+
+def test_mul_zero_heavy_matches_dense_convolution():
+    rng = random.Random(7)
+    for _ in range(20):
+        sides = []
+        for order in (rng.randint(0, 24), rng.randint(0, 24)):
+            sides.append([GaussRational(F(rng.randint(-3, 3), rng.randint(1, 3)),
+                                        rng.randint(-2, 2))
+                          if rng.random() < 0.2 else GaussRational(0)
+                          for _ in range(order + 1)])
+        a, b = sides
+        n = min(len(a), len(b)) - 1
+        dense = []
+        for k in range(n + 1):
+            acc = GaussRational(0)
+            for j in range(k + 1):
+                acc = acc + a[j] * b[k - j]
+            dense.append(acc)
+        assert Series(a) * Series(b) == Series(dense)
+
+
 def test_derivative_basic():
     assert S(0, 1, F(-1, 2), order=4).derivative() == S(1, -1, order=3)
 
@@ -187,6 +249,17 @@ def test_truncation_to_min_order():
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 small_gauss = st.builds(GaussRational, small_fracs, small_fracs)
 series6 = st.lists(small_gauss, min_size=7, max_size=7).map(Series)
+series_mixed = st.lists(small_gauss, min_size=1, max_size=10).map(Series)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_mixed, series_mixed)
+def test_division_is_product_with_reciprocal(a, b):
+    assume(not b.coeff(0).is_zero)
+    q = a / b
+    assert q.order == min(a.order, b.order)
+    assert q == a * b.reciprocal()
+    assert q * b == a.truncate(q.order)
 
 
 @settings(max_examples=60, deadline=None)

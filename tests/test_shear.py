@@ -6,8 +6,8 @@ import pytest
 
 from harmonic_atlas import (
     AnalyticExpr, DilatationTooLarge, GaussRational, NotNormalized, Poly,
-    Series, catalog_lookup, dilatation_check, harmonic_eval, parse_formula,
-    shear_imag, shear_real,
+    Series, catalog_lookup, dilatation_check, harmonic_eval, parse_any,
+    parse_formula, shear_imag, shear_real,
 )
 from harmonic_atlas.shear import HarmonicMap
 
@@ -95,6 +95,47 @@ def test_imag_shear_decomposition_exact():
         fm = shear_imag(psi, om, 40)
         assert fm.h_series + fm.g_series == psi.series(40)
         assert dilatation_check(fm)
+
+
+def test_shear_with_dense_dilatation():
+    # omega = z/(2 - z) has every coefficient nonzero and |omega| < 1 on the
+    # disk, so 1 -/+ omega is a dense divisor
+    phi = catalog_lookup("hslits_wide").h
+    omega = parse_formula("z/(2-z)")
+    for shear, sign in ((shear_real, -1), (shear_imag, 1)):
+        fm = shear(phi, omega, 40)
+        assert dilatation_check(fm)
+        assert fm.h_series + fm.g_series.scale(sign) == phi.series(40)
+        divisor = Series.one(39) + omega.series(39).scale(sign)
+        old = (phi.series(40).derivative() * divisor.reciprocal()).antiderivative()
+        assert fm.h_series == old
+
+
+def test_expansion_cost_grows_linearly(monkeypatch):
+    # Counts GaussRational products, not time: doubling the order should
+    # about double the work (an O(N^2) path would about quadruple it).
+    counted = {"n": 0}
+    plain = GaussRational.__mul__
+
+    def counting_mul(self, other):
+        counted["n"] += 1
+        return plain(self, other)
+
+    monkeypatch.setattr(GaussRational, "__mul__", counting_mul)
+    monkeypatch.setattr(GaussRational, "__rmul__", counting_mul)
+
+    def products(run):
+        counted["n"] = 0
+        run()
+        return counted["n"]
+
+    # fresh expressions each run, so no series cache is warm; the shear
+    # source is hslits_wide's conformal map
+    for run in (lambda n: parse_any("z/(1-z)^2").series(n),
+                lambda n: shear_real(parse_formula("z/(1-z+z^2)"),
+                                     parse_formula("z"), n)):
+        small, large = products(lambda: run(128)), products(lambda: run(256))
+        assert large / small < 2.5, (small, large)
 
 
 def test_shear_reflection_symmetry():
