@@ -12,10 +12,7 @@ from .catalog import (
     BoundaryDescriptor, CatalogEntry, FlagSet, ShearRecipe,
     catalog_build, catalog_ids, catalog_lookup, export_atlas,
 )
-from .classify import (
-    CoeffClassReport, b2_bound_check, classify_harmonic, coeff_class,
-    halfplane_subordination_margin, rogosinski_coeff_bound,
-)
+from .classify import CoeffClassReport, b2_bound_check, classify_harmonic, coeff_class
 from .errors import (
     DilatationTooLarge, HarmonicAtlasError, InvalidExpression, NearPole,
     NotNormalized, PoleAtOrigin, SeriesMismatch, UnknownId, ZeroConstantTerm,
@@ -29,7 +26,7 @@ from .geomtest import (
 )
 from .numkernel import GaussRational, Series, gauss
 from .render import RenderOptions, render_svg
-from .shear import HarmonicMap, dilatation_check, harmonic_eval, shear_imag, shear_real
+from .shear import HarmonicMap, dilatation_check, shear_imag, shear_real
 
 __version__ = "0.1.0"
 
@@ -38,7 +35,6 @@ __all__ = [
     "BoundaryDescriptor", "CatalogEntry", "FlagSet", "ShearRecipe",
     "catalog_build", "catalog_ids", "catalog_lookup", "export_atlas",
     "CoeffClassReport", "b2_bound_check", "classify_harmonic", "coeff_class",
-    "halfplane_subordination_margin", "rogosinski_coeff_bound",
     "DilatationTooLarge", "HarmonicAtlasError", "InvalidExpression", "NearPole",
     "NotNormalized", "PoleAtOrigin", "SeriesMismatch", "UnknownId",
     "ZeroConstantTerm", "ZeroValue",
@@ -48,6 +44,6 @@ __all__ = [
     "rz_certificate", "rz_search", "starlike_derivative", "u_class_margin",
     "GaussRational", "Series", "gauss",
     "RenderOptions", "render_svg",
-    "HarmonicMap", "dilatation_check", "harmonic_eval", "shear_imag", "shear_real",
+    "HarmonicMap", "dilatation_check", "shear_imag", "shear_real",
     "__version__",
 ]

@@ -254,10 +254,6 @@ class AnalyticExpr:
     def log(cls, c, arg: Poly) -> "AnalyticExpr":
         return cls((LogTerm(gauss(c), arg),))
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> "AnalyticExpr":
-        return cls.rational(1, p)
-
     # -- combination (no simplification, terms concatenate) -----------------
 
     def __add__(self, other: "AnalyticExpr") -> "AnalyticExpr":
@@ -368,9 +364,6 @@ class AnalyticExpr:
             acc = acc + s.scale(t.c)
         self._series_cache[order] = acc
         return acc
-
-    def series_equal(self, other: "AnalyticExpr", order: int) -> bool:
-        return self.series(order) == other.series(order)
 
     def transform(self, kind: str) -> "AnalyticExpr":
         """Exact coefficient-level substitutions.

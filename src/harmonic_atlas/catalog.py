@@ -14,9 +14,15 @@ PROOF_*  every shear the two case analyses construct (30 real-direction,
 
 Membership of a function in several families is represented by one entry
 per (family, function) pair; family-qualified ids carry an ``s1_``/``t3_``/
-``t5_`` prefix.  Shear-generated entries are named ``f<k>_cv1`` and
-``f<k>_cvi``; closed forms for h are attached exactly where a hand
-integration is on record, the rest stay series-only through their recipe.
+``t5_`` prefix.  Those lists are derived from the base rows' flags, not
+retyped: S1 is the S_Z rows with ``cv_real`` set, T3 the T1 rows with
+``cv_real`` set, and T5 the S_Z and T1 rows with ``cv_imag`` set.  The
+real-direction shear sources are S1 then T3, the imaginary-direction ones
+T5.  A shear is flagged half-integer exactly when it has a T4/T6 twin.
+
+Shear-generated entries are named ``f<k>_cv1`` and ``f<k>_cvi``; closed
+forms for h are attached exactly where a hand integration is on record,
+the rest stay series-only through their recipe.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from fractions import Fraction
 from .analytic import AnalyticExpr, Poly
 from .errors import UnknownId
 from .exprtext import format_expr
-from .numkernel import GaussRational, Series
+from .numkernel import GaussRational
 from .shear import HarmonicMap, shear_imag, shear_real
 
 __all__ = [
@@ -148,44 +154,24 @@ class CatalogEntry:
     def is_conformal(self) -> bool:
         return self.omega is None
 
-    def h_series(self, order: int = DEFAULT_ORDER) -> Series:
-        return self.harmonic_map(order).h_series
-
-    def g_series(self, order: int = DEFAULT_ORDER) -> Series:
-        return self.harmonic_map(order).g_series
-
     def harmonic_map(self, order: int = DEFAULT_ORDER) -> HarmonicMap:
         """Materialize the entry as a HarmonicMap at the given order.
 
-        Conformal entries get g = 0 and omega = 0; recipe entries are
-        sheared on demand and cross-checked against any closed forms.
+        Conformal entries get g = 0 and omega = 0; every other entry carries
+        a shear recipe, is sheared on demand and is cross-checked against
+        any closed forms.
         """
         cached = self._cache.get(order)
         if cached is not None:
             return cached
         if self.is_conformal:
-            fm = HarmonicMap(
-                h_series=self.h.series(order),
-                g_series=Series.zero(order),
-                omega=AnalyticExpr.zero(),
-                h_expr=self.h,
-                g_expr=AnalyticExpr.zero(),
-            )
-        elif self.recipe is not None:
+            fm = HarmonicMap.conformal(self.h, order)
+        else:
             source = catalog_lookup(self.recipe.source_id).h
             shear = shear_real if self.recipe.axis == "real" else shear_imag
             fm = shear(source, self.omega, order)
             if self.h is not None:
-                fm = fm.with_exprs(h_expr=self.h,
-                                   g_expr=self.g if self.g is not None else None)
-        else:
-            fm = HarmonicMap(
-                h_series=self.h.series(order),
-                g_series=self.g.series(order),
-                omega=self.omega,
-                h_expr=self.h,
-                g_expr=self.g,
-            )
+                fm = fm.with_exprs(h_expr=self.h, g_expr=self.g)
         self._cache[order] = fm
         return fm
 
@@ -249,24 +235,21 @@ _CONFORMAL = {
     "hslits_wide_avg_r": (rat(F(1, 2), P(0, 2, 1, 1), P(1, 1, 1)), "T2", False, False, None),
 }
 
-_S1 = ("identity", "halfplane", "halfplane_r", "hslits",
-       "koebe", "koebe_r", "hslits_wide", "hslits_wide_r")
-_T3 = ("cardioid_r", "cardioid", "halfplane_avg", "halfplane_avg_r",
-       "hslits_avg", "parabola", "parabola_r")
-_T5 = ("identity", "halfplane", "halfplane_r", "vslits",
-       "halfplane_avg", "halfplane_avg_r", "vslits_avg",
-       "offset_vslits", "offset_vslits_r")
+
+def _convex_ids(families: tuple[str, ...], direction: str) -> tuple[str, ...]:
+    """``_CONFORMAL`` ids in ``families`` flagged convex in ``direction``."""
+    col = 2 if direction == "real" else 3
+    return tuple(cid for cid, row in _CONFORMAL.items()
+                 if row[1] in families and row[col])
+
+
+_S1 = _convex_ids(("S_Z",), "real")
+_T3 = _convex_ids(("T1",), "real")
+_T5 = _convex_ids(("S_Z", "T1"), "imag")
 
 # shear sources, in case-analysis order: 15 real-direction, 9 imaginary-direction
-_CV1_SOURCES = ("identity", "halfplane", "halfplane_r", "hslits",
-                "koebe", "koebe_r", "hslits_wide", "hslits_wide_r",
-                "cardioid_r", "cardioid", "halfplane_avg", "halfplane_avg_r",
-                "hslits_avg", "parabola", "parabola_r")
+_CV1_SOURCES = _S1 + _T3
 _CVI_SOURCES = _T5
-
-# shear outputs with half-integer coefficients, by sequential index
-_CV1_HALF_INTEGER = {3, 6, 10, 11, 17, 20}
-_CVI_HALF_INTEGER = {4, 5}
 
 # closed forms for h taken from the hand integrations on record
 _HALF = F(1, 2)
@@ -327,7 +310,8 @@ _CVI_H_EXPRS = {
              rat(F(3, 8), ONE, P(1, -2, 1)), rat(F(-1, 8), ONE, P(1, 1)), rat(F(-1, 4), ONE)),
 }
 
-# cv1 shear index -> (coinciding t4 entry, its cv_imag flag)
+# cv1 shear index -> (coinciding t4 entry, its cv_imag flag); the keys are
+# exactly the shears with half-integer coefficients
 _CV1_T4_ID = {
     3: ("t4_re_koebe_im_halfplane", False),
     6: ("t4_re_koebe_r_im_halfplane_r", False),
@@ -405,7 +389,6 @@ def _t6_entries() -> list[CatalogEntry]:
 
 def _proof_entries(axis: str) -> list[CatalogEntry]:
     sources = _CV1_SOURCES if axis == "real" else _CVI_SOURCES
-    half_set = _CV1_HALF_INTEGER if axis == "real" else _CVI_HALF_INTEGER
     h_exprs = _CV1_H_EXPRS if axis == "real" else _CVI_H_EXPRS
     twin_ids = _CV1_T4_ID if axis == "real" else _CVI_T6_ID
     tag = "cv1" if axis == "real" else "cvi"
@@ -414,7 +397,7 @@ def _proof_entries(axis: str) -> list[CatalogEntry]:
         source_expr = _CONFORMAL[source_id][0]
         for sign in (+1, -1):
             k = 2 * idx + (1 if sign > 0 else 2)
-            is_half = k in half_set
+            is_half = k in twin_ids
             h = h_exprs.get(k)
             g = None
             if h is not None:

@@ -1,10 +1,9 @@
-"""Exact coefficient classification and necessary-condition checks.
+"""Exact coefficient classification and the |b2| necessary condition.
 
 Coefficient classes are decided on exact rationals: a series is integer
 class when every coefficient is a rational integer, half-integer class
-when every doubled coefficient is.  No tolerance appears anywhere in this
-module; the only floating point lives in the grid-sampled subordination
-margin, which is a numeric necessary-condition check by design.
+when every doubled coefficient is.  No tolerance and no floating point
+appear anywhere in this module.
 """
 
 from __future__ import annotations
@@ -12,16 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .analytic import AnalyticExpr
 from .numkernel import GaussRational, Series
 from .shear import HarmonicMap
 
-__all__ = [
-    "CoeffClassReport", "coeff_class", "classify_harmonic",
-    "b2_bound_check", "halfplane_subordination_margin", "rogosinski_coeff_bound",
-]
+__all__ = ["CoeffClassReport", "coeff_class", "classify_harmonic", "b2_bound_check"]
 
 INTEGER = "integer"
 HALF_INTEGER = "half_integer"
@@ -89,32 +82,3 @@ def b2_bound_check(F: HarmonicMap) -> Fraction:
     if F.g_series.order < 2:
         return Fraction(0)
     return F.g_series.coeff(2).abs2()
-
-
-def halfplane_subordination_margin(g_expr: AnalyticExpr, phi_expr: AnalyticExpr,
-                                   grid) -> float:
-    """Grid minimum of Re{g'(z)/phi'(z)} + 1/2.
-
-    Sense preservation of h + conj(g) with phi = h - g forces
-    Re{g'/phi'} > -1/2 on the disk (a half-plane subordination), so a
-    nonpositive margin on the sample refutes it.
-    """
-    zs = grid.points
-    gp = g_expr.derivative().eval(zs)
-    pp = phi_expr.derivative().eval(zs)
-    return float(np.min((gp / pp).real) + 0.5)
-
-
-def rogosinski_coeff_bound(s: Series) -> Fraction:
-    """Max over 1 <= n <= N of |c_n|^2, exact.
-
-    Functions subordinate to the convex map z/(1-z) have all coefficients
-    bounded by 1 in modulus; a squared maximum above 1 is a refutation.
-    Squared moduli keep the result rational.
-    """
-    best = Fraction(0)
-    for n in range(1, s.order + 1):
-        a = s.coeff(n).abs2()
-        if a > best:
-            best = a
-    return best

@@ -23,7 +23,7 @@ from .classify import classify_harmonic, coeff_class
 from .errors import HarmonicAtlasError, UnknownId
 from .exprtext import parse_any
 from .render import RenderOptions, render_svg
-from .shear import shear_imag, shear_real
+from .shear import HarmonicMap, shear_imag, shear_real
 from .verify import SUITES, VerifyConfig, report_json, run_suite
 
 _CONFIG_KEYS = {"order", "grid.radii", "grid.angles", "tol", "r_max"}
@@ -60,15 +60,17 @@ def _build_config(args) -> VerifyConfig:
     path = args.config or os.environ.get("HARMONIC_ATLAS_CONFIG")
     if path:
         values = _load_config_file(path)
+    default = VerifyConfig()
     try:
-        order = args.order if args.order is not None else int(values.get("order", 64))
+        order = (args.order if args.order is not None
+                 else int(values.get("order", default.order)))
         radii = (args.grid_radii if args.grid_radii is not None
-                 else int(values.get("grid.radii", 64)))
+                 else int(values.get("grid.radii", default.grid_radii)))
         angles = (args.grid_angles if args.grid_angles is not None
-                  else int(values.get("grid.angles", 256)))
+                  else int(values.get("grid.angles", default.grid_angles)))
         r_max = (args.r_max if args.r_max is not None
-                 else float(values.get("r_max", 0.999)))
-        tol = args.tol if args.tol is not None else float(values.get("tol", 1e-9))
+                 else float(values.get("r_max", default.r_max)))
+        tol = args.tol if args.tol is not None else float(values.get("tol", default.tol))
     except ValueError as exc:
         raise CliError(f"bad config value: {exc}") from exc
     if order < 1 or radii < 1 or angles < 1 or not (0 < r_max < 1) or tol < 0:
@@ -87,12 +89,7 @@ def _resolve_map(text: str, order: int):
         expr = parse_any(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"not a catalog id and not parseable: {text!r} ({exc})")
-    from .numkernel import Series
-    from .shear import HarmonicMap
-    from .analytic import AnalyticExpr
-    return HarmonicMap(expr.series(order), Series.zero(order),
-                       AnalyticExpr.zero(), h_expr=expr,
-                       g_expr=AnalyticExpr.zero())
+    return HarmonicMap.conformal(expr, order)
 
 
 def _coeff_table(series, upto):

@@ -19,13 +19,9 @@ from .analytic import AnalyticExpr, LogTerm, Poly, RationalTerm
 from .numkernel import GaussRational
 
 __all__ = [
-    "format_gauss", "parse_gauss", "format_expr", "parse_expr_text",
+    "parse_gauss", "format_expr", "parse_expr_text",
     "parse_formula", "parse_any",
 ]
-
-
-def format_gauss(c: GaussRational) -> str:
-    return c.literal()
 
 
 _REAL_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)$")
@@ -59,7 +55,7 @@ def parse_gauss(text: str) -> GaussRational:
 def _format_poly(p: Poly) -> str:
     if p.is_zero:
         return "0"
-    return ",".join(format_gauss(c) for c in p.coeffs)
+    return ",".join(c.literal() for c in p.coeffs)
 
 
 def _parse_poly(text: str) -> Poly:
@@ -75,9 +71,9 @@ def format_expr(e: AnalyticExpr) -> str:
     parts = []
     for t in e.terms:
         if isinstance(t, RationalTerm):
-            parts.append(f"rat({format_gauss(t.c)}; {_format_poly(t.num)}; {_format_poly(t.den)})")
+            parts.append(f"rat({t.c.literal()}; {_format_poly(t.num)}; {_format_poly(t.den)})")
         else:
-            parts.append(f"log({format_gauss(t.c)}; {_format_poly(t.arg)})")
+            parts.append(f"log({t.c.literal()}; {_format_poly(t.arg)})")
     return " + ".join(parts)
 
 

@@ -217,15 +217,6 @@ class Series:
     def one(cls, order: int) -> "Series":
         return cls([_ONE], order=order)
 
-    @classmethod
-    def var(cls, order: int) -> "Series":
-        """The series of z itself."""
-        return cls([_ZERO, _ONE], order=order)
-
-    @classmethod
-    def constant(cls, c, order: int) -> "Series":
-        return cls([gauss(c)], order=order)
-
     # -- basics ----------------------------------------------------------
 
     @property
@@ -241,9 +232,6 @@ class Series:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.coeffs)
 
-    def all_real(self) -> bool:
-        return all(c.is_real for c in self.coeffs)
-
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise ValueError("truncate cannot extend the order")
@@ -256,12 +244,6 @@ class Series:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def prefix_equal(self, other: "Series", upto: int) -> bool:
-        """Exact coefficient equality for indices 0..upto."""
-        if upto > self.order or upto > other.order:
-            raise ValueError("prefix longer than an operand's order")
-        return self.coeffs[: upto + 1] == other.coeffs[: upto + 1]
 
     # -- ring operations ---------------------------------------------------
 
@@ -312,7 +294,9 @@ class Series:
         Runs the triangular recurrence
         q_n = (a_n - sum_{k>=1, d_k != 0} d_k q_{n-k}) / d_0
         over the nonzero coefficients of ``den`` only, so the cost is
-        O(N * nonzeros of den): O(N * deg Q) for a polynomial Q.
+        O(N * nonzeros of den): O(N * deg Q) for a polynomial Q.  The
+        division by d_0 is skipped when d_0 = 1, as it is for every
+        denominator the catalog and the shear produce.
         """
         if not isinstance(den, Series):
             return NotImplemented
@@ -320,7 +304,7 @@ class Series:
         d0 = den.coeffs[0]
         if d0.is_zero:
             raise ZeroConstantTerm("division by a series with zero constant term")
-        inv0 = _ONE / d0
+        inv0 = None if d0 == _ONE else _ONE / d0
         tail = _nonzero_terms(den.coeffs[: n + 1])[1:]  # d0 heads the list
         out = []
         for m in range(n + 1):
@@ -329,7 +313,7 @@ class Series:
                 if k > m:
                     break
                 acc = acc - d * out[m - k]
-            out.append(acc * inv0)
+            out.append(acc if inv0 is None else acc * inv0)
         return Series(out)
 
     def reciprocal(self) -> "Series":

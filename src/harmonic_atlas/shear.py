@@ -22,9 +22,9 @@ import numpy as np
 
 from .analytic import AnalyticExpr
 from .errors import DilatationTooLarge, NotNormalized, SeriesMismatch
-from .numkernel import GaussRational, Series
+from .numkernel import Series
 
-__all__ = ["HarmonicMap", "shear_real", "shear_imag", "dilatation_check", "harmonic_eval"]
+__all__ = ["HarmonicMap", "shear_real", "shear_imag", "dilatation_check"]
 
 _SERIES_EVAL_RADIUS = 0.9
 
@@ -56,17 +56,18 @@ class HarmonicMap:
         if self.g_expr is not None and self.g_expr.series(n) != self.g_series:
             raise SeriesMismatch("closed form for g disagrees with its series")
 
+    @classmethod
+    def conformal(cls, h: AnalyticExpr, order: int) -> "HarmonicMap":
+        """The conformal map h as a harmonic map: g = 0 and omega = 0."""
+        return cls(h.series(order), Series.zero(order), AnalyticExpr.zero(),
+                   h_expr=h, g_expr=AnalyticExpr.zero())
+
     @property
     def order(self) -> int:
         return self.h_series.order
 
     def with_exprs(self, h_expr=None, g_expr=None) -> "HarmonicMap":
         return replace(self, h_expr=h_expr or self.h_expr, g_expr=g_expr or self.g_expr)
-
-    @property
-    def in_sh0(self) -> bool:
-        """True when g'(0) = 0, i.e. the map is normalized in the b1 = 0 class."""
-        return self.g_series.order >= 1 and self.g_series.coeff(1) == 0
 
     # -- evaluation routes --------------------------------------------------
 
@@ -156,17 +157,22 @@ def _check_shear_inputs(conformal: AnalyticExpr, omega: AnalyticExpr, order: int
     return s
 
 
+def _shear(source: AnalyticExpr, omega: AnalyticExpr, order: int, s: int) -> HarmonicMap:
+    """h' = source'/(1 + s omega) and g = s (source - h), for s = -1 or +1."""
+    src = _check_shear_inputs(source, omega, order)
+    n1 = order - 1
+    om = omega.series(n1)
+    h = (src.derivative() / (Series.one(n1) + (om if s > 0 else -om))).antiderivative()
+    g = src - h if s > 0 else h - src
+    return HarmonicMap(h, g, omega, source=source, axis="imag" if s > 0 else "real")
+
+
 def shear_real(phi: AnalyticExpr, omega: AnalyticExpr, order: int = 64) -> HarmonicMap:
     """Shear along the real direction: h - g = phi, g' = omega h'.
 
     h is the exact series antiderivative of phi'/(1 - omega); g = h - phi.
     """
-    s_phi = _check_shear_inputs(phi, omega, order)
-    n1 = order - 1
-    hp = s_phi.derivative() / (Series.one(n1) - omega.series(n1))
-    h = hp.antiderivative()
-    g = h - s_phi
-    return HarmonicMap(h, g, omega, source=phi, axis="real")
+    return _shear(phi, omega, order, -1)
 
 
 def shear_imag(psi: AnalyticExpr, omega: AnalyticExpr, order: int = 64) -> HarmonicMap:
@@ -174,12 +180,7 @@ def shear_imag(psi: AnalyticExpr, omega: AnalyticExpr, order: int = 64) -> Harmo
 
     h is the exact series antiderivative of psi'/(1 + omega); g = psi - h.
     """
-    s_psi = _check_shear_inputs(psi, omega, order)
-    n1 = order - 1
-    hp = s_psi.derivative() / (Series.one(n1) + omega.series(n1))
-    h = hp.antiderivative()
-    g = s_psi - h
-    return HarmonicMap(h, g, omega, source=psi, axis="imag")
+    return _shear(psi, omega, order, +1)
 
 
 def dilatation_check(F: HarmonicMap) -> bool:
@@ -189,7 +190,3 @@ def dilatation_check(F: HarmonicMap) -> bool:
     rhs = F.omega.series(n1) * F.h_series.derivative().truncate(n1)
     return lhs == rhs
 
-
-def harmonic_eval(F: HarmonicMap, z):
-    """f(z) = h(z) + conj(g(z)); closed forms preferred, series fallback."""
-    return F.eval(z)

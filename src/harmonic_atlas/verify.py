@@ -12,11 +12,13 @@ Each suite re-derives one table of claims and reports a row per check:
          the six non-conformal entries series-for-series;
 * T42    the imaginary-direction table: 11 catalog entries plus 18 shears,
          exactly two half-integer matching the two non-conformal entries;
+         T41 and T42 are one suite, parameterised by the shear axis;
 * LEM42  direction-convexity flags of the ten extra close-to-convex maps
          and the two that are not;
 * REMARK starlikeness refutation and the g' = e^{i theta} z h' classes.
 
-Rows marked ``asserted`` record claims taken from the construction itself
+Suite membership comes from the catalog's families, never from retyped
+id lists.  Rows marked ``asserted`` record claims taken from the construction itself
 (not independently certified here); they are excluded from the match count.
 """
 
@@ -29,23 +31,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from .catalog import DEFAULT_ORDER, catalog_build, catalog_lookup
+from .catalog import DEFAULT_ORDER, catalog_build, catalog_ids, catalog_lookup
 from .classify import classify_harmonic
 from .geomtest import (
     Grid, default_grid, direction_convexity_probe, jacobian_min,
     m_theta_check, rz_search, starlike_derivative, u_class_margin,
 )
 
-__all__ = ["VerifyConfig", "run_suite", "SUITES", "report_json"]
+__all__ = ["VerifyConfig", "run_suite", "SUITES", "report_json", "series_twins"]
 
 SUITES = ("T31", "T32", "T41", "T42", "LEM42", "REMARK")
 
-_SZ_IDS = ("identity", "halfplane", "halfplane_r", "vslits", "hslits",
-           "koebe", "koebe_r", "hslits_wide", "hslits_wide_r")
-_T1_IDS = ("cardioid_r", "cardioid", "halfplane_avg", "halfplane_avg_r",
-           "vslits_avg", "hslits_avg", "offset_vslits", "offset_vslits_r",
-           "parabola", "parabola_r")
-_T2_IDS = ("hslits_wide_avg", "hslits_wide_avg_r")
+# axis -> (theorem, tag, member families with the twin family last,
+#          the paper's family total, half-integer shear count)
+_SHEAR_TABLES = {
+    "real": ("T41", "cv1", ("S1", "T3", "T4"), 21, 6),
+    "imag": ("T42", "cvi", ("T5", "T6"), 11, 2),
+}
 
 
 @dataclass(frozen=True)
@@ -122,47 +124,22 @@ def _direction_rows(rows, entry, config, directions=("real", "imag")):
                      not verdict, True, verdict is False)
 
 
-def _shear_rows(rows, config, axis: str):
-    tag = "cv1" if axis == "real" else "cvi"
-    family = f"PROOF_{tag.upper()}"
-    twin_family = "T4" if axis == "real" else "T6"
-    twins = [e for e in catalog_build() if e.family == twin_family]
-    twin_maps = {t.id: t.harmonic_map(config.order) for t in twins}
-    half_count = 0
-    for entry in catalog_build():
-        if entry.family != family:
-            continue
-        fm = entry.harmonic_map(config.order)
-        rh, rg = classify_harmonic(fm)
-        is_half = rh.is_half_integer and rg.is_half_integer
-        half_count += is_half
-        rows.add(entry.id, "half_integer_coeffs", is_half,
-                 entry.expected.half_integer_coeffs,
-                 is_half == entry.expected.half_integer_coeffs)
-        match_id = None
-        for tid, tm in twin_maps.items():
-            if tm.h_series == fm.h_series and tm.g_series == fm.g_series:
-                match_id = tid
-                break
-        expected_twin = entry.note.removeprefix("twin:") if entry.note else None
-        rows.add(entry.id, "series_twin", match_id, expected_twin,
-                 match_id == expected_twin)
-    expect = 6 if axis == "real" else 2
-    rows.add(f"~{tag}_half_integer_count", "count", half_count, expect,
-             half_count == expect)
-    return half_count
+def series_twins(fm, twin_maps: dict) -> list[str]:
+    """Ids in ``twin_maps`` whose h and g series equal those of ``fm``."""
+    return [tid for tid, tm in twin_maps.items()
+            if tm.h_series == fm.h_series and tm.g_series == fm.g_series]
 
 
 def _suite_t31(config) -> dict:
     rows = _Rows()
     grid = config.grid()
-    for cid in _SZ_IDS:
+    for cid in catalog_ids("S_Z"):
         entry = catalog_lookup(cid)
         _coeff_class_row(rows, entry, config, want_integer=True)
         cert = u_class_margin(entry.h, grid)
         rows.add(cid, "u_class_margin", cert.margin, f">= {-config.tol}",
                  cert.margin >= -config.tol)
-    for cid in _T2_IDS:
+    for cid in catalog_ids("T2"):
         entry = catalog_lookup(cid)
         cert = u_class_margin(entry.h, grid)
         rows.add(cid, "u_class_margin", cert.margin, "< 0", cert.margin < 0)
@@ -171,54 +148,54 @@ def _suite_t31(config) -> dict:
 
 def _suite_t32(config) -> dict:
     rows = _Rows()
-    for cid in _SZ_IDS:
+    for cid in catalog_ids("S_Z"):
         _direction_rows(rows, catalog_lookup(cid), config)
     return rows.report("T32", config)
 
 
 def _suite_lem42(config) -> dict:
     rows = _Rows()
-    for cid in _T1_IDS + _T2_IDS:
+    for cid in catalog_ids("T1") + catalog_ids("T2"):
         _direction_rows(rows, catalog_lookup(cid), config)
     return rows.report("LEM42", config)
 
 
-def _suite_t41(config) -> dict:
+def _suite_shears(config, axis: str) -> dict:
+    theorem, tag, families, total, expect_half = _SHEAR_TABLES[axis]
+    twin_family = families[-1]
     rows = _Rows()
     grid = config.grid()
-    members = [e for e in catalog_build() if e.family in ("S1", "T3", "T4")]
-    rows.add("~family_total", "count", len(members), 21, len(members) == 21)
+    members = [e for e in catalog_build() if e.family in families]
+    rows.add("~family_total", "count", len(members), total, len(members) == total)
+    twin_maps = {}
     for entry in members:
         _coeff_class_row(rows, entry, config, want_half=True)
-        if entry.family == "T4":
-            fm = entry.harmonic_map(config.order)
+        if entry.family == twin_family:
+            fm = twin_maps[entry.id] = entry.harmonic_map(config.order)
             cert = jacobian_min(fm, grid)
             rows.add(entry.id, "jacobian_positive", cert.margin, "> 0",
                      cert.margin > 0)
-    _shear_rows(rows, config, "real")
-    rows.add("~cv1_shears", "convex_in_real_direction",
+    half_count = 0
+    for entry in catalog_build():
+        if entry.family != f"PROOF_{tag.upper()}":
+            continue
+        fm = entry.harmonic_map(config.order)
+        rh, rg = classify_harmonic(fm)
+        is_half = rh.is_half_integer and rg.is_half_integer
+        half_count += is_half
+        rows.add(entry.id, "half_integer_coeffs", is_half,
+                 entry.expected.half_integer_coeffs,
+                 is_half == entry.expected.half_integer_coeffs)
+        match_id = next(iter(series_twins(fm, twin_maps)), None)
+        expected_twin = entry.note.removeprefix("twin:") if entry.note else None
+        rows.add(entry.id, "series_twin", match_id, expected_twin,
+                 match_id == expected_twin)
+    rows.add(f"~{tag}_half_integer_count", "count", half_count, expect_half,
+             half_count == expect_half)
+    rows.add(f"~{tag}_shears", f"convex_in_{axis}_direction",
              "by shear construction from certified sources", "asserted",
              True, asserted=True)
-    return rows.report("T41", config)
-
-
-def _suite_t42(config) -> dict:
-    rows = _Rows()
-    grid = config.grid()
-    members = [e for e in catalog_build() if e.family in ("T5", "T6")]
-    rows.add("~family_total", "count", len(members), 11, len(members) == 11)
-    for entry in members:
-        _coeff_class_row(rows, entry, config, want_half=True)
-        if entry.family == "T6":
-            fm = entry.harmonic_map(config.order)
-            cert = jacobian_min(fm, grid)
-            rows.add(entry.id, "jacobian_positive", cert.margin, "> 0",
-                     cert.margin > 0)
-    _shear_rows(rows, config, "imag")
-    rows.add("~cvi_shears", "convex_in_imag_direction",
-             "by shear construction from certified sources", "asserted",
-             True, asserted=True)
-    return rows.report("T42", config)
+    return rows.report(theorem, config)
 
 
 def _suite_remark(config) -> dict:
@@ -255,8 +232,8 @@ def _suite_remark(config) -> dict:
 _SUITE_FNS = {
     "T31": _suite_t31,
     "T32": _suite_t32,
-    "T41": _suite_t41,
-    "T42": _suite_t42,
+    "T41": lambda config: _suite_shears(config, "real"),
+    "T42": lambda config: _suite_shears(config, "imag"),
     "LEM42": _suite_lem42,
     "REMARK": _suite_remark,
 }

@@ -33,7 +33,7 @@ from harmonic_atlas import (
     direction_convexity_probe, rz_certificate, shear_imag, shear_real,
     starlike_derivative, u_class_margin,
 )
-from harmonic_atlas.verify import VerifyConfig, report_json, run_suite
+from harmonic_atlas.verify import VerifyConfig, report_json, run_suite, series_twins
 
 F = Fraction
 GRID = default_grid(64, 256, 0.999)
@@ -80,9 +80,7 @@ def test_criterion_02_real_direction_shears():
     for fm in shears:
         rh, rg = classify_harmonic(fm)
         if rh.is_half_integer and rg.is_half_integer:
-            matched = [tid for tid, tm in twins.items()
-                       if tm.h_series == fm.h_series and tm.g_series == fm.g_series]
-            half.append(matched)
+            half.append(series_twins(fm, twins))
     elapsed = time.perf_counter() - t0
     ok = (len(shears) == 30
           and len(half) == 6
@@ -101,9 +99,7 @@ def test_criterion_03_imag_direction_shears():
     for fm in shears:
         rh, rg = classify_harmonic(fm)
         if rh.is_half_integer and rg.is_half_integer:
-            matched = [tid for tid, tm in twins.items()
-                       if tm.h_series == fm.h_series and tm.g_series == fm.g_series]
-            half.append(matched)
+            half.append(series_twins(fm, twins))
     elapsed = time.perf_counter() - t0
     ok = (len(shears) == 18
           and len(half) == 2

@@ -76,13 +76,13 @@ def test_normalization_invariants(catalog):
 def test_sz_entries_have_integer_coefficients(catalog):
     for e in catalog:
         if e.family == "S_Z":
-            assert coeff_class(e.h_series(64)).klass == "integer", e.id
+            assert coeff_class(e.harmonic_map(64).h_series).klass == "integer", e.id
 
 
 def test_t1_entries_are_half_integer_not_integer(catalog):
     for e in catalog:
         if e.family in ("T1", "T2"):
-            assert coeff_class(e.h_series(64)).klass == "half_integer", e.id
+            assert coeff_class(e.harmonic_map(64).h_series).klass == "half_integer", e.id
 
 
 def test_t2_flags():
@@ -120,7 +120,7 @@ def test_family_duplicates_share_series(catalog):
     for e in catalog:
         if e.family in ("S1", "T3", "T5"):
             base = catalog_lookup(e.id.split("_", 1)[1])
-            assert e.h_series(24) == base.h_series(24)
+            assert e.harmonic_map(24).h_series == base.harmonic_map(24).h_series
 
 
 def test_t6_entries_coincide_with_their_t4_twins():

@@ -1,4 +1,4 @@
-"""Exact coefficient classes and the necessary-condition checks."""
+"""Exact coefficient classes and the |b2| bound."""
 
 from fractions import Fraction
 
@@ -6,8 +6,7 @@ import pytest
 
 from harmonic_atlas import (
     GaussRational, Series, b2_bound_check, catalog_lookup, classify_harmonic,
-    coeff_class, default_grid, halfplane_subordination_margin, parse_formula,
-    rogosinski_coeff_bound, shear_real,
+    coeff_class,
 )
 
 F = Fraction
@@ -81,45 +80,3 @@ def test_b2_bound_all_harmonic_entries(catalog):
         if entry.omega is None:
             continue
         assert b2_bound_check(entry.harmonic_map(8)) <= F(1, 4)
-
-
-# -- subordination margin -----------------------------------------------------------
-
-def test_margin_zero_coanalytic_part(grid):
-    margin = halfplane_subordination_margin(
-        parse_formula("0z"), parse_formula("z/(1-z)"), grid)
-    assert margin == pytest.approx(0.5, abs=1e-12)
-
-
-def test_margin_f3_positive(grid):
-    entry = catalog_lookup("t4_re_koebe_im_halfplane")
-    phi = catalog_lookup("halfplane").h
-    margin = halfplane_subordination_margin(entry.g, phi, grid)
-    assert margin > 0
-
-
-def test_margin_constructed_minimum(grid):
-    # g'/phi' = -z: minimum of Re(-z) + 1/2 over the grid is 1/2 - r_max
-    margin = halfplane_subordination_margin(
-        parse_formula("-z^2/2"), parse_formula("z"), grid)
-    assert margin == pytest.approx(0.5 - 0.999, abs=1e-12)
-
-
-# -- coefficient bound for subordination to z/(1-z) ------------------------------
-
-def test_rogosinski_geometric_series():
-    s = parse_formula("z/(1-z)").series(24)
-    assert rogosinski_coeff_bound(s) == 1
-
-
-def test_rogosinski_f3_ratio():
-    # g'/phi' for the half-plane shear equals z/(1-z): bound exactly 1
-    fm = shear_real(parse_formula("z/(1-z)"), parse_formula("z"), 64)
-    gp = fm.g_series.derivative()
-    pp = (fm.h_series - fm.g_series).derivative()
-    ratio = gp * pp.reciprocal()
-    assert rogosinski_coeff_bound(ratio) <= 1
-
-
-def test_rogosinski_zero_series():
-    assert rogosinski_coeff_bound(Series.zero(12)) == 0

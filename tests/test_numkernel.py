@@ -82,7 +82,7 @@ def test_mul_geometric_inverse():
 
 
 def test_mul_monomials():
-    z = Series.var(4)
+    z = Series([0, 1], order=4)
     assert z * z == S(0, 0, 1, order=4)
 
 
@@ -91,7 +91,7 @@ def test_mul_against_long_division_oracle():
     den = [F(1), F(-1), F(1)]
     div = long_division_series([F(0), F(1)], den, 12)
     s = Series(div)
-    assert Series(den, order=12) * s == Series.var(12)
+    assert Series(den, order=12) * s == Series([0, 1], order=12)
 
 
 def test_reciprocal_geometric():
@@ -117,7 +117,7 @@ def test_reciprocal_of_phi_prime_long_division_oracle():
 
 def test_reciprocal_zero_constant_term():
     with pytest.raises(ZeroConstantTerm):
-        Series.var(4).reciprocal()
+        Series([0, 1], order=4).reciprocal()
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def test_division_matches_long_division_oracle(num, den):
 
 def test_division_zero_constant_term():
     with pytest.raises(ZeroConstantTerm, match="division by a series with zero constant term"):
-        Series.one(6) / Series.var(6)
+        Series.one(6) / Series([0, 1], order=6)
     assert Series.__truediv__(Series.one(6), 2) is NotImplemented
 
 

@@ -1,10 +1,13 @@
 """Claim-table driver: suite contents and summary bookkeeping."""
 
+from pathlib import Path
+
 import pytest
 
 from harmonic_atlas.verify import SUITES, VerifyConfig, report_json, run_suite
 
 FAST = VerifyConfig(order=16, grid_radii=16, grid_angles=64)
+RECORDING = Path(__file__).parent / "data" / "verify_all_fast.json"
 
 
 def test_all_suites_match_at_default_config_shapes():
@@ -47,6 +50,12 @@ def test_report_json_stable():
     a = report_json(run_suite("REMARK", FAST))
     b = report_json(run_suite("REMARK", FAST))
     assert a == b
+
+
+def test_report_matches_recording():
+    # the full report at FAST, byte for byte: a refactor must leave every
+    # row, value and key order as recorded
+    assert report_json(run_suite("all", FAST)) == RECORDING.read_text(encoding="ascii")
 
 
 def test_unknown_suite():
