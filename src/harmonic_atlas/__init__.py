@@ -15,7 +15,7 @@ from .catalog import (
 from .classify import CoeffClassReport, b2_bound_check, classify_harmonic, coeff_class
 from .errors import (
     DilatationTooLarge, HarmonicAtlasError, InvalidExpression, NearPole,
-    NotNormalized, PoleAtOrigin, SeriesMismatch, UnknownId, ZeroConstantTerm,
+    NoClosedForm, NotNormalized, PoleAtOrigin, SeriesMismatch, UnknownId, ZeroConstantTerm,
     ZeroValue,
 )
 from .exprtext import format_expr, parse_any, parse_expr_text, parse_formula
@@ -36,7 +36,7 @@ __all__ = [
     "catalog_build", "catalog_ids", "catalog_lookup", "export_atlas",
     "CoeffClassReport", "b2_bound_check", "classify_harmonic", "coeff_class",
     "DilatationTooLarge", "HarmonicAtlasError", "InvalidExpression", "NearPole",
-    "NotNormalized", "PoleAtOrigin", "SeriesMismatch", "UnknownId",
+    "NoClosedForm", "NotNormalized", "PoleAtOrigin", "SeriesMismatch", "UnknownId",
     "ZeroConstantTerm", "ZeroValue",
     "format_expr", "parse_any", "parse_expr_text", "parse_formula",
     "Certificate", "Grid", "RZParams", "boundary_trace", "default_grid",

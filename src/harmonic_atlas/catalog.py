@@ -18,16 +18,23 @@ per (family, function) pair; family-qualified ids carry an ``s1_``/``t3_``/
 retyped: S1 is the S_Z rows with ``cv_real`` set, T3 the T1 rows with
 ``cv_real`` set, and T5 the S_Z and T1 rows with ``cv_imag`` set.  The
 real-direction shear sources are S1 then T3, the imaginary-direction ones
-T5.  A shear is flagged half-integer exactly when it has a T4/T6 twin.
+T5.
 
-Shear-generated entries are named ``f<k>_cv1`` and ``f<k>_cvi``; closed
-forms for h are attached exactly where a hand integration is on record,
-the rest stay series-only through their recipe.
+The non-conformal maps are stated once, in one table: each T4 row gives h,
+g, shear source, omega sign and flags, and each T6 row gives its source and
+sign and takes h and g from the T4 row with the same name.  Shear-generated
+entries are named ``f<k>_cv1`` and ``f<k>_cvi``.  A shear whose recipe
+(source, sign, axis) is that of a T4/T6 entry is the same map: its ``twin``
+names that entry, and it takes the twin's h and flags, so it is flagged
+half-integer exactly when it has a twin.  The other shears carry a closed
+form for h where a hand integration is on record; the eight without one
+keep only their series and recipe.  Where a shear has h, its g is
+h - source (real direction) or source - h (imaginary direction).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .analytic import AnalyticExpr, Poly
@@ -147,7 +154,7 @@ class CatalogEntry:
     omega: AnalyticExpr | None
     expected: FlagSet
     recipe: ShearRecipe | None = None
-    note: str = ""
+    twin: str | None = None  # the T4/T6 entry a proof shear equals
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -171,24 +178,9 @@ class CatalogEntry:
             shear = shear_real if self.recipe.axis == "real" else shear_imag
             fm = shear(source, self.omega, order)
             if self.h is not None:
-                fm = fm.with_exprs(h_expr=self.h, g_expr=self.g)
+                fm = replace(fm, h_expr=self.h, g_expr=self.g)
         self._cache[order] = fm
         return fm
-
-    def convexity_source(self, direction: str) -> AnalyticExpr:
-        """The conformal map whose direction convexity controls the entry's.
-
-        h - g for the real direction, h + g for the imaginary direction;
-        for conformal entries both reduce to the entry itself.
-        """
-        if self.is_conformal:
-            return self.h
-        if self.recipe is not None and (
-                (direction == "real") == (self.recipe.axis == "real")):
-            return catalog_lookup(self.recipe.source_id).h
-        if self.h is None or self.g is None:
-            raise ValueError(f"{self.id}: no closed form for h -/+ g")
-        return self.h - self.g if direction == "real" else self.h + self.g
 
 
 # ---------------------------------------------------------------------------
@@ -251,27 +243,45 @@ _T5 = _convex_ids(("S_Z", "T1"), "imag")
 _CV1_SOURCES = _S1 + _T3
 _CVI_SOURCES = _T5
 
-# closed forms for h taken from the hand integrations on record
 _HALF = F(1, 2)
+_K_M, _K_P, _Z2 = P(1, -2, 1), P(1, 2, 1), P(0, 0, 1)   # (1-z)^2, (1+z)^2, z^2
+
+# The non-conformal half-integer maps, each stated once.  T4 (convex in the
+# real direction): id suffix -> (h, g, shear source, omega sign, cv_imag,
+# starlike).  T6 (convex in the imaginary direction): id suffix -> (shear
+# source, omega sign); h and g are those of the T4 row with the same suffix.
+_T4 = {
+    "re_koebe_im_halfplane": (rat(_HALF, P(0, 2, -1), _K_M), rat(_HALF, _Z2, _K_M),
+                              "halfplane", +1, False, False),
+    "re_koebe_r_im_halfplane_r": (rat(_HALF, P(0, 2, 1), _K_P), rat(-_HALF, _Z2, _K_P),
+                                  "halfplane_r", -1, False, None),
+    "re_halfplane_im_koebe": (rat(_HALF, P(0, 2, -1), _K_M), rat(-_HALF, _Z2, _K_M),
+                              "koebe", -1, True, None),
+    "re_halfplane_r_im_koebe_r": (rat(_HALF, P(0, 2, 1), _K_P), rat(_HALF, _Z2, _K_P),
+                                  "koebe_r", +1, True, None),
+    "conj_sq_plus": (rat(1, Z), rat(_HALF, _Z2), "cardioid_r", +1, False, None),
+    "conj_sq_minus": (rat(1, Z), rat(-_HALF, _Z2), "cardioid", -1, False, None),
+}
+_T6 = {
+    "re_halfplane_im_koebe": ("halfplane", -1),
+    "re_halfplane_r_im_koebe_r": ("halfplane_r", +1),
+}
+
+# closed forms for h taken from the hand integrations on record; a shear
+# with a T4/T6 twin takes the twin's h instead
 _CV1_H_EXPRS = {
     1: lg(-1, P(1, -1)),
     2: lg(1, P(1, 1)),
-    3: _sum(rat(_HALF, ONE, P(1, -2, 1)), rat(-_HALF, ONE)),
     4: _sum(rat(_HALF, Z, P(1, -1)), lg(F(1, 4), P(1, 1)), lg(F(-1, 4), P(1, -1))),
     5: _sum(rat(_HALF, Z, P(1, 1)), lg(F(1, 4), P(1, 1)), lg(F(-1, 4), P(1, -1))),
-    6: rat(_HALF, P(0, 2, 1), P(1, 2, 1)),
     7: _sum(rat(_HALF, P(0, 0, 1), P(1, 0, 1)), rat(_HALF, Z, P(1, 0, 1)),
             lg(_gr(0, F(-1, 4)), P(1, I)), lg(_gr(0, F(1, 4)), P(1, -I))),
     8: _sum(rat(-_HALF, P(0, 0, 1), P(1, 0, 1)), rat(_HALF, Z, P(1, 0, 1)),
             lg(_gr(0, F(-1, 4)), P(1, I)), lg(_gr(0, F(1, 4)), P(1, -I))),
     9: rat(1, P(0, 1, F(-1, 2), F(1, 6)), P(1, -3, 3, -1)),
-    10: rat(_HALF, P(0, 2, -1), P(1, -2, 1)),
-    11: rat(_HALF, P(0, 2, 1), P(1, 2, 1)),
     12: rat(1, P(0, 1, F(1, 2), F(1, 6)), P(1, 3, 3, 1)),
-    17: rat(1, Z),
     18: _sum(lg(2, P(1, 1)), rat(-1, Z)),
     19: _sum(lg(-2, P(1, -1)), rat(-1, Z)),
-    20: rat(1, Z),
     21: _sum(lg(-_HALF, P(1, -1)), rat(F(1, 4), ONE, P(1, -2, 1)), rat(F(-1, 4), ONE)),
     22: _sum(lg(F(5, 8), P(1, 1)), lg(F(-1, 8), P(1, -1)),
              rat(F(1, 4), ONE, P(1, -1)), rat(F(-1, 4), ONE)),
@@ -289,8 +299,6 @@ _CVI_H_EXPRS = {
     1: lg(1, P(1, 1)),
     2: lg(-1, P(1, -1)),
     3: _sum(rat(_HALF, Z, P(1, -1)), lg(F(1, 4), P(1, 1)), lg(F(-1, 4), P(1, -1))),
-    4: _sum(rat(_HALF, ONE, P(1, -2, 1)), rat(-_HALF, ONE)),
-    5: _sum(rat(-_HALF, ONE, P(1, 2, 1)), rat(_HALF, ONE)),
     6: _sum(rat(_HALF, Z, P(1, 1)), lg(F(1, 4), P(1, 1)), lg(F(-1, 4), P(1, -1))),
     9: _sum(lg(F(5, 8), P(1, 1)), lg(F(-1, 8), P(1, -1)), rat(F(1, 4), Z, P(1, -1))),
     10: _sum(rat(F(1, 4), ONE, P(1, -2, 1)), lg(-_HALF, P(1, -1)), rat(F(-1, 4), ONE)),
@@ -310,22 +318,6 @@ _CVI_H_EXPRS = {
              rat(F(3, 8), ONE, P(1, -2, 1)), rat(F(-1, 8), ONE, P(1, 1)), rat(F(-1, 4), ONE)),
 }
 
-# cv1 shear index -> (coinciding t4 entry, its cv_imag flag); the keys are
-# exactly the shears with half-integer coefficients
-_CV1_T4_ID = {
-    3: ("t4_re_koebe_im_halfplane", False),
-    6: ("t4_re_koebe_r_im_halfplane_r", False),
-    10: ("t4_re_halfplane_im_koebe", True),
-    11: ("t4_re_halfplane_r_im_koebe_r", True),
-    17: ("t4_conj_sq_plus", False),
-    20: ("t4_conj_sq_minus", False),
-}
-# cvi shear index -> (coinciding t6 entry, its cv_real flag)
-_CVI_T6_ID = {
-    4: ("t6_re_halfplane_im_koebe", True),
-    5: ("t6_re_halfplane_r_im_koebe_r", True),
-}
-
 _ALIASES = {
     "harmonic_koebe": "f9_cv1",
     "f_plus": "hslits_wide_avg",
@@ -337,82 +329,46 @@ def _omega_expr(sign: int) -> AnalyticExpr:
     return rat(sign, Z)
 
 
-def _t4_entries() -> list[CatalogEntry]:
-    half = _HALF
-    k_m, l_m = P(1, -2, 1), P(1, -1)     # (1-z)^2, 1-z
-    k_p, l_p = P(1, 2, 1), P(1, 1)
-    z2 = P(0, 0, 1)
-    rows = [
-        # id suffix, h, g, omega sign, cv_imag, starlike, recipe source
-        ("re_koebe_im_halfplane", rat(half, P(0, 2, -1), k_m), rat(half, z2, k_m),
-         +1, False, False, "halfplane"),
-        ("re_koebe_r_im_halfplane_r", rat(half, P(0, 2, 1), k_p), rat(-half, z2, k_p),
-         -1, False, None, "halfplane_r"),
-        ("re_halfplane_im_koebe", rat(half, P(0, 2, -1), k_m), rat(-half, z2, k_m),
-         -1, True, None, "koebe"),
-        ("re_halfplane_r_im_koebe_r", rat(half, P(0, 2, 1), k_p), rat(half, z2, k_p),
-         +1, True, None, "koebe_r"),
-        ("conj_sq_plus", rat(1, Z), rat(half, z2),
-         +1, False, None, "cardioid_r"),
-        ("conj_sq_minus", rat(1, Z), rat(-half, z2),
-         -1, False, None, "cardioid"),
-    ]
-    out = []
-    for suffix, h, g, sign, cv_imag, starlike, src in rows:
-        out.append(CatalogEntry(
-            id=f"t4_{suffix}", family="T4", h=h, g=g, omega=_omega_expr(sign),
-            expected=FlagSet(False, True, cv_real=True, cv_imag=cv_imag,
-                             starlike=starlike),
-            recipe=ShearRecipe(src, sign, "real"),
-        ))
-    return out
+def _nonconformal_entries() -> list[CatalogEntry]:
+    """The T4 rows, then the T6 rows with h and g of their T4 namesakes."""
+    rows = [("T4", "real", suffix, *row) for suffix, row in _T4.items()]
+    rows += [("T6", "imag", suffix, *_T4[suffix][:2], src, sign, True, None)
+             for suffix, (src, sign) in _T6.items()]
+    return [CatalogEntry(
+        id=f"{family.lower()}_{suffix}", family=family, h=h, g=g,
+        omega=_omega_expr(sign),
+        expected=FlagSet(False, True, cv_real=True, cv_imag=cv_imag,
+                         starlike=starlike),
+        recipe=ShearRecipe(src, sign, axis),
+    ) for family, axis, suffix, h, g, src, sign, cv_imag, starlike in rows]
 
 
-def _t6_entries() -> list[CatalogEntry]:
-    half = _HALF
-    z2 = P(0, 0, 1)
-    rows = [
-        ("re_halfplane_im_koebe", rat(half, P(0, 2, -1), P(1, -2, 1)),
-         rat(-half, z2, P(1, -2, 1)), -1, "halfplane"),
-        ("re_halfplane_r_im_koebe_r", rat(half, P(0, 2, 1), P(1, 2, 1)),
-         rat(half, z2, P(1, 2, 1)), +1, "halfplane_r"),
-    ]
-    out = []
-    for suffix, h, g, sign, src in rows:
-        out.append(CatalogEntry(
-            id=f"t6_{suffix}", family="T6", h=h, g=g, omega=_omega_expr(sign),
-            expected=FlagSet(False, True, cv_real=True, cv_imag=True),
-            recipe=ShearRecipe(src, sign, "imag"),
-        ))
-    return out
+def _proof_entries(axis: str, twins: dict) -> list[CatalogEntry]:
+    """The case analysis's shears along ``axis``.
 
-
-def _proof_entries(axis: str) -> list[CatalogEntry]:
+    ``twins`` maps a T4/T6 recipe to its entry.  A shear with the same
+    recipe is that map: it takes the twin's h and expected flags.
+    """
     sources = _CV1_SOURCES if axis == "real" else _CVI_SOURCES
     h_exprs = _CV1_H_EXPRS if axis == "real" else _CVI_H_EXPRS
-    twin_ids = _CV1_T4_ID if axis == "real" else _CVI_T6_ID
     tag = "cv1" if axis == "real" else "cvi"
     out = []
     for idx, source_id in enumerate(sources):
         source_expr = _CONFORMAL[source_id][0]
         for sign in (+1, -1):
             k = 2 * idx + (1 if sign > 0 else 2)
-            is_half = k in twin_ids
-            h = h_exprs.get(k)
+            recipe = ShearRecipe(source_id, sign, axis)
+            twin = twins.get(recipe)
+            h = twin.h if twin is not None else h_exprs.get(k)
             g = None
             if h is not None:
                 g = h - source_expr if axis == "real" else source_expr - h
-            twin_id, twin_flag = twin_ids.get(k, (None, None))
-            if axis == "real":
-                flags = FlagSet(False, is_half, cv_real=True, cv_imag=twin_flag,
-                                starlike=False if k == 3 else None)
-            else:
-                flags = FlagSet(False, is_half, cv_imag=True, cv_real=twin_flag)
+            flags = (twin.expected if twin is not None
+                     else FlagSet(False, False, **{f"cv_{axis}": True}))
             out.append(CatalogEntry(
                 id=f"f{k}_{tag}", family=f"PROOF_{tag.upper()}",
                 h=h, g=g, omega=_omega_expr(sign), expected=flags,
-                recipe=ShearRecipe(source_id, sign, axis),
-                note=f"twin:{twin_id}" if twin_id else "",
+                recipe=recipe, twin=twin.id if twin is not None else None,
             ))
     return out
 
@@ -451,10 +407,11 @@ def catalog_build() -> tuple[CatalogEntry, ...]:
         entries.append(_conformal_entry(cid, prefix="t3_", family="T3"))
     for cid in _T5:
         entries.append(_conformal_entry(cid, prefix="t5_", family="T5"))
-    entries.extend(_t4_entries())
-    entries.extend(_t6_entries())
-    entries.extend(_proof_entries("real"))
-    entries.extend(_proof_entries("imag"))
+    nonconformal = _nonconformal_entries()
+    twins = {e.recipe: e for e in nonconformal}
+    entries.extend(nonconformal)
+    entries.extend(_proof_entries("real", twins))
+    entries.extend(_proof_entries("imag", twins))
     _CATALOG = tuple(entries)
     _INDEX.clear()
     _INDEX.update({e.id: e for e in entries})

@@ -140,20 +140,13 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _parse_omega(text: str):
-    text = text.strip()
-    if text == "+z":
-        return parse_any("z")
-    return parse_any(text)
-
-
 def _cmd_shear(args) -> int:
     config = _build_config(args)
     try:
         phi = catalog_lookup(args.phi).h
     except UnknownId:
         phi = parse_any(args.phi)
-    omega = _parse_omega(args.omega)
+    omega = parse_any(args.omega)
     fn = shear_real if args.axis == "real" else shear_imag
     fm = fn(phi, omega, config.order)
     rh, rg = classify_harmonic(fm)

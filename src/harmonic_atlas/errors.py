@@ -41,3 +41,8 @@ class SeriesMismatch(HarmonicAtlasError):
 
 class ZeroValue(HarmonicAtlasError):
     """A quantity that must be bounded away from zero is numerically zero."""
+
+
+class NoClosedForm(HarmonicAtlasError):
+    """A value was asked of h or g where the map has no closed form; a
+    truncated series is never evaluated in its place."""

@@ -109,6 +109,7 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([zi()+\-*/^]))")
 
 
 def _tokenize(text: str):
+    text = text.rstrip()
     tokens, pos = [], 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .analytic import AnalyticExpr
 from .errors import SeriesMismatch, ZeroValue
-from .numkernel import GaussRational
+from .numkernel import GaussRational, Series
 from .shear import HarmonicMap
 
 __all__ = [
@@ -236,26 +236,19 @@ def u_class_margin(f: AnalyticExpr, grid: Grid) -> Certificate:
 
 def m_theta_check(F: HarmonicMap, theta: float, grid: Grid) -> Certificate:
     """Membership evidence for the class with g' = e^{i theta} z h' and
-    Re(1 + z h''/h') > -1/2.
+    Re(1 + z h''/h') > -1/2, for theta in {0, pi}.
 
-    The dilatation identity is checked exactly on series for theta in
-    {0, pi} and to 1e-12 per coefficient otherwise; failure raises
-    SeriesMismatch.  The margin is the grid minimum of
-    Re(1 + z h''/h') + 1/2.
+    The dilatation identity is checked exactly on series; failure raises
+    SeriesMismatch, and any other theta raises ValueError.  The margin is
+    the grid minimum of Re(1 + z h''/h') + 1/2.
     """
+    if theta not in (0.0, math.pi):
+        raise ValueError("m_theta_check supports theta = 0 and theta = pi only")
     n1 = max(F.order - 1, 0)
     lhs = F.g_series.derivative().truncate(n1)
     hp = F.h_series.derivative().truncate(n1)
-    zhp = _mul_by_z(hp, n1)
-    if theta == 0.0 or theta == math.pi:
-        sign = 1 if theta == 0.0 else -1
-        if lhs != zhp.scale(sign):
-            raise SeriesMismatch("g' != e^{i theta} z h' as exact series")
-    else:
-        w = complex(math.cos(theta), math.sin(theta))
-        for n in range(n1 + 1):
-            if abs(complex(lhs.coeff(n)) - w * complex(zhp.coeff(n))) > 1e-12:
-                raise SeriesMismatch("g' != e^{i theta} z h' within 1e-12")
+    if lhs != _mul_by_z(hp, n1).scale(1 if theta == 0.0 else -1):
+        raise SeriesMismatch("g' != e^{i theta} z h' as exact series")
     zs = grid.points
     vals = np.asarray(F.curvature_term(zs)).real + 0.5
     return _min_certificate("m_theta", vals, zs)
@@ -263,7 +256,6 @@ def m_theta_check(F: HarmonicMap, theta: float, grid: Grid) -> Certificate:
 
 def _mul_by_z(s, order):
     """Series of z * s(z), truncated at the same order."""
-    from .numkernel import Series
     return Series([GaussRational(0), *s.coeffs], order=order)
 
 

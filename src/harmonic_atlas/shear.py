@@ -9,24 +9,27 @@ map that is convex in one direction plus a dilatation omega = g'/h':
 The integration is carried out on exact truncated series, so the returned
 map satisfies h - g = phi (resp. h + g = psi) and g' = omega * h' exactly
 to the working order.  Closed forms for h and g are attached afterwards
-where they are known; evaluation prefers closed forms and falls back to
-the shear recipe (phi, omega) so that h' and g' stay evaluable arbitrarily
-close to the boundary even when h itself has no closed form.
+where they are known.
+
+Values of h and g come from closed forms only.  A truncated series is
+wrong well inside the disk: at order 32 the catalog shear f7_cvi is off by
+0.58 at |z| = 0.85 and by 6.0 at |z| = 0.9.  So a map without a closed
+form raises ``NoClosedForm`` rather than evaluate its series.  h' (and
+g' = omega h') may also come from the shear recipe, source'/(1 -/+ omega),
+which is exact everywhere in the disk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import AnalyticExpr
-from .errors import DilatationTooLarge, NotNormalized, SeriesMismatch
+from .errors import DilatationTooLarge, NoClosedForm, NotNormalized, SeriesMismatch
 from .numkernel import Series
 
 __all__ = ["HarmonicMap", "shear_real", "shear_imag", "dilatation_check"]
-
-_SERIES_EVAL_RADIUS = 0.9
 
 
 @dataclass(frozen=True)
@@ -66,29 +69,20 @@ class HarmonicMap:
     def order(self) -> int:
         return self.h_series.order
 
-    def with_exprs(self, h_expr=None, g_expr=None) -> "HarmonicMap":
-        return replace(self, h_expr=h_expr or self.h_expr, g_expr=g_expr or self.g_expr)
-
     # -- evaluation routes --------------------------------------------------
 
-    def _require_series_radius(self, z):
-        if np.max(np.abs(np.asarray(z))) > _SERIES_EVAL_RADIUS:
-            raise ValueError(
-                "series evaluation only trusted for |z| <= 0.9; "
-                "attach closed forms to evaluate closer to the boundary"
-            )
+    def _closed(self, name: str) -> AnalyticExpr:
+        expr = getattr(self, f"{name}_expr")
+        if expr is None:
+            raise NoClosedForm(f"{name} has no closed form; its truncated "
+                               "series is not evaluated in its place")
+        return expr
 
     def eval_h(self, z):
-        if self.h_expr is not None:
-            return self.h_expr.eval(z)
-        self._require_series_radius(z)
-        return self.h_series.eval(z)
+        return self._closed("h").eval(z)
 
     def eval_g(self, z):
-        if self.g_expr is not None:
-            return self.g_expr.eval(z)
-        self._require_series_radius(z)
-        return self.g_series.eval(z)
+        return self._closed("g").eval(z)
 
     def eval(self, z):
         """f(z) = h(z) + conj(g(z))."""
@@ -97,21 +91,17 @@ class HarmonicMap:
     def eval_masked(self, zs: np.ndarray):
         """Vectorized f(z) with near-pole points masked out, for plotting."""
         zs = np.asarray(zs, dtype=complex)
-        if self.h_expr is not None and self.g_expr is not None:
-            hv, ok_h = self.h_expr.eval_masked(zs)
-            gv, ok_g = self.g_expr.eval_masked(zs)
-            return hv + np.conjugate(gv), ok_h & ok_g
-        return self.eval(zs), np.ones(zs.shape, dtype=bool)
+        hv, ok_h = self._closed("h").eval_masked(zs)
+        gv, ok_g = self._closed("g").eval_masked(zs)
+        return hv + np.conjugate(gv), ok_h & ok_g
 
     def h_prime(self, z):
-        if self.h_expr is not None:
-            return self.h_expr.derivative().eval(z)
-        if self.source is not None:
+        """h' from the closed form of h, else source'/(1 -/+ omega)."""
+        if self.h_expr is None and self.source is not None:
             sp = self.source.derivative().eval(z)
             om = self.omega.eval(z)
             return sp / (1 - om) if self.axis == "real" else sp / (1 + om)
-        self._require_series_radius(z)
-        return self.h_series.derivative().eval(z)
+        return self._closed("h").derivative().eval(z)
 
     def g_prime(self, z):
         if self.g_expr is not None:
@@ -120,23 +110,7 @@ class HarmonicMap:
 
     def curvature_term(self, z):
         """1 + z h''(z)/h'(z), the quantity bounded below in the M(theta) class."""
-        if self.h_expr is not None:
-            d1 = self.h_expr.derivative()
-            d2 = d1.derivative()
-            return 1 + z * d2.eval(z) / d1.eval(z)
-        if self.source is not None:
-            sp = self.source.derivative()
-            spp = sp.derivative()
-            om = self.omega.eval(z)
-            omp = self.omega.derivative().eval(z)
-            log_deriv = spp.eval(z) / sp.eval(z)
-            if self.axis == "real":
-                log_deriv = log_deriv + omp / (1 - om)
-            else:
-                log_deriv = log_deriv - omp / (1 + om)
-            return 1 + z * log_deriv
-        self._require_series_radius(z)
-        d1 = self.h_series.derivative()
+        d1 = self._closed("h").derivative()
         return 1 + z * d1.derivative().eval(z) / d1.eval(z)
 
 

@@ -105,14 +105,15 @@ def _coeff_class_row(rows, entry, config, want_integer=None, want_half=None):
 
 
 def _direction_rows(rows, entry, config, directions=("real", "imag")):
+    """Direction-convexity rows of a conformal entry: a slope certificate
+    for h where convexity is claimed, a falsifier where it is denied."""
     grid = config.grid()
     for direction in directions:
         expected = getattr(entry.expected, f"cv_{direction}")
         if expected is None:
             continue
         if expected:
-            cert = rz_search(entry.convexity_source(direction), direction, grid,
-                             tol=config.tol)
+            cert = rz_search(entry.h, direction, grid, tol=config.tol)
             computed = None if cert is None else round(cert.margin, 15)
             rows.add(entry.id, f"cv_{direction}_certificate",
                      computed, "found", cert is not None)
@@ -187,9 +188,8 @@ def _suite_shears(config, axis: str) -> dict:
                  entry.expected.half_integer_coeffs,
                  is_half == entry.expected.half_integer_coeffs)
         match_id = next(iter(series_twins(fm, twin_maps)), None)
-        expected_twin = entry.note.removeprefix("twin:") if entry.note else None
-        rows.add(entry.id, "series_twin", match_id, expected_twin,
-                 match_id == expected_twin)
+        rows.add(entry.id, "series_twin", match_id, entry.twin,
+                 match_id == entry.twin)
     rows.add(f"~{tag}_half_integer_count", "count", half_count, expect_half,
              half_count == expect_half)
     rows.add(f"~{tag}_shears", f"convex_in_{axis}_direction",

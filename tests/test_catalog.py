@@ -131,6 +131,30 @@ def test_t6_entries_coincide_with_their_t4_twins():
         assert fa.h_series == fb.h_series and fa.g_series == fb.g_series
 
 
+def test_proof_shears_take_h_and_flags_from_their_twins(catalog):
+    # each T4/T6 map is stated once: the proof shear with the same recipe
+    # (source, omega sign, axis) names it as twin and shares its h and flags
+    twins = {e.recipe: e for e in catalog if e.family in ("T4", "T6")}
+    assert len(twins) == 8
+    proofs = {e.recipe: e for e in catalog if e.family.startswith("PROOF_")}
+    for recipe, twin in twins.items():
+        shear = proofs[recipe]
+        assert shear.twin == twin.id
+        assert shear.h is twin.h, shear.id
+        assert shear.expected == twin.expected, shear.id
+    for shear in proofs.values():
+        if shear.twin is None:
+            assert shear.expected.half_integer_coeffs is False, shear.id
+            assert shear.expected.starlike is None, shear.id
+
+
+def test_t6_rows_take_h_and_g_from_their_t4_namesakes():
+    for cid in catalog_ids("T6"):
+        t6, t4 = catalog_lookup(cid), catalog_lookup("t4_" + cid.removeprefix("t6_"))
+        assert t6.h is t4.h and t6.g is t4.g, cid
+        assert t6.recipe.axis == "imag" and t4.recipe.axis == "real"
+
+
 def test_catalog_ids_filter():
     assert len(catalog_ids("T4")) == 6
     assert len(catalog_ids()) == 101

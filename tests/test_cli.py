@@ -1,10 +1,13 @@
 """CLI surface: subcommands, exit codes, config, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from harmonic_atlas.cli import main
+
+ATLAS = Path(__file__).parent / "data" / "atlas.json"
 
 
 def run(capsys, *argv):
@@ -45,6 +48,13 @@ def test_shear_matches_f3(capsys):
     assert "half_integer" in out
 
 
+def test_shear_omega_spellings_agree(capsys):
+    outs = [run(capsys, "shear", "koebe", omega, "real", "--show", "6")
+            for omega in ("+z", "z", "+z ")]
+    assert outs[0][0] == 0
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_shear_neg_omega_neither(capsys):
     code, out, _ = run(capsys, "shear", "z-z^2/2", "-z", "real", "--show", "4")
     assert code == 0
@@ -81,6 +91,14 @@ def test_list_json_atlas(capsys):
     atlas = json.loads(out)
     assert atlas["schema"] == 1
     assert len(atlas["entries"]) == 101
+
+
+def test_list_json_matches_recording(capsys):
+    # the whole atlas, byte for byte: catalog refactors must leave every id,
+    # expression text, recipe and flag as recorded
+    code, out, _ = run(capsys, "list", "--json")
+    assert code == 0
+    assert out == ATLAS.read_text(encoding="utf-8")
 
 
 def test_verify_t31_exit_0(capsys):
@@ -146,6 +164,16 @@ def test_render_harmonic_koebe(tmp_path, capsys):
                      "--circles", "3", "--rays", "6", "--samples", "64")
     assert code == 0
     assert out_path.read_text().count("<path") == 3 + 6 + 1
+
+
+def test_render_without_closed_form_exit_2(tmp_path, capsys):
+    # f7_cvi has no closed form for h; its order-32 series is off by 0.58 at
+    # r = 0.85, so rendering must refuse rather than draw from it
+    out_path = tmp_path / "f7.svg"
+    code, _, err = run(capsys, "render", "f7_cvi", str(out_path), "--rmax", "0.85")
+    assert code == 2
+    assert "NoClosedForm" in err
+    assert not out_path.exists()
 
 
 def test_render_unknown_exit_2(tmp_path, capsys):

@@ -217,6 +217,11 @@ def test_m_theta_f3_and_f9(grid):
     assert cpi.margin > 0
 
 
+def test_m_theta_rejects_other_angles(grid):
+    with pytest.raises(ValueError):
+        m_theta_check(entry_map("t4_re_koebe_im_halfplane"), math.pi / 2, grid)
+
+
 def test_m_theta_mismatch_for_identity(grid):
     with pytest.raises(SeriesMismatch):
         m_theta_check(entry_map("identity"), 0.0, grid)

@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from harmonic_atlas import (
-    AnalyticExpr, DilatationTooLarge, GaussRational, NotNormalized, Poly,
-    Series, catalog_lookup, dilatation_check, parse_any,
+    AnalyticExpr, DilatationTooLarge, GaussRational, NoClosedForm, NotNormalized,
+    Poly, Series, catalog_lookup, dilatation_check, parse_any,
     parse_formula, shear_imag, shear_real,
 )
 from harmonic_atlas.shear import HarmonicMap
@@ -196,6 +197,23 @@ def test_eval_f3_real_part_matches_closed_form():
     z = 0.5 * complex(0.6, 0.8)
     koebe = z / (1 - z) ** 2
     assert abs(fm.eval(z).real - koebe.real) < 1e-10
+
+
+def test_no_closed_form_raises_instead_of_using_the_series():
+    fm = catalog_lookup("f7_cvi").harmonic_map(32)
+    assert fm.h_expr is None
+    z = np.array([0.5, 0.85j])
+    for value in (fm.eval_h, fm.eval_g, fm.eval, fm.eval_masked, fm.curvature_term):
+        with pytest.raises(NoClosedForm):
+            value(z)
+    # h' and g' follow the shear recipe: h' = psi'/(1 + omega) for omega = z
+    source = catalog_lookup(catalog_lookup("f7_cvi").recipe.source_id).h
+    want = source.derivative().eval(z) / (1 + z)
+    assert np.allclose(fm.h_prime(z), want, rtol=1e-13)
+    assert np.allclose(fm.g_prime(z), z * want, rtol=1e-13)
+    bare = HarmonicMap(Series([0, 1], order=4), Series.zero(4), parse_formula("z"))
+    with pytest.raises(NoClosedForm):
+        bare.h_prime(z)
 
 
 def test_dilatation_check_counterexample():
