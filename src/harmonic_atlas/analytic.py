@@ -9,7 +9,9 @@ exact division, log terms by integrating L'/L).
 Construction enforces the invariants the rest of the package relies on:
 
 * denominators and log arguments are zero-free on the open unit disk
-  (numeric companion-matrix root check on |z| < 1 - 1e-6);
+  (a numeric companion-matrix root check rejects roots with
+  |z| < 1 - ``_DISK_MARGIN`` = 1 - 1e-4, so a root closer to the circle
+  passes);
 * rational terms are normalized so the denominator does not vanish at 0
   (common z^k factors cancel, otherwise ``PoleAtOrigin``);
 * log arguments satisfy L(0) = 1 exactly, so their series have constant

@@ -13,7 +13,12 @@ The direction-convexity machinery:
   + z^2 e^{-2i mu}) phi'(z)} (real direction) or the same with leading
   factor -i e^{i mu} (imaginary direction); nonnegativity on the disk is
   the classical slope criterion for convexity in that direction.
-* ``rz_search`` scans a (mu, nu) lattice for the best margin.
+* ``rz_search`` scans a (mu, nu) lattice for the best margin.  It skips
+  the full-grid scan of a lattice point when the minimum over a subset of
+  the grid (the outer ring |z| = r_max and earlier witnesses), computed
+  with the same float operations and so never below the full minimum, is
+  already no better than the best margin; the result is exactly that of
+  the unpruned scan.
 * ``direction_convexity_probe`` traces the image of a near-boundary circle
   and counts sign changes of the coordinate orthogonal to test lines.
 """
@@ -49,9 +54,13 @@ class Grid:
     angles_count: int
 
     def __post_init__(self):
+        if not self.radii:
+            raise ValueError("radii must not be empty")
+        if self.angles_count < 1:
+            raise ValueError("angles_count must be at least 1")
         if list(self.radii) != sorted(self.radii):
             raise ValueError("radii must be sorted ascending")
-        if self.radii and not (0 < self.radii[0] and self.radii[-1] < 1):
+        if not (0 < self.radii[0] and self.radii[-1] < 1):
             raise ValueError("radii must lie in (0, 1)")
 
     @property
@@ -66,7 +75,9 @@ class Grid:
 @lru_cache(maxsize=32)
 def _grid_points(radii: tuple, angles_count: int) -> np.ndarray:
     angles = np.exp(2j * np.pi * np.arange(angles_count) / angles_count)
-    return (np.asarray(radii)[:, None] * angles[None, :]).ravel()
+    points = (np.asarray(radii)[:, None] * angles[None, :]).ravel()
+    points.flags.writeable = False  # cached: shared by equal grids
+    return points
 
 
 def default_grid(radii_count: int = 64, angles: int = 256,
@@ -117,21 +128,24 @@ def jacobian_min(F: HarmonicMap, grid: Grid) -> Certificate:
     return _min_certificate("jacobian", vals, zs)
 
 
-def _rz_values(phi: AnalyticExpr, mu: float, nu: float, axis: str,
-               zs: np.ndarray) -> np.ndarray:
+def _rz_parts(phi: AnalyticExpr, axis: str, zs: np.ndarray):
+    """Arrays a, b, c with the slope quantity at (mu, nu) equal to
+    cos(mu) a + sin(mu) b - 2 cos(nu) c."""
+    if axis not in ("real", "imag"):
+        raise ValueError("axis must be 'real' or 'imag'")
     pp = phi.derivative().eval(zs)
-    w = (np.exp(1j * mu) - 2 * math.cos(nu) * zs
-         + np.exp(-1j * mu) * zs * zs) * pp
-    return w.real if axis == "real" else w.imag
+    p0, p1, p2 = pp, zs * pp, zs * zs * pp
+    if axis == "real":
+        return p0.real + p2.real, p2.imag - p0.imag, p1.real
+    return p0.imag + p2.imag, p0.real - p2.real, p1.imag
 
 
 def rz_certificate(phi: AnalyticExpr, p: RZParams, axis: str,
                    grid: Grid) -> Certificate:
     """Slope-criterion margin for one (mu, nu) choice."""
-    if axis not in ("real", "imag"):
-        raise ValueError("axis must be 'real' or 'imag'")
     zs = grid.points
-    vals = _rz_values(phi, p.mu, p.nu, axis, zs)
+    a, b, c = _rz_parts(phi, axis, zs)
+    vals = math.cos(p.mu) * a + math.sin(p.mu) * b - 2 * math.cos(p.nu) * c
     return _min_certificate(f"rz_{axis}", vals, zs, p)
 
 
@@ -144,29 +158,39 @@ def rz_search(phi: AnalyticExpr, axis: str, grid: Grid,
     The lattice has ``mu_steps`` points on [0, 2pi) and ``nu_steps``
     intervals on [0, pi] (endpoints included), so the classical choices
     0, pi/3, pi/2, 2pi/3 and pi are all exactly representable with the
-    defaults.
+    defaults.  Lattice points are visited mu-major and a later point
+    replaces the best only with a strictly larger margin.
+
+    Pruning: before the nu loop of each mu, the values at the probe points
+    (the outer ring |z| = r_max, the last ``angles_count`` grid points,
+    plus the witness of every earlier full scan) come from the same float
+    operations as the full-grid values, so their minimum bounds the
+    full-grid minimum from above, bit for bit.  A point whose bound is <=
+    the best margin cannot replace it, and its full-grid scan is skipped;
+    a NaN bound never skips.  The result is that of the unpruned scan.
     """
+    if mu_steps < 1 or nu_steps < 1:
+        raise ValueError("mu_steps and nu_steps must be at least 1")
     zs = grid.points
-    pp = phi.derivative().eval(zs)
-    p0, p1, p2 = pp, zs * pp, zs * zs * pp
-    if axis == "real":
-        a, b = p0.real + p2.real, p2.imag - p0.imag
-        c = p1.real
-    else:
-        a, b = p0.imag + p2.imag, p0.real - p2.real
-        c = p1.imag
+    a, b, c = _rz_parts(phi, axis, zs)
+    probe = np.arange(zs.size - grid.angles_count, zs.size)
+    nus = [math.pi * j / nu_steps for j in range(nu_steps + 1)]
+    twice_cos = np.array([2 * math.cos(nu) for nu in nus])
     best = None
     for i in range(mu_steps):
         mu = 2 * math.pi * i / mu_steps
         base = math.cos(mu) * a + math.sin(mu) * b
-        for j in range(nu_steps + 1):
-            nu = math.pi * j / nu_steps
-            vals = base - 2 * math.cos(nu) * c
+        bounds = np.min(base[probe] - twice_cos[:, None] * c[probe], axis=1)
+        for nu, t, bound in zip(nus, twice_cos, bounds):
+            if best is not None and bound <= best.margin:
+                continue
+            vals = base - t * c
             k = int(np.argmin(vals))
-            margin = float(vals[k])
-            if best is None or margin > best.margin:
-                best = Certificate(f"rz_{axis}", margin, complex(zs[k]),
-                                   RZParams(mu, nu))
+            if k not in probe:
+                probe = np.append(probe, k)
+            if best is None or vals[k] > best.margin:
+                best = Certificate(f"rz_{axis}", float(vals[k]),
+                                   complex(zs[k]), RZParams(mu, nu))
     if best is not None and best.margin >= -tol:
         return best
     return None

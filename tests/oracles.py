@@ -3,8 +3,13 @@
 These deliberately avoid the package's Series/AnalyticExpr code paths:
 plain Fraction lists and textbook recurrences only, so that an agreement
 between a library result and an oracle value is a genuine cross-check.
+The one numeric oracle, ``rz_search_bruteforce``, is the plain lattice scan
+that the pruned ``rz_search`` must reproduce exactly.  It imports numpy
+only when called, so importing this module (as perfbench does at set-up)
+loads neither numpy nor the package.
 """
 
+import math
 from fractions import Fraction
 from math import comb
 
@@ -81,3 +86,35 @@ def gaussian_long_division(num, den, order):
     re = long_division_series([a for a, _ in top], [a for a, _ in real_den], order)
     im = long_division_series([b for _, b in top], [a for a, _ in real_den], order)
     return list(zip(re, im))
+
+
+def rz_search_bruteforce(phi, axis, grid, mu_steps=96, nu_steps=48,
+                         tol=1e-9):
+    """The unpruned slope-criterion lattice scan: every (mu, nu) point is
+    evaluated on the whole grid.  Returns (margin, witness, mu, nu) of the
+    best margin if it clears -tol, else None."""
+    import numpy as np
+
+    zs = grid.points
+    pp = phi.derivative().eval(zs)
+    p0, p1, p2 = pp, zs * pp, zs * zs * pp
+    if axis == "real":
+        a, b = p0.real + p2.real, p2.imag - p0.imag
+        c = p1.real
+    else:
+        a, b = p0.imag + p2.imag, p0.real - p2.real
+        c = p1.imag
+    best = None
+    for i in range(mu_steps):
+        mu = 2 * math.pi * i / mu_steps
+        base = math.cos(mu) * a + math.sin(mu) * b
+        for j in range(nu_steps + 1):
+            nu = math.pi * j / nu_steps
+            vals = base - 2 * math.cos(nu) * c
+            k = int(np.argmin(vals))
+            margin = float(vals[k])
+            if best is None or margin > best[0]:
+                best = (margin, complex(zs[k]), mu, nu)
+    if best is not None and best[0] >= -tol:
+        return best
+    return None

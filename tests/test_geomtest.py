@@ -5,14 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonic_atlas import (
     AnalyticExpr, Grid, Poly, RZParams, SeriesMismatch, Series, boundary_trace,
-    catalog_lookup, default_grid, direction_convexity_probe, jacobian_min,
-    m_theta_check, parse_formula, rz_certificate, rz_search,
+    catalog_ids, catalog_lookup, default_grid, direction_convexity_probe,
+    jacobian_min, m_theta_check, parse_formula, rz_certificate, rz_search,
     starlike_derivative, u_class_margin,
 )
+from harmonic_atlas import verify
 from harmonic_atlas.shear import HarmonicMap
+from oracles import rz_search_bruteforce
 
 F = Fraction
 TOL = 1e-9
@@ -100,9 +104,12 @@ def test_rz_reduced_form_identity(eid, mu, nu, axis, reduced):
 
 
 def test_rz_search_finds_on_record_choice(grid):
-    cert = rz_search(catalog_lookup("hslits_wide").h, "real", grid)
+    h = catalog_lookup("hslits_wide").h
+    cert = rz_search(h, "real", grid)
     assert cert is not None
     assert cert.margin >= -TOL
+    # one evaluation route: the single-choice certificate agrees bit for bit
+    assert rz_certificate(h, cert.params, "real", grid) == cert
 
 
 def test_rz_search_none_for_vslits_real(grid):
@@ -129,6 +136,111 @@ def test_rz_search_matches_catalog_flags(catalog, grid):
                 continue
             cert = rz_search(e.h, axis, grid)
             assert (cert is not None) == expected, (e.id, axis)
+
+
+def same_certificate(got, want):
+    """``rz_search``'s certificate against ``rz_search_bruteforce``'s tuple."""
+    if got is None or want is None:
+        return got is None and want is None
+    return (got.margin, got.witness, got.params.mu, got.params.nu) == want
+
+
+@pytest.fixture(scope="module")
+def verify_rz_calls():
+    """(phi, axis, grid, kwargs) of every rz_search call of ``verify all``
+    at order 16 on a 16x64 grid."""
+    calls = []
+    real = verify.rz_search
+
+    def recording(phi, axis, grid, **kwargs):
+        calls.append((phi, axis, grid, kwargs))
+        return real(phi, axis, grid, **kwargs)
+
+    verify.rz_search = recording
+    try:
+        verify.run_suite("all", verify.VerifyConfig(order=16, grid_radii=16,
+                                                    grid_angles=64))
+    finally:
+        verify.rz_search = real
+    assert len(calls) == 24
+    return calls
+
+
+def test_rz_search_matches_bruteforce_on_verify_calls(verify_rz_calls):
+    for phi, axis, grid, kwargs in verify_rz_calls:
+        assert same_certificate(rz_search(phi, axis, grid, **kwargs),
+                                rz_search_bruteforce(phi, axis, grid, **kwargs))
+
+
+def test_rz_search_matches_bruteforce_tie_and_none(grid):
+    # identity: phi' = 1, many near-ties; parabola, imaginary: two lattice
+    # points share the best margin bit for bit, and an infinite tol returns
+    # it, so the first of the two must win; vslits, real: no certificate
+    for eid, axis, tol in (("identity", "real", TOL), ("identity", "imag", TOL),
+                           ("parabola", "imag", math.inf),
+                           ("vslits", "real", TOL)):
+        h = catalog_lookup(eid).h
+        want = rz_search_bruteforce(h, axis, grid, tol=tol)
+        assert same_certificate(rz_search(h, axis, grid, tol=tol), want), eid
+        assert (want is None) == (eid == "vslits")
+
+
+CONFORMAL_IDS = catalog_ids("S_Z") + catalog_ids("T1") + catalog_ids("T2")
+
+
+@settings(max_examples=60, deadline=None)
+@given(eid=st.sampled_from(CONFORMAL_IDS),
+       axis=st.sampled_from(["real", "imag"]),
+       radii=st.lists(st.floats(0.05, 0.999), min_size=1, max_size=4),
+       angles=st.integers(1, 24),
+       mu_steps=st.integers(1, 12), nu_steps=st.integers(1, 8))
+def test_rz_search_matches_bruteforce_on_small_grids(eid, axis, radii, angles,
+                                                     mu_steps, nu_steps):
+    h = catalog_lookup(eid).h
+    g = Grid(tuple(sorted(radii)), angles)
+    assert same_certificate(
+        rz_search(h, axis, g, mu_steps, nu_steps),
+        rz_search_bruteforce(h, axis, g, mu_steps, nu_steps))
+
+
+def test_rz_search_prunes_most_full_scans(monkeypatch, grid, verify_rz_calls):
+    # Counts full-grid scans (one argmin each), not time: the pruning must
+    # skip almost all of the 96 x 49 lattice points on the default grid.
+    counted = {"n": 0}
+    plain = np.argmin
+
+    def counting_argmin(*args, **kwargs):
+        counted["n"] += 1
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argmin", counting_argmin)
+
+    def scans(phi, axis):
+        counted["n"] = 0
+        rz_search(phi, axis, grid)
+        return counted["n"]
+
+    lattice = 96 * 49
+    assert scans(catalog_lookup("hslits_wide").h, "real") < 0.05 * lattice
+    per_call = [scans(phi, axis) for phi, axis, _, _ in verify_rz_calls]
+    # every call, the vertical-slit imaginary ones included, stays under 5 %
+    assert max(per_call) < 0.05 * lattice, per_call
+    assert sum(per_call) < 0.10 * lattice * len(per_call), per_call
+
+
+def test_rz_search_rejects_unknown_axis(grid):
+    with pytest.raises(ValueError):
+        rz_search(catalog_lookup("identity").h, "bogus", grid)
+
+
+def test_rz_search_rejects_empty_mu_lattice(grid):
+    with pytest.raises(ValueError):
+        rz_search(catalog_lookup("identity").h, "real", grid, mu_steps=0)
+
+
+def test_rz_search_rejects_empty_nu_lattice(grid):
+    with pytest.raises(ValueError):
+        rz_search(catalog_lookup("identity").h, "real", grid, nu_steps=0)
 
 
 # -- convexity probe -----------------------------------------------------------------
@@ -278,3 +390,17 @@ def test_grid_validation():
         Grid((0.5, 1.5), 8)
     with pytest.raises(ValueError):
         RZParams(-1.0, 0.5)
+
+
+def test_grid_rejects_empty_radii_and_angles():
+    with pytest.raises(ValueError):
+        Grid((), 8)
+    with pytest.raises(ValueError):
+        Grid((0.5,), 0)
+
+
+def test_grid_points_are_read_only():
+    # equal grids share one cached array: a write would corrupt them all
+    with pytest.raises(ValueError):
+        default_grid(4, 32).points[0] = 5
+    assert default_grid(4, 32).points[0] == pytest.approx(0.999 / 4)
