@@ -44,13 +44,14 @@ _DISK_MARGIN = 1e-4
 class Poly:
     """Dense univariate polynomial over Q(i), coefficients in ascending degree."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_floats")
 
     def __init__(self, coeffs):
         cs = [gauss(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._floats = None  # complex(c) of coeffs, highest degree first, on first call
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -141,9 +142,11 @@ class Poly:
 
     def __call__(self, z):
         """Horner evaluation at a complex scalar or numpy array."""
+        if self._floats is None:
+            self._floats = tuple(complex(c) for c in reversed(self.coeffs))
         acc = 0j if not hasattr(z, "shape") else z * 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
+        for c in self._floats:
+            acc = acc * z + c
         return acc
 
     def __eq__(self, other):

@@ -351,15 +351,6 @@ class Series:
             power = power * c
         return Series(out)
 
-    # -- numeric evaluation -------------------------------------------------
-
-    def eval(self, z):
-        """Horner evaluation at a complex scalar or numpy array."""
-        acc = 0j if not hasattr(z, "shape") else z * 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
-        return acc
-
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:8])
         more = ", ..." if self.order > 7 else ""

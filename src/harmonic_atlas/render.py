@@ -5,6 +5,11 @@ plus the near-boundary curve.  Output is plain SVG 1.1 with one <path>
 per curve, 6-decimal coordinates, and byte-identical output for identical
 inputs.  Points that sit within the pole guard of a closed form are
 dropped and leave gaps in the path rather than being interpolated across.
+
+Cost: the map is evaluated once per curve (``circles + rays + 1`` calls of
+``eval_masked``), and the path text is written one run of consecutive
+unmasked points at a time, each run by a single ``%``-format call, so the
+per-point work is CPython's float formatting and no Python-level loop.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ class RenderOptions:
             raise ValueError("circles and rays must be >= 1")
         if not (0 < self.r_max < 1):
             raise ValueError("r_max must lie in (0, 1)")
+        if self.samples_per_curve < 1:
+            raise ValueError("samples_per_curve must be >= 1")
+        if self.size < 1:
+            raise ValueError("size must be >= 1")
 
 
 def _curve_points(F, zs: np.ndarray):
@@ -45,16 +54,12 @@ def _path_data(vals: np.ndarray, ok: np.ndarray, close: bool) -> str:
     if close and ok.size:
         vals = np.concatenate([vals, vals[:1]])
         ok = np.concatenate([ok, ok[:1]])
-    parts = []
-    pen_down = False
-    for v, good in zip(vals, ok):
-        if not good:
-            pen_down = False
-            continue
-        cmd = "L" if pen_down else "M"
-        parts.append(f"{cmd}{v.real:.6f},{-v.imag:.6f}")
-        pen_down = True
-    return " ".join(parts)
+    xy = np.column_stack([vals.real, -vals.imag])
+    # run starts and (exclusive) run ends of ok, alternating
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], ok, [0]))))
+    return " ".join(
+        ("M%.6f,%.6f" + " L%.6f,%.6f" * (b - a - 1)) % tuple(xy[a:b].ravel().tolist())
+        for a, b in zip(edges[::2].tolist(), edges[1::2].tolist()))
 
 
 def render_svg(F, opts: RenderOptions = RenderOptions()) -> str:
@@ -86,7 +91,7 @@ def render_svg(F, opts: RenderOptions = RenderOptions()) -> str:
     if opts.viewport is not None:
         xmin, xmax, ymin, ymax = opts.viewport
     else:
-        pts = np.concatenate([p for p in finite_pts if p.size]) if finite_pts else np.zeros(1, complex)
+        pts = np.concatenate(finite_pts)
         xmin, xmax = float(np.min(pts.real)), float(np.max(pts.real))
         ymin, ymax = float(np.min(pts.imag)), float(np.max(pts.imag))
     pad = 0.05 * max(xmax - xmin, ymax - ymin, 1e-9)

@@ -3,10 +3,12 @@
 These deliberately avoid the package's Series/AnalyticExpr code paths:
 plain Fraction lists and textbook recurrences only, so that an agreement
 between a library result and an oracle value is a genuine cross-check.
-The one numeric oracle, ``rz_search_bruteforce``, is the plain lattice scan
-that the pruned ``rz_search`` must reproduce exactly.  It imports numpy
-only when called, so importing this module (as perfbench does at set-up)
-loads neither numpy nor the package.
+The numeric oracles are references that a faster route must reproduce
+exactly: ``rz_search_bruteforce``, the plain lattice scan behind the pruned
+``rz_search``, and ``path_data_reference``, the per-point loop behind the
+run-at-a-time SVG path formatter.  They import numpy only when called, so
+importing this module (as perfbench does at set-up) loads neither numpy nor
+the package.
 """
 
 import math
@@ -118,3 +120,23 @@ def rz_search_bruteforce(phi, axis, grid, mu_steps=96, nu_steps=48,
     if best is not None and best[0] >= -tol:
         return best
     return None
+
+
+def path_data_reference(vals, ok, close):
+    """SVG polyline path data one point at a time: an ``M`` after every gap,
+    an ``L`` otherwise; ``close`` repeats the first point at the end."""
+    import numpy as np
+
+    if close and ok.size:
+        vals = np.concatenate([vals, vals[:1]])
+        ok = np.concatenate([ok, ok[:1]])
+    parts = []
+    pen_down = False
+    for v, good in zip(vals, ok):
+        if not good:
+            pen_down = False
+            continue
+        cmd = "L" if pen_down else "M"
+        parts.append(f"{cmd}{v.real:.6f},{-v.imag:.6f}")
+        pen_down = True
+    return " ".join(parts)

@@ -181,6 +181,15 @@ def test_render_unknown_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_render_bad_samples_exit_2(tmp_path, capsys, samples):
+    out_path = tmp_path / "k.svg"
+    code, _, err = run(capsys, "render", "koebe", str(out_path), "--samples", samples)
+    assert code == 2
+    assert "samples_per_curve must be >= 1" in err
+    assert not out_path.exists()
+
+
 def test_render_io_error_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "render", "koebe", str(tmp_path / "no" / "dir.svg"))
     assert code == 3
