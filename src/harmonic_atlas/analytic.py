@@ -24,7 +24,6 @@ sums; equality of expressions is tested through their series.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -191,7 +190,7 @@ def _poly_roots(p: Poly) -> np.ndarray:
 class AnalyticExpr:
     """Finite sum of rational and logarithmic closed-form terms."""
 
-    __slots__ = ("terms", "_pole_points", "_deriv", "_series_cache")
+    __slots__ = ("terms", "_pole_points", "_deriv", "_series_cache", "_floats")
 
     def __init__(self, terms, validate: bool = True):
         normalized = []
@@ -208,6 +207,7 @@ class AnalyticExpr:
         self._pole_points = None
         self._deriv = None
         self._series_cache = {}
+        self._floats = None  # complex(t.c) of each term, on the first eval
         if validate:
             self._validate()
 
@@ -304,12 +304,14 @@ class AnalyticExpr:
                 np.abs(zz - self.pole_points)
             if np.min(d) < eps_pole:
                 raise NearPole(f"evaluation within {eps_pole} of a pole")
+        if self._floats is None:
+            self._floats = tuple(complex(t.c) for t in self.terms)
         acc = 0j if not hasattr(z, "shape") else z * 0j
-        for t in self.terms:
+        for t, c in zip(self.terms, self._floats):
             if isinstance(t, RationalTerm):
-                acc = acc + complex(t.c) * t.num(z) / t.den(z)
+                acc = acc + c * t.num(z) / t.den(z)
             else:
-                acc = acc + complex(t.c) * np.log(t.arg(z))
+                acc = acc + c * np.log(t.arg(z))
         return acc
 
     def eval_masked(self, zs: np.ndarray, eps_pole: float = EPS_POLE):

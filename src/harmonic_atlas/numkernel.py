@@ -1,10 +1,13 @@
 """Exact arithmetic kernel: Gaussian rationals and truncated Taylor series.
 
-Everything in this module is exact.  Coefficients live in Q(i), complex
-numbers whose real and imaginary parts are arbitrary-precision rationals
-(`fractions.Fraction`).  A :class:`Series` keeps coefficients c0..cN for a
-fixed truncation order N; arithmetic never extends the trustworthy range,
-so mixed-order operands truncate to the minimum order.  Products and
+Everything in this module is exact.  Coefficients live in Q(i): a
+:class:`GaussRational` is one integer triple (a, b, d) with value
+(a + b i)/d, kept in lowest terms (d > 0, gcd(a, b, d) = 1).  Each
+operation on it is a few integer products and sums plus at most one
+three-argument gcd, and builds no ``fractions.Fraction``; ``re`` and ``im``
+hand out Fractions on request.  A :class:`Series` keeps coefficients c0..cN
+for a fixed truncation order N; arithmetic never extends the trustworthy
+range, so mixed-order operands truncate to the minimum order.  Products and
 quotients touch only nonzero coefficients: a product costs O(nonzero
 pairs) and a quotient O(N * nonzeros of the denominator), so expanding a
 rational function P/Q to order N costs O(N * deg Q).  Floating point
@@ -15,6 +18,7 @@ that sample values numerically.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import ZeroConstantTerm
 
@@ -29,79 +33,143 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-class GaussRational:
-    """Exact complex number with rational real and imaginary parts.
+_new = object.__new__
 
-    Instances are immutable by convention: no method mutates ``re``/``im``
-    after construction, so values can be shared freely across threads.
+
+def _triple(a: int, b: int, d: int) -> "GaussRational":
+    """(a + b i)/d as stored, for a, b, d already in lowest terms, d > 0."""
+    z = _new(GaussRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> "GaussRational":
+    """(a + b i)/d for d > 0, brought to lowest terms by one gcd."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    z = _new(GaussRational)  # _triple inlined: this is the hot path
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _coerce(x):
+    """x as a GaussRational if it is an int, Fraction or GaussRational."""
+    if isinstance(x, GaussRational):
+        return x
+    if isinstance(x, int):
+        return _triple(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _triple(x.numerator, 0, x.denominator)
+    return None
+
+
+class GaussRational:
+    """Exact complex number (a + b i)/d with integers a, b and d.
+
+    The triple is stored in lowest terms: d > 0 and gcd(a, b, d) = 1, so
+    each value has exactly one triple (zero is (0, 0, 1)) and equality is
+    a comparison of triples.  Each operation builds its result from
+    integer products and sums and reduces it with one three-argument gcd,
+    skipped when the new denominator is 1:
+
+    * ``+``, ``-``: two integer sums over a shared denominator, four
+      products and one more for the denominator when they differ;
+    * ``*``: four products for the numerator, one for the denominator;
+    * ``/``: nine products, |divisor|^2 included;
+    * ``-x`` and ``conjugate()``: no arithmetic and no gcd.
+
+    ``re`` and ``im`` are the two parts as ``Fraction``s, built on demand;
+    ``complex()`` divides the integers directly, correctly rounded, as
+    ``float(Fraction)`` does.  Instances are immutable, so values can be
+    shared freely across threads.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = _frac(re), _frac(im)
+        q, s = re.denominator, im.denominator
+        d = q // gcd(q, s) * s  # lcm: gcd(a, b, d) = 1 follows from re, im reduced
+        self._a = re.numerator * (d // q)
+        self._b = im.numerator * (d // s)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- arithmetic ----------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, GaussRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussRational(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussRational else _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussRational(self.re + o.re, self.im + o.im)
+        d, e = self._d, o._d
+        if d == e:
+            return _reduced(self._a + o._a, self._b + o._b, d)
+        return _reduced(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussRational else _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussRational(self.re - o.re, self.im - o.im)
+        d, e = self._d, o._d
+        if d == e:
+            return _reduced(self._a - o._a, self._b - o._b, d)
+        return _reduced(self._a * e - o._a * d, self._b * e - o._b * d, d * e)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussRational else _coerce(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussRational else _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, c, e = self._a, self._b, o._a, o._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussRational else _coerce(other)
         if o is None:
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        c, e = o._a, o._b
+        n = c * c + e * e
+        if n == 0:
             raise ZeroDivisionError("division by zero GaussRational")
-        return GaussRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+        # (a + b i)/d / ((c + e i)/f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
+        a, b, f = self._a, self._b, o._d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussRational else _coerce(other)
         if o is None:
             return NotImplemented
         return o / self
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -118,50 +186,49 @@ class GaussRational:
     # -- structure -----------------------------------------------------
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """|self|^2, exact."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussRational else _coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
+        # the hash of the equal int or Fraction for a real value
+        if self._b == 0:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self._a or self._b)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def literal(self) -> str:
         """Exact text form: ``p/q``, ``r/s i`` or ``p/q+r/s i``."""
-        def frac_str(f: Fraction) -> str:
-            return str(f)
-
-        if self.im == 0:
-            return frac_str(self.re)
-        imag = f"{frac_str(abs(self.im))} i" if abs(self.im) != 1 else "i"
-        sign = "-" if self.im < 0 else ""
-        if self.re == 0:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        imag = f"{abs(im)} i" if abs(im) != 1 else "i"
+        sign = "-" if im < 0 else ""
+        if re == 0:
             return sign + imag
-        joiner = "-" if self.im < 0 else "+"
-        return f"{frac_str(self.re)}{joiner}{imag}"
+        joiner = "-" if im < 0 else "+"
+        return f"{re}{joiner}{imag}"
 
     def __str__(self):
         return self.literal()
@@ -172,9 +239,12 @@ class GaussRational:
 
 def gauss(x) -> GaussRational:
     """Coerce an int, Fraction or GaussRational to GaussRational."""
-    if isinstance(x, GaussRational):
+    if type(x) is GaussRational:
         return x
-    return GaussRational(_frac(x))
+    z = _coerce(x)
+    if z is None:
+        raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+    return z
 
 
 _ZERO = GaussRational(0)

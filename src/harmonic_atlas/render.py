@@ -14,6 +14,7 @@ per-point work is CPython's float formatting and no Python-level loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,13 @@ class RenderOptions:
             raise ValueError("samples_per_curve must be >= 1")
         if self.size < 1:
             raise ValueError("size must be >= 1")
+        if self.viewport is not None:
+            if len(self.viewport) != 4 or not all(map(math.isfinite, self.viewport)):
+                raise ValueError("viewport must be four finite numbers "
+                                 "(xmin, xmax, ymin, ymax)")
+            xmin, xmax, ymin, ymax = self.viewport
+            if not (xmin < xmax and ymin < ymax):
+                raise ValueError("viewport must have xmin < xmax and ymin < ymax")
 
 
 def _curve_points(F, zs: np.ndarray):

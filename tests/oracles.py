@@ -8,7 +8,9 @@ exactly: ``rz_search_bruteforce``, the plain lattice scan behind the pruned
 ``rz_search``, and ``path_data_reference``, the per-point loop behind the
 run-at-a-time SVG path formatter.  They import numpy only when called, so
 importing this module (as perfbench does at set-up) loads neither numpy nor
-the package.
+the package.  ``GaussRational`` here is the Fraction-pair class the package
+used before its integer-triple representation, kept as the reference the
+triple must match value for value.
 """
 
 import math
@@ -140,3 +142,158 @@ def path_data_reference(vals, ok, close):
         parts.append(f"{cmd}{v.real:.6f},{-v.imag:.6f}")
         pen_down = True
     return " ".join(parts)
+
+
+# -- the Fraction-pair GaussRational ------------------------------------------
+# The package's GaussRational as it was before it moved to one reduced integer
+# triple (a + b i)/d: a pair of Fractions, each operation built from Fraction
+# arithmetic.  Kept verbatim as the reference the triple must reproduce value
+# for value (hash, complex() bits and literal text included).
+
+def _frac(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+class GaussRational:
+    """Exact complex number with rational real and imaginary parts.
+
+    Instances are immutable by convention: no method mutates ``re``/``im``
+    after construction, so values can be shared freely across threads.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = _frac(re)
+        self.im = _frac(im)
+
+    # -- arithmetic ----------------------------------------------------
+
+    def _coerce(self, other):
+        if isinstance(other, GaussRational):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return GaussRational(other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return GaussRational(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return GaussRational(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return GaussRational(
+            self.re * o.re - self.im * o.im,
+            self.re * o.im + self.im * o.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        d = o.re * o.re + o.im * o.im
+        if d == 0:
+            raise ZeroDivisionError("division by zero GaussRational")
+        return GaussRational(
+            (self.re * o.re + self.im * o.im) / d,
+            (self.im * o.re - self.re * o.im) / d,
+        )
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def __neg__(self):
+        return GaussRational(-self.re, -self.im)
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("only nonnegative integer powers are supported")
+        result = GaussRational(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    # -- structure -----------------------------------------------------
+
+    def conjugate(self) -> "GaussRational":
+        return GaussRational(self.re, -self.im)
+
+    def abs2(self) -> Fraction:
+        """|self|^2, exact."""
+        return self.re * self.re + self.im * self.im
+
+    @property
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    @property
+    def is_real(self) -> bool:
+        return self.im == 0
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __bool__(self):
+        return not self.is_zero
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def literal(self) -> str:
+        """Exact text form: ``p/q``, ``r/s i`` or ``p/q+r/s i``."""
+        def frac_str(f: Fraction) -> str:
+            return str(f)
+
+        if self.im == 0:
+            return frac_str(self.re)
+        imag = f"{frac_str(abs(self.im))} i" if abs(self.im) != 1 else "i"
+        sign = "-" if self.im < 0 else ""
+        if self.re == 0:
+            return sign + imag
+        joiner = "-" if self.im < 0 else "+"
+        return f"{frac_str(self.re)}{joiner}{imag}"
+
+    def __str__(self):
+        return self.literal()
+
+    def __repr__(self):
+        return f"GaussRational({self.re!r}, {self.im!r})"

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, config, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,6 +9,10 @@ import pytest
 from harmonic_atlas.cli import main
 
 ATLAS = Path(__file__).parent / "data" / "atlas.json"
+# the benchmark's output records, read only
+EXPECTED_OPS = json.loads((Path(__file__).parent.parent / "perfbench"
+                           / "expected.json").read_text(encoding="utf-8"))["ops"]
+EXPAND_OPS = sorted(k for k in EXPECTED_OPS if k.startswith("expand "))
 
 
 def run(capsys, *argv):
@@ -99,6 +104,17 @@ def test_list_json_matches_recording(capsys):
     code, out, _ = run(capsys, "list", "--json")
     assert code == 0
     assert out == ATLAS.read_text(encoding="utf-8")
+
+
+def test_expand_128_tables_match_recorded_digests(capsys):
+    # the exact h and g coefficients to order 128 of one entry per term
+    # shape, byte for byte as recorded for the benchmark
+    assert len(EXPAND_OPS) == 10
+    for op in EXPAND_OPS:
+        code, out, err = run(capsys, *op.split())
+        assert code == 0, (op, err)
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == EXPECTED_OPS[op]["sha256"], op
 
 
 def test_verify_t31_exit_0(capsys):

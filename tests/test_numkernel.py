@@ -1,5 +1,6 @@
 """Exact series arithmetic, checked against independent oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from harmonic_atlas import GaussRational, Series, ZeroConstantTerm, gauss
+from oracles import GaussRational as FractionPair
 from oracles import (binomial_inverse_power, gaussian_long_division,
                      long_division_series)
 
@@ -49,6 +51,107 @@ def test_gauss_literals():
     assert GaussRational(F(1, 2), F(-1, 3)).literal() == "1/2-1/3 i"
     assert GaussRational(3).literal() == "3"
     assert GaussRational(0, 1).literal() == "i"
+
+
+# ---------------------------------------------------------------------------
+# GaussRational against the Fraction-pair reference in tests/oracles.py
+# ---------------------------------------------------------------------------
+
+BIG = 2 ** 70  # numerators and denominators well past 64 bits
+rationals = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.integers(-BIG, BIG),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+parts = st.one_of(st.tuples(rationals, rationals),
+                  st.tuples(st.just(0), rationals),   # purely imaginary
+                  st.tuples(rationals, st.just(0)))   # real
+
+
+def _lowest_terms(z):
+    a, b, d = z._a, z._b, z._d
+    assert all(type(v) is int for v in (a, b, d)), z
+    assert d > 0 and math.gcd(a, b, d) == 1, (a, b, d)
+
+
+def _same(z, ref):
+    """z (triple) and ref (Fraction pair) hold the same value and show it
+    the same way: parts, hash, complex() bits, text."""
+    assert isinstance(z, GaussRational), z
+    _lowest_terms(z)
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == (ref.re, ref.im)
+    assert hash(z) == hash(ref)
+    c, r = complex(z), complex(ref)
+    assert (c.real.hex(), c.imag.hex()) == (r.real.hex(), r.imag.hex())
+    assert z.literal() == ref.literal() and str(z) == str(ref)
+    assert repr(z) == repr(ref)
+    assert (z.is_zero, z.is_real, bool(z)) == (ref.is_zero, ref.is_real, bool(ref))
+
+
+def _result(op, *args):
+    try:
+        return op(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts, parts, rationals)
+def test_gauss_matches_fraction_pair_reference(x, y, q):
+    a, b = GaussRational(*x), GaussRational(*y)
+    ra, rb = FractionPair(*x), FractionPair(*y)
+    _same(a, ra)
+    _same(b, rb)
+    binary = (lambda u, v: u + v, lambda u, v: u - v,
+              lambda u, v: u * v, lambda u, v: u / v)
+    for op in binary:
+        # GaussRational pairs, then an int or Fraction on either side
+        for u, v, ru, rv in ((a, b, ra, rb), (a, q, ra, q), (q, a, q, ra)):
+            got, want = _result(op, u, v), _result(op, ru, rv)
+            if want is ZeroDivisionError:
+                assert got is ZeroDivisionError
+            else:
+                _same(got, want)
+    _same(-a, -ra)
+    _same(a.conjugate(), ra.conjugate())
+    _same(a ** 3, ra ** 3)
+    assert type(a.abs2()) is Fraction and a.abs2() == ra.abs2()
+    assert (a == b) == (ra == rb) and (a != b) == (ra != rb)
+    assert (a == q) == (ra == q) and (q == a) == (q == ra)
+    assert (a == a.re) == (ra == ra.re)
+    if isinstance(q, int):
+        assert (a == Fraction(q)) == (ra == Fraction(q))
+    if a.is_real:
+        assert a == a.re and hash(a) == hash(a.re)
+        if a.re.denominator == 1:
+            assert a == a.re.numerator and hash(a) == hash(a.re.numerator)
+    _same(GaussRational(q), FractionPair(q))
+
+
+def test_gauss_triple_edge_cases():
+    zero = GaussRational(0)
+    assert (zero._a, zero._b, zero._d) == (0, 0, 1)
+    assert GaussRational(F(1, 2), F(1, 2)) - GaussRational(F(1, 2), F(1, 2)) == 0
+    third = GaussRational(F(2, 6), F(-4, 6))
+    assert (third._a, third._b, third._d) == (1, -2, 3)
+    # same denominator, common factor appearing only in the sum
+    s = GaussRational(F(1, 4), F(1, 4)) + GaussRational(F(1, 4), F(3, 4))
+    assert (s._a, s._b, s._d) == (1, 2, 2)
+    with pytest.raises(ZeroDivisionError):
+        GaussRational(1, 1) / GaussRational(0)
+    with pytest.raises(TypeError):
+        GaussRational(0.5)
+    with pytest.raises(TypeError):
+        gauss(0.5)
+    with pytest.raises(TypeError):
+        GaussRational(F(1, 3)) * 1.5  # floats stay outside the exact kernel
+    assert GaussRational(1) != 1.0 and FractionPair(1) != 1.0
+    one, nil = GaussRational(True), GaussRational(False)
+    assert (one._a, one._b, one._d) == (1, 0, 1) and type(one._a) is int
+    assert (nil._a, nil._b, nil._d) == (0, 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,19 @@ def test_options_validation():
     with pytest.raises(ValueError, match="size must be >= 1"):
         RenderOptions(size=0)
     assert RenderOptions(samples_per_curve=1, size=1).samples_per_curve == 1
+    # a reversed box gave a negative viewBox width and stroke-width, a NaN
+    # entry gave viewBox="nan nan nan nan"
+    nan, inf = float("nan"), float("inf")
+    for box in ((2.0, -2.0, -2.0, 2.0), (-2.0, 2.0, 2.0, -2.0),
+                (1.0, 1.0, -2.0, 2.0), (-2.0, 2.0, 0.5, 0.5)):
+        with pytest.raises(ValueError, match="xmin < xmax and ymin < ymax"):
+            RenderOptions(viewport=box)
+    for box in ((nan, 2.0, -2.0, 2.0), (-2.0, 2.0, -2.0, nan),
+                (-inf, 2.0, -2.0, 2.0), (-2.0, 2.0, -2.0, inf),
+                (-2.0, 2.0, -2.0), (-2.0, 2.0, -2.0, 2.0, 0.0)):
+        with pytest.raises(ValueError, match="four finite numbers"):
+            RenderOptions(viewport=box)
+    assert RenderOptions(viewport=(-2, 2, -1.5, 0.5)).viewport == (-2, 2, -1.5, 0.5)
 
 
 def test_single_sample_per_curve_renders():

@@ -141,6 +141,30 @@ def test_expansion_cost_grows_linearly(monkeypatch):
         assert large / small < 2.5, (small, large)
 
 
+def test_expansion_builds_no_fraction(monkeypatch):
+    # GaussRational is an integer triple (a + b i)/d, so once the text is
+    # parsed, series expansion and the shear run on integers alone: no
+    # Fraction is built (each Fraction operation would build one).
+    counted = {"n": 0}
+    plain = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        counted["n"] += 1
+        return plain(cls, *args, **kwargs)
+
+    expr = parse_any("z/(1-z)^2")
+    source, omega = parse_formula("z/(1-z+z^2)"), parse_formula("z")
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    assert Fraction(1, 2).denominator == 2 and counted["n"] == 1  # it counts
+    counted["n"] = 0
+    series = expr.series(128)
+    fm = shear_real(source, omega, 128)
+    assert counted["n"] == 0, counted["n"]
+    monkeypatch.undo()
+    assert series.coeff(128) == 128
+    assert fm.h_series.order == 128 and dilatation_check(fm)
+
+
 def test_shear_reflection_symmetry():
     # -F(-z) is the shear of -phi(-z) with dilatation omega(-z): the
     # reflection flips the source but only reflects the argument of omega
