@@ -15,8 +15,19 @@ Construction enforces the invariants the rest of the package relies on:
 * rational terms are normalized so the denominator does not vanish at 0
   (common z^k factors cancel, otherwise ``PoleAtOrigin``);
 * log arguments satisfy L(0) = 1 exactly, so their series have constant
-  term 0 and the principal branch is the one being expanded; a sampling
-  grid additionally asserts that L avoids the branch cut (-inf, 0].
+  term 0 and the principal branch is the one being expanded;
+* L stays off the branch cut (-inf, 0] on the disk, so the principal log
+  is the analytic branch the series expands.  With L(0) = 1, L is the
+  product of (1 - z/a) over its roots a; each factor has positive real
+  part on the disk, so the sum A of their principal arguments is arg L
+  continued from A(0) = 0, and the principal log agrees with it exactly
+  where |A| < pi.  A is harmonic, so it is sampled on circles (720 angles
+  on each of four, out to |z| = 0.999), and |A| >= pi - 1e-9 rejects.
+  This rejects (1+z)^3, which crosses the cut at |z| = 0.87 (its ``eval``
+  would be off by 2 pi i from its series), and accepts (1+z)^2 and
+  (1 + (3+4i) z/5)^2, which pass within 1e-6 of 0 near the circle
+  without crossing.  A test on neighbouring samples of L alone cannot
+  tell such a pass between two samples from a crossing.
 
 Logs are principal-branch throughout.  No simplification is done on term
 sums; equality of expressions is tested through their series.
@@ -133,12 +144,6 @@ class Poly:
 
     # -- evaluation -------------------------------------------------------
 
-    def eval_exact(self, z: GaussRational) -> GaussRational:
-        acc = GaussRational(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
     def __call__(self, z):
         """Horner evaluation at a complex scalar or numpy array."""
         if self._floats is None:
@@ -175,9 +180,13 @@ _ONE_GR = GaussRational(1)
 _NEG_I = GaussRational(0, -1)
 _I = GaussRational(0, 1)
 
-# Sampling used for the construction-time branch-cut assertion on log args.
+# Sampling used for the construction-time branch-cut assertion on log args:
+# _BRANCH_ANGLES points on each circle, all circles in one array.
 _BRANCH_RADII = (0.3, 0.7, 0.95, 0.999)
 _BRANCH_ANGLES = 720
+_BRANCH_POINTS = np.outer(
+    _BRANCH_RADII, np.exp(2j * np.pi * np.arange(_BRANCH_ANGLES) / _BRANCH_ANGLES)
+).ravel()
 
 
 def _poly_roots(p: Poly) -> np.ndarray:
@@ -198,7 +207,7 @@ class AnalyticExpr:
             if isinstance(t, RationalTerm):
                 normalized.append(self._normalize_rational(t))
             elif isinstance(t, LogTerm):
-                if validate and t.arg.eval_exact(GaussRational(0)) != _ONE_GR:
+                if validate and t.arg.coeff(0) != _ONE_GR:
                     raise InvalidExpression("log argument must equal 1 at z = 0")
                 normalized.append(t)
             else:
@@ -229,21 +238,22 @@ class AnalyticExpr:
         return RationalTerm(t.c, num, den)
 
     def _validate(self):
+        roots = self.pole_points
+        if roots.size and np.min(np.abs(roots)) < 1.0 - _DISK_MARGIN:
+            raise InvalidExpression(
+                "denominator or log argument vanishes inside the unit disk"
+            )
+        start = 0  # pole_points holds each term's roots in turn, deg many
         for t in self.terms:
             p = t.den if isinstance(t, RationalTerm) else t.arg
-            roots = _poly_roots(p)
-            if roots.size and np.min(np.abs(roots)) < 1.0 - _DISK_MARGIN:
-                raise InvalidExpression(
-                    "denominator or log argument vanishes inside the unit disk"
-                )
-        for t in self.terms:
-            if isinstance(t, LogTerm):
-                for r in _BRANCH_RADII:
-                    zs = r * np.exp(2j * np.pi * np.arange(_BRANCH_ANGLES) / _BRANCH_ANGLES)
-                    vals = t.arg(zs)
-                    on_cut = (vals.real <= 0) & (np.abs(vals.imag) <= 1e-9)
-                    if np.any(on_cut):
-                        raise InvalidExpression("log argument meets the branch cut on the disk")
+            end = start + max(p.degree, 0)
+            if isinstance(t, LogTerm) and end > start:
+                # arg L, continuous from L(0) = 1, as the sum over L's roots a
+                # of the principal argument of 1 - z/a
+                arg = np.angle(1 - _BRANCH_POINTS[:, None] / roots[None, start:end])
+                if np.max(np.abs(arg.sum(axis=1))) >= np.pi - 1e-9:
+                    raise InvalidExpression("log argument meets the branch cut on the disk")
+            start = end
 
     # -- constructors ------------------------------------------------------
 
@@ -292,18 +302,18 @@ class AnalyticExpr:
             )
         return self._pole_points
 
-    def eval(self, z, eps_pole: float = EPS_POLE, check: bool = True):
+    def eval(self, z, check: bool = True):
         """Principal-branch evaluation at complex scalars or numpy arrays.
 
-        Raises :class:`NearPole` when a point is within ``eps_pole`` of a
+        Raises :class:`NearPole` when a point is within ``EPS_POLE`` of a
         denominator or log-argument root.
         """
         if check and self.pole_points.size:
             zz = np.asarray(z, dtype=complex)
             d = np.abs(zz[..., None] - self.pole_points[None, :]) if zz.ndim else \
                 np.abs(zz - self.pole_points)
-            if np.min(d) < eps_pole:
-                raise NearPole(f"evaluation within {eps_pole} of a pole")
+            if np.min(d) < EPS_POLE:
+                raise NearPole(f"evaluation within {EPS_POLE} of a pole")
         if self._floats is None:
             self._floats = tuple(complex(t.c) for t in self.terms)
         acc = 0j if not hasattr(z, "shape") else z * 0j
@@ -314,30 +324,21 @@ class AnalyticExpr:
                 acc = acc + c * np.log(t.arg(z))
         return acc
 
-    def eval_masked(self, zs: np.ndarray, eps_pole: float = EPS_POLE):
+    def eval_masked(self, zs: np.ndarray):
         """Vectorized evaluation returning ``(values, ok_mask)``.
 
-        Points within ``eps_pole`` of a pole are masked out instead of
+        Points within ``EPS_POLE`` of a pole are masked out instead of
         raising; their values are NaN.
         """
         zs = np.asarray(zs, dtype=complex)
         ok = np.ones(zs.shape, dtype=bool)
         if self.pole_points.size:
             d = np.min(np.abs(zs[..., None] - self.pole_points[None, :]), axis=-1)
-            ok = d >= eps_pole
+            ok = d >= EPS_POLE
         vals = np.full(zs.shape, np.nan + 0j)
         if np.any(ok):
             vals[ok] = self.eval(zs[ok], check=False)
         return vals, ok
-
-    def value_at_zero(self) -> GaussRational:
-        acc = GaussRational(0)
-        for t in self.terms:
-            if isinstance(t, RationalTerm):
-                acc = acc + t.c * (t.num.eval_exact(GaussRational(0))
-                                   / t.den.eval_exact(GaussRational(0)))
-            # log terms contribute log(1) = 0 exactly
-        return acc
 
     def derivative(self) -> "AnalyticExpr":
         """Termwise symbolic derivative; log terms become rational terms L'/L."""

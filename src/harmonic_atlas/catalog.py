@@ -12,6 +12,12 @@ T6       the two non-conformal half-integer maps convex in imaginary direction
 PROOF_*  every shear the two case analyses construct (30 real-direction,
          18 imaginary-direction), under our own sequential numbering
 
+Every closed form is written in the atlas text that ``list --json`` prints
+and ``harmonic-atlas expand`` accepts (``rat(c; num; den)`` and
+``log(c; arg)`` terms, see :mod:`exprtext`), exactly as ``format_expr``
+gives it back.  Each table row's text is parsed once, at import, so the
+entries that share a row share one expression and its series caches.
+
 Membership of a function in several families is represented by one entry
 per (family, function) pair; family-qualified ids carry an ``s1_``/``t3_``/
 ``t5_`` prefix.  Those lists are derived from the base rows' flags, not
@@ -22,14 +28,18 @@ T5.
 
 The non-conformal maps are stated once, in one table: each T4 row gives h,
 g, shear source, omega sign and flags, and each T6 row gives its source and
-sign and takes h and g from the T4 row with the same name.  Shear-generated
-entries are named ``f<k>_cv1`` and ``f<k>_cvi``.  A shear whose recipe
-(source, sign, axis) is that of a T4/T6 entry is the same map: its ``twin``
-names that entry, and it takes the twin's h and flags, so it is flagged
-half-integer exactly when it has a twin.  The other shears carry a closed
-form for h where a hand integration is on record; the eight without one
-keep only their series and recipe.  Where a shear has h, its g is
-h - source (real direction) or source - h (imaginary direction).
+sign and takes h and g from the T4 row with the same name.  A T4 row's h is
+the conformal entry that averages its two source maps h + g and h - g:
+``parabola`` for the two ``koebe``/``halfplane`` rows, ``parabola_r`` for
+their reflections, and ``identity`` for ``conj_sq_plus``/``conj_sq_minus``.
+Shear-generated entries are named ``f<k>_cv1`` and ``f<k>_cvi``.  A shear
+whose recipe (source, sign, axis) is that of a T4/T6 entry is the same map:
+its ``twin`` names that entry, and it takes the twin's h and flags, so it
+is flagged half-integer exactly when it has a twin.  The other shears
+carry a closed form for h where a hand integration is on record; the
+eight without one keep only their series and recipe.  Where a shear has
+h, its g is h - source (real direction) or source - h (imaginary
+direction).
 """
 
 from __future__ import annotations
@@ -37,10 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .analytic import AnalyticExpr, Poly
+from .analytic import AnalyticExpr
 from .errors import UnknownId
-from .exprtext import format_expr
-from .numkernel import GaussRational
+from .exprtext import format_expr, parse_expr_text
 from .shear import HarmonicMap, shear_imag, shear_real
 
 __all__ = [
@@ -52,34 +61,6 @@ __all__ = [
 DEFAULT_ORDER = 64
 
 F = Fraction
-
-
-def _gr(re, im=0) -> GaussRational:
-    return GaussRational(F(re), F(im))
-
-
-def P(*cs) -> Poly:
-    return Poly(cs)
-
-
-ONE = P(1)
-Z = P(0, 1)
-I = GaussRational(0, 1)
-
-
-def rat(c, num, den=None) -> AnalyticExpr:
-    return AnalyticExpr.rational(c, num, den or ONE)
-
-
-def lg(c, arg) -> AnalyticExpr:
-    return AnalyticExpr.log(c, arg)
-
-
-def _sum(*parts: AnalyticExpr) -> AnalyticExpr:
-    out = parts[0]
-    for p in parts[1:]:
-        out = out + p
-    return out
 
 
 # surd values a + b*sqrt(3), stored exactly as (a, b)
@@ -151,15 +132,19 @@ class CatalogEntry:
     family: str
     h: AnalyticExpr | None
     g: AnalyticExpr | None
-    omega: AnalyticExpr | None
     expected: FlagSet
     recipe: ShearRecipe | None = None
     twin: str | None = None  # the T4/T6 entry a proof shear equals
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
+    def omega(self) -> AnalyticExpr | None:
+        """The recipe's dilatation sign*z; None for a conformal entry."""
+        return None if self.recipe is None else _OMEGA[self.recipe.omega_sign]
+
+    @property
     def is_conformal(self) -> bool:
-        return self.omega is None
+        return self.recipe is None
 
     def harmonic_map(self, order: int = DEFAULT_ORDER) -> HarmonicMap:
         """Materialize the entry as a HarmonicMap at the given order.
@@ -183,49 +168,59 @@ class CatalogEntry:
         return fm
 
 
+def _parsed(forms: dict) -> dict:
+    """The same keys, each form parsed once."""
+    return {key: parse_expr_text(text) for key, text in forms.items()}
+
+
+# the shear dilatations +z and -z, and the g of every conformal entry
+_OMEGA = _parsed({+1: "rat(1; 0,1; 1)", -1: "rat(-1; 0,1; 1)"})
+_ZERO = AnalyticExpr.zero()
+
 # ---------------------------------------------------------------------------
 # base conformal entries
 # ---------------------------------------------------------------------------
 
 _SLIT = "slit_lines"
 
-# id -> (expr, family, cv_real, cv_imag, boundary)
+# id -> (h, family, cv_real, cv_imag, boundary)
 _CONFORMAL = {
     # the nine integer-coefficient maps
-    "identity":        (rat(1, Z), "S_Z", True, True, None),
-    "halfplane":       (rat(1, Z, P(1, -1)), "S_Z", True, True, None),
-    "halfplane_r":     (rat(1, Z, P(1, 1)), "S_Z", True, True, None),
-    "vslits":          (rat(1, Z, P(1, 0, -1)), "S_Z", False, True,
+    "identity":        ("rat(1; 0,1; 1)", "S_Z", True, True, None),
+    "halfplane":       ("rat(1; 0,1; 1,-1)", "S_Z", True, True, None),
+    "halfplane_r":     ("rat(1; 0,1; 1,1)", "S_Z", True, True, None),
+    "vslits":          ("rat(1; 0,1; 1,0,-1)", "S_Z", False, True,
                         BoundaryDescriptor(_SLIT, (_surd(F(1, 2)),))),
-    "hslits":          (rat(1, Z, P(1, 0, 1)), "S_Z", True, False,
+    "hslits":          ("rat(1; 0,1; 1,0,1)", "S_Z", True, False,
                         BoundaryDescriptor(_SLIT, (_surd(F(1, 2)),))),
-    "koebe":           (rat(1, Z, P(1, -2, 1)), "S_Z", True, False,
+    "koebe":           ("rat(1; 0,1; 1,-2,1)", "S_Z", True, False,
                         BoundaryDescriptor(_SLIT, (_surd(F(-1, 4)),))),
-    "koebe_r":         (rat(1, Z, P(1, 2, 1)), "S_Z", True, False,
+    "koebe_r":         ("rat(1; 0,1; 1,2,1)", "S_Z", True, False,
                         BoundaryDescriptor(_SLIT, (_surd(F(1, 4)),))),
-    "hslits_wide":     (rat(1, Z, P(1, -1, 1)), "S_Z", True, False,
+    "hslits_wide":     ("rat(1; 0,1; 1,-1,1)", "S_Z", True, False,
                         BoundaryDescriptor(_SLIT, (_surd(F(-1, 3)), _surd(1)))),
-    "hslits_wide_r":   (rat(1, Z, P(1, 1, 1)), "S_Z", True, False,
+    "hslits_wide_r":   ("rat(1; 0,1; 1,1,1)", "S_Z", True, False,
                         BoundaryDescriptor(_SLIT, (_surd(-1), _surd(F(1, 3))))),
     # the ten extra half-integer maps that are close-to-convex
-    "cardioid_r":      (rat(F(1, 2), P(0, 2, -1)), "T1", True, False, None),
-    "cardioid":        (rat(F(1, 2), P(0, 2, 1)), "T1", True, False, None),
-    "halfplane_avg":   (rat(F(1, 2), P(0, 2, -1), P(1, -1)), "T1", True, True, None),
-    "halfplane_avg_r": (rat(F(1, 2), P(0, 2, 1), P(1, 1)), "T1", True, True, None),
-    "vslits_avg":      (rat(F(1, 2), P(0, 2, 0, -1), P(1, 0, -1)), "T1", False, True, None),
-    "hslits_avg":      (rat(F(1, 2), P(0, 2, 0, 1), P(1, 0, 1)), "T1", True, False, None),
-    "offset_vslits":   (rat(F(1, 2), P(0, 2, -1), P(1, 0, -1)), "T1", False, True,
+    "cardioid_r":      ("rat(1/2; 0,2,-1; 1)", "T1", True, False, None),
+    "cardioid":        ("rat(1/2; 0,2,1; 1)", "T1", True, False, None),
+    "halfplane_avg":   ("rat(1/2; 0,2,-1; 1,-1)", "T1", True, True, None),
+    "halfplane_avg_r": ("rat(1/2; 0,2,1; 1,1)", "T1", True, True, None),
+    "vslits_avg":      ("rat(1/2; 0,2,0,-1; 1,0,-1)", "T1", False, True, None),
+    "hslits_avg":      ("rat(1/2; 0,2,0,1; 1,0,1)", "T1", True, False, None),
+    "offset_vslits":   ("rat(1/2; 0,2,-1; 1,0,-1)", "T1", False, True,
                         BoundaryDescriptor(_SLIT, (_surd(F(1, 4)), _surd(0, F(1, 4))))),
-    "offset_vslits_r": (rat(F(1, 2), P(0, 2, 1), P(1, 0, -1)), "T1", False, True,
+    "offset_vslits_r": ("rat(1/2; 0,2,1; 1,0,-1)", "T1", False, True,
                         BoundaryDescriptor(_SLIT, (_surd(F(-1, 4)), _surd(0, F(1, 4))))),
-    "parabola":        (rat(F(1, 2), P(0, 2, -1), P(1, -2, 1)), "T1", True, False,
+    "parabola":        ("rat(1/2; 0,2,-1; 1,-2,1)", "T1", True, False,
                         BoundaryDescriptor("parabola", (_surd(8), _surd(16), _surd(3)))),
-    "parabola_r":      (rat(F(1, 2), P(0, 2, 1), P(1, 2, 1)), "T1", True, False,
+    "parabola_r":      ("rat(1/2; 0,2,1; 1,2,1)", "T1", True, False,
                         BoundaryDescriptor("parabola", (_surd(-8), _surd(16), _surd(3)))),
     # the two half-integer maps that are not close-to-convex
-    "hslits_wide_avg":   (rat(F(1, 2), P(0, 2, -1, 1), P(1, -1, 1)), "T2", False, False, None),
-    "hslits_wide_avg_r": (rat(F(1, 2), P(0, 2, 1, 1), P(1, 1, 1)), "T2", False, False, None),
+    "hslits_wide_avg":   ("rat(1/2; 0,2,-1,1; 1,-1,1)", "T2", False, False, None),
+    "hslits_wide_avg_r": ("rat(1/2; 0,2,1,1; 1,1,1)", "T2", False, False, None),
 }
+_H = _parsed({cid: row[0] for cid, row in _CONFORMAL.items()})
 
 
 def _convex_ids(families: tuple[str, ...], direction: str) -> tuple[str, ...]:
@@ -243,25 +238,24 @@ _T5 = _convex_ids(("S_Z", "T1"), "imag")
 _CV1_SOURCES = _S1 + _T3
 _CVI_SOURCES = _T5
 
-_HALF = F(1, 2)
-_K_M, _K_P, _Z2 = P(1, -2, 1), P(1, 2, 1), P(0, 0, 1)   # (1-z)^2, (1+z)^2, z^2
-
 # The non-conformal half-integer maps, each stated once.  T4 (convex in the
-# real direction): id suffix -> (h, g, shear source, omega sign, cv_imag,
-# starlike).  T6 (convex in the imaginary direction): id suffix -> (shear
-# source, omega sign); h and g are those of the T4 row with the same suffix.
+# real direction): id suffix -> (h as a conformal id, g, shear source, omega
+# sign, cv_imag, starlike).  T6 (convex in the imaginary direction): id
+# suffix -> (shear source, omega sign); h and g are those of the T4 row with
+# the same suffix.
 _T4 = {
-    "re_koebe_im_halfplane": (rat(_HALF, P(0, 2, -1), _K_M), rat(_HALF, _Z2, _K_M),
+    "re_koebe_im_halfplane": ("parabola", "rat(1/2; 0,0,1; 1,-2,1)",
                               "halfplane", +1, False, False),
-    "re_koebe_r_im_halfplane_r": (rat(_HALF, P(0, 2, 1), _K_P), rat(-_HALF, _Z2, _K_P),
+    "re_koebe_r_im_halfplane_r": ("parabola_r", "rat(-1/2; 0,0,1; 1,2,1)",
                                   "halfplane_r", -1, False, None),
-    "re_halfplane_im_koebe": (rat(_HALF, P(0, 2, -1), _K_M), rat(-_HALF, _Z2, _K_M),
+    "re_halfplane_im_koebe": ("parabola", "rat(-1/2; 0,0,1; 1,-2,1)",
                               "koebe", -1, True, None),
-    "re_halfplane_r_im_koebe_r": (rat(_HALF, P(0, 2, 1), _K_P), rat(_HALF, _Z2, _K_P),
+    "re_halfplane_r_im_koebe_r": ("parabola_r", "rat(1/2; 0,0,1; 1,2,1)",
                                   "koebe_r", +1, True, None),
-    "conj_sq_plus": (rat(1, Z), rat(_HALF, _Z2), "cardioid_r", +1, False, None),
-    "conj_sq_minus": (rat(1, Z), rat(-_HALF, _Z2), "cardioid", -1, False, None),
+    "conj_sq_plus": ("identity", "rat(1/2; 0,0,1; 1)", "cardioid_r", +1, False, None),
+    "conj_sq_minus": ("identity", "rat(-1/2; 0,0,1; 1)", "cardioid", -1, False, None),
 }
+_T4_G = _parsed({suffix: row[1] for suffix, row in _T4.items()})
 _T6 = {
     "re_halfplane_im_koebe": ("halfplane", -1),
     "re_halfplane_r_im_koebe_r": ("halfplane_r", +1),
@@ -270,53 +264,52 @@ _T6 = {
 # closed forms for h taken from the hand integrations on record; a shear
 # with a T4/T6 twin takes the twin's h instead
 _CV1_H_EXPRS = {
-    1: lg(-1, P(1, -1)),
-    2: lg(1, P(1, 1)),
-    4: _sum(rat(_HALF, Z, P(1, -1)), lg(F(1, 4), P(1, 1)), lg(F(-1, 4), P(1, -1))),
-    5: _sum(rat(_HALF, Z, P(1, 1)), lg(F(1, 4), P(1, 1)), lg(F(-1, 4), P(1, -1))),
-    7: _sum(rat(_HALF, P(0, 0, 1), P(1, 0, 1)), rat(_HALF, Z, P(1, 0, 1)),
-            lg(_gr(0, F(-1, 4)), P(1, I)), lg(_gr(0, F(1, 4)), P(1, -I))),
-    8: _sum(rat(-_HALF, P(0, 0, 1), P(1, 0, 1)), rat(_HALF, Z, P(1, 0, 1)),
-            lg(_gr(0, F(-1, 4)), P(1, I)), lg(_gr(0, F(1, 4)), P(1, -I))),
-    9: rat(1, P(0, 1, F(-1, 2), F(1, 6)), P(1, -3, 3, -1)),
-    12: rat(1, P(0, 1, F(1, 2), F(1, 6)), P(1, 3, 3, 1)),
-    18: _sum(lg(2, P(1, 1)), rat(-1, Z)),
-    19: _sum(lg(-2, P(1, -1)), rat(-1, Z)),
-    21: _sum(lg(-_HALF, P(1, -1)), rat(F(1, 4), ONE, P(1, -2, 1)), rat(F(-1, 4), ONE)),
-    22: _sum(lg(F(5, 8), P(1, 1)), lg(F(-1, 8), P(1, -1)),
-             rat(F(1, 4), ONE, P(1, -1)), rat(F(-1, 4), ONE)),
-    23: _sum(lg(F(1, 8), P(1, 1)), lg(F(-5, 8), P(1, -1)), rat(F(1, 4), Z, P(1, 1))),
-    24: _sum(lg(_HALF, P(1, 1)), rat(F(-1, 4), ONE, P(1, 2, 1)), rat(F(1, 4), ONE)),
-    27: _sum(rat(F(1, 3), ONE, P(1, -3, 3, -1)), rat(F(-1, 3), ONE)),
-    28: _sum(rat(F(1, 4), ONE, P(1, -2, 1)), rat(F(1, 4), ONE, P(1, -1)),
-             rat(-_HALF, ONE), lg(F(1, 8), P(1, 1)), lg(F(-1, 8), P(1, -1))),
-    29: _sum(rat(F(-1, 4), ONE, P(1, 2, 1)), rat(F(-1, 4), ONE, P(1, 1)),
-             rat(_HALF, ONE), lg(F(1, 8), P(1, 1)), lg(F(-1, 8), P(1, -1))),
-    30: _sum(rat(F(-1, 3), ONE, P(1, 3, 3, 1)), rat(F(1, 3), ONE)),
+    1: "log(-1; 1,-1)",
+    2: "log(1; 1,1)",
+    4: "rat(1/2; 0,1; 1,-1) + log(1/4; 1,1) + log(-1/4; 1,-1)",
+    5: "rat(1/2; 0,1; 1,1) + log(1/4; 1,1) + log(-1/4; 1,-1)",
+    7: "rat(1/2; 0,0,1; 1,0,1) + rat(1/2; 0,1; 1,0,1)"
+       " + log(-1/4 i; 1,i) + log(1/4 i; 1,-i)",
+    8: "rat(-1/2; 0,0,1; 1,0,1) + rat(1/2; 0,1; 1,0,1)"
+       " + log(-1/4 i; 1,i) + log(1/4 i; 1,-i)",
+    9: "rat(1; 0,1,-1/2,1/6; 1,-3,3,-1)",
+    12: "rat(1; 0,1,1/2,1/6; 1,3,3,1)",
+    18: "log(2; 1,1) + rat(-1; 0,1; 1)",
+    19: "log(-2; 1,-1) + rat(-1; 0,1; 1)",
+    21: "log(-1/2; 1,-1) + rat(1/4; 1; 1,-2,1) + rat(-1/4; 1; 1)",
+    22: "log(5/8; 1,1) + log(-1/8; 1,-1) + rat(1/4; 1; 1,-1) + rat(-1/4; 1; 1)",
+    23: "log(1/8; 1,1) + log(-5/8; 1,-1) + rat(1/4; 0,1; 1,1)",
+    24: "log(1/2; 1,1) + rat(-1/4; 1; 1,2,1) + rat(1/4; 1; 1)",
+    27: "rat(1/3; 1; 1,-3,3,-1) + rat(-1/3; 1; 1)",
+    28: "rat(1/4; 1; 1,-2,1) + rat(1/4; 1; 1,-1) + rat(-1/2; 1; 1)"
+        " + log(1/8; 1,1) + log(-1/8; 1,-1)",
+    29: "rat(-1/4; 1; 1,2,1) + rat(-1/4; 1; 1,1) + rat(1/2; 1; 1)"
+        " + log(1/8; 1,1) + log(-1/8; 1,-1)",
+    30: "rat(-1/3; 1; 1,3,3,1) + rat(1/3; 1; 1)",
 }
 
 _CVI_H_EXPRS = {
-    1: lg(1, P(1, 1)),
-    2: lg(-1, P(1, -1)),
-    3: _sum(rat(_HALF, Z, P(1, -1)), lg(F(1, 4), P(1, 1)), lg(F(-1, 4), P(1, -1))),
-    6: _sum(rat(_HALF, Z, P(1, 1)), lg(F(1, 4), P(1, 1)), lg(F(-1, 4), P(1, -1))),
-    9: _sum(lg(F(5, 8), P(1, 1)), lg(F(-1, 8), P(1, -1)), rat(F(1, 4), Z, P(1, -1))),
-    10: _sum(rat(F(1, 4), ONE, P(1, -2, 1)), lg(-_HALF, P(1, -1)), rat(F(-1, 4), ONE)),
-    11: _sum(rat(F(-1, 4), ONE, P(1, 2, 1)), lg(_HALF, P(1, 1)), rat(F(1, 4), ONE)),
-    12: _sum(lg(F(1, 8), P(1, 1)), lg(F(-5, 8), P(1, -1)), rat(F(1, 4), Z, P(1, 1))),
-    13: _sum(rat(F(-1, 8), ONE, P(1, 2, 1)), rat(F(1, 8), ONE, P(1, -1)),
-             lg(F(-1, 16), P(1, -1)), lg(F(9, 16), P(1, 1))),
-    14: _sum(rat(F(1, 8), ONE, P(1, -2, 1)), rat(F(-1, 8), ONE, P(1, 1)),
-             lg(F(1, 16), P(1, 1)), lg(F(-9, 16), P(1, -1))),
-    15: _sum(lg(F(1, 16), P(1, 1)), lg(F(-1, 16), P(1, -1)),
-             rat(F(1, 8), ONE, P(1, -1)), rat(F(-3, 8), ONE, P(1, 2, 1)), rat(F(1, 4), ONE)),
-    16: _sum(lg(F(3, 16), P(1, 1)), lg(F(-3, 16), P(1, -1)),
-             rat(F(1, 8), ONE, P(1, -2, 1)), rat(F(-3, 8), ONE, P(1, 1)), rat(F(1, 4), ONE)),
-    17: _sum(lg(F(3, 16), P(1, 1)), lg(F(-3, 16), P(1, -1)),
-             rat(F(-1, 8), ONE, P(1, 2, 1)), rat(F(3, 8), ONE, P(1, -1)), rat(F(-1, 4), ONE)),
-    18: _sum(lg(F(1, 16), P(1, 1)), lg(F(-1, 16), P(1, -1)),
-             rat(F(3, 8), ONE, P(1, -2, 1)), rat(F(-1, 8), ONE, P(1, 1)), rat(F(-1, 4), ONE)),
+    1: "log(1; 1,1)",
+    2: "log(-1; 1,-1)",
+    3: "rat(1/2; 0,1; 1,-1) + log(1/4; 1,1) + log(-1/4; 1,-1)",
+    6: "rat(1/2; 0,1; 1,1) + log(1/4; 1,1) + log(-1/4; 1,-1)",
+    9: "log(5/8; 1,1) + log(-1/8; 1,-1) + rat(1/4; 0,1; 1,-1)",
+    10: "rat(1/4; 1; 1,-2,1) + log(-1/2; 1,-1) + rat(-1/4; 1; 1)",
+    11: "rat(-1/4; 1; 1,2,1) + log(1/2; 1,1) + rat(1/4; 1; 1)",
+    12: "log(1/8; 1,1) + log(-5/8; 1,-1) + rat(1/4; 0,1; 1,1)",
+    13: "rat(-1/8; 1; 1,2,1) + rat(1/8; 1; 1,-1) + log(-1/16; 1,-1) + log(9/16; 1,1)",
+    14: "rat(1/8; 1; 1,-2,1) + rat(-1/8; 1; 1,1) + log(1/16; 1,1) + log(-9/16; 1,-1)",
+    15: "log(1/16; 1,1) + log(-1/16; 1,-1) + rat(1/8; 1; 1,-1)"
+        " + rat(-3/8; 1; 1,2,1) + rat(1/4; 1; 1)",
+    16: "log(3/16; 1,1) + log(-3/16; 1,-1) + rat(1/8; 1; 1,-2,1)"
+        " + rat(-3/8; 1; 1,1) + rat(1/4; 1; 1)",
+    17: "log(3/16; 1,1) + log(-3/16; 1,-1) + rat(-1/8; 1; 1,2,1)"
+        " + rat(3/8; 1; 1,-1) + rat(-1/4; 1; 1)",
+    18: "log(1/16; 1,1) + log(-1/16; 1,-1) + rat(3/8; 1; 1,-2,1)"
+        " + rat(-1/8; 1; 1,1) + rat(-1/4; 1; 1)",
 }
+
+_SHEAR_H = {"real": _parsed(_CV1_H_EXPRS), "imag": _parsed(_CVI_H_EXPRS)}
 
 _ALIASES = {
     "harmonic_koebe": "f9_cv1",
@@ -325,22 +318,17 @@ _ALIASES = {
 }
 
 
-def _omega_expr(sign: int) -> AnalyticExpr:
-    return rat(sign, Z)
-
-
 def _nonconformal_entries() -> list[CatalogEntry]:
     """The T4 rows, then the T6 rows with h and g of their T4 namesakes."""
-    rows = [("T4", "real", suffix, *row) for suffix, row in _T4.items()]
-    rows += [("T6", "imag", suffix, *_T4[suffix][:2], src, sign, True, None)
+    rows = [("T4", "real", suffix, row[0], *row[2:]) for suffix, row in _T4.items()]
+    rows += [("T6", "imag", suffix, _T4[suffix][0], src, sign, True, None)
              for suffix, (src, sign) in _T6.items()]
     return [CatalogEntry(
-        id=f"{family.lower()}_{suffix}", family=family, h=h, g=g,
-        omega=_omega_expr(sign),
+        id=f"{family.lower()}_{suffix}", family=family, h=_H[h_id], g=_T4_G[suffix],
         expected=FlagSet(False, True, cv_real=True, cv_imag=cv_imag,
                          starlike=starlike),
         recipe=ShearRecipe(src, sign, axis),
-    ) for family, axis, suffix, h, g, src, sign, cv_imag, starlike in rows]
+    ) for family, axis, suffix, h_id, src, sign, cv_imag, starlike in rows]
 
 
 def _proof_entries(axis: str, twins: dict) -> list[CatalogEntry]:
@@ -350,16 +338,15 @@ def _proof_entries(axis: str, twins: dict) -> list[CatalogEntry]:
     recipe is that map: it takes the twin's h and expected flags.
     """
     sources = _CV1_SOURCES if axis == "real" else _CVI_SOURCES
-    h_exprs = _CV1_H_EXPRS if axis == "real" else _CVI_H_EXPRS
     tag = "cv1" if axis == "real" else "cvi"
     out = []
     for idx, source_id in enumerate(sources):
-        source_expr = _CONFORMAL[source_id][0]
+        source_expr = _H[source_id]
         for sign in (+1, -1):
             k = 2 * idx + (1 if sign > 0 else 2)
             recipe = ShearRecipe(source_id, sign, axis)
             twin = twins.get(recipe)
-            h = twin.h if twin is not None else h_exprs.get(k)
+            h = twin.h if twin is not None else _SHEAR_H[axis].get(k)
             g = None
             if h is not None:
                 g = h - source_expr if axis == "real" else source_expr - h
@@ -367,14 +354,14 @@ def _proof_entries(axis: str, twins: dict) -> list[CatalogEntry]:
                      else FlagSet(False, False, **{f"cv_{axis}": True}))
             out.append(CatalogEntry(
                 id=f"f{k}_{tag}", family=f"PROOF_{tag.upper()}",
-                h=h, g=g, omega=_omega_expr(sign), expected=flags,
+                h=h, g=g, expected=flags,
                 recipe=recipe, twin=twin.id if twin is not None else None,
             ))
     return out
 
 
 def _conformal_entry(cid, prefix="", family=None) -> CatalogEntry:
-    expr, base_family, cv_r, cv_i, boundary = _CONFORMAL[cid]
+    _, base_family, cv_r, cv_i, boundary = _CONFORMAL[cid]
     in_sz = base_family == "S_Z"
     flags = FlagSet(
         integer_coeffs=in_sz,
@@ -385,8 +372,8 @@ def _conformal_entry(cid, prefix="", family=None) -> CatalogEntry:
         u_class=True if in_sz else (False if base_family == "T2" else None),
         boundary=boundary,
     )
-    return CatalogEntry(id=prefix + cid, family=family or base_family, h=expr,
-                        g=AnalyticExpr.zero(), omega=None, expected=flags)
+    return CatalogEntry(id=prefix + cid, family=family or base_family, h=_H[cid],
+                        g=_ZERO, expected=flags)
 
 
 _CATALOG: tuple[CatalogEntry, ...] | None = None

@@ -2,8 +2,10 @@
 
 Coefficient classes are decided on exact rationals: a series is integer
 class when every coefficient is a rational integer, half-integer class
-when every doubled coefficient is.  No tolerance and no floating point
-appear anywhere in this module.
+when every doubled coefficient is.  Both are read off the reduced
+denominator d of each real coefficient (d = 1, resp. d <= 2), so no
+``Fraction`` is built.  No tolerance and no floating point appear anywhere
+in this module.
 """
 
 from __future__ import annotations
@@ -43,33 +45,28 @@ class CoeffClassReport:
         return out
 
 
-def coeff_class(s: Series, upto: int | None = None) -> CoeffClassReport:
-    """Classify coefficients c0..c_upto as integer / half-integer / neither.
+def coeff_class(s: Series) -> CoeffClassReport:
+    """Classify the coefficients c0..cN as integer / half-integer / neither.
 
     A complex coefficient is a violation at its index.  The first
     violation is reported only for the ``neither`` class.
     """
-    if upto is None:
-        upto = s.order
-    if upto > s.order:
-        raise ValueError("upto exceeds the series order")
     integer = True
-    for n in range(upto + 1):
-        c = s.coeff(n)
-        if not c.is_real or (2 * c.re).denominator != 1:
+    for n, c in enumerate(s.coeffs):
+        if not c.is_real or c.denominator > 2:
             return CoeffClassReport(NEITHER, (n, c))
-        if c.re.denominator != 1:
+        if c.denominator != 1:
             integer = False
     return CoeffClassReport(INTEGER if integer else HALF_INTEGER)
 
 
-def classify_harmonic(F: HarmonicMap, upto: int | None = None):
+def classify_harmonic(F: HarmonicMap):
     """Reports for the analytic and co-analytic part.
 
     The map has half-integer coefficients exactly when both reports land
     in the half-integer (or integer) class.
     """
-    return coeff_class(F.h_series, upto), coeff_class(F.g_series, upto)
+    return coeff_class(F.h_series), coeff_class(F.g_series)
 
 
 def b2_bound_check(F: HarmonicMap) -> Fraction:

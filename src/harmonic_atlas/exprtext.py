@@ -4,7 +4,9 @@ Two formats are supported:
 
 * the structured term format used for round-tripping and the atlas export:
   ``rat(c; p0,p1,...; q0,q1,...)`` and ``log(c; l0,l1,...)`` terms joined
-  by `` + ``, with exact coefficient literals like ``-3/4`` or ``1/2+1/3 i``;
+  by `` + ``, with exact coefficient literals like ``-3/4`` or ``1/2+1/3 i``.
+  It is also the catalog's source: every closed form there is written in
+  it, as :func:`format_expr` prints it, and built by :func:`parse_expr_text`;
 
 * a natural formula notation for CLI convenience, e.g. ``z/(1-z+z^2)`` or
   ``z(2-z)/(2(1-z)^2)``, which parses to a single rational term.

@@ -196,24 +196,19 @@ def rz_search(phi: AnalyticExpr, axis: str, grid: Grid,
     return None
 
 
-def _trace_samples(F, r: float, samples: int) -> np.ndarray:
-    zs = r * np.exp(2j * np.pi * np.arange(samples) / samples)
-    return np.asarray(F.eval(zs))
-
-
 def direction_convexity_probe(F, direction: str, r: float = 0.999,
                               lines: int = 64, samples: int = 4096) -> bool:
     """Falsifier for convexity in the given direction.
 
-    Traces F on |z| = r and, for test lines parallel to the direction
-    placed at quantiles of the orthogonal coordinate, counts cyclic sign
-    changes of that coordinate along the curve.  More than two sign
+    Traces F on |z| = r, 0 < r < 1, and, for test lines parallel to the
+    direction placed at quantiles of the orthogonal coordinate, counts
+    cyclic sign changes of that coordinate along the curve.  More than two sign
     changes on some line means the line meets the image in more than one
     chord: returns False.  True means "not falsified", never a proof.
     """
     if direction not in ("real", "imag"):
         raise ValueError("direction must be 'real' or 'imag'")
-    w = _trace_samples(F, r, samples)
+    w = boundary_trace(F, r, samples)
     coord = w.imag if direction == "real" else w.real
     qs = (np.arange(lines) + 0.5) / lines
     levels = np.quantile(coord, qs)
@@ -287,4 +282,5 @@ def boundary_trace(F, r: float, samples: int = 1024) -> np.ndarray:
     """Closed polyline F(r e^{2 pi i k / samples}), k = 0..samples-1."""
     if not (0 < r < 1):
         raise ValueError("trace radius must lie in (0, 1)")
-    return _trace_samples(F, r, samples)
+    zs = r * np.exp(2j * np.pi * np.arange(samples) / samples)
+    return np.asarray(F.eval(zs))

@@ -86,7 +86,8 @@ class GaussRational:
     * ``/``: nine products, |divisor|^2 included;
     * ``-x`` and ``conjugate()``: no arithmetic and no gcd.
 
-    ``re`` and ``im`` are the two parts as ``Fraction``s, built on demand;
+    ``re`` and ``im`` are the two parts as ``Fraction``s, built on demand,
+    and ``denominator`` is d itself;
     ``complex()`` divides the integers directly, correctly rounded, as
     ``float(Fraction)`` does.  Instances are immutable, so values can be
     shared freely across threads.
@@ -112,6 +113,11 @@ class GaussRational:
     @property
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
+
+    @property
+    def denominator(self) -> int:
+        """The d of (a + b i)/d in lowest terms."""
+        return self._d
 
     # -- arithmetic ----------------------------------------------------
 
@@ -297,10 +303,6 @@ class Series:
         if n < 0 or n > self.order:
             raise IndexError(f"coefficient index {n} outside order {self.order}")
         return self.coeffs[n]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
 
     def truncate(self, order: int) -> "Series":
         if order > self.order:

@@ -51,12 +51,6 @@ class RenderOptions:
                 raise ValueError("viewport must have xmin < xmax and ymin < ymax")
 
 
-def _curve_points(F, zs: np.ndarray):
-    vals, ok = F.eval_masked(zs)
-    ok = ok & np.isfinite(vals.real) & np.isfinite(vals.imag)
-    return vals, ok
-
-
 def _path_data(vals: np.ndarray, ok: np.ndarray, close: bool) -> str:
     """Polyline path; a masked-out point breaks the line (gap, no segment)."""
     if close and ok.size:
@@ -72,29 +66,22 @@ def _path_data(vals: np.ndarray, ok: np.ndarray, close: bool) -> str:
 
 def render_svg(F, opts: RenderOptions = RenderOptions()) -> str:
     """Render the image of the polar grid under F as an SVG document."""
+    n = opts.samples_per_curve
+    ring = np.exp(2j * np.pi * np.arange(n) / n)
+    ts = np.linspace(0.0, opts.r_max, n)
+    # (points, close, is_boundary): the circles, the rays, the near-boundary circle
+    samples = ([(opts.r_max * k / (opts.circles + 1) * ring, True, False)
+                for k in range(1, opts.circles + 1)]
+               + [(ts * np.exp(2j * np.pi * j / opts.rays), False, False)
+                  for j in range(opts.rays)]
+               + [(opts.r_max * ring, True, True)])
     curves = []  # (path_data, is_boundary)
     finite_pts = []
-
-    for k in range(1, opts.circles + 1):
-        r = opts.r_max * k / (opts.circles + 1)
-        zs = r * np.exp(2j * np.pi * np.arange(opts.samples_per_curve)
-                        / opts.samples_per_curve)
-        vals, ok = _curve_points(F, zs)
-        curves.append((_path_data(vals, ok, close=True), False))
+    for zs, close, is_boundary in samples:
+        vals, ok = F.eval_masked(zs)
+        ok = ok & np.isfinite(vals.real) & np.isfinite(vals.imag)
+        curves.append((_path_data(vals, ok, close), is_boundary))
         finite_pts.append(vals[ok])
-
-    ts = np.linspace(0.0, opts.r_max, opts.samples_per_curve)
-    for j in range(opts.rays):
-        direction = np.exp(2j * np.pi * j / opts.rays)
-        vals, ok = _curve_points(F, ts * direction)
-        curves.append((_path_data(vals, ok, close=False), False))
-        finite_pts.append(vals[ok])
-
-    zs = opts.r_max * np.exp(2j * np.pi * np.arange(opts.samples_per_curve)
-                             / opts.samples_per_curve)
-    vals, ok = _curve_points(F, zs)
-    curves.append((_path_data(vals, ok, close=True), True))
-    finite_pts.append(vals[ok])
 
     if opts.viewport is not None:
         xmin, xmax, ymin, ymax = opts.viewport

@@ -12,7 +12,8 @@ Each suite re-derives one table of claims and reports a row per check:
          the six non-conformal entries series-for-series;
 * T42    the imaginary-direction table: 11 catalog entries plus 18 shears,
          exactly two half-integer matching the two non-conformal entries;
-         T41 and T42 are one suite, parameterised by the shear axis;
+         T41 and T42 are one suite, parameterised by the shear axis, and
+         so are T32 and LEM42, parameterised by their families;
 * LEM42  direction-convexity flags of the ten extra close-to-convex maps
          and the two that are not;
 * REMARK starlikeness refutation and the g' = e^{i theta} z h' classes.
@@ -147,18 +148,12 @@ def _suite_t31(config) -> dict:
     return rows.report("T31", config)
 
 
-def _suite_t32(config) -> dict:
+def _suite_directions(config, theorem: str, families: tuple[str, ...]) -> dict:
     rows = _Rows()
-    for cid in catalog_ids("S_Z"):
-        _direction_rows(rows, catalog_lookup(cid), config)
-    return rows.report("T32", config)
-
-
-def _suite_lem42(config) -> dict:
-    rows = _Rows()
-    for cid in catalog_ids("T1") + catalog_ids("T2"):
-        _direction_rows(rows, catalog_lookup(cid), config)
-    return rows.report("LEM42", config)
+    for entry in catalog_build():
+        if entry.family in families:
+            _direction_rows(rows, entry, config)
+    return rows.report(theorem, config)
 
 
 def _suite_shears(config, axis: str) -> dict:
@@ -231,10 +226,10 @@ def _suite_remark(config) -> dict:
 
 _SUITE_FNS = {
     "T31": _suite_t31,
-    "T32": _suite_t32,
+    "T32": lambda config: _suite_directions(config, "T32", ("S_Z",)),
     "T41": lambda config: _suite_shears(config, "real"),
     "T42": lambda config: _suite_shears(config, "imag"),
-    "LEM42": _suite_lem42,
+    "LEM42": lambda config: _suite_directions(config, "LEM42", ("T1", "T2")),
     "REMARK": _suite_remark,
 }
 

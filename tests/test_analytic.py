@@ -41,6 +41,22 @@ def test_pole_at_origin_rejected_unless_cancelled():
     assert e.series(4) == Series([0, 1], order=4)
 
 
+def test_log_argument_crossing_the_branch_cut_rejected():
+    # (1+z)^3 = -1/8 at z = e^{i pi/3}/2 - 1, |z| = 0.87: the sampled circles
+    # cross (-inf, 0] between two neighbouring samples, none of them on it
+    with pytest.raises(InvalidExpression):
+        AnalyticExpr.log(1, P(1, 3, 3, 1))
+
+
+@pytest.mark.parametrize("a", [GaussRational(1), GaussRational(F(3, 5), F(4, 5))])
+def test_log_argument_near_but_off_the_branch_cut_accepted(a):
+    # (1 + a z)^2 with |a| = 1 has argument in (-pi, pi) on the open disk
+    # and passes within 1e-6 of 0 near z = -1/a, for a = (3+4i)/5 between
+    # two sampled angles: no false positive, and log((1+az)^2) = 2 log(1+az)
+    e = AnalyticExpr.log(1, P(1, 2 * a, a * a))
+    assert e.series(12) == AnalyticExpr.log(2, P(1, a)).series(12)
+
+
 def test_log_argument_must_be_one_at_zero():
     with pytest.raises(InvalidExpression):
         AnalyticExpr.log(1, P(2, 1))
@@ -65,7 +81,6 @@ def test_eval_hslits_wide_boundary_limit():
 def test_eval_at_zero_matches_series_constant():
     e = AnalyticExpr.rational(F(1, 2), P(3, 1), P(1, 1)) + AnalyticExpr.log(2, P(1, 1))
     assert e.eval(0.0) == complex(e.series(0).coeff(0))
-    assert e.value_at_zero() == GaussRational(F(3, 2))
 
 
 def test_eval_near_pole_raises():

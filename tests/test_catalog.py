@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import harmonic_atlas.catalog as catalog_module
 from harmonic_atlas import (
-    UnknownId, catalog_build, catalog_ids, catalog_lookup, coeff_class,
-    dilatation_check, export_atlas, parse_expr_text,
+    AnalyticExpr, UnknownId, catalog_build, catalog_ids, catalog_lookup,
+    coeff_class, dilatation_check, export_atlas, format_expr, parse_expr_text,
 )
 
 F = Fraction
@@ -169,6 +170,39 @@ def test_atlas_export_roundtrip():
         if row["h"] is not None:
             expr = parse_expr_text(row["h"])
             assert expr.series(12) == catalog_lookup(row["id"]).h.series(12)
+
+
+def test_closed_forms_are_canonical_atlas_text():
+    # the catalog's source text is the text `list --json` prints
+    m = catalog_module
+    forms = [row[0] for row in m._CONFORMAL.values()]
+    forms += [row[1] for row in m._T4.values()]
+    forms += [*m._CV1_H_EXPRS.values(), *m._CVI_H_EXPRS.values()]
+    assert len(forms) == 59
+    for text in forms:
+        assert format_expr(parse_expr_text(text)) == text
+    # a T4 row's h is named, not restated: it is a conformal entry
+    for suffix, row in m._T4.items():
+        assert catalog_lookup(f"t4_{suffix}").h is catalog_lookup(row[0]).h
+
+
+def test_catalog_build_validates_no_expression(monkeypatch):
+    # every closed form, dilatation and zero g is parsed once, at import
+    calls = []
+    plain = AnalyticExpr._validate
+
+    def counting_validate(self):
+        calls.append(self)
+        return plain(self)
+
+    monkeypatch.setattr(AnalyticExpr, "_validate", counting_validate)
+    AnalyticExpr.zero()
+    assert len(calls) == 1  # it counts
+    calls.clear()
+    monkeypatch.setattr(catalog_module, "_CATALOG", None)
+    monkeypatch.setattr(catalog_module, "_INDEX", {})
+    assert len(catalog_build()) == 101
+    assert calls == []
 
 
 def test_boundary_descriptors_present():

@@ -2,8 +2,6 @@
 
 from fractions import Fraction
 
-import pytest
-
 from harmonic_atlas import (
     GaussRational, Series, b2_bound_check, catalog_lookup, classify_harmonic,
     coeff_class,
@@ -39,9 +37,25 @@ def test_complex_coefficient_is_violation():
     assert rep.first_violation[0] == 2
 
 
-def test_upto_validation():
-    with pytest.raises(ValueError):
-        coeff_class(Series.zero(3), upto=9)
+def test_coeff_class_builds_no_fraction(monkeypatch):
+    # the class is read off each coefficient's reduced denominator
+    counted = {"n": 0}
+    plain = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        counted["n"] += 1
+        return plain(cls, *args, **kwargs)
+
+    half = catalog_lookup("f3_cv1").harmonic_map(64)
+    neither = catalog_lookup("f1_cv1").harmonic_map(64)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    assert Fraction(1, 2).denominator == 2 and counted["n"] == 1  # it counts
+    counted["n"] = 0
+    reports = [*classify_harmonic(half), coeff_class(neither.h_series)]
+    assert counted["n"] == 0, counted["n"]
+    monkeypatch.undo()
+    assert [r.klass for r in reports] == ["half_integer", "half_integer", "neither"]
+    assert reports[2].first_violation == (3, GaussRational(F(1, 3)))
 
 
 def test_classify_harmonic_f3():

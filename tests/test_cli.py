@@ -46,6 +46,13 @@ def test_expand_parse_error_exit_2(capsys):
     assert "error" in err
 
 
+def test_expand_log_crossing_branch_cut_exit_2(capsys):
+    # log((1+z)^3) is not analytic on the disk: (1+z)^3 crosses (-inf, 0]
+    code, _, err = run(capsys, "expand", "log(1/3; 1,3,3,1)", "5")
+    assert code == 2
+    assert "branch cut" in err
+
+
 def test_shear_matches_f3(capsys):
     code, out, _ = run(capsys, "shear", "z/(1-z)", "+z", "real", "--show", "4")
     assert code == 0
