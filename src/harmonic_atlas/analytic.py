@@ -332,9 +332,8 @@ class AnalyticExpr:
         """
         zs = np.asarray(zs, dtype=complex)
         ok = np.ones(zs.shape, dtype=bool)
-        if self.pole_points.size:
-            d = np.min(np.abs(zs[..., None] - self.pole_points[None, :]), axis=-1)
-            ok = d >= EPS_POLE
+        for p in self.pole_points:  # one pole at a time, no points x poles array
+            ok &= np.abs(zs - p) >= EPS_POLE
         vals = np.full(zs.shape, np.nan + 0j)
         if np.any(ok):
             vals[ok] = self.eval(zs[ok], check=False)

@@ -9,11 +9,16 @@ Recognized keys: order, grid.radii, grid.angles, tol, r_max.
 
 Exit codes: 0 success / all rows matched; 1 verification mismatch;
 2 usage, config or input error; 3 I/O error.
+
+The argument parser is built once per process and reused by every
+``main`` call: parsing does not change it, and its usage errors and help
+go to ``sys.stderr`` and ``sys.stdout`` as they are when printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -221,6 +226,7 @@ def _add_config_flags(p):
     p.add_argument("--json", action="store_true", help="JSON on stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="harmonic-atlas",

@@ -286,6 +286,14 @@ class Series:
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def _of(cls, coeffs) -> "Series":
+        """A series over nonempty GaussRational coefficients, taken as they
+        are: the kernel's own results need no coercion or checks."""
+        s = object.__new__(cls)
+        s.coeffs = tuple(coeffs)
+        return s
+
+    @classmethod
     def zero(cls, order: int) -> "Series":
         return cls([], order=order)
 
@@ -307,7 +315,7 @@ class Series:
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise ValueError("truncate cannot extend the order")
-        return Series(self.coeffs[: order + 1])
+        return Series._of(self.coeffs[: order + 1])
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -323,16 +331,16 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
-        return Series([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
+        return Series._of([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
 
     def __sub__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
-        return Series([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
+        return Series._of([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
 
     def __neg__(self):
-        return Series([-c for c in self.coeffs])
+        return Series._of([-c for c in self.coeffs])
 
     def __mul__(self, other):
         """Product truncated to the smaller order, or a scalar multiple.
@@ -352,13 +360,13 @@ class Series:
                 if j + k > n:
                     break
                 out[j + k] = out[j + k] + x * y
-        return Series(out)
+        return Series._of(out)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Series":
         c = gauss(c)
-        return Series([c * x for x in self.coeffs])
+        return Series._of([c * x for x in self.coeffs])
 
     def __truediv__(self, den):
         """Quotient self/den, truncated to the smaller order.
@@ -386,7 +394,7 @@ class Series:
                     break
                 acc = acc - d * out[m - k]
             out.append(acc if inv0 is None else acc * inv0)
-        return Series(out)
+        return Series._of(out)
 
     def reciprocal(self) -> "Series":
         """Multiplicative inverse up to the series order, as 1/self.
@@ -399,7 +407,7 @@ class Series:
         """Termwise d/dz; the order drops by one (a constant stays order 0)."""
         if self.order == 0:
             return Series.zero(0)
-        return Series([self.coeffs[n] * n for n in range(1, self.order + 1)])
+        return Series._of([self.coeffs[n] * n for n in range(1, self.order + 1)])
 
     def antiderivative(self) -> "Series":
         """Termwise integral from 0; constant term 0, order grows by one.
@@ -411,7 +419,7 @@ class Series:
         out = [_ZERO]
         for n, c in enumerate(self.coeffs):
             out.append(c / (n + 1))
-        return Series(out)
+        return Series._of(out)
 
     def compose_linear(self, c) -> "Series":
         """Substitute z -> c*z: coefficient n picks up a factor c^n."""
@@ -421,7 +429,7 @@ class Series:
         for coeff in self.coeffs:
             out.append(power * coeff)
             power = power * c
-        return Series(out)
+        return Series._of(out)
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:8])

@@ -6,20 +6,35 @@ per curve, 6-decimal coordinates, and byte-identical output for identical
 inputs.  Points that sit within the pole guard of a closed form are
 dropped and leave gaps in the path rather than being interpolated across.
 
-Cost: the map is evaluated once per curve (``circles + rays + 1`` calls of
-``eval_masked``), and the path text is written one run of consecutive
-unmasked points at a time, each run by a single ``%``-format call, so the
-per-point work is CPython's float formatting and no Python-level loop.
+Cost: the map is evaluated in two batches, one ``eval_masked`` call for
+the circles and the near-boundary circle together and one for all the
+rays, and each batch's path text is written by one vectorised pass.
+``RenderOptions`` caps a render at 2**20 sampled points, (circles + rays
++ 1) * samples_per_curve, so an oversized request fails before anything
+is allocated.
+
+The path text is byte for byte what ``"%.6f"`` prints.  For a coordinate
+x, q = |x| * 1e6 is the correctly rounded product, within half an ulp of
+the exact value, so n = rint(q) is the integer "%.6f" rounds to unless q
+lies within 2 ulp of a half-integer (an exact tie such as 0.0078125 among
+them).  The sign is signbit(x), so -0.0 and -1e-9 print "-0.000000".  The
+digits of n fill a fixed NUL-padded slot from tables of four-digit ASCII
+words, and one ``bytes.translate`` per curve drops the padding.  Values
+near a tie, NaN, infinities and |x| >= 1e6 are formatted by "%.6f" itself,
+one at a time; none of the coordinates of the catalog's renders is.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["RenderOptions", "render_svg"]
+
+_MAX_POINTS = 2**20  # sampled points per render, all curves together
 
 
 @dataclass(frozen=True)
@@ -42,6 +57,9 @@ class RenderOptions:
             raise ValueError("samples_per_curve must be >= 1")
         if self.size < 1:
             raise ValueError("size must be >= 1")
+        if (self.circles + self.rays + 1) * self.samples_per_curve > _MAX_POINTS:
+            raise ValueError("(circles + rays + 1) * samples_per_curve must be "
+                             f"<= {_MAX_POINTS}")
         if self.viewport is not None:
             if len(self.viewport) != 4 or not all(map(math.isfinite, self.viewport)):
                 raise ValueError("viewport must be four finite numbers "
@@ -51,17 +69,120 @@ class RenderOptions:
                 raise ValueError("viewport must have xmin < xmax and ymin < ymax")
 
 
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, ...]:
+    """Digit tables, four ASCII bytes (one uint32 word) per entry, NUL where
+    nothing is printed: k < 10000 zero-padded to four digits; the same
+    without leading zeros, units digit kept; k < 100 without leading zeros,
+    so 0 is all NUL; and ".", NUL and the two digits of k < 100."""
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    pad = np.empty((10000, 4), dtype=np.uint8)
+    for i in range(4):  # byte i is the digit of 10**(3 - i)
+        pad[:, i] = np.tile(np.repeat(ascii_digits, 10 ** (3 - i)), 10 ** i)
+    lead = pad * (np.arange(10000, dtype=np.uint16)[:, None] >= [1000, 100, 10, 1])
+    top = lead[:100].copy()
+    lead[0, 3] = ord("0")
+    dot = pad[:100].copy()
+    dot[:, :2] = [ord("."), 0]
+    return tuple(a.view(np.uint32)[:, 0] for a in (pad, lead, top, dot))
+
+
+def _fixed6(c: np.ndarray) -> np.ndarray:
+    """Row i is "%.6f" % c[i] in ASCII, NUL where no character is printed.
+
+    A row is five uint32 words: two NUL bytes left for a prefix, the sign
+    and a NUL; two integer digits; four integer digits; "." and two
+    decimals; four decimals.  q = |x|*1e6 is within half an ulp of the
+    exact product, so n = rint(q) is the correctly rounded integer "%.6f"
+    prints unless q lies within 2 ulp of a half-integer.  Those values,
+    NaN, infinities and |x| >= 1e6 are formatted by "%.6f" itself, and
+    the rows widen to the longest of them.
+    """
+    q = np.abs(c)
+    fits = q < 1e6  # False for NaN and infinities
+    q[~fits] = 0.0
+    q *= 1e6
+    n = np.rint(q)
+    fits &= n < 1e12
+    tol = np.spacing(q)
+    tol *= 2
+    q -= n  # exact, and at most 1/2 in size
+    np.abs(q, out=q)
+    q -= 0.5
+    np.abs(q, out=q)
+    undecided = np.flatnonzero(~fits | (q <= tol))
+    del q, tol, fits  # the dels here and below keep a render's peak memory low
+    n[undecided] = 0.0  # their rows are written below, from "%.6f"
+    texts = [("%.6f" % x).encode() for x in c[undecided].tolist()]
+    pad, lead, top, dot = _digit_words()
+    width = max([20, *(2 + len(t) for t in texts)])
+    out = np.zeros((c.size, -(-width // 4)), dtype=np.uint32)
+    # n < 1e12 splits exactly into groups of 2, 4, 2 and 4 digits
+    group = np.floor(n / 1e10)
+    n -= group * 1e10
+    padded = group > 0
+    out[:, 1] = top[group.astype(np.intp)]
+    np.floor(n / 1e6, out=group)
+    n -= group * 1e6
+    idx = group.astype(np.intp)
+    out[:, 2] = np.where(padded, pad[idx], lead[idx])
+    np.floor(n / 1e4, out=group)
+    n -= group * 1e4
+    out[:, 3] = dot[group.astype(np.intp)]
+    out[:, 4] = pad[n.astype(np.intp)]
+    text = out.view(np.uint8)
+    text[:, 2] = np.signbit(c)
+    text[:, 2] *= ord("-")
+    for i, t in zip(undecided.tolist(), texts):
+        text[i, 2:] = 0
+        text[i, 2:2 + len(t)] = np.frombuffer(t, np.uint8)
+    return text
+
+
+def _path_texts(vals: np.ndarray, ok: np.ndarray, sizes, close) -> list[str]:
+    """Polyline path data of consecutive curves, one string per curve.
+
+    Curve k is the next ``sizes[k]`` entries of ``vals`` and ``ok``; a
+    masked-out point breaks its line (gap, no segment), and ``close[k]``
+    repeats the curve's first point at its end.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    shut = np.asarray(close, dtype=bool) & (sizes > 0)
+    lens = sizes + shut
+    first = np.cumsum(lens) - lens  # where each curve starts once closed
+    take = np.arange(int(lens.sum())) - np.repeat(first - starts, lens)
+    take[first[shut] + sizes[shut]] = starts[shut]
+    ok = np.asarray(ok, dtype=bool)[take]
+    # a run starts at an unmasked point after a masked one or a curve start
+    inside = np.zeros(ok.shape, dtype=bool)
+    inside[1:] = ok[:-1]
+    inside[first[lens > 0]] = False
+    keep = np.flatnonzero(ok)
+    rows = np.concatenate(([0], np.cumsum(ok)))[np.append(first, ok.size)]
+    inside = inside[keep]
+    take = take[keep]
+    del keep, ok
+
+    coords = np.empty((take.size, 2))
+    coords[:, 0] = vals.real[take]
+    coords[:, 1] = vals.imag[take]
+    np.negative(coords[:, 1], out=coords[:, 1])
+    text = _fixed6(coords.reshape(-1))
+    del coords
+    text = text.reshape(take.size, 2, text.shape[1])
+    # prefixes: " M" at a run start ("M" at a curve's first), " L", "," before y
+    text[:, 0, 0] = ord(" ")
+    text[rows[:-1][rows[:-1] < rows[1:]], 0, 0] = 0  # nonempty curves' first rows
+    text[:, 0, 1] = np.where(inside, ord("L"), ord("M"))
+    text[:, 1, 1] = ord(",")
+    return [text[a:b].tobytes().translate(None, b"\0").decode("ascii")
+            for a, b in zip(rows[:-1].tolist(), rows[1:].tolist())]
+
+
 def _path_data(vals: np.ndarray, ok: np.ndarray, close: bool) -> str:
-    """Polyline path; a masked-out point breaks the line (gap, no segment)."""
-    if close and ok.size:
-        vals = np.concatenate([vals, vals[:1]])
-        ok = np.concatenate([ok, ok[:1]])
-    xy = np.column_stack([vals.real, -vals.imag])
-    # run starts and (exclusive) run ends of ok, alternating
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], ok, [0]))))
-    return " ".join(
-        ("M%.6f,%.6f" + " L%.6f,%.6f" * (b - a - 1)) % tuple(xy[a:b].ravel().tolist())
-        for a, b in zip(edges[::2].tolist(), edges[1::2].tolist()))
+    """Polyline path of one curve; a masked-out point breaks the line."""
+    return _path_texts(vals, ok, [len(vals)], [close])[0]
 
 
 def render_svg(F, opts: RenderOptions = RenderOptions()) -> str:
@@ -69,19 +190,24 @@ def render_svg(F, opts: RenderOptions = RenderOptions()) -> str:
     n = opts.samples_per_curve
     ring = np.exp(2j * np.pi * np.arange(n) / n)
     ts = np.linspace(0.0, opts.r_max, n)
-    # (points, close, is_boundary): the circles, the rays, the near-boundary circle
-    samples = ([(opts.r_max * k / (opts.circles + 1) * ring, True, False)
-                for k in range(1, opts.circles + 1)]
-               + [(ts * np.exp(2j * np.pi * j / opts.rays), False, False)
-                  for j in range(opts.rays)]
-               + [(opts.r_max * ring, True, True)])
-    curves = []  # (path_data, is_boundary)
-    finite_pts = []
-    for zs, close, is_boundary in samples:
+    # two batches of n-point curves, each evaluated and written in one pass:
+    # the circles and the near-boundary circle (closed), then the rays
+    circles = np.concatenate([opts.r_max * k / (opts.circles + 1) * ring
+                              for k in range(1, opts.circles + 1)]
+                             + [opts.r_max * ring])
+    rays = np.concatenate([ts * np.exp(2j * np.pi * j / opts.rays)
+                           for j in range(opts.rays)])
+    texts, finite_pts = [], []
+    for zs, count, close in ((circles, opts.circles + 1, True),
+                             (rays, opts.rays, False)):
         vals, ok = F.eval_masked(zs)
         ok = ok & np.isfinite(vals.real) & np.isfinite(vals.imag)
-        curves.append((_path_data(vals, ok, close), is_boundary))
+        texts.append(_path_texts(vals, ok, [n] * count, [close] * count))
         finite_pts.append(vals[ok])
+    (*circle_paths, boundary_path), ray_paths = texts
+    # (path_data, is_boundary) in drawing order: circles, rays, boundary
+    curves = ([(d, False) for d in circle_paths + ray_paths]
+              + [(boundary_path, True)])
 
     if opts.viewport is not None:
         xmin, xmax, ymin, ymax = opts.viewport

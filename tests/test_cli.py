@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from harmonic_atlas.cli import main
+from harmonic_atlas.cli import build_parser, main
 
 ATLAS = Path(__file__).parent / "data" / "atlas.json"
 # the benchmark's output records, read only
@@ -211,6 +212,36 @@ def test_render_bad_samples_exit_2(tmp_path, capsys, samples):
     assert code == 2
     assert "samples_per_curve must be >= 1" in err
     assert not out_path.exists()
+
+
+def test_render_oversized_exit_2_before_allocating(tmp_path, capsys):
+    # 10**9 samples per curve would be an 8 GB array of points
+    build_parser()
+    out_path = tmp_path / "k.svg"
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "render", "koebe", str(out_path), "--samples", "1000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "samples_per_curve must be <= 1048576" in err
+    assert not out_path.exists()
+    assert peak < 1_000_000, peak
+
+
+def test_parser_built_once_per_process(tmp_path, capsys):
+    build_parser.cache_clear()
+    assert run(capsys, "expand", "koebe", "3")[0] == 0
+    code, _, err = run(capsys, "render", "koebe", str(tmp_path / "a.svg"), "--bogus")
+    assert code == 2 and "unrecognized arguments: --bogus" in err
+    out_path = tmp_path / "k.svg"
+    code, out, _ = run(capsys, "render", "koebe", str(out_path), "--samples", "16")
+    assert code == 0 and out_path.exists()
+    for _ in range(2):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0 and out.startswith("usage: harmonic-atlas")
+    assert build_parser.cache_info().misses == 1
 
 
 def test_render_io_error_exit_3(tmp_path, capsys):

@@ -345,6 +345,32 @@ def test_truncation_to_min_order():
     assert (a * b).order == 4
 
 
+def test_kernel_results_skip_coercion(monkeypatch):
+    # the public constructor coerces every coefficient; results of the
+    # kernel's own arithmetic are GaussRational already and are not coerced
+    from harmonic_atlas import numkernel
+
+    a = Series([F(k, 3) for k in range(7)])
+    b = Series([1, -1, GaussRational(0, 1)], order=6)
+    assert all(type(c) is GaussRational for c in a.coeffs + b.coeffs)
+    calls = []
+    plain = numkernel.gauss
+    monkeypatch.setattr(numkernel, "gauss", lambda x: calls.append(x) or plain(x))
+    results = [a + b, a - b, -a, a * b, a / b, a.derivative(), a.antiderivative(),
+               a.truncate(3)]
+    assert calls == []
+    results += [a.scale(2), a.compose_linear(-1)]
+    assert calls == [2, -1]  # the scalars only
+    assert results[-2] == a + a
+    for s in results:
+        assert type(s.coeffs) is tuple
+        assert all(type(c) is GaussRational for c in s.coeffs)
+    with pytest.raises(TypeError):
+        Series([1.5])
+    with pytest.raises(ValueError):
+        Series([])
+
+
 # ---------------------------------------------------------------------------
 # Ring laws and round trips on random series (exact)
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -11,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic_atlas import NoClosedForm, RenderOptions, catalog_lookup, render_svg
-from harmonic_atlas.render import _path_data
+from harmonic_atlas.analytic import AnalyticExpr
+from harmonic_atlas.render import _path_data, _path_texts
 from oracles import path_data_reference
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -87,6 +90,21 @@ def test_options_validation():
     assert RenderOptions(viewport=(-2, 2, -1.5, 0.5)).viewport == (-2, 2, -1.5, 0.5)
 
 
+def test_options_reject_oversized_render_before_allocating():
+    # (circles + rays + 1) * samples_per_curve is capped at 2**20 points
+    assert RenderOptions(circles=5, rays=10, samples_per_curve=2**16).rays == 10
+    for kw in ({"circles": 5, "rays": 10, "samples_per_curve": 2**16 + 1},
+               {"samples_per_curve": 10**9}, {"circles": 10**9}, {"rays": 2**20}):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"samples_per_curve must be <= 1048576"):
+                RenderOptions(**kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, (kw, peak)
+
+
 def test_single_sample_per_curve_renders():
     doc = render("koebe", circles=2, rays=3, samples_per_curve=1)
     paths = ET.fromstring(doc).findall(f"{SVG_NS}path")
@@ -102,6 +120,38 @@ def test_render_matches_recorded_digest(eid):
         return
     doc = render_svg(catalog_lookup(eid).harmonic_map(32))
     assert hashlib.sha256(doc.encode()).hexdigest() == want
+
+
+def test_render_evaluates_each_closed_form_twice(monkeypatch):
+    # one batch for the circles and the boundary, one for the rays; the
+    # per-curve loop made 25 calls per closed form
+    calls = {}
+    plain = AnalyticExpr.eval_masked
+
+    def counting(self, zs):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return plain(self, zs)
+
+    monkeypatch.setattr(AnalyticExpr, "eval_masked", counting)
+    for eid in ("f9_cv1", "koebe", "t4_conj_sq_plus"):
+        calls.clear()
+        render_svg(catalog_lookup(eid).harmonic_map(32))
+        assert sorted(calls.values()) == [2, 2], eid  # h and g
+
+
+def test_render_peak_memory():
+    # the per-curve loop peaked at 1.66 MB here, a single batch of all 25
+    # curves at about 3.1 MB
+    fm = catalog_lookup("f9_cv1").harmonic_map(32)
+    want = render_svg(fm)
+    tracemalloc.start()
+    try:
+        doc = render_svg(fm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc == want
+    assert peak < 2.5e6, peak
 
 
 # -- path data against the per-point reference -----------------------------------
@@ -140,10 +190,27 @@ def test_path_data_empty(close):
     assert _path_data(vals, ok, close) == path_data_reference(vals, ok, close) == ""
 
 
+# exact ties k/128; 1 ulp either side of 0.0000015; x*1e6 rounded onto a
+# tie that x is not on; too wide for the fixed slot; rounding to -0.000000;
+# not finite
+HARD_COORDS = [0.0078125, 0.0234375,
+               math.nextafter(0.0000015, 0.0), math.nextafter(0.0000015, 1.0), 3.5e-6,
+               999999.9999995, 1e8, 1e16, 1e308,
+               -1e-9, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("x", HARD_COORDS, ids=repr)
+def test_path_data_hard_values_match_percent_format(x):
+    for v in (x, -x):
+        assert (_path_data(np.array([complex(v, -v)]), np.array([True]), close=False)
+                == "M%.6f,%.6f" % (v, v))
+
+
 _COORDS = st.one_of(
     st.floats(),
     st.floats(min_value=-2e6, max_value=2e6),
-    st.sampled_from([0.0, -0.0, 5e-7, -5e-7, 0.0000015, 2.5e-6, 1e6, -1e6 + 5e-7]),
+    st.sampled_from([0.0, -0.0, 5e-7, -5e-7, 0.0000015, 2.5e-6, 1e6, -1e6 + 5e-7]
+                    + HARD_COORDS),
 )
 
 
@@ -153,3 +220,19 @@ def test_path_data_matches_reference(points, close):
     vals = np.array([complex(x, y) for x, y, _ in points], dtype=complex)
     ok = np.array([good for _, _, good in points], dtype=bool)
     assert _path_data(vals, ok, close) == path_data_reference(vals, ok, close)
+
+
+_CURVE = st.tuples(st.lists(st.tuples(_COORDS, _COORDS, st.booleans()), max_size=12),
+                   st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CURVE, min_size=1, max_size=30))
+def test_path_texts_match_reference_curve_by_curve(curves):
+    vals = [np.array([complex(x, y) for x, y, _ in pts], dtype=complex) for pts, _ in curves]
+    oks = [np.array([good for _, _, good in pts], dtype=bool) for pts, _ in curves]
+    closes = [close for _, close in curves]
+    got = _path_texts(np.concatenate(vals), np.concatenate(oks),
+                      [v.size for v in vals], closes)
+    assert got == [path_data_reference(v, ok, close)
+                   for v, ok, close in zip(vals, oks, closes)]
