@@ -306,14 +306,14 @@ class AnalyticExpr:
         """Principal-branch evaluation at complex scalars or numpy arrays.
 
         Raises :class:`NearPole` when a point is within ``EPS_POLE`` of a
-        denominator or log-argument root.
+        denominator or log-argument root.  The poles are tested one at a
+        time, so no points x poles array is built.
         """
-        if check and self.pole_points.size:
+        if check:
             zz = np.asarray(z, dtype=complex)
-            d = np.abs(zz[..., None] - self.pole_points[None, :]) if zz.ndim else \
-                np.abs(zz - self.pole_points)
-            if np.min(d) < EPS_POLE:
-                raise NearPole(f"evaluation within {EPS_POLE} of a pole")
+            for p in self.pole_points:
+                if np.any(np.abs(zz - p) < EPS_POLE):
+                    raise NearPole(f"evaluation within {EPS_POLE} of a pole")
         if self._floats is None:
             self._floats = tuple(complex(t.c) for t in self.terms)
         acc = 0j if not hasattr(z, "shape") else z * 0j

@@ -13,12 +13,12 @@ The direction-convexity machinery:
   + z^2 e^{-2i mu}) phi'(z)} (real direction) or the same with leading
   factor -i e^{i mu} (imaginary direction); nonnegativity on the disk is
   the classical slope criterion for convexity in that direction.
-* ``rz_search`` scans a (mu, nu) lattice for the best margin.  It skips
-  the full-grid scan of a lattice point when the minimum over a subset of
-  the grid (the outer ring |z| = r_max and earlier witnesses), computed
-  with the same float operations and so never below the full minimum, is
-  already no better than the best margin; the result is exactly that of
-  the unpruned scan.
+* ``rz_search`` scans a (mu, nu) lattice for the best margin.  It skips a
+  lattice point whose minimum over the witnesses of earlier full-grid scans
+  (the same float operations, so never below its full minimum) is no
+  better than the best margin or below a seed margin, found first at the
+  coarse lattice point whose outer ring |z| = r_max fares best; the result
+  is exactly that of the unpruned scan.
 * ``direction_convexity_probe`` traces the image of a near-boundary circle
   and counts sign changes of the coordinate orthogonal to test lines.
 """
@@ -45,6 +45,7 @@ __all__ = [
 
 TOL_MARGIN = 1e-9
 DEADBAND = 1e-8
+_SEED_MU, _SEED_NU = 8, 4  # rz_search's seed sub-lattice strides
 
 
 @dataclass(frozen=True)
@@ -161,39 +162,57 @@ def rz_search(phi: AnalyticExpr, axis: str, grid: Grid,
     defaults.  Lattice points are visited mu-major and a later point
     replaces the best only with a strictly larger margin.
 
-    Pruning: before the nu loop of each mu, the values at the probe points
-    (the outer ring |z| = r_max, the last ``angles_count`` grid points,
-    plus the witness of every earlier full scan) come from the same float
-    operations as the full-grid values, so their minimum bounds the
-    full-grid minimum from above, bit for bit.  A point whose bound is <=
-    the best margin cannot replace it, and its full-grid scan is skipped;
-    a NaN bound never skips.  The result is that of the unpruned scan.
+    Pruning.  The first point is always scanned; a NaN margin there stays
+    the best, so the result is None.  A seed scan at the sub-lattice point
+    (every 8th mu, every 4th nu) with the largest minimum over the outer
+    ring |z| = r_max gives ``seed``, a lattice margin, so at most the best.
+    ``bound[i, j]`` is the minimum at (i, j) over the argmins of all full
+    scans so far, in the full scan's float operations, so never below the
+    full minimum, bit for bit.  A point whose bound is <= the best margin
+    or < ``seed`` is skipped (a NaN bound never is).  The first point that
+    attains the largest margin M is not: its bound is >= M >= seed and the
+    best before it is < M.  So the result is that of the unpruned scan.
     """
     if mu_steps < 1 or nu_steps < 1:
         raise ValueError("mu_steps and nu_steps must be at least 1")
     zs = grid.points
     a, b, c = _rz_parts(phi, axis, zs)
-    probe = np.arange(zs.size - grid.angles_count, zs.size)
+    mus = [2 * math.pi * i / mu_steps for i in range(mu_steps)]
     nus = [math.pi * j / nu_steps for j in range(nu_steps + 1)]
+    cos_mu, sin_mu = np.array([(math.cos(mu), math.sin(mu)) for mu in mus]).T
     twice_cos = np.array([2 * math.cos(nu) for nu in nus])
-    best = None
-    for i in range(mu_steps):
-        mu = 2 * math.pi * i / mu_steps
-        base = math.cos(mu) * a + math.sin(mu) * b
-        bounds = np.min(base[probe] - twice_cos[:, None] * c[probe], axis=1)
-        for nu, t, bound in zip(nus, twice_cos, bounds):
-            if best is not None and bound <= best.margin:
-                continue
-            vals = base - t * c
-            k = int(np.argmin(vals))
-            if k not in probe:
-                probe = np.append(probe, k)
-            if best is None or vals[k] > best.margin:
-                best = Certificate(f"rz_{axis}", float(vals[k]),
-                                   complex(zs[k]), RZParams(mu, nu))
-    if best is not None and best.margin >= -tol:
-        return best
-    return None
+    bound = np.full((mu_steps, nu_steps + 1), np.inf)
+
+    def scan(i, j):
+        vals = (cos_mu[i] * a + sin_mu[i] * b) - twice_cos[j] * c
+        k = int(np.argmin(vals))
+        at_k = (cos_mu * a[k] + sin_mu * b[k])[:, None] - twice_cos * c[k]
+        np.minimum(bound, at_k, out=bound)
+        return Certificate(f"rz_{axis}", float(vals[k]), complex(zs[k]),
+                           RZParams(mus[i], nus[j]))
+
+    best = scan(0, 0)
+    if math.isnan(best.margin):
+        return None
+    ring = slice(-grid.angles_count, None)  # |z| = r_max
+    coarse = np.min((cos_mu[::_SEED_MU, None] * a[ring]
+                     + sin_mu[::_SEED_MU, None] * b[ring])[:, None, :]
+                    - twice_cos[::_SEED_NU, None] * c[ring], axis=2)
+    i, j = np.unravel_index(np.argmax(np.nan_to_num(coarse, nan=-np.inf)),
+                            coarse.shape)
+    seed = scan(i * _SEED_MU, j * _SEED_NU).margin
+    flat = 0
+    while True:
+        rest = bound.ravel()[flat:]
+        live = np.flatnonzero(~((rest <= best.margin) | (rest < seed)))
+        if not live.size:
+            break
+        flat += int(live[0])
+        cert = scan(*divmod(flat, nu_steps + 1))
+        if cert.margin > best.margin:
+            best = cert
+        flat += 1
+    return best if best.margin >= -tol else None
 
 
 def direction_convexity_probe(F, direction: str, r: float = 0.999,

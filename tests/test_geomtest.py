@@ -139,10 +139,13 @@ def test_rz_search_matches_catalog_flags(catalog, grid):
 
 
 def same_certificate(got, want):
-    """``rz_search``'s certificate against ``rz_search_bruteforce``'s tuple."""
+    """``rz_search``'s certificate against ``rz_search_bruteforce``'s tuple;
+    two NaN margins count as equal."""
     if got is None or want is None:
         return got is None and want is None
-    return (got.margin, got.witness, got.params.mu, got.params.nu) == want
+    margin = got.margin == want[0] or (math.isnan(got.margin)
+                                       and math.isnan(want[0]))
+    return margin and (got.witness, got.params.mu, got.params.nu) == want[1:]
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +229,81 @@ def test_rz_search_prunes_most_full_scans(monkeypatch, grid, verify_rz_calls):
     # every call, the vertical-slit imaginary ones included, stays under 5 %
     assert max(per_call) < 0.05 * lattice, per_call
     assert sum(per_call) < 0.10 * lattice * len(per_call), per_call
+
+
+def test_rz_search_full_scans_on_verify_calls(monkeypatch, grid,
+                                            verify_rz_calls):
+    # The seed scan and the witness table leave few full-grid scans (one
+    # argmin each) for the 24 calls on the default grid.
+    counted = {"n": 0}
+    plain = np.argmin
+
+    def counting_argmin(*args, **kwargs):
+        counted["n"] += 1
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argmin", counting_argmin)
+    per_call = []
+    for phi, axis, _, _ in verify_rz_calls:
+        counted["n"] = 0
+        rz_search(phi, axis, grid)
+        per_call.append(counted["n"])
+    assert sum(per_call) <= 150, per_call
+    assert max(per_call) <= 16, per_call
+
+
+def test_rz_search_certificates_match_rz_certificate(verify_rz_calls):
+    # one evaluation route: every certificate the search returns is the
+    # single-choice certificate at its (mu, nu), bit for bit
+    found = 0
+    for phi, axis, grid, kwargs in verify_rz_calls:
+        cert = rz_search(phi, axis, grid, **kwargs)
+        if cert is not None:
+            found += 1
+            assert rz_certificate(phi, cert.params, axis, grid) == cert
+    assert found > 0
+
+
+class _StubPhi:
+    """Stands in for phi: its derivative evaluates to the given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def derivative(self):
+        return self
+
+    def eval(self, zs):
+        return self.values
+
+
+STUB_VALUES = st.one_of(
+    st.sampled_from([0j, 1 + 0j, -1 + 0j, 1j, -1j, 0.5 - 0.5j, 2 + 1j,
+                     complex(math.nan, 0), complex(0, math.nan),
+                     complex(math.inf, 0), complex(-math.inf, 1),
+                     complex(1, math.inf)]),
+    st.complex_numbers(max_magnitude=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(),
+       radii=st.lists(st.floats(0.05, 0.999), min_size=1, max_size=3),
+       angles=st.integers(1, 8),
+       axis=st.sampled_from(["real", "imag"]),
+       mu_steps=st.integers(1, 12), nu_steps=st.integers(1, 8),
+       tol=st.sampled_from([TOL, math.inf]))
+def test_rz_search_matches_bruteforce_on_stub_values(data, radii, angles, axis,
+                                                     mu_steps, nu_steps, tol):
+    # drawn phi' values: exact ties, NaN, +-inf, and NaN at the first point
+    g = Grid(tuple(sorted(radii)), angles)
+    values = np.array(data.draw(st.lists(STUB_VALUES, min_size=g.points.size,
+                                         max_size=g.points.size)))
+    phi = _StubPhi(values)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = rz_search(phi, axis, g, mu_steps, nu_steps, tol)
+        want = rz_search_bruteforce(phi, axis, g, mu_steps, nu_steps, tol)
+    assert same_certificate(got, want)
 
 
 def test_rz_search_rejects_unknown_axis(grid):
