@@ -31,10 +31,19 @@ Construction enforces the invariants the rest of the package relies on:
 
 Logs are principal-branch throughout.  No simplification is done on term
 sums; equality of expressions is tested through their series.
+
+Series are cached at two levels: each expression keeps its sums by order
+(``_series_cache``), and ``_term_series`` keeps, for the life of the process,
+the series of each unscaled term keyed by its polynomials ((num, den) or
+(arg,)) and the order, at most 256 keys, least recently used out first.
+Catalog expressions share terms (a proof shear's g is h minus its source),
+so each distinct term is expanded once.  ``Poly`` and ``Series`` are
+immutable, so a cached series is safe to share: it is only scaled.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -159,7 +168,8 @@ class Poly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # the lowest-terms triples: a non-integer GaussRational hashes a Fraction
+        return hash(tuple((c._a, c._b, c._d) for c in self.coeffs))
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"
@@ -187,6 +197,19 @@ _BRANCH_ANGLES = 720
 _BRANCH_POINTS = np.outer(
     _BRANCH_RADII, np.exp(2j * np.pi * np.arange(_BRANCH_ANGLES) / _BRANCH_ANGLES)
 ).ravel()
+
+
+@lru_cache(maxsize=256)  # the catalog has 39 distinct terms at one order
+def _term_series(polys: tuple, order: int) -> Series:
+    """Series of num/den for polys (num, den), of log(arg) for (arg,)."""
+    if len(polys) == 2:
+        num, den = polys
+        return num.to_series(order) * den.to_series(order).reciprocal()
+    (arg,) = polys
+    if order == 0:
+        return Series.zero(0)
+    return (arg.derivative().to_series(order - 1)
+            * arg.to_series(order - 1).reciprocal()).antiderivative()
 
 
 def _poly_roots(p: Poly) -> np.ndarray:
@@ -353,22 +376,14 @@ class AnalyticExpr:
         return self._deriv
 
     def series(self, order: int) -> Series:
-        """Exact Taylor coefficients to the given order."""
+        """Exact Taylor coefficients to the given order: the sum of the
+        shared term series, kept in ``_series_cache`` (see the module doc)."""
         cached = self._series_cache.get(order)
         if cached is not None:
             return cached
         acc = Series.zero(order)
         for t in self.terms:
-            if isinstance(t, RationalTerm):
-                s = t.num.to_series(order) * t.den.to_series(order).reciprocal()
-            else:
-                if order == 0:
-                    s = Series.zero(0)
-                else:
-                    la = t.arg.to_series(order - 1)
-                    s = (t.arg.derivative().to_series(order - 1)
-                         * la.reciprocal()).antiderivative()
-            acc = acc + s.scale(t.c)
+            acc = acc + _term_series(t[1:], order).scale(t.c)
         self._series_cache[order] = acc
         return acc
 

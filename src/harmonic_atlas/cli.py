@@ -129,6 +129,8 @@ def _cmd_list(args) -> int:
 def _cmd_expand(args) -> int:
     config = _build_config(args)
     order = args.count if args.count is not None else config.order
+    if order < 0:
+        raise CliError(f"count must be >= 0, got {order}")
     fm = _resolve_map(args.target, max(order, 1))
     h = _coeff_table(fm.h_series, order)
     g = _coeff_table(fm.g_series, order)
@@ -147,6 +149,8 @@ def _cmd_expand(args) -> int:
 
 def _cmd_shear(args) -> int:
     config = _build_config(args)
+    if args.show < 0:
+        raise CliError(f"--show must be >= 0, got {args.show}")
     try:
         phi = catalog_lookup(args.phi).h
     except UnknownId:

@@ -129,12 +129,21 @@ def jacobian_min(F: HarmonicMap, grid: Grid) -> Certificate:
     return _min_certificate("jacobian", vals, zs)
 
 
-def _rz_parts(phi: AnalyticExpr, axis: str, zs: np.ndarray):
+@lru_cache(maxsize=1)
+def _phi_prime(phi: AnalyticExpr, grid: Grid) -> np.ndarray:
+    """phi' on the grid, read-only.  Kept for the last (phi, grid) only, so
+    the two axes of one map evaluate phi' once."""
+    pp = phi.derivative().eval(grid.points)
+    pp.flags.writeable = False
+    return pp
+
+
+def _rz_parts(phi: AnalyticExpr, axis: str, grid: Grid):
     """Arrays a, b, c with the slope quantity at (mu, nu) equal to
     cos(mu) a + sin(mu) b - 2 cos(nu) c."""
     if axis not in ("real", "imag"):
         raise ValueError("axis must be 'real' or 'imag'")
-    pp = phi.derivative().eval(zs)
+    zs, pp = grid.points, _phi_prime(phi, grid)
     p0, p1, p2 = pp, zs * pp, zs * zs * pp
     if axis == "real":
         return p0.real + p2.real, p2.imag - p0.imag, p1.real
@@ -145,7 +154,7 @@ def rz_certificate(phi: AnalyticExpr, p: RZParams, axis: str,
                    grid: Grid) -> Certificate:
     """Slope-criterion margin for one (mu, nu) choice."""
     zs = grid.points
-    a, b, c = _rz_parts(phi, axis, zs)
+    a, b, c = _rz_parts(phi, axis, grid)
     vals = math.cos(p.mu) * a + math.sin(p.mu) * b - 2 * math.cos(p.nu) * c
     return _min_certificate(f"rz_{axis}", vals, zs, p)
 
@@ -176,7 +185,7 @@ def rz_search(phi: AnalyticExpr, axis: str, grid: Grid,
     if mu_steps < 1 or nu_steps < 1:
         raise ValueError("mu_steps and nu_steps must be at least 1")
     zs = grid.points
-    a, b, c = _rz_parts(phi, axis, zs)
+    a, b, c = _rz_parts(phi, axis, grid)
     mus = [2 * math.pi * i / mu_steps for i in range(mu_steps)]
     nus = [math.pi * j / nu_steps for j in range(nu_steps + 1)]
     cos_mu, sin_mu = np.array([(math.cos(mu), math.sin(mu)) for mu in mus]).T

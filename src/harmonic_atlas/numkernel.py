@@ -416,9 +416,10 @@ class Series:
         absent from the result's top coefficient; callers that need order
         N in the result should provide an integrand of order N-1.
         """
+        # c / n as (a + b i)/(d n) in lowest terms: one gcd, no division
         out = [_ZERO]
-        for n, c in enumerate(self.coeffs):
-            out.append(c / (n + 1))
+        for n, c in enumerate(self.coeffs, 1):
+            out.append(_reduced(c._a, c._b, c._d * n))
         return Series._of(out)
 
     def compose_linear(self, c) -> "Series":

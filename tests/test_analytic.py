@@ -2,19 +2,24 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import harmonic_atlas
 from harmonic_atlas import (
     AnalyticExpr, GaussRational, InvalidExpression, NearPole, Poly,
     PoleAtOrigin, Series, catalog_lookup, default_grid,
 )
-from harmonic_atlas.analytic import EPS_POLE
+from harmonic_atlas.analytic import EPS_POLE, LogTerm, RationalTerm, _term_series
 from oracles import long_division_series, quotient_rule
 
 F = Fraction
@@ -201,6 +206,87 @@ def test_series_matches_numeric_eval():
         direct = e.eval(z)
         horner = Poly(s.coeffs)(z)
         assert abs(direct - horner) <= 1e-8 * max(1.0, abs(direct))
+
+
+small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+tails = st.lists(small_fracs, max_size=3)  # coefficients after a constant 1
+small_gauss = st.builds(GaussRational, small_fracs, small_fracs)
+
+
+def _log_oracle(arg, order):
+    """log(arg) to the order, as the integral of arg'/arg by long division."""
+    if order == 0:
+        return [F(0)]
+    deriv = [k * c for k, c in enumerate(arg)][1:] or [F(0)]
+    return [F(0)] + [c / (n + 1) for n, c in
+                     enumerate(long_division_series(deriv, arg, order - 1))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rationals=st.lists(st.tuples(st.lists(small_fracs, max_size=4), tails),
+                          min_size=1, max_size=3),
+       logs=st.lists(tails, max_size=2),
+       orders=st.tuples(st.integers(0, 10), st.integers(0, 10)),
+       b_first=st.booleans(), data=st.data())
+def test_term_cache_matches_cold_expansion(rationals, logs, orders, b_first,
+                                           data):
+    # Two expressions over equal terms, built from distinct Poly objects
+    # with their own coefficients c, expanded at two orders in either
+    # sequence through the shared term cache.  Each sum equals a cold
+    # expansion and the long-division oracles.
+    shapes = ([(num, [F(1)] + den) for num, den in rationals]
+              + [([F(1)] + arg,) for arg in logs])
+
+    def terms():
+        cs = data.draw(st.lists(small_gauss, min_size=len(shapes),
+                                max_size=len(shapes)))
+        return [RationalTerm(c, Poly(p[0]), Poly(p[1])) if len(p) == 2
+                else LogTerm(c, Poly(p[0])) for c, p in zip(cs, shapes)]
+
+    def oracle(ts, order):
+        out = [GaussRational(0)] * (order + 1)
+        for t, p in zip(ts, shapes):
+            ref = (long_division_series(*p, order) if len(p) == 2
+                   else _log_oracle(p[0], order))
+            out = [acc + t.c * x for acc, x in zip(out, ref)]
+        return out
+
+    pair = (terms(), terms())
+    cold = {}
+    for k, ts in enumerate(pair):
+        for order in orders:
+            _term_series.cache_clear()
+            cold[k, order] = AnalyticExpr(ts, validate=False).series(order)
+            assert list(cold[k, order].coeffs) == oracle(ts, order)
+    _term_series.cache_clear()
+    exprs = [AnalyticExpr(ts, validate=False) for ts in pair]
+    for order in orders:
+        for k in ((1, 0) if b_first else (0, 1)):
+            assert exprs[k].series(order) == cold[k, order]
+    assert _term_series.cache_info().hits >= len(shapes)
+
+
+def test_cold_verify_all_expands_each_distinct_term_once():
+    # A cold `verify all` at the default config holds 271 terms but only 39
+    # distinct ones; the shared term cache expands each of those once, with
+    # one Series.reciprocal (271 without the cache).  A fresh process is cold.
+    script = "\n".join((
+        "from harmonic_atlas.numkernel import Series",
+        "from harmonic_atlas.verify import VerifyConfig, run_suite",
+        "counted = {'n': 0}",
+        "plain = Series.reciprocal",
+        "def counting_reciprocal(self):",
+        "    counted['n'] += 1",
+        "    return plain(self)",
+        "Series.reciprocal = counting_reciprocal",
+        "run_suite('all', VerifyConfig())",
+        "print(counted['n'])",
+    ))
+    src = str(Path(harmonic_atlas.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert int(out.stdout) <= 45, out.stdout
 
 
 # -- expr_transform ---------------------------------------------------------------

@@ -54,6 +54,29 @@ def test_expand_log_crossing_branch_cut_exit_2(capsys):
     assert "branch cut" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("expand", "koebe", "-1"),
+    ("expand", "koebe", "-1", "--json"),
+    ("shear", "koebe", "+z", "real", "--show", "-1"),
+    ("shear", "koebe", "+z", "real", "--show", "-1", "--json"),
+])
+def test_negative_count_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "must be >= 0" in err
+
+
+def test_zero_count_prints_index_0(capsys):
+    assert run(capsys, "expand", "koebe", "0") == (0, "n: 0\nh: 0\n", "")
+    code, out, _ = run(capsys, "expand", "koebe", "0", "--json")
+    assert code == 0
+    assert json.loads(out) == {"target": "koebe", "order": 0, "h": ["0"]}
+    code, out, _ = run(capsys, "shear", "koebe", "+z", "real", "--show", "0",
+                       "--json")
+    assert code == 0
+    assert (json.loads(out)["h"], json.loads(out)["g"]) == (["0"], ["0"])
+
+
 def test_shear_matches_f3(capsys):
     code, out, _ = run(capsys, "shear", "z/(1-z)", "+z", "real", "--show", "4")
     assert code == 0

@@ -14,7 +14,7 @@ from harmonic_atlas import (
     jacobian_min, m_theta_check, parse_formula, rz_certificate, rz_search,
     starlike_derivative, u_class_margin,
 )
-from harmonic_atlas import verify
+from harmonic_atlas import geomtest, verify
 from harmonic_atlas.shear import HarmonicMap
 from oracles import rz_search_bruteforce
 
@@ -250,6 +250,31 @@ def test_rz_search_full_scans_on_verify_calls(monkeypatch, grid,
         per_call.append(counted["n"])
     assert sum(per_call) <= 150, per_call
     assert max(per_call) <= 16, per_call
+
+
+def test_rz_search_evaluates_phi_prime_once_per_map(monkeypatch,
+                                                    verify_rz_calls):
+    # `verify all` searches 5 of its 19 maps on both axes, one axis after
+    # the other: the two searches share one evaluation of phi' on the grid,
+    # and every certificate is the one an uncached search returns
+    uncached = []
+    for phi, axis, grid, kwargs in verify_rz_calls:
+        geomtest._phi_prime.cache_clear()
+        uncached.append(rz_search(phi, axis, grid, **kwargs))
+    counted = {"n": 0}
+    plain = AnalyticExpr.eval
+
+    def counting_eval(self, z, check=True):
+        counted["n"] += 1
+        return plain(self, z, check)
+
+    monkeypatch.setattr(AnalyticExpr, "eval", counting_eval)
+    geomtest._phi_prime.cache_clear()
+    shared = [rz_search(phi, axis, grid, **kwargs)
+              for phi, axis, grid, kwargs in verify_rz_calls]
+    assert len({id(phi) for phi, _, _, _ in verify_rz_calls}) == 19
+    assert counted["n"] == 19
+    assert shared == uncached
 
 
 def test_rz_search_certificates_match_rz_certificate(verify_rz_calls):

@@ -131,6 +131,19 @@ def test_gauss_matches_fraction_pair_reference(x, y, q):
     _same(GaussRational(q), FractionPair(q))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(parts, min_size=1, max_size=12))
+def test_antiderivative_matches_fraction_pair_reference(xs):
+    # coefficient n + 1 of the integral is c_n / (n + 1), the same value
+    # in lowest terms as the reference's division
+    anti = Series([GaussRational(*x) for x in xs]).antiderivative()
+    want = [FractionPair(0)] + [FractionPair(*x) / (n + 1)
+                                for n, x in enumerate(xs)]
+    assert anti.order == len(xs)
+    for got, ref in zip(anti.coeffs, want, strict=True):
+        _same(got, ref)
+
+
 def test_gauss_triple_edge_cases():
     zero = GaussRational(0)
     assert (zero._a, zero._b, zero._d) == (0, 0, 1)

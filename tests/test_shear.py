@@ -10,6 +10,7 @@ from harmonic_atlas import (
     Poly, Series, catalog_lookup, dilatation_check, parse_any,
     parse_formula, shear_imag, shear_real,
 )
+from harmonic_atlas.analytic import _term_series
 from harmonic_atlas.shear import HarmonicMap
 
 F = Fraction
@@ -126,13 +127,15 @@ def test_expansion_cost_grows_linearly(monkeypatch):
     monkeypatch.setattr(GaussRational, "__rmul__", counting_mul)
 
     def products(run):
+        _term_series.cache_clear()
         counted["n"] = 0
         run()
         return counted["n"]
 
-    # fresh expressions each run, so no series cache is warm; the shear
-    # source is hslits_wide's conformal map.  Every denominator here has
-    # constant term 1, so division spends no products on 1/d_0.
+    # fresh expressions each run and a cleared term cache, so no series
+    # cache is warm; the shear source is hslits_wide's conformal map.  Every
+    # denominator here has constant term 1, so division spends no products
+    # on 1/d_0.
     for run, at_128 in ((lambda n: parse_any("z/(1-z)^2").series(n), 529),
                         (lambda n: shear_real(parse_formula("z/(1-z+z^2)"),
                                               parse_formula("z"), n), 877)):
