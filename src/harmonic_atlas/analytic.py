@@ -32,6 +32,21 @@ Construction enforces the invariants the rest of the package relies on:
 Logs are principal-branch throughout.  No simplification is done on term
 sums; equality of expressions is tested through their series.
 
+A point within ``EPS_POLE`` of a denominator or log-argument root raises
+``NearPole`` in ``eval`` and is masked out by ``eval_masked``.  The test is
+screened by radius: a pole p is tested only when |p| - max|z| <= 2 EPS_POLE
+max(1, |p|).  A point within EPS_POLE of p has |p| - |z| < EPS_POLE (the
+triangle inequality), and the second EPS_POLE, scaled with |p|, is far above
+the rounding of |p| and |z| (below 1e-15 |p|).  So a skipped pole is farther
+than EPS_POLE from every point, and mask and decision are those of testing
+every pole.  With a NaN or infinite point every pole is tested.  No catalog
+pole lies within the 0.95 disk a render samples, so a render tests none.
+
+Expressions summed at the same points, such as h and g of a shear (g
+repeats h's terms), pass ``eval`` one ``shared`` dict from
+:func:`shared_values`, so the polynomial values and logs they have in
+common are computed once; every value is bit for bit the same.
+
 Series are cached at two levels: each expression keeps its sums by order
 (``_series_cache``), and ``_term_series`` keeps, for the life of the process,
 the series of each unscaled term keyed by its polynomials ((num, den) or
@@ -43,6 +58,7 @@ immutable, so a cached series is safe to share: it is only scaled.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -63,7 +79,7 @@ _DISK_MARGIN = 1e-4
 class Poly:
     """Dense univariate polynomial over Q(i), coefficients in ascending degree."""
 
-    __slots__ = ("coeffs", "_floats")
+    __slots__ = ("coeffs", "_floats", "_hash")
 
     def __init__(self, coeffs):
         cs = [gauss(c) for c in coeffs]
@@ -71,6 +87,7 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
         self._floats = None  # complex(c) of coeffs, highest degree first, on first call
+        self._hash = None
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -169,7 +186,9 @@ class Poly:
 
     def __hash__(self):
         # the lowest-terms triples: a non-integer GaussRational hashes a Fraction
-        return hash(tuple((c._a, c._b, c._d) for c in self.coeffs))
+        if self._hash is None:
+            self._hash = hash(tuple((c._a, c._b, c._d) for c in self.coeffs))
+        return self._hash
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"
@@ -210,6 +229,58 @@ def _term_series(polys: tuple, order: int) -> Series:
         return Series.zero(0)
     return (arg.derivative().to_series(order - 1)
             * arg.to_series(order - 1).reciprocal()).antiderivative()
+
+
+def near_pole(z, poles: np.ndarray) -> np.ndarray:
+    """Mask, shaped like z, of the points within ``EPS_POLE`` of a pole.
+    The poles the radius screen (module doc) keeps are tested one at a
+    time, so no points x poles array is built."""
+    zz = np.asarray(z, dtype=complex)
+    near = np.zeros(zz.shape, dtype=bool)
+    if zz.size and poles.size:
+        reach = np.max(np.abs(zz))
+        if np.isfinite(reach):  # else a NaN or infinite point: test every pole
+            size = np.abs(poles)
+            poles = poles[size - reach <= 2 * EPS_POLE * np.maximum(size, 1.0)]
+        for p in poles:
+            near |= np.abs(zz - p) < EPS_POLE
+    return near
+
+
+def masked_values(fn, zs, poles: np.ndarray):
+    """``(values, ok_mask)``: fn runs once, on the points of zs not near a
+    pole; the others (NaN) and non-finite values are masked out."""
+    zs = np.asarray(zs, dtype=complex)
+    ok = ~near_pole(zs, poles)
+    vals = np.full(zs.shape, np.nan + 0j)
+    if np.any(ok):
+        vals[ok] = fn(zs[ok])
+    ok &= np.isfinite(vals)
+    return vals, ok
+
+
+def shared_values(*exprs) -> dict:
+    """The ``shared`` argument of ``AnalyticExpr.eval`` for exprs evaluated
+    at the same points: a key for each value their terms use more than
+    once, a ``Poly`` for p(z) and ``(L,)`` for log(L(z)).  Keys compare by
+    polynomial equality, so equal polynomials parsed apart share."""
+    terms = [t for e in exprs for t in e.terms]
+    logs = Counter(t.arg for t in terms if isinstance(t, LogTerm))
+    polys = Counter(logs.keys())  # a shared log evaluates its argument once
+    polys.update(p for t in terms if isinstance(t, RationalTerm) for p in t[1:])
+    shared = {p: None for p, n in polys.items() if n > 1}
+    shared.update(((arg,), None) for arg, n in logs.items() if n > 1)
+    return shared
+
+
+def _value(key, z, shared: dict):
+    """p(z) for a Poly key, log(L(z)) for (L,); kept in shared if a key."""
+    v = shared.get(key)
+    if v is None:
+        v = key(z) if isinstance(key, Poly) else np.log(_value(key[0], z, shared))
+        if key in shared:
+            shared[key] = v
+    return v
 
 
 def _poly_roots(p: Poly) -> np.ndarray:
@@ -325,42 +396,37 @@ class AnalyticExpr:
             )
         return self._pole_points
 
-    def eval(self, z, check: bool = True):
+    def eval(self, z, check: bool = True, *, shared: dict | None = None):
         """Principal-branch evaluation at complex scalars or numpy arrays.
 
         Raises :class:`NearPole` when a point is within ``EPS_POLE`` of a
-        denominator or log-argument root.  The poles are tested one at a
-        time, so no points x poles array is built.
+        denominator or log-argument root; the radius screen of the module
+        doc skips only poles farther than that from every point.
+        ``shared`` (:func:`shared_values`) carries values between calls at
+        the same z: each key is computed on first use, then reused.
         """
-        if check:
-            zz = np.asarray(z, dtype=complex)
-            for p in self.pole_points:
-                if np.any(np.abs(zz - p) < EPS_POLE):
-                    raise NearPole(f"evaluation within {EPS_POLE} of a pole")
+        if check and np.any(near_pole(z, self.pole_points)):
+            raise NearPole(f"evaluation within {EPS_POLE} of a pole")
         if self._floats is None:
             self._floats = tuple(complex(t.c) for t in self.terms)
+        shared = {} if shared is None else shared
         acc = 0j if not hasattr(z, "shape") else z * 0j
         for t, c in zip(self.terms, self._floats):
             if isinstance(t, RationalTerm):
-                acc = acc + c * t.num(z) / t.den(z)
+                acc = acc + c * _value(t.num, z, shared) / _value(t.den, z, shared)
             else:
-                acc = acc + c * np.log(t.arg(z))
+                acc = acc + c * _value((t.arg,), z, shared)
         return acc
 
     def eval_masked(self, zs: np.ndarray):
         """Vectorized evaluation returning ``(values, ok_mask)``.
 
-        Points within ``EPS_POLE`` of a pole are masked out instead of
-        raising; their values are NaN.
+        Points within ``EPS_POLE`` of a pole (``eval``'s screened test) are
+        masked out instead of raising, and so are non-finite values, such as
+        at a multiple root whose computed roots scatter wider than that.
         """
-        zs = np.asarray(zs, dtype=complex)
-        ok = np.ones(zs.shape, dtype=bool)
-        for p in self.pole_points:  # one pole at a time, no points x poles array
-            ok &= np.abs(zs - p) >= EPS_POLE
-        vals = np.full(zs.shape, np.nan + 0j)
-        if np.any(ok):
-            vals[ok] = self.eval(zs[ok], check=False)
-        return vals, ok
+        return masked_values(lambda w: self.eval(w, check=False), zs,
+                             self.pole_points)
 
     def derivative(self) -> "AnalyticExpr":
         """Termwise symbolic derivative; log terms become rational terms L'/L."""

@@ -5,7 +5,8 @@ Numbers the catalog pins exactly are always printed as exact rationals.
 
 Configuration is read from a key=value file named by --config or the
 HARMONIC_ATLAS_CONFIG environment variable; command-line flags win.
-Recognized keys: order, grid.radii, grid.angles, tol, r_max.
+Recognized keys: order, grid.radii, grid.angles, tol, r_max.  list and
+render read no config, so they refuse its flags (exit 2).
 
 Exit codes: 0 success / all rows matched; 1 verification mismatch;
 2 usage, config or input error; 3 I/O error.
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("list", help="list catalog entries")
     p.add_argument("--family")
-    _add_config_flags(p)
+    p.add_argument("--json", action="store_true", help="JSON on stdout")
     p.set_defaults(fn=_cmd_list)
 
     p = sub.add_parser("expand", help="exact coefficient table")
@@ -275,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rays", type=int, default=16)
     p.add_argument("--rmax", type=float, default=0.95)
     p.add_argument("--samples", type=int, default=512)
-    _add_config_flags(p)
     p.set_defaults(fn=_cmd_render)
 
     return parser

@@ -8,7 +8,10 @@ dropped and leave gaps in the path rather than being interpolated across.
 
 Cost: the map is evaluated in two batches, one ``eval_masked`` call for
 the circles and the near-boundary circle together and one for all the
-rays, and each batch's path text is written by one vectorised pass.
+rays, and each batch's path text is written by one vectorised pass.  A
+batch evaluates h and g together: each distinct polynomial and log of the
+two is computed once (a shear's g repeats every term of h), and the pole
+test, screened by radius, tests no pole of the catalog inside r_max = 0.95.
 ``RenderOptions`` caps a render at 2**20 sampled points, (circles + rays
 + 1) * samples_per_curve, so an oversized request fails before anything
 is allocated.
@@ -200,8 +203,7 @@ def render_svg(F, opts: RenderOptions = RenderOptions()) -> str:
     texts, finite_pts = [], []
     for zs, count, close in ((circles, opts.circles + 1, True),
                              (rays, opts.rays, False)):
-        vals, ok = F.eval_masked(zs)
-        ok = ok & np.isfinite(vals.real) & np.isfinite(vals.imag)
+        vals, ok = F.eval_masked(zs)  # ok only where the value is finite
         texts.append(_path_texts(vals, ok, [n] * count, [close] * count))
         finite_pts.append(vals[ok])
     (*circle_paths, boundary_path), ray_paths = texts

@@ -25,8 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import AnalyticExpr
-from .errors import DilatationTooLarge, NoClosedForm, NotNormalized, SeriesMismatch
+from .analytic import EPS_POLE, AnalyticExpr, masked_values, near_pole, shared_values
+from .errors import (
+    DilatationTooLarge, NearPole, NoClosedForm, NotNormalized, SeriesMismatch,
+)
 from .numkernel import Series
 
 __all__ = ["HarmonicMap", "shear_real", "shear_imag", "dilatation_check"]
@@ -85,15 +87,32 @@ class HarmonicMap:
         return self._closed("g").eval(z)
 
     def eval(self, z):
-        """f(z) = h(z) + conj(g(z))."""
-        return self.eval_h(z) + np.conjugate(self.eval_g(z))
+        """f(z) = h(z) + conj(g(z)); raises ``NearPole`` within ``EPS_POLE``
+        of a pole of h or g."""
+        h, g = self._closed("h"), self._closed("g")
+        if np.any(near_pole(z, np.concatenate([h.pole_points, g.pole_points]))):
+            raise NearPole(f"evaluation within {EPS_POLE} of a pole")
+        return self._f(h, g, z)
 
     def eval_masked(self, zs: np.ndarray):
-        """Vectorized f(z) with near-pole points masked out, for plotting."""
-        zs = np.asarray(zs, dtype=complex)
-        hv, ok_h = self._closed("h").eval_masked(zs)
-        gv, ok_g = self._closed("g").eval_masked(zs)
-        return hv + np.conjugate(gv), ok_h & ok_g
+        """Vectorized f(z) returning ``(values, ok_mask)``, for plotting.
+
+        One pole mask covers h and g, and both are evaluated once on the
+        unmasked points; a point whose value is not finite is masked too.
+        """
+        h, g = self._closed("h"), self._closed("g")
+        return masked_values(lambda w: self._f(h, g, w), zs,
+                             np.concatenate([h.pole_points, g.pole_points]))
+
+    @staticmethod
+    def _f(h: AnalyticExpr, g: AnalyticExpr, z):
+        """h(z) + conj(g(z)) unchecked, with the values h and g share
+        computed once and freed before the sum."""
+        shared = shared_values(h, g)
+        hv = h.eval(z, check=False, shared=shared)
+        gv = g.eval(z, check=False, shared=shared)
+        del shared
+        return hv + np.conjugate(gv)
 
     def h_prime(self, z):
         """h' from the closed form of h, else source'/(1 -/+ omega)."""

@@ -5,8 +5,9 @@ plain Fraction lists and textbook recurrences only, so that an agreement
 between a library result and an oracle value is a genuine cross-check.
 The numeric oracles are references that a faster route must reproduce
 exactly: ``rz_search_bruteforce``, the plain lattice scan behind the pruned
-``rz_search``, and ``path_data_reference``, the per-point loop behind the
-run-at-a-time SVG path formatter.  They import numpy only when called, so
+``rz_search``, ``path_data_reference``, the per-point loop behind the
+run-at-a-time SVG path formatter, and ``pole_mask_bruteforce``, the
+every-pole test behind the radius-screened pole guard.  They import numpy only when called, so
 importing this module (as perfbench does at set-up) loads neither numpy nor
 the package.  ``GaussRational`` here is the Fraction-pair class the package
 used before its integer-triple representation, kept as the reference the
@@ -122,6 +123,18 @@ def rz_search_bruteforce(phi, axis, grid, mu_steps=96, nu_steps=48,
     if best is not None and best[0] >= -tol:
         return best
     return None
+
+
+def pole_mask_bruteforce(z, poles, eps):
+    """Mask, shaped like z, of the points within eps of a pole: every pole
+    is tested against every point, one pole at a time."""
+    import numpy as np
+
+    zz = np.asarray(z, dtype=complex)
+    near = np.zeros(zz.shape, dtype=bool)
+    for p in poles:
+        near |= np.abs(zz - p) < eps
+    return near
 
 
 def path_data_reference(vals, ok, close):

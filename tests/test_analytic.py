@@ -19,8 +19,10 @@ from harmonic_atlas import (
     AnalyticExpr, GaussRational, InvalidExpression, NearPole, Poly,
     PoleAtOrigin, Series, catalog_lookup, default_grid,
 )
-from harmonic_atlas.analytic import EPS_POLE, LogTerm, RationalTerm, _term_series
-from oracles import long_division_series, quotient_rule
+from harmonic_atlas.analytic import (
+    EPS_POLE, LogTerm, RationalTerm, _term_series, near_pole,
+)
+from oracles import long_division_series, pole_mask_bruteforce, quotient_rule
 
 F = Fraction
 
@@ -97,30 +99,72 @@ def test_eval_near_pole_raises():
         KOEBE.eval(1.0 - 1e-9)
 
 
+FAR_POLE = AnalyticExpr.rational(1, Z, P(1, -1 / GaussRational(10**12, 3000133307)))
 NEAR_POLE_EXPRS = [KOEBE, HSLITS, HSLITS_WIDE,
-                   AnalyticExpr.log(1, P(1, -1)) + HSLITS]
+                   AnalyticExpr.log(1, P(1, -1)) + HSLITS,
+                   # 12 pole points scattered about z = 1, down to |p| = 0.918
+                   catalog_lookup("f9_cv1").h.derivative().derivative(),
+                   # a pole at 1e12 + 3.0001e9 i, where neighbouring values of
+                   # |z| lie 1.2e-4 apart
+                   FAR_POLE]
+_SHAPES = {"scalar": lambda zs: zs[0], "0-d": lambda zs: np.array(zs[0]),
+           "1-d": np.array, "2-d": lambda zs: np.array(zs).reshape(2, -1),
+           "empty": lambda zs: np.array(zs[:0], dtype=complex)}
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(data=st.data(), e=st.sampled_from(NEAR_POLE_EXPRS),
-       shape=st.sampled_from(["scalar", "0-d", "1-d"]))
+       shape=st.sampled_from(sorted(_SHAPES)))
 def test_eval_raises_near_pole_exactly_within_eps(data, e, shape):
+    # the radius-screened test gives the mask and the NearPole decision of
+    # testing every pole, NaN and infinite points included
     near = st.builds(lambda p, d: complex(p) + d,
                      st.sampled_from(list(e.pole_points)),
                      st.complex_numbers(max_magnitude=3 * EPS_POLE))
-    point = st.one_of(near, st.complex_numbers(max_magnitude=0.9),
-                      st.just(complex(math.nan, 0)))
-    zs = data.draw(st.lists(point, min_size=1,
-                            max_size=6 if shape == "1-d" else 1))
-    z = {"scalar": zs[0], "0-d": np.array(zs[0]), "1-d": np.array(zs)}[shape]
-    near_pole = any(abs(w - complex(p)) < EPS_POLE
-                    for w in zs for p in e.pole_points)
-    with np.errstate(invalid="ignore"):  # a NaN point evaluates to NaN
-        if near_pole:
+    inside = st.builds(lambda r, t: r * cmath.exp(1j * t),
+                       st.floats(0, 0.999), st.floats(0, 2 * math.pi))
+    point = st.one_of(near, inside, st.complex_numbers(max_magnitude=0.9),
+                      st.sampled_from([complex(math.nan, 0), complex(0, math.nan),
+                                       complex(math.inf, 0), complex(-math.inf, 1),
+                                       complex(0, -math.inf)]))
+    size = data.draw(st.sampled_from([2, 4, 6]) if shape == "2-d"
+                     else st.integers(1, 6 if shape in ("1-d", "empty") else 1))
+    zs = data.draw(st.lists(point, min_size=size, max_size=size))
+    z = _SHAPES[shape](zs)
+    want = pole_mask_bruteforce(z, e.pole_points, EPS_POLE)
+    got = near_pole(z, e.pole_points)
+    assert got.shape == np.shape(z) and np.array_equal(got, want)
+    with np.errstate(all="ignore"):  # NaN and infinite points evaluate to NaN
+        if want.any():
             with pytest.raises(NearPole):
                 e.eval(z)
         else:
             e.eval(z)
+        vals, ok = e.eval_masked(z)
+    assert np.array_equal(ok, ~want & np.isfinite(vals))
+
+
+def test_pole_screen_allows_for_the_rounding_of_far_poles():
+    # z lies 5e-7 from the pole q, but np.abs rounds |q| and |z| 1.2e-4
+    # apart: a screen with a fixed 2 EPS_POLE slack would skip q
+    (q,) = FAR_POLE.pole_points
+    z = np.complex128(complex(q.real, np.nextafter(q.imag, 0)))
+    assert np.abs(z - q) < EPS_POLE and np.abs(q) - np.abs(z) > 2 * EPS_POLE
+    assert near_pole(np.array([z, 0.5]), FAR_POLE.pole_points).tolist() == [True, False]
+    with pytest.raises(NearPole):
+        FAR_POLE.eval(z)
+
+
+def test_eval_masked_never_reports_a_non_finite_value():
+    # the computed roots of f9_cv1's triple pole scatter by about 1e-5 around
+    # z = 1, beyond EPS_POLE, so z = 1 passes the pole test; its value inf+nanj
+    # was reported ok
+    fm = catalog_lookup("f9_cv1").harmonic_map(8)
+    z = np.array([1.0, 0.5])
+    with np.errstate(all="ignore"):
+        for vals, ok in (fm.h_expr.eval_masked(z), fm.eval_masked(z)):
+            assert ok.tolist() == [False, True]
+            assert not np.isfinite(vals[0]) and np.isfinite(vals[1])
 
 
 def test_eval_pole_check_builds_no_points_by_poles_array():

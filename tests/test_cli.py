@@ -270,3 +270,22 @@ def test_parser_built_once_per_process(tmp_path, capsys):
 def test_render_io_error_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "render", "koebe", str(tmp_path / "no" / "dir.svg"))
     assert code == 3
+
+
+IGNORED_FLAGS = [("--config", "x.cfg"), ("--order", "5"), ("--grid-radii", "4"),
+                 ("--grid-angles", "8"), ("--r-max", "0.5"), ("--tol", "0.1")]
+
+
+@pytest.mark.parametrize("flag", IGNORED_FLAGS + [("--json",)], ids=lambda f: f[0])
+def test_render_refuses_flags_it_does_not_read(tmp_path, capsys, flag):
+    # `--r-max 0.5` for `--rmax 0.5` wrote the default picture and exited 0
+    out_path = tmp_path / "k.svg"
+    code, _, err = run(capsys, "render", "koebe", str(out_path), *flag)
+    assert code == 2 and f"unrecognized arguments: {flag[0]}" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flag", IGNORED_FLAGS, ids=lambda f: f[0])
+def test_list_refuses_config_flags(capsys, flag):
+    code, out, err = run(capsys, "list", "--json", *flag)
+    assert code == 2 and f"unrecognized arguments: {flag[0]}" in err and not out

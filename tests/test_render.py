@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonic_atlas import NoClosedForm, RenderOptions, catalog_lookup, render_svg
-from harmonic_atlas.analytic import AnalyticExpr
+from harmonic_atlas import NoClosedForm, Poly, RenderOptions, catalog_lookup, render_svg
+from harmonic_atlas.analytic import LogTerm
+from harmonic_atlas.shear import HarmonicMap
 from harmonic_atlas.render import _path_data, _path_texts
 from oracles import path_data_reference
 
@@ -122,21 +124,46 @@ def test_render_matches_recorded_digest(eid):
     assert hashlib.sha256(doc.encode()).hexdigest() == want
 
 
-def test_render_evaluates_each_closed_form_twice(monkeypatch):
-    # one batch for the circles and the boundary, one for the rays; the
-    # per-curve loop made 25 calls per closed form
-    calls = {}
-    plain = AnalyticExpr.eval_masked
+def test_render_computes_each_distinct_value_once_per_batch(monkeypatch):
+    # a render evaluates f = h + conj(g) in two batches (circles with the
+    # boundary, then the rays); within one, each distinct polynomial of h and
+    # g is Horner-evaluated once and each distinct log argument goes through
+    # np.log once, though g repeats h's terms as separately built objects
+    horner, logs, batches = [], [], []
+    plain_call, plain_log = Poly.__call__, np.log
+    plain_masked = HarmonicMap.eval_masked
 
-    def counting(self, zs):
-        calls[id(self)] = calls.get(id(self), 0) + 1
-        return plain(self, zs)
+    def counting_call(self, z):
+        horner.append(self)
+        return plain_call(self, z)
 
-    monkeypatch.setattr(AnalyticExpr, "eval_masked", counting)
-    for eid in ("f9_cv1", "koebe", "t4_conj_sq_plus"):
-        calls.clear()
-        render_svg(catalog_lookup(eid).harmonic_map(32))
-        assert sorted(calls.values()) == [2, 2], eid  # h and g
+    def counting_log(x):
+        logs.append(x)
+        return plain_log(x)
+
+    def batch(self, zs):
+        horner.clear()
+        logs.clear()
+        out = plain_masked(self, zs)
+        batches.append((Counter(horner), len(logs)))
+        return out
+
+    monkeypatch.setattr(Poly, "__call__", counting_call)
+    monkeypatch.setattr(np, "log", counting_log)
+    monkeypatch.setattr(HarmonicMap, "eval_masked", batch)
+    # f4_cv1's g repeats both logs of h
+    for eid, n_args in (("f9_cv1", 0), ("f4_cv1", 2), ("koebe", 0)):
+        fm = catalog_lookup(eid).harmonic_map(32)
+        terms = fm.h_expr.terms + fm.g_expr.terms
+        polys = {p for t in terms for p in t[1:]}
+        args = {t.arg for t in terms if isinstance(t, LogTerm)}
+        assert len(args) == n_args, eid
+        batches.clear()
+        render_svg(fm)
+        assert len(batches) == 2, eid
+        for calls, n_logs in batches:
+            assert set(calls) == polys and set(calls.values()) == {1}, eid
+            assert n_logs == n_args, eid
 
 
 def test_render_peak_memory():

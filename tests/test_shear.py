@@ -1,17 +1,22 @@
 """Shear construction: exact series identities and on-record coefficients."""
 
+import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonic_atlas import (
-    AnalyticExpr, DilatationTooLarge, GaussRational, NoClosedForm, NotNormalized,
+    AnalyticExpr, DilatationTooLarge, GaussRational, NearPole, NoClosedForm, NotNormalized,
     Poly, Series, catalog_lookup, dilatation_check, parse_any,
     parse_formula, shear_imag, shear_real,
 )
-from harmonic_atlas.analytic import _term_series
+from harmonic_atlas.analytic import EPS_POLE, _term_series
 from harmonic_atlas.shear import HarmonicMap
+from oracles import pole_mask_bruteforce
 
 F = Fraction
 
@@ -241,6 +246,39 @@ def test_no_closed_form_raises_instead_of_using_the_series():
     bare = HarmonicMap(Series([0, 1], order=4), Series.zero(4), parse_formula("z"))
     with pytest.raises(NoClosedForm):
         bare.h_prime(z)
+
+
+_SUM_MAPS = {eid: catalog_lookup(eid).harmonic_map(16)
+             for eid in ("f9_cv1", "f4_cv1", "f18_cvi", "koebe", "vslits",
+                         "t4_conj_sq_plus")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), eid=st.sampled_from(sorted(_SUM_MAPS)))
+def test_eval_masked_equals_h_plus_conj_g_at_unmasked_points(data, eid):
+    # one pole mask and shared term values give, bit for bit, the sum of
+    # h and g evaluated apart; eval takes the same route
+    fm = _SUM_MAPS[eid]
+    poles = np.concatenate([fm.h_expr.pole_points, fm.g_expr.pole_points])
+    points = [st.builds(lambda r, t: r * cmath.exp(1j * t),
+                        st.floats(0, 0.999), st.floats(0, 2 * math.pi)),
+              st.just(complex(math.nan, 0))]
+    if poles.size:
+        points.append(st.builds(lambda p, d: complex(p) + d, st.sampled_from(list(poles)),
+                                st.complex_numbers(max_magnitude=3 * EPS_POLE)))
+    zs = np.array(data.draw(st.lists(st.one_of(points), min_size=1, max_size=40)),
+                  dtype=complex)
+    with np.errstate(all="ignore"):
+        vals, ok = fm.eval_masked(zs)
+        hv, ok_h = fm.h_expr.eval_masked(zs)
+        gv, ok_g = fm.g_expr.eval_masked(zs)
+        want = hv + np.conjugate(gv)
+    assert np.array_equal(ok, ok_h & ok_g & np.isfinite(want))
+    assert vals[ok].tobytes() == want[ok].tobytes()
+    assert fm.eval(zs[ok]).tobytes() == want[ok].tobytes()
+    if pole_mask_bruteforce(zs, poles, EPS_POLE).any():
+        with np.errstate(all="ignore"), pytest.raises(NearPole):
+            fm.eval(zs)
 
 
 def test_dilatation_check_counterexample():

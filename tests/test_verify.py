@@ -8,6 +8,7 @@ from harmonic_atlas.verify import SUITES, VerifyConfig, report_json, run_suite
 
 FAST = VerifyConfig(order=16, grid_radii=16, grid_angles=64)
 RECORDING = Path(__file__).parent / "data" / "verify_all_fast.json"
+DEFAULT_RECORDING = Path(__file__).parent / "data" / "verify_all_default.json"
 
 
 def test_all_suites_match_at_default_config_shapes():
@@ -56,6 +57,13 @@ def test_report_matches_recording():
     # the full report at FAST, byte for byte: a refactor must leave every
     # row, value and key order as recorded
     assert report_json(run_suite("all", FAST)) == RECORDING.read_text(encoding="ascii")
+
+
+def test_default_report_matches_recording():
+    # the full report at the default config (order 64, 64x256 grid), byte
+    # for byte: the definition of "same behaviour" as a check
+    assert (report_json(run_suite("all", VerifyConfig()))
+            == DEFAULT_RECORDING.read_text(encoding="ascii"))
 
 
 def test_unknown_suite():
