@@ -442,14 +442,18 @@ class AnalyticExpr:
         return self._deriv
 
     def series(self, order: int) -> Series:
-        """Exact Taylor coefficients to the given order: the sum of the
-        shared term series, kept in ``_series_cache`` (see the module doc)."""
+        """Exact Taylor coefficients to the given order: the linear
+        combination of the shared term series with the term coefficients,
+        each coefficient reduced once, kept in ``_series_cache`` (see the
+        module doc)."""
         cached = self._series_cache.get(order)
         if cached is not None:
             return cached
-        acc = Series.zero(order)
-        for t in self.terms:
-            acc = acc + _term_series(t[1:], order).scale(t.c)
+        if self.terms:
+            acc = Series.combination([t.c for t in self.terms],
+                                     [_term_series(t[1:], order) for t in self.terms])
+        else:
+            acc = Series.zero(order)
         self._series_cache[order] = acc
         return acc
 

@@ -7,10 +7,13 @@ operation on it is a few integer products and sums plus at most one
 three-argument gcd, and builds no ``fractions.Fraction``; ``re`` and ``im``
 hand out Fractions on request.  A :class:`Series` keeps coefficients c0..cN
 for a fixed truncation order N; arithmetic never extends the trustworthy
-range, so mixed-order operands truncate to the minimum order.  Products and
-quotients touch only nonzero coefficients: a product costs O(nonzero
-pairs) and a quotient O(N * nonzeros of the denominator), so expanding a
-rational function P/Q to order N costs O(N * deg Q).  Floating point
+range, so mixed-order operands truncate to the minimum order.  Products,
+quotients and linear combinations sum each output coefficient on plain
+integers, as one unreduced triple over a common denominator, and reduce it
+with one gcd: one object and one gcd per output coefficient, however many
+products it sums.  They touch only nonzero coefficients: a product costs
+O(nonzero pairs) and a quotient O(N * nonzeros of the denominator), so
+expanding a rational function P/Q to order N costs O(N * deg Q).  Floating point
 enters only through the explicit ``complex()`` conversions used by callers
 that sample values numerically.
 """
@@ -58,6 +61,16 @@ def _reduced(a: int, b: int, d: int) -> "GaussRational":
     z._b = b
     z._d = d
     return z
+
+
+def _ratio(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, by one gcd."""
+    if q != 1:
+        g = gcd(p, q)
+        if g != q:
+            return f"{p // g}/{q // g}"
+        p //= g
+    return str(p)
 
 
 def _coerce(x):
@@ -225,16 +238,15 @@ class GaussRational:
         return complex(self._a / self._d, self._b / self._d)
 
     def literal(self) -> str:
-        """Exact text form: ``p/q``, ``r/s i`` or ``p/q+r/s i``."""
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        imag = f"{abs(im)} i" if abs(im) != 1 else "i"
-        sign = "-" if im < 0 else ""
-        if re == 0:
-            return sign + imag
-        joiner = "-" if im < 0 else "+"
-        return f"{re}{joiner}{imag}"
+        """Exact text form: ``p/q``, ``r/s i`` or ``p/q+r/s i``, each part
+        written as ``str(Fraction)`` writes it."""
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio(a, d)
+        imag = "i" if abs(b) == d else f"{_ratio(abs(b), d)} i"
+        if not a:
+            return "-" + imag if b < 0 else imag
+        return f"{_ratio(a, d)}{'-' if b < 0 else '+'}{imag}"
 
     def __str__(self):
         return self.literal()
@@ -259,7 +271,48 @@ _ONE = GaussRational(1)
 
 def _nonzero_terms(coeffs) -> list:
     """(index, coefficient) for the nonzero coefficients, indices ascending."""
-    return [(k, c) for k, c in enumerate(coeffs) if c]
+    return [(k, c) for k, c in enumerate(coeffs) if c._a or c._b]
+
+
+def _convolve(terms, seq, n: int, heads=None, inv=None) -> list:
+    """Coefficients 0..n of (heads + sum over (k, x) in terms of x z^k seq) * inv.
+
+    ``terms`` holds (k, x) with k ascending and x nonzero; ``heads`` and
+    ``inv`` default to 0 and 1.  With ``seq`` None the sum runs over the
+    output itself, every k >= 1: the triangular recurrence of a quotient.
+    Each output coefficient is summed as one unreduced triple (A + B i)/D
+    and reduced once: a product whose denominator equals D adds to A and
+    B, any other is cross-multiplied in.  Pairs with a zero factor are
+    skipped.  Triples are canonical, so each result is the triple that
+    reducing after every step would give.
+    """
+    out = []
+    seq = out if seq is None else seq
+    for m in range(n + 1):
+        if heads is None:
+            A = B = 0
+            D = 1
+        else:
+            y = heads[m]
+            A, B, D = y._a, y._b, y._d
+        for k, x in terms:
+            if k > m:
+                break
+            y = seq[m - k]
+            c, e = y._a, y._b
+            if c or e:
+                a, b = x._a, x._b
+                f = x._d * y._d
+                if f == D:
+                    A += a * c - b * e
+                    B += a * e + b * c
+                else:
+                    A = A * f + (a * c - b * e) * D
+                    B = B * f + (a * e + b * c) * D
+                    D *= f
+        q = _reduced(A, B, D) if A or B else _ZERO
+        out.append(q if inv is None else q * inv)
+    return out
 
 
 class Series:
@@ -345,7 +398,8 @@ class Series:
     def __mul__(self, other):
         """Product truncated to the smaller order, or a scalar multiple.
 
-        Only pairs of nonzero coefficients are multiplied, so the cost is
+        Coefficient m sums x_j y_(m-j) over the nonzero x_j of the sparser
+        operand and the nonzero y_(m-j) (:func:`_convolve`), so the cost is
         O(nonzero pairs): O(N * deg) when one operand is a polynomial.
         """
         if isinstance(other, (int, Fraction, GaussRational)):
@@ -353,16 +407,39 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
-        b = _nonzero_terms(other.coeffs[: n + 1])
-        out = [_ZERO] * (n + 1)
-        for j, x in _nonzero_terms(self.coeffs[: n + 1]):
-            for k, y in b:
-                if j + k > n:
-                    break
-                out[j + k] = out[j + k] + x * y
-        return Series._of(out)
+        xs, ys = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        sparse, dense = _nonzero_terms(xs), ys
+        other_terms = _nonzero_terms(ys)
+        if len(other_terms) < len(sparse):
+            sparse, dense = other_terms, xs
+        return Series._of(_convolve(sparse, dense, n))
 
     __rmul__ = __mul__
+
+    @classmethod
+    def combination(cls, cs, series) -> "Series":
+        """The linear combination sum c_i s_i of one or more series,
+        truncated to the smallest order.  Each coefficient is summed as
+        one unreduced triple and reduced once, as in :func:`_convolve`."""
+        cs = [gauss(c) for c in cs]
+        out = []
+        for col in zip(*(s.coeffs for s in series)):
+            A = B = 0
+            D = 1
+            for x, y in zip(cs, col):
+                a, b, c, e = x._a, x._b, y._a, y._b
+                f = x._d * y._d
+                if f == D:
+                    A += a * c - b * e
+                    B += a * e + b * c
+                else:
+                    A = A * f + (a * c - b * e) * D
+                    B = B * f + (a * e + b * c) * D
+                    D *= f
+            out.append(_reduced(A, B, D) if A or B else _ZERO)
+        if not out:
+            raise ValueError("a combination needs at least one series")
+        return cls._of(out)
 
     def scale(self, c) -> "Series":
         c = gauss(c)
@@ -385,16 +462,8 @@ class Series:
         if d0.is_zero:
             raise ZeroConstantTerm("division by a series with zero constant term")
         inv0 = None if d0 == _ONE else _ONE / d0
-        tail = _nonzero_terms(den.coeffs[: n + 1])[1:]  # d0 heads the list
-        out = []
-        for m in range(n + 1):
-            acc = self.coeffs[m]
-            for k, d in tail:
-                if k > m:
-                    break
-                acc = acc - d * out[m - k]
-            out.append(acc if inv0 is None else acc * inv0)
-        return Series._of(out)
+        tail = [(k, -d) for k, d in _nonzero_terms(den.coeffs[: n + 1])[1:]]
+        return Series._of(_convolve(tail, None, n, self.coeffs, inv0))
 
     def reciprocal(self) -> "Series":
         """Multiplicative inverse up to the series order, as 1/self.

@@ -80,12 +80,6 @@ class HarmonicMap:
                                "series is not evaluated in its place")
         return expr
 
-    def eval_h(self, z):
-        return self._closed("h").eval(z)
-
-    def eval_g(self, z):
-        return self._closed("g").eval(z)
-
     def eval(self, z):
         """f(z) = h(z) + conj(g(z)); raises ``NearPole`` within ``EPS_POLE``
         of a pole of h or g."""

@@ -167,6 +167,98 @@ def test_gauss_triple_edge_cases():
     assert (nil._a, nil._b, nil._d) == (0, 0, 1)
 
 
+# literal() writes (a, b, d) as the Fraction formula of the reference writes
+# its two parts; d = 1, a = 0, b = +-d (printed "i") and signs drawn often
+@st.composite
+def triples(draw):
+    d = draw(st.one_of(st.just(1), st.integers(1, 60), st.integers(1, BIG)))
+    a = draw(st.one_of(st.just(0), st.integers(-60, 60), st.integers(-BIG, BIG)))
+    b = draw(st.one_of(st.just(0), st.sampled_from([d, -d]),
+                       st.integers(-60, 60), st.integers(-BIG, BIG)))
+    return a, b, d
+
+
+@settings(max_examples=400, deadline=None)
+@given(triples())
+def test_literal_matches_fraction_formula(t):
+    a, b, d = t
+    z = GaussRational(F(a, d), F(b, d))
+    assert z.literal() == FractionPair(F(a, d), F(b, d)).literal() == str(z)
+
+
+def test_literal_edge_cases():
+    cases = {(0, 0, 1): "0", (3, 0, 1): "3", (-6, 0, 4): "-3/2", (0, 5, 5): "i",
+             (0, -7, 7): "-i", (2, 3, 3): "2/3+i", (-2, -3, 3): "-2/3-i",
+             (0, -4, 6): "-2/3 i", (1, -4, 6): "1/6-2/3 i", (9, 6, 3): "3+2 i"}
+    for (a, b, d), text in cases.items():
+        assert GaussRational(F(a, d), F(b, d)).literal() == text
+
+
+# ---------------------------------------------------------------------------
+# Series kernel (products, quotients, combinations) against the Fraction-pair
+# reference and the long-division oracle
+# ---------------------------------------------------------------------------
+
+# coefficient lists with zeros, negative, purely imaginary and unequal
+# denominators, of unequal lengths (mixed orders)
+kernel_coeffs = st.lists(st.one_of(parts, st.just((0, 0))), min_size=1, max_size=9)
+
+
+def _ref_coeffs(xs):
+    return [FractionPair(*x) for x in xs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_coeffs, kernel_coeffs)
+def test_mul_matches_fraction_pair_reference(xs, ys):
+    got = Series([GaussRational(*x) for x in xs]) * Series([GaussRational(*y) for y in ys])
+    a, b = _ref_coeffs(xs), _ref_coeffs(ys)
+    n = min(len(a), len(b)) - 1
+    want = []
+    for m in range(n + 1):
+        acc = FractionPair(0)
+        for j in range(m + 1):
+            acc = acc + a[j] * b[m - j]
+        want.append(acc)
+    assert got.order == n
+    for z, ref in zip(got.coeffs, want, strict=True):
+        _same(z, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_coeffs, kernel_coeffs)
+def test_division_and_reciprocal_match_long_division_oracle(xs, ys):
+    assume(any(ys[0]))
+    num, den = Series([GaussRational(*x) for x in xs]), Series([GaussRational(*y) for y in ys])
+    n = min(num.order, den.order)
+    for got, top in ((num / den, xs), (den.reciprocal(), [(1, 0)])):
+        order = n if top is xs else den.order
+        want = gaussian_long_division(top, ys[: order + 1], order)
+        assert got.order == order
+        for z, ref in zip(got.coeffs, want, strict=True):
+            _same(z, FractionPair(*ref))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(parts, kernel_coeffs), min_size=1, max_size=4))
+def test_combination_matches_fraction_pair_reference(terms):
+    cs = [GaussRational(*c) for c, _ in terms]
+    got = Series.combination(cs, [Series([GaussRational(*x) for x in xs]) for _, xs in terms])
+    n = min(len(xs) for _, xs in terms) - 1
+    assert got.order == n
+    for m, z in enumerate(got.coeffs):
+        ref = FractionPair(0)
+        for c, xs in terms:
+            ref = ref + FractionPair(*c) * FractionPair(*xs[m])
+        _same(z, ref)
+
+
+def test_combination_needs_a_series():
+    with pytest.raises(ValueError):
+        Series.combination([], [])
+    assert Series.combination([F(1, 2), 2], [S(1, 2), S(4, 0, 1)]) == S(F(17, 2), 1)
+
+
 # ---------------------------------------------------------------------------
 # Series: spec'd operation examples
 # ---------------------------------------------------------------------------
