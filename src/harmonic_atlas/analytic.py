@@ -53,7 +53,7 @@ the series of each unscaled term keyed by its polynomials ((num, den) or
 (arg,)) and the order, at most 256 keys, least recently used out first.
 Catalog expressions share terms (a proof shear's g is h minus its source),
 so each distinct term is expanded once.  ``Poly`` and ``Series`` are
-immutable, so a cached series is safe to share: it is only scaled.
+immutable, so a cached series is safe to share: it is only read.
 """
 
 from __future__ import annotations
@@ -155,6 +155,24 @@ class Poly:
 
     def derivative(self) -> "Poly":
         return Poly([self.coeffs[n] * n for n in range(1, len(self.coeffs))])
+
+    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """Quotient and remainder of the division by a nonzero polynomial."""
+        rem, top = list(self.coeffs), other.degree
+        inv = _ONE_GR / other.coeff(top)  # ZeroDivisionError for the zero poly
+        quot = [GaussRational(0)] * max(len(rem) - top, 0)
+        for k in range(len(quot) - 1, -1, -1):
+            c = quot[k] = rem[k + top] * inv
+            for i, o in enumerate(other.coeffs):
+                rem[k + i] = rem[k + i] - c * o
+        return Poly(quot), Poly(rem[:top])
+
+    def gcd(self, other: "Poly") -> "Poly":
+        """Monic gcd over Q(i) by Euclid's algorithm (zero for two zeros)."""
+        a, b = self, other
+        while not b.is_zero:
+            a, b = b, divmod(a, b)[1]
+        return a if a.is_zero else a.scale(_ONE_GR / a.coeffs[-1])
 
     def compose_linear(self, c) -> "Poly":
         """Substitute z -> c*z."""
@@ -429,31 +447,33 @@ class AnalyticExpr:
                              self.pole_points)
 
     def derivative(self) -> "AnalyticExpr":
-        """Termwise symbolic derivative; log terms become rational terms L'/L."""
+        """Termwise symbolic derivative, (P'Q - PQ')/Q^2 for P/Q and L'/L for
+        log L, each divided by its numerator's and denominator's monic gcd:
+        uncancelled, a k-fold pole becomes a 2k-fold root of Q^2 whose
+        computed roots scatter and whose values lose digits near the circle."""
         if self._deriv is None:
             out = []
             for t in self.terms:
                 if isinstance(t, RationalTerm):
                     num = t.num.derivative() * t.den - t.num * t.den.derivative()
-                    out.append(RationalTerm(t.c, num, t.den * t.den))
+                    den = t.den * t.den
                 else:
-                    out.append(RationalTerm(t.c, t.arg.derivative(), t.arg))
+                    num, den = t.arg.derivative(), t.arg
+                g = num.gcd(den)
+                out.append(RationalTerm(t.c, divmod(num, g)[0], divmod(den, g)[0]))
             self._deriv = AnalyticExpr(out, validate=False)
         return self._deriv
 
     def series(self, order: int) -> Series:
-        """Exact Taylor coefficients to the given order: the linear
-        combination of the shared term series with the term coefficients,
-        each coefficient reduced once, kept in ``_series_cache`` (see the
-        module doc)."""
+        """Exact Taylor coefficients to the given order: the shared term
+        series combined with the term coefficients (``Series.combination``),
+        kept in ``_series_cache`` (see the module doc)."""
         cached = self._series_cache.get(order)
         if cached is not None:
             return cached
-        if self.terms:
-            acc = Series.combination([t.c for t in self.terms],
-                                     [_term_series(t[1:], order) for t in self.terms])
-        else:
-            acc = Series.zero(order)
+        acc = Series.combination([t.c for t in self.terms],
+                                 [_term_series(t[1:], order) for t in self.terms]
+                                 ) if self.terms else Series.zero(order)
         self._series_cache[order] = acc
         return acc
 

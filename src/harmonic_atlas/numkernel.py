@@ -9,13 +9,12 @@ hand out Fractions on request.  A :class:`Series` keeps coefficients c0..cN
 for a fixed truncation order N; arithmetic never extends the trustworthy
 range, so mixed-order operands truncate to the minimum order.  Products,
 quotients and linear combinations sum each output coefficient on plain
-integers, as one unreduced triple over a common denominator, and reduce it
-with one gcd: one object and one gcd per output coefficient, however many
-products it sums.  They touch only nonzero coefficients: a product costs
-O(nonzero pairs) and a quotient O(N * nonzeros of the denominator), so
-expanding a rational function P/Q to order N costs O(N * deg Q).  Floating point
-enters only through the explicit ``complex()`` conversions used by callers
-that sample values numerically.
+integers and build it with one gcd, however many products it sums.  They
+touch only nonzero coefficients: a product costs O(nonzero pairs) and a
+quotient O(N * nonzeros of the denominator), so expanding a rational
+function P/Q to order N costs O(N * deg Q).  Floating point enters only
+through the explicit ``complex()`` conversions used by callers that sample
+values numerically.
 """
 
 from __future__ import annotations
@@ -65,12 +64,8 @@ def _reduced(a: int, b: int, d: int) -> "GaussRational":
 
 def _ratio(p: int, q: int) -> str:
     """str(Fraction(p, q)) for q > 0, by one gcd."""
-    if q != 1:
-        g = gcd(p, q)
-        if g != q:
-            return f"{p // g}/{q // g}"
-        p //= g
-    return str(p)
+    g = gcd(p, q) if q != 1 else 1
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def _coerce(x):
@@ -277,24 +272,19 @@ def _nonzero_terms(coeffs) -> list:
 def _convolve(terms, seq, n: int, heads=None, inv=None) -> list:
     """Coefficients 0..n of (heads + sum over (k, x) in terms of x z^k seq) * inv.
 
-    ``terms`` holds (k, x) with k ascending and x nonzero; ``heads`` and
-    ``inv`` default to 0 and 1.  With ``seq`` None the sum runs over the
-    output itself, every k >= 1: the triangular recurrence of a quotient.
-    Each output coefficient is summed as one unreduced triple (A + B i)/D
-    and reduced once: a product whose denominator equals D adds to A and
-    B, any other is cross-multiplied in.  Pairs with a zero factor are
-    skipped.  Triples are canonical, so each result is the triple that
-    reducing after every step would give.
+    ``terms`` holds (k, x), k ascending, x nonzero; ``heads`` and ``inv``
+    default to 0 and 1.  With ``seq`` None the sum runs over the output
+    itself (every k >= 1): the triangular recurrence of a quotient.  Each
+    coefficient is one unreduced triple (A + B i)/D until one gcd reduces
+    it: a product whose denominator is D adds to A and B, any other is
+    cross-multiplied in, a zero seq entry is skipped.  Triples are
+    canonical, so the result is what reducing every step would give.
     """
     out = []
     seq = out if seq is None else seq
     for m in range(n + 1):
-        if heads is None:
-            A = B = 0
-            D = 1
-        else:
-            y = heads[m]
-            A, B, D = y._a, y._b, y._d
+        y = _ZERO if heads is None else heads[m]
+        A, B, D = y._a, y._b, y._d
         for k, x in terms:
             if k > m:
                 break
@@ -408,19 +398,15 @@ class Series:
             return NotImplemented
         n = min(self.order, other.order)
         xs, ys = self.coeffs[: n + 1], other.coeffs[: n + 1]
-        sparse, dense = _nonzero_terms(xs), ys
-        other_terms = _nonzero_terms(ys)
-        if len(other_terms) < len(sparse):
-            sparse, dense = other_terms, xs
-        return Series._of(_convolve(sparse, dense, n))
+        a, b = _nonzero_terms(xs), _nonzero_terms(ys)
+        return Series._of(_convolve(a, ys, n) if len(a) <= len(b) else _convolve(b, xs, n))
 
     __rmul__ = __mul__
 
     @classmethod
     def combination(cls, cs, series) -> "Series":
-        """The linear combination sum c_i s_i of one or more series,
-        truncated to the smallest order.  Each coefficient is summed as
-        one unreduced triple and reduced once, as in :func:`_convolve`."""
+        """sum c_i s_i over one or more series, truncated to the smallest
+        order; each coefficient is summed as in :func:`_convolve`."""
         cs = [gauss(c) for c in cs]
         out = []
         for col in zip(*(s.coeffs for s in series)):
@@ -450,10 +436,10 @@ class Series:
 
         Runs the triangular recurrence
         q_n = (a_n - sum_{k>=1, d_k != 0} d_k q_{n-k}) / d_0
-        over the nonzero coefficients of ``den`` only, so the cost is
-        O(N * nonzeros of den): O(N * deg Q) for a polynomial Q.  The
-        division by d_0 is skipped when d_0 = 1, as it is for every
-        denominator the catalog and the shear produce.
+        (:func:`_convolve`) over the nonzero coefficients of ``den`` only,
+        so the cost is O(N * nonzeros of den): O(N * deg Q) for a
+        polynomial Q.  The division by d_0 is skipped when d_0 = 1, as it is
+        for every denominator the catalog and the shear produce.
         """
         if not isinstance(den, Series):
             return NotImplemented

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import harmonic_atlas
 from harmonic_atlas import (
     AnalyticExpr, GaussRational, InvalidExpression, NearPole, Poly,
-    PoleAtOrigin, Series, catalog_lookup, default_grid,
+    PoleAtOrigin, Series, catalog_ids, catalog_lookup, default_grid, parse_any,
 )
 from harmonic_atlas.analytic import (
     EPS_POLE, LogTerm, RationalTerm, _term_series, near_pole,
@@ -168,15 +168,18 @@ def test_eval_masked_never_reports_a_non_finite_value():
 
 
 def test_eval_pole_check_builds_no_points_by_poles_array():
-    # f9_cv1's h'' has 12 pole points; testing them one at a time peaks as
-    # low as evaluating unchecked (1.05 MB), a points x poles array at 4.7 MB
-    h2 = catalog_lookup("f9_cv1").h.derivative().derivative()
-    zs = default_grid().points
-    assert h2.pole_points.size == 12
-    h2.eval(zs)  # coefficient floats cached outside the measurement
+    # 1/(1 - z^12) has 12 pole points on the unit circle; the points reach
+    # past them (|z| <= 1.2 * 0.999, no point on |z| = 1), so the radius
+    # screen keeps all 12.  Testing them one at a time peaks as low as
+    # evaluating unchecked (1.05 MB), a points x poles array at 4.7 MB.
+    e = parse_any("1/(1-z^12)")
+    zs = 1.2 * default_grid().points
+    assert e.pole_points.size == 12
+    assert not near_pole(zs, e.pole_points).any()
+    e.eval(zs)  # coefficient floats cached outside the measurement
     tracemalloc.start()
     try:
-        h2.eval(zs)
+        e.eval(zs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -211,6 +214,67 @@ def test_derivative_koebe_quotient_rule_oracle():
     # and it equals (1+z)/(1-z)^3
     ref = AnalyticExpr.rational(1, P(1, 1), P(1, -3, 3, -1))
     assert KOEBE.derivative().series(12) == ref.series(12)
+
+
+def test_derivative_is_in_lowest_terms():
+    # f3's h'' from the quotient rule is 6(1 - z)^4/(1 - z)^8 before the
+    # gcd cancels; every catalog closed form's first and second derivative
+    # terms are reduced, and their series are still the termwise derivative
+    h = catalog_lookup("t4_re_koebe_im_halfplane").h
+    (term,) = h.derivative().derivative().terms
+    assert term.den == P(1, -4, 6, -4, 1) and term.num.degree == 0
+    for eid in catalog_ids():
+        entry = catalog_lookup(eid)
+        for e in (entry.h, entry.g):
+            if e is None:
+                continue
+            for d in (e.derivative(), e.derivative().derivative()):
+                assert all(t.num.gcd(t.den) == Poly.one() for t in d.terms), eid
+            assert e.derivative().series(12) == e.series(13).derivative(), eid
+
+
+def test_poly_divmod_and_gcd_examples():
+    q, r = divmod(P(1, 0, 0, 1), P(1, 1))              # 1 + z^3 = (1 + z)(1 - z + z^2)
+    assert (q, r) == (P(1, -1, 1), Poly.zero())
+    q, r = divmod(P(1, 2, 3), P(0, 2))
+    assert (q, r) == (P(1, F(3, 2)), P(1))
+    assert divmod(P(5), P(1, 1)) == (Poly.zero(), P(5))
+    assert P(2, 2).gcd(P(-3, 0, 3)) == P(1, 1)          # monic: z + 1
+    assert P(1, 1).gcd(P(1, -1)) == Poly.one()
+    assert Poly.zero().gcd(Poly.zero()) == Poly.zero()
+    assert Poly.zero().gcd(P(4, 2)) == P(2, 1)
+    with pytest.raises(ZeroDivisionError):
+        divmod(P(1, 1), Poly.zero())
+
+
+gauss_small = st.builds(GaussRational, st.fractions(-5, 5, max_denominator=4),
+                        st.fractions(-5, 5, max_denominator=4))
+polys = st.lists(gauss_small, max_size=4).map(Poly)
+
+
+def _monic(p):
+    return p.scale(GaussRational(1) / p.coeffs[-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, polys, polys)
+def test_gcd_divides_both_and_leaves_coprime_quotients(p, q, r):
+    # a = p q and b = p r share p, so their gcd is a multiple of it
+    a, b = p * q, p * r
+    g = a.gcd(b)
+    if a.is_zero and b.is_zero:
+        assert g.is_zero
+        return
+    assert g.coeffs[-1] == 1                            # monic
+    for x in (a, b):
+        quot, rem = divmod(x, g)
+        assert rem.is_zero and quot * g == x
+    assert divmod(a, g)[0].gcd(divmod(b, g)[0]) == Poly.one()
+    if not p.is_zero:
+        assert divmod(g, _monic(p))[1].is_zero          # greatest
+    if not b.is_zero:
+        quot, rem = divmod(a, b)
+        assert quot * b + rem == a and rem.degree < b.degree
 
 
 # -- expr_series ----------------------------------------------------------------

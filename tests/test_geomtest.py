@@ -432,6 +432,19 @@ def test_m_theta_f3_and_f9(grid):
     assert cpi.margin > 0
 
 
+def test_m_theta_margins_match_the_closed_form_at_4096_angles():
+    # for f3 (theta = 0) and f9 (theta = pi), h' = 1/(1 - z)^3 and
+    # Re(1 + z h''/h') + 1/2 = 1.5 (1 - r^2)/|1 - z|^2; before derivatives
+    # were reduced to lowest terms the margin read -17.2 on this grid
+    grid = default_grid(64, 4096)
+    zs = grid.points
+    want = np.min(1.5 * (1 - np.abs(zs) ** 2) / np.abs(1 - zs) ** 2)
+    for eid, theta in (("t4_re_koebe_im_halfplane", 0.0),
+                       ("t6_re_halfplane_im_koebe", math.pi)):
+        margin = m_theta_check(entry_map(eid, 64), theta, grid).margin
+        assert margin == pytest.approx(want, rel=1e-9), eid
+
+
 def test_m_theta_rejects_other_angles(grid):
     with pytest.raises(ValueError):
         m_theta_check(entry_map("t4_re_koebe_im_halfplane"), math.pi / 2, grid)

@@ -51,6 +51,11 @@ def test_gauss_literals():
     assert GaussRational(F(1, 2), F(-1, 3)).literal() == "1/2-1/3 i"
     assert GaussRational(3).literal() == "3"
     assert GaussRational(0, 1).literal() == "i"
+    cases = {(0, 0, 1): "0", (-6, 0, 4): "-3/2", (0, -7, 7): "-i",
+             (2, 3, 3): "2/3+i", (-2, -3, 3): "-2/3-i", (0, -4, 6): "-2/3 i",
+             (1, -4, 6): "1/6-2/3 i", (9, 6, 3): "3+2 i"}
+    for (a, b, d), text in cases.items():
+        assert GaussRational(F(a, d), F(b, d)).literal() == text
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +189,6 @@ def test_literal_matches_fraction_formula(t):
     a, b, d = t
     z = GaussRational(F(a, d), F(b, d))
     assert z.literal() == FractionPair(F(a, d), F(b, d)).literal() == str(z)
-
-
-def test_literal_edge_cases():
-    cases = {(0, 0, 1): "0", (3, 0, 1): "3", (-6, 0, 4): "-3/2", (0, 5, 5): "i",
-             (0, -7, 7): "-i", (2, 3, 3): "2/3+i", (-2, -3, 3): "-2/3-i",
-             (0, -4, 6): "-2/3 i", (1, -4, 6): "1/6-2/3 i", (9, 6, 3): "3+2 i"}
-    for (a, b, d), text in cases.items():
-        assert GaussRational(F(a, d), F(b, d)).literal() == text
 
 
 # ---------------------------------------------------------------------------
