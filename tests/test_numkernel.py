@@ -228,8 +228,7 @@ def test_division_and_reciprocal_match_long_division_oracle(xs, ys):
     assume(any(ys[0]))
     num, den = Series([GaussRational(*x) for x in xs]), Series([GaussRational(*y) for y in ys])
     n = min(num.order, den.order)
-    for got, top in ((num / den, xs), (den.reciprocal(), [(1, 0)])):
-        order = n if top is xs else den.order
+    for got, top, order in ((num / den, xs, n), (den.reciprocal(), [(1, 0)], den.order)):
         want = gaussian_long_division(top, ys[: order + 1], order)
         assert got.order == order
         for z, ref in zip(got.coeffs, want, strict=True):
