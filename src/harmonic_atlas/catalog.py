@@ -40,10 +40,17 @@ carry a closed form for h where a hand integration is on record; the
 eight without one keep only their series and recipe.  Where a shear has
 h, its g is h - source (real direction) or source - h (imaginary
 direction).
+
+Entries are built on lookup.  ``catalog_lookup`` builds and indexes only
+the entry it is asked for, and for a proof shear its twin; a shear's source
+is looked up when its map is first made.  ``catalog_build`` looks up every
+id, in catalog order.  Whichever call comes first, each id has one entry
+object per process, so the maps an entry caches are shared by every caller.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -318,46 +325,33 @@ _ALIASES = {
 }
 
 
-def _nonconformal_entries() -> list[CatalogEntry]:
-    """The T4 rows, then the T6 rows with h and g of their T4 namesakes."""
-    rows = [("T4", "real", suffix, row[0], *row[2:]) for suffix, row in _T4.items()]
-    rows += [("T6", "imag", suffix, _T4[suffix][0], src, sign, True, None)
-             for suffix, (src, sign) in _T6.items()]
-    return [CatalogEntry(
+def _nonconformal_entry(family, axis, suffix, h_id, src, sign, cv_imag,
+                        starlike) -> CatalogEntry:
+    """A T4 row, or a T6 row with the h and g of its T4 namesake."""
+    return CatalogEntry(
         id=f"{family.lower()}_{suffix}", family=family, h=_H[h_id], g=_T4_G[suffix],
         expected=FlagSet(False, True, cv_real=True, cv_imag=cv_imag,
                          starlike=starlike),
         recipe=ShearRecipe(src, sign, axis),
-    ) for family, axis, suffix, h_id, src, sign, cv_imag, starlike in rows]
+    )
 
 
-def _proof_entries(axis: str, twins: dict) -> list[CatalogEntry]:
-    """The case analysis's shears along ``axis``.
+def _proof_entry(entry_id, family, k, source_id, sign, axis, twin_id) -> CatalogEntry:
+    """Shear number ``k`` of the case analysis along ``axis``.
 
-    ``twins`` maps a T4/T6 recipe to its entry.  A shear with the same
-    recipe is that map: it takes the twin's h and expected flags.
+    A shear whose recipe is that of a T4/T6 entry, ``twin_id``, is that
+    map: it takes the twin's h and expected flags.
     """
-    sources = _CV1_SOURCES if axis == "real" else _CVI_SOURCES
-    tag = "cv1" if axis == "real" else "cvi"
-    out = []
-    for idx, source_id in enumerate(sources):
+    twin = None if twin_id is None else catalog_lookup(twin_id)
+    h = twin.h if twin is not None else _SHEAR_H[axis].get(k)
+    g = None
+    if h is not None:
         source_expr = _H[source_id]
-        for sign in (+1, -1):
-            k = 2 * idx + (1 if sign > 0 else 2)
-            recipe = ShearRecipe(source_id, sign, axis)
-            twin = twins.get(recipe)
-            h = twin.h if twin is not None else _SHEAR_H[axis].get(k)
-            g = None
-            if h is not None:
-                g = h - source_expr if axis == "real" else source_expr - h
-            flags = (twin.expected if twin is not None
-                     else FlagSet(False, False, **{f"cv_{axis}": True}))
-            out.append(CatalogEntry(
-                id=f"f{k}_{tag}", family=f"PROOF_{tag.upper()}",
-                h=h, g=g, expected=flags,
-                recipe=recipe, twin=twin.id if twin is not None else None,
-            ))
-    return out
+        g = h - source_expr if axis == "real" else source_expr - h
+    flags = (twin.expected if twin is not None
+             else FlagSet(False, False, **{f"cv_{axis}": True}))
+    return CatalogEntry(id=entry_id, family=family, h=h, g=g, expected=flags,
+                        recipe=ShearRecipe(source_id, sign, axis), twin=twin_id)
 
 
 def _conformal_entry(cid, prefix="", family=None) -> CatalogEntry:
@@ -376,42 +370,57 @@ def _conformal_entry(cid, prefix="", family=None) -> CatalogEntry:
                         g=_ZERO, expected=flags)
 
 
+@functools.cache
+def _makers() -> dict:
+    """Every id in catalog order, with the call that builds its entry."""
+    makers = {cid: (_conformal_entry, cid) for cid in _CONFORMAL}
+    for family, cids in (("S1", _S1), ("T3", _T3), ("T5", _T5)):
+        prefix = family.lower() + "_"
+        makers.update({prefix + cid: (_conformal_entry, cid, prefix, family)
+                       for cid in cids})
+    rows = [("T4", "real", suffix, row[0], *row[2:]) for suffix, row in _T4.items()]
+    rows += [("T6", "imag", suffix, _T4[suffix][0], src, sign, True, None)
+             for suffix, (src, sign) in _T6.items()]
+    twins = {}  # each T4/T6 recipe (source, sign, axis) -> its id
+    for row in rows:
+        family, axis, suffix, _, src, sign, _, _ = row
+        twins[src, sign, axis] = entry_id = f"{family.lower()}_{suffix}"
+        makers[entry_id] = (_nonconformal_entry, *row)
+    for axis, tag, sources in (("real", "cv1", _CV1_SOURCES),
+                               ("imag", "cvi", _CVI_SOURCES)):
+        family = f"PROOF_{tag.upper()}"
+        for idx, source_id in enumerate(sources):
+            for sign in (+1, -1):
+                k = 2 * idx + (1 if sign > 0 else 2)
+                makers[f"f{k}_{tag}"] = (_proof_entry, f"f{k}_{tag}", family, k,
+                                         source_id, sign, axis,
+                                         twins.get((source_id, sign, axis)))
+    return makers
+
+
 _CATALOG: tuple[CatalogEntry, ...] | None = None
-_INDEX: dict[str, CatalogEntry] = {}
+_INDEX: dict[str, CatalogEntry] = {}  # every entry built so far, by id
 
 
 def catalog_build() -> tuple[CatalogEntry, ...]:
-    """Build (once) and return the full immutable catalog."""
+    """The full immutable catalog, in catalog order: every id looked up."""
     global _CATALOG
-    if _CATALOG is not None:
-        return _CATALOG
-    entries: list[CatalogEntry] = []
-    for cid in _CONFORMAL:
-        entries.append(_conformal_entry(cid))
-    for cid in _S1:
-        entries.append(_conformal_entry(cid, prefix="s1_", family="S1"))
-    for cid in _T3:
-        entries.append(_conformal_entry(cid, prefix="t3_", family="T3"))
-    for cid in _T5:
-        entries.append(_conformal_entry(cid, prefix="t5_", family="T5"))
-    nonconformal = _nonconformal_entries()
-    twins = {e.recipe: e for e in nonconformal}
-    entries.extend(nonconformal)
-    entries.extend(_proof_entries("real", twins))
-    entries.extend(_proof_entries("imag", twins))
-    _CATALOG = tuple(entries)
-    _INDEX.clear()
-    _INDEX.update({e.id: e for e in entries})
+    if _CATALOG is None:
+        _CATALOG = tuple(map(catalog_lookup, _makers()))
     return _CATALOG
 
 
 def catalog_lookup(entry_id: str) -> CatalogEntry:
-    catalog_build()
+    """The entry of an id or alias, built and indexed on its first lookup."""
     entry_id = _ALIASES.get(entry_id, entry_id)
-    try:
-        return _INDEX[entry_id]
-    except KeyError:
-        raise UnknownId(entry_id) from None
+    entry = _INDEX.get(entry_id)
+    if entry is None:
+        try:
+            make, *args = _makers()[entry_id]
+        except KeyError:
+            raise UnknownId(entry_id) from None
+        entry = _INDEX[entry_id] = make(*args)
+    return entry
 
 
 def catalog_ids(family: str | None = None) -> list[str]:

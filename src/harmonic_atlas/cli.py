@@ -11,9 +11,14 @@ render read no config, so they refuse its flags (exit 2).
 Exit codes: 0 success / all rows matched; 1 verification mismatch;
 2 usage, config or input error; 3 I/O error.
 
-The argument parser is built once per process and reused by every
-``main`` call: parsing does not change it, and its usage errors and help
-go to ``sys.stderr`` and ``sys.stdout`` as they are when printed.
+A call builds only the parser of its command, once per process, and
+every later ``main`` call reuses it: parsing does not change it, and its
+usage errors and help go to ``sys.stderr`` and ``sys.stdout`` as they are
+when printed.  The full parser, with every command as a subparser, is built
+(also once) only for top-level help, no or an unknown command, or arguments
+the command parser leaves over, which it reports with the top-level usage.
+Both are declared from one table, so their output is the same byte for
+byte.
 """
 
 from __future__ import annotations
@@ -221,76 +226,88 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _add_config_flags(p):
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--order", type=int, help="series truncation order")
-    p.add_argument("--grid-radii", type=int, dest="grid_radii")
-    p.add_argument("--grid-angles", type=int, dest="grid_angles")
-    p.add_argument("--r-max", type=float, dest="r_max")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--json", action="store_true", help="JSON on stdout")
+_PROG = "harmonic-atlas"
+_JSON = ("--json", {"action": "store_true", "help": "JSON on stdout"})
+_CONFIG_FLAGS = (
+    ("--config", {"help": "key=value config file"}),
+    ("--order", {"type": int, "help": "series truncation order"}),
+    ("--grid-radii", {"type": int}),
+    ("--grid-angles", {"type": int}),
+    ("--r-max", {"type": float}),
+    ("--tol", {"type": float}),
+    _JSON,
+)
+_CATALOG_ID = {"help": "catalog id or expression"}
+
+# command -> (help, handler, arguments as (name, add_argument keywords))
+_COMMANDS = {
+    "list": ("list catalog entries", _cmd_list, (("--family", {}), _JSON)),
+    "expand": ("exact coefficient table", _cmd_expand, (
+        ("target", _CATALOG_ID),
+        ("count", {"type": int, "nargs": "?", "help": "highest coefficient index"}),
+        *_CONFIG_FLAGS)),
+    "shear": ("run the shear construction", _cmd_shear, (
+        ("phi", {"help": "catalog id or expression for the conformal map"}),
+        ("omega", {"help": "+z, -z, or an expression"}),
+        ("axis", {"choices": ["real", "imag"]}),
+        ("--show", {"type": int, "default": 12, "help": "coefficients to print"}),
+        *_CONFIG_FLAGS)),
+    "classify": ("exact coefficient classification", _cmd_classify, (
+        ("target", _CATALOG_ID), *_CONFIG_FLAGS)),
+    "verify": ("run a claim-table verification suite", _cmd_verify, (
+        ("theorem", {"choices": list(SUITES) + ["all"]}), *_CONFIG_FLAGS)),
+    "render": ("render a map's disk image as SVG", _cmd_render, (
+        ("target", {"help": "catalog id"}),
+        ("out", {"help": "output .svg path"}),
+        ("--circles", {"type": int, "default": 8}),
+        ("--rays", {"type": int, "default": 16}),
+        ("--rmax", {"type": float, "default": 0.95}),
+        ("--samples", {"type": int, "default": 512}))),
+}
+
+
+def _declare(parser, command: str):
+    """Give ``parser`` the arguments and handler of ``command``."""
+    _, fn, arguments = _COMMANDS[command]
+    for name, keywords in arguments:
+        parser.add_argument(name, **keywords)
+    parser.set_defaults(fn=fn)
+    return parser
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command is a subparser."""
     parser = argparse.ArgumentParser(
-        prog="harmonic-atlas",
+        prog=_PROG,
         description="catalog, shear, classify, verify and render univalent "
                     "harmonic mappings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("list", help="list catalog entries")
-    p.add_argument("--family")
-    p.add_argument("--json", action="store_true", help="JSON on stdout")
-    p.set_defaults(fn=_cmd_list)
-
-    p = sub.add_parser("expand", help="exact coefficient table")
-    p.add_argument("target", help="catalog id or expression")
-    p.add_argument("count", type=int, nargs="?", help="highest coefficient index")
-    _add_config_flags(p)
-    p.set_defaults(fn=_cmd_expand)
-
-    p = sub.add_parser("shear", help="run the shear construction")
-    p.add_argument("phi", help="catalog id or expression for the conformal map")
-    p.add_argument("omega", help="+z, -z, or an expression")
-    p.add_argument("axis", choices=["real", "imag"])
-    p.add_argument("--show", type=int, default=12, help="coefficients to print")
-    _add_config_flags(p)
-    p.set_defaults(fn=_cmd_shear)
-
-    p = sub.add_parser("classify", help="exact coefficient classification")
-    p.add_argument("target", help="catalog id or expression")
-    _add_config_flags(p)
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("verify", help="run a claim-table verification suite")
-    p.add_argument("theorem", choices=list(SUITES) + ["all"])
-    _add_config_flags(p)
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("render", help="render a map's disk image as SVG")
-    p.add_argument("target", help="catalog id")
-    p.add_argument("out", help="output .svg path")
-    p.add_argument("--circles", type=int, default=8)
-    p.add_argument("--rays", type=int, default=16)
-    p.add_argument("--rmax", type=float, default=0.95)
-    p.add_argument("--samples", type=int, default=512)
-    p.set_defaults(fn=_cmd_render)
-
+    for command, (help_text, _, _) in _COMMANDS.items():
+        _declare(sub.add_parser(command, help=help_text), command)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    # a bare "-z" is the omega argument of `shear`, not an option
-    argv = [" -z" if a == "-z" else a for a in argv]
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+@functools.cache
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """One command's parser, the same as its subparser in the full one."""
+    return _declare(argparse.ArgumentParser(prog=f"{_PROG} {command}"), command)
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The arguments of ``argv``; argparse exits on help and usage errors."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    # top-level help, no or an unknown command, or arguments left over:
+    # the full parser reports them with the top-level usage
+    return build_parser().parse_args(argv)
+
+
+def _run(args) -> int:
+    """Run the parsed command; errors are printed and give its exit code."""
     try:
         return args.fn(args)
     except CliError as exc:
@@ -305,6 +322,18 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # a bare "-z" is the omega argument of `shear`, not an option
+    argv = [" -z" if a == "-z" else a for a in argv]
+    try:
+        args = _parse(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    return _run(args)
 
 
 if __name__ == "__main__":

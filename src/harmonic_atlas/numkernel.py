@@ -462,7 +462,9 @@ class Series:
         """Termwise d/dz; the order drops by one (a constant stays order 0)."""
         if self.order == 0:
             return Series.zero(0)
-        return Series._of([self.coeffs[n] * n for n in range(1, self.order + 1)])
+        # n c as (n a + n b i)/d in lowest terms: one gcd, no coercion
+        return Series._of([_reduced(c._a * n, c._b * n, c._d)
+                           for n, c in enumerate(self.coeffs[1:], 1)])
 
     def antiderivative(self) -> "Series":
         """Termwise integral from 0; constant term 0, order grows by one.

@@ -3,6 +3,7 @@
 import json
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +12,10 @@ from harmonic_atlas import (
     AnalyticExpr, UnknownId, catalog_build, catalog_ids, catalog_lookup,
     coeff_class, dilatation_check, export_atlas, format_expr, parse_expr_text,
 )
+from harmonic_atlas.cli import main
 
 F = Fraction
+ATLAS = Path(__file__).parent / "data" / "atlas.json"
 
 
 def test_family_cardinalities(catalog):
@@ -199,10 +202,63 @@ def test_catalog_build_validates_no_expression(monkeypatch):
     AnalyticExpr.zero()
     assert len(calls) == 1  # it counts
     calls.clear()
+    # no entry built yet: a cold, full build
     monkeypatch.setattr(catalog_module, "_CATALOG", None)
     monkeypatch.setattr(catalog_module, "_INDEX", {})
     assert len(catalog_build()) == 101
+    assert len(catalog_module._INDEX) == 101
     assert calls == []
+
+
+# a conformal base entry, a family copy, a T6 row, a proof shear with a
+# twin, one with a closed form of its own, and an alias
+LAZY_IDS = ["koebe", "s1_koebe", "t6_re_halfplane_im_koebe", "f3_cv1", "f9_cv1",
+            "harmonic_koebe"]
+
+
+@pytest.mark.parametrize("lookup_first", [True, False], ids=["lookup", "build"])
+def test_lookup_and_build_share_one_entry_per_id(monkeypatch, lookup_first):
+    monkeypatch.setattr(catalog_module, "_CATALOG", None)
+    monkeypatch.setattr(catalog_module, "_INDEX", {})
+    if lookup_first:
+        looked = [catalog_lookup(i) for i in LAZY_IDS]
+        built = catalog_build()
+    else:
+        built = catalog_build()
+        looked = [catalog_lookup(i) for i in LAZY_IDS]
+    by_id = {e.id: e for e in built}
+    assert len(by_id) == 101
+    for i, entry in zip(LAZY_IDS, looked):
+        assert entry is by_id[catalog_module._ALIASES.get(i, i)]
+        assert catalog_lookup(i) is entry
+    assert looked[-1] is looked[-2]
+    twinned = by_id["f3_cv1"]
+    assert twinned.twin == "t4_re_koebe_im_halfplane"
+    assert twinned.h is by_id[twinned.twin].h
+    assert twinned.expected is by_id[twinned.twin].expected
+    # the order and content of a full build do not depend on what came first
+    assert export_atlas() == json.loads(ATLAS.read_text(encoding="utf-8"))
+
+
+def test_lookup_builds_only_what_it_needs(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(catalog_module, "_CATALOG", None)
+    monkeypatch.setattr(catalog_module, "_INDEX", {})
+    assert main(["expand", "koebe", "3"]) == 0
+    assert "h: 0 1 2 3" in capsys.readouterr().out
+    assert sorted(catalog_module._INDEX) == ["koebe"]
+    # a twinned shear builds its twin; its source comes with its map
+    shear = catalog_lookup("f3_cv1")
+    assert sorted(catalog_module._INDEX) == ["f3_cv1", "koebe",
+                                             "t4_re_koebe_im_halfplane"]
+    shear.harmonic_map(4)
+    assert sorted(catalog_module._INDEX) == ["f3_cv1", "halfplane", "koebe",
+                                             "t4_re_koebe_im_halfplane"]
+    with pytest.raises(UnknownId):
+        catalog_lookup("no_such_entry")
+    assert len(catalog_module._INDEX) == 4
+    assert main(["render", "no_such_entry", str(tmp_path / "x.svg")]) == 2
+    assert "unknown catalog id 'no_such_entry'" in capsys.readouterr().err
+    assert catalog_module._CATALOG is None
 
 
 def test_boundary_descriptors_present():

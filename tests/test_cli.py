@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, config, determinism."""
 
+import argparse
 import hashlib
 import json
 import tracemalloc
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from harmonic_atlas.cli import build_parser, main
+from harmonic_atlas.cli import _COMMANDS, _command_parser, _run, build_parser, main
 
 ATLAS = Path(__file__).parent / "data" / "atlas.json"
 # the benchmark's output records, read only
@@ -253,18 +254,77 @@ def test_render_oversized_exit_2_before_allocating(tmp_path, capsys):
     assert peak < 1_000_000, peak
 
 
-def test_parser_built_once_per_process(tmp_path, capsys):
+def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
+    # each command's parser is built at most once, the full parser only
+    # for what the command parsers cannot answer, and no call rebuilds one
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     build_parser.cache_clear()
-    assert run(capsys, "expand", "koebe", "3")[0] == 0
+    _command_parser.cache_clear()
+    for _ in range(2):
+        assert run(capsys, "expand", "koebe", "3")[0] == 0
+        assert run(capsys, "expand", "koebe", "3")[0] == 0
+        out_path = tmp_path / "k.svg"
+        code, out, _ = run(capsys, "render", "koebe", str(out_path), "--samples", "16")
+        assert code == 0 and out_path.exists()
+        for _ in range(2):
+            code, out, _ = run(capsys, "--help")
+            assert code == 0 and out.startswith("usage: harmonic-atlas [-h]")
+    assert built == ["harmonic-atlas expand", "harmonic-atlas render", "harmonic-atlas",
+                     *(f"harmonic-atlas {c}" for c in _COMMANDS)]
+    assert _command_parser.cache_info().misses == 2
+    assert build_parser.cache_info().misses == 1
+    # arguments left over go to the full parser, built already
     code, _, err = run(capsys, "render", "koebe", str(tmp_path / "a.svg"), "--bogus")
     assert code == 2 and "unrecognized arguments: --bogus" in err
-    out_path = tmp_path / "k.svg"
-    code, out, _ = run(capsys, "render", "koebe", str(out_path), "--samples", "16")
-    assert code == 0 and out_path.exists()
-    for _ in range(2):
-        code, out, _ = run(capsys, "--help")
-        assert code == 0 and out.startswith("usage: harmonic-atlas")
-    assert build_parser.cache_info().misses == 1
+    assert len(built) == 9
+
+
+def _full_route(argv):
+    """What ``main`` gave when every call parsed with the full parser."""
+    argv = [" -z" if a == "-z" else a for a in argv]
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    return _run(args)
+
+
+# per command: no arguments, a missing positional, a bad int, an unknown
+# flag after and before the positionals
+_USAGE_CASES = {
+    "list": [(), ("--family",), ("--family", "S_Z", "--bogus"),
+             ("--bogus", "--family", "S_Z")],
+    "expand": [(), ("--json",), ("koebe", "x"), ("koebe", "3", "--bogus"),
+               ("--bogus", "koebe", "3")],
+    "shear": [(), ("koebe", "+z"), ("koebe", "+z", "real", "--show", "x"),
+              ("koebe", "+z", "real", "--bogus"), ("--bogus", "koebe", "+z", "real"),
+              ("koebe", "-z", "real"), ("koebe", "-z", "sideways")],
+    "classify": [(), ("--order", "5"), ("koebe", "--order", "x"), ("koebe", "--bogus"),
+                 ("--bogus", "koebe")],
+    "verify": [(), ("--json",), ("T31", "--order", "x"), ("T31", "--bogus"),
+               ("--bogus", "T31"), ("T99",)],
+    "render": [(), ("koebe",), ("koebe", "{out}", "--circles", "x"),
+               ("koebe", "{out}", "--bogus"), ("--bogus", "koebe", "{out}")],
+}
+USAGE_ARGVS = ([("--help",), (), ("bogus",), ("bogus", "--help")]
+               + [(c, "-h") for c in _USAGE_CASES]
+               + [(c, *rest) for c, cases in _USAGE_CASES.items() for rest in cases])
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGVS, ids=" ".join)
+def test_output_matches_the_full_parser(capsys, tmp_path, argv):
+    argv = [a.replace("{out}", str(tmp_path / "k.svg")) for a in argv]
+    want = _full_route(argv), *capsys.readouterr()
+    got = main(argv), *capsys.readouterr()
+    assert got == want
+    assert not (tmp_path / "k.svg").exists()
 
 
 def test_render_io_error_exit_3(tmp_path, capsys):

@@ -149,6 +149,20 @@ def test_antiderivative_matches_fraction_pair_reference(xs):
         _same(got, ref)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(parts, min_size=1, max_size=12))
+def test_derivative_matches_termwise_product(xs):
+    # coefficient n - 1 of the derivative is c_n * n, the same triple as
+    # the product built through GaussRational.__mul__; order 0 included
+    s = Series([GaussRational(*x) for x in xs])
+    want = [c * n for n, c in enumerate(s.coeffs[1:], 1)] or [GaussRational(0)]
+    got = s.derivative()
+    assert got.order == max(s.order - 1, 0)
+    for g, w in zip(got.coeffs, want, strict=True):
+        _lowest_terms(g)
+        assert (g._a, g._b, g._d) == (w._a, w._b, w._d)
+
+
 def test_gauss_triple_edge_cases():
     zero = GaussRational(0)
     assert (zero._a, zero._b, zero._d) == (0, 0, 1)
