@@ -398,16 +398,12 @@ def _makers() -> dict:
     return makers
 
 
-_CATALOG: tuple[CatalogEntry, ...] | None = None
 _INDEX: dict[str, CatalogEntry] = {}  # every entry built so far, by id
 
 
 def catalog_build() -> tuple[CatalogEntry, ...]:
     """The full immutable catalog, in catalog order: every id looked up."""
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = tuple(map(catalog_lookup, _makers()))
-    return _CATALOG
+    return tuple(map(catalog_lookup, _makers()))
 
 
 def catalog_lookup(entry_id: str) -> CatalogEntry:

@@ -11,14 +11,12 @@ render read no config, so they refuse its flags (exit 2).
 Exit codes: 0 success / all rows matched; 1 verification mismatch;
 2 usage, config or input error; 3 I/O error.
 
-A call builds only the parser of its command, once per process, and
-every later ``main`` call reuses it: parsing does not change it, and its
-usage errors and help go to ``sys.stderr`` and ``sys.stdout`` as they are
-when printed.  The full parser, with every command as a subparser, is built
-(also once) only for top-level help, no or an unknown command, or arguments
-the command parser leaves over, which it reports with the top-level usage.
-Both are declared from one table, so their output is the same byte for
-byte.
+A call builds only its command's parser, once per process, and later
+``main`` calls reuse it.  The full parser, also built once, answers only
+top-level help, no or an unknown command, and arguments the command parser
+leaves over, which it reports with the top-level usage.  Both come from one
+table of commands.  Parsing does not change a parser, and its usage errors
+and help go to ``sys.stderr`` and ``sys.stdout`` as they are when printed.
 """
 
 from __future__ import annotations

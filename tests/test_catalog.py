@@ -203,7 +203,6 @@ def test_catalog_build_validates_no_expression(monkeypatch):
     assert len(calls) == 1  # it counts
     calls.clear()
     # no entry built yet: a cold, full build
-    monkeypatch.setattr(catalog_module, "_CATALOG", None)
     monkeypatch.setattr(catalog_module, "_INDEX", {})
     assert len(catalog_build()) == 101
     assert len(catalog_module._INDEX) == 101
@@ -218,7 +217,6 @@ LAZY_IDS = ["koebe", "s1_koebe", "t6_re_halfplane_im_koebe", "f3_cv1", "f9_cv1",
 
 @pytest.mark.parametrize("lookup_first", [True, False], ids=["lookup", "build"])
 def test_lookup_and_build_share_one_entry_per_id(monkeypatch, lookup_first):
-    monkeypatch.setattr(catalog_module, "_CATALOG", None)
     monkeypatch.setattr(catalog_module, "_INDEX", {})
     if lookup_first:
         looked = [catalog_lookup(i) for i in LAZY_IDS]
@@ -241,7 +239,6 @@ def test_lookup_and_build_share_one_entry_per_id(monkeypatch, lookup_first):
 
 
 def test_lookup_builds_only_what_it_needs(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(catalog_module, "_CATALOG", None)
     monkeypatch.setattr(catalog_module, "_INDEX", {})
     assert main(["expand", "koebe", "3"]) == 0
     assert "h: 0 1 2 3" in capsys.readouterr().out
@@ -258,7 +255,6 @@ def test_lookup_builds_only_what_it_needs(monkeypatch, capsys, tmp_path):
     assert len(catalog_module._INDEX) == 4
     assert main(["render", "no_such_entry", str(tmp_path / "x.svg")]) == 2
     assert "unknown catalog id 'no_such_entry'" in capsys.readouterr().err
-    assert catalog_module._CATALOG is None
 
 
 def test_boundary_descriptors_present():
