@@ -235,13 +235,13 @@ _CONFIG_FLAGS = (
     ("--tol", {"type": float}),
     _JSON,
 )
-_CATALOG_ID = {"help": "catalog id or expression"}
+_TARGET = {"help": "catalog id or expression"}
 
 # command -> (help, handler, arguments as (name, add_argument keywords))
 _COMMANDS = {
     "list": ("list catalog entries", _cmd_list, (("--family", {}), _JSON)),
     "expand": ("exact coefficient table", _cmd_expand, (
-        ("target", _CATALOG_ID),
+        ("target", _TARGET),
         ("count", {"type": int, "nargs": "?", "help": "highest coefficient index"}),
         *_CONFIG_FLAGS)),
     "shear": ("run the shear construction", _cmd_shear, (
@@ -251,7 +251,7 @@ _COMMANDS = {
         ("--show", {"type": int, "default": 12, "help": "coefficients to print"}),
         *_CONFIG_FLAGS)),
     "classify": ("exact coefficient classification", _cmd_classify, (
-        ("target", _CATALOG_ID), *_CONFIG_FLAGS)),
+        ("target", _TARGET), *_CONFIG_FLAGS)),
     "verify": ("run a claim-table verification suite", _cmd_verify, (
         ("theorem", {"choices": list(SUITES) + ["all"]}), *_CONFIG_FLAGS)),
     "render": ("render a map's disk image as SVG", _cmd_render, (
