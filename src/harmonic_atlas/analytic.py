@@ -193,6 +193,9 @@ class Poly:
         if self._floats is None:
             self._floats = tuple(complex(c) for c in reversed(self.coeffs))
         acc = 0j if not hasattr(z, "shape") else z * 0j
+        # out of place on purpose: on some numpy builds (AVX-512) an in-place
+        # complex multiply rounds differently in the last bit, and a value
+        # would then depend on the array around it
         for c in self._floats:
             acc = acc * z + c
         return acc
@@ -266,15 +269,17 @@ def near_pole(z, poles: np.ndarray) -> np.ndarray:
 
 
 def masked_values(fn, zs, poles: np.ndarray):
-    """``(values, ok_mask)``: fn runs once, on the points of zs not near a
-    pole; the others (NaN) and non-finite values are masked out."""
+    """``(values, ok_mask)``: fn runs once, on every point of zs, and ok
+    marks the finite values.  A point near a pole is evaluated at 0 in its
+    place (every term is finite there: Q(0) != 0 and L(0) = 1), and its
+    value is set to NaN.  When no point is near a pole, zs goes to fn as it
+    is, with no copy; each value is bit for bit what fn gives at that point
+    alone, since fn works elementwise."""
     zs = np.asarray(zs, dtype=complex)
-    ok = ~near_pole(zs, poles)
-    vals = np.full(zs.shape, np.nan + 0j)
-    if np.any(ok):
-        vals[ok] = fn(zs[ok])
-    ok &= np.isfinite(vals)
-    return vals, ok
+    near = near_pole(zs, poles)
+    vals = np.asarray(fn(np.where(near, 0, zs) if near.any() else zs))
+    vals[near] = np.nan
+    return vals, np.isfinite(vals)
 
 
 def shared_values(*exprs) -> dict:
@@ -429,6 +434,8 @@ class AnalyticExpr:
             self._floats = tuple(complex(t.c) for t in self.terms)
         shared = {} if shared is None else shared
         acc = 0j if not hasattr(z, "shape") else z * 0j
+        # out of place, as in Poly.__call__: an in-place complex multiply can
+        # round differently, and in-place sums measured slower on `verify all`
         for t, c in zip(self.terms, self._floats):
             if isinstance(t, RationalTerm):
                 acc = acc + c * _value(t.num, z, shared) / _value(t.den, z, shared)

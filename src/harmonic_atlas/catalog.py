@@ -44,7 +44,8 @@ direction).
 Entries are built on lookup.  ``catalog_lookup`` builds and indexes only
 the entry it is asked for, and for a proof shear its twin; a shear's source
 is looked up when its map is first made.  ``catalog_build`` looks up every
-id, in catalog order.  Whichever call comes first, each id has one entry
+id, in catalog order; ``catalog_ids`` reads the families from the id
+table and builds nothing.  Whichever call comes first, each id has one entry
 object per process, so the maps an entry caches are shared by every caller.
 """
 
@@ -372,11 +373,12 @@ def _conformal_entry(cid, prefix="", family=None) -> CatalogEntry:
 
 @functools.cache
 def _makers() -> dict:
-    """Every id in catalog order, with the call that builds its entry."""
-    makers = {cid: (_conformal_entry, cid) for cid in _CONFORMAL}
+    """Every id in catalog order, with its family and the call that builds
+    its entry: id -> (family, make, *args)."""
+    makers = {cid: (row[1], _conformal_entry, cid) for cid, row in _CONFORMAL.items()}
     for family, cids in (("S1", _S1), ("T3", _T3), ("T5", _T5)):
         prefix = family.lower() + "_"
-        makers.update({prefix + cid: (_conformal_entry, cid, prefix, family)
+        makers.update({prefix + cid: (family, _conformal_entry, cid, prefix, family)
                        for cid in cids})
     rows = [("T4", "real", suffix, row[0], *row[2:]) for suffix, row in _T4.items()]
     rows += [("T6", "imag", suffix, _T4[suffix][0], src, sign, True, None)
@@ -385,15 +387,15 @@ def _makers() -> dict:
     for row in rows:
         family, axis, suffix, _, src, sign, _, _ = row
         twins[src, sign, axis] = entry_id = f"{family.lower()}_{suffix}"
-        makers[entry_id] = (_nonconformal_entry, *row)
+        makers[entry_id] = (family, _nonconformal_entry, *row)
     for axis, tag, sources in (("real", "cv1", _CV1_SOURCES),
                                ("imag", "cvi", _CVI_SOURCES)):
         family = f"PROOF_{tag.upper()}"
         for idx, source_id in enumerate(sources):
             for sign in (+1, -1):
                 k = 2 * idx + (1 if sign > 0 else 2)
-                makers[f"f{k}_{tag}"] = (_proof_entry, f"f{k}_{tag}", family, k,
-                                         source_id, sign, axis,
+                makers[f"f{k}_{tag}"] = (family, _proof_entry, f"f{k}_{tag}", family,
+                                         k, source_id, sign, axis,
                                          twins.get((source_id, sign, axis)))
     return makers
 
@@ -412,7 +414,7 @@ def catalog_lookup(entry_id: str) -> CatalogEntry:
     entry = _INDEX.get(entry_id)
     if entry is None:
         try:
-            make, *args = _makers()[entry_id]
+            _, make, *args = _makers()[entry_id]
         except KeyError:
             raise UnknownId(entry_id) from None
         entry = _INDEX[entry_id] = make(*args)
@@ -420,7 +422,9 @@ def catalog_lookup(entry_id: str) -> CatalogEntry:
 
 
 def catalog_ids(family: str | None = None) -> list[str]:
-    return [e.id for e in catalog_build() if family is None or e.family == family]
+    """Ids in catalog order, of one family if given; builds no entry."""
+    return [eid for eid, (fam, *_) in _makers().items()
+            if family is None or fam == family]
 
 
 def export_atlas() -> dict:

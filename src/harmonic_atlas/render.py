@@ -6,12 +6,18 @@ per curve, 6-decimal coordinates, and byte-identical output for identical
 inputs.  Points that sit within the pole guard of a closed form are
 dropped and leave gaps in the path rather than being interpolated across.
 
-Cost: the map is evaluated in two batches, one ``eval_masked`` call for
-the circles and the near-boundary circle together and one for all the
-rays, and each batch's path text is written by one vectorised pass.  A
-batch evaluates h and g together: each distinct polynomial and log of the
-two is computed once (a shear's g repeats every term of h), and the pole
-test, screened by radius, tests no pole of the catalog inside r_max = 0.95.
+Cost: a render is one pass over the whole polar grid.  The sample points
+of every curve, the circles and the near-boundary circle, then the rays,
+form one read-only array (``_grid``, kept for the last options rendered),
+the map is evaluated on it by one ``eval_masked`` call, every curve's path
+text is written by one vectorised pass over those values, the viewport is
+taken from the same values, and the document is joined once.  The batch
+evaluates h and g together: each distinct polynomial and log of the two is
+computed once (a shear's g repeats every term of h).  The pole test,
+screened by radius, tests no pole of the catalog inside r_max = 0.95, and
+with no point near a pole the points go to the map uncopied, with no
+gather or scatter.  Each value is bit for bit what the map gives at that
+point alone, so one batch draws what a batch per curve would.
 ``RenderOptions`` caps a render at 2**20 sampled points, (circles + rays
 + 1) * samples_per_curve, so an oversized request fails before anything
 is allocated.
@@ -188,52 +194,48 @@ def _path_data(vals: np.ndarray, ok: np.ndarray, close: bool) -> str:
     return _path_texts(vals, ok, [len(vals)], [close])[0]
 
 
+@functools.lru_cache(maxsize=1)
+def _grid(circles: int, rays: int, r_max: float, n: int) -> np.ndarray:
+    """Sample points of every curve, n each, read-only: the circles, the
+    near-boundary circle at r_max, then the rays."""
+    ring = np.exp(2j * np.pi * np.arange(n) / n)
+    ts = np.linspace(0.0, r_max, n)
+    zs = np.concatenate([r_max * k / (circles + 1) * ring for k in range(1, circles + 1)]
+                        + [r_max * ring]
+                        + [ts * np.exp(2j * np.pi * j / rays) for j in range(rays)])
+    zs.flags.writeable = False
+    return zs
+
+
 def render_svg(F, opts: RenderOptions = RenderOptions()) -> str:
     """Render the image of the polar grid under F as an SVG document."""
-    n = opts.samples_per_curve
-    ring = np.exp(2j * np.pi * np.arange(n) / n)
-    ts = np.linspace(0.0, opts.r_max, n)
-    # two batches of n-point curves, each evaluated and written in one pass:
-    # the circles and the near-boundary circle (closed), then the rays
-    circles = np.concatenate([opts.r_max * k / (opts.circles + 1) * ring
-                              for k in range(1, opts.circles + 1)]
-                             + [opts.r_max * ring])
-    rays = np.concatenate([ts * np.exp(2j * np.pi * j / opts.rays)
-                           for j in range(opts.rays)])
-    texts, finite_pts = [], []
-    for zs, count, close in ((circles, opts.circles + 1, True),
-                             (rays, opts.rays, False)):
-        vals, ok = F.eval_masked(zs)  # ok only where the value is finite
-        texts.append(_path_texts(vals, ok, [n] * count, [close] * count))
-        finite_pts.append(vals[ok])
-    (*circle_paths, boundary_path), ray_paths = texts
-    # (path_data, is_boundary) in drawing order: circles, rays, boundary
-    curves = ([(d, False) for d in circle_paths + ray_paths]
-              + [(boundary_path, True)])
+    n, closed = opts.samples_per_curve, opts.circles + 1
+    vals, ok = F.eval_masked(_grid(opts.circles, opts.rays, opts.r_max, n))
+    paths = _path_texts(vals, ok, [n] * (closed + opts.rays),
+                        [True] * closed + [False] * opts.rays)
+    # drawing order: circles, rays, boundary
+    paths.append(paths.pop(opts.circles))
 
     if opts.viewport is not None:
         xmin, xmax, ymin, ymax = opts.viewport
     else:
-        pts = np.concatenate(finite_pts)
+        pts = vals[ok]  # ok only where the value is finite
         xmin, xmax = float(np.min(pts.real)), float(np.max(pts.real))
         ymin, ymax = float(np.min(pts.imag)), float(np.max(pts.imag))
     pad = 0.05 * max(xmax - xmin, ymax - ymin, 1e-9)
     x0, y0 = xmin - pad, -(ymax + pad)
     w, h = (xmax - xmin) + 2 * pad, (ymax - ymin) + 2 * pad
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{opts.size}" height="{opts.size}" '
-        f'viewBox="{x0:.6f} {y0:.6f} {w:.6f} {h:.6f}">',
-    ]
     scale = w / opts.size
-    for data, is_boundary in curves:
-        if not data:
-            continue
-        stroke = "#202020" if is_boundary else "#7a8aa0"
-        width = (opts.boundary_stroke if is_boundary else opts.grid_stroke) * scale
-        lines.append(f'<path d="{data}" fill="none" stroke="{stroke}" '
-                     f'stroke-width="{width:.6f}"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    style = '" fill="none" stroke="{}" stroke-width="{:.6f}"/>\n'
+    tails = ([style.format("#7a8aa0", opts.grid_stroke * scale)] * (len(paths) - 1)
+             + [style.format("#202020", opts.boundary_stroke * scale)])
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>\n'
+             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             f'width="{opts.size}" height="{opts.size}" '
+             f'viewBox="{x0:.6f} {y0:.6f} {w:.6f} {h:.6f}">\n']
+    for data, tail in zip(paths, tails):
+        if data:  # an empty path is left out
+            parts += ['<path d="', data, tail]
+    parts.append("</svg>\n")
+    return "".join(parts)

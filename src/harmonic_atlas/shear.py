@@ -91,8 +91,9 @@ class HarmonicMap:
     def eval_masked(self, zs: np.ndarray):
         """Vectorized f(z) returning ``(values, ok_mask)``, for plotting.
 
-        One pole mask covers h and g, and both are evaluated once on the
-        unmasked points; a point whose value is not finite is masked too.
+        One pole mask covers h and g, and both are evaluated once, on every
+        point (``masked_values``); a point whose value is not finite is
+        masked too.
         """
         h, g = self._closed("h"), self._closed("g")
         return masked_values(lambda w: self._f(h, g, w), zs,

@@ -1,6 +1,9 @@
 """Catalog: cardinalities, invariants, lookups, atlas export."""
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -159,9 +162,31 @@ def test_t6_rows_take_h_and_g_from_their_t4_namesakes():
         assert t6.recipe.axis == "imag" and t4.recipe.axis == "real"
 
 
-def test_catalog_ids_filter():
+def test_catalog_ids_filter(catalog):
     assert len(catalog_ids("T4")) == 6
-    assert len(catalog_ids()) == 101
+    assert catalog_ids() == [e.id for e in catalog]
+    for family in {e.family for e in catalog}:
+        assert catalog_ids(family) == [e.id for e in catalog if e.family == family]
+
+
+def test_verify_t31_builds_only_the_entries_it_reads():
+    # T31 reads the 9 S_Z and 2 T2 entries, and catalog_ids takes the
+    # families from the id table, so a fresh process builds no other entry
+    script = "\n".join((
+        "import contextlib, io",
+        "from harmonic_atlas import catalog",
+        "from harmonic_atlas.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['verify', 'T31']) == 0",
+        "print(*catalog._INDEX)",
+    ))
+    src = str(Path(catalog_module.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    built = out.stdout.split()
+    assert len(built) == 11
+    assert sorted(built) == sorted(catalog_ids("S_Z") + catalog_ids("T2"))
 
 
 def test_atlas_export_roundtrip():

@@ -125,10 +125,10 @@ def test_render_matches_recorded_digest(eid):
 
 
 def test_render_computes_each_distinct_value_once_per_batch(monkeypatch):
-    # a render evaluates f = h + conj(g) in two batches (circles with the
-    # boundary, then the rays); within one, each distinct polynomial of h and
-    # g is Horner-evaluated once and each distinct log argument goes through
-    # np.log once, though g repeats h's terms as separately built objects
+    # a render evaluates f = h + conj(g) in one batch, all curves together;
+    # within it, each distinct polynomial of h and g is Horner-evaluated once
+    # and each distinct log argument goes through np.log once, though g
+    # repeats h's terms as separately built objects
     horner, logs, batches = [], [], []
     plain_call, plain_log = Poly.__call__, np.log
     plain_masked = HarmonicMap.eval_masked
@@ -160,10 +160,9 @@ def test_render_computes_each_distinct_value_once_per_batch(monkeypatch):
         assert len(args) == n_args, eid
         batches.clear()
         render_svg(fm)
-        assert len(batches) == 2, eid
-        for calls, n_logs in batches:
-            assert set(calls) == polys and set(calls.values()) == {1}, eid
-            assert n_logs == n_args, eid
+        [(calls, n_logs)] = batches
+        assert set(calls) == polys and set(calls.values()) == {1}, eid
+        assert n_logs == n_args, eid
 
 
 def test_render_peak_memory():

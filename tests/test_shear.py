@@ -265,6 +265,19 @@ _SUM_MAPS = {eid: catalog_lookup(eid).harmonic_map(16)
                          "t4_conj_sq_plus")}
 
 
+def _sum_map_points(poles: np.ndarray, max_size: int = 40):
+    """Point arrays for a map with these poles: points of the disk, NaN,
+    and points within 3 EPS_POLE of a pole."""
+    points = [st.builds(lambda r, t: r * cmath.exp(1j * t),
+                        st.floats(0, 0.999), st.floats(0, 2 * math.pi)),
+              st.just(complex(math.nan, 0))]
+    if poles.size:
+        points.append(st.builds(lambda p, d: complex(p) + d, st.sampled_from(list(poles)),
+                                st.complex_numbers(max_magnitude=3 * EPS_POLE)))
+    return st.lists(st.one_of(points), min_size=1, max_size=max_size).map(
+        lambda zs: np.array(zs, dtype=complex))
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), eid=st.sampled_from(sorted(_SUM_MAPS)))
 def test_eval_masked_equals_h_plus_conj_g_at_unmasked_points(data, eid):
@@ -272,14 +285,7 @@ def test_eval_masked_equals_h_plus_conj_g_at_unmasked_points(data, eid):
     # h and g evaluated apart; eval takes the same route
     fm = _SUM_MAPS[eid]
     poles = np.concatenate([fm.h_expr.pole_points, fm.g_expr.pole_points])
-    points = [st.builds(lambda r, t: r * cmath.exp(1j * t),
-                        st.floats(0, 0.999), st.floats(0, 2 * math.pi)),
-              st.just(complex(math.nan, 0))]
-    if poles.size:
-        points.append(st.builds(lambda p, d: complex(p) + d, st.sampled_from(list(poles)),
-                                st.complex_numbers(max_magnitude=3 * EPS_POLE)))
-    zs = np.array(data.draw(st.lists(st.one_of(points), min_size=1, max_size=40)),
-                  dtype=complex)
+    zs = data.draw(_sum_map_points(poles))
     with np.errstate(all="ignore"):
         vals, ok = fm.eval_masked(zs)
         hv, ok_h = fm.h_expr.eval_masked(zs)
@@ -291,6 +297,23 @@ def test_eval_masked_equals_h_plus_conj_g_at_unmasked_points(data, eid):
     if pole_mask_bruteforce(zs, poles, EPS_POLE).any():
         with np.errstate(all="ignore"), pytest.raises(NearPole):
             fm.eval(zs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), eid=st.sampled_from(sorted(_SUM_MAPS)))
+def test_eval_masked_of_a_concatenation_is_the_concatenation(data, eid):
+    # a render evaluates all its curves in one batch: each value and mask bit
+    # must not depend on the other points of the batch or where it sits in it
+    fm = _SUM_MAPS[eid]
+    poles = np.concatenate([fm.h_expr.pole_points, fm.g_expr.pole_points])
+    parts = data.draw(st.lists(_sum_map_points(poles, max_size=24), min_size=2, max_size=3))
+    with np.errstate(all="ignore"):
+        vals, ok = fm.eval_masked(np.concatenate(parts))
+        apart = [fm.eval_masked(zs) for zs in parts]
+    want_vals = np.concatenate([v for v, _ in apart])
+    want_ok = np.concatenate([k for _, k in apart])
+    assert np.array_equal(ok, want_ok)
+    assert vals[ok].tobytes() == want_vals[ok].tobytes()
 
 
 def test_dilatation_check_counterexample():
