@@ -269,12 +269,10 @@ def near_pole(z, poles: np.ndarray) -> np.ndarray:
 
 
 def masked_values(fn, zs, poles: np.ndarray):
-    """``(values, ok_mask)``: fn runs once, on every point of zs, and ok
-    marks the finite values.  A point near a pole is evaluated at 0 in its
-    place (every term is finite there: Q(0) != 0 and L(0) = 1), and its
-    value is set to NaN.  When no point is near a pole, zs goes to fn as it
-    is, with no copy; each value is bit for bit what fn gives at that point
-    alone, since fn works elementwise."""
+    """``(values, ok_mask)``: fn runs once, on all of zs, with 0 in place of
+    a point near a pole (every term is finite at 0: Q(0) != 0, L(0) = 1)
+    and NaN as that point's value; ok marks the finite values.  With no
+    point near a pole, zs reaches fn uncopied."""
     zs = np.asarray(zs, dtype=complex)
     near = near_pole(zs, poles)
     vals = np.asarray(fn(np.where(near, 0, zs) if near.any() else zs))

@@ -6,18 +6,15 @@ per curve, 6-decimal coordinates, and byte-identical output for identical
 inputs.  Points that sit within the pole guard of a closed form are
 dropped and leave gaps in the path rather than being interpolated across.
 
-Cost: a render is one pass over the whole polar grid.  The sample points
-of every curve, the circles and the near-boundary circle, then the rays,
-form one read-only array (``_grid``, kept for the last options rendered),
-the map is evaluated on it by one ``eval_masked`` call, every curve's path
-text is written by one vectorised pass over those values, the viewport is
-taken from the same values, and the document is joined once.  The batch
-evaluates h and g together: each distinct polynomial and log of the two is
-computed once (a shear's g repeats every term of h).  The pole test,
-screened by radius, tests no pole of the catalog inside r_max = 0.95, and
-with no point near a pole the points go to the map uncopied, with no
-gather or scatter.  Each value is bit for bit what the map gives at that
-point alone, so one batch draws what a batch per curve would.
+Cost: a render is one pass over the polar grid: one read-only array of
+every curve's sample points (``_grid``, cached for the last options), one
+``eval_masked`` call on it, one vectorised text pass for all the paths,
+the viewport from the same values and one join of the document.  The
+batch evaluates h and g together, each distinct polynomial and log of the
+two once (a shear's g repeats every term of h).  The pole test, screened
+by radius, tests no catalog pole inside r_max = 0.95, so the points reach
+the map uncopied.  No value depends on the other points of the batch, so
+one batch draws what a batch per curve would.
 ``RenderOptions`` caps a render at 2**20 sampled points, (circles + rays
 + 1) * samples_per_curve, so an oversized request fails before anything
 is allocated.

@@ -164,6 +164,7 @@ def test_t6_rows_take_h_and_g_from_their_t4_namesakes():
 
 def test_catalog_ids_filter(catalog):
     assert len(catalog_ids("T4")) == 6
+    assert len(catalog_ids()) == 101
     assert catalog_ids() == [e.id for e in catalog]
     for family in {e.family for e in catalog}:
         assert catalog_ids(family) == [e.id for e in catalog if e.family == family]
