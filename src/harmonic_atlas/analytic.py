@@ -9,9 +9,9 @@ exact division, log terms by integrating L'/L).
 Construction enforces the invariants the rest of the package relies on:
 
 * denominators and log arguments are zero-free on the open unit disk
-  (a numeric companion-matrix root check rejects roots with
-  |z| < 1 - ``_DISK_MARGIN`` = 1 - 1e-4, so a root closer to the circle
-  passes);
+  (a numeric check rejects roots with |z| < 1 - ``_DISK_MARGIN`` =
+  1 - 1e-4, so a root closer to the circle passes; the roots are the
+  companion-matrix roots of the squarefree factors, see ``_poly_roots``);
 * rational terms are normalized so the denominator does not vanish at 0
   (common z^k factors cancel, otherwise ``PoleAtOrigin``);
 * log arguments satisfy L(0) = 1 exactly, so their series have constant
@@ -70,9 +70,9 @@ from .numkernel import GaussRational, Series, gauss
 __all__ = ["Poly", "RationalTerm", "LogTerm", "AnalyticExpr"]
 
 EPS_POLE = 1e-6
-# Companion-matrix roots of a multiplicity-m factor scatter by ~eps^(1/m)
-# (about 1e-5 for the cubes the catalog uses), so the inside-the-disk
-# rejection needs a coarser margin than the evaluation pole guard.
+# The inside-the-disk rejection's slack for rounded roots; the roots of
+# squarefree factors are accurate to about machine epsilon, so an exact
+# zero-free test can replace it.
 _DISK_MARGIN = 1e-4
 
 
@@ -304,11 +304,29 @@ def _value(key, z, shared: dict):
     return v
 
 
+@lru_cache(maxsize=256)  # the catalog's 311 denominators and log arguments are 13 polynomials
 def _poly_roots(p: Poly) -> np.ndarray:
-    if p.degree < 1:
-        return np.empty(0, dtype=complex)
-    coeffs = [complex(c) for c in reversed(p.coeffs)]
-    return np.roots(coeffs)
+    """The p.degree roots of p, each repeated by its multiplicity (read-only).
+
+    Each root comes from a factor of Yun's squarefree factorization, whose
+    roots are simple, so ``np.roots`` finds them to about machine epsilon;
+    on p itself it scatters an m-fold root by about eps**(1/m)."""
+    roots = [np.empty(0, dtype=complex)]
+    if p.degree > 0:
+        g = p.gcd(p.derivative())
+        b = divmod(p, g)[0]
+        d = divmod(p.derivative(), g)[0] - b.derivative()
+        m = 1
+        while b.degree > 0:  # b: the product of the factors of multiplicity >= m
+            a = b.gcd(d)  # the factor of multiplicity m
+            if a.degree > 0:
+                roots += [np.roots([complex(c) for c in reversed(a.coeffs)])] * m
+            b = divmod(b, a)[0]
+            d = divmod(d, a)[0] - b.derivative()
+            m += 1
+    out = np.concatenate(roots)
+    out.flags.writeable = False
+    return out
 
 
 class AnalyticExpr:
@@ -445,8 +463,7 @@ class AnalyticExpr:
         """Vectorized evaluation returning ``(values, ok_mask)``.
 
         Points within ``EPS_POLE`` of a pole (``eval``'s screened test) are
-        masked out instead of raising, and so are non-finite values, such as
-        at a multiple root whose computed roots scatter wider than that.
+        masked out instead of raising, and so are non-finite values.
         """
         return masked_values(lambda w: self.eval(w, check=False), zs,
                              self.pole_points)

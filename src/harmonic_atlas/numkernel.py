@@ -479,16 +479,6 @@ class Series:
             out.append(_reduced(c._a, c._b, c._d * n))
         return Series._of(out)
 
-    def compose_linear(self, c) -> "Series":
-        """Substitute z -> c*z: coefficient n picks up a factor c^n."""
-        c = gauss(c)
-        out = []
-        power = _ONE
-        for coeff in self.coeffs:
-            out.append(power * coeff)
-            power = power * c
-        return Series._of(out)
-
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:8])
         more = ", ..." if self.order > 7 else ""

@@ -23,11 +23,17 @@ The path text is byte for byte what ``"%.6f"`` prints.  For a coordinate
 x, q = |x| * 1e6 is the correctly rounded product, within half an ulp of
 the exact value, so n = rint(q) is the integer "%.6f" rounds to unless q
 lies within 2 ulp of a half-integer (an exact tie such as 0.0078125 among
-them).  The sign is signbit(x), so -0.0 and -1e-9 print "-0.000000".  The
-digits of n fill a fixed NUL-padded slot from tables of four-digit ASCII
-words, and one ``bytes.translate`` per curve drops the padding.  Values
-near a tie, NaN, infinities and |x| >= 1e6 are formatted by "%.6f" itself,
-one at a time; none of the coordinates of the catalog's renders is.
+them).  One bound serves the whole batch: 2**-51 times its largest q is at
+least 2 ulp of every q.  The sign is signbit(x), so -0.0 and -1e-9 print
+"-0.000000".  Each coordinate is a row of four uint32 words, 16 bytes:
+prefix and sign, the integer digits, "." and two decimals, four decimals,
+filled from tables of four-digit ASCII words with NUL where nothing is
+printed; one ``bytes.translate`` per curve drops the NULs.  When some
+|x| reaches 1e4 (n >= 1e10), every row of the batch takes a second word
+of integer digits.  Values near a tie, NaN, infinities and |x| >=
+999999.9999995 are formatted by "%.6f" itself, one at a time, and the rows
+widen to the longest of them; 4 of the 2.38 M coordinates of the
+catalog's 93 renders at the default options are.
 """
 
 from __future__ import annotations
@@ -75,6 +81,9 @@ class RenderOptions:
                 raise ValueError("viewport must have xmin < xmax and ymin < ymax")
 
 
+_MINUS = np.frombuffer(b"\0\0-\0", dtype=np.uint32)[0]  # the sign word of x < 0
+
+
 @functools.cache
 def _digit_words() -> tuple[np.ndarray, ...]:
     """Digit tables, four ASCII bytes (one uint32 word) per entry, NUL where
@@ -96,52 +105,58 @@ def _digit_words() -> tuple[np.ndarray, ...]:
 def _fixed6(c: np.ndarray) -> np.ndarray:
     """Row i is "%.6f" % c[i] in ASCII, NUL where no character is printed.
 
-    A row is five uint32 words: two NUL bytes left for a prefix, the sign
-    and a NUL; two integer digits; four integer digits; "." and two
-    decimals; four decimals.  q = |x|*1e6 is within half an ulp of the
-    exact product, so n = rint(q) is the correctly rounded integer "%.6f"
-    prints unless q lies within 2 ulp of a half-integer.  Those values,
-    NaN, infinities and |x| >= 1e6 are formatted by "%.6f" itself, and
-    the rows widen to the longest of them.
+    A row is uint32 words: two NUL bytes left for a prefix, the sign and a
+    NUL; the integer digits; "." and two decimals; four decimals.  The
+    integer digits take one word (``lead``) while every n below is under
+    1e10, and two (``top``, then ``pad`` or ``lead``) when one lies in
+    [1e10, 1e12).  q = |x|*1e6 is within half an ulp of the exact product,
+    so n = rint(q) is the correctly rounded integer "%.6f" prints unless q
+    lies within 2 ulp of a half-integer; 2**-51 times the batch's largest q
+    is at least that for every q.  Those values are formatted by "%.6f"
+    itself, and so are NaN, infinities and |x| >= 999999.9999995, which
+    the clamp sends to q = 999999999999.5 exactly, a tie; the rows widen to
+    the longest of their texts.
     """
     q = np.abs(c)
-    fits = q < 1e6  # False for NaN and infinities
-    q[~fits] = 0.0
+    np.fmin(q, 999999.9999995, out=q)  # NaN too
     q *= 1e6
-    n = np.rint(q)
-    fits &= n < 1e12
-    tol = np.spacing(q)
-    tol *= 2
+    n = np.empty(c.size, dtype=np.int64)
+    np.rint(q, out=n, casting="unsafe")
+    tol = 2.0**-51 * q.max(initial=0.0)
     q -= n  # exact, and at most 1/2 in size
     np.abs(q, out=q)
-    q -= 0.5
-    np.abs(q, out=q)
-    undecided = np.flatnonzero(~fits | (q <= tol))
-    del q, tol, fits  # the dels here and below keep a render's peak memory low
-    n[undecided] = 0.0  # their rows are written below, from "%.6f"
+    undecided = np.flatnonzero(q >= 0.5 - tol)
+    n[undecided] = 0  # their rows are written below, from "%.6f"
     texts = [("%.6f" % x).encode() for x in c[undecided].tolist()]
+    wide = n.max(initial=0) >= 10**10
+    width = max([20 if wide else 16, *(2 + len(t) for t in texts)])
+    out = np.empty((c.size, -(-width // 4)), dtype=np.uint32)
+    np.multiply(np.signbit(c), _MINUS, out=out[:, 0])
+    # each group of digits is divided off n into k (q's memory), looked up,
+    # then multiplied back in place and subtracted from n
     pad, lead, top, dot = _digit_words()
-    width = max([20, *(2 + len(t) for t in texts)])
-    out = np.zeros((c.size, -(-width // 4)), dtype=np.uint32)
-    # n < 1e12 splits exactly into groups of 2, 4, 2 and 4 digits
-    group = np.floor(n / 1e10)
-    n -= group * 1e10
-    padded = group > 0
-    out[:, 1] = top[group.astype(np.intp)]
-    np.floor(n / 1e6, out=group)
-    n -= group * 1e6
-    idx = group.astype(np.intp)
-    out[:, 2] = np.where(padded, pad[idx], lead[idx])
-    np.floor(n / 1e4, out=group)
-    n -= group * 1e4
-    out[:, 3] = dot[group.astype(np.intp)]
-    out[:, 4] = pad[n.astype(np.intp)]
+    k = q.view(np.int64)
+    col = 1
+    if wide:  # top is NUL for 0, and the four digits below it are padded if not
+        np.floor_divide(n, 10**10, out=k)
+        out[:, 1] = top[k]
+        k *= 10**10
+        n -= k
+        col = 2
+    np.floor_divide(n, 10**6, out=k)
+    out[:, col] = np.where(out[:, 1] != 0, pad[k], lead[k]) if wide else lead[k]
+    k *= 10**6
+    n -= k
+    np.floor_divide(n, 10**4, out=k)
+    out[:, col + 1] = dot[k]
+    k *= 10**4
+    n -= k
+    out[:, col + 2] = pad[n]
+    out[:, col + 3:] = 0
     text = out.view(np.uint8)
-    text[:, 2] = np.signbit(c)
-    text[:, 2] *= ord("-")
-    for i, t in zip(undecided.tolist(), texts):
-        text[i, 2:] = 0
-        text[i, 2:2 + len(t)] = np.frombuffer(t, np.uint8)
+    for row, t in zip(undecided.tolist(), texts):
+        text[row, 2:] = 0
+        text[row, 2:2 + len(t)] = np.frombuffer(t, np.uint8)
     return text
 
 
@@ -159,27 +174,24 @@ def _path_texts(vals: np.ndarray, ok: np.ndarray, sizes, close) -> list[str]:
     first = np.cumsum(lens) - lens  # where each curve starts once closed
     take = np.arange(int(lens.sum())) - np.repeat(first - starts, lens)
     take[first[shut] + sizes[shut]] = starts[shut]
-    ok = np.asarray(ok, dtype=bool)[take]
-    # a run starts at an unmasked point after a masked one or a curve start
-    inside = np.zeros(ok.shape, dtype=bool)
-    inside[1:] = ok[:-1]
-    inside[first[lens > 0]] = False
-    keep = np.flatnonzero(ok)
-    rows = np.concatenate(([0], np.cumsum(ok)))[np.append(first, ok.size)]
-    inside = inside[keep]
-    take = take[keep]
-    del keep, ok
+    keep = np.flatnonzero(np.asarray(ok, dtype=bool)[take])
+    rows = np.searchsorted(keep, np.append(first, take.size))  # curve k: rows[k:k+2]
+    heads = rows[:-1][rows[:-1] < rows[1:]]  # nonempty curves' first rows
+    # a run goes on where the point before is kept, within the curve
+    inside = np.empty(keep.size, dtype=bool)
+    inside[:1] = False
+    np.equal(np.diff(keep), 1, out=inside[1:])
+    inside[heads] = False
 
-    coords = np.empty((take.size, 2))
-    coords[:, 0] = vals.real[take]
-    coords[:, 1] = vals.imag[take]
-    np.negative(coords[:, 1], out=coords[:, 1])
-    text = _fixed6(coords.reshape(-1))
-    del coords
-    text = text.reshape(take.size, 2, text.shape[1])
+    xy = vals[take[keep]].view(np.float64)  # x and y in turn
+    del take, keep
+    np.negative(xy[1::2], out=xy[1::2])
+    text = _fixed6(xy)
+    del xy
+    text = text.reshape(inside.size, 2, text.shape[1])
     # prefixes: " M" at a run start ("M" at a curve's first), " L", "," before y
     text[:, 0, 0] = ord(" ")
-    text[rows[:-1][rows[:-1] < rows[1:]], 0, 0] = 0  # nonempty curves' first rows
+    text[heads, 0, 0] = 0
     text[:, 0, 1] = np.where(inside, ord("L"), ord("M"))
     text[:, 1, 1] = ord(",")
     return [text[a:b].tobytes().translate(None, b"\0").decode("ascii")

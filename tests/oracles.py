@@ -65,6 +65,15 @@ def quotient_rule(num, den):
     return sub(mul(deriv(num), den), mul(num, deriv(den))), mul(den, den)
 
 
+def compose_linear(coeffs, c):
+    """Coefficients of f(c z) from those of f(z): the n-th picks up c**n."""
+    out, power = [], 1
+    for coeff in coeffs:
+        out.append(coeff * power)
+        power = power * c
+    return out
+
+
 def gaussian_long_division(num, den, order):
     """Coefficients of num(z)/den(z) over Q(i), by real long division.
 

@@ -20,9 +20,9 @@ from harmonic_atlas import (
     PoleAtOrigin, Series, catalog_ids, catalog_lookup, default_grid, parse_any,
 )
 from harmonic_atlas.analytic import (
-    EPS_POLE, LogTerm, RationalTerm, _term_series, near_pole,
+    EPS_POLE, LogTerm, RationalTerm, _poly_roots, _term_series, near_pole,
 )
-from oracles import long_division_series, pole_mask_bruteforce, quotient_rule
+from oracles import compose_linear, long_division_series, pole_mask_bruteforce, quotient_rule
 
 F = Fraction
 
@@ -99,12 +99,14 @@ def test_eval_near_pole_raises():
         KOEBE.eval(1.0 - 1e-9)
 
 
-FAR_POLE = AnalyticExpr.rational(1, Z, P(1, -1 / GaussRational(10**12, 3000133307)))
+# the root of a monic linear factor, so its pole 10**12 + 3000332175 i is
+# exact; chosen so that np.abs rounds |q| and |z| apart at z = q - 4.8e-7 i
+FAR_POLE = AnalyticExpr.rational(1, Z, P(1, -1 / GaussRational(10**12, 3000332175)))
 NEAR_POLE_EXPRS = [KOEBE, HSLITS, HSLITS_WIDE,
                    AnalyticExpr.log(1, P(1, -1)) + HSLITS,
-                   # 12 pole points scattered about z = 1, down to |p| = 0.918
+                   # a 5-fold pole at z = 1, its point repeated 5 times
                    catalog_lookup("f9_cv1").h.derivative().derivative(),
-                   # a pole at 1e12 + 3.0001e9 i, where neighbouring values of
+                   # a pole at 1e12 + 3.0003e9 i, where neighbouring values of
                    # |z| lie 1.2e-4 apart
                    FAR_POLE]
 _SHAPES = {"scalar": lambda zs: zs[0], "0-d": lambda zs: np.array(zs[0]),
@@ -145,7 +147,7 @@ def test_eval_raises_near_pole_exactly_within_eps(data, e, shape):
 
 
 def test_pole_screen_allows_for_the_rounding_of_far_poles():
-    # z lies 5e-7 from the pole q, but np.abs rounds |q| and |z| 1.2e-4
+    # z lies 5e-7 from the pole q, but np.abs rounds |q| and |z| 2.4e-4
     # apart: a screen with a fixed 2 EPS_POLE slack would skip q
     (q,) = FAR_POLE.pole_points
     z = np.complex128(complex(q.real, np.nextafter(q.imag, 0)))
@@ -156,15 +158,43 @@ def test_pole_screen_allows_for_the_rounding_of_far_poles():
 
 
 def test_eval_masked_never_reports_a_non_finite_value():
-    # the computed roots of f9_cv1's triple pole scatter by about 1e-5 around
-    # z = 1, beyond EPS_POLE, so z = 1 passes the pole test; its value inf+nanj
-    # was reported ok
+    # z = 1, f9_cv1's triple pole, evaluates to inf+nanj; masked, it must not
+    # be reported ok (when np.roots of the cube scattered its roots by about
+    # 1e-5, only its value masked it)
     fm = catalog_lookup("f9_cv1").harmonic_map(8)
     z = np.array([1.0, 0.5])
     with np.errstate(all="ignore"):
         for vals, ok in (fm.h_expr.eval_masked(z), fm.eval_masked(z)):
             assert ok.tolist() == [False, True]
             assert not np.isfinite(vals[0]) and np.isfinite(vals[1])
+
+
+def test_eval_masked_masks_points_near_a_triple_pole():
+    # z = 1 + 5e-7 i lies within EPS_POLE of f9_cv1's triple pole z = 1;
+    # np.roots of the cube scattered the pole by about 1e-5, and the point
+    # was reported ok with a value of about -5.3e18 i
+    h = catalog_lookup("f9_cv1").harmonic_map(32).h_expr
+    vals, ok = h.eval_masked(np.array([1 + 5e-7j, 0.5]))
+    assert ok.tolist() == [False, True]
+    assert np.isnan(vals[0])
+
+
+# 1 - z, 1 + z, 1 - z^2, 1 + z^2, 1 - z + z^2, 1 + z + z^2: their roots are
+# the 1st, 2nd, 3rd, 4th and 6th roots of unity, shared between factors
+CIRCLE_FACTORS = [P(1, -1), P(1, 1), P(1, 0, -1), P(1, 0, 1), P(1, -1, 1), P(1, 1, 1)]
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=len(CIRCLE_FACTORS),
+                max_size=len(CIRCLE_FACTORS)))
+def test_roots_of_products_of_circle_factors(powers):
+    p = P(1)
+    for f, m in zip(CIRCLE_FACTORS, powers):
+        for _ in range(m):
+            p = p * f
+    roots = _poly_roots(p)
+    assert roots.size == p.degree
+    assert np.all(np.abs(np.abs(roots) - 1) < 1e-9)
 
 
 def test_eval_pole_check_builds_no_points_by_poles_array():
@@ -420,7 +450,7 @@ def test_neg_reflect_involution():
 def test_transform_matches_series_substitution():
     e = HSLITS_WIDE
     direct = e.transform("neg_reflect").series(20)
-    via_series = -(e.series(20).compose_linear(-1))
+    via_series = -Series(compose_linear(e.series(20).coeffs, -1))
     assert direct == via_series
 
 

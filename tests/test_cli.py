@@ -35,6 +35,14 @@ def test_expand_formula(capsys):
     assert "h: 0 1 1 0 -1 -1 0 1" in out
 
 
+def test_expand_quadruple_pole_on_the_circle(capsys):
+    # np.roots scattered the root -1 of (1+z)^4 to |z| = 0.99988, and the
+    # disk test rejected the expression
+    code, out, _ = run(capsys, "expand", "z/(1+z)^4", "4")
+    assert code == 0
+    assert "h: 0 1 -4 10 -20" in out
+
+
 def test_expand_f3(capsys):
     code, out, _ = run(capsys, "expand", "f3_cv1", "4")
     assert code == 0

@@ -165,6 +165,30 @@ def test_render_computes_each_distinct_value_once_per_batch(monkeypatch):
         assert n_logs == n_args, eid
 
 
+CLOSED_FORM_IDS = [eid for eid in EXPECTED["render_ids"]
+                   if EXPECTED["ops"][f"render {eid}"]["sha256"] is not None]
+
+
+@pytest.mark.parametrize("eid", CLOSED_FORM_IDS)
+def test_render_paths_match_reference_near_the_circle(eid):
+    # near the circle 94 points are masked near a pole and 2 coordinates
+    # reach 1e4 (two words of integer digits)
+    circles, rays, n, r_max = 3, 5, 37, 0.99999999
+    fm = catalog_lookup(eid).harmonic_map(32)
+    doc = render_svg(fm, RenderOptions(circles=circles, rays=rays, r_max=r_max,
+                                       samples_per_curve=n))
+    ring = np.exp(2j * np.pi * np.arange(n) / n)
+    ts = np.linspace(0.0, r_max, n)
+    curves = ([(r_max * k / (circles + 1) * ring, True) for k in range(1, circles + 1)]
+              + [(ts * np.exp(2j * np.pi * j / rays), False) for j in range(rays)]
+              + [(r_max * ring, True)])
+    vals, ok = fm.eval_masked(np.concatenate([zs for zs, _ in curves]))
+    want = [path_data_reference(vals[k * n:(k + 1) * n], ok[k * n:(k + 1) * n], close)
+            for k, (_, close) in enumerate(curves)]
+    got = [p.attrib["d"] for p in ET.fromstring(doc).findall(f"{SVG_NS}path")]
+    assert got == [d for d in want if d]
+
+
 def test_render_peak_memory():
     # on f9_cv1 the per-curve loop peaked at 1.66 MB, a single batch of all
     # 25 curves at about 3.1 MB; f18_cvi, whose h and g share five values,
@@ -219,10 +243,12 @@ def test_path_data_empty(close):
 
 
 # exact ties k/128; 1 ulp either side of 0.0000015; x*1e6 rounded onto a
-# tie that x is not on; too wide for the fixed slot; rounding to -0.000000;
-# not finite
+# tie that x is not on; either side of the switch to two words of integer
+# digits (x*1e6 rounds to 1e10); too wide for the fixed slot; rounding to
+# -0.000000; not finite
 HARD_COORDS = [0.0078125, 0.0234375,
                math.nextafter(0.0000015, 0.0), math.nextafter(0.0000015, 1.0), 3.5e-6,
+               9999.9999994, 9999.9999996, 1e4, -9999.9999994, -9999.9999996, -1e4,
                999999.9999995, 1e8, 1e16, 1e308,
                -1e-9, math.nan, math.inf, -math.inf]
 
@@ -237,6 +263,7 @@ def test_path_data_hard_values_match_percent_format(x):
 _COORDS = st.one_of(
     st.floats(),
     st.floats(min_value=-2e6, max_value=2e6),
+    st.floats(min_value=-2e4, max_value=2e4),  # one and two words of integer digits
     st.sampled_from([0.0, -0.0, 5e-7, -5e-7, 0.0000015, 2.5e-6, 1e6, -1e6 + 5e-7]
                     + HARD_COORDS),
 )
