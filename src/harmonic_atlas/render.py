@@ -28,12 +28,13 @@ least 2 ulp of every q.  The sign is signbit(x), so -0.0 and -1e-9 print
 "-0.000000".  Each coordinate is a row of four uint32 words, 16 bytes:
 prefix and sign, the integer digits, "." and two decimals, four decimals,
 filled from tables of four-digit ASCII words with NUL where nothing is
-printed; one ``bytes.translate`` per curve drops the NULs.  When some
-|x| reaches 1e4 (n >= 1e10), every row of the batch takes a second word
-of integer digits.  Values near a tie, NaN, infinities and |x| >=
-999999.9999995 are formatted by "%.6f" itself, one at a time, and the rows
-widen to the longest of them; 4 of the 2.38 M coordinates of the
-catalog's 93 renders at the default options are.
+printed; one ``bytes.translate`` per curve drops the NULs.  Values near a
+tie, |x| >= 9999.9999995 (n >= 1e10, more integer digits than the word
+holds), NaN and infinities are formatted by "%.6f" itself, one at a time.
+Their text is at most 14 bytes while |x| < 1e6, so the rows widen only
+for larger values, to the longest text.  4 of the 2.38 M coordinates of
+the catalog's 93 renders at the default options are formatted so, all
+near a tie: the largest |x| there is 9886.
 """
 
 from __future__ import annotations
@@ -88,34 +89,32 @@ _MINUS = np.frombuffer(b"\0\0-\0", dtype=np.uint32)[0]  # the sign word of x < 0
 def _digit_words() -> tuple[np.ndarray, ...]:
     """Digit tables, four ASCII bytes (one uint32 word) per entry, NUL where
     nothing is printed: k < 10000 zero-padded to four digits; the same
-    without leading zeros, units digit kept; k < 100 without leading zeros,
-    so 0 is all NUL; and ".", NUL and the two digits of k < 100."""
+    without leading zeros, units digit kept; and ".", NUL and the two
+    digits of k < 100."""
     ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     pad = np.empty((10000, 4), dtype=np.uint8)
     for i in range(4):  # byte i is the digit of 10**(3 - i)
         pad[:, i] = np.tile(np.repeat(ascii_digits, 10 ** (3 - i)), 10 ** i)
     lead = pad * (np.arange(10000, dtype=np.uint16)[:, None] >= [1000, 100, 10, 1])
-    top = lead[:100].copy()
     lead[0, 3] = ord("0")
     dot = pad[:100].copy()
     dot[:, :2] = [ord("."), 0]
-    return tuple(a.view(np.uint32)[:, 0] for a in (pad, lead, top, dot))
+    return tuple(a.view(np.uint32)[:, 0] for a in (pad, lead, dot))
 
 
 def _fixed6(c: np.ndarray) -> np.ndarray:
     """Row i is "%.6f" % c[i] in ASCII, NUL where no character is printed.
 
     A row is uint32 words: two NUL bytes left for a prefix, the sign and a
-    NUL; the integer digits; "." and two decimals; four decimals.  The
-    integer digits take one word (``lead``) while every n below is under
-    1e10, and two (``top``, then ``pad`` or ``lead``) when one lies in
-    [1e10, 1e12).  q = |x|*1e6 is within half an ulp of the exact product,
-    so n = rint(q) is the correctly rounded integer "%.6f" prints unless q
+    NUL; the integer digits (``lead``); "." and two decimals; four
+    decimals.  q = |x|*1e6 is within half an ulp of the exact product, so
+    n = rint(q) is the correctly rounded integer "%.6f" prints unless q
     lies within 2 ulp of a half-integer; 2**-51 times the batch's largest q
     is at least that for every q.  Those values are formatted by "%.6f"
-    itself, and so are NaN, infinities and |x| >= 999999.9999995, which
-    the clamp sends to q = 999999999999.5 exactly, a tie; the rows widen to
-    the longest of their texts.
+    itself, and so are those with n >= 1e10, whose integer digits do not
+    fit one word, NaN, infinities and |x| >= 999999.9999995, which the
+    clamp sends to q = 999999999999.5 exactly, a tie.  Their texts fit the
+    16-byte row while |x| < 1e6; the rows widen to the longest of them.
     """
     q = np.abs(c)
     np.fmin(q, 999999.9999995, out=q)  # NaN too
@@ -125,34 +124,26 @@ def _fixed6(c: np.ndarray) -> np.ndarray:
     tol = 2.0**-51 * q.max(initial=0.0)
     q -= n  # exact, and at most 1/2 in size
     np.abs(q, out=q)
-    undecided = np.flatnonzero(q >= 0.5 - tol)
+    undecided = np.flatnonzero((q >= 0.5 - tol) | (n >= 10**10))
     n[undecided] = 0  # their rows are written below, from "%.6f"
     texts = [("%.6f" % x).encode() for x in c[undecided].tolist()]
-    wide = n.max(initial=0) >= 10**10
-    width = max([20 if wide else 16, *(2 + len(t) for t in texts)])
+    width = max([16, *(2 + len(t) for t in texts)])
     out = np.empty((c.size, -(-width // 4)), dtype=np.uint32)
     np.multiply(np.signbit(c), _MINUS, out=out[:, 0])
     # each group of digits is divided off n into k (q's memory), looked up,
     # then multiplied back in place and subtracted from n
-    pad, lead, top, dot = _digit_words()
+    pad, lead, dot = _digit_words()
     k = q.view(np.int64)
-    col = 1
-    if wide:  # top is NUL for 0, and the four digits below it are padded if not
-        np.floor_divide(n, 10**10, out=k)
-        out[:, 1] = top[k]
-        k *= 10**10
-        n -= k
-        col = 2
     np.floor_divide(n, 10**6, out=k)
-    out[:, col] = np.where(out[:, 1] != 0, pad[k], lead[k]) if wide else lead[k]
+    out[:, 1] = lead[k]
     k *= 10**6
     n -= k
     np.floor_divide(n, 10**4, out=k)
-    out[:, col + 1] = dot[k]
+    out[:, 2] = dot[k]
     k *= 10**4
     n -= k
-    out[:, col + 2] = pad[n]
-    out[:, col + 3:] = 0
+    out[:, 3] = pad[n]
+    out[:, 4:] = 0
     text = out.view(np.uint8)
     for row, t in zip(undecided.tolist(), texts):
         text[row, 2:] = 0

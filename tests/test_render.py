@@ -172,7 +172,7 @@ CLOSED_FORM_IDS = [eid for eid in EXPECTED["render_ids"]
 @pytest.mark.parametrize("eid", CLOSED_FORM_IDS)
 def test_render_paths_match_reference_near_the_circle(eid):
     # near the circle 94 points are masked near a pole and 2 coordinates
-    # reach 1e4 (two words of integer digits)
+    # reach 1e4 (more integer digits than a word holds, so "%.6f" formats them)
     circles, rays, n, r_max = 3, 5, 37, 0.99999999
     fm = catalog_lookup(eid).harmonic_map(32)
     doc = render_svg(fm, RenderOptions(circles=circles, rays=rays, r_max=r_max,
@@ -243,9 +243,9 @@ def test_path_data_empty(close):
 
 
 # exact ties k/128; 1 ulp either side of 0.0000015; x*1e6 rounded onto a
-# tie that x is not on; either side of the switch to two words of integer
-# digits (x*1e6 rounds to 1e10); too wide for the fixed slot; rounding to
-# -0.000000; not finite
+# tie that x is not on; either side of x*1e6 rounding to 1e10, where the
+# integer digits outgrow their word; too wide for the 16-byte row; rounding
+# to -0.000000; not finite
 HARD_COORDS = [0.0078125, 0.0234375,
                math.nextafter(0.0000015, 0.0), math.nextafter(0.0000015, 1.0), 3.5e-6,
                9999.9999994, 9999.9999996, 1e4, -9999.9999994, -9999.9999996, -1e4,
@@ -263,7 +263,7 @@ def test_path_data_hard_values_match_percent_format(x):
 _COORDS = st.one_of(
     st.floats(),
     st.floats(min_value=-2e6, max_value=2e6),
-    st.floats(min_value=-2e4, max_value=2e4),  # one and two words of integer digits
+    st.floats(min_value=-2e4, max_value=2e4),  # both sides of 1e4 in one batch
     st.sampled_from([0.0, -0.0, 5e-7, -5e-7, 0.0000015, 2.5e-6, 1e6, -1e6 + 5e-7]
                     + HARD_COORDS),
 )
