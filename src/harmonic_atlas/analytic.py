@@ -376,17 +376,13 @@ class AnalyticExpr:
             raise InvalidExpression(
                 "denominator or log argument vanishes inside the unit disk"
             )
-        start = 0  # pole_points holds each term's roots in turn, deg many
         for t in self.terms:
-            p = t.den if isinstance(t, RationalTerm) else t.arg
-            end = start + max(p.degree, 0)
-            if isinstance(t, LogTerm) and end > start:
+            if isinstance(t, LogTerm) and t.arg.degree > 0:
                 # arg L, continuous from L(0) = 1, as the sum over L's roots a
-                # of the principal argument of 1 - z/a
-                arg = np.angle(1 - _BRANCH_POINTS[:, None] / roots[None, start:end])
+                # (with multiplicity) of the principal argument of 1 - z/a
+                arg = np.angle(1 - _BRANCH_POINTS[:, None] / _poly_roots(t.arg))
                 if np.max(np.abs(arg.sum(axis=1))) >= np.pi - 1e-9:
                     raise InvalidExpression("log argument meets the branch cut on the disk")
-            start = end
 
     # -- constructors ------------------------------------------------------
 
@@ -427,12 +423,11 @@ class AnalyticExpr:
 
     @property
     def pole_points(self) -> np.ndarray:
+        """The distinct roots of the denominators and log arguments (deduplicated
+        in Python: ``np.unique`` would import ``numpy.ma``, about 1 MB)."""
         if self._pole_points is None:
-            pts = [_poly_roots(t.den if isinstance(t, RationalTerm) else t.arg)
-                   for t in self.terms]
-            self._pole_points = (
-                np.concatenate(pts) if pts else np.empty(0, dtype=complex)
-            )
+            roots = (p for t in self.terms for p in _poly_roots(t[-1]).tolist())
+            self._pole_points = np.array(list(dict.fromkeys(roots)), dtype=complex)
         return self._pole_points
 
     def eval(self, z, check: bool = True, *, shared: dict | None = None):

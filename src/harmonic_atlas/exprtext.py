@@ -233,9 +233,11 @@ class _FormulaParser:
 
 
 def parse_formula(text: str) -> AnalyticExpr:
-    """Parse natural notation like ``z(2-z)/(2(1-z)^2)`` into one rational term."""
+    """Parse natural notation like ``z(2-z)/(2(1-z)^2)`` into one rational
+    term, numerator and denominator divided by their monic gcd."""
     rf = _FormulaParser(_tokenize(text)).parse()
-    return AnalyticExpr.rational(1, rf.num, rf.den)
+    g = rf.num.gcd(rf.den)
+    return AnalyticExpr.rational(1, divmod(rf.num, g)[0], divmod(rf.den, g)[0])
 
 
 def parse_any(text: str) -> AnalyticExpr:

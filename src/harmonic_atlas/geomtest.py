@@ -26,15 +26,14 @@ The direction-convexity machinery:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .analytic import AnalyticExpr
+from .analytic import AnalyticExpr, Poly
 from .errors import SeriesMismatch, ZeroValue
-from .numkernel import GaussRational, Series
-from .shear import HarmonicMap
+from .shear import HarmonicMap, dilatation_check
 
 __all__ = [
     "Grid", "RZParams", "Certificate", "default_grid",
@@ -285,25 +284,19 @@ def m_theta_check(F: HarmonicMap, theta: float, grid: Grid) -> Certificate:
     """Membership evidence for the class with g' = e^{i theta} z h' and
     Re(1 + z h''/h') > -1/2, for theta in {0, pi}.
 
-    The dilatation identity is checked exactly on series; failure raises
+    The dilatation identity is checked exactly on series, by
+    ``dilatation_check`` with omega = e^{i theta} z; failure raises
     SeriesMismatch, and any other theta raises ValueError.  The margin is
     the grid minimum of Re(1 + z h''/h') + 1/2.
     """
     if theta not in (0.0, math.pi):
         raise ValueError("m_theta_check supports theta = 0 and theta = pi only")
-    n1 = max(F.order - 1, 0)
-    lhs = F.g_series.derivative().truncate(n1)
-    hp = F.h_series.derivative().truncate(n1)
-    if lhs != _mul_by_z(hp, n1).scale(1 if theta == 0.0 else -1):
+    omega = AnalyticExpr.rational(1 if theta == 0.0 else -1, Poly.var())
+    if not dilatation_check(replace(F, omega=omega)):
         raise SeriesMismatch("g' != e^{i theta} z h' as exact series")
     zs = grid.points
     vals = np.asarray(F.curvature_term(zs)).real + 0.5
     return _min_certificate("m_theta", vals, zs)
-
-
-def _mul_by_z(s, order):
-    """Series of z * s(z), truncated at the same order."""
-    return Series([GaussRational(0), *s.coeffs], order=order)
 
 
 def boundary_trace(F, r: float, samples: int = 1024) -> np.ndarray:

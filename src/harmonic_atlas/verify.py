@@ -18,26 +18,32 @@ Each suite re-derives one table of claims and reports a row per check:
          and the two that are not;
 * REMARK starlikeness refutation and the g' = e^{i theta} z h' classes.
 
-Suite membership comes from the catalog's families, never from retyped
-id lists.  Rows marked ``asserted`` record claims taken from the construction itself
-(not independently certified here); they are excluded from the match count.
+Expectations come from the catalog only: a suite reads its entries through
+``catalog_ids`` of its families (and builds just those, their sources and
+twins), and each expected value from the entry's ``FlagSet``.
+``_coeff_class_row`` builds every coefficient-class row, and
+``shear.dilatation_check`` alone decides g' = omega h', the M(theta)
+identities included.  Rows marked ``asserted`` record claims taken from the
+construction itself (not independently certified here); they are excluded
+from the match count.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .catalog import DEFAULT_ORDER, catalog_build, catalog_ids, catalog_lookup
+from .analytic import AnalyticExpr, Poly
+from .catalog import DEFAULT_ORDER, catalog_ids, catalog_lookup
 from .classify import classify_harmonic
 from .geomtest import (
     Grid, default_grid, direction_convexity_probe, jacobian_min,
     m_theta_check, rz_search, starlike_derivative, u_class_margin,
 )
+from .shear import dilatation_check
 
 __all__ = ["VerifyConfig", "run_suite", "SUITES", "report_json", "series_twins"]
 
@@ -94,15 +100,22 @@ class _Rows:
         }
 
 
-def _coeff_class_row(rows, entry, config, want_integer=None, want_half=None):
-    fm = entry.harmonic_map(config.order)
-    rh, rg = classify_harmonic(fm)
-    if want_integer is not None:
-        got = rh.is_integer and rg.is_integer
-        rows.add(entry.id, "integer_coeffs", got, want_integer, got == want_integer)
-    if want_half is not None:
-        got = rh.is_half_integer and rg.is_half_integer
-        rows.add(entry.id, "half_integer_coeffs", got, want_half, got == want_half)
+def _coeff_class_row(rows, entry, config, check) -> bool:
+    """The row ``check`` ("integer_coeffs" or "half_integer_coeffs") of an
+    entry: the exact class of h and g against the entry's flag.  Returns
+    the computed class."""
+    rh, rg = classify_harmonic(entry.harmonic_map(config.order))
+    is_class = f"is_{check.removesuffix('_coeffs')}"
+    got = getattr(rh, is_class) and getattr(rg, is_class)
+    want = getattr(entry.expected, check)
+    rows.add(entry.id, check, got, want, got == want)
+    return got
+
+
+def _entries(families):
+    """The entries of ``families``, each looked up by id."""
+    return [catalog_lookup(cid) for family in families
+            for cid in catalog_ids(family)]
 
 
 def _direction_rows(rows, entry, config, directions=("real", "imag")):
@@ -135,24 +148,22 @@ def series_twins(fm, twin_maps: dict) -> list[str]:
 def _suite_t31(config) -> dict:
     rows = _Rows()
     grid = config.grid()
-    for cid in catalog_ids("S_Z"):
-        entry = catalog_lookup(cid)
-        _coeff_class_row(rows, entry, config, want_integer=True)
+    for entry in _entries(("S_Z", "T2")):
+        if entry.expected.integer_coeffs:
+            _coeff_class_row(rows, entry, config, "integer_coeffs")
         cert = u_class_margin(entry.h, grid)
-        rows.add(cid, "u_class_margin", cert.margin, f">= {-config.tol}",
-                 cert.margin >= -config.tol)
-    for cid in catalog_ids("T2"):
-        entry = catalog_lookup(cid)
-        cert = u_class_margin(entry.h, grid)
-        rows.add(cid, "u_class_margin", cert.margin, "< 0", cert.margin < 0)
+        if entry.expected.u_class:
+            expected, match = f">= {-config.tol}", cert.margin >= -config.tol
+        else:
+            expected, match = "< 0", cert.margin < 0
+        rows.add(entry.id, "u_class_margin", cert.margin, expected, match)
     return rows.report("T31", config)
 
 
 def _suite_directions(config, theorem: str, families: tuple[str, ...]) -> dict:
     rows = _Rows()
-    for entry in catalog_build():
-        if entry.family in families:
-            _direction_rows(rows, entry, config)
+    for entry in _entries(families):
+        _direction_rows(rows, entry, config)
     return rows.report(theorem, config)
 
 
@@ -161,27 +172,20 @@ def _suite_shears(config, axis: str) -> dict:
     twin_family = families[-1]
     rows = _Rows()
     grid = config.grid()
-    members = [e for e in catalog_build() if e.family in families]
+    members = _entries(families)
     rows.add("~family_total", "count", len(members), total, len(members) == total)
     twin_maps = {}
     for entry in members:
-        _coeff_class_row(rows, entry, config, want_half=True)
+        _coeff_class_row(rows, entry, config, "half_integer_coeffs")
         if entry.family == twin_family:
             fm = twin_maps[entry.id] = entry.harmonic_map(config.order)
             cert = jacobian_min(fm, grid)
             rows.add(entry.id, "jacobian_positive", cert.margin, "> 0",
                      cert.margin > 0)
     half_count = 0
-    for entry in catalog_build():
-        if entry.family != f"PROOF_{tag.upper()}":
-            continue
+    for entry in _entries((f"PROOF_{tag.upper()}",)):
+        half_count += _coeff_class_row(rows, entry, config, "half_integer_coeffs")
         fm = entry.harmonic_map(config.order)
-        rh, rg = classify_harmonic(fm)
-        is_half = rh.is_half_integer and rg.is_half_integer
-        half_count += is_half
-        rows.add(entry.id, "half_integer_coeffs", is_half,
-                 entry.expected.half_integer_coeffs,
-                 is_half == entry.expected.half_integer_coeffs)
         match_id = next(iter(series_twins(fm, twin_maps)), None)
         rows.add(entry.id, "series_twin", match_id, entry.twin,
                  match_id == entry.twin)
@@ -212,14 +216,8 @@ def _suite_remark(config) -> dict:
     f9 = catalog_lookup("t6_re_halfplane_im_koebe").harmonic_map(config.order)
     cpi = m_theta_check(f9, math.pi, grid)
     rows.add("f9", "m_theta_pi_margin", cpi.margin, "> 0", cpi.margin > 0)
-    # co-analytic part of the M(pi) member: b_n = -a_{n-1} (n-1)/n, exact
-    ok = True
-    for n in range(2, f9.order + 1):
-        lhs = f9.g_series.coeff(n)
-        rhs = -(f9.h_series.coeff(n - 1) * Fraction(n - 1, n))
-        if lhs != rhs:
-            ok = False
-            break
+    # the M(pi) identity g' = -z h', i.e. b_n = -a_{n-1} (n-1)/n, exact
+    ok = dilatation_check(replace(f9, omega=AnalyticExpr.rational(-1, Poly.var())))
     rows.add("f9", "m_pi_coefficient_identity", ok, True, ok)
     return rows.report("REMARK", config)
 

@@ -179,6 +179,13 @@ def test_eval_masked_masks_points_near_a_triple_pole():
     assert np.isnan(vals[0])
 
 
+def test_pole_points_hold_a_multiple_pole_once():
+    # h'' of f9_cv1 has a fivefold pole at z = 1: near_pole tests it once
+    e = catalog_lookup("f9_cv1").h.derivative().derivative()
+    (p,) = e.pole_points
+    assert abs(p - 1) < 1e-12
+
+
 # 1 - z, 1 + z, 1 - z^2, 1 + z^2, 1 - z + z^2, 1 + z + z^2: their roots are
 # the 1st, 2nd, 3rd, 4th and 6th roots of unity, shared between factors
 CIRCLE_FACTORS = [P(1, -1), P(1, 1), P(1, 0, -1), P(1, 0, 1), P(1, -1, 1), P(1, 1, 1)]

@@ -170,15 +170,33 @@ def test_catalog_ids_filter(catalog):
         assert catalog_ids(family) == [e.id for e in catalog if e.family == family]
 
 
-def test_verify_t31_builds_only_the_entries_it_reads():
-    # T31 reads the 9 S_Z and 2 T2 entries, and catalog_ids takes the
-    # families from the id table, so a fresh process builds no other entry
+def _family_ids(*families):
+    return [cid for family in families for cid in catalog_ids(family)]
+
+
+# suite -> (the ids it reads, the number of entries it builds in all)
+_SUITE_READS = {
+    "T31": (_family_ids("S_Z", "T2"), 11),
+    "T32": (_family_ids("S_Z"), 9),
+    "T41": (_family_ids("S1", "T3", "T4", "PROOF_CV1"), 66),
+    "T42": (_family_ids("T5", "T6", "PROOF_CVI"), 38),
+    "LEM42": (_family_ids("T1", "T2"), 12),
+    "REMARK": (["t4_re_koebe_im_halfplane", "t6_re_halfplane_im_koebe"], 3),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITE_READS))
+def test_verify_builds_only_the_entries_it_reads(suite):
+    # a suite reads its families through catalog_ids, which takes them from
+    # the id table, so a fresh process builds those entries and the sources
+    # and twins their maps read, and no other
+    ids, count = _SUITE_READS[suite]
     script = "\n".join((
         "import contextlib, io",
         "from harmonic_atlas import catalog",
         "from harmonic_atlas.cli import main",
         "with contextlib.redirect_stdout(io.StringIO()):",
-        "    assert main(['verify', 'T31']) == 0",
+        f"    assert main(['verify', {suite!r}]) == 0",
         "print(*catalog._INDEX)",
     ))
     src = str(Path(catalog_module.__file__).resolve().parents[1])
@@ -186,8 +204,12 @@ def test_verify_t31_builds_only_the_entries_it_reads():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     built = out.stdout.split()
-    assert len(built) == 11
-    assert sorted(built) == sorted(catalog_ids("S_Z") + catalog_ids("T2"))
+    read = [catalog_lookup(cid) for cid in ids]
+    want = {e.id for e in read}
+    want |= {e.recipe.source_id for e in read if e.recipe is not None}
+    want |= {e.twin for e in read if e.twin is not None}
+    assert len(built) == count
+    assert set(built) == want
 
 
 def test_atlas_export_roundtrip():

@@ -43,6 +43,16 @@ def test_expand_quadruple_pole_on_the_circle(capsys):
     assert "h: 0 1 -4 10 -20" in out
 
 
+def test_expand_cancels_a_common_factor(capsys):
+    # z (1 - 2z)/(1 - 2z) is z: the root 1/2 of the cancelled factor is no pole
+    code, out, _ = run(capsys, "expand", "z*(1-2z)/(1-2z)", "4")
+    assert code == 0
+    assert "h: 0 1 0 0 0" in out
+    code, _, err = run(capsys, "expand", "0*z", "4")
+    assert code == 2
+    assert "NotNormalized" in err
+
+
 def test_expand_f3(capsys):
     code, out, _ = run(capsys, "expand", "f3_cv1", "4")
     assert code == 0

@@ -54,6 +54,13 @@ def test_parse_formula_examples():
     assert e.series(12) == ref.series(12)
 
 
+def test_parse_formula_cancels_common_factors():
+    e = parse_formula("(1-z)/(1-z)^2")
+    (term,) = e.terms
+    assert term.den.degree == 1 and term.num.degree == 0
+    assert e.series(8) == parse_formula("1/(1-z)").series(8)
+
+
 def test_parse_formula_with_i():
     e = parse_formula("z/(1-i z)")
     s = e.series(4)

@@ -445,6 +445,14 @@ def test_m_theta_margins_match_the_closed_form_at_4096_angles():
         assert margin == pytest.approx(want, rel=1e-9), eid
 
 
+@pytest.mark.parametrize("eid, theta", [("t4_re_koebe_im_halfplane", math.pi),
+                                         ("t6_re_halfplane_im_koebe", 0.0)])
+def test_m_theta_mismatch_for_the_wrong_sign(grid, eid, theta):
+    # f3 has g' = z h' and f9 has g' = -z h': each fails the other class
+    with pytest.raises(SeriesMismatch):
+        m_theta_check(entry_map(eid), theta, grid)
+
+
 def test_m_theta_rejects_other_angles(grid):
     with pytest.raises(ValueError):
         m_theta_check(entry_map("t4_re_koebe_im_halfplane"), math.pi / 2, grid)

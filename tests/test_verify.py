@@ -1,5 +1,6 @@
 """Claim-table driver: suite contents and summary bookkeeping."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,15 @@ def test_default_report_matches_recording():
     # for byte: the definition of "same behaviour" as a check
     assert (report_json(run_suite("all", VerifyConfig()))
             == DEFAULT_RECORDING.read_text(encoding="ascii"))
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_single_suite_matches_its_suite_in_the_recording(suite):
+    # a suite run on its own builds only the entries it reads, and its report
+    # is the one it gives inside "all"
+    recorded = json.loads(RECORDING.read_text(encoding="ascii"))["suites"]
+    want = report_json(recorded[SUITES.index(suite)])
+    assert report_json(run_suite(suite, FAST)) == want
 
 
 def test_unknown_suite():
