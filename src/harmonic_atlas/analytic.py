@@ -33,7 +33,7 @@ Logs are principal-branch throughout.  No simplification is done on term
 sums; equality of expressions is tested through their series.
 
 A point within ``EPS_POLE`` of a denominator or log-argument root raises
-``NearPole`` in ``eval`` and is masked out by ``eval_masked``.  The test is
+``NearPole`` in ``eval`` and is masked by :func:`masked_values`.  The test is
 screened by radius: a pole p is tested only when |p| - max|z| <= 2 EPS_POLE
 max(1, |p|).  A point within EPS_POLE of p has |p| - |z| < EPS_POLE (the
 triangle inequality), and the second EPS_POLE, scaled with |p|, is far above
@@ -174,15 +174,6 @@ class Poly:
             a, b = b, divmod(a, b)[1]
         return a if a.is_zero else a.scale(_ONE_GR / a.coeffs[-1])
 
-    def compose_linear(self, c) -> "Poly":
-        """Substitute z -> c*z."""
-        c = gauss(c)
-        out, power = [], GaussRational(1)
-        for coeff in self.coeffs:
-            out.append(power * coeff)
-            power = power * c
-        return Poly(out)
-
     def to_series(self, order: int) -> Series:
         return Series(self.coeffs, order=order)
 
@@ -227,8 +218,6 @@ class LogTerm(NamedTuple):
 
 
 _ONE_GR = GaussRational(1)
-_NEG_I = GaussRational(0, -1)
-_I = GaussRational(0, 1)
 
 # Sampling used for the construction-time branch-cut assertion on log args:
 # _BRANCH_ANGLES points on each circle, all circles in one array.
@@ -454,15 +443,6 @@ class AnalyticExpr:
                 acc = acc + c * _value((t.arg,), z, shared)
         return acc
 
-    def eval_masked(self, zs: np.ndarray):
-        """Vectorized evaluation returning ``(values, ok_mask)``.
-
-        Points within ``EPS_POLE`` of a pole (``eval``'s screened test) are
-        masked out instead of raising, and so are non-finite values.
-        """
-        return masked_values(lambda w: self.eval(w, check=False), zs,
-                             self.pole_points)
-
     def derivative(self) -> "AnalyticExpr":
         """Termwise symbolic derivative, (P'Q - PQ')/Q^2 for P/Q and L'/L for
         log L, each divided by its numerator's and denominator's monic gcd:
@@ -493,27 +473,6 @@ class AnalyticExpr:
                                  ) if self.terms else Series.zero(order)
         self._series_cache[order] = acc
         return acc
-
-    def transform(self, kind: str) -> "AnalyticExpr":
-        """Exact coefficient-level substitutions.
-
-        ``neg_reflect``  returns -e(-z);  ``rot_i_conj`` returns -i*e(iz).
-        """
-        if kind == "neg_reflect":
-            factor, sub = GaussRational(-1), GaussRational(-1)
-        elif kind == "rot_i_conj":
-            factor, sub = _NEG_I, _I
-        else:
-            raise ValueError(f"unknown transform kind {kind!r}")
-        out = []
-        for t in self.terms:
-            if isinstance(t, RationalTerm):
-                out.append(RationalTerm(factor * t.c,
-                                        t.num.compose_linear(sub),
-                                        t.den.compose_linear(sub)))
-            else:
-                out.append(LogTerm(factor * t.c, t.arg.compose_linear(sub)))
-        return AnalyticExpr(out)
 
     def __repr__(self):
         return f"AnalyticExpr({len(self.terms)} terms)"

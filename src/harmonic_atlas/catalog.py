@@ -86,8 +86,7 @@ class BoundaryDescriptor:
     * slit_lines: ray anchors on the slit line(s);
     * parabola: coefficients (A, B, C) of A*u + B*v^2 + C = 0; the relation
       holds for the boundary values f(e^{i theta}) off the poles, not for
-      the traces f(r e^{i theta}) at r < 1;
-    * curve / cusped: anchors of the trace formula, informational.
+      the traces f(r e^{i theta}) at r < 1.
     """
     kind: str
     params: tuple = ()

@@ -80,14 +80,16 @@ def format_expr(e: AnalyticExpr) -> str:
 
 
 _TERM_RE = re.compile(r"(rat|log)\(([^()]*)\)")
+_TERM = r"(?:rat|log)\([^()]*\)"
+_EXPR_RE = re.compile(rf"\s*{_TERM}(?:\s*\+\s*{_TERM})*\s*")  # term ( + term )*
 
 
 def parse_expr_text(text: str) -> AnalyticExpr:
-    """Parse the structured ``rat(...) + log(...)`` format."""
+    """Parse the structured ``rat(...) + log(...)`` format: terms joined
+    by ``+``, nothing else."""
+    if not _EXPR_RE.fullmatch(text):
+        raise ValueError(f"expression text is not terms joined by '+': {text!r}")
     terms = []
-    consumed = _TERM_RE.sub("", text).replace("+", "").strip()
-    if consumed:
-        raise ValueError(f"unparsed content in expression text: {consumed!r}")
     for kind, body in _TERM_RE.findall(text):
         fields = [f.strip() for f in body.split(";")]
         if kind == "rat":
@@ -100,8 +102,6 @@ def parse_expr_text(text: str) -> AnalyticExpr:
             if len(fields) != 2:
                 raise ValueError("log(...) takes two ;-separated fields")
             terms.append(LogTerm(parse_gauss(fields[0]), _parse_poly(fields[1])))
-    if not terms:
-        raise ValueError("no terms found")
     return AnalyticExpr(terms)
 
 

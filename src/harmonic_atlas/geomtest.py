@@ -26,14 +26,14 @@ The direction-convexity machinery:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .analytic import AnalyticExpr, Poly
-from .errors import SeriesMismatch, ZeroValue
-from .shear import HarmonicMap, dilatation_check
+from .analytic import AnalyticExpr
+from .errors import ZeroValue
+from .shear import HarmonicMap
 
 __all__ = [
     "Grid", "RZParams", "Certificate", "default_grid",
@@ -103,14 +103,6 @@ class Certificate:
     margin: float
     witness: complex | None = None
     params: RZParams | None = None
-
-    def to_json(self) -> dict:
-        out = {"kind": self.kind, "margin": self.margin}
-        if self.witness is not None:
-            out["witness"] = [self.witness.real, self.witness.imag]
-        if self.params is not None:
-            out["params"] = {"mu": self.params.mu, "nu": self.params.nu}
-        return out
 
 
 def _min_certificate(kind, values, zs, params=None) -> Certificate:
@@ -280,20 +272,10 @@ def u_class_margin(f: AnalyticExpr, grid: Grid) -> Certificate:
     return _min_certificate("u_class", vals, zs)
 
 
-def m_theta_check(F: HarmonicMap, theta: float, grid: Grid) -> Certificate:
-    """Membership evidence for the class with g' = e^{i theta} z h' and
-    Re(1 + z h''/h') > -1/2, for theta in {0, pi}.
-
-    The dilatation identity is checked exactly on series, by
-    ``dilatation_check`` with omega = e^{i theta} z; failure raises
-    SeriesMismatch, and any other theta raises ValueError.  The margin is
-    the grid minimum of Re(1 + z h''/h') + 1/2.
-    """
-    if theta not in (0.0, math.pi):
-        raise ValueError("m_theta_check supports theta = 0 and theta = pi only")
-    omega = AnalyticExpr.rational(1 if theta == 0.0 else -1, Poly.var())
-    if not dilatation_check(replace(F, omega=omega)):
-        raise SeriesMismatch("g' != e^{i theta} z h' as exact series")
+def m_theta_check(F: HarmonicMap, grid: Grid) -> Certificate:
+    """Grid minimum of Re(1 + z h''/h') + 1/2, the margin of the
+    M(theta) classes' condition Re(1 + z h''/h') > -1/2.  The identity
+    g' = e^{i theta} z h' is decided apart, by ``dilatation_check``."""
     zs = grid.points
     vals = np.asarray(F.curvature_term(zs)).real + 0.5
     return _min_certificate("m_theta", vals, zs)

@@ -40,7 +40,6 @@ near a tie: the largest |x| there is 9886.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +47,8 @@ import numpy as np
 __all__ = ["RenderOptions", "render_svg"]
 
 _MAX_POINTS = 2**20  # sampled points per render, all curves together
+_SIZE = 640  # width and height of the document, in px
+_GRID_STROKE, _BOUNDARY_STROKE = 0.7, 1.4  # stroke widths, in px
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,6 @@ class RenderOptions:
     rays: int = 16
     r_max: float = 0.95
     samples_per_curve: int = 512
-    viewport: tuple[float, float, float, float] | None = None  # xmin, xmax, ymin, ymax
-    size: int = 640
-    grid_stroke: float = 0.7
-    boundary_stroke: float = 1.4
 
     def __post_init__(self):
         if self.circles < 1 or self.rays < 1:
@@ -68,18 +65,9 @@ class RenderOptions:
             raise ValueError("r_max must lie in (0, 1)")
         if self.samples_per_curve < 1:
             raise ValueError("samples_per_curve must be >= 1")
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
         if (self.circles + self.rays + 1) * self.samples_per_curve > _MAX_POINTS:
             raise ValueError("(circles + rays + 1) * samples_per_curve must be "
                              f"<= {_MAX_POINTS}")
-        if self.viewport is not None:
-            if len(self.viewport) != 4 or not all(map(math.isfinite, self.viewport)):
-                raise ValueError("viewport must be four finite numbers "
-                                 "(xmin, xmax, ymin, ymax)")
-            xmin, xmax, ymin, ymax = self.viewport
-            if not (xmin < xmax and ymin < ymax):
-                raise ValueError("viewport must have xmin < xmax and ymin < ymax")
 
 
 _MINUS = np.frombuffer(b"\0\0-\0", dtype=np.uint32)[0]  # the sign word of x < 0
@@ -189,11 +177,6 @@ def _path_texts(vals: np.ndarray, ok: np.ndarray, sizes, close) -> list[str]:
             for a, b in zip(rows[:-1].tolist(), rows[1:].tolist())]
 
 
-def _path_data(vals: np.ndarray, ok: np.ndarray, close: bool) -> str:
-    """Polyline path of one curve; a masked-out point breaks the line."""
-    return _path_texts(vals, ok, [len(vals)], [close])[0]
-
-
 @functools.lru_cache(maxsize=1)
 def _grid(circles: int, rays: int, r_max: float, n: int) -> np.ndarray:
     """Sample points of every curve, n each, read-only: the circles, the
@@ -216,23 +199,20 @@ def render_svg(F, opts: RenderOptions = RenderOptions()) -> str:
     # drawing order: circles, rays, boundary
     paths.append(paths.pop(opts.circles))
 
-    if opts.viewport is not None:
-        xmin, xmax, ymin, ymax = opts.viewport
-    else:
-        pts = vals[ok]  # ok only where the value is finite
-        xmin, xmax = float(np.min(pts.real)), float(np.max(pts.real))
-        ymin, ymax = float(np.min(pts.imag)), float(np.max(pts.imag))
+    pts = vals[ok]  # ok only where the value is finite
+    xmin, xmax = float(np.min(pts.real)), float(np.max(pts.real))
+    ymin, ymax = float(np.min(pts.imag)), float(np.max(pts.imag))
     pad = 0.05 * max(xmax - xmin, ymax - ymin, 1e-9)
     x0, y0 = xmin - pad, -(ymax + pad)
     w, h = (xmax - xmin) + 2 * pad, (ymax - ymin) + 2 * pad
 
-    scale = w / opts.size
+    scale = w / _SIZE
     style = '" fill="none" stroke="{}" stroke-width="{:.6f}"/>\n'
-    tails = ([style.format("#7a8aa0", opts.grid_stroke * scale)] * (len(paths) - 1)
-             + [style.format("#202020", opts.boundary_stroke * scale)])
+    tails = ([style.format("#7a8aa0", _GRID_STROKE * scale)] * (len(paths) - 1)
+             + [style.format("#202020", _BOUNDARY_STROKE * scale)])
     parts = ['<?xml version="1.0" encoding="UTF-8"?>\n'
              f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-             f'width="{opts.size}" height="{opts.size}" '
+             f'width="{_SIZE}" height="{_SIZE}" '
              f'viewBox="{x0:.6f} {y0:.6f} {w:.6f} {h:.6f}">\n']
     for data, tail in zip(paths, tails):
         if data:  # an empty path is left out

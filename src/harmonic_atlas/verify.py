@@ -211,12 +211,14 @@ def _suite_remark(config) -> dict:
         all_negative = all_negative and v < 0
     rows.add("f3", "starlike_derivative_formula", worst, "<= 1e-3", worst <= 1e-3)
     rows.add("f3", "starlike_refuted", all_negative, True, all_negative)
-    c0 = m_theta_check(f3, 0.0, grid)
-    rows.add("f3", "m_theta_0_margin", c0.margin, "> 0", c0.margin > 0)
+    # the M(0) identity g' = z h' (b_n = a_{n-1} (n-1)/n, exact) gates f3's
+    # margin row; the M(pi) identity g' = -z h' of f9 is a row of its own
+    in_m0 = dilatation_check(replace(f3, omega=AnalyticExpr.rational(1, Poly.var())))
+    c0 = m_theta_check(f3, grid)
+    rows.add("f3", "m_theta_0_margin", c0.margin, "> 0", in_m0 and c0.margin > 0)
     f9 = catalog_lookup("t6_re_halfplane_im_koebe").harmonic_map(config.order)
-    cpi = m_theta_check(f9, math.pi, grid)
+    cpi = m_theta_check(f9, grid)
     rows.add("f9", "m_theta_pi_margin", cpi.margin, "> 0", cpi.margin > 0)
-    # the M(pi) identity g' = -z h', i.e. b_n = -a_{n-1} (n-1)/n, exact
     ok = dilatation_check(replace(f9, omega=AnalyticExpr.rational(-1, Poly.var())))
     rows.add("f9", "m_pi_coefficient_identity", ok, True, ok)
     return rows.report("REMARK", config)

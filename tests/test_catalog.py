@@ -12,10 +12,12 @@ import pytest
 
 import harmonic_atlas.catalog as catalog_module
 from harmonic_atlas import (
-    AnalyticExpr, UnknownId, catalog_build, catalog_ids, catalog_lookup,
-    coeff_class, dilatation_check, export_atlas, format_expr, parse_expr_text,
+    AnalyticExpr, GaussRational, Series, UnknownId, catalog_build, catalog_ids,
+    catalog_lookup, coeff_class, dilatation_check, export_atlas, format_expr,
+    parse_expr_text,
 )
 from harmonic_atlas.cli import main
+from oracles import compose_linear
 
 F = Fraction
 ATLAS = Path(__file__).parent / "data" / "atlas.json"
@@ -109,12 +111,11 @@ def test_reflection_pairs_exact():
         ("parabola", "parabola_r"), ("hslits_wide_avg", "hslits_wide_avg_r"),
     ]
     rot_pairs = [("hslits", "vslits"), ("hslits_avg", "vslits_avg")]
-    for a, b in neg_pairs:
-        ea, eb = catalog_lookup(a), catalog_lookup(b)
-        assert ea.h.transform("neg_reflect").series(32) == eb.h.series(32), (a, b)
-    for a, b in rot_pairs:
-        ea, eb = catalog_lookup(a), catalog_lookup(b)
-        assert ea.h.transform("rot_i_conj").series(32) == eb.h.series(32), (a, b)
+    i = GaussRational(0, 1)
+    for pairs, c, factor in ((neg_pairs, -1, -1), (rot_pairs, i, -i)):
+        for a, b in pairs:
+            coeffs = compose_linear(catalog_lookup(a).h.series(32).coeffs, c)
+            assert Series(coeffs).scale(factor) == catalog_lookup(b).h.series(32), (a, b)
 
 
 def test_dilatation_identity_t4_t6(catalog):

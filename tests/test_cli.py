@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, config, determinism."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from harmonic_atlas import cli
 from harmonic_atlas.cli import _COMMANDS, _command_parser, _run, build_parser, main
+from harmonic_atlas.render import RenderOptions
 
 ATLAS = Path(__file__).parent / "data" / "atlas.json"
 # the benchmark's output records, read only
@@ -64,6 +67,15 @@ def test_expand_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "expand", "q//", "4")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("text", ["rat(1/2; 0,1; 1) rat(1/2; 0,1; 1)",
+                                  "+ + rat(1; 0,1; 1)", "rat(1; 0,1; 1) +"])
+def test_expand_terms_not_joined_by_plus_exit_2(capsys, text):
+    # the term text is term ( + term )*; the first printed "h: 0 1 0 0"
+    code, out, err = run(capsys, "expand", text, "3")
+    assert code == 2 and out == ""
+    assert "not terms joined by '+'" in err
 
 
 def test_expand_log_crossing_branch_cut_exit_2(capsys):
@@ -254,6 +266,25 @@ def test_render_bad_samples_exit_2(tmp_path, capsys, samples):
     assert code == 2
     assert "samples_per_curve must be >= 1" in err
     assert not out_path.exists()
+
+
+def test_render_options_are_the_render_flags(tmp_path, capsys, monkeypatch):
+    # each RenderOptions field is filled from one `render` flag and there is
+    # no other field: a knob no flag sets is code that only tests reach
+    flags = {"--circles": ("circles", 3), "--rays": ("rays", 5),
+             "--rmax": ("r_max", 0.5), "--samples": ("samples_per_curve", 7)}
+    arguments = _COMMANDS["render"][2]
+    assert sorted(name for name, _ in arguments if name.startswith("--")) == sorted(flags)
+    seen = []
+    monkeypatch.setattr(cli, "render_svg", lambda F, opts: seen.append(opts) or "")
+    argv = ["render", "koebe", str(tmp_path / "k.svg")]
+    for flag, (_, value) in flags.items():
+        argv += [flag, str(value)]
+    assert run(capsys, *argv)[0] == 0
+    [opts] = seen
+    assert dataclasses.asdict(opts) == dict(flags.values())
+    assert [f.name for f in dataclasses.fields(RenderOptions)] == [
+        field for field, _ in flags.values()]
 
 
 def test_render_oversized_exit_2_before_allocating(tmp_path, capsys):

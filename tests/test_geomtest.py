@@ -1,6 +1,7 @@
 """Grid-sampled certificates and falsifiers."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic_atlas import (
-    AnalyticExpr, Grid, Poly, RZParams, SeriesMismatch, Series, boundary_trace,
-    catalog_ids, catalog_lookup, default_grid, direction_convexity_probe,
+    AnalyticExpr, Grid, Poly, RZParams, Series, boundary_trace,
+    catalog_ids, catalog_lookup, default_grid, dilatation_check, direction_convexity_probe,
     jacobian_min, m_theta_check, parse_formula, rz_certificate, rz_search,
     starlike_derivative, u_class_margin,
 )
@@ -425,10 +426,15 @@ def test_u_class_fails_for_t2(grid):
 
 # -- the g' = e^{i theta} z h' class -----------------------------------------------------
 
+def theta_omega(theta):
+    """The dilatation e^{i theta} z, for theta = 0 or pi."""
+    return AnalyticExpr.rational(1 if theta == 0.0 else -1, Poly.var())
+
+
 def test_m_theta_f3_and_f9(grid):
-    c0 = m_theta_check(entry_map("t4_re_koebe_im_halfplane", 32), 0.0, grid)
+    c0 = m_theta_check(entry_map("t4_re_koebe_im_halfplane", 32), grid)
     assert c0.margin > 0
-    cpi = m_theta_check(entry_map("t6_re_halfplane_im_koebe", 32), math.pi, grid)
+    cpi = m_theta_check(entry_map("t6_re_halfplane_im_koebe", 32), grid)
     assert cpi.margin > 0
 
 
@@ -439,28 +445,22 @@ def test_m_theta_margins_match_the_closed_form_at_4096_angles():
     grid = default_grid(64, 4096)
     zs = grid.points
     want = np.min(1.5 * (1 - np.abs(zs) ** 2) / np.abs(1 - zs) ** 2)
-    for eid, theta in (("t4_re_koebe_im_halfplane", 0.0),
-                       ("t6_re_halfplane_im_koebe", math.pi)):
-        margin = m_theta_check(entry_map(eid, 64), theta, grid).margin
+    for eid in ("t4_re_koebe_im_halfplane", "t6_re_halfplane_im_koebe"):
+        margin = m_theta_check(entry_map(eid, 64), grid).margin
         assert margin == pytest.approx(want, rel=1e-9), eid
 
 
 @pytest.mark.parametrize("eid, theta", [("t4_re_koebe_im_halfplane", math.pi),
                                          ("t6_re_halfplane_im_koebe", 0.0)])
-def test_m_theta_mismatch_for_the_wrong_sign(grid, eid, theta):
-    # f3 has g' = z h' and f9 has g' = -z h': each fails the other class
-    with pytest.raises(SeriesMismatch):
-        m_theta_check(entry_map(eid), theta, grid)
+def test_m_theta_mismatch_for_the_wrong_sign(eid, theta):
+    # f3 has g' = z h' and f9 has g' = -z h': each fails the other class,
+    # g' = e^{i theta} z h'
+    assert not dilatation_check(replace(entry_map(eid), omega=theta_omega(theta)))
 
 
-def test_m_theta_rejects_other_angles(grid):
-    with pytest.raises(ValueError):
-        m_theta_check(entry_map("t4_re_koebe_im_halfplane"), math.pi / 2, grid)
-
-
-def test_m_theta_mismatch_for_identity(grid):
-    with pytest.raises(SeriesMismatch):
-        m_theta_check(entry_map("identity"), 0.0, grid)
+def test_m_theta_mismatch_for_identity():
+    for theta in (0.0, math.pi):
+        assert not dilatation_check(replace(entry_map("identity"), omega=theta_omega(theta)))
 
 
 # -- boundary traces ---------------------------------------------------------------------

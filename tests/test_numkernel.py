@@ -8,11 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from harmonic_atlas import (AnalyticExpr, GaussRational, Poly, Series, ZeroConstantTerm,
-                            gauss)
+from harmonic_atlas import GaussRational, Series, ZeroConstantTerm, gauss
 from oracles import GaussRational as FractionPair
-from oracles import (binomial_inverse_power, compose_linear, gaussian_long_division,
-                     long_division_series)
+from oracles import binomial_inverse_power, gaussian_long_division, long_division_series
 
 F = Fraction
 
@@ -432,30 +430,6 @@ def test_antiderivative_inverse_square_half():
 
 def test_antiderivative_of_one():
     assert Series.one(3).antiderivative() == S(0, 1, order=4)
-
-
-def test_compose_linear_negation_pair():
-    # -e(-z) for e = z/(1 - z + z^2) is z/(1 + z + z^2)
-    e = AnalyticExpr.rational(1, Poly([0, 1]), Poly([1, -1, 1]))
-    b = Series(long_division_series([0, 1], [1, 1, 1], 12))
-    assert e.transform("neg_reflect").series(12) == b
-    assert -Series(compose_linear(e.series(12).coeffs, -1)) == b
-
-
-def test_compose_linear_rotation_pair():
-    # -i * e(iz) for e = z/(1+z^2) is z/(1-z^2)
-    i = GaussRational(0, 1)
-    e = AnalyticExpr.rational(1, Poly([0, 1]), Poly([1, 0, 1]))
-    b = Series(long_division_series([0, 1], [1, 0, -1], 12))
-    assert e.transform("rot_i_conj").series(12) == b
-    assert Series(compose_linear(e.series(12).coeffs, i)).scale(-i) == b
-
-
-def test_compose_linear_identity():
-    p = Poly([F(k, 3) for k in range(7)])
-    assert p.compose_linear(1) == p
-    for c in (-1, GaussRational(0, 1), GaussRational(F(2, 3), F(-1, 5))):
-        assert p.compose_linear(c) == Poly(compose_linear(p.coeffs, c))
 
 
 def test_truncation_to_min_order():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from harmonic_atlas import NoClosedForm, Poly, RenderOptions, catalog_lookup, render_svg
 from harmonic_atlas.analytic import LogTerm
 from harmonic_atlas.shear import HarmonicMap
-from harmonic_atlas.render import _path_data, _path_texts
+from harmonic_atlas.render import _path_texts
 from oracles import path_data_reference
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -29,6 +29,11 @@ EXPECTED = json.loads(
 def render(eid, **kw):
     entry = catalog_lookup(eid)
     return render_svg(entry.harmonic_map(32), RenderOptions(**kw))
+
+
+def _path_data(vals, ok, close):
+    """Path data of one curve: ``_path_texts`` on a single curve."""
+    return _path_texts(vals, ok, [len(vals)], [close])[0]
 
 
 def test_identity_svg_parses_and_counts_curves():
@@ -58,14 +63,6 @@ def test_byte_identical_across_runs():
     assert a == b
 
 
-def test_explicit_viewport():
-    doc = render("koebe", viewport=(-2.0, 2.0, -2.0, 2.0), samples_per_curve=64)
-    root = ET.fromstring(doc)
-    box = [float(v) for v in root.attrib["viewBox"].split()]
-    assert box[0] == pytest.approx(-2.2)
-    assert box[2] == pytest.approx(4.4)
-
-
 def test_options_validation():
     with pytest.raises(ValueError):
         RenderOptions(circles=0)
@@ -74,22 +71,7 @@ def test_options_validation():
     for samples in (0, -3):
         with pytest.raises(ValueError, match="samples_per_curve must be >= 1"):
             RenderOptions(samples_per_curve=samples)
-    with pytest.raises(ValueError, match="size must be >= 1"):
-        RenderOptions(size=0)
-    assert RenderOptions(samples_per_curve=1, size=1).samples_per_curve == 1
-    # a reversed box gave a negative viewBox width and stroke-width, a NaN
-    # entry gave viewBox="nan nan nan nan"
-    nan, inf = float("nan"), float("inf")
-    for box in ((2.0, -2.0, -2.0, 2.0), (-2.0, 2.0, 2.0, -2.0),
-                (1.0, 1.0, -2.0, 2.0), (-2.0, 2.0, 0.5, 0.5)):
-        with pytest.raises(ValueError, match="xmin < xmax and ymin < ymax"):
-            RenderOptions(viewport=box)
-    for box in ((nan, 2.0, -2.0, 2.0), (-2.0, 2.0, -2.0, nan),
-                (-inf, 2.0, -2.0, 2.0), (-2.0, 2.0, -2.0, inf),
-                (-2.0, 2.0, -2.0), (-2.0, 2.0, -2.0, 2.0, 0.0)):
-        with pytest.raises(ValueError, match="four finite numbers"):
-            RenderOptions(viewport=box)
-    assert RenderOptions(viewport=(-2, 2, -1.5, 0.5)).viewport == (-2, 2, -1.5, 0.5)
+    assert RenderOptions(samples_per_curve=1).samples_per_curve == 1
 
 
 def test_options_reject_oversized_render_before_allocating():

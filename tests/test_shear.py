@@ -15,7 +15,7 @@ from harmonic_atlas import (
     parse_formula, shear_imag, shear_real,
 )
 from harmonic_atlas import numkernel
-from harmonic_atlas.analytic import EPS_POLE, _term_series
+from harmonic_atlas.analytic import EPS_POLE, _term_series, masked_values
 from harmonic_atlas.shear import HarmonicMap
 from oracles import compose_linear, pole_mask_bruteforce
 
@@ -187,14 +187,16 @@ def test_expansion_builds_no_fraction(monkeypatch):
 
 def test_shear_reflection_symmetry():
     # -F(-z) is the shear of -phi(-z) with dilatation omega(-z): the
-    # reflection flips the source but only reflects the argument of omega
-    phi = parse_formula("z/(1-z)")
-    for omega in (Z_EXPR, parse_formula("z^2")):
-        fm = shear_real(phi, omega, 24)
-        omega_reflected = -(omega.transform("neg_reflect"))  # omega(-z)
-        fm_reflected = shear_real(phi.transform("neg_reflect"), omega_reflected, 24)
-        assert fm_reflected.h_series == -Series(compose_linear(fm.h_series.coeffs, -1))
-        assert fm_reflected.g_series == -Series(compose_linear(fm.g_series.coeffs, -1))
+    # reflection flips the source but only reflects the argument of omega;
+    # the catalog's "_r" entries are the -phi(-z) of their pairs
+    z_sq = parse_formula("z^2")
+    for a, b in (("halfplane", "halfplane_r"), ("koebe", "koebe_r")):
+        phi, phi_reflected = catalog_lookup(a).h, catalog_lookup(b).h
+        for omega, omega_reflected in ((Z_EXPR, NEG_Z), (z_sq, z_sq)):
+            fm = shear_real(phi, omega, 24)
+            fm_reflected = shear_real(phi_reflected, omega_reflected, 24)
+            assert fm_reflected.h_series == -Series(compose_linear(fm.h_series.coeffs, -1))
+            assert fm_reflected.g_series == -Series(compose_linear(fm.g_series.coeffs, -1))
 
 
 def test_closed_form_cross_check_log_cases():
@@ -288,8 +290,10 @@ def test_eval_masked_equals_h_plus_conj_g_at_unmasked_points(data, eid):
     zs = data.draw(_sum_map_points(poles))
     with np.errstate(all="ignore"):
         vals, ok = fm.eval_masked(zs)
-        hv, ok_h = fm.h_expr.eval_masked(zs)
-        gv, ok_g = fm.g_expr.eval_masked(zs)
+        hv, ok_h = masked_values(lambda w: fm.h_expr.eval(w, check=False), zs,
+                                 fm.h_expr.pole_points)
+        gv, ok_g = masked_values(lambda w: fm.g_expr.eval(w, check=False), zs,
+                                 fm.g_expr.pole_points)
         want = hv + np.conjugate(gv)
     assert np.array_equal(ok, ok_h & ok_g & np.isfinite(want))
     assert vals[ok].tobytes() == want[ok].tobytes()

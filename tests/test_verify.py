@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from harmonic_atlas import verify
 from harmonic_atlas.verify import SUITES, VerifyConfig, report_json, run_suite
 
 FAST = VerifyConfig(order=16, grid_radii=16, grid_angles=64)
@@ -39,6 +40,18 @@ def test_t42_half_integer_count_row():
 def test_remark_suite():
     report = run_suite("REMARK", FAST)
     assert report["summary"]["matched"] == report["summary"]["total"] == 5
+
+
+def test_remark_identity_rows_can_fail(monkeypatch):
+    # with no M(theta) identity holding, REMARK still reports its 5 rows:
+    # f9's identity row and f3's margin row, which its identity gates, fail
+    calls = []
+    monkeypatch.setattr(verify, "dilatation_check", lambda F: calls.append(F) or False)
+    report = run_suite("REMARK", FAST)
+    failed = [(r["id"], r["check"]) for r in report["rows"] if not r["match"]]
+    assert report["summary"]["total"] == 5
+    assert failed == [("f3", "m_theta_0_margin"), ("f9", "m_pi_coefficient_identity")]
+    assert len(calls) == 2
 
 
 def test_remark_matches_at_512_angles():
