@@ -47,6 +47,12 @@ repeats h's terms), pass ``eval`` one ``shared`` dict from
 :func:`shared_values`, so the polynomial values and logs they have in
 common are computed once; every value is bit for bit the same.
 
+:func:`masked_values` evaluates in blocks of ``_BLOCK`` = 4096 points into
+one preallocated output, so each complex temporary is 64 KiB.  A value
+depends only on its own point, so the blocks give bit for bit what one
+call on all the points gives; that holds because no ``out=`` aliases an
+input (see ``Poly.__call__``).
+
 Series are cached at two levels: each expression keeps its sums by order
 (``_series_cache``), and ``_term_series`` keeps, for the life of the process,
 the series of each unscaled term keyed by its polynomials ((num, den) or
@@ -70,6 +76,7 @@ from .numkernel import GaussRational, Series, gauss
 __all__ = ["Poly", "RationalTerm", "LogTerm", "AnalyticExpr"]
 
 EPS_POLE = 1e-6
+_BLOCK = 4096  # points per call of masked_values' fn: 64 KiB of complex
 # The inside-the-disk rejection's slack for rounded roots; the roots of
 # squarefree factors are accurate to about machine epsilon, so an exact
 # zero-free test can replace it.
@@ -258,13 +265,21 @@ def near_pole(z, poles: np.ndarray) -> np.ndarray:
 
 
 def masked_values(fn, zs, poles: np.ndarray):
-    """``(values, ok_mask)``: fn runs once, on all of zs, with 0 in place of
-    a point near a pole (every term is finite at 0: Q(0) != 0, L(0) = 1)
-    and NaN as that point's value; ok marks the finite values.  With no
-    point near a pole, zs reaches fn uncopied."""
+    """``(values, ok_mask)``: fn(w, part) runs on each block w of ``_BLOCK``
+    consecutive points (module doc), with 0 in place of a point near a pole
+    (every term is finite at 0: Q(0) != 0, L(0) = 1) and NaN as that
+    point's value; ok marks the finite values.  With no point near a pole,
+    w is a view of zs and part its slice of the flattened zs, so fn may use
+    values memoized at the points of zs; otherwise part is None."""
     zs = np.asarray(zs, dtype=complex)
     near = near_pole(zs, poles)
-    vals = np.asarray(fn(np.where(near, 0, zs) if near.any() else zs))
+    replaced = near.any()
+    w = (np.where(near, 0, zs) if replaced else zs).ravel()
+    vals = np.empty(zs.shape, dtype=complex)
+    flat = vals.reshape(-1)
+    for a in range(0, w.size, _BLOCK):
+        part = slice(a, a + _BLOCK)
+        flat[part] = fn(w[part], None if replaced else part)
     vals[near] = np.nan
     return vals, np.isfinite(vals)
 

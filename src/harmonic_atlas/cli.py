@@ -216,7 +216,7 @@ def _cmd_render(args) -> int:
                          r_max=args.rmax, samples_per_curve=args.samples)
     svg = render_svg(entry.harmonic_map(32), opts)
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "wb") as fh:
             fh.write(svg)
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc}", code=3) from exc

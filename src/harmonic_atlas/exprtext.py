@@ -18,6 +18,7 @@ import re
 from fractions import Fraction
 
 from .analytic import AnalyticExpr, LogTerm, Poly, RationalTerm
+from .errors import InvalidExpression
 from .numkernel import GaussRational
 
 __all__ = [
@@ -107,6 +108,7 @@ def parse_expr_text(text: str) -> AnalyticExpr:
 
 # -- natural formula notation -------------------------------------------------
 
+_MAX_POWER = 256  # the largest exponent times the size of its base in a formula
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([zi()+\-*/^]))")
 
 
@@ -153,6 +155,16 @@ class _RatFunc:
         return _RatFunc(-self.num, self.den)
 
     def pow(self, k: int):
+        """self**k by k products, whose cost grows as k**2.  Refused when k
+        times the size of self exceeds ``_MAX_POWER``; the size is the
+        largest of 1, the degree and the longest coefficient part in 64-bit
+        words, so nested powers cannot grow the degree or the coefficients
+        without bound either."""
+        cs = self.num.coeffs + self.den.coeffs
+        words = max(abs(x).bit_length() for c in cs for x in (c._a, c._b, c._d)) // 64
+        if max(1, self.num.degree, self.den.degree, words) * k > _MAX_POWER:
+            raise InvalidExpression("power too large: exponent times the size of "
+                                    f"its base exceeds {_MAX_POWER}")
         out = _RatFunc(Poly.one(), Poly.one())
         for _ in range(k):
             out = out * self

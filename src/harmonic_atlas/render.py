@@ -9,12 +9,19 @@ dropped and leave gaps in the path rather than being interpolated across.
 Cost: a render is one pass over the polar grid: one read-only array of
 every curve's sample points (``_grid``, cached for the last options), one
 ``eval_masked`` call on it, one vectorised text pass for all the paths,
-the viewport from the same values and one join of the document.  The
-batch evaluates h and g together, each distinct polynomial and log of the
-two once (a shear's g repeats every term of h).  The pole test, screened
-by radius, tests no catalog pole inside r_max = 0.95, so the points reach
-the map uncopied.  No value depends on the other points of the batch, so
-one batch draws what a batch per curve would.
+the viewport from the same values and one join of the document, which is
+returned as bytes.  The evaluation runs in blocks of 4096 points
+(``masked_values``), h and g together, each distinct polynomial and log of
+the two once per point (a shear's g repeats every term of h).  The pole
+test, screened by radius, tests no catalog pole inside r_max = 0.95, so
+the points reach the map uncopied and the logs come from a memo kept with
+the grid: one read-only array of log L at its points for each log argument
+L, filled by the first render that needs it.  The memo holds at most one
+array per L, for the one cached grid: the catalog's four (1 +- z, 1 +- iz)
+take 0.78 MiB at the default options and 64 MiB at the 2**20-point cap.  A
+render with a point near a pole neither reads nor fills it.  No value
+depends on the other points, so blocks and memo draw what one batch per
+curve would.
 ``RenderOptions`` caps a render at 2**20 sampled points, (circles + rays
 + 1) * samples_per_curve, so an oversized request fails before anything
 is allocated.
@@ -139,8 +146,8 @@ def _fixed6(c: np.ndarray) -> np.ndarray:
     return text
 
 
-def _path_texts(vals: np.ndarray, ok: np.ndarray, sizes, close) -> list[str]:
-    """Polyline path data of consecutive curves, one string per curve.
+def _path_texts(vals: np.ndarray, ok: np.ndarray, sizes, close) -> list[bytes]:
+    """Polyline path data of consecutive curves, ASCII bytes per curve.
 
     Curve k is the next ``sizes[k]`` entries of ``vals`` and ``ok``; a
     masked-out point breaks its line (gap, no segment), and ``close[k]``
@@ -173,27 +180,29 @@ def _path_texts(vals: np.ndarray, ok: np.ndarray, sizes, close) -> list[str]:
     text[heads, 0, 0] = 0
     text[:, 0, 1] = np.where(inside, ord("L"), ord("M"))
     text[:, 1, 1] = ord(",")
-    return [text[a:b].tobytes().translate(None, b"\0").decode("ascii")
+    return [text[a:b].tobytes().translate(None, b"\0")
             for a, b in zip(rows[:-1].tolist(), rows[1:].tolist())]
 
 
 @functools.lru_cache(maxsize=1)
-def _grid(circles: int, rays: int, r_max: float, n: int) -> np.ndarray:
+def _grid(circles: int, rays: int, r_max: float, n: int) -> tuple[np.ndarray, dict]:
     """Sample points of every curve, n each, read-only: the circles, the
-    near-boundary circle at r_max, then the rays."""
+    near-boundary circle at r_max, then the rays; and the memo of log L at
+    those points, by log argument L, that ``eval_masked`` fills."""
     ring = np.exp(2j * np.pi * np.arange(n) / n)
     ts = np.linspace(0.0, r_max, n)
     zs = np.concatenate([r_max * k / (circles + 1) * ring for k in range(1, circles + 1)]
                         + [r_max * ring]
                         + [ts * np.exp(2j * np.pi * j / rays) for j in range(rays)])
     zs.flags.writeable = False
-    return zs
+    return zs, {}
 
 
-def render_svg(F, opts: RenderOptions = RenderOptions()) -> str:
-    """Render the image of the polar grid under F as an SVG document."""
+def render_svg(F, opts: RenderOptions = RenderOptions()) -> bytes:
+    """Render the image of the polar grid under F as an SVG document, in
+    UTF-8 (all ASCII)."""
     n, closed = opts.samples_per_curve, opts.circles + 1
-    vals, ok = F.eval_masked(_grid(opts.circles, opts.rays, opts.r_max, n))
+    vals, ok = F.eval_masked(*_grid(opts.circles, opts.rays, opts.r_max, n))
     paths = _path_texts(vals, ok, [n] * (closed + opts.rays),
                         [True] * closed + [False] * opts.rays)
     # drawing order: circles, rays, boundary
@@ -207,15 +216,15 @@ def render_svg(F, opts: RenderOptions = RenderOptions()) -> str:
     w, h = (xmax - xmin) + 2 * pad, (ymax - ymin) + 2 * pad
 
     scale = w / _SIZE
-    style = '" fill="none" stroke="{}" stroke-width="{:.6f}"/>\n'
-    tails = ([style.format("#7a8aa0", _GRID_STROKE * scale)] * (len(paths) - 1)
-             + [style.format("#202020", _BOUNDARY_STROKE * scale)])
-    parts = ['<?xml version="1.0" encoding="UTF-8"?>\n'
-             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-             f'width="{_SIZE}" height="{_SIZE}" '
-             f'viewBox="{x0:.6f} {y0:.6f} {w:.6f} {h:.6f}">\n']
+    style = b'" fill="none" stroke="%s" stroke-width="%.6f"/>\n'
+    tails = ([style % (b"#7a8aa0", _GRID_STROKE * scale)] * (len(paths) - 1)
+             + [style % (b"#202020", _BOUNDARY_STROKE * scale)])
+    parts = [b'<?xml version="1.0" encoding="UTF-8"?>\n'
+             b'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             b'width="%d" height="%d" viewBox="%.6f %.6f %.6f %.6f">\n'
+             % (_SIZE, _SIZE, x0, y0, w, h)]
     for data, tail in zip(paths, tails):
         if data:  # an empty path is left out
-            parts += ['<path d="', data, tail]
-    parts.append("</svg>\n")
-    return "".join(parts)
+            parts += [b'<path d="', data, tail]
+    parts.append(b"</svg>\n")
+    return b"".join(parts)

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import EPS_POLE, AnalyticExpr, masked_values, near_pole, shared_values
+from .analytic import (
+    EPS_POLE, AnalyticExpr, LogTerm, masked_values, near_pole, shared_values,
+)
 from .errors import (
     DilatationTooLarge, NearPole, NoClosedForm, NotNormalized, SeriesMismatch,
 )
@@ -88,22 +90,45 @@ class HarmonicMap:
             raise NearPole(f"evaluation within {EPS_POLE} of a pole")
         return self._f(h, g, z)
 
-    def eval_masked(self, zs: np.ndarray):
+    def eval_masked(self, zs: np.ndarray, logs: dict | None = None):
         """Vectorized f(z) returning ``(values, ok_mask)``, for plotting.
 
         One pole mask covers h and g, and both are evaluated once, on every
-        point (``masked_values``); a point whose value is not finite is
-        masked too.
+        point, block by block (``masked_values``); a point whose value is
+        not finite is masked too.  ``logs`` memoizes log L(zs) by log
+        argument L for the caller, who keeps it with zs (``render`` keeps
+        one per grid).  When no point is near a pole, each log of h and g
+        is read from it, or computed in the pass and added to it, read-only.
         """
         h, g = self._closed("h"), self._closed("g")
-        return masked_values(lambda w: self._f(h, g, w), zs,
-                             np.concatenate([h.pole_points, g.pole_points]))
+        base = shared_values(h, g)
+        args = dict.fromkeys(t.arg for t in h.terms + g.terms if isinstance(t, LogTerm))
+        fill = {}  # the logs this pass computes, added to the memo at its end
+
+        def f(w, part):
+            shared = dict(base)
+            if logs is not None and part is not None:
+                for arg in args:
+                    if arg not in logs and arg not in fill:
+                        fill[arg] = np.empty(np.size(zs), dtype=complex)
+                    shared[(arg,)] = logs[arg][part] if arg in logs else None
+            vals = self._f(h, g, w, shared)
+            for arg, memo in fill.items():
+                memo[part] = shared[(arg,)]
+            return vals
+
+        out = masked_values(f, zs, np.concatenate([h.pole_points, g.pole_points]))
+        for arg, memo in fill.items():
+            memo.flags.writeable = False
+            logs[arg] = memo
+        return out
 
     @staticmethod
-    def _f(h: AnalyticExpr, g: AnalyticExpr, z):
+    def _f(h: AnalyticExpr, g: AnalyticExpr, z, shared: dict | None = None):
         """h(z) + conj(g(z)) unchecked, with the values h and g share
-        computed once and freed before the sum."""
-        shared = shared_values(h, g)
+        computed once (``shared_values``, unless given) and, if made here,
+        freed before the sum."""
+        shared = shared_values(h, g) if shared is None else shared
         hv = h.eval(z, check=False, shared=shared)
         gv = g.eval(z, check=False, shared=shared)
         del shared

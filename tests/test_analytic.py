@@ -20,7 +20,8 @@ from harmonic_atlas import (
     PoleAtOrigin, Series, catalog_ids, catalog_lookup, default_grid, parse_any,
 )
 from harmonic_atlas.analytic import (
-    EPS_POLE, LogTerm, RationalTerm, _poly_roots, _term_series, masked_values, near_pole,
+    _BLOCK, EPS_POLE, LogTerm, RationalTerm, _poly_roots, _term_series, masked_values,
+    near_pole,
 )
 from oracles import long_division_series, pole_mask_bruteforce, quotient_rule
 
@@ -39,7 +40,7 @@ HSLITS_WIDE = AnalyticExpr.rational(1, Z, P(1, -1, 1))     # z/(1-z+z^2)
 
 def eval_masked(e, zs):
     """(values, ok) of e at zs with points near a pole masked out."""
-    return masked_values(lambda w: e.eval(w, check=False), zs, e.pole_points)
+    return masked_values(lambda w, _: e.eval(w, check=False), zs, e.pole_points)
 
 
 # -- construction invariants -------------------------------------------------
@@ -182,6 +183,42 @@ def test_eval_masked_masks_points_near_a_triple_pole():
     vals, ok = eval_masked(h, np.array([1 + 5e-7j, 0.5]))
     assert ok.tolist() == [False, True]
     assert np.isnan(vals[0])
+
+
+# f4_cv1's h: two logs and a pole at z = 1 shared with a log argument
+_BLOCKED_EXPRS = [catalog_lookup("f4_cv1").harmonic_map(16).h_expr, KOEBE]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), e=st.sampled_from(_BLOCKED_EXPRS),
+       size=st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]))
+def test_blocked_masked_values_equal_one_call(data, e, size):
+    # each value depends only on its own point, so fn on blocks of _BLOCK
+    # points gives, bit for bit, what one call on all the points gives; the
+    # blocks are views of zs, in order, and marked as such only while no
+    # point near a pole was replaced
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    zs = 0.999 * np.sqrt(rng.random(size)) * np.exp(2j * np.pi * rng.random(size))
+    specials = [complex(math.nan, 0), complex(0, math.nan), 1 + 5e-7j, 1 - 3e-7, 0j]
+    for _ in range(data.draw(st.integers(0, 3)) if size else 0):
+        zs[data.draw(st.integers(0, size - 1))] = data.draw(st.sampled_from(specials))
+    near = pole_mask_bruteforce(zs, e.pole_points, EPS_POLE)
+    parts = []
+
+    def fn(w, part):
+        parts.append((w.size, part))
+        return e.eval(w, check=False)
+
+    with np.errstate(all="ignore"):
+        vals, ok = masked_values(fn, zs, e.pole_points)
+        want = e.eval(np.where(near, 0, zs), check=False)
+    want[near] = np.nan
+    assert vals.tobytes() == want.tobytes()
+    assert np.array_equal(ok, np.isfinite(want))
+    starts = range(0, size, _BLOCK)
+    assert [n for n, _ in parts] == [min(_BLOCK, size - a) for a in starts]
+    assert [p for _, p in parts] == [None if near.any() else slice(a, a + _BLOCK)
+                                     for a in starts]
 
 
 def test_pole_points_hold_a_multiple_pole_once():

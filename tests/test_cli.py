@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -67,6 +68,24 @@ def test_expand_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "expand", "q//", "4")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("text", ["z^100000", "((1-z)^200)^200", "2^100000*z",
+                                  "z((2^256)^256)^256"])
+def test_expand_oversized_power_exit_2_fast(capsys, text):
+    # a power takes k products, so its cost grows as k**2: an exponent times
+    # the degree or coefficient size of its base above 256 is refused at once
+    start = time.perf_counter()
+    code, out, err = run(capsys, "expand", text, "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "InvalidExpression: power too large" in err
+
+
+def test_expand_largest_power(capsys):
+    code, out, _ = run(capsys, "expand", "z/(1-z)^256", "2")
+    assert code == 0
+    assert "h: 0 1 256" in out
 
 
 @pytest.mark.parametrize("text", ["rat(1/2; 0,1; 1) rat(1/2; 0,1; 1)",
@@ -236,6 +255,16 @@ def test_render_writes_svg(tmp_path, capsys):
     assert body.startswith("<?xml") and "<svg" in body
 
 
+def test_render_writes_the_recorded_document(tmp_path, capsys):
+    # the document goes to the file as bytes, unchanged: its sha256 is the
+    # benchmark's record of `render f28_cv1` at the default options
+    out_path = tmp_path / "out.svg"
+    code, out, _ = run(capsys, "render", "f28_cv1", str(out_path))
+    assert code == 0 and out == f"wrote {out_path}\n"
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == EXPECTED_OPS["render f28_cv1"]["sha256"]
+
+
 def test_render_harmonic_koebe(tmp_path, capsys):
     out_path = tmp_path / "hk.svg"
     code, _, _ = run(capsys, "render", "harmonic_koebe", str(out_path),
@@ -276,7 +305,7 @@ def test_render_options_are_the_render_flags(tmp_path, capsys, monkeypatch):
     arguments = _COMMANDS["render"][2]
     assert sorted(name for name, _ in arguments if name.startswith("--")) == sorted(flags)
     seen = []
-    monkeypatch.setattr(cli, "render_svg", lambda F, opts: seen.append(opts) or "")
+    monkeypatch.setattr(cli, "render_svg", lambda F, opts: seen.append(opts) or b"")
     argv = ["render", "koebe", str(tmp_path / "k.svg")]
     for flag, (_, value) in flags.items():
         argv += [flag, str(value)]

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonic_atlas import NoClosedForm, Poly, RenderOptions, catalog_lookup, render_svg
+from harmonic_atlas import (
+    GaussRational, NoClosedForm, Poly, RenderOptions, catalog_lookup, render_svg,
+)
 from harmonic_atlas.analytic import LogTerm
-from harmonic_atlas.shear import HarmonicMap
-from harmonic_atlas.render import _path_texts
+from harmonic_atlas.render import _grid, _path_texts
 from oracles import path_data_reference
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -32,8 +33,8 @@ def render(eid, **kw):
 
 
 def _path_data(vals, ok, close):
-    """Path data of one curve: ``_path_texts`` on a single curve."""
-    return _path_texts(vals, ok, [len(vals)], [close])[0]
+    """Path data of one curve, as text: ``_path_texts`` on a single curve."""
+    return _path_texts(vals, ok, [len(vals)], [close])[0].decode("ascii")
 
 
 def test_identity_svg_parses_and_counts_curves():
@@ -103,48 +104,70 @@ def test_render_matches_recorded_digest(eid):
             render_svg(catalog_lookup(eid).harmonic_map(32))
         return
     doc = render_svg(catalog_lookup(eid).harmonic_map(32))
-    assert hashlib.sha256(doc.encode()).hexdigest() == want
+    assert hashlib.sha256(doc).hexdigest() == want
+
+
+_POINTS = 25 * 512  # grid points at the default options: 8 circles, 16 rays, boundary
 
 
 def test_render_computes_each_distinct_value_once_per_batch(monkeypatch):
-    # a render evaluates f = h + conj(g) in one batch, all curves together;
-    # within it, each distinct polynomial of h and g is Horner-evaluated once
-    # and each distinct log argument goes through np.log once, though g
-    # repeats h's terms as separately built objects
-    horner, logs, batches = [], [], []
+    # a render evaluates f = h + conj(g) block by block, all curves together;
+    # each distinct polynomial of h and g is Horner-evaluated at most once at
+    # each grid point, though g repeats h's terms as separately built
+    # objects, and each log argument goes through np.log at most once at
+    # each point of the grid, across renders: later renders read the memo
+    horner, logs = Counter(), []
     plain_call, plain_log = Poly.__call__, np.log
-    plain_masked = HarmonicMap.eval_masked
 
     def counting_call(self, z):
-        horner.append(self)
+        horner[self] += np.size(z)
         return plain_call(self, z)
 
     def counting_log(x):
-        logs.append(x)
+        logs.append(np.size(x))
         return plain_log(x)
-
-    def batch(self, zs):
-        horner.clear()
-        logs.clear()
-        out = plain_masked(self, zs)
-        batches.append((Counter(horner), len(logs)))
-        return out
 
     monkeypatch.setattr(Poly, "__call__", counting_call)
     monkeypatch.setattr(np, "log", counting_log)
-    monkeypatch.setattr(HarmonicMap, "eval_masked", batch)
-    # f4_cv1's g repeats both logs of h
-    for eid, n_args in (("f9_cv1", 0), ("f4_cv1", 2), ("koebe", 0)):
+    _grid.cache_clear()
+    seen = set()
+    # f4_cv1's g repeats both logs of h, and 1 - z is also a denominator there
+    for eid, n_args in (("f9_cv1", 0), ("f4_cv1", 2), ("koebe", 0), ("f7_cv1", 2),
+                        ("f28_cv1", 2), ("f4_cv1", 2)):
         fm = catalog_lookup(eid).harmonic_map(32)
         terms = fm.h_expr.terms + fm.g_expr.terms
-        polys = {p for t in terms for p in t[1:]}
+        rational = {p for t in terms if not isinstance(t, LogTerm) for p in t[1:]}
         args = {t.arg for t in terms if isinstance(t, LogTerm)}
         assert len(args) == n_args, eid
-        batches.clear()
+        horner.clear()
         render_svg(fm)
-        [(calls, n_logs)] = batches
-        assert set(calls) == polys and set(calls.values()) == {1}, eid
-        assert n_logs == n_args, eid
+        assert rational <= set(horner) <= rational | (args - seen), eid
+        assert set(horner.values()) == {_POINTS}, eid
+        seen |= args
+        assert sum(logs) == len(seen) * _POINTS, eid
+    assert len(seen) == 4
+
+
+def test_log_memo_serves_later_renders(monkeypatch):
+    # the second render of f4_cv1 reads both logs from the memo kept with the
+    # grid; after every closed-form render it holds the catalog's four log
+    # arguments (1 - z, 1 + z, 1 - iz, 1 + iz), read-only
+    _grid.cache_clear()
+    fm = catalog_lookup("f4_cv1").harmonic_map(32)
+    first = render_svg(fm)
+    logs, plain_log = [], np.log
+    monkeypatch.setattr(np, "log", lambda x: logs.append(x) or plain_log(x))
+    assert render_svg(fm) == first
+    assert logs == []
+    monkeypatch.undo()
+    for eid in CLOSED_FORM_IDS:
+        render_svg(catalog_lookup(eid).harmonic_map(32))
+    zs, memo = _grid(8, 16, 0.95, 512)
+    i = GaussRational(0, 1)
+    assert set(memo) == {Poly((1, -1)), Poly((1, 1)), Poly((1, -i)), Poly((1, i))}
+    for arg, values in memo.items():
+        assert values.shape == zs.shape and not values.flags.writeable
+        assert values.tobytes() == np.log(arg(zs)).tobytes()
 
 
 CLOSED_FORM_IDS = [eid for eid in EXPECTED["render_ids"]
@@ -174,8 +197,10 @@ def test_render_paths_match_reference_near_the_circle(eid):
 def test_render_peak_memory():
     # on f9_cv1 the per-curve loop peaked at 1.66 MB, a single batch of all
     # 25 curves at about 3.1 MB; f18_cvi, whose h and g share five values,
-    # has the highest peak of the closed-form entries (2.18 MB)
-    for entry_id in ("f9_cv1", "f18_cvi"):
+    # had the highest peak of the closed-form entries (2.27 MB) and f28_cv1
+    # 2.06 MB while the whole grid was one evaluation; in blocks of 4096
+    # points every render peaks in the text pass, at about 1.36 MB
+    for entry_id in ("f9_cv1", "f18_cvi", "f28_cv1"):
         fm = catalog_lookup(entry_id).harmonic_map(32)
         want = render_svg(fm)
         tracemalloc.start()
@@ -185,7 +210,7 @@ def test_render_peak_memory():
         finally:
             tracemalloc.stop()
         assert doc == want
-        assert peak < 2.5e6, (entry_id, peak)
+        assert peak < 1.5e6, (entry_id, peak)
 
 
 # -- path data against the per-point reference -----------------------------------
@@ -271,5 +296,5 @@ def test_path_texts_match_reference_curve_by_curve(curves):
     closes = [close for _, close in curves]
     got = _path_texts(np.concatenate(vals), np.concatenate(oks),
                       [v.size for v in vals], closes)
-    assert got == [path_data_reference(v, ok, close)
+    assert got == [path_data_reference(v, ok, close).encode("ascii")
                    for v, ok, close in zip(vals, oks, closes)]

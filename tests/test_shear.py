@@ -290,9 +290,9 @@ def test_eval_masked_equals_h_plus_conj_g_at_unmasked_points(data, eid):
     zs = data.draw(_sum_map_points(poles))
     with np.errstate(all="ignore"):
         vals, ok = fm.eval_masked(zs)
-        hv, ok_h = masked_values(lambda w: fm.h_expr.eval(w, check=False), zs,
+        hv, ok_h = masked_values(lambda w, _: fm.h_expr.eval(w, check=False), zs,
                                  fm.h_expr.pole_points)
-        gv, ok_g = masked_values(lambda w: fm.g_expr.eval(w, check=False), zs,
+        gv, ok_g = masked_values(lambda w, _: fm.g_expr.eval(w, check=False), zs,
                                  fm.g_expr.pole_points)
         want = hv + np.conjugate(gv)
     assert np.array_equal(ok, ok_h & ok_g & np.isfinite(want))
