@@ -29,8 +29,8 @@ Construction enforces the invariants the rest of the package relies on:
   without crossing.  A test on neighbouring samples of L alone cannot
   tell such a pass between two samples from a crossing.
 
-Logs are principal-branch throughout.  No simplification is done on term
-sums; equality of expressions is tested through their series.
+Logs are principal-branch throughout.  Terms are kept as written, for the
+atlas text and ``eval``; a series sums the rational ones into one quotient.
 
 A point within ``EPS_POLE`` of a denominator or log-argument root raises
 ``NearPole`` in ``eval`` and is masked by :func:`masked_values`.  The test is
@@ -53,13 +53,13 @@ depends only on its own point, so the blocks give bit for bit what one
 call on all the points gives; that holds because no ``out=`` aliases an
 input (see ``Poly.__call__``).
 
-Series are cached at two levels: each expression keeps its sums by order
-(``_series_cache``), and ``_term_series`` keeps, for the life of the process,
-the series of each unscaled term keyed by its polynomials ((num, den) or
-(arg,)) and the order, at most 256 keys, least recently used out first.
-Catalog expressions share terms (a proof shear's g is h minus its source),
-so each distinct term is expanded once.  ``Poly`` and ``Series`` are
-immutable, so a cached series is safe to share: it is only read.
+A series sums the rational terms into one unreduced :class:`RatFunc` P/Q
+and multiplies P by 1/Q (what perfbench times as ``numkernel.mul`` and
+``numkernel.reciprocal``); a log term adds c log L, the integral of L'/L,
+whose series ``_log_series`` keeps by (L, order) for the life of the
+process (the catalog has 4 distinct L).  Each expression keeps its series
+by order (``_series_cache``).  ``Poly`` and ``Series`` are immutable, so a
+cached series is safe to share: it is only read.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidExpression, NearPole, PoleAtOrigin
-from .numkernel import GaussRational, Series, gauss
+from .numkernel import GaussRational, Series, coeff_product, gauss
 
-__all__ = ["Poly", "RationalTerm", "LogTerm", "AnalyticExpr"]
+__all__ = ["Poly", "RatFunc", "RationalTerm", "LogTerm", "AnalyticExpr"]
 
 EPS_POLE = 1e-6
 _BLOCK = 4096  # points per call of masked_values' fn: 64 KiB of complex
@@ -148,13 +148,7 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return Poly.zero()
-        out = [GaussRational(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        return Poly(coeff_product(self.coeffs, other.coeffs, self.degree + other.degree))
 
     def scale(self, c) -> "Poly":
         c = gauss(c)
@@ -213,6 +207,38 @@ class Poly:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
 
+class RatFunc:
+    """Quotient num/den of polynomials, den nonzero.  ``+ * /`` and ``-x``
+    leave the result unreduced: a sum adds the numerators over an equal
+    denominator and cross-multiplies otherwise.  :meth:`reduced` divides
+    num and den by their monic gcd."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Poly, den: Poly | None = None):
+        self.num, self.den = num, Poly.one() if den is None else den
+
+    def __add__(self, o: "RatFunc") -> "RatFunc":
+        if self.den == o.den:
+            return RatFunc(self.num + o.num, self.den)
+        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    def __mul__(self, o: "RatFunc") -> "RatFunc":
+        return RatFunc(self.num * o.num, self.den * o.den)
+
+    def __truediv__(self, o: "RatFunc") -> "RatFunc":
+        if o.num.is_zero:
+            raise ZeroDivisionError("division by zero")
+        return RatFunc(self.num * o.den, self.den * o.num)
+
+    def __neg__(self) -> "RatFunc":
+        return RatFunc(-self.num, self.den)
+
+    def reduced(self) -> "RatFunc":
+        g = self.num.gcd(self.den)
+        return RatFunc(divmod(self.num, g)[0], divmod(self.den, g)[0])
+
+
 class RationalTerm(NamedTuple):
     c: GaussRational
     num: Poly
@@ -235,17 +261,11 @@ _BRANCH_POINTS = np.outer(
 ).ravel()
 
 
-@lru_cache(maxsize=256)  # the catalog has 39 distinct terms at one order
-def _term_series(polys: tuple, order: int) -> Series:
-    """Series of num/den for polys (num, den), of log(arg) for (arg,)."""
-    if len(polys) == 2:
-        num, den = polys
-        return num.to_series(order) * den.to_series(order).reciprocal()
-    (arg,) = polys
-    if order == 0:
-        return Series.zero(0)
-    return (arg.derivative().to_series(order - 1)
-            * arg.to_series(order - 1).reciprocal()).antiderivative()
+@lru_cache(maxsize=32)  # the catalog has 4 distinct log arguments
+def _log_series(arg: Poly, order: int) -> Series:
+    """Series of log(arg), the integral of arg'/arg."""
+    quot = arg.derivative().to_series(order) * arg.to_series(order).reciprocal()
+    return quot.antiderivative().truncate(order)
 
 
 def near_pole(z, poles: np.ndarray) -> np.ndarray:
@@ -460,32 +480,37 @@ class AnalyticExpr:
 
     def derivative(self) -> "AnalyticExpr":
         """Termwise symbolic derivative, (P'Q - PQ')/Q^2 for P/Q and L'/L for
-        log L, each divided by its numerator's and denominator's monic gcd:
-        uncancelled, a k-fold pole becomes a 2k-fold root of Q^2 whose
-        computed roots scatter and whose values lose digits near the circle."""
+        log L, each in lowest terms (``RatFunc.reduced``): uncancelled, a
+        k-fold pole becomes a 2k-fold root of Q^2 whose computed roots
+        scatter and whose values lose digits near the circle."""
         if self._deriv is None:
             out = []
             for t in self.terms:
                 if isinstance(t, RationalTerm):
-                    num = t.num.derivative() * t.den - t.num * t.den.derivative()
-                    den = t.den * t.den
+                    q = RatFunc(t.num.derivative() * t.den - t.num * t.den.derivative(),
+                                t.den * t.den)
                 else:
-                    num, den = t.arg.derivative(), t.arg
-                g = num.gcd(den)
-                out.append(RationalTerm(t.c, divmod(num, g)[0], divmod(den, g)[0]))
+                    q = RatFunc(t.arg.derivative(), t.arg)
+                q = q.reduced()
+                out.append(RationalTerm(t.c, q.num, q.den))
             self._deriv = AnalyticExpr(out, validate=False)
         return self._deriv
 
     def series(self, order: int) -> Series:
-        """Exact Taylor coefficients to the given order: the shared term
-        series combined with the term coefficients (``Series.combination``),
-        kept in ``_series_cache`` (see the module doc)."""
+        """Exact Taylor coefficients to the given order: the rational terms
+        summed into one quotient P/Q, expanded once, plus c log L for each
+        log term, kept in ``_series_cache`` (see the module doc)."""
         cached = self._series_cache.get(order)
         if cached is not None:
             return cached
-        acc = Series.combination([t.c for t in self.terms],
-                                 [_term_series(t[1:], order) for t in self.terms]
-                                 ) if self.terms else Series.zero(order)
+        q = RatFunc(Poly.zero())
+        for t in self.terms:
+            if isinstance(t, RationalTerm):
+                q = q + RatFunc(t.num.scale(t.c), t.den)
+        acc = q.num.to_series(order) * q.den.to_series(order).reciprocal()
+        for t in self.terms:
+            if isinstance(t, LogTerm):
+                acc = acc + _log_series(t.arg, order).scale(t.c)
         self._series_cache[order] = acc
         return acc
 

@@ -36,6 +36,10 @@ from .shear import HarmonicMap, shear_imag, shear_real
 from .verify import SUITES, VerifyConfig, report_json, run_suite
 
 _CONFIG_KEYS = {"order", "grid.radii", "grid.angles", "tol", "r_max"}
+# The largest series order and verify grid (radii x angles) a call may ask
+# for: well above the benchmark's order 128 and 64 x 1024 grid.
+_MAX_ORDER = 1024
+_MAX_GRID_POINTS = 2**20
 
 
 class CliError(Exception):
@@ -82,8 +86,11 @@ def _build_config(args) -> VerifyConfig:
         tol = args.tol if args.tol is not None else float(values.get("tol", default.tol))
     except ValueError as exc:
         raise CliError(f"bad config value: {exc}") from exc
-    if order < 1 or radii < 1 or angles < 1 or not (0 < r_max < 1) or tol < 0:
-        raise CliError("config values out of range")
+    if not (1 <= order <= _MAX_ORDER and radii >= 1 and angles >= 1 and 0 < r_max < 1
+            and tol >= 0 and radii * angles <= _MAX_GRID_POINTS):
+        raise CliError("config values out of range: need "
+                       f"1 <= order <= {_MAX_ORDER}, radii and angles >= 1, "
+                       f"radii x angles <= {_MAX_GRID_POINTS}, 0 < r_max < 1, tol >= 0")
     return VerifyConfig(order=order, grid_radii=radii, grid_angles=angles,
                         r_max=r_max, tol=tol)
 
@@ -133,8 +140,8 @@ def _cmd_list(args) -> int:
 def _cmd_expand(args) -> int:
     config = _build_config(args)
     order = args.count if args.count is not None else config.order
-    if order < 0:
-        raise CliError(f"count must be >= 0, got {order}")
+    if not 0 <= order <= _MAX_ORDER:
+        raise CliError(f"count must be >= 0 and <= {_MAX_ORDER}, got {order}")
     fm = _resolve_map(args.target, max(order, 1))
     h = _coeff_table(fm.h_series, order)
     g = _coeff_table(fm.g_series, order)

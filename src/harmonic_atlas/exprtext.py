@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .analytic import AnalyticExpr, LogTerm, Poly, RationalTerm
+from .analytic import AnalyticExpr, LogTerm, Poly, RatFunc, RationalTerm
 from .errors import InvalidExpression
 from .numkernel import GaussRational
 
@@ -127,48 +127,21 @@ def _tokenize(text: str):
     return tokens
 
 
-class _RatFunc:
-    """Unreduced quotient of two polynomials, used only while parsing."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator in formula")
-        self.num, self.den = num, den
-
-    def __add__(self, o):
-        return _RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __sub__(self, o):
-        return _RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __mul__(self, o):
-        return _RatFunc(self.num * o.num, self.den * o.den)
-
-    def __truediv__(self, o):
-        if o.num.is_zero:
-            raise ZeroDivisionError("division by zero in formula")
-        return _RatFunc(self.num * o.den, self.den * o.num)
-
-    def __neg__(self):
-        return _RatFunc(-self.num, self.den)
-
-    def pow(self, k: int):
-        """self**k by k products, whose cost grows as k**2.  Refused when k
-        times the size of self exceeds ``_MAX_POWER``; the size is the
-        largest of 1, the degree and the longest coefficient part in 64-bit
-        words, so nested powers cannot grow the degree or the coefficients
-        without bound either."""
-        cs = self.num.coeffs + self.den.coeffs
-        words = max(abs(x).bit_length() for c in cs for x in (c._a, c._b, c._d)) // 64
-        if max(1, self.num.degree, self.den.degree, words) * k > _MAX_POWER:
-            raise InvalidExpression("power too large: exponent times the size of "
-                                    f"its base exceeds {_MAX_POWER}")
-        out = _RatFunc(Poly.one(), Poly.one())
-        for _ in range(k):
-            out = out * self
-        return out
+def _power(base: RatFunc, k: int) -> RatFunc:
+    """base**k by k products, whose cost grows as k**2.  Refused when k
+    times the size of base exceeds ``_MAX_POWER``; the size is the largest
+    of 1, the degree and the longest coefficient part in 64-bit words, so
+    nested powers cannot grow the degree or the coefficients without bound
+    either."""
+    cs = base.num.coeffs + base.den.coeffs
+    words = max(abs(x).bit_length() for c in cs for x in (c._a, c._b, c._d)) // 64
+    if max(1, base.num.degree, base.den.degree, words) * k > _MAX_POWER:
+        raise InvalidExpression("power too large: exponent times the size of "
+                                f"its base exceeds {_MAX_POWER}")
+    out = RatFunc(Poly.one())
+    for _ in range(k):
+        out = out * base
+    return out
 
 
 class _FormulaParser:
@@ -180,17 +153,19 @@ class _FormulaParser:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
     def take(self):
+        if self.pos == len(self.tokens):
+            raise InvalidExpression("formula ends too early")
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def parse(self) -> _RatFunc:
+    def parse(self) -> RatFunc:
         value = self.expr()
         if self.pos != len(self.tokens):
             raise ValueError("trailing tokens in formula")
         return value
 
-    def expr(self) -> _RatFunc:
+    def expr(self) -> RatFunc:
         if self.peek() == "-":
             self.take()
             value = -self.term()
@@ -201,10 +176,10 @@ class _FormulaParser:
         while self.peek() in ("+", "-"):
             op, _ = self.take()
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = value + (rhs if op == "+" else -rhs)
         return value
 
-    def term(self) -> _RatFunc:
+    def term(self) -> RatFunc:
         value = self.factor()
         while True:
             nxt = self.peek()
@@ -217,24 +192,24 @@ class _FormulaParser:
             else:
                 return value
 
-    def factor(self) -> _RatFunc:
+    def factor(self) -> RatFunc:
         value = self.atom()
         if self.peek() == "^":
             self.take()
             kind, val = self.take()
             if kind != "num":
                 raise ValueError("exponent must be a literal integer")
-            value = value.pow(val)
+            value = _power(value, val)
         return value
 
-    def atom(self) -> _RatFunc:
+    def atom(self) -> RatFunc:
         kind, val = self.take()
         if kind == "num":
-            return _RatFunc(Poly((val,)), Poly.one())
+            return RatFunc(Poly((val,)))
         if kind == "z":
-            return _RatFunc(Poly.var(), Poly.one())
+            return RatFunc(Poly.var())
         if kind == "i":
-            return _RatFunc(Poly((GaussRational(0, 1),)), Poly.one())
+            return RatFunc(Poly((GaussRational(0, 1),)))
         if kind == "(":
             value = self.expr()
             if self.peek() != ")":
@@ -247,9 +222,8 @@ class _FormulaParser:
 def parse_formula(text: str) -> AnalyticExpr:
     """Parse natural notation like ``z(2-z)/(2(1-z)^2)`` into one rational
     term, numerator and denominator divided by their monic gcd."""
-    rf = _FormulaParser(_tokenize(text)).parse()
-    g = rf.num.gcd(rf.den)
-    return AnalyticExpr.rational(1, divmod(rf.num, g)[0], divmod(rf.den, g)[0])
+    rf = _FormulaParser(_tokenize(text)).parse().reduced()
+    return AnalyticExpr.rational(1, rf.num, rf.den)
 
 
 def parse_any(text: str) -> AnalyticExpr:

@@ -7,14 +7,14 @@ operation on it is a few integer products and sums plus at most one
 three-argument gcd, and builds no ``fractions.Fraction``; ``re`` and ``im``
 hand out Fractions on request.  A :class:`Series` keeps coefficients c0..cN
 for a fixed truncation order N; arithmetic never extends the trustworthy
-range, so mixed-order operands truncate to the minimum order.  Products,
-quotients and linear combinations sum each output coefficient on plain
-integers and build it with one gcd, however many products it sums.  They
-touch only nonzero coefficients: a product costs O(nonzero pairs) and a
-quotient O(N * nonzeros of the denominator), so expanding a rational
-function P/Q to order N costs O(N * deg Q).  Floating point enters only
-through the explicit ``complex()`` conversions used by callers that sample
-values numerically.
+range, so mixed-order operands truncate to the minimum order.  Products
+and quotients sum each output coefficient on plain integers and build it
+with one gcd, however many products it sums.  They touch only nonzero
+coefficients: a product (:func:`coeff_product`, also behind
+``analytic.Poly``) costs O(nonzero pairs) and a quotient O(N * nonzeros of
+the denominator), so expanding a rational function P/Q to order N costs
+O(N * deg Q).  Floating point enters only through the explicit
+``complex()`` conversions used by callers that sample values numerically.
 """
 
 from __future__ import annotations
@@ -305,6 +305,17 @@ def _convolve(terms, seq, n: int, heads=None, inv=None) -> list:
     return out
 
 
+def coeff_product(xs, ys, n: int) -> list:
+    """Coefficients 0..n of the product of the coefficient sequences xs and
+    ys (GaussRationals, index = degree), as :func:`_convolve` sums them over
+    the nonzero terms of the sparser one: O(nonzero pairs)."""
+    a, b = _nonzero_terms(xs), _nonzero_terms(ys)
+    terms, seq = (a, ys) if len(a) <= len(b) else (b, xs)
+    if len(seq) <= n:
+        seq = list(seq) + [_ZERO] * (n + 1 - len(seq))
+    return _convolve(terms, seq, n)
+
+
 class Series:
     """Truncated Taylor series c0 + c1 z + ... + cN z^N over Q(i).
 
@@ -389,43 +400,17 @@ class Series:
         """Product truncated to the smaller order, or a scalar multiple.
 
         Coefficient m sums x_j y_(m-j) over the nonzero x_j of the sparser
-        operand and the nonzero y_(m-j) (:func:`_convolve`), so the cost is
-        O(nonzero pairs): O(N * deg) when one operand is a polynomial.
+        operand and the nonzero y_(m-j) (:func:`coeff_product`), so the cost
+        is O(nonzero pairs): O(N * deg) when one operand is a polynomial.
         """
         if isinstance(other, (int, Fraction, GaussRational)):
             return self.scale(other)
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
-        xs, ys = self.coeffs[: n + 1], other.coeffs[: n + 1]
-        a, b = _nonzero_terms(xs), _nonzero_terms(ys)
-        return Series._of(_convolve(a, ys, n) if len(a) <= len(b) else _convolve(b, xs, n))
+        return Series._of(coeff_product(self.coeffs[: n + 1], other.coeffs[: n + 1], n))
 
     __rmul__ = __mul__
-
-    @classmethod
-    def combination(cls, cs, series) -> "Series":
-        """sum c_i s_i over one or more series, truncated to the smallest
-        order; each coefficient is summed as in :func:`_convolve`."""
-        cs = [gauss(c) for c in cs]
-        out = []
-        for col in zip(*(s.coeffs for s in series)):
-            A = B = 0
-            D = 1
-            for x, y in zip(cs, col):
-                a, b, c, e = x._a, x._b, y._a, y._b
-                f = x._d * y._d
-                if f == D:
-                    A += a * c - b * e
-                    B += a * e + b * c
-                else:
-                    A = A * f + (a * c - b * e) * D
-                    B = B * f + (a * e + b * c) * D
-                    D *= f
-            out.append(_reduced(A, B, D) if A or B else _ZERO)
-        if not out:
-            raise ValueError("a combination needs at least one series")
-        return cls._of(out)
 
     def scale(self, c) -> "Series":
         c = gauss(c)

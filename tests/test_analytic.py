@@ -20,7 +20,7 @@ from harmonic_atlas import (
     PoleAtOrigin, Series, catalog_ids, catalog_lookup, default_grid, parse_any,
 )
 from harmonic_atlas.analytic import (
-    _BLOCK, EPS_POLE, LogTerm, RationalTerm, _poly_roots, _term_series, masked_values,
+    _BLOCK, EPS_POLE, LogTerm, RationalTerm, _poly_roots, masked_values,
     near_pole,
 )
 from oracles import long_division_series, pole_mask_bruteforce, quotient_rule
@@ -411,69 +411,63 @@ def _log_oracle(arg, order):
 
 @settings(max_examples=80, deadline=None)
 @given(rationals=st.lists(st.tuples(st.lists(small_fracs, max_size=4), tails),
-                          min_size=1, max_size=3),
-       logs=st.lists(tails, max_size=2),
-       orders=st.tuples(st.integers(0, 10), st.integers(0, 10)),
-       b_first=st.booleans(), data=st.data())
-def test_term_cache_matches_cold_expansion(rationals, logs, orders, b_first,
-                                           data):
-    # Two expressions over equal terms, built from distinct Poly objects
-    # with their own coefficients c, expanded at two orders in either
-    # sequence through the shared term cache.  Each sum equals a cold
-    # expansion and the long-division oracles.
+                          max_size=3),
+       logs=st.lists(tails, max_size=2), order=st.integers(0, 10),
+       data=st.data())
+def test_series_of_a_term_sum_matches_the_oracles(rationals, logs, order, data):
+    # A random sum of rational and log terms, with one rational term split
+    # as c1 P/Q + c2 P/Q over distinct Poly objects and the terms in a
+    # random order, expands to the sum of the long-division oracles: the
+    # rational terms go into one quotient, equal denominators added
+    # directly and others cross-multiplied, and each log comes from the
+    # per-argument cache.
     shapes = ([(num, [F(1)] + den) for num, den in rationals]
               + [([F(1)] + arg,) for arg in logs])
-
-    def terms():
-        cs = data.draw(st.lists(small_gauss, min_size=len(shapes),
-                                max_size=len(shapes)))
-        return [RationalTerm(c, Poly(p[0]), Poly(p[1])) if len(p) == 2
-                else LogTerm(c, Poly(p[0])) for c, p in zip(cs, shapes)]
-
-    def oracle(ts, order):
-        out = [GaussRational(0)] * (order + 1)
-        for t, p in zip(ts, shapes):
-            ref = (long_division_series(*p, order) if len(p) == 2
-                   else _log_oracle(p[0], order))
-            out = [acc + t.c * x for acc, x in zip(out, ref)]
-        return out
-
-    pair = (terms(), terms())
-    cold = {}
-    for k, ts in enumerate(pair):
-        for order in orders:
-            _term_series.cache_clear()
-            cold[k, order] = AnalyticExpr(ts, validate=False).series(order)
-            assert list(cold[k, order].coeffs) == oracle(ts, order)
-    _term_series.cache_clear()
-    exprs = [AnalyticExpr(ts, validate=False) for ts in pair]
-    for order in orders:
-        for k in ((1, 0) if b_first else (0, 1)):
-            assert exprs[k].series(order) == cold[k, order]
-    assert _term_series.cache_info().hits >= len(shapes)
+    cs = data.draw(st.lists(small_gauss, min_size=len(shapes), max_size=len(shapes)))
+    want = [GaussRational(0)] * (order + 1)
+    for c, p in zip(cs, shapes):
+        ref = (long_division_series(*p, order) if len(p) == 2
+               else _log_oracle(p[0], order))
+        want = [acc + c * x for acc, x in zip(want, ref)]
+    terms = [RationalTerm(c, Poly(p[0]), Poly(p[1])) if len(p) == 2
+             else LogTerm(c, Poly(p[0])) for c, p in zip(cs, shapes)]
+    if rationals:
+        c1 = data.draw(small_gauss)
+        (num, den), c = shapes[0], cs[0]
+        terms[:1] = [RationalTerm(c1, Poly(num), Poly(den)),
+                     RationalTerm(c - c1, Poly(num), Poly(den))]
+    terms = data.draw(st.permutations(terms))
+    assert list(AnalyticExpr(terms, validate=False).series(order).coeffs) == want
 
 
-def test_cold_verify_all_expands_each_distinct_term_once():
-    # A cold `verify all` at the default config holds 271 terms but only 39
-    # distinct ones; the shared term cache expands each of those once, with
-    # one Series.reciprocal (271 without the cache).  A fresh process is cold.
+def test_cold_verify_all_inverts_once_per_expansion():
+    # A cold `verify all` at the default config expands 146 expressions,
+    # each as one quotient P/Q (its rational terms summed) times 1/Q, and
+    # the 4 distinct log arguments L through 1/L: one Series.reciprocal
+    # each, 150 in all (39 distinct terms took one each before).  A fresh
+    # process is cold.
     script = "\n".join((
+        "from harmonic_atlas import analytic",
         "from harmonic_atlas.numkernel import Series",
         "from harmonic_atlas.verify import VerifyConfig, run_suite",
-        "counted = {'n': 0}",
-        "plain = Series.reciprocal",
+        "n = {'inverses': 0, 'exprs': 0}",
+        "reciprocal, series = Series.reciprocal, analytic.AnalyticExpr.series",
         "def counting_reciprocal(self):",
-        "    counted['n'] += 1",
-        "    return plain(self)",
+        "    n['inverses'] += 1",
+        "    return reciprocal(self)",
+        "def counting_series(self, order):",
+        "    n['exprs'] += order not in self._series_cache",
+        "    return series(self, order)",
         "Series.reciprocal = counting_reciprocal",
+        "analytic.AnalyticExpr.series = counting_series",
         "run_suite('all', VerifyConfig())",
-        "print(counted['n'])",
+        "print(n['inverses'], n['exprs'], analytic._log_series.cache_info().misses)",
     ))
     src = str(Path(harmonic_atlas.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert int(out.stdout) <= 45, out.stdout
+    assert tuple(map(int, out.stdout.split())) == (150, 146, 4), out.stdout
 
 
 # -- derivative/series consistency across a family of expressions ----------------

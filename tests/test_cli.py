@@ -116,6 +116,46 @@ def test_negative_count_exit_2(capsys, argv):
     assert "must be >= 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("expand", "", "3"), ("expand", " ", "3"), ("expand", "(", "3"),
+    ("expand", "z+", "3"), ("expand", "z^", "3"), ("classify", ""),
+])
+def test_formula_ending_early_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "InvalidExpression: formula ends too early" in err
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (("expand", "koebe", "100000000"), cli._MAX_ORDER),
+    (("expand", "koebe", "--order", "100000000"), cli._MAX_ORDER),
+    (("classify", "z/(1-z)^2", "--order", "100000000"), cli._MAX_ORDER),
+    (("shear", "koebe", "+z", "real", "--order", "100000000"), cli._MAX_ORDER),
+    (("verify", "all", "--order", "100000"), cli._MAX_ORDER),
+    (("verify", "all", "--grid-angles", "100000000"), cli._MAX_GRID_POINTS),
+])
+def test_oversized_order_or_grid_exit_2_before_allocating(capsys, argv, cap):
+    # refused where the config is checked, before any series or grid exists
+    _command_parser(argv[0])
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert f"<= {cap}" in err
+    assert peak < 1_000_000, peak
+
+
+def test_largest_order_accepted(capsys):
+    code, out, _ = run(capsys, "expand", "koebe", str(cli._MAX_ORDER))
+    assert code == 0
+    assert out.splitlines()[1].endswith(f" {cli._MAX_ORDER}")
+
+
 def test_zero_count_prints_index_0(capsys):
     assert run(capsys, "expand", "koebe", "0") == (0, "n: 0\nh: 0\n", "")
     code, out, _ = run(capsys, "expand", "koebe", "0", "--json")

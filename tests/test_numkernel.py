@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from harmonic_atlas import GaussRational, Series, ZeroConstantTerm, gauss
+from harmonic_atlas import GaussRational, Poly, Series, ZeroConstantTerm, gauss
 from oracles import GaussRational as FractionPair
 from oracles import binomial_inverse_power, gaussian_long_division, long_division_series
 
@@ -205,7 +205,7 @@ def test_literal_matches_fraction_formula(t):
 
 
 # ---------------------------------------------------------------------------
-# Series kernel (products, quotients, combinations) against the Fraction-pair
+# Series kernel (products and quotients) against the Fraction-pair
 # reference and the long-division oracle
 # ---------------------------------------------------------------------------
 
@@ -221,17 +221,24 @@ def _ref_coeffs(xs):
 @settings(max_examples=200, deadline=None)
 @given(kernel_coeffs, kernel_coeffs)
 def test_mul_matches_fraction_pair_reference(xs, ys):
+    # Series products truncate to the smaller order; Poly products, which
+    # run the same kernel, keep every coefficient
     got = Series([GaussRational(*x) for x in xs]) * Series([GaussRational(*y) for y in ys])
     a, b = _ref_coeffs(xs), _ref_coeffs(ys)
-    n = min(len(a), len(b)) - 1
-    want = []
-    for m in range(n + 1):
+    full = []
+    for m in range(len(a) + len(b) - 1):
         acc = FractionPair(0)
-        for j in range(m + 1):
+        for j in range(max(0, m - len(b) + 1), min(m, len(a) - 1) + 1):
             acc = acc + a[j] * b[m - j]
-        want.append(acc)
+        full.append(acc)
+    n = min(len(a), len(b)) - 1
     assert got.order == n
-    for z, ref in zip(got.coeffs, want, strict=True):
+    for z, ref in zip(got.coeffs, full[: n + 1], strict=True):
+        _same(z, ref)
+    poly = Poly([GaussRational(*x) for x in xs]) * Poly([GaussRational(*y) for y in ys])
+    while full and not (full[-1].re or full[-1].im):
+        full.pop()
+    for z, ref in zip(poly.coeffs, full, strict=True):
         _same(z, ref)
 
 
@@ -246,26 +253,6 @@ def test_division_and_reciprocal_match_long_division_oracle(xs, ys):
         assert got.order == order
         for z, ref in zip(got.coeffs, want, strict=True):
             _same(z, FractionPair(*ref))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(parts, kernel_coeffs), min_size=1, max_size=4))
-def test_combination_matches_fraction_pair_reference(terms):
-    cs = [GaussRational(*c) for c, _ in terms]
-    got = Series.combination(cs, [Series([GaussRational(*x) for x in xs]) for _, xs in terms])
-    n = min(len(xs) for _, xs in terms) - 1
-    assert got.order == n
-    for m, z in enumerate(got.coeffs):
-        ref = FractionPair(0)
-        for c, xs in terms:
-            ref = ref + FractionPair(*c) * FractionPair(*xs[m])
-        _same(z, ref)
-
-
-def test_combination_needs_a_series():
-    with pytest.raises(ValueError):
-        Series.combination([], [])
-    assert Series.combination([F(1, 2), 2], [S(1, 2), S(4, 0, 1)]) == S(F(17, 2), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shear construction: exact series identities and on-record coefficients."""
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,11 +12,11 @@ from hypothesis import strategies as st
 
 from harmonic_atlas import (
     AnalyticExpr, DilatationTooLarge, GaussRational, NearPole, NoClosedForm, NotNormalized,
-    Poly, Series, catalog_lookup, dilatation_check, parse_any,
-    parse_formula, shear_imag, shear_real,
+    Poly, Series, SeriesMismatch, catalog_lookup, dilatation_check, parse_any,
+    parse_expr_text, parse_formula, shear_imag, shear_real,
 )
 from harmonic_atlas import numkernel
-from harmonic_atlas.analytic import EPS_POLE, _term_series, masked_values
+from harmonic_atlas.analytic import EPS_POLE, masked_values
 from harmonic_atlas.shear import HarmonicMap
 from oracles import compose_linear, pole_mask_bruteforce
 
@@ -122,11 +123,11 @@ def test_shear_with_dense_dilatation():
 def test_expansion_cost_grows_linearly(monkeypatch):
     # Counts the coefficient pairs the kernel multiplies, not time: doubling
     # the order should about double the work (an O(N^2) path would about
-    # quadruple it).  Products and quotients multiply in numkernel._convolve
-    # (pairs of a term (k, x) with k <= m and a nonzero seq[m - k]),
-    # linear combinations in Series.combination (every (c_i, s_i[m])).
+    # quadruple it).  Every product and quotient, of series and of
+    # polynomials, multiplies in numkernel._convolve (pairs of a term (k, x)
+    # with k <= m and a nonzero seq[m - k]).
     counted = {"n": 0}
-    convolve, combination = numkernel._convolve, Series.combination.__func__
+    convolve = numkernel._convolve
 
     def counting_convolve(terms, seq, n, heads=None, inv=None):
         out = convolve(terms, seq, n, heads, inv)
@@ -135,27 +136,19 @@ def test_expansion_cost_grows_linearly(monkeypatch):
                             if k <= m and ys[m - k])
         return out
 
-    def counting_combination(cls, cs, series):
-        out = combination(cls, cs, series)
-        counted["n"] += len(cs) * len(out.coeffs)
-        return out
-
     monkeypatch.setattr(numkernel, "_convolve", counting_convolve)
-    monkeypatch.setattr(Series, "combination", classmethod(counting_combination))
 
     def products(run):
-        _term_series.cache_clear()
         counted["n"] = 0
         run()
         return counted["n"]
 
-    # fresh expressions each run and a cleared term cache, so no series
-    # cache is warm; the shear source is hslits_wide's conformal map.  Every
-    # denominator here has constant term 1, so division spends no products
-    # on 1/d_0.
-    for run, pinned in ((lambda n: parse_any("z/(1-z)^2").series(n), (512, 1024)),
+    # fresh expressions each run, so no series cache is warm; the shear
+    # source is hslits_wide's conformal map.  Every denominator here has
+    # constant term 1, so division spends no products on 1/d_0.
+    for run, pinned in ((lambda n: parse_any("z/(1-z)^2").series(n), (399, 783)),
                         (lambda n: shear_real(parse_formula("z/(1-z+z^2)"),
-                                              parse_formula("z"), n), (642, 1281))):
+                                              parse_formula("z"), n), (397, 780))):
         small, large = products(lambda: run(128)), products(lambda: run(256))
         assert (small, large) == pinned
         assert large / small < 2.5, (small, large)
@@ -209,6 +202,18 @@ def test_closed_form_cross_check_log_cases():
         assert entry.h is not None
         fm = entry.harmonic_map(48)      # raises SeriesMismatch on disagreement
         assert fm.h_expr is not None
+
+
+def test_closed_form_disagreeing_with_its_series_raises():
+    # z^5/7 added to f4_cv1's h and g keeps h - g = phi, but neither closed
+    # form is the series it is attached to any more
+    fm = catalog_lookup("f4_cv1").harmonic_map(48)
+    extra = parse_expr_text("rat(1/7; 0,0,0,0,0,1; 1)")
+    assert dataclasses.replace(fm) == fm
+    with pytest.raises(SeriesMismatch, match="for h"):
+        dataclasses.replace(fm, h_expr=fm.h_expr + extra, g_expr=fm.g_expr + extra)
+    with pytest.raises(SeriesMismatch, match="for g"):
+        dataclasses.replace(fm, g_expr=fm.g_expr + extra)
 
 
 # -- preconditions and errors ----------------------------------------------------
