@@ -33,25 +33,24 @@ Logs are principal-branch throughout.  Terms are kept as written, for the
 atlas text and ``eval``; a series sums the rational ones into one quotient.
 
 A point within ``EPS_POLE`` of a denominator or log-argument root raises
-``NearPole`` in ``eval`` and is masked by :func:`masked_values`.  The test is
-screened by radius: a pole p is tested only when |p| - max|z| <= 2 EPS_POLE
-max(1, |p|).  A point within EPS_POLE of p has |p| - |z| < EPS_POLE (the
-triangle inequality), and the second EPS_POLE, scaled with |p|, is far above
-the rounding of |p| and |z| (below 1e-15 |p|).  So a skipped pole is farther
-than EPS_POLE from every point, and mask and decision are those of testing
-every pole.  With a NaN or infinite point every pole is tested.  No catalog
-pole lies within the 0.95 disk a render samples, so a render tests none.
+``NearPole`` in ``eval``; ``HarmonicMap.eval_masked`` masks it instead.
+The test is screened by radius: a pole p is tested only when |p| - max|z|
+<= 2 EPS_POLE max(1, |p|).  A point within EPS_POLE of p has |p| - |z| <
+EPS_POLE (the triangle inequality), and the second EPS_POLE, scaled with
+|p|, is far above the rounding of |p| and |z| (below 1e-15 |p|).  So a
+skipped pole is farther than EPS_POLE from every point, and mask and
+decision are those of testing every pole.  With a NaN or infinite point
+every pole is tested.  No catalog pole lies within the 0.95 disk a render
+samples, so a render tests none.
 
-Expressions summed at the same points, such as h and g of a shear (g
-repeats h's terms), pass ``eval`` one ``shared`` dict from
-:func:`shared_values`, so the polynomial values and logs they have in
-common are computed once; every value is bit for bit the same.
-
-:func:`masked_values` evaluates in blocks of ``_BLOCK`` = 4096 points into
-one preallocated output, so each complex temporary is 64 KiB.  A value
-depends only on its own point, so the blocks give bit for bit what one
-call on all the points gives; that holds because no ``out=`` aliases an
-input (see ``Poly.__call__``).
+``eval`` sums the terms in order, ``acc + c*P(z)/Q(z)`` and ``acc +
+c*log(L(z))``.  Given a ``memo`` dict, it keeps every polynomial value
+p(z) (key p) and log(L(z)) (key ``(L,)``) it computes there and reads any
+it finds, so expressions evaluated at the same points, such as h and g of
+a shear (g repeats h's terms), compute the values they have in common
+once; keys compare by polynomial equality, so equal polynomials parsed
+apart share.  A value does not depend on where it came from, so every
+result is bit for bit that of evaluating alone, which keeps nothing.
 
 A series sums the rational terms into one unreduced :class:`RatFunc` P/Q
 and multiplies P by 1/Q (what perfbench times as ``numkernel.mul`` and
@@ -64,7 +63,6 @@ cached series is safe to share: it is only read.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -76,7 +74,6 @@ from .numkernel import GaussRational, Series, coeff_product, gauss
 __all__ = ["Poly", "RatFunc", "RationalTerm", "LogTerm", "AnalyticExpr"]
 
 EPS_POLE = 1e-6
-_BLOCK = 4096  # points per call of masked_values' fn: 64 KiB of complex
 # The inside-the-disk rejection's slack for rounded roots; the roots of
 # squarefree factors are accurate to about machine epsilon, so an exact
 # zero-free test can replace it.
@@ -284,47 +281,14 @@ def near_pole(z, poles: np.ndarray) -> np.ndarray:
     return near
 
 
-def masked_values(fn, zs, poles: np.ndarray):
-    """``(values, ok_mask)``: fn(w, part) runs on each block w of ``_BLOCK``
-    consecutive points (module doc), with 0 in place of a point near a pole
-    (every term is finite at 0: Q(0) != 0, L(0) = 1) and NaN as that
-    point's value; ok marks the finite values.  With no point near a pole,
-    w is a view of zs and part its slice of the flattened zs, so fn may use
-    values memoized at the points of zs; otherwise part is None."""
-    zs = np.asarray(zs, dtype=complex)
-    near = near_pole(zs, poles)
-    replaced = near.any()
-    w = (np.where(near, 0, zs) if replaced else zs).ravel()
-    vals = np.empty(zs.shape, dtype=complex)
-    flat = vals.reshape(-1)
-    for a in range(0, w.size, _BLOCK):
-        part = slice(a, a + _BLOCK)
-        flat[part] = fn(w[part], None if replaced else part)
-    vals[near] = np.nan
-    return vals, np.isfinite(vals)
-
-
-def shared_values(*exprs) -> dict:
-    """The ``shared`` argument of ``AnalyticExpr.eval`` for exprs evaluated
-    at the same points: a key for each value their terms use more than
-    once, a ``Poly`` for p(z) and ``(L,)`` for log(L(z)).  Keys compare by
-    polynomial equality, so equal polynomials parsed apart share."""
-    terms = [t for e in exprs for t in e.terms]
-    logs = Counter(t.arg for t in terms if isinstance(t, LogTerm))
-    polys = Counter(logs.keys())  # a shared log evaluates its argument once
-    polys.update(p for t in terms if isinstance(t, RationalTerm) for p in t[1:])
-    shared = {p: None for p, n in polys.items() if n > 1}
-    shared.update(((arg,), None) for arg, n in logs.items() if n > 1)
-    return shared
-
-
-def _value(key, z, shared: dict):
-    """p(z) for a Poly key, log(L(z)) for (L,); kept in shared if a key."""
-    v = shared.get(key)
+def _value(key, z, memo: dict | None):
+    """p(z) for a Poly key, log(L(z)) for (L,); read from and kept in memo
+    if one is given."""
+    v = None if memo is None else memo.get(key)
     if v is None:
-        v = key(z) if isinstance(key, Poly) else np.log(_value(key[0], z, shared))
-        if key in shared:
-            shared[key] = v
+        v = key(z) if isinstance(key, Poly) else np.log(_value(key[0], z, memo))
+        if memo is not None:
+            memo[key] = v
     return v
 
 
@@ -410,9 +374,10 @@ class AnalyticExpr:
 
     # -- constructors ------------------------------------------------------
 
-    @classmethod
-    def zero(cls) -> "AnalyticExpr":
-        return cls(())
+    @staticmethod
+    def zero() -> "AnalyticExpr":
+        """The empty sum, one object per process, so its series are kept once."""
+        return _ZERO_EXPR
 
     @classmethod
     def rational(cls, c, num: Poly, den: Poly | None = None) -> "AnalyticExpr":
@@ -454,28 +419,26 @@ class AnalyticExpr:
             self._pole_points = np.array(list(dict.fromkeys(roots)), dtype=complex)
         return self._pole_points
 
-    def eval(self, z, check: bool = True, *, shared: dict | None = None):
+    def eval(self, z, check: bool = True, *, memo: dict | None = None):
         """Principal-branch evaluation at complex scalars or numpy arrays.
 
         Raises :class:`NearPole` when a point is within ``EPS_POLE`` of a
         denominator or log-argument root; the radius screen of the module
-        doc skips only poles farther than that from every point.
-        ``shared`` (:func:`shared_values`) carries values between calls at
-        the same z: each key is computed on first use, then reused.
+        doc skips only poles farther than that from every point.  ``memo``
+        carries values between calls at the same z (module doc).
         """
         if check and np.any(near_pole(z, self.pole_points)):
             raise NearPole(f"evaluation within {EPS_POLE} of a pole")
         if self._floats is None:
             self._floats = tuple(complex(t.c) for t in self.terms)
-        shared = {} if shared is None else shared
         acc = 0j if not hasattr(z, "shape") else z * 0j
         # out of place, as in Poly.__call__: an in-place complex multiply can
         # round differently, and in-place sums measured slower on `verify all`
         for t, c in zip(self.terms, self._floats):
             if isinstance(t, RationalTerm):
-                acc = acc + c * _value(t.num, z, shared) / _value(t.den, z, shared)
+                acc = acc + c * _value(t.num, z, memo) / _value(t.den, z, memo)
             else:
-                acc = acc + c * _value((t.arg,), z, shared)
+                acc = acc + c * _value((t.arg,), z, memo)
         return acc
 
     def derivative(self) -> "AnalyticExpr":
@@ -516,3 +479,6 @@ class AnalyticExpr:
 
     def __repr__(self):
         return f"AnalyticExpr({len(self.terms)} terms)"
+
+
+_ZERO_EXPR = AnalyticExpr(())

@@ -421,9 +421,14 @@ def catalog_lookup(entry_id: str) -> CatalogEntry:
 
 
 def catalog_ids(family: str | None = None) -> list[str]:
-    """Ids in catalog order, of one family if given; builds no entry."""
-    return [eid for eid, (fam, *_) in _makers().items()
-            if family is None or fam == family]
+    """Ids in catalog order, of one family if given; builds no entry.
+    ``ValueError`` names the known families when the id table has none
+    of ``family``."""
+    ids = [eid for eid, (fam, *_) in _makers().items() if family is None or fam == family]
+    if not ids:
+        known = ", ".join(dict.fromkeys(fam for fam, *_ in _makers().values()))
+        raise ValueError(f"unknown family {family!r}; known families: {known}")
+    return ids
 
 
 def export_atlas() -> dict:

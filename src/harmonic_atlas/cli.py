@@ -27,7 +27,7 @@ import json
 import os
 import sys
 
-from .catalog import catalog_build, catalog_lookup, export_atlas
+from .catalog import catalog_ids, catalog_lookup, export_atlas
 from .classify import classify_harmonic, coeff_class
 from .errors import HarmonicAtlasError, UnknownId
 from .exprtext import parse_any
@@ -113,6 +113,7 @@ def _coeff_table(series, upto):
 
 
 def _cmd_list(args) -> int:
+    ids = catalog_ids(args.family or None)  # ValueError for an unknown family
     if args.json:
         atlas = export_atlas()
         if args.family:
@@ -120,9 +121,7 @@ def _cmd_list(args) -> int:
                                 if e["family"] == args.family]
         print(json.dumps(atlas, sort_keys=True, indent=1))
         return 0
-    for entry in catalog_build():
-        if args.family and entry.family != args.family:
-            continue
+    for entry in map(catalog_lookup, ids):
         flags = entry.expected
         bits = []
         if flags.integer_coeffs:

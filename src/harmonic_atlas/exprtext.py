@@ -109,6 +109,11 @@ def parse_expr_text(text: str) -> AnalyticExpr:
 # -- natural formula notation -------------------------------------------------
 
 _MAX_POWER = 256  # the largest exponent times the size of its base in a formula
+# The deepest parenthesis nesting of a formula.  Each level is about four
+# frames of the recursive parser, so 100 levels stay far below Python's
+# default limit of 1000 frames.  The tokens are counted before parsing, so
+# a deeper formula is refused without recursing, at any depth of the caller.
+_MAX_DEPTH = 100
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([zi()+\-*/^]))")
 
 
@@ -160,6 +165,11 @@ class _FormulaParser:
         return tok
 
     def parse(self) -> RatFunc:
+        depth = 0
+        for kind, _ in self.tokens:
+            depth += (kind == "(") - (kind == ")")
+            if depth > _MAX_DEPTH:
+                raise InvalidExpression(f"parentheses nested deeper than {_MAX_DEPTH}")
         value = self.expr()
         if self.pos != len(self.tokens):
             raise ValueError("trailing tokens in formula")

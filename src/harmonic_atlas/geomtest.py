@@ -1,11 +1,15 @@
 """Numeric geometric verifiers: certificates and falsifiers on sampling grids.
 
 Everything here is evidence, not proof.  A positivity margin computed over
-a finite grid certifies an inequality only on the sampled set; a convexity
-probe that finds a line crossed more than twice genuinely falsifies
-direction convexity (up to sampling resolution of the traced curve), but a
-probe that finds nothing proves nothing.  Certificates record the grid
-minimum and the witness point attaining it.
+a finite grid certifies an inequality only on the sampled set.  A
+convexity probe traces the circle |z| = r; a test line it finds crossed
+more than twice (up to the sampling resolution of the traced curve)
+refutes direction convexity of f(|z| < r) only.  Direction convexity of
+the image of the disk need not pass to the images of subdisks |z| < r for
+r > sqrt(2) - 1 (Goodman & Saff, 1979), so a crossing at r = 0.999 does
+not refute it for the disk itself.  A probe that finds nothing proves
+nothing.  Certificates record the grid minimum and the witness point
+attaining it.
 
 The direction-convexity machinery:
 

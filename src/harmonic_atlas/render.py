@@ -8,20 +8,20 @@ dropped and leave gaps in the path rather than being interpolated across.
 
 Cost: a render is one pass over the polar grid: one read-only array of
 every curve's sample points (``_grid``, cached for the last options), one
-``eval_masked`` call on it, one vectorised text pass for all the paths,
-the viewport from the same values and one join of the document, which is
-returned as bytes.  The evaluation runs in blocks of 4096 points
-(``masked_values``), h and g together, each distinct polynomial and log of
-the two once per point (a shear's g repeats every term of h).  The pole
-test, screened by radius, tests no catalog pole inside r_max = 0.95, so
-the points reach the map uncopied and the logs come from a memo kept with
-the grid: one read-only array of log L at its points for each log argument
-L, filled by the first render that needs it.  The memo holds at most one
-array per L, for the one cached grid: the catalog's four (1 +- z, 1 +- iz)
-take 0.78 MiB at the default options and 64 MiB at the 2**20-point cap.  A
-render with a point near a pole neither reads nor fills it.  No value
-depends on the other points, so blocks and memo draw what one batch per
-curve would.
+``HarmonicMap.eval_masked`` call on it, one vectorised text pass for all
+the paths, the viewport from the same values and one join of the document,
+which is returned as bytes.  ``eval_masked`` evaluates h and g together in
+blocks of 4096 points, with one memo per block, so each distinct
+polynomial and log of the two is computed once per point (a shear's g
+repeats every term of h).  The pole test, screened by radius, tests no
+catalog pole inside r_max = 0.95, so the points reach the map uncopied and
+the logs come from a memo kept with the grid: one read-only array of log L
+at its points for each log argument L, filled by the first render that
+needs it.  The memo holds at most one array per L, for the one cached
+grid: the catalog's four (1 +- z, 1 +- iz) take 0.78 MiB at the default
+options and 64 MiB at the 2**20-point cap.  A render with a point near a
+pole neither reads nor fills it.  No value depends on the other points,
+so blocks and memo draw what one batch per curve would.
 ``RenderOptions`` caps a render at 2**20 sampled points, (circles + rays
 + 1) * samples_per_curve, so an oversized request fails before anything
 is allocated.

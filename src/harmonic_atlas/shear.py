@@ -25,15 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (
-    EPS_POLE, AnalyticExpr, LogTerm, masked_values, near_pole, shared_values,
-)
+from .analytic import EPS_POLE, AnalyticExpr, LogTerm, near_pole
 from .errors import (
     DilatationTooLarge, NearPole, NoClosedForm, NotNormalized, SeriesMismatch,
 )
 from .numkernel import Series
 
 __all__ = ["HarmonicMap", "shear_real", "shear_imag", "dilatation_check"]
+
+_BLOCK = 4096  # points per block of eval_masked: 64 KiB of complex
 
 
 @dataclass(frozen=True)
@@ -88,50 +88,52 @@ class HarmonicMap:
         h, g = self._closed("h"), self._closed("g")
         if np.any(near_pole(z, np.concatenate([h.pole_points, g.pole_points]))):
             raise NearPole(f"evaluation within {EPS_POLE} of a pole")
-        return self._f(h, g, z)
+        return self._f(h, g, z, {})
 
     def eval_masked(self, zs: np.ndarray, logs: dict | None = None):
         """Vectorized f(z) returning ``(values, ok_mask)``, for plotting.
 
-        One pole mask covers h and g, and both are evaluated once, on every
-        point, block by block (``masked_values``); a point whose value is
-        not finite is masked too.  ``logs`` memoizes log L(zs) by log
-        argument L for the caller, who keeps it with zs (``render`` keeps
-        one per grid).  When no point is near a pole, each log of h and g
-        is read from it, or computed in the pass and added to it, read-only.
+        One pole mask covers h and g; a point near a pole is evaluated at 0
+        (every term is finite there: Q(0) != 0, L(0) = 1) and its value set
+        to NaN, and a point whose value is not finite is masked too.  h and
+        g run together on blocks of ``_BLOCK`` points, one memo per block
+        (``AnalyticExpr.eval``), into one preallocated output.  A value
+        depends only on its own point (no ``out=`` aliases an input, see
+        ``Poly.__call__``), so blocks give bit for bit one call's values.
+
+        ``logs`` memoizes log L(zs) by log argument L for the caller, who
+        keeps it with zs (``render`` keeps one per grid).  When no point is
+        near a pole, each log of h and g is read from it, or computed in
+        the pass and added to it, read-only; otherwise it is left alone.
         """
         h, g = self._closed("h"), self._closed("g")
-        base = shared_values(h, g)
-        args = dict.fromkeys(t.arg for t in h.terms + g.terms if isinstance(t, LogTerm))
-        fill = {}  # the logs this pass computes, added to the memo at its end
-
-        def f(w, part):
-            shared = dict(base)
-            if logs is not None and part is not None:
-                for arg in args:
-                    if arg not in logs and arg not in fill:
-                        fill[arg] = np.empty(np.size(zs), dtype=complex)
-                    shared[(arg,)] = logs[arg][part] if arg in logs else None
-            vals = self._f(h, g, w, shared)
-            for arg, memo in fill.items():
-                memo[part] = shared[(arg,)]
-            return vals
-
-        out = masked_values(f, zs, np.concatenate([h.pole_points, g.pole_points]))
-        for arg, memo in fill.items():
-            memo.flags.writeable = False
-            logs[arg] = memo
-        return out
+        zs = np.asarray(zs, dtype=complex)
+        near = near_pole(zs, np.concatenate([h.pole_points, g.pole_points]))
+        if near.any():
+            zs, logs = np.where(near, 0, zs), None
+        args = {t.arg for t in h.terms + g.terms if isinstance(t, LogTerm)}
+        known = set() if logs is None else args & logs.keys()
+        fill = {} if logs is None else {arg: np.empty(zs.size, dtype=complex)
+                                        for arg in args - known}
+        vals = np.empty(zs.shape, dtype=complex)
+        w, flat = zs.ravel(), vals.reshape(-1)
+        for a in range(0, w.size, _BLOCK):
+            part = slice(a, a + _BLOCK)
+            memo = {(arg,): logs[arg][part] for arg in known}
+            flat[part] = self._f(h, g, w[part], memo)
+            for arg, out in fill.items():
+                out[part] = memo[(arg,)]
+        vals[near] = np.nan
+        for arg, out in fill.items():
+            out.flags.writeable = False
+            logs[arg] = out
+        return vals, np.isfinite(vals)
 
     @staticmethod
-    def _f(h: AnalyticExpr, g: AnalyticExpr, z, shared: dict | None = None):
-        """h(z) + conj(g(z)) unchecked, with the values h and g share
-        computed once (``shared_values``, unless given) and, if made here,
-        freed before the sum."""
-        shared = shared_values(h, g) if shared is None else shared
-        hv = h.eval(z, check=False, shared=shared)
-        gv = g.eval(z, check=False, shared=shared)
-        del shared
+    def _f(h: AnalyticExpr, g: AnalyticExpr, z, memo: dict):
+        """h(z) + conj(g(z)) unchecked; h and g share the values in memo."""
+        hv = h.eval(z, check=False, memo=memo)
+        gv = g.eval(z, check=False, memo=memo)
         return hv + np.conjugate(gv)
 
     def h_prime(self, z):

@@ -200,7 +200,8 @@ def _suite_shears(config, axis: str) -> dict:
 def _suite_remark(config) -> dict:
     rows = _Rows()
     grid = config.grid()
-    f3 = catalog_lookup("t4_re_koebe_im_halfplane").harmonic_map(config.order)
+    f3_entry = catalog_lookup("t4_re_koebe_im_halfplane")
+    f3 = f3_entry.harmonic_map(config.order)
     ts = np.linspace(-math.pi / 2 + 0.1, math.pi / 2 - 0.1, 32)
     worst = 0.0
     all_negative = True
@@ -210,7 +211,8 @@ def _suite_remark(config) -> dict:
         worst = max(worst, abs(v - ref))
         all_negative = all_negative and v < 0
     rows.add("f3", "starlike_derivative_formula", worst, "<= 1e-3", worst <= 1e-3)
-    rows.add("f3", "starlike_refuted", all_negative, True, all_negative)
+    refuted = not f3_entry.expected.starlike
+    rows.add("f3", "starlike_refuted", all_negative, refuted, all_negative == refuted)
     # the M(0) identity g' = z h' (b_n = a_{n-1} (n-1)/n, exact) gates f3's
     # margin row; the M(pi) identity g' = -z h' of f9 is a row of its own
     in_m0 = dilatation_check(replace(f3, omega=AnalyticExpr.rational(1, Poly.var())))

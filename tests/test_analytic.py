@@ -20,9 +20,9 @@ from harmonic_atlas import (
     PoleAtOrigin, Series, catalog_ids, catalog_lookup, default_grid, parse_any,
 )
 from harmonic_atlas.analytic import (
-    _BLOCK, EPS_POLE, LogTerm, RationalTerm, _poly_roots, masked_values,
-    near_pole,
+    EPS_POLE, LogTerm, RationalTerm, _poly_roots, near_pole,
 )
+from harmonic_atlas.shear import _BLOCK, HarmonicMap
 from oracles import long_division_series, pole_mask_bruteforce, quotient_rule
 
 F = Fraction
@@ -36,11 +36,16 @@ Z = P(0, 1)
 KOEBE = AnalyticExpr.rational(1, Z, P(1, -2, 1))
 HSLITS = AnalyticExpr.rational(1, Z, P(1, 0, 1))           # z/(1+z^2)
 HSLITS_WIDE = AnalyticExpr.rational(1, Z, P(1, -1, 1))     # z/(1-z+z^2)
+Z_EXPR = AnalyticExpr.rational(1, Z)
 
 
 def eval_masked(e, zs):
-    """(values, ok) of e at zs with points near a pole masked out."""
-    return masked_values(lambda w, _: e.eval(w, check=False), zs, e.pole_points)
+    """(values, ok) at zs, masked near e's poles, of the harmonic map
+    z + conj(e - e(0)): h = z has no pole, so the mask is e's alone."""
+    g = e + AnalyticExpr.rational(-e.series(0).coeff(0), P(1))
+    fm = HarmonicMap(Z_EXPR.series(1), g.series(1), AnalyticExpr.zero(),
+                     h_expr=Z_EXPR, g_expr=g)
+    return fm.eval_masked(zs)
 
 
 # -- construction invariants -------------------------------------------------
@@ -179,46 +184,82 @@ def test_eval_masked_masks_points_near_a_triple_pole():
     # z = 1 + 5e-7 i lies within EPS_POLE of f9_cv1's triple pole z = 1;
     # np.roots of the cube scattered the pole by about 1e-5, and the point
     # was reported ok with a value of about -5.3e18 i
-    h = catalog_lookup("f9_cv1").harmonic_map(32).h_expr
-    vals, ok = eval_masked(h, np.array([1 + 5e-7j, 0.5]))
+    fm = catalog_lookup("f9_cv1").harmonic_map(32)
+    vals, ok = fm.eval_masked(np.array([1 + 5e-7j, 0.5]))
     assert ok.tolist() == [False, True]
     assert np.isnan(vals[0])
 
 
-# f4_cv1's h: two logs and a pole at z = 1 shared with a log argument
-_BLOCKED_EXPRS = [catalog_lookup("f4_cv1").harmonic_map(16).h_expr, KOEBE]
+# f4_cv1: two logs in h and g and a pole at z = 1 shared with a log argument
+_BLOCKED_MAPS = [catalog_lookup(eid).harmonic_map(16) for eid in ("f4_cv1", "koebe")]
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), e=st.sampled_from(_BLOCKED_EXPRS),
+@given(data=st.data(), fm=st.sampled_from(_BLOCKED_MAPS),
        size=st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]))
-def test_blocked_masked_values_equal_one_call(data, e, size):
-    # each value depends only on its own point, so fn on blocks of _BLOCK
-    # points gives, bit for bit, what one call on all the points gives; the
-    # blocks are views of zs, in order, and marked as such only while no
-    # point near a pole was replaced
+def test_eval_masked_blocks_equal_one_call(data, fm, size):
+    # each value depends only on its own point, so h and g on blocks of
+    # _BLOCK points give, bit for bit, what one call on all the points
+    # gives; the blocks are consecutive, in order, and the caller's log
+    # memo is read and filled only while no point near a pole was replaced
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     zs = 0.999 * np.sqrt(rng.random(size)) * np.exp(2j * np.pi * rng.random(size))
     specials = [complex(math.nan, 0), complex(0, math.nan), 1 + 5e-7j, 1 - 3e-7, 0j]
     for _ in range(data.draw(st.integers(0, 3)) if size else 0):
         zs[data.draw(st.integers(0, size - 1))] = data.draw(st.sampled_from(specials))
-    near = pole_mask_bruteforce(zs, e.pole_points, EPS_POLE)
-    parts = []
+    h, g = fm.h_expr, fm.g_expr
+    near = pole_mask_bruteforce(zs, np.concatenate([h.pole_points, g.pole_points]),
+                                EPS_POLE)
+    args = {t.arg for t in h.terms + g.terms if isinstance(t, LogTerm)}
+    sizes, plain_eval = [], AnalyticExpr.eval
 
-    def fn(w, part):
-        parts.append((w.size, part))
-        return e.eval(w, check=False)
+    def counting_eval(self, z, *a, **k):
+        sizes.append(np.size(z))
+        return plain_eval(self, z, *a, **k)
 
+    logs = {}
+    AnalyticExpr.eval = counting_eval
+    try:
+        with np.errstate(all="ignore"):
+            vals, ok = fm.eval_masked(zs, logs)
+    finally:
+        AnalyticExpr.eval = plain_eval
     with np.errstate(all="ignore"):
-        vals, ok = masked_values(fn, zs, e.pole_points)
-        want = e.eval(np.where(near, 0, zs), check=False)
+        w = np.where(near, 0, zs)
+        want = h.eval(w, check=False) + np.conjugate(g.eval(w, check=False))
     want[near] = np.nan
     assert vals.tobytes() == want.tobytes()
     assert np.array_equal(ok, np.isfinite(want))
-    starts = range(0, size, _BLOCK)
-    assert [n for n, _ in parts] == [min(_BLOCK, size - a) for a in starts]
-    assert [p for _, p in parts] == [None if near.any() else slice(a, a + _BLOCK)
-                                     for a in starts]
+    assert sizes == [min(_BLOCK, size - a) for a in range(0, size, _BLOCK) for _ in "hg"]
+    assert set(logs) == (set() if near.any() else args)
+    with np.errstate(all="ignore"):
+        for arg, values in logs.items():
+            assert not values.flags.writeable
+            assert values.tobytes() == np.log(arg(zs)).tobytes()
+
+
+def test_eval_masked_reads_the_log_memo_only_without_a_masked_point(monkeypatch):
+    # a memo of wrong values shows where it is read: at points clear of the
+    # poles every log comes from it, and with one point near z = 1 (a pole
+    # of f4_cv1 and the root of a log argument) none does
+    fm = _BLOCKED_MAPS[0]
+    zs = np.array([0.5, -0.25j, 0.3 + 0.4j])
+    want, _ = fm.eval_masked(zs)
+    logs = {}
+    fm.eval_masked(zs, logs)
+    assert len(logs) == 2
+    wrong = {arg: np.zeros(zs.size, dtype=complex) for arg in logs}
+    calls, plain_log = [], np.log
+    monkeypatch.setattr(np, "log", lambda x: calls.append(x) or plain_log(x))
+    assert fm.eval_masked(zs, logs)[0].tobytes() == want.tobytes()
+    assert calls == []
+    assert fm.eval_masked(zs, dict(wrong))[0].tobytes() != want.tobytes()
+    near = np.append(zs, 1 + 5e-7j)
+    memo = dict(wrong)
+    vals, ok = fm.eval_masked(near, memo)
+    assert ok.tolist() == [True, True, True, False]
+    assert vals[:3].tobytes() == want.tobytes()
+    assert memo == wrong and len(calls) == 2
 
 
 def test_pole_points_hold_a_multiple_pole_once():
@@ -441,11 +482,12 @@ def test_series_of_a_term_sum_matches_the_oracles(rationals, logs, order, data):
 
 
 def test_cold_verify_all_inverts_once_per_expansion():
-    # A cold `verify all` at the default config expands 146 expressions,
+    # A cold `verify all` at the default config expands 104 expressions,
     # each as one quotient P/Q (its rational terms summed) times 1/Q, and
     # the 4 distinct log arguments L through 1/L: one Series.reciprocal
-    # each, 150 in all (39 distinct terms took one each before).  A fresh
-    # process is cold.
+    # each, 108 in all.  The zero expression, the g and omega of every
+    # conformal map, is one object, expanded once per order: 43 of the 146
+    # expansions while each map made its own, now 1.  A fresh process is cold.
     script = "\n".join((
         "from harmonic_atlas import analytic",
         "from harmonic_atlas.numkernel import Series",
@@ -467,7 +509,7 @@ def test_cold_verify_all_inverts_once_per_expansion():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert tuple(map(int, out.stdout.split())) == (150, 146, 4), out.stdout
+    assert tuple(map(int, out.stdout.split())) == (108, 104, 4), out.stdout
 
 
 # -- derivative/series consistency across a family of expressions ----------------

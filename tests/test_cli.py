@@ -12,6 +12,7 @@ import pytest
 
 from harmonic_atlas import cli
 from harmonic_atlas.cli import _COMMANDS, _command_parser, _run, build_parser, main
+from harmonic_atlas.exprtext import _MAX_DEPTH
 from harmonic_atlas.render import RenderOptions
 
 ATLAS = Path(__file__).parent / "data" / "atlas.json"
@@ -150,6 +151,23 @@ def test_oversized_order_or_grid_exit_2_before_allocating(capsys, argv, cap):
     assert peak < 1_000_000, peak
 
 
+@pytest.mark.parametrize("levels", [_MAX_DEPTH, _MAX_DEPTH + 1, 10_000])
+@pytest.mark.parametrize("command", ["expand", "classify", "shear"])
+def test_formula_nesting_refused_beyond_the_cap(capsys, command, levels):
+    # 250 levels ended in a RecursionError traceback (exit 1); the cap is a
+    # count of the tokens, so the verdict comes at once
+    text = "(" * levels + "z" + ")" * levels
+    argv = {"expand": (text, "3"), "classify": (text,), "shear": (text, "+z", "real")}
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, *argv[command])
+    assert time.perf_counter() - start < 1.0
+    if levels == _MAX_DEPTH:
+        assert code == 0 and err == ""
+    else:
+        assert (code, out) == (2, "")
+        assert f"InvalidExpression: parentheses nested deeper than {_MAX_DEPTH}" in err
+
+
 def test_largest_order_accepted(capsys):
     code, out, _ = run(capsys, "expand", "koebe", str(cli._MAX_ORDER))
     assert code == 0
@@ -209,6 +227,15 @@ def test_list_family(capsys):
     code, out, _ = run(capsys, "list", "--family", "T6")
     assert code == 0
     assert out.count("\n") == 2
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_list_unknown_family_exit_2(capsys, catalog, flags):
+    # it printed nothing and exited 0; the message names every family
+    code, out, err = run(capsys, "list", "--family", "NOPE", *flags)
+    assert (code, out) == (2, "")
+    families = ", ".join(dict.fromkeys(e.family for e in catalog))
+    assert f"unknown family 'NOPE'; known families: {families}" in err
 
 
 def test_list_json_atlas(capsys):

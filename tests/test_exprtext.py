@@ -1,5 +1,6 @@
 """Text formats: exact literals, structured terms, natural formulas."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from harmonic_atlas import (
     AnalyticExpr, GaussRational, Poly, format_expr, parse_any,
     parse_expr_text, parse_formula,
 )
-from harmonic_atlas.exprtext import parse_gauss
+from harmonic_atlas import InvalidExpression
+from harmonic_atlas.exprtext import _MAX_DEPTH, parse_gauss
 
 F = Fraction
 
@@ -83,3 +85,23 @@ def test_parse_errors():
         parse_expr_text("rat(1; 0,1)")
     with pytest.raises(ZeroDivisionError):
         parse_formula("z/0")
+
+
+def test_nesting_verdict_does_not_depend_on_the_callers_depth():
+    # a formula one level past the cap is refused before the parser
+    # recurses, even from a caller with few frames left; one at the cap
+    # parses from a caller of ordinary depth
+    at_cap = "(" * _MAX_DEPTH + "z" + ")" * _MAX_DEPTH
+    assert parse_formula(at_cap).series(3) == parse_formula("z").series(3)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+
+    def refuse(levels_left):
+        if levels_left:
+            return refuse(levels_left - 1)
+        with pytest.raises(InvalidExpression, match="nested deeper"):
+            parse_formula("(" + at_cap + ")")
+        return True
+
+    assert refuse(sys.getrecursionlimit() - depth - 40)

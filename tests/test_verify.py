@@ -1,11 +1,12 @@
 """Claim-table driver: suite contents and summary bookkeeping."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from harmonic_atlas import verify
+from harmonic_atlas import catalog, catalog_lookup, verify
 from harmonic_atlas.verify import SUITES, VerifyConfig, report_json, run_suite
 
 FAST = VerifyConfig(order=16, grid_radii=16, grid_angles=64)
@@ -52,6 +53,19 @@ def test_remark_identity_rows_can_fail(monkeypatch):
     assert report["summary"]["total"] == 5
     assert failed == [("f3", "m_theta_0_margin"), ("f9", "m_pi_coefficient_identity")]
     assert len(calls) == 2
+
+
+def test_remark_starlike_expectation_comes_from_the_catalog(monkeypatch):
+    # f3's row expects the refutation because the catalog records
+    # starlike=False; an entry recording starlike=True would fail the row
+    entry = catalog_lookup("t4_re_koebe_im_halfplane")
+    assert entry.expected.starlike is False
+    flipped = dataclasses.replace(
+        entry, expected=dataclasses.replace(entry.expected, starlike=True))
+    monkeypatch.setitem(catalog._INDEX, entry.id, flipped)
+    rows = {(r["id"], r["check"]): r for r in run_suite("REMARK", FAST)["rows"]}
+    row = rows["f3", "starlike_refuted"]
+    assert (row["computed"], row["expected"], row["match"]) == (True, False, False)
 
 
 def test_remark_matches_at_512_angles():
