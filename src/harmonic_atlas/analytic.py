@@ -56,9 +56,10 @@ A series sums the rational terms into one unreduced :class:`RatFunc` P/Q
 and multiplies P by 1/Q (what perfbench times as ``numkernel.mul`` and
 ``numkernel.reciprocal``); a log term adds c log L, the integral of L'/L,
 whose series ``_log_series`` keeps by (L, order) for the life of the
-process (the catalog has 4 distinct L).  Each expression keeps its series
-by order (``_series_cache``).  ``Poly`` and ``Series`` are immutable, so a
-cached series is safe to share: it is only read.
+process (the catalog has 4 distinct L; the orders are the maps' and the
+proof orders of ``HarmonicMap``'s closed-form check).  Each expression
+keeps its series by order (``_series_cache``).  ``Poly`` and ``Series``
+are immutable, so a cached series is safe to share: it is only read.
 """
 
 from __future__ import annotations
@@ -258,7 +259,9 @@ _BRANCH_POINTS = np.outer(
 ).ravel()
 
 
-@lru_cache(maxsize=32)  # the catalog has 4 distinct log arguments
+# keys (L, order): the catalog's 4 distinct L at a map's order and at the
+# proof orders (2 to 13) of the shear closed forms that hold L
+@lru_cache(maxsize=64)
 def _log_series(arg: Poly, order: int) -> Series:
     """Series of log(arg), the integral of arg'/arg."""
     quot = arg.derivative().to_series(order) * arg.to_series(order).reciprocal()

@@ -310,6 +310,15 @@ def _parse(argv: list) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
+def _unflag(argv: list) -> list:
+    """argv with a space before each argument of one "-" and more, other
+    than -h: a formula such as -z or -z^2+z, or a negative number, is a
+    positional or an option's value, not an option (every option but -h
+    starts with "--").  int and float read past the space."""
+    return [" " + a if a[:1] == "-" and a[1:2] not in ("", "-") and a != "-h"
+            else a for a in argv]
+
+
 def _run(args) -> int:
     """Run the parsed command; errors are printed and give its exit code."""
     try:
@@ -331,10 +340,8 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a bare "-z" is the omega argument of `shear`, not an option
-    argv = [" -z" if a == "-z" else a for a in argv]
     try:
-        args = _parse(argv)
+        args = _parse(_unflag(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     return _run(args)

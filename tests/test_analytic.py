@@ -482,12 +482,16 @@ def test_series_of_a_term_sum_matches_the_oracles(rationals, logs, order, data):
 
 
 def test_cold_verify_all_inverts_once_per_expansion():
-    # A cold `verify all` at the default config expands 104 expressions,
+    # A cold `verify all` at the default config expands 111 expressions,
     # each as one quotient P/Q (its rational terms summed) times 1/Q, and
-    # the 4 distinct log arguments L through 1/L: one Series.reciprocal
-    # each, 108 in all.  The zero expression, the g and omega of every
-    # conformal map, is one object, expanded once per order: 43 of the 146
-    # expansions while each map made its own, now 1.  A fresh process is cold.
+    # 14 (log argument L, order) pairs through 1/L: one Series.reciprocal
+    # each, 125 in all.  A shear's closed forms are checked at their proof
+    # orders (2 to 13, `shear` module doc), not at 64: 85 of the
+    # expansions and 10 of the pairs are at those orders, 26 and the 4
+    # distinct L at 63 or 64 (104 expressions and 4 pairs, all at 63 or
+    # 64, when every check expanded to the map's order).  The zero
+    # expression, the g and omega of every conformal map, is one object,
+    # expanded once per order.  A fresh process is cold.
     script = "\n".join((
         "from harmonic_atlas import analytic",
         "from harmonic_atlas.numkernel import Series",
@@ -509,7 +513,7 @@ def test_cold_verify_all_inverts_once_per_expansion():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert tuple(map(int, out.stdout.split())) == (108, 104, 4), out.stdout
+    assert tuple(map(int, out.stdout.split())) == (125, 111, 14), out.stdout
 
 
 # -- derivative/series consistency across a family of expressions ----------------

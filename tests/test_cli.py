@@ -117,6 +117,32 @@ def test_negative_count_exit_2(capsys, argv):
     assert "must be >= 0" in err
 
 
+@pytest.mark.parametrize("argv", [("expand", "-z^2+z", "3"), ("classify", "-z^2+z"),
+                                  ("expand", "-z^3/3+z", "4")])
+def test_formula_starting_with_minus_is_a_positional(capsys, argv):
+    # as if it followed "--": argparse took it for an option (exit 2)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == run(capsys, argv[0], "--", *argv[1:])
+    assert code == 0 and err == ""
+    if argv == ("expand", "-z^2+z", "3"):
+        assert "h: 0 1 -1 0" in out
+
+
+def test_dash_arguments_that_keep_their_meaning(capsys):
+    assert cli._unflag(["-h", "-", "--tol", "-1", "-z", "-z^2+z", "--", "z"]) == [
+        "-h", "-", "--tol", " -1", " -z", " -z^2+z", "--", "z"]
+    code, out, _ = run(capsys, "-h")
+    assert code == 0 and (code, out) == run(capsys, "--help")[:2]
+    assert out.startswith("usage: harmonic-atlas")
+    code, out, err = run(capsys, "-")
+    assert code == 2 and out == "" and "invalid choice: '-'" in err
+    code, out, err = run(capsys, "expand", "-h")
+    assert code == 0 and out.startswith("usage: harmonic-atlas expand")
+    # a negative value still reaches its range check
+    code, out, err = run(capsys, "verify", "all", "--tol", "-1")
+    assert code == 2 and out == "" and "tol >= 0" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("expand", "", "3"), ("expand", " ", "3"), ("expand", "(", "3"),
     ("expand", "z+", "3"), ("expand", "z^", "3"), ("classify", ""),
@@ -433,9 +459,8 @@ def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
 
 def _full_route(argv):
     """What ``main`` gave when every call parsed with the full parser."""
-    argv = [" -z" if a == "-z" else a for a in argv]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(cli._unflag(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     return _run(args)

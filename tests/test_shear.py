@@ -15,8 +15,9 @@ from harmonic_atlas import (
     Poly, Series, SeriesMismatch, catalog_lookup, dilatation_check, parse_any,
     parse_expr_text, parse_formula, shear_imag, shear_real,
 )
-from harmonic_atlas import numkernel
-from harmonic_atlas.analytic import EPS_POLE
+from harmonic_atlas import catalog_ids, numkernel
+from harmonic_atlas import shear as shear_mod
+from harmonic_atlas.analytic import EPS_POLE, RationalTerm
 from harmonic_atlas.shear import HarmonicMap
 from oracles import compose_linear, pole_mask_bruteforce
 
@@ -214,6 +215,98 @@ def test_closed_form_disagreeing_with_its_series_raises():
         dataclasses.replace(fm, h_expr=fm.h_expr + extra, g_expr=fm.g_expr + extra)
     with pytest.raises(SeriesMismatch, match="for g"):
         dataclasses.replace(fm, g_expr=fm.g_expr + extra)
+
+
+_CLOSED_SHEARS = [eid for eid in catalog_ids()
+                  if catalog_lookup(eid).recipe is not None
+                  and catalog_lookup(eid).h is not None]
+_CATALOG_DENS = sorted({t.den for eid in _CLOSED_SHEARS
+                        for e in (catalog_lookup(eid).h, catalog_lookup(eid).g)
+                        for t in e.terms if isinstance(t, RationalTerm)}, key=repr)
+
+
+def _fresh_shear(eid: str, order: int) -> HarmonicMap:
+    entry = catalog_lookup(eid)
+    shear = shear_real if entry.recipe.axis == "real" else shear_imag
+    return shear(catalog_lookup(entry.recipe.source_id).h, entry.omega, order)
+
+
+def _check_orders(monkeypatch, build) -> list:
+    """The orders at which build() expands each closed form it checks."""
+    seen, series = [], AnalyticExpr.series
+
+    def recording(self, order):
+        seen.append(order)
+        return series(self, order)
+
+    with monkeypatch.context() as m:
+        m.setattr(AnalyticExpr, "series", recording)
+        try:
+            build()
+        except SeriesMismatch:
+            pass
+    return seen
+
+
+def test_closed_form_shears_are_proved_below_every_built_order():
+    # M <= 17 < 32, the lowest order the package builds a map at (render),
+    # so every shear's check is the proof; each closed form then equals a
+    # fresh shear's series far past the order it was checked at
+    assert len(_CLOSED_SHEARS) == 48
+    for eid in _CLOSED_SHEARS:
+        fm = catalog_lookup(eid).harmonic_map(32)
+        orders = [shear_mod._proof_order(fm.h_expr, None, fm.source, fm.omega),
+                  shear_mod._proof_order(fm.g_expr, fm.omega, fm.source, fm.omega)]
+        assert max(orders) <= 17, (eid, orders)
+        deep = _fresh_shear(eid, 256)
+        assert fm.h_expr.series(256) == deep.h_series, eid
+        assert fm.g_expr.series(256) == deep.g_series, eid
+
+
+def test_check_compares_at_the_proof_order_only_where_it_is_one(monkeypatch):
+    for n in (32, 64, 128):
+        for eid in _CLOSED_SHEARS:
+            fm = catalog_lookup(eid).harmonic_map(n)
+            want = [shear_mod._proof_order(fm.h_expr, None, fm.source, fm.omega),
+                    shear_mod._proof_order(fm.g_expr, fm.omega, fm.source, fm.omega)]
+            assert _check_orders(monkeypatch, lambda: dataclasses.replace(fm)) == want
+    # below M: f13_cvi needs 13
+    fm = catalog_lookup("f13_cvi").harmonic_map(8)
+    assert _check_orders(monkeypatch, lambda: dataclasses.replace(fm)) == [8, 8]
+    # no source: conformal and hand-built maps
+    koebe = catalog_lookup("koebe").harmonic_map(64)
+    assert _check_orders(monkeypatch, lambda: dataclasses.replace(koebe)) == [64, 64]
+    assert _check_orders(monkeypatch, lambda: HarmonicMap(
+        Series([0, 1], order=8), Series.zero(8), AnalyticExpr.zero(),
+        h_expr=Z_EXPR, g_expr=AnalyticExpr.zero())) == [8, 8]
+    # omega with a log term: its h' is not rational, so no degree bound
+    log_omega = parse_expr_text("log(1/8; 1,1)")
+    fm = shear_real(Z_EXPR, log_omega, 12)
+    assert _check_orders(monkeypatch, lambda: dataclasses.replace(
+        fm, h_expr=Z_EXPR, g_expr=AnalyticExpr.zero())) == [12]
+
+
+@settings(max_examples=120, deadline=None)
+@given(eid=st.sampled_from(_CLOSED_SHEARS), n=st.sampled_from((4, 8, 16, 32)),
+       data=st.data())
+def test_bounded_check_decides_what_the_order_n_check_decided(eid, n, data):
+    # a wrong term c z^k/Q in h, or in h and g, is caught exactly when
+    # the order-N series see it
+    fm = catalog_lookup(eid).harmonic_map(n)
+    k = data.draw(st.integers(0, 2 * n), label="k")
+    den = data.draw(st.sampled_from(_CATALOG_DENS), label="Q")
+    c = data.draw(st.sampled_from((F(1, 7), F(-1, 7), GaussRational(0, F(1, 3)),
+                                   GaussRational(0, F(-1, 3)))), label="c")
+    extra = AnalyticExpr.rational(c, Poly([0] * k + [1]), den)
+    both = data.draw(st.booleans(), label="both")
+    h = fm.h_expr + extra
+    g = fm.g_expr + extra if both else fm.g_expr
+    wrong = h.series(n) != fm.h_series or g.series(n) != fm.g_series
+    if wrong:
+        with pytest.raises(SeriesMismatch):
+            dataclasses.replace(fm, h_expr=h, g_expr=g)
+    else:
+        dataclasses.replace(fm, h_expr=h, g_expr=g)
 
 
 # -- preconditions and errors ----------------------------------------------------
