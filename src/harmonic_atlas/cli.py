@@ -33,13 +33,9 @@ from .errors import HarmonicAtlasError, UnknownId
 from .exprtext import parse_any
 from .render import RenderOptions, render_svg
 from .shear import HarmonicMap, shear_imag, shear_real
-from .verify import SUITES, VerifyConfig, report_json, run_suite
+from .verify import _MAX_ORDER, SUITES, VerifyConfig, report_json, run_suite
 
 _CONFIG_KEYS = {"order", "grid.radii", "grid.angles", "tol", "r_max"}
-# The largest series order and verify grid (radii x angles) a call may ask
-# for: well above the benchmark's order 128 and 64 x 1024 grid.
-_MAX_ORDER = 1024
-_MAX_GRID_POINTS = 2**20
 
 
 class CliError(Exception):
@@ -86,11 +82,6 @@ def _build_config(args) -> VerifyConfig:
         tol = args.tol if args.tol is not None else float(values.get("tol", default.tol))
     except ValueError as exc:
         raise CliError(f"bad config value: {exc}") from exc
-    if not (1 <= order <= _MAX_ORDER and radii >= 1 and angles >= 1 and 0 < r_max < 1
-            and tol >= 0 and radii * angles <= _MAX_GRID_POINTS):
-        raise CliError("config values out of range: need "
-                       f"1 <= order <= {_MAX_ORDER}, radii and angles >= 1, "
-                       f"radii x angles <= {_MAX_GRID_POINTS}, 0 < r_max < 1, tol >= 0")
     return VerifyConfig(order=order, grid_radii=radii, grid_angles=angles,
                         r_max=r_max, tol=tol)
 
@@ -231,6 +222,22 @@ def _cmd_render(args) -> int:
 
 
 _PROG = "harmonic-atlas"
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument of one "-" and more, other than -h, is a positional or
+    an option's value, not an option: a formula such as -z or -z^2+z, or a
+    negative number (every option but -h starts with "--").  It reaches
+    the command, and every message, as typed.  ``_parse_optional`` is the
+    argparse hook that sorts one argument; None means not an option."""
+
+    def _parse_optional(self, arg_string):
+        if (arg_string[:1] == "-" and arg_string[1:2] not in ("", "-")
+                and arg_string != "-h"):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 _JSON = ("--json", {"action": "store_true", "help": "JSON on stdout"})
 _CONFIG_FLAGS = (
     ("--config", {"help": "key=value config file"}),
@@ -263,10 +270,10 @@ _COMMANDS = {
     "render": ("render a map's disk image as SVG", _cmd_render, (
         ("target", {"help": "catalog id"}),
         ("out", {"help": "output .svg path"}),
-        ("--circles", {"type": int, "default": 8}),
-        ("--rays", {"type": int, "default": 16}),
-        ("--rmax", {"type": float, "default": 0.95}),
-        ("--samples", {"type": int, "default": 512}))),
+        ("--circles", {"type": int, "default": RenderOptions.circles}),
+        ("--rays", {"type": int, "default": RenderOptions.rays}),
+        ("--rmax", {"type": float, "default": RenderOptions.r_max}),
+        ("--samples", {"type": int, "default": RenderOptions.samples_per_curve}))),
 }
 
 
@@ -282,7 +289,7 @@ def _declare(parser, command: str):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The full parser: every command is a subparser."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=_PROG,
         description="catalog, shear, classify, verify and render univalent "
                     "harmonic mappings",
@@ -296,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _command_parser(command: str) -> argparse.ArgumentParser:
     """One command's parser, the same as its subparser in the full one."""
-    return _declare(argparse.ArgumentParser(prog=f"{_PROG} {command}"), command)
+    return _declare(_Parser(prog=f"{_PROG} {command}"), command)
 
 
 def _parse(argv: list) -> argparse.Namespace:
@@ -308,15 +315,6 @@ def _parse(argv: list) -> argparse.Namespace:
     # top-level help, no or an unknown command, or arguments left over:
     # the full parser reports them with the top-level usage
     return build_parser().parse_args(argv)
-
-
-def _unflag(argv: list) -> list:
-    """argv with a space before each argument of one "-" and more, other
-    than -h: a formula such as -z or -z^2+z, or a negative number, is a
-    positional or an option's value, not an option (every option but -h
-    starts with "--").  int and float read past the space."""
-    return [" " + a if a[:1] == "-" and a[1:2] not in ("", "-") and a != "-h"
-            else a for a in argv]
 
 
 def _run(args) -> int:
@@ -341,7 +339,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _parse(_unflag(argv))
+        args = _parse(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     return _run(args)

@@ -17,12 +17,10 @@ The direction-convexity machinery:
   + z^2 e^{-2i mu}) phi'(z)} (real direction) or the same with leading
   factor -i e^{i mu} (imaginary direction); nonnegativity on the disk is
   the classical slope criterion for convexity in that direction.
-* ``rz_search`` scans a (mu, nu) lattice for the best margin.  It skips a
-  lattice point whose minimum over the witnesses of earlier full-grid scans
-  (the same float operations, so never below its full minimum) is no
-  better than the best margin or below a seed margin, found first at the
-  coarse lattice point whose outer ring |z| = r_max fares best; the result
-  is exactly that of the unpruned scan.
+* ``rz_search`` scans a (mu, nu) lattice, 4 x 6 by default, for the best
+  margin.  It scans a lattice point on the whole grid only if its minimum
+  over the outer ring |z| = r_max beats the best margin so far; the result
+  is exactly that of scanning every point.
 * ``direction_convexity_probe`` traces the image of a near-boundary circle
   and counts sign changes of the coordinate orthogonal to test lines.
 """
@@ -48,7 +46,6 @@ __all__ = [
 
 TOL_MARGIN = 1e-9
 DEADBAND = 1e-8
-_SEED_MU, _SEED_NU = 8, 4  # rz_search's seed sub-lattice strides
 
 
 @dataclass(frozen=True)
@@ -155,67 +152,49 @@ def rz_certificate(phi: AnalyticExpr, p: RZParams, axis: str,
 
 
 def rz_search(phi: AnalyticExpr, axis: str, grid: Grid,
-              mu_steps: int = 96, nu_steps: int = 48,
+              mu_steps: int = 4, nu_steps: int = 6,
               tol: float = TOL_MARGIN) -> Certificate | None:
     """Scan the (mu, nu) lattice; return the best-margin certificate if its
     margin clears -tol, else None.
 
     The lattice has ``mu_steps`` points on [0, 2pi) and ``nu_steps``
-    intervals on [0, pi] (endpoints included), so the classical choices
-    0, pi/3, pi/2, 2pi/3 and pi are all exactly representable with the
-    defaults.  Lattice points are visited mu-major and a later point
-    replaces the best only with a strictly larger margin.
+    intervals on [0, pi] (endpoints included).  The default 4 x 6 lattice
+    holds the classical choices mu in {0, pi/2} and nu in {0, pi/3, pi/2,
+    2pi/3, pi}, where every catalog certificate peaks; it is a subset of
+    the finer 96 x 48 lattice, float for float, so it never certifies more.
+    Lattice points are visited mu-major and a later point replaces the
+    best only with a strictly larger margin.
 
-    Pruning.  The first point is always scanned; a NaN margin there stays
-    the best, so the result is None.  A seed scan at the sub-lattice point
-    (every 8th mu, every 4th nu) with the largest minimum over the outer
-    ring |z| = r_max gives ``seed``, a lattice margin, so at most the best.
-    ``bound[i, j]`` is the minimum at (i, j) over the argmins of all full
-    scans so far, in the full scan's float operations, so never below the
-    full minimum, bit for bit.  A point whose bound is <= the best margin
-    or < ``seed`` is skipped (a NaN bound never is).  The first point that
-    attains the largest margin M is not: its bound is >= M >= seed and the
-    best before it is < M.  So the result is that of the unpruned scan.
+    Ring bound.  The first point is always scanned on the whole grid; a
+    NaN margin there stays the best, so the result is None.  A later
+    point is scanned on the whole grid only if its minimum over the outer
+    ring |z| = r_max (the grid's last ``angles_count`` points, in the full
+    scan's float operations) exceeds the best margin: otherwise its grid
+    minimum cannot either.  So the result is that of scanning every point.
+    An explicit 96 x 48 lattice stays exact, but the ring bound alone lets
+    up to a quarter of its 4,704 points through to a full scan, over ten
+    times the time of the default lattice on the default grid.
     """
     if mu_steps < 1 or nu_steps < 1:
         raise ValueError("mu_steps and nu_steps must be at least 1")
     zs = grid.points
     a, b, c = _rz_parts(phi, axis, grid)
-    mus = [2 * math.pi * i / mu_steps for i in range(mu_steps)]
     nus = [math.pi * j / nu_steps for j in range(nu_steps + 1)]
-    cos_mu, sin_mu = np.array([(math.cos(mu), math.sin(mu)) for mu in mus]).T
     twice_cos = np.array([2 * math.cos(nu) for nu in nus])
-    bound = np.full((mu_steps, nu_steps + 1), np.inf)
-
-    def scan(i, j):
-        vals = (cos_mu[i] * a + sin_mu[i] * b) - twice_cos[j] * c
-        k = int(np.argmin(vals))
-        at_k = (cos_mu * a[k] + sin_mu * b[k])[:, None] - twice_cos * c[k]
-        np.minimum(bound, at_k, out=bound)
-        return Certificate(f"rz_{axis}", float(vals[k]), complex(zs[k]),
-                           RZParams(mus[i], nus[j]))
-
-    best = scan(0, 0)
-    if math.isnan(best.margin):
-        return None
     ring = slice(-grid.angles_count, None)  # |z| = r_max
-    coarse = np.min((cos_mu[::_SEED_MU, None] * a[ring]
-                     + sin_mu[::_SEED_MU, None] * b[ring])[:, None, :]
-                    - twice_cos[::_SEED_NU, None] * c[ring], axis=2)
-    i, j = np.unravel_index(np.argmax(np.nan_to_num(coarse, nan=-np.inf)),
-                            coarse.shape)
-    seed = scan(i * _SEED_MU, j * _SEED_NU).margin
-    flat = 0
-    while True:
-        rest = bound.ravel()[flat:]
-        live = np.flatnonzero(~((rest <= best.margin) | (rest < seed)))
-        if not live.size:
-            break
-        flat += int(live[0])
-        cert = scan(*divmod(flat, nu_steps + 1))
-        if cert.margin > best.margin:
-            best = cert
-        flat += 1
+    best = None
+    for i in range(mu_steps):
+        mu = 2 * math.pi * i / mu_steps
+        base = math.cos(mu) * a + math.sin(mu) * b
+        ring_min = np.min(base[ring] - twice_cos[:, None] * c[ring], axis=1)
+        for j, nu in enumerate(nus):
+            if best is not None and not ring_min[j] > best.margin:
+                continue
+            vals = base - twice_cos[j] * c
+            k = int(np.argmin(vals))
+            if best is None or vals[k] > best.margin:
+                best = Certificate(f"rz_{axis}", float(vals[k]),
+                                   complex(zs[k]), RZParams(mu, nu))
     return best if best.margin >= -tol else None
 
 

@@ -47,7 +47,10 @@ from .shear import dilatation_check
 
 __all__ = ["VerifyConfig", "run_suite", "SUITES", "report_json", "series_twins"]
 
-SUITES = ("T31", "T32", "T41", "T42", "LEM42", "REMARK")
+# The largest series order and grid (radii x angles) a config may ask for:
+# well above the benchmark's order 128 and 64 x 1024 grid.
+_MAX_ORDER = 1024
+_MAX_GRID_POINTS = 2**20
 
 # axis -> (theorem, tag, member families with the twin family last,
 #          the paper's family total, half-integer shear count)
@@ -64,6 +67,15 @@ class VerifyConfig:
     grid_angles: int = 256
     r_max: float = 0.999
     tol: float = 1e-9
+
+    def __post_init__(self):
+        if not (1 <= self.order <= _MAX_ORDER and self.grid_radii >= 1
+                and self.grid_angles >= 1 and 0 < self.r_max < 1 and self.tol >= 0
+                and self.grid_radii * self.grid_angles <= _MAX_GRID_POINTS):
+            raise ValueError(
+                "config values out of range: need "
+                f"1 <= order <= {_MAX_ORDER}, radii and angles >= 1, "
+                f"radii x angles <= {_MAX_GRID_POINTS}, 0 < r_max < 1, tol >= 0")
 
     def grid(self) -> Grid:
         return default_grid(self.grid_radii, self.grid_angles, self.r_max)
@@ -234,6 +246,7 @@ _SUITE_FNS = {
     "LEM42": lambda config: _suite_directions(config, "LEM42", ("T1", "T2")),
     "REMARK": _suite_remark,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(name: str, config: VerifyConfig | None = None) -> dict:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from harmonic_atlas import cli
+from harmonic_atlas import cli, verify
 from harmonic_atlas.cli import _COMMANDS, _command_parser, _run, build_parser, main
 from harmonic_atlas.exprtext import _MAX_DEPTH
 from harmonic_atlas.render import RenderOptions
@@ -129,8 +129,9 @@ def test_formula_starting_with_minus_is_a_positional(capsys, argv):
 
 
 def test_dash_arguments_that_keep_their_meaning(capsys):
-    assert cli._unflag(["-h", "-", "--tol", "-1", "-z", "-z^2+z", "--", "z"]) == [
-        "-h", "-", "--tol", " -1", " -z", " -z^2+z", "--", "z"]
+    args = cli._parse(["shear", "-z^2+z", "-z", "real", "--tol", "-1"])
+    assert (args.phi, args.omega, args.tol) == ("-z^2+z", "-z", -1.0)
+    assert cli._parse(["expand", "--", "-z", "2"]).target == "-z"
     code, out, _ = run(capsys, "-h")
     assert code == 0 and (code, out) == run(capsys, "--help")[:2]
     assert out.startswith("usage: harmonic-atlas")
@@ -141,6 +142,21 @@ def test_dash_arguments_that_keep_their_meaning(capsys):
     # a negative value still reaches its range check
     code, out, err = run(capsys, "verify", "all", "--tol", "-1")
     assert code == 2 and out == "" and "tol >= 0" in err
+
+
+@pytest.mark.parametrize("argv", [("expand", "-z^2+z", "3", "--json"),
+                                  ("classify", "-z^2+z", "--json")])
+def test_dash_argument_reaches_the_output_as_typed(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["target"] == "-z^2+z"
+
+
+def test_dash_argument_in_an_error_as_typed(capsys):
+    for argv, quoted in ((("expand", "-x", "3"), "parseable: '-x'"),
+                         (("expand", "koebe", "-x"), "invalid int value: '-x'"),
+                         (("-x",), "invalid choice: '-x'")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and quoted in err, argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -159,7 +175,7 @@ def test_formula_ending_early_exit_2(capsys, argv):
     (("classify", "z/(1-z)^2", "--order", "100000000"), cli._MAX_ORDER),
     (("shear", "koebe", "+z", "real", "--order", "100000000"), cli._MAX_ORDER),
     (("verify", "all", "--order", "100000"), cli._MAX_ORDER),
-    (("verify", "all", "--grid-angles", "100000000"), cli._MAX_GRID_POINTS),
+    (("verify", "all", "--grid-angles", "100000000"), verify._MAX_GRID_POINTS),
 ])
 def test_oversized_order_or_grid_exit_2_before_allocating(capsys, argv, cap):
     # refused where the config is checked, before any series or grid exists
@@ -460,7 +476,7 @@ def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
 def _full_route(argv):
     """What ``main`` gave when every call parsed with the full parser."""
     try:
-        args = build_parser().parse_args(cli._unflag(argv))
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     return _run(args)

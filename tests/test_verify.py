@@ -114,3 +114,20 @@ def test_single_suite_matches_its_suite_in_the_recording(suite):
 def test_unknown_suite():
     with pytest.raises(KeyError):
         run_suite("T99", FAST)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("order", 0), ("order", verify._MAX_ORDER + 1), ("grid_radii", 0),
+    ("grid_angles", 0), ("grid_angles", verify._MAX_GRID_POINTS // 64 + 1),
+    ("r_max", 0.0), ("r_max", 1.0), ("tol", -1.0), ("tol", float("nan")),
+])
+def test_config_checks_its_ranges(field, value):
+    # the API refuses what the CLI refuses, before a series or grid exists
+    with pytest.raises(ValueError, match="out of range"):
+        VerifyConfig(**{field: value})
+
+
+def test_config_accepts_its_range_ends():
+    VerifyConfig(order=verify._MAX_ORDER, grid_radii=1,
+                 grid_angles=verify._MAX_GRID_POINTS, tol=0.0)
+    VerifyConfig(order=1, grid_radii=verify._MAX_GRID_POINTS, grid_angles=1)
