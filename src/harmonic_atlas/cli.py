@@ -11,12 +11,12 @@ render read no config, so they refuse its flags (exit 2).
 Exit codes: 0 success / all rows matched; 1 verification mismatch;
 2 usage, config or input error; 3 I/O error.
 
-A call builds only its command's parser, once per process, and later
-``main`` calls reuse it.  The full parser, also built once, answers only
-top-level help, no or an unknown command, and arguments the command parser
-leaves over, which it reports with the top-level usage.  Both come from one
-table of commands.  Parsing does not change a parser, and its usage errors
-and help go to ``sys.stderr`` and ``sys.stdout`` as they are when printed.
+Arguments take one of two routes, both declared by one table of commands.
+A plain argv (see ``_plain``) is read straight from the table, and no
+``ArgumentParser`` is built.  Any other (help, ``--``, an abbreviated,
+unknown or refused argument, split positionals) goes to the full parser,
+built once per process, which prints usage errors and help to
+``sys.stderr`` and ``sys.stdout`` as they are when printed.
 """
 
 from __future__ import annotations
@@ -227,9 +227,9 @@ _PROG = "harmonic-atlas"
 class _Parser(argparse.ArgumentParser):
     """An argument of one "-" and more, other than -h, is a positional or
     an option's value, not an option: a formula such as -z or -z^2+z, or a
-    negative number (every option but -h starts with "--").  It reaches
-    the command, and every message, as typed.  ``_parse_optional`` is the
-    argparse hook that sorts one argument; None means not an option."""
+    negative number (every option but -h starts with "--"), as in ``_plain``.
+    It reaches the command, and every message, as typed.  ``_parse_optional``
+    is the argparse hook that sorts one argument; None means not an option."""
 
     def _parse_optional(self, arg_string):
         if (arg_string[:1] == "-" and arg_string[1:2] not in ("", "-")
@@ -300,21 +300,82 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _command_parser(command: str) -> argparse.ArgumentParser:
-    """One command's parser, the same as its subparser in the full one."""
-    return _declare(_Parser(prog=f"{_PROG} {command}"), command)
+def _plain(argv: list):
+    """The namespace the full parser gives a plain ``argv``, read straight
+    from ``_COMMANDS``; None for any other argv.
+
+    In a plain argv, ``argv[0]`` names a command, and every later argument
+    is a positional (one that neither starts with "--" nor is -h) or one of
+    the command's declared options written in full: ``--name value``, where
+    the value neither starts with "--" nor is -h, ``--name=value``, where
+    the value is not "--", or a bare ``--name`` for a flag.  The positionals
+    form one run of at least the required ones.  Each value passes its
+    ``type`` and then its ``choices``, and a repeated option keeps its last
+    value, as in argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, fn, arguments = _COMMANDS[argv[0]]
+    declared = dict(arguments)
+    args = argparse.Namespace(command=argv[0], fn=fn)
+    for name, keywords in arguments:
+        setattr(args, _dest(name), False if keywords.get("action") == "store_true"
+                else keywords.get("default"))
+    run, split = [], False
+    rest = iter(argv[1:])
+    try:
+        for arg in rest:
+            if arg[:2] != "--" and arg != "-h":
+                if split:
+                    return None
+                run.append(arg)
+                continue
+            split = bool(run)
+            name, eq, value = arg.partition("=")
+            if name not in declared:
+                return None
+            if declared[name].get("action") == "store_true":
+                if eq:
+                    return None
+                setattr(args, _dest(name), True)
+                continue
+            if not eq:
+                value = next(rest, "--")
+                if value[:2] == "--" or value == "-h":
+                    return None
+            elif value == "--":  # argparse drops it, leaving no value
+                return None
+            setattr(args, _dest(name), _convert(declared[name], value))
+        positionals = [name for name, _ in arguments if name[:2] != "--"]
+        required = [name for name in positionals if declared[name].get("nargs") != "?"]
+        if not len(required) <= len(run) <= len(positionals):
+            return None
+        for name, value in zip(positionals, run):
+            setattr(args, name, _convert(declared[name], value))
+    except ValueError:
+        return None
+    return args
+
+
+def _dest(name: str) -> str:
+    """argparse's attribute for a declared argument."""
+    return name[2:].replace("-", "_") if name[:2] == "--" else name
+
+
+def _convert(keywords: dict, text: str):
+    """``text`` through its ``type``, then checked against its ``choices``;
+    ValueError where argparse would refuse it."""
+    value = keywords.get("type", str)(text)
+    if "choices" in keywords and value not in keywords["choices"]:
+        raise ValueError(f"invalid choice: {value!r}")
+    return value
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    """The arguments of ``argv``; argparse exits on help and usage errors."""
-    if argv and argv[0] in _COMMANDS:
-        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return args
-    # top-level help, no or an unknown command, or arguments left over:
-    # the full parser reports them with the top-level usage
-    return build_parser().parse_args(argv)
+    """The arguments of ``argv``; the full parser, which answers what
+    ``_plain`` does not, exits on help and usage errors."""
+    args = _plain(argv)
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def _run(args) -> int:

@@ -4,14 +4,18 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import harmonic_atlas
 from harmonic_atlas import cli, verify
-from harmonic_atlas.cli import _COMMANDS, _command_parser, _run, build_parser, main
+from harmonic_atlas.cli import _COMMANDS, _plain, _run, build_parser, main
 from harmonic_atlas.exprtext import _MAX_DEPTH
 from harmonic_atlas.render import RenderOptions
 
@@ -179,7 +183,6 @@ def test_formula_ending_early_exit_2(capsys, argv):
 ])
 def test_oversized_order_or_grid_exit_2_before_allocating(capsys, argv, cap):
     # refused where the config is checked, before any series or grid exists
-    _command_parser(argv[0])
     start = time.perf_counter()
     tracemalloc.start()
     try:
@@ -323,6 +326,23 @@ def test_verify_json_deterministic(capsys):
     assert report["theorem"] == "T31"
 
 
+@pytest.mark.parametrize("theorem", ["all", "T32"])
+def test_verify_does_not_import_numpy_ma(theorem):
+    # np.quantile and np.unique import numpy.ma, about 15 ms in a fresh
+    # process; the convexity probe's levels come from one sort instead
+    script = "\n".join((
+        "import contextlib, io, sys",
+        "from harmonic_atlas.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    assert main(['verify', {theorem!r}, '--json']) == 0",
+        "print('numpy.ma' in sys.modules)",
+    ))
+    src = str(Path(harmonic_atlas.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "False\n"
+
+
 def test_verify_low_order_exit_1(capsys):
     code, out, _ = run(capsys, "verify", "T41", "--order", "3")
     assert code == 1
@@ -442,8 +462,8 @@ def test_render_oversized_exit_2_before_allocating(tmp_path, capsys):
 
 
 def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
-    # each command's parser is built at most once, the full parser only
-    # for what the command parsers cannot answer, and no call rebuilds one
+    # a successful call of each command builds no ArgumentParser; help and
+    # usage errors build the full parser once, and no call rebuilds it
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -453,24 +473,81 @@ def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     build_parser.cache_clear()
-    _command_parser.cache_clear()
+    out_path = tmp_path / "k.svg"
+    calls = [("expand", "koebe", "3"), ("expand", "koebe", "--order=3", "--json"),
+             ("classify", "koebe"), ("shear", "koebe", "+z", "real", "--show", "4"),
+             ("verify", "REMARK", "--order", "16"), ("list", "--family", "T6"),
+             ("render", "koebe", str(out_path), "--samples", "16")]
+    assert sorted({argv[0] for argv in calls}) == sorted(_COMMANDS)
     for _ in range(2):
-        assert run(capsys, "expand", "koebe", "3")[0] == 0
-        assert run(capsys, "expand", "koebe", "3")[0] == 0
-        out_path = tmp_path / "k.svg"
-        code, out, _ = run(capsys, "render", "koebe", str(out_path), "--samples", "16")
-        assert code == 0 and out_path.exists()
-        for _ in range(2):
-            code, out, _ = run(capsys, "--help")
-            assert code == 0 and out.startswith("usage: harmonic-atlas [-h]")
-    assert built == ["harmonic-atlas expand", "harmonic-atlas render", "harmonic-atlas",
-                     *(f"harmonic-atlas {c}" for c in _COMMANDS)]
-    assert _command_parser.cache_info().misses == 2
+        for argv in calls:
+            assert run(capsys, *argv)[0] == 0, argv
+    assert out_path.exists()
+    assert built == [] and build_parser.cache_info().misses == 0
+    for _ in range(2):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0 and out.startswith("usage: harmonic-atlas [-h]")
+    assert built == ["harmonic-atlas", *(f"harmonic-atlas {c}" for c in _COMMANDS)]
     assert build_parser.cache_info().misses == 1
-    # arguments left over go to the full parser, built already
+    # a usage error goes to the full parser, built already
     code, _, err = run(capsys, "render", "koebe", str(tmp_path / "a.svg"), "--bogus")
     assert code == 2 and "unrecognized arguments: --bogus" in err
-    assert len(built) == 9
+    assert len(built) == 1 + len(_COMMANDS)
+
+
+def _fields(args):
+    """A namespace's attributes and values as text, where NaN equals NaN."""
+    return repr(sorted(vars(args).items()))
+
+
+def test_table_route_reads_every_declared_keyword():
+    # ``_plain`` reads help (ignored), type, nargs="?" on the last
+    # positional, choices, default and action="store_true"; a keyword
+    # outside these would parse differently on the two routes
+    for command, (_, _, arguments) in _COMMANDS.items():
+        names = [name for name, _ in arguments]
+        positionals = [name for name in names if not name.startswith("--")]
+        assert names[:len(positionals)] == positionals, command
+        for name, keywords in arguments:
+            assert set(keywords) <= {"help", "type", "nargs", "choices", "default",
+                                     "action"}, (command, name)
+            assert keywords.get("action", "store_true") == "store_true", (command, name)
+            if "nargs" in keywords:
+                assert keywords["nargs"] == "?" and name == positionals[-1], (command, name)
+            # argparse converts a string default with ``type``; the table
+            # route takes every default as it is
+            assert not isinstance(keywords.get("default"), str), (command, name)
+            assert keywords.get("type", str) in (str, int, float), (command, name)
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "koebe"), ("expand", "koebe", "5", "--json"), ("expand", "-z^2+z", "-5"),
+    ("expand", "--order=7", "--order", "3", "koebe"), ("expand", "-", "--config="),
+    ("shear", "-z^2+z", "-z", "real", "--tol", "-1", "--show=0"),
+    ("classify", "koebe", "--json", "--json", "--config", "-"),
+    ("verify", "all", "--r-max", "nan", "--grid-radii", " 4 "),
+    ("list",), ("list", "--family=", "--json"),
+    ("render", "koebe", "k.svg", "--rmax", "1e-1", "--circles", "-3"),
+])
+def test_plain_argv_namespace_equals_the_full_parser(argv):
+    args = _plain(list(argv))
+    assert args is not None
+    assert _fields(args) == _fields(build_parser().parse_args(list(argv)))
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("bogus",), ("expand",), ("expand", "koebe", "--ord", "3"),
+    ("expand", "koebe", "--", "3"), ("expand", "koebe", "--order", "3", "5"),
+    ("shear", "koebe", "--order", "3", "+z", "real"), ("expand", "koebe", "--order"),
+    ("expand", "koebe", "--order", "--json"), ("expand", "koebe", "--config", "-h"),
+    ("expand", "koebe", "--json=1"), ("expand", "koebe", "x"), ("verify", "T99"),
+    ("expand", "koebe", "3", "4"), ("list", "-h"), ("list", "--bogus"),
+    # argparse refuses a bad value even when a later one replaces it, and
+    # drops "--" from a value, so --config=-- sets config to []
+    ("classify", "koebe", "--order", "x", "--order", "3"), ("verify", "REMARK", "--config=--"),
+])
+def test_other_argv_goes_to_the_full_parser(argv):
+    assert _plain(list(argv)) is None
 
 
 def _full_route(argv):

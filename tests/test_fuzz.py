@@ -12,7 +12,9 @@ whole, cut short, or with one character deleted, inserted or replaced,
 with random config flags and config files.  Every call must exit 0 or 2
 (or 1, the mismatch verdict, for ``verify``) within ``_BUDGET_S``, with no
 traceback; an ``expand`` that succeeds on a whole formula must print the
-coefficients of the oracle's long division of its value.
+coefficients of the oracle's long division of its value.  Command lines
+drawn from the command table must parse alike on the table route and on
+the full parser.
 """
 
 import contextlib
@@ -26,9 +28,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic_atlas import catalog_build
-from harmonic_atlas.cli import main
+from harmonic_atlas.cli import _COMMANDS, _plain, build_parser, main
 from oracles import GaussRational as G
 from oracles import gaussian_long_division
+from test_cli import _fields, _full_route
 
 _BUDGET_S = 2.0  # per CLI call; the slowest call seen takes about 0.1 s
 
@@ -278,3 +281,116 @@ def test_verify_with_random_config_exits_0_1_or_2(data):
         config = data.draw(config_args(config_dir))
         code, _, _ = _call("verify", "REMARK", *config)
     assert code in (0, 1, 2), config
+
+
+# -- the two parsing routes of ``cli._parse`` on command lines drawn from
+# the command table: plain ones, and ones only the full parser answers
+
+_DASHED = ["-", "-5", "-z", "-z^2+z", "-x", "-h", "--", "--x", "--json", "--order=3",
+           "--a b", ""]
+_IDS = ["koebe", "f3_cv1", "hslits_wide_avg", "T6", "bogus"]
+
+
+def _value(name, keywords, good):
+    """Values of one declared argument, those its type and choices take if
+    ``good``, and bad ones too if not.  The render output is the
+    placeholder {out} (a file) or {bad} (a missing directory)."""
+    if name == "out":
+        return st.sampled_from(["{out}", "{bad}"])
+    if name == "theorem":  # the cheapest suite
+        return st.sampled_from(["REMARK"] if good else ["REMARK", "T99", "remark", ""])
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"] + ([] if good else ["REAL", ""]))
+    if keywords.get("type") is int:
+        ints = st.integers(-2, 24).map(str)
+        return ints if good else st.one_of(ints, st.sampled_from(
+            ["x", "", " 7", "1e3", "07", "3.0", "--5", "-h"]))
+    if keywords.get("type") is float:
+        floats = st.sampled_from(["0.5", "-0.5", "1e-3", "nan", "0.9", " 0.25"])
+        return floats if good else st.one_of(floats, _NUMBERS)
+    texts = st.one_of(st.sampled_from(_IDS), formulas(edits=False).map(lambda f: f[0][:200]),
+                      st.sampled_from(["-", "-5", "-z^2+z", "-x", ""]))
+    return texts if good else st.one_of(texts, st.sampled_from(_DASHED))
+
+
+@st.composite
+def command_lines(draw, config_dir):
+    """An argv for one command of ``_COMMANDS``: plain, or with up to two
+    kinds of the arguments only the full parser answers.  Options come in
+    any order and repeated, as --name value or --name=value, and values of
+    the right type; the faults are values of a bad type, outside the
+    choices or starting with - or --, too few or too many positionals,
+    positionals split by options, abbreviated or unknown options, -h, --,
+    and flags given a value."""
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    arguments = _COMMANDS[command][2]
+    faults = draw(st.one_of(st.just(set()), st.sets(st.sampled_from(
+        ["values", "count", "split", "odd", "flag"]), min_size=1, max_size=2)))
+    good = "values" not in faults
+    options = [(n, k) for n, k in arguments if n.startswith("--")]
+    positionals = [draw(_value(n, k, good)) for n, k in arguments
+                   if not n.startswith("--")]
+    if "count" in faults:
+        positionals = positionals[:draw(st.integers(max(len(positionals) - 1, 0),
+                                                    len(positionals)))]
+        positionals += draw(st.lists(_value("", {}, False), max_size=1))
+    pairs = []
+    if "--config" in dict(options) and draw(st.booleans()):
+        flat = draw(config_args(config_dir))
+        pairs += list(zip(flat[::2], flat[1::2]))
+    for name, keywords in draw(st.lists(st.sampled_from(options), max_size=4)):
+        if keywords.get("action") == "store_true":
+            flag = st.sampled_from([None, "", "1"]) if "flag" in faults else st.none()
+            pairs.append((name, draw(flag)))
+        else:
+            pairs.append((name, draw(_value(name, keywords, good))))
+    if "odd" in faults:
+        odd = [("--bogus", None), ("-h", None), ("--", None), ("--help", None)]
+        odd += [(name[:k], "3") for name, _ in options for k in range(3, len(name))]
+        pairs += draw(st.lists(st.sampled_from(odd), min_size=1, max_size=2))
+    groups = []
+    for name, value in draw(st.permutations(pairs)):
+        if value is None:
+            groups.append([name])
+        elif draw(st.booleans()):
+            groups.append([f"{name}={value}"])
+        else:
+            groups.append([name, value])
+    if "split" in faults and groups and len(positionals) > 1:
+        # options between the first ``cut`` positionals and the rest
+        cut = draw(st.integers(1, len(positionals) - 1))
+        i = draw(st.integers(0, len(groups) - 1))
+        groups.insert(draw(st.integers(i + 1, len(groups))), positionals[cut:])
+        groups.insert(i, positionals[:cut])
+    else:
+        groups.insert(draw(st.integers(0, len(groups))), positionals)
+    return [command, *(arg for group in groups for arg in group)]
+
+
+def _outputs(fn, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = fn(list(argv))
+        except SystemExit as exc:
+            result = SystemExit(exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_table_route_agrees_with_the_full_parser(data):
+    # in a scratch directory: a drawn positional can land on render's output
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        argv = data.draw(command_lines(tmp))
+        out = {"{out}": os.path.join(tmp, "k.svg"), "{bad}": os.path.join(tmp, "no", "k.svg")}
+        argv = [out.get(a, a) for a in argv]
+        args = _plain(argv)
+        if args is not None:
+            full = _outputs(build_parser().parse_args, argv)[0]
+            assert not isinstance(full, SystemExit), argv
+            assert _fields(args) == _fields(full), argv
+        want = _outputs(_full_route, argv)
+        got = _outputs(main, argv)
+        assert got == want, argv
+        assert "Traceback" not in got[2], argv
