@@ -16,16 +16,29 @@ A plain argv (see ``_plain``) is read straight from the table, and no
 ``ArgumentParser`` is built.  Any other (help, ``--``, an abbreviated,
 unknown or refused argument, split positionals) goes to the full parser,
 built once per process, which prints usage errors and help to
-``sys.stderr`` and ``sys.stdout`` as they are when printed.
+``sys.stderr`` and ``sys.stdout`` as they are when printed.  Only the full
+parser imports ``argparse``.
+
+verify and render keep their process's heap resident (``_keep_heap``, once
+per process, on glibc only).  Both evaluate grids of 12,800 to 16,384
+points and free each large temporary when done.  With glibc's default
+thresholds the freed top of the heap goes back to the OS after each render
+or suite, and the next array faults it in again: about 220 minor page
+faults per warm render, 2,300 for a second ``verify T32`` in one process
+and 8,800 for a second ``verify all``, against 0 to 7 under the policy.  A
+command owns its process, so the policy is set there; importing the
+package, or calling ``render_svg`` or ``run_suite`` from another program,
+leaves that program's allocator as it is.
 """
 
 from __future__ import annotations
 
-import argparse
+import ctypes
 import functools
 import json
 import os
 import sys
+import types
 
 from .catalog import catalog_ids, catalog_lookup, export_atlas
 from .classify import classify_harmonic, coeff_class
@@ -36,6 +49,8 @@ from .shear import HarmonicMap, shear_imag, shear_real
 from .verify import _MAX_ORDER, SUITES, VerifyConfig, report_json, run_suite
 
 _CONFIG_KEYS = {"order", "grid.radii", "grid.angles", "tol", "r_max"}
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 class CliError(Exception):
@@ -84,6 +99,29 @@ def _build_config(args) -> VerifyConfig:
         raise CliError(f"bad config value: {exc}") from exc
     return VerifyConfig(order=order, grid_radii=radii, grid_angles=angles,
                         r_max=r_max, tol=tol)
+
+
+@functools.cache
+def _keep_heap() -> bool:
+    """Keep this process's heap resident; True when glibc took the policy.
+
+    A grid holds at most 2**20 points, so no grid array exceeds 16 MiB of
+    complex values.  A 32 MiB mmap threshold serves every such array from
+    the heap, and a 64 MiB trim threshold keeps the freed top of the heap
+    for the next one.  Setting either turns off glibc's dynamic thresholds,
+    which alone would fault more, so both are set.  On another C library,
+    or when glibc refuses the mmap threshold, nothing is set.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return False
+    if not libc.startswith("glibc "):
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, 32 << 20) != 0
+            and mallopt(_M_TRIM_THRESHOLD, 64 << 20) != 0)
 
 
 def _resolve_map(text: str, order: int):
@@ -189,6 +227,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _keep_heap()
     config = _build_config(args)
     report = run_suite(args.theorem, config)
     if args.json:
@@ -208,6 +247,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    _keep_heap()
     entry = catalog_lookup(args.target)  # UnknownId -> exit 2
     opts = RenderOptions(circles=args.circles, rays=args.rays,
                          r_max=args.rmax, samples_per_curve=args.samples)
@@ -222,20 +262,6 @@ def _cmd_render(args) -> int:
 
 
 _PROG = "harmonic-atlas"
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument of one "-" and more, other than -h, is a positional or
-    an option's value, not an option: a formula such as -z or -z^2+z, or a
-    negative number (every option but -h starts with "--"), as in ``_plain``.
-    It reaches the command, and every message, as typed.  ``_parse_optional``
-    is the argparse hook that sorts one argument; None means not an option."""
-
-    def _parse_optional(self, arg_string):
-        if (arg_string[:1] == "-" and arg_string[1:2] not in ("", "-")
-                and arg_string != "-h"):
-            return None
-        return super()._parse_optional(arg_string)
 
 
 _JSON = ("--json", {"action": "store_true", "help": "JSON on stdout"})
@@ -287,8 +313,35 @@ def _declare(parser, command: str):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The full parser: every command is a subparser."""
+def build_parser():
+    """The full parser, an ``argparse.ArgumentParser``: every command is a
+    subparser.  Only this function imports ``argparse``, so a plain argv
+    never loads it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An argument of one "-" and more, other than -h, is a positional
+        or an option's value, not an option: a formula such as -z or
+        -z^2+z, or a negative number (every option but -h starts with
+        "--"), as in ``_plain``.  It reaches the command, and every message,
+        as typed.  An option's explicit value "--" (``--name=--``) is kept
+        as its value, where argparse would strip it and leave none.
+        ``_parse_optional`` and ``_get_values`` are the argparse hooks that
+        sort one argument and convert an action's values."""
+
+        def _parse_optional(self, arg_string):
+            if (arg_string[:1] == "-" and arg_string[1:2] not in ("", "-")
+                    and arg_string != "-h"):
+                return None
+            return super()._parse_optional(arg_string)
+
+        def _get_values(self, action, arg_strings):
+            if action.option_strings and arg_strings == ["--"]:
+                value = self._get_value(action, "--")
+                self._check_value(action, value)
+                return value
+            return super()._get_values(action, arg_strings)
+
     parser = _Parser(
         prog=_PROG,
         description="catalog, shear, classify, verify and render univalent "
@@ -301,23 +354,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _plain(argv: list):
-    """The namespace the full parser gives a plain ``argv``, read straight
-    from ``_COMMANDS``; None for any other argv.
+    """A namespace with the fields the full parser gives a plain ``argv``,
+    read straight from ``_COMMANDS``; None for any other argv.
 
     In a plain argv, ``argv[0]`` names a command, and every later argument
     is a positional (one that neither starts with "--" nor is -h) or one of
     the command's declared options written in full: ``--name value``, where
-    the value neither starts with "--" nor is -h, ``--name=value``, where
-    the value is not "--", or a bare ``--name`` for a flag.  The positionals
-    form one run of at least the required ones.  Each value passes its
-    ``type`` and then its ``choices``, and a repeated option keeps its last
-    value, as in argparse.
+    the value neither starts with "--" nor is -h, ``--name=value``, or a
+    bare ``--name`` for a flag.  The positionals form one run of at least
+    the required ones.  Each value passes its ``type`` and then its
+    ``choices``, and a repeated option keeps its last value, as in argparse.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
     _, fn, arguments = _COMMANDS[argv[0]]
     declared = dict(arguments)
-    args = argparse.Namespace(command=argv[0], fn=fn)
+    args = types.SimpleNamespace(command=argv[0], fn=fn)
     for name, keywords in arguments:
         setattr(args, _dest(name), False if keywords.get("action") == "store_true"
                 else keywords.get("default"))
@@ -343,8 +395,6 @@ def _plain(argv: list):
                 value = next(rest, "--")
                 if value[:2] == "--" or value == "-h":
                     return None
-            elif value == "--":  # argparse drops it, leaving no value
-                return None
             setattr(args, _dest(name), _convert(declared[name], value))
         positionals = [name for name, _ in arguments if name[:2] != "--"]
         required = [name for name in positionals if declared[name].get("nargs") != "?"]
@@ -371,7 +421,7 @@ def _convert(keywords: dict, text: str):
     return value
 
 
-def _parse(argv: list) -> argparse.Namespace:
+def _parse(argv: list):
     """The arguments of ``argv``; the full parser, which answers what
     ``_plain`` does not, exits on help and usage errors."""
     args = _plain(argv)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -337,10 +338,119 @@ def test_verify_does_not_import_numpy_ma(theorem):
         f"    assert main(['verify', {theorem!r}, '--json']) == 0",
         "print('numpy.ma' in sys.modules)",
     ))
+    assert _fresh(script) == "False\n"
+
+
+def _fresh(script, *args):
+    """What ``script`` prints in a fresh process that imports this package."""
     src = str(Path(harmonic_atlas.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout == "False\n"
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src}).stdout
+
+
+def test_plain_command_line_does_not_import_argparse():
+    # only the full parser, for help and usage errors, needs argparse
+    script = "\n".join((
+        "import contextlib, io, sys",
+        "from harmonic_atlas.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['expand', 'koebe', '3']) == 0",
+        "print('argparse' in sys.modules)",
+    ))
+    assert _fresh(script) == "False\n"
+
+
+def _glibc():
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc ")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the heap policy is glibc's")
+@pytest.mark.parametrize("argv, warm, timed, most", [
+    (["render", "f28_cv1", "{out}"], 3, 20, 5),
+    (["verify", "T32", "--json"], 1, 1, 50),
+], ids=["render", "verify T32"])
+def test_heap_stays_resident_between_calls(tmp_path, argv, warm, timed, most):
+    # with glibc's default thresholds a warm render took about 220 minor
+    # page faults and a second verify T32 about 2,300: the freed top of
+    # the heap went back to the OS after each call and was faulted in again
+    script = "\n".join((
+        "import contextlib, io, json, resource, sys",
+        "from harmonic_atlas.cli import main",
+        "argv, warm, timed = json.loads(sys.argv[1])",
+        "def calls(n):",
+        "    for _ in range(n):",
+        "        assert main(argv) == 0",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    calls(warm)",
+        "    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        "    calls(timed)",
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)",
+    ))
+    argv = [a.replace("{out}", str(tmp_path / "k.svg")) for a in argv]
+    faults = int(_fresh(script, json.dumps([argv, warm, timed])))
+    assert faults / timed <= most, faults
+
+
+def test_heap_policy_is_set_by_verify_and_render_only(tmp_path):
+    # importing the package, the other commands and library calls leave
+    # the host's allocator alone; verify and render set it once
+    script = "\n".join((
+        "import contextlib, io, sys",
+        "from harmonic_atlas import catalog_lookup, cli, render_svg",
+        "from harmonic_atlas.render import RenderOptions",
+        "from harmonic_atlas.verify import VerifyConfig, run_suite",
+        "seen = []",
+        "def ran():",
+        "    info = cli._keep_heap.cache_info()",
+        "    seen.append((info.misses, info.hits))",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for argv in (['expand', 'koebe', '3'], ['classify', 'koebe'],",
+        "                 ['shear', 'koebe', '+z', 'real'], ['list']):",
+        "        assert cli.main(argv) == 0",
+        "    run_suite('REMARK', VerifyConfig(order=16))",
+        "    render_svg(catalog_lookup('koebe').harmonic_map(8), RenderOptions())",
+        "    ran()",
+        "    assert cli.main(['render', 'koebe', sys.argv[1]]) == 0",
+        "    ran()",
+        "    assert cli.main(['verify', 'REMARK', '--order', '16']) == 0",
+        "    ran()",
+        "print(seen)",
+    ))
+    assert _fresh(script, str(tmp_path / "k.svg")) == "[(0, 0), (1, 0), (1, 1)]\n"
+
+
+def _unknown_name(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("confstr", [None, lambda name: None, lambda name: "musl 1.2.4",
+                                     _unknown_name],
+                         ids=["no confstr", "undefined", "musl", "unknown name"])
+def test_heap_policy_is_a_no_op_off_glibc(monkeypatch, confstr):
+    if confstr is None:
+        monkeypatch.delattr(os, "confstr", raising=False)
+    else:
+        monkeypatch.setattr(os, "confstr", confstr)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: pytest.fail("libc loaded"))
+    assert cli._keep_heap.__wrapped__() is False
+
+
+def test_heap_policy_stops_when_glibc_refuses(monkeypatch):
+    # a 32-bit glibc caps the mmap threshold below 32 MiB
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 0
+
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    assert cli._keep_heap.__wrapped__() is False
+    assert calls == [(cli._M_MMAP_THRESHOLD, 32 << 20)]
 
 
 def test_verify_low_order_exit_1(capsys):
@@ -528,6 +638,7 @@ def test_table_route_reads_every_declared_keyword():
     ("verify", "all", "--r-max", "nan", "--grid-radii", " 4 "),
     ("list",), ("list", "--family=", "--json"),
     ("render", "koebe", "k.svg", "--rmax", "1e-1", "--circles", "-3"),
+    ("verify", "REMARK", "--config=--"),
 ])
 def test_plain_argv_namespace_equals_the_full_parser(argv):
     args = _plain(list(argv))
@@ -542,12 +653,30 @@ def test_plain_argv_namespace_equals_the_full_parser(argv):
     ("expand", "koebe", "--order", "--json"), ("expand", "koebe", "--config", "-h"),
     ("expand", "koebe", "--json=1"), ("expand", "koebe", "x"), ("verify", "T99"),
     ("expand", "koebe", "3", "4"), ("list", "-h"), ("list", "--bogus"),
-    # argparse refuses a bad value even when a later one replaces it, and
-    # drops "--" from a value, so --config=-- sets config to []
-    ("classify", "koebe", "--order", "x", "--order", "3"), ("verify", "REMARK", "--config=--"),
+    # argparse refuses a bad value even when a later one replaces it
+    ("classify", "koebe", "--order", "x", "--order", "3"),
 ])
 def test_other_argv_goes_to_the_full_parser(argv):
     assert _plain(list(argv)) is None
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("expand", "koebe", "--order=--"), "argument --order: invalid int value: '--'"),
+    (("shear", "koebe", "+z", "real", "--show=--"), "argument --show: invalid int value: '--'"),
+    (("render", "koebe", "k.svg", "--samples=--"),
+     "argument --samples: invalid int value: '--'"),
+    (("verify", "REMARK", "--config=--"), "cannot read config --: "),
+    (("list", "--family=--"), "unknown family '--'"),
+], ids=["expand", "shear", "render", "verify", "list"])
+def test_explicit_double_dash_value_exit_2(capsys, tmp_path, monkeypatch, argv, message):
+    # argparse stripped the "--" of --name=--, leaving the option the value
+    # []: a TypeError traceback, or no config file and every family read
+    monkeypatch.chdir(tmp_path)
+    table, full = ((route(list(argv)), *capsys.readouterr()) for route in (main, _full_route))
+    assert table == full
+    code, out, err = table
+    assert code == 2 and not out and message in err and err.count("error:") == 1, err
+    assert not (tmp_path / "k.svg").exists()
 
 
 def _full_route(argv):
