@@ -22,7 +22,8 @@ Construction enforces the invariants the rest of the package relies on:
   part on the disk, so the sum A of their principal arguments is arg L
   continued from A(0) = 0, and the principal log agrees with it exactly
   where |A| < pi.  A is harmonic, so it is sampled on circles (720 angles
-  on each of four, out to |z| = 0.999), and |A| >= pi - 1e-9 rejects.
+  on each of four, out to |z| = 0.999), and |A| >= pi - 1e-9 rejects;
+  the samples are taken once per distinct L (``_meets_branch_cut``).
   This rejects (1+z)^3, which crosses the cut at |z| = 0.87 (its ``eval``
   would be off by 2 pi i from its series), and accepts (1+z)^2 and
   (1 + (3+4i) z/5)^2, which pass within 1e-6 of 0 near the circle
@@ -52,14 +53,16 @@ once; keys compare by polynomial equality, so equal polynomials parsed
 apart share.  A value does not depend on where it came from, so every
 result is bit for bit that of evaluating alone, which keeps nothing.
 
-A series sums the rational terms into one unreduced :class:`RatFunc` P/Q
-and multiplies P by 1/Q (what perfbench times as ``numkernel.mul`` and
-``numkernel.reciprocal``); a log term adds c log L, the integral of L'/L,
-whose series ``_log_series`` keeps by (L, order) for the life of the
-process (the catalog has 4 distinct L; the orders are the maps' and the
-proof orders of ``HarmonicMap``'s closed-form check).  Each expression
-keeps its series by order (``_series_cache``).  ``Poly`` and ``Series``
-are immutable, so a cached series is safe to share: it is only read.
+An expression is its rational part, the rational terms summed into one
+unreduced :class:`RatFunc` P/Q (``rational_part``, kept), plus its log
+part, c log L for each distinct L with c summed over its terms
+(``log_part``).  A series multiplies P by 1/Q (what perfbench times as
+``numkernel.mul`` and ``numkernel.reciprocal``) and adds each c log L, the
+integral of L'/L, whose series ``_log_series`` keeps by (L, order) for the
+life of the process (the catalog has 4 distinct L; the orders are those at
+which maps are built and checked).  Each expression keeps its series by
+order (``_series_cache``).  ``Poly`` and ``Series`` are immutable, so a
+cached series is safe to share: it is only read.
 """
 
 from __future__ import annotations
@@ -259,8 +262,8 @@ _BRANCH_POINTS = np.outer(
 ).ravel()
 
 
-# keys (L, order): the catalog's 4 distinct L at a map's order and at the
-# proof orders (2 to 13) of the shear closed forms that hold L
+# keys (L, order): the catalog's 4 distinct L at the orders of the maps that
+# hold them (in `verify`, the proof orders 2 to 13 of their closed forms)
 @lru_cache(maxsize=64)
 def _log_series(arg: Poly, order: int) -> Series:
     """Series of log(arg), the integral of arg'/arg."""
@@ -301,29 +304,49 @@ def _poly_roots(p: Poly) -> np.ndarray:
 
     Each root comes from a factor of Yun's squarefree factorization, whose
     roots are simple, so ``np.roots`` finds them to about machine epsilon;
-    on p itself it scatters an m-fold root by about eps**(1/m)."""
+    on p itself it scatters an m-fold root by about eps**(1/m).  A
+    squarefree p (gcd(p, p') = 1) is its own only factor, so Yun stops
+    after that first gcd; the factor is p made monic either way."""
+    def simple_roots(a: Poly) -> np.ndarray:
+        return np.roots([complex(c) for c in reversed(a.coeffs)])
+
     roots = [np.empty(0, dtype=complex)]
     if p.degree > 0:
         g = p.gcd(p.derivative())
-        b = divmod(p, g)[0]
-        d = divmod(p.derivative(), g)[0] - b.derivative()
-        m = 1
-        while b.degree > 0:  # b: the product of the factors of multiplicity >= m
-            a = b.gcd(d)  # the factor of multiplicity m
-            if a.degree > 0:
-                roots += [np.roots([complex(c) for c in reversed(a.coeffs)])] * m
-            b = divmod(b, a)[0]
-            d = divmod(d, a)[0] - b.derivative()
-            m += 1
+        if g.degree == 0:  # squarefree: p, made monic as gcd makes it, is the one factor
+            roots.append(simple_roots(p.gcd(Poly.zero())))
+        else:
+            b = divmod(p, g)[0]
+            d = divmod(p.derivative(), g)[0] - b.derivative()
+            m = 1
+            while b.degree > 0:  # b: the product of the factors of multiplicity >= m
+                a = b.gcd(d)  # the factor of multiplicity m
+                if a.degree > 0:
+                    roots += [simple_roots(a)] * m
+                b = divmod(b, a)[0]
+                d = divmod(d, a)[0] - b.derivative()
+                m += 1
     out = np.concatenate(roots)
     out.flags.writeable = False
     return out
 
 
+@lru_cache(maxsize=64)  # the catalog's 46 log terms have 4 distinct arguments
+def _meets_branch_cut(arg: Poly) -> bool:
+    """Whether log(arg) leaves the principal branch on the sampled circles
+    (module doc); once per distinct argument."""
+    if arg.degree <= 0:
+        return False
+    # arg L, continuous from L(0) = 1, as the sum over L's roots a (with
+    # multiplicity) of the principal argument of 1 - z/a
+    arg_l = np.angle(1 - _BRANCH_POINTS[:, None] / _poly_roots(arg)).sum(axis=1)
+    return bool(np.max(np.abs(arg_l)) >= np.pi - 1e-9)
+
+
 class AnalyticExpr:
     """Finite sum of rational and logarithmic closed-form terms."""
 
-    __slots__ = ("terms", "_pole_points", "_deriv", "_series_cache", "_floats")
+    __slots__ = ("terms", "_pole_points", "_deriv", "_series_cache", "_floats", "_rational")
 
     def __init__(self, terms, validate: bool = True):
         normalized = []
@@ -341,6 +364,7 @@ class AnalyticExpr:
         self._deriv = None
         self._series_cache = {}
         self._floats = None  # complex(t.c) of each term, on the first eval
+        self._rational = None  # rational_part(), on first use
         if validate:
             self._validate()
 
@@ -367,13 +391,8 @@ class AnalyticExpr:
             raise InvalidExpression(
                 "denominator or log argument vanishes inside the unit disk"
             )
-        for t in self.terms:
-            if isinstance(t, LogTerm) and t.arg.degree > 0:
-                # arg L, continuous from L(0) = 1, as the sum over L's roots a
-                # (with multiplicity) of the principal argument of 1 - z/a
-                arg = np.angle(1 - _BRANCH_POINTS[:, None] / _poly_roots(t.arg))
-                if np.max(np.abs(arg.sum(axis=1))) >= np.pi - 1e-9:
-                    raise InvalidExpression("log argument meets the branch cut on the disk")
+        if any(isinstance(t, LogTerm) and _meets_branch_cut(t.arg) for t in self.terms):
+            raise InvalidExpression("log argument meets the branch cut on the disk")
 
     # -- constructors ------------------------------------------------------
 
@@ -462,21 +481,39 @@ class AnalyticExpr:
             self._deriv = AnalyticExpr(out, validate=False)
         return self._deriv
 
+    def rational_part(self) -> RatFunc:
+        """The rational terms summed into one unreduced quotient P/Q, kept:
+        the series expands it, and the exact tests of ``classify``,
+        ``shear`` and ``verify`` read it."""
+        if self._rational is None:
+            q = RatFunc(Poly.zero())
+            for t in self.terms:
+                if isinstance(t, RationalTerm):
+                    q = q + RatFunc(t.num.scale(t.c), t.den)
+            self._rational = q
+        return self._rational
+
+    def log_part(self) -> dict:
+        """The summed coefficient of each log argument, L -> c, where c is
+        nonzero and L is not 1: the expression is ``rational_part()`` plus
+        the sum of c log L."""
+        out = {}
+        for t in self.terms:
+            if isinstance(t, LogTerm) and t.arg.degree > 0:
+                out[t.arg] = out.get(t.arg, GaussRational(0)) + t.c
+        return {arg: c for arg, c in out.items() if not c.is_zero}
+
     def series(self, order: int) -> Series:
-        """Exact Taylor coefficients to the given order: the rational terms
-        summed into one quotient P/Q, expanded once, plus c log L for each
-        log term, kept in ``_series_cache`` (see the module doc)."""
+        """Exact Taylor coefficients to the given order: ``rational_part()``
+        expanded once, plus c log L for each entry of ``log_part()``, kept
+        in ``_series_cache`` (see the module doc)."""
         cached = self._series_cache.get(order)
         if cached is not None:
             return cached
-        q = RatFunc(Poly.zero())
-        for t in self.terms:
-            if isinstance(t, RationalTerm):
-                q = q + RatFunc(t.num.scale(t.c), t.den)
+        q = self.rational_part()
         acc = q.num.to_series(order) * q.den.to_series(order).reciprocal()
-        for t in self.terms:
-            if isinstance(t, LogTerm):
-                acc = acc + _log_series(t.arg, order).scale(t.c)
+        for arg, c in self.log_part().items():
+            acc = acc + _log_series(arg, order).scale(c)
         self._series_cache[order] = acc
         return acc
 

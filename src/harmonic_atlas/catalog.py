@@ -39,7 +39,9 @@ is flagged half-integer exactly when it has a twin.  The other shears
 carry a closed form for h where a hand integration is on record; the
 eight without one keep only their series and recipe.  Where a shear has
 h, its g is h - source (real direction) or source - h (imaginary
-direction).
+direction), so the check that proves h proves g (``shear`` module doc).
+``CatalogEntry.proof_order`` is the order at which an entry's map proves
+its closed forms for every n; ``verify`` builds the maps there.
 
 Entries are built on lookup.  ``catalog_lookup`` builds and indexes only
 the entry it is asked for, and for a proof shear its twin; a shear's source
@@ -58,7 +60,7 @@ from fractions import Fraction
 from .analytic import AnalyticExpr
 from .errors import UnknownId
 from .exprtext import format_expr, parse_expr_text
-from .shear import HarmonicMap, shear_imag, shear_real
+from .shear import HarmonicMap, proof_order, shear_imag, shear_real
 
 __all__ = [
     "BoundaryDescriptor", "FlagSet", "ShearRecipe", "CatalogEntry",
@@ -152,6 +154,19 @@ class CatalogEntry:
     @property
     def is_conformal(self) -> bool:
         return self.recipe is None
+
+    @functools.cached_property
+    def proof_order(self) -> int | None:
+        """The lowest order whose map proves the entry's closed forms for
+        every n: 1 for a conformal entry, whose series is its closed
+        form's; a shear's ``shear.proof_order``; None for the 8 shears
+        without closed forms."""
+        if self.is_conformal:
+            return 1
+        if self.h is None:
+            return None
+        return proof_order(self.h, self.g, catalog_lookup(self.recipe.source_id).h,
+                           self.omega, self.recipe.axis)
 
     def harmonic_map(self, order: int = DEFAULT_ORDER) -> HarmonicMap:
         """Materialize the entry as a HarmonicMap at the given order.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .analytic import AnalyticExpr, LogTerm, Poly, RatFunc, RationalTerm
 from .errors import InvalidExpression
@@ -40,6 +41,9 @@ def _sign_body(body: str) -> Fraction:
     return Fraction(body)
 
 
+# The catalog's forms hold 30 distinct literals and 23 distinct polynomial
+# fields; each text is parsed once, so equal polynomials are one object.
+@lru_cache(maxsize=256)
 def parse_gauss(text: str) -> GaussRational:
     """Parse literals like ``3``, ``-1/2``, ``i``, ``-i``, ``2/3 i``, ``1/2-1/3 i``."""
     t = "".join(text.split())
@@ -61,6 +65,7 @@ def _format_poly(p: Poly) -> str:
     return ",".join(c.literal() for c in p.coeffs)
 
 
+@lru_cache(maxsize=256)
 def _parse_poly(text: str) -> Poly:
     text = text.strip()
     if text == "0":

@@ -22,8 +22,20 @@ term (``_degrees``).  If E agrees with the series to order M = K + 1, the
 first K + 1 coefficients of R, hence of R D, vanish; a polynomial of
 degree <= K with K + 1 zero coefficients is 0, so R = 0 and, as E(0) = 0,
 E is the series to every order.  The catalog's 48 closed-form shears
-need M <= 13.  Without a source (conformal or hand-built maps), or with a
-log term in omega, the check compares to the map's order N.
+need M <= 13 (``proof_order``; ``verify`` builds each of them at its M).
+A g written as s (source - h) term for term, as every proof shear's is,
+is proved with h and not checked apart: its series is s (source - h) at
+every order.  Only the 8 hand-typed g of T4 and T6 have their own check.
+Without a source (conformal or hand-built maps), or with a log term in
+omega, the check compares to the map's order N.
+
+What is decided for every n: the closed forms of a map with a source and
+a log-free omega (above), and ``dilatation_check`` on a map with closed
+forms for h and g and a log-free omega (g' = omega h' on the derivatives,
+exactly).  A map without closed forms, such as the 8 catalog shears that
+have none or any map the ``shear`` command builds, has only its order-N
+series: its identities and classes hold to N.  |omega| < 1 is sampled on
+``_OMEGA_GRID``, once per omega object.
 
 Values of h and g come from closed forms only.  A truncated series is
 wrong well inside the disk: at order 32 the catalog shear f7_cvi is off by
@@ -37,6 +49,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +59,7 @@ from .errors import (
 )
 from .numkernel import Series
 
-__all__ = ["HarmonicMap", "shear_real", "shear_imag", "dilatation_check"]
+__all__ = ["HarmonicMap", "shear_real", "shear_imag", "dilatation_check", "proof_order"]
 
 _BLOCK = 4096  # points per block of eval_masked: 64 KiB of complex
 # the |omega| < 1 sampling grid of every shear: 16 radii x 64 angles
@@ -66,7 +79,8 @@ class HarmonicMap:
     axis="real", +1 for "imag".  A closed form for h or g is checked
     against its series at the order that proves it for every n (module
     doc), at most the map's order N; without a source, or with a log term
-    in omega, at N.  A ``replace`` that keeps both series and the source
+    in omega, at N; a g that is s (source - h) term for term goes with h
+    (``_proofs``).  A ``replace`` that keeps both series and the source
     and swaps omega for one of the same degrees (REMARK's g' = +-z h'
     identities, the M(theta) tests) keeps the contract: the proof order
     reads only degrees, so the check is the one the recipe's omega proved.
@@ -86,13 +100,10 @@ class HarmonicMap:
         if self.g_series.coeff(0) != 0:
             raise NotNormalized("g must satisfy g(0)=0")
         n = self.order
-        bounded = self.source is not None and not any(
-            isinstance(t, LogTerm) for t in self.omega.terms)
-        for name, expr, series, w in (("h", self.h_expr, self.h_series, None),
-                                      ("g", self.g_expr, self.g_series, self.omega)):
-            if expr is None:
-                continue
-            m = min(n, _proof_order(expr, w, self.source, self.omega)) if bounded else n
+        for name, expr, m in _proofs(self.h_expr, self.g_expr, self.source,
+                                     self.omega, self.axis):
+            m = n if m is None else min(n, m)
+            series = getattr(self, f"{name}_series")
             if expr.series(m) != (series if m == n else series.truncate(m)):
                 raise SeriesMismatch(f"closed form for {name} disagrees with its series")
 
@@ -203,6 +214,7 @@ def _degrees(expr: AnalyticExpr, derived: bool = True) -> tuple[Counter, int]:
     return den, e
 
 
+@lru_cache(maxsize=256)  # by object: a catalog map's check and its entry's proof_order
 def _proof_order(expr: AnalyticExpr, w: AnalyticExpr | None,
                  source: AnalyticExpr, omega: AnalyticExpr) -> int:
     """The order M = K + 1 at which agreement of expr with its shear series
@@ -216,6 +228,45 @@ def _proof_order(expr: AnalyticExpr, w: AnalyticExpr | None,
     return sum(k * p.degree for p, k in den.items()) + max(ee + max(ew, 0), ev + es) + 1
 
 
+def _proofs(h_expr, g_expr, source, omega, axis) -> list:
+    """(name, closed form, M) for each closed form a map checks: agreement
+    with its series at order M proves it for every n (module doc); M is
+    None where only the map's order can be read (no source, or a log term
+    in omega).  A g that is s (source - h) term for term is not listed:
+    it is proved with h."""
+    bounded = source is not None and not any(isinstance(t, LogTerm) for t in omega.terms)
+    out = []
+    if h_expr is not None:
+        out.append(("h", h_expr, _proof_order(h_expr, None, source, omega)
+                    if bounded else None))
+    if g_expr is not None and not (h_expr is not None and source is not None
+                                   and g_expr.terms == _g_terms(h_expr, source, axis)):
+        out.append(("g", g_expr, _proof_order(g_expr, omega, source, omega)
+                    if bounded else None))
+    return out
+
+
+def _g_terms(h_expr: AnalyticExpr, source: AnalyticExpr, axis: str) -> tuple:
+    """The terms of h - source (axis="real") or source - h, as ``-`` writes
+    them: the first operand's, then the second's with negated c."""
+    first, second = (h_expr, source) if axis == "real" else (source, h_expr)
+    return first.terms + tuple(t._replace(c=-t.c) for t in second.terms)
+
+
+def proof_order(h_expr, g_expr, source, omega, axis) -> int | None:
+    """The lowest order at which the shear of ``source`` by ``omega`` along
+    ``axis`` proves ``h_expr`` and ``g_expr`` for every n; None where no
+    order does (a log term in omega) or there is no closed form."""
+    orders = [m for _, _, m in _proofs(h_expr, g_expr, source, omega, axis)]
+    return None if not orders or None in orders else max(orders)
+
+
+@lru_cache(maxsize=64)  # the catalog's shears have two: +z and -z
+def _omega_peak(omega: AnalyticExpr) -> float:
+    """max |omega| on ``_OMEGA_GRID``, sampled once per omega object."""
+    return float(np.max(np.abs(omega.eval(_OMEGA_GRID))))
+
+
 def _check_shear_inputs(conformal: AnalyticExpr, omega: AnalyticExpr, order: int):
     if order < 1:
         raise ValueError("shear order must be >= 1")
@@ -225,7 +276,7 @@ def _check_shear_inputs(conformal: AnalyticExpr, omega: AnalyticExpr, order: int
     om = omega.series(order - 1 if order > 1 else 0)
     if om.coeff(0) != 0:
         raise NotNormalized("dilatation must satisfy omega(0)=0")
-    if np.max(np.abs(omega.eval(_OMEGA_GRID))) >= 1 - 1e-9:
+    if _omega_peak(omega) >= 1 - 1e-9:
         raise DilatationTooLarge("|omega| reaches 1 on the sampling grid")
     return s
 
@@ -257,9 +308,18 @@ def shear_imag(psi: AnalyticExpr, omega: AnalyticExpr, order: int = 64) -> Harmo
 
 
 def dilatation_check(F: HarmonicMap) -> bool:
-    """Exact test of g' = omega * h' as truncated series."""
+    """g' = omega h', exactly.  The truncated series decide first, and a
+    coefficient that differs is a no for every n.  With closed forms for h
+    and g and a log-free omega, the identity is then decided for every n:
+    h', g' (rational, ``AnalyticExpr.derivative``) and omega, each summed
+    into one quotient, are compared cross-multiplied.  Otherwise the series
+    are the answer, to the map's order."""
     n1 = max(min(F.h_series.order, F.g_series.order) - 1, 0)
     lhs = F.g_series.derivative().truncate(n1)
     rhs = F.omega.series(n1) * F.h_series.derivative().truncate(n1)
-    return lhs == rhs
+    if lhs != rhs or F.h_expr is None or F.g_expr is None or F.omega.log_part():
+        return lhs == rhs
+    dh, dg = F.h_expr.derivative().rational_part(), F.g_expr.derivative().rational_part()
+    om = F.omega.rational_part()
+    return dg.num * om.den * dh.den == om.num * dh.num * dg.den
 

@@ -8,8 +8,8 @@ Each suite re-derives one table of claims and reports a row per check:
 * T32    direction-convexity flags of the nine, by certificate search and
          convexity probe;
 * T41    the real-direction half-integer table: 21 catalog entries plus
-         all 30 shears, exactly six of which are half-integer and match
-         the six non-conformal entries series-for-series;
+         all 30 shears, exactly six of which are half-integer and equal
+         the six non-conformal entries;
 * T42    the imaginary-direction table: 11 catalog entries plus 18 shears,
          exactly two half-integer matching the two non-conformal entries;
          T41 and T42 are one suite, parameterised by the shear axis, and
@@ -26,6 +26,19 @@ twins), and each expected value from the entry's ``FlagSet``.
 identities included.  Rows marked ``asserted`` record claims taken from the
 construction itself (not independently certified here); they are excluded
 from the match count.
+
+What is decided for every n: each map with closed forms (93 of the 101
+entries) is built at the order that proves them (``_map``; 1 for a
+conformal map, 2 to 13 for a shear), and its class rows, twin rows, the
+two half-integer counts and REMARK's identity rows read the closed forms
+(``classify.expr_class``, ``series_twins``, ``shear.dilatation_check``);
+a "neither" or "no twin" also rests on a coefficient that differs.  Only
+the 8 shears without closed forms (f13 to f16, f25 and f26 ``_cv1``; f7
+and f8 ``_cvi``) are built at the config's order, and their class and
+twin rows read that order-N series.  Each is "neither" by a coefficient
+at index 3 or 4, and "no twin" by a coefficient that differs, so from
+order 4 on those rows hold for every n too.  The grid rows (certificates,
+falsifiers, margins) read closed forms only, at the config's grid.
 """
 
 from __future__ import annotations
@@ -112,11 +125,18 @@ class _Rows:
         }
 
 
+def _map(entry, config):
+    """The entry's map at the order that proves its closed forms
+    (``CatalogEntry.proof_order``); a shear without them at the config's
+    order, the only maps whose rows read an order-N series."""
+    return entry.harmonic_map(entry.proof_order or config.order)
+
+
 def _coeff_class_row(rows, entry, config, check) -> bool:
     """The row ``check`` ("integer_coeffs" or "half_integer_coeffs") of an
     entry: the exact class of h and g against the entry's flag.  Returns
     the computed class."""
-    rh, rg = classify_harmonic(entry.harmonic_map(config.order))
+    rh, rg = classify_harmonic(_map(entry, config))
     is_class = f"is_{check.removesuffix('_coeffs')}"
     got = getattr(rh, is_class) and getattr(rg, is_class)
     want = getattr(entry.expected, check)
@@ -145,16 +165,55 @@ def _direction_rows(rows, entry, config, directions=("real", "imag")):
                      computed, "found", cert is not None)
         else:
             verdict = direction_convexity_probe(
-                entry.harmonic_map(config.order), direction,
-                r=config.r_max, lines=64)
+                _map(entry, config), direction, r=config.r_max, lines=64)
             rows.add(entry.id, f"cv_{direction}_falsified",
                      not verdict, True, verdict is False)
 
 
 def series_twins(fm, twin_maps: dict) -> list[str]:
-    """Ids in ``twin_maps`` whose h and g series equal those of ``fm``."""
+    """Ids in ``twin_maps`` whose h and g equal those of ``fm``.
+
+    For h and for g, the series to the lower of the two orders screen: a
+    coefficient that differs is a no for every n.  Two closed forms are
+    then compared exactly (``_same_function``).  Where that cannot decide
+    (a map without closed forms, or a log argument that is not linear),
+    the series are compared to the higher order, a closed form expanded
+    there."""
     return [tid for tid, tm in twin_maps.items()
-            if tm.h_series == fm.h_series and tm.g_series == fm.g_series]
+            if all(_same_part(getattr(fm, f"{p}_series"), getattr(fm, f"{p}_expr"),
+                              getattr(tm, f"{p}_series"), getattr(tm, f"{p}_expr"))
+                   for p in "hg")]
+
+
+def _same_part(x, ex, y, ey) -> bool:
+    """Series x with closed form ex (or None) equals series y with ey."""
+    n = min(x.order, y.order)
+    if x.coeffs[:n + 1] != y.coeffs[:n + 1]:
+        return False
+    same = None if ex is None or ey is None else _same_function(ex, ey)
+    if same is not None:
+        return same
+    n = max(x.order, y.order)
+    x, y = (s if e is None or s.order >= n else e.series(n) for s, e in ((x, ex), (y, ey)))
+    n = min(x.order, y.order)
+    return x.coeffs[:n + 1] == y.coeffs[:n + 1]
+
+
+def _same_function(a: AnalyticExpr, b: AnalyticExpr) -> bool | None:
+    """a = b for every n, or None when a log argument is not linear.  On
+    distinct linear arguments a difference in the log parts leaves a log
+    singularity (a residue of the derivative at the root), so the log
+    parts must agree argument by argument, and then the rational parts
+    P1/Q1 and P2/Q2 as P1 Q2 = P2 Q1."""
+    if a is b:
+        return True
+    la, lb = a.log_part(), b.log_part()
+    if any(arg.degree != 1 for arg in la.keys() | lb.keys()):
+        return None
+    if la != lb:
+        return False
+    p, q = a.rational_part(), b.rational_part()
+    return p.num * q.den == q.num * p.den
 
 
 def _suite_t31(config) -> dict:
@@ -190,14 +249,14 @@ def _suite_shears(config, axis: str) -> dict:
     for entry in members:
         _coeff_class_row(rows, entry, config, "half_integer_coeffs")
         if entry.family == twin_family:
-            fm = twin_maps[entry.id] = entry.harmonic_map(config.order)
+            fm = twin_maps[entry.id] = _map(entry, config)
             cert = jacobian_min(fm, grid)
             rows.add(entry.id, "jacobian_positive", cert.margin, "> 0",
                      cert.margin > 0)
     half_count = 0
     for entry in _entries((f"PROOF_{tag.upper()}",)):
         half_count += _coeff_class_row(rows, entry, config, "half_integer_coeffs")
-        fm = entry.harmonic_map(config.order)
+        fm = _map(entry, config)
         match_id = next(iter(series_twins(fm, twin_maps)), None)
         rows.add(entry.id, "series_twin", match_id, entry.twin,
                  match_id == entry.twin)
@@ -213,7 +272,7 @@ def _suite_remark(config) -> dict:
     rows = _Rows()
     grid = config.grid()
     f3_entry = catalog_lookup("t4_re_koebe_im_halfplane")
-    f3 = f3_entry.harmonic_map(config.order)
+    f3 = _map(f3_entry, config)
     ts = np.linspace(-math.pi / 2 + 0.1, math.pi / 2 - 0.1, 32)
     worst = 0.0
     all_negative = True
@@ -230,7 +289,7 @@ def _suite_remark(config) -> dict:
     in_m0 = dilatation_check(replace(f3, omega=AnalyticExpr.rational(1, Poly.var())))
     c0 = m_theta_check(f3, grid)
     rows.add("f3", "m_theta_0_margin", c0.margin, "> 0", in_m0 and c0.margin > 0)
-    f9 = catalog_lookup("t6_re_halfplane_im_koebe").harmonic_map(config.order)
+    f9 = _map(catalog_lookup("t6_re_halfplane_im_koebe"), config)
     cpi = m_theta_check(f9, grid)
     rows.add("f9", "m_theta_pi_margin", cpi.margin, "> 0", cpi.margin > 0)
     ok = dilatation_check(replace(f9, omega=AnalyticExpr.rational(-1, Poly.var())))

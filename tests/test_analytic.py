@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -287,6 +288,42 @@ def test_roots_of_products_of_circle_factors(powers):
     assert np.all(np.abs(np.abs(roots) - 1) < 1e-9)
 
 
+def test_squarefree_roots_come_from_one_gcd(monkeypatch):
+    # gcd(p, p') = 1 ends Yun's factorization: one gcd and no division;
+    # the roots are those of p made monic, as the full factorization gives
+    p = P(1, -1) * P(1, 0, 1) * P(1, 1, 1)
+    calls = Counter()
+    for name in ("gcd", "__divmod__"):
+        def counting(self, other, name=name, fn=getattr(Poly, name)):
+            calls[name] += 1
+            return fn(self, other)
+        monkeypatch.setattr(Poly, name, counting)
+    p.gcd(p.derivative())
+    first = Counter(calls)  # Euclid's divisions
+    calls.clear()
+    roots = _poly_roots.__wrapped__(p)
+    assert calls == first + Counter(gcd=1)  # and gcd(p, 0): p made monic
+    monic = p.scale(GaussRational(1) / p.coeffs[-1])
+    assert roots.tobytes() == np.roots([complex(c) for c in reversed(monic.coeffs)]).tobytes()
+
+
+def test_import_finds_each_root_set_and_branch_cut_once():
+    # the catalog's 311 denominators and log arguments are 13 polynomials,
+    # and its 46 log terms have 4 arguments: importing the package roots
+    # each polynomial once and samples each argument's branch cut once
+    script = "\n".join((
+        "import harmonic_atlas.cli",
+        "from harmonic_atlas import analytic",
+        "print(analytic._poly_roots.cache_info().misses,",
+        "      analytic._meets_branch_cut.cache_info().misses)",
+    ))
+    src = str(Path(harmonic_atlas.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["13", "4"]
+
+
 def test_eval_pole_check_builds_no_points_by_poles_array():
     # 1/(1 - z^12) has 12 pole points on the unit circle; the points reach
     # past them (|z| <= 1.2 * 0.999, no point on |z| = 1), so the radius
@@ -482,16 +519,18 @@ def test_series_of_a_term_sum_matches_the_oracles(rationals, logs, order, data):
 
 
 def test_cold_verify_all_inverts_once_per_expansion():
-    # A cold `verify all` at the default config expands 111 expressions,
+    # A cold `verify all` at the default config expands 116 expressions,
     # each as one quotient P/Q (its rational terms summed) times 1/Q, and
-    # 14 (log argument L, order) pairs through 1/L: one Series.reciprocal
-    # each, 125 in all.  A shear's closed forms are checked at their proof
-    # orders (2 to 13, `shear` module doc), not at 64: 85 of the
-    # expansions and 10 of the pairs are at those orders, 26 and the 4
-    # distinct L at 63 or 64 (104 expressions and 4 pairs, all at 63 or
-    # 64, when every check expanded to the map's order).  The zero
-    # expression, the g and omega of every conformal map, is one object,
-    # expanded once per order.  A fresh process is cold.
+    # 12 (log argument L, order) pairs through 1/L: one Series.reciprocal
+    # each, 128 in all.  Every map with closed forms is built at the order
+    # that proves them (`CatalogEntry.proof_order`): 1 for a conformal map
+    # and 2 to 13 for a shear (`shear` module doc).  So 24 expansions are
+    # at order 1 (the 21 conformal h, the zero expression, and +z and -z
+    # for the two shears built at order 2), 86 and all 12 pairs at the
+    # orders 2 to 13, and only the 4 sources and 2 omegas of the 8 shears
+    # without closed forms at 64 or 63.  The zero expression, the g and
+    # omega of every conformal map, is one object, expanded once per
+    # order.  A fresh process is cold.
     script = "\n".join((
         "from harmonic_atlas import analytic",
         "from harmonic_atlas.numkernel import Series",
@@ -513,7 +552,7 @@ def test_cold_verify_all_inverts_once_per_expansion():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert tuple(map(int, out.stdout.split())) == (125, 111, 14), out.stdout
+    assert tuple(map(int, out.stdout.split())) == (128, 116, 12), out.stdout
 
 
 # -- derivative/series consistency across a family of expressions ----------------

@@ -1,13 +1,25 @@
 """Exact coefficient classes and the |b2| bound."""
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from harmonic_atlas import (
-    GaussRational, Series, b2_bound_check, catalog_lookup, classify_harmonic,
-    coeff_class,
+    AnalyticExpr, GaussRational, LogTerm, Poly, Series, b2_bound_check, catalog_lookup,
+    classify_harmonic, coeff_class, parse_any,
 )
+from harmonic_atlas.classify import expr_class
+from harmonic_atlas.cli import main
 
 F = Fraction
+# the cyclotomic factors 1 - z, 1 + z, 1 - z^2, 1 + z^2, 1 - z + z^2, 1 + z + z^2
+_CIRCLE_FACTORS = [Poly(c) for c in ((1, -1), (1, 1), (1, 0, -1), (1, 0, 1),
+                                     (1, -1, 1), (1, 1, 1))]
 
 
 def test_half_integer_class():
@@ -94,3 +106,77 @@ def test_b2_bound_all_harmonic_entries(catalog):
         if entry.omega is None:
             continue
         assert b2_bound_check(entry.harmonic_map(8)) <= F(1, 4)
+
+
+# -- exact classes of closed forms ------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.lists(st.integers(-6, 6), min_size=1, max_size=9),
+       factors=st.lists(st.sampled_from(_CIRCLE_FACTORS), max_size=4),
+       k=st.sampled_from((1, 2, 3)), order=st.integers(1, 12))
+def test_exact_class_of_a_quotient_is_the_class_of_its_long_series(p, factors, k, order):
+    # P/(kQ) over the circle's factors: the class read off P and Q for every
+    # n, witness included, is the class of the series to deg P + 64, from
+    # a series to any order
+    q = Poly((k,))
+    for f in factors:
+        q = q * f
+    expr = AnalyticExpr.rational(1, Poly(p), q)
+    deep = max(Poly(p).degree, 0) + 64
+    assert expr_class(expr, expr.series(order)) == coeff_class(expr.series(deep))
+
+
+@pytest.mark.parametrize("text, klass, witness", [
+    ("rat(1; 0,1; 1,i)", "neither", (2, GaussRational(0, -1))),          # z - i z^2 + ...
+    ("rat(1; 0,1; 1,-i) + rat(1; 0,1; 1,i)", "integer", None),            # 2z/(1 + z^2)
+    ("rat(1/4; 0,1; 1,-i) + rat(1/4; 0,1; 1,i)", "half_integer", None),
+    ("rat(1; 0,1; 1,-1) + rat(-1; 0,1; 1,-1) + rat(1/5; 0,0,0,0,0,0,0,1; 1)",
+     "neither", (7, GaussRational(F(1, 5)))),
+    ("log(1; 1,1) + log(-1; 1,1) + rat(1/2; 0,1; 1,-1)", "half_integer", None),
+    ("log(1/2; 1,1) + rat(1/2; 0,1; 1)", "neither", (2, GaussRational(F(-1, 4)))),
+    ("log(2; 1,-i)", "neither", (1, GaussRational(0, -2))),
+])
+def test_exact_class_examples(text, klass, witness):
+    # complex denominators, a cancelled log part, and witnesses past the
+    # series handed in (order 1)
+    expr = parse_any(text)
+    report = expr_class(expr, expr.series(1))
+    assert (report.klass, report.first_violation) == (klass, witness)
+
+
+def test_exact_classes_are_the_order_64_classes_on_the_catalog(catalog):
+    # every report `classify <id>` prints at the default order, witnesses
+    # included, is the one the order-64 series gave before the exact rules
+    for entry in catalog:
+        fm = entry.harmonic_map(64)
+        assert classify_harmonic(fm) == (coeff_class(fm.h_series),
+                                         coeff_class(fm.g_series)), entry.id
+
+
+def test_log_part_witness_is_searched_past_the_order():
+    # f1_cv1's h = -log(1 - z) is neither for every n; at order 2 its first
+    # violation, 1/3 at index 3, lies past the map's series
+    fm = catalog_lookup("f1_cv1").harmonic_map(2)
+    assert coeff_class(fm.h_series).klass == "half_integer"
+    rh, rg = classify_harmonic(fm)
+    assert rh.first_violation == rg.first_violation == (3, GaussRational(F(1, 3)))
+
+
+def test_outside_the_exact_rules_the_series_decides():
+    # Q = 1 - z/2 is not over the Gaussian integers, and log(1 + 2z) has
+    # its root inside the disk: both read the series they are given
+    for expr in (parse_any("z/(1-z/2)"),
+                 AnalyticExpr((LogTerm(GaussRational(1), Poly((1, 2))),), validate=False)):
+        for order in (1, 3, 8):
+            assert expr_class(expr, expr.series(order)) == coeff_class(expr.series(order))
+
+
+def test_classify_cli_reports_a_violation_past_the_default_order():
+    # the coefficient 1/3 of z^65 lies past the default order 64
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["classify", "z + z^65/3", "--json"]) == 0
+    report = json.loads(out.getvalue())
+    assert report["h"] == {"class": "neither",
+                           "first_violation": {"index": 65, "value": "1/3"}}
+    assert report["g"] == {"class": "integer"}

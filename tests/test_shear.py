@@ -264,15 +264,21 @@ def test_closed_form_shears_are_proved_below_every_built_order():
 
 
 def test_check_compares_at_the_proof_order_only_where_it_is_one(monkeypatch):
+    # a proof shear's g is s (source - h) term for term, so it is proved
+    # with h; only the 8 hand-typed g of T4 and T6 are checked apart
+    own_g = [eid for eid in _CLOSED_SHEARS if catalog_lookup(eid).family in ("T4", "T6")]
+    assert len(own_g) == 8
     for n in (32, 64, 128):
         for eid in _CLOSED_SHEARS:
             fm = catalog_lookup(eid).harmonic_map(n)
-            want = [shear_mod._proof_order(fm.h_expr, None, fm.source, fm.omega),
-                    shear_mod._proof_order(fm.g_expr, fm.omega, fm.source, fm.omega)]
+            want = [shear_mod._proof_order(fm.h_expr, None, fm.source, fm.omega)]
+            if eid in own_g:
+                want.append(shear_mod._proof_order(fm.g_expr, fm.omega, fm.source, fm.omega))
             assert _check_orders(monkeypatch, lambda: dataclasses.replace(fm)) == want
+            assert catalog_lookup(eid).proof_order == max(want)
     # below M: f13_cvi needs 13
     fm = catalog_lookup("f13_cvi").harmonic_map(8)
-    assert _check_orders(monkeypatch, lambda: dataclasses.replace(fm)) == [8, 8]
+    assert _check_orders(monkeypatch, lambda: dataclasses.replace(fm)) == [8]
     # no source: conformal and hand-built maps
     koebe = catalog_lookup("koebe").harmonic_map(64)
     assert _check_orders(monkeypatch, lambda: dataclasses.replace(koebe)) == [64, 64]
@@ -433,6 +439,27 @@ def test_dilatation_check_counterexample():
                        Series([0, 0, F(1, 2)], order=2),
                        parse_formula("z"))
     assert dilatation_check(good)
+
+
+def test_dilatation_check_decides_past_the_series():
+    # f3's closed forms satisfy g' = z h' for every n.  An omega that is z
+    # plus a term past the map's order agrees with every coefficient its
+    # series hold; the closed forms refute it, and without them the series
+    # can only answer to their order
+    fm = catalog_lookup("t4_re_koebe_im_halfplane").harmonic_map(8)
+    off = Z_EXPR + AnalyticExpr.rational(F(1, 7), Poly([0] * 10 + [1]))
+    assert dilatation_check(dataclasses.replace(fm, omega=Z_EXPR))
+    assert not dilatation_check(dataclasses.replace(fm, omega=off))
+    assert dilatation_check(dataclasses.replace(fm, omega=off, h_expr=None, g_expr=None))
+
+
+def test_omega_is_sampled_once_per_object():
+    shear_mod._omega_peak.cache_clear()
+    phi = catalog_lookup("koebe").h
+    for order in (4, 8, 16):
+        shear_real(phi, Z_EXPR, order)
+        shear_imag(phi, NEG_Z, order)
+    assert shear_mod._omega_peak.cache_info().misses == 2
 
 
 def test_conformal_maps_share_one_zero_expression():

@@ -2,11 +2,15 @@
 
 import dataclasses
 import json
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from harmonic_atlas import catalog, catalog_lookup, verify
+from harmonic_atlas import AnalyticExpr, Poly, catalog, catalog_ids, catalog_lookup, verify
+from harmonic_atlas import shear as shear_mod
+from harmonic_atlas.shear import HarmonicMap
 from harmonic_atlas.verify import SUITES, VerifyConfig, report_json, run_suite
 
 FAST = VerifyConfig(order=16, grid_radii=16, grid_angles=64)
@@ -131,3 +135,87 @@ def test_config_accepts_its_range_ends():
     VerifyConfig(order=verify._MAX_ORDER, grid_radii=1,
                  grid_angles=verify._MAX_GRID_POINTS, tol=0.0)
     VerifyConfig(order=1, grid_radii=verify._MAX_GRID_POINTS, grid_angles=1)
+
+
+# -- exact rows: maps at their proof orders, closed forms compared exactly ------
+
+def test_verify_all_shears_closed_forms_at_their_proof_orders(monkeypatch):
+    # a cold `verify all` at the default config integrates the 8 shears
+    # without closed forms at order 64 and the other 48 at the orders that
+    # prove their closed forms; |omega| < 1 is sampled for +z and -z only
+    monkeypatch.setattr(catalog, "_INDEX", {})
+    shear_mod._omega_peak.cache_clear()
+    orders = Counter()
+    real = shear_mod._shear
+
+    def spy(source, omega, order, s):
+        orders[order] += 1
+        return real(source, omega, order, s)
+
+    monkeypatch.setattr(shear_mod, "_shear", spy)
+    assert run_suite("all", VerifyConfig())["summary"]["matched"] == 207
+    shears = [catalog_lookup(eid) for eid in catalog_ids()]
+    shears = [e for e in shears if e.recipe is not None]
+    want = Counter(64 if e.h is None else e.proof_order for e in shears)
+    assert len(shears) == sum(orders.values()) == 56
+    assert orders == want
+    assert orders[64] == sum(e.h is None for e in shears) == 8
+    assert set(orders) - {64} <= set(range(2, 14))
+    assert shear_mod._omega_peak.cache_info().misses == 2
+
+
+_TINY = Fraction(1, 10**12)
+
+
+def _mutate_past_the_order(monkeypatch, eid, h_c, g_c):
+    """Lookups of ``eid`` give its map with c z^(N+2) added to h (c = h_c)
+    and to g (g_c), N the map's order.  The copy has no source, so it is
+    checked against its series to N only, where the term does not show;
+    c = 10^-12 leaves every grid row as it was."""
+    build = catalog.CatalogEntry.harmonic_map
+
+    def harmonic_map(self, order=catalog.DEFAULT_ORDER):
+        fm = build(self, order)
+        if self.id != eid:
+            return fm
+
+        def extra(c):
+            return AnalyticExpr.rational(c, Poly([0] * (fm.order + 2) + [1]))
+        return HarmonicMap(fm.h_series, fm.g_series, fm.omega,
+                           h_expr=fm.h_expr + extra(h_c), g_expr=fm.g_expr + extra(g_c))
+
+    monkeypatch.setattr(catalog.CatalogEntry, "harmonic_map", harmonic_map)
+
+
+def _failed(report):
+    return sorted((r["id"], r["check"]) for r in report["rows"] if not r["match"])
+
+
+def test_mutated_twin_fails_its_rows(monkeypatch):
+    # f3_cv1 equals its twin for every n; a twin whose h and g differ from it
+    # past the series compared (h - g unchanged) is no twin, and not
+    # half-integer
+    twin = "t4_re_koebe_im_halfplane"
+    _mutate_past_the_order(monkeypatch, twin, _TINY, _TINY)
+    report = run_suite("T41", FAST)
+    assert _failed(report) == [("f3_cv1", "series_twin"), (twin, "half_integer_coeffs")]
+
+
+def test_mutated_t4_g_fails_its_rows(monkeypatch):
+    # a wrong term past the order in the hand-typed g of conj_sq_plus breaks
+    # its class and its twin f17_cv1
+    twin = "t4_conj_sq_plus"
+    _mutate_past_the_order(monkeypatch, twin, 0, _TINY)
+    report = run_suite("T41", FAST)
+    assert _failed(report) == [("f17_cv1", "series_twin"), (twin, "half_integer_coeffs")]
+
+
+@pytest.mark.parametrize("eid, row", [
+    ("t4_re_koebe_im_halfplane", ("f3", "m_theta_0_margin")),
+    ("t6_re_halfplane_im_koebe", ("f9", "m_pi_coefficient_identity")),
+])
+def test_mutated_dilatation_fails_its_row(monkeypatch, eid, row):
+    # g' = +-z h' holds to the map's order but not past it: the identity
+    # row (and the margin row it gates) fails
+    _mutate_past_the_order(monkeypatch, eid, 0, _TINY)
+    assert _failed(run_suite("REMARK", FAST)) == [row]
