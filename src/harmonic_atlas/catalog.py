@@ -54,11 +54,11 @@ object per process, so the maps an entry caches are shared by every caller.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .analytic import AnalyticExpr
-from .errors import UnknownId
+from .errors import Frozen, UnknownId
 from .exprtext import format_expr, parse_expr_text
 from .shear import HarmonicMap, proof_order, shear_imag, shear_real
 
@@ -78,8 +78,7 @@ def _surd(a, b=0) -> tuple[Fraction, Fraction]:
     return (F(a), F(b))
 
 
-@dataclass(frozen=True)
-class BoundaryDescriptor:
+class BoundaryDescriptor(NamedTuple):
     """Exact description of the image boundary, where one is on record.
 
     ``params`` holds (a, b) pairs meaning a + b*sqrt(3); their meaning is
@@ -98,20 +97,25 @@ class BoundaryDescriptor:
                 "params": [[str(a), str(b)] for (a, b) in self.params]}
 
 
-@dataclass(frozen=True)
-class FlagSet:
+class FlagSet(Frozen):
     """Expected classification flags; None means not asserted anywhere."""
-    integer_coeffs: bool
-    half_integer_coeffs: bool
-    cv_real: bool | None = None
-    cv_imag: bool | None = None
-    starlike: bool | None = None
-    u_class: bool | None = None
-    boundary: BoundaryDescriptor | None = None
 
-    def __post_init__(self):
-        if self.integer_coeffs and not self.half_integer_coeffs:
+    __slots__ = ("integer_coeffs", "half_integer_coeffs", "cv_real", "cv_imag",
+                 "starlike", "u_class", "boundary")
+
+    def __init__(self, integer_coeffs: bool, half_integer_coeffs: bool,
+                 cv_real: bool | None = None, cv_imag: bool | None = None,
+                 starlike: bool | None = None, u_class: bool | None = None,
+                 boundary: BoundaryDescriptor | None = None):
+        if integer_coeffs and not half_integer_coeffs:
             raise ValueError("integer coefficients imply half-integer coefficients")
+        object.__setattr__(self, "integer_coeffs", integer_coeffs)
+        object.__setattr__(self, "half_integer_coeffs", half_integer_coeffs)
+        object.__setattr__(self, "cv_real", cv_real)
+        object.__setattr__(self, "cv_imag", cv_imag)
+        object.__setattr__(self, "starlike", starlike)
+        object.__setattr__(self, "u_class", u_class)
+        object.__setattr__(self, "boundary", boundary)
 
     def to_json(self) -> dict:
         out = {
@@ -127,24 +131,31 @@ class FlagSet:
         return out
 
 
-@dataclass(frozen=True)
-class ShearRecipe:
+class ShearRecipe(NamedTuple):
     """How a harmonic entry is produced: source id, omega = sign*z, axis."""
     source_id: str
     omega_sign: int
     axis: str  # "real" | "imag"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    id: str
-    family: str
-    h: AnalyticExpr | None
-    g: AnalyticExpr | None
-    expected: FlagSet
-    recipe: ShearRecipe | None = None
-    twin: str | None = None  # the T4/T6 entry a proof shear equals
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+class CatalogEntry(Frozen):
+    """One (family, function) pair of the catalog.  ``_cache`` holds its
+    maps by order, ``_proof_order`` the ``proof_order`` once read."""
+
+    __slots__ = ("id", "family", "h", "g", "expected", "recipe", "twin",
+                 "_cache", "_proof_order")
+
+    def __init__(self, id: str, family: str, h: AnalyticExpr | None,
+                 g: AnalyticExpr | None, expected: FlagSet,
+                 recipe: ShearRecipe | None = None, twin: str | None = None):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "recipe", recipe)
+        object.__setattr__(self, "twin", twin)  # the T4/T6 entry a proof shear equals
+        object.__setattr__(self, "_cache", {})
 
     @property
     def omega(self) -> AnalyticExpr | None:
@@ -155,18 +166,25 @@ class CatalogEntry:
     def is_conformal(self) -> bool:
         return self.recipe is None
 
-    @functools.cached_property
+    @property
     def proof_order(self) -> int | None:
         """The lowest order whose map proves the entry's closed forms for
         every n: 1 for a conformal entry, whose series is its closed
         form's; a shear's ``shear.proof_order``; None for the 8 shears
         without closed forms."""
+        try:
+            return self._proof_order
+        except AttributeError:  # not read yet
+            pass
         if self.is_conformal:
-            return 1
-        if self.h is None:
-            return None
-        return proof_order(self.h, self.g, catalog_lookup(self.recipe.source_id).h,
-                           self.omega, self.recipe.axis)
+            order = 1
+        elif self.h is None:
+            order = None
+        else:
+            order = proof_order(self.h, self.g, catalog_lookup(self.recipe.source_id).h,
+                                self.omega, self.recipe.axis)
+        object.__setattr__(self, "_proof_order", order)
+        return order
 
     def harmonic_map(self, order: int = DEFAULT_ORDER) -> HarmonicMap:
         """Materialize the entry as a HarmonicMap at the given order.
@@ -185,7 +203,7 @@ class CatalogEntry:
             shear = shear_real if self.recipe.axis == "real" else shear_imag
             fm = shear(source, self.omega, order)
             if self.h is not None:
-                fm = replace(fm, h_expr=self.h, g_expr=self.g)
+                fm = fm.replace(h_expr=self.h, g_expr=self.g)
         self._cache[order] = fm
         return fm
 

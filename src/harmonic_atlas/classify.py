@@ -36,8 +36,8 @@ No tolerance and no floating point appear anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .analytic import AnalyticExpr, Poly
 from .numkernel import GaussRational, Series
@@ -54,8 +54,7 @@ NEITHER = "neither"
 _WITNESS_ORDER = 1024
 
 
-@dataclass(frozen=True)
-class CoeffClassReport:
+class CoeffClassReport(NamedTuple):
     klass: str
     first_violation: tuple[int, GaussRational] | None = None
 

@@ -124,12 +124,18 @@ def _keep_heap() -> bool:
             and mallopt(_M_TRIM_THRESHOLD, 64 << 20) != 0)
 
 
-def _resolve_map(text: str, order: int):
-    """Catalog id first, then expression text; returns a HarmonicMap."""
+def _resolve_map(text: str, order: int, proved: bool = False):
+    """Catalog id first, then expression text; returns a HarmonicMap.  With
+    ``proved``, an entry with closed forms is built at the order that
+    proves them for every n (``CatalogEntry.proof_order``), not ``order``."""
     try:
-        return catalog_lookup(text).harmonic_map(order)
+        entry = catalog_lookup(text)
     except UnknownId:
         pass
+    else:
+        if proved and entry.proof_order is not None:
+            order = entry.proof_order
+        return entry.harmonic_map(order)
     try:
         expr = parse_any(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -215,7 +221,7 @@ def _cmd_shear(args) -> int:
 
 def _cmd_classify(args) -> int:
     config = _build_config(args)
-    fm = _resolve_map(args.target, config.order)
+    fm = _resolve_map(args.target, config.order, proved=True)
     rh, rg = classify_harmonic(fm)
     if args.json:
         print(json.dumps({"target": args.target, "h": rh.to_json(),
@@ -275,6 +281,7 @@ _CONFIG_FLAGS = (
     _JSON,
 )
 _TARGET = {"help": "catalog id or expression"}
+_RENDER = RenderOptions()  # the defaults of the render flags
 
 # command -> (help, handler, arguments as (name, add_argument keywords))
 _COMMANDS = {
@@ -296,10 +303,10 @@ _COMMANDS = {
     "render": ("render a map's disk image as SVG", _cmd_render, (
         ("target", {"help": "catalog id"}),
         ("out", {"help": "output .svg path"}),
-        ("--circles", {"type": int, "default": RenderOptions.circles}),
-        ("--rays", {"type": int, "default": RenderOptions.rays}),
-        ("--rmax", {"type": float, "default": RenderOptions.r_max}),
-        ("--samples", {"type": int, "default": RenderOptions.samples_per_curve}))),
+        ("--circles", {"type": int, "default": _RENDER.circles}),
+        ("--rays", {"type": int, "default": _RENDER.rays}),
+        ("--rmax", {"type": float, "default": _RENDER.r_max}),
+        ("--samples", {"type": int, "default": _RENDER.samples_per_curve}))),
 }
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the base of its immutable
+value types."""
 
 
 class HarmonicAtlasError(Exception):
@@ -46,3 +47,17 @@ class ZeroValue(HarmonicAtlasError):
 class NoClosedForm(HarmonicAtlasError):
     """A value was asked of h or g where the map has no closed form; a
     truncated series is never evaluated in its place."""
+
+
+class Frozen:
+    """Base of the package's immutable value types.  Assigning or deleting
+    an attribute raises ``AttributeError``; ``__init__`` sets each one with
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -28,13 +28,13 @@ The direction-convexity machinery:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .analytic import AnalyticExpr
-from .errors import ZeroValue
+from .errors import Frozen, ZeroValue
 from .shear import HarmonicMap
 
 __all__ = [
@@ -48,21 +48,32 @@ TOL_MARGIN = 1e-9
 DEADBAND = 1e-8
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Polar sampling grid: radii x equally spaced angles."""
-    radii: tuple[float, ...]
-    angles_count: int
+class Grid(Frozen):
+    """Polar sampling grid: radii x equally spaced angles.  Grids with the
+    same radii and angle count are equal and hash alike: a grid keys the
+    caches of phi' (``_phi_prime``)."""
 
-    def __post_init__(self):
-        if not self.radii:
+    __slots__ = ("radii", "angles_count")
+
+    def __init__(self, radii: tuple[float, ...], angles_count: int):
+        if not radii:
             raise ValueError("radii must not be empty")
-        if self.angles_count < 1:
+        if angles_count < 1:
             raise ValueError("angles_count must be at least 1")
-        if list(self.radii) != sorted(self.radii):
+        if list(radii) != sorted(radii):
             raise ValueError("radii must be sorted ascending")
-        if not (0 < self.radii[0] and self.radii[-1] < 1):
+        if not (0 < radii[0] and radii[-1] < 1):
             raise ValueError("radii must lie in (0, 1)")
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "angles_count", angles_count)
+
+    def __eq__(self, other):
+        if other.__class__ is not Grid:
+            return NotImplemented
+        return (self.radii, self.angles_count) == (other.radii, other.angles_count)
+
+    def __hash__(self):
+        return hash((self.radii, self.angles_count))
 
     @property
     def r_max(self) -> float:
@@ -87,18 +98,28 @@ def default_grid(radii_count: int = 64, angles: int = 256,
     return Grid(radii, angles)
 
 
-@dataclass(frozen=True)
-class RZParams:
-    mu: float
-    nu: float
+class RZParams(Frozen):
+    """One (mu, nu) choice of the slope criterion.  Equal choices are equal
+    and hash alike, so certificates compare by value."""
 
-    def __post_init__(self):
-        if not (0 <= self.mu < 2 * math.pi and 0 <= self.nu <= math.pi):
+    __slots__ = ("mu", "nu")
+
+    def __init__(self, mu: float, nu: float):
+        if not (0 <= mu < 2 * math.pi and 0 <= nu <= math.pi):
             raise ValueError("mu in [0, 2pi), nu in [0, pi] required")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nu", nu)
+
+    def __eq__(self, other):
+        if other.__class__ is not RZParams:
+            return NotImplemented
+        return (self.mu, self.nu) == (other.mu, other.nu)
+
+    def __hash__(self):
+        return hash((self.mu, self.nu))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Grid minimum of a defining quantity plus the point attaining it."""
     kind: str
     margin: float

@@ -47,9 +47,10 @@ near a tie: the largest |x| there is 9886.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import Frozen
 
 __all__ = ["RenderOptions", "render_svg"]
 
@@ -58,23 +59,24 @@ _SIZE = 640  # width and height of the document, in px
 _GRID_STROKE, _BOUNDARY_STROKE = 0.7, 1.4  # stroke widths, in px
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    circles: int = 8
-    rays: int = 16
-    r_max: float = 0.95
-    samples_per_curve: int = 512
+class RenderOptions(Frozen):
+    __slots__ = ("circles", "rays", "r_max", "samples_per_curve")
 
-    def __post_init__(self):
-        if self.circles < 1 or self.rays < 1:
+    def __init__(self, circles: int = 8, rays: int = 16, r_max: float = 0.95,
+                 samples_per_curve: int = 512):
+        if circles < 1 or rays < 1:
             raise ValueError("circles and rays must be >= 1")
-        if not (0 < self.r_max < 1):
+        if not (0 < r_max < 1):
             raise ValueError("r_max must lie in (0, 1)")
-        if self.samples_per_curve < 1:
+        if samples_per_curve < 1:
             raise ValueError("samples_per_curve must be >= 1")
-        if (self.circles + self.rays + 1) * self.samples_per_curve > _MAX_POINTS:
+        if (circles + rays + 1) * samples_per_curve > _MAX_POINTS:
             raise ValueError("(circles + rays + 1) * samples_per_curve must be "
                              f"<= {_MAX_POINTS}")
+        object.__setattr__(self, "circles", circles)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "r_max", r_max)
+        object.__setattr__(self, "samples_per_curve", samples_per_curve)
 
 
 _MINUS = np.frombuffer(b"\0\0-\0", dtype=np.uint32)[0]  # the sign word of x < 0

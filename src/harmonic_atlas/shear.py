@@ -48,14 +48,13 @@ which is exact everywhere in the disk.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .analytic import EPS_POLE, AnalyticExpr, LogTerm, near_pole
 from .errors import (
-    DilatationTooLarge, NearPole, NoClosedForm, NotNormalized, SeriesMismatch,
+    DilatationTooLarge, Frozen, NearPole, NoClosedForm, NotNormalized, SeriesMismatch,
 )
 from .numkernel import Series
 
@@ -68,8 +67,7 @@ _OMEGA_GRID = (np.linspace(0.999 / 16, 0.999, 16)[:, None]
 _OMEGA_GRID.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class HarmonicMap:
+class HarmonicMap(Frozen):
     """Pair (h, g) with dilatation omega; f = h + conj(g).
 
     ``source`` holds the conformal map the shear was built from (phi for
@@ -80,32 +78,41 @@ class HarmonicMap:
     against its series at the order that proves it for every n (module
     doc), at most the map's order N; without a source, or with a log term
     in omega, at N; a g that is s (source - h) term for term goes with h
-    (``_proofs``).  A ``replace`` that keeps both series and the source
-    and swaps omega for one of the same degrees (REMARK's g' = +-z h'
-    identities, the M(theta) tests) keeps the contract: the proof order
-    reads only degrees, so the check is the one the recipe's omega proved.
+    (``_proofs``).  ``replace`` builds a new map and checks it the same
+    way.  One that keeps both series and the source and swaps omega for
+    one of the same degrees (REMARK's g' = +-z h' identities, the
+    M(theta) tests) keeps the contract: the proof order reads only
+    degrees, so the check is the one the recipe's omega proved.
     """
 
-    h_series: Series
-    g_series: Series
-    omega: AnalyticExpr
-    h_expr: AnalyticExpr | None = None
-    g_expr: AnalyticExpr | None = None
-    source: AnalyticExpr | None = None
-    axis: str = "real"
+    __slots__ = ("h_series", "g_series", "omega", "h_expr", "g_expr", "source", "axis")
 
-    def __post_init__(self):
-        if self.h_series.coeff(0) != 0 or self.h_series.coeff(1) != 1:
+    def __init__(self, h_series: Series, g_series: Series, omega: AnalyticExpr,
+                 h_expr: AnalyticExpr | None = None, g_expr: AnalyticExpr | None = None,
+                 source: AnalyticExpr | None = None, axis: str = "real"):
+        if h_series.coeff(0) != 0 or h_series.coeff(1) != 1:
             raise NotNormalized("h must satisfy h(0)=0, h'(0)=1")
-        if self.g_series.coeff(0) != 0:
+        if g_series.coeff(0) != 0:
             raise NotNormalized("g must satisfy g(0)=0")
-        n = self.order
-        for name, expr, m in _proofs(self.h_expr, self.g_expr, self.source,
-                                     self.omega, self.axis):
+        n = h_series.order
+        for name, expr, m in _proofs(h_expr, g_expr, source, omega, axis):
             m = n if m is None else min(n, m)
-            series = getattr(self, f"{name}_series")
+            series = h_series if name == "h" else g_series
             if expr.series(m) != (series if m == n else series.truncate(m)):
                 raise SeriesMismatch(f"closed form for {name} disagrees with its series")
+        object.__setattr__(self, "h_series", h_series)
+        object.__setattr__(self, "g_series", g_series)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "h_expr", h_expr)
+        object.__setattr__(self, "g_expr", g_expr)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "axis", axis)
+
+    def replace(self, **changes) -> "HarmonicMap":
+        """This map with the fields in ``changes`` replaced, checked anew."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields.update(changes)
+        return HarmonicMap(**fields)
 
     @classmethod
     def conformal(cls, h: AnalyticExpr, order: int) -> "HarmonicMap":

@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .analytic import AnalyticExpr, Poly
 from .catalog import DEFAULT_ORDER, catalog_ids, catalog_lookup
 from .classify import classify_harmonic
+from .errors import Frozen
 from .geomtest import (
     Grid, default_grid, direction_convexity_probe, jacobian_min,
     m_theta_check, rz_search, starlike_derivative, u_class_margin,
@@ -73,22 +73,23 @@ _SHEAR_TABLES = {
 }
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    order: int = DEFAULT_ORDER
-    grid_radii: int = 64
-    grid_angles: int = 256
-    r_max: float = 0.999
-    tol: float = 1e-9
+class VerifyConfig(Frozen):
+    __slots__ = ("order", "grid_radii", "grid_angles", "r_max", "tol")
 
-    def __post_init__(self):
-        if not (1 <= self.order <= _MAX_ORDER and self.grid_radii >= 1
-                and self.grid_angles >= 1 and 0 < self.r_max < 1 and self.tol >= 0
-                and self.grid_radii * self.grid_angles <= _MAX_GRID_POINTS):
+    def __init__(self, order: int = DEFAULT_ORDER, grid_radii: int = 64,
+                 grid_angles: int = 256, r_max: float = 0.999, tol: float = 1e-9):
+        if not (1 <= order <= _MAX_ORDER and grid_radii >= 1 and grid_angles >= 1
+                and 0 < r_max < 1 and 0 <= tol < math.inf
+                and grid_radii * grid_angles <= _MAX_GRID_POINTS):
             raise ValueError(
                 "config values out of range: need "
                 f"1 <= order <= {_MAX_ORDER}, radii and angles >= 1, "
-                f"radii x angles <= {_MAX_GRID_POINTS}, 0 < r_max < 1, tol >= 0")
+                f"radii x angles <= {_MAX_GRID_POINTS}, 0 < r_max < 1, finite tol >= 0")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "grid_radii", grid_radii)
+        object.__setattr__(self, "grid_angles", grid_angles)
+        object.__setattr__(self, "r_max", r_max)
+        object.__setattr__(self, "tol", tol)
 
     def grid(self) -> Grid:
         return default_grid(self.grid_radii, self.grid_angles, self.r_max)
@@ -99,9 +100,11 @@ class VerifyConfig:
                 "tol": self.tol}
 
 
-@dataclass
 class _Rows:
-    rows: list = field(default_factory=list)
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows = []
 
     def add(self, row_id, check, computed, expected, match, asserted=False):
         self.rows.append({
@@ -286,13 +289,13 @@ def _suite_remark(config) -> dict:
     rows.add("f3", "starlike_refuted", all_negative, refuted, all_negative == refuted)
     # the M(0) identity g' = z h' (b_n = a_{n-1} (n-1)/n, exact) gates f3's
     # margin row; the M(pi) identity g' = -z h' of f9 is a row of its own
-    in_m0 = dilatation_check(replace(f3, omega=AnalyticExpr.rational(1, Poly.var())))
+    in_m0 = dilatation_check(f3.replace(omega=AnalyticExpr.rational(1, Poly.var())))
     c0 = m_theta_check(f3, grid)
     rows.add("f3", "m_theta_0_margin", c0.margin, "> 0", in_m0 and c0.margin > 0)
     f9 = _map(catalog_lookup("t6_re_halfplane_im_koebe"), config)
     cpi = m_theta_check(f9, grid)
     rows.add("f9", "m_theta_pi_margin", cpi.margin, "> 0", cpi.margin > 0)
-    ok = dilatation_check(replace(f9, omega=AnalyticExpr.rational(-1, Poly.var())))
+    ok = dilatation_check(f9.replace(omega=AnalyticExpr.rational(-1, Poly.var())))
     rows.add("f9", "m_pi_coefficient_identity", ok, True, ok)
     return rows.report("REMARK", config)
 

@@ -1,7 +1,6 @@
 """CLI surface: subcommands, exit codes, config, determinism."""
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -15,7 +14,9 @@ from pathlib import Path
 import pytest
 
 import harmonic_atlas
-from harmonic_atlas import cli, verify
+from harmonic_atlas import catalog, cli, verify
+from harmonic_atlas import shear as shear_mod
+from harmonic_atlas.catalog import catalog_ids
 from harmonic_atlas.cli import _COMMANDS, _plain, _run, build_parser, main
 from harmonic_atlas.exprtext import _MAX_DEPTH
 from harmonic_atlas.render import RenderOptions
@@ -149,6 +150,15 @@ def test_dash_arguments_that_keep_their_meaning(capsys):
     assert code == 2 and out == "" and "tol >= 0" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
+def test_verify_refuses_a_tol_that_is_not_finite(capsys, tol):
+    # an infinite tol matched every certificate row whatever its margin,
+    # and --json printed "tol": Infinity, which is not JSON
+    code, out, err = run(capsys, "verify", "T32", "--tol", tol, "--json")
+    assert (code, out) == (2, "")
+    assert "config values out of range" in err and "finite tol >= 0" in err
+
+
 @pytest.mark.parametrize("argv", [("expand", "-z^2+z", "3", "--json"),
                                   ("classify", "-z^2+z", "--json")])
 def test_dash_argument_reaches_the_output_as_typed(capsys, argv):
@@ -267,6 +277,49 @@ def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "hslits_wide_avg")
     assert code == 0
     assert "half_integer" in out
+
+
+# sha256 of the stdout of `classify <id>` then `classify <id> --json`, for
+# every id in catalog order and then every alias, sorted: the outputs when
+# every map was built at the config's order 64
+_CLASSIFY_DIGEST = "094b1d3bcd8db029ee80bd3fb722bb66f4280b6d633483a69714dfb91849a7e8"
+
+
+def test_classify_outputs_at_the_proof_order_are_pinned(capsys):
+    # a catalog id is classified on its map at CatalogEntry.proof_order;
+    # the text and JSON of all 104 ids and aliases are those of order 64
+    digest = hashlib.sha256()
+    for target in catalog_ids() + sorted(catalog._ALIASES):
+        for flags in ((), ("--json",)):
+            code, out, err = run(capsys, "classify", target, *flags)
+            assert (code, err) == (0, ""), target
+            digest.update(out.encode())
+    assert digest.hexdigest() == _CLASSIFY_DIGEST
+    code, out, _ = run(capsys, "classify", "f3_cv1")
+    assert (code, out) == (0, "h: {'class': 'half_integer'}\ng: {'class': 'half_integer'}\n")
+    # f1_cv1's h is -log(1 - z), proved at order 3, where its witness 1/3 lies
+    code, out, _ = run(capsys, "classify", "f1_cv1", "--json")
+    violation = {"class": "neither", "first_violation": {"index": 3, "value": "1/3"}}
+    assert out == json.dumps({"g": violation, "h": violation, "target": "f1_cv1"},
+                             indent=1) + "\n"
+
+
+def test_classify_shears_at_the_proof_order(capsys, monkeypatch):
+    # f3_cv1 is proved at order 8, so classify shears it there and not at
+    # the config's 64; a shear without closed forms keeps the config order
+    orders = []
+    shear = shear_mod._shear
+
+    def spy(source, omega, order, s):
+        orders.append(order)
+        return shear(source, omega, order, s)
+
+    monkeypatch.setattr(shear_mod, "_shear", spy)
+    monkeypatch.setattr(catalog, "_INDEX", {})  # fresh entries, no cached maps
+    assert run(capsys, "classify", "f3_cv1")[0] == 0
+    assert orders == [8] == [catalog.catalog_lookup("f3_cv1").proof_order]
+    assert run(capsys, "classify", "f13_cv1", "--order", "20")[0] == 0
+    assert orders == [8, 20]
 
 
 def test_list_family(capsys):
@@ -550,9 +603,9 @@ def test_render_options_are_the_render_flags(tmp_path, capsys, monkeypatch):
         argv += [flag, str(value)]
     assert run(capsys, *argv)[0] == 0
     [opts] = seen
-    assert dataclasses.asdict(opts) == dict(flags.values())
-    assert [f.name for f in dataclasses.fields(RenderOptions)] == [
-        field for field, _ in flags.values()]
+    assert {name: getattr(opts, name) for name in RenderOptions.__slots__} == dict(
+        flags.values())
+    assert list(RenderOptions.__slots__) == [field for field, _ in flags.values()]
 
 
 def test_render_oversized_exit_2_before_allocating(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Grid-sampled certificates and falsifiers."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -489,12 +488,12 @@ def test_m_theta_margins_match_the_closed_form_at_4096_angles():
 def test_m_theta_mismatch_for_the_wrong_sign(eid, theta):
     # f3 has g' = z h' and f9 has g' = -z h': each fails the other class,
     # g' = e^{i theta} z h'
-    assert not dilatation_check(replace(entry_map(eid), omega=theta_omega(theta)))
+    assert not dilatation_check(entry_map(eid).replace(omega=theta_omega(theta)))
 
 
 def test_m_theta_mismatch_for_identity():
     for theta in (0.0, math.pi):
-        assert not dilatation_check(replace(entry_map("identity"), omega=theta_omega(theta)))
+        assert not dilatation_check(entry_map("identity").replace(omega=theta_omega(theta)))
 
 
 # -- boundary traces ---------------------------------------------------------------------

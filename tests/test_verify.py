@@ -1,6 +1,5 @@
 """Claim-table driver: suite contents and summary bookkeeping."""
 
-import dataclasses
 import json
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from harmonic_atlas import AnalyticExpr, Poly, catalog, catalog_ids, catalog_lookup, verify
+from harmonic_atlas import (
+    AnalyticExpr, CatalogEntry, FlagSet, Poly, catalog, catalog_ids, catalog_lookup, verify,
+)
 from harmonic_atlas import shear as shear_mod
 from harmonic_atlas.shear import HarmonicMap
 from harmonic_atlas.verify import SUITES, VerifyConfig, report_json, run_suite
@@ -64,8 +65,12 @@ def test_remark_starlike_expectation_comes_from_the_catalog(monkeypatch):
     # starlike=False; an entry recording starlike=True would fail the row
     entry = catalog_lookup("t4_re_koebe_im_halfplane")
     assert entry.expected.starlike is False
-    flipped = dataclasses.replace(
-        entry, expected=dataclasses.replace(entry.expected, starlike=True))
+    e = entry.expected
+    flipped = CatalogEntry(
+        entry.id, entry.family, entry.h, entry.g,
+        FlagSet(e.integer_coeffs, e.half_integer_coeffs, e.cv_real, e.cv_imag,
+                True, e.u_class, e.boundary),
+        entry.recipe, entry.twin)
     monkeypatch.setitem(catalog._INDEX, entry.id, flipped)
     rows = {(r["id"], r["check"]): r for r in run_suite("REMARK", FAST)["rows"]}
     row = rows["f3", "starlike_refuted"]
@@ -124,6 +129,7 @@ def test_unknown_suite():
     ("order", 0), ("order", verify._MAX_ORDER + 1), ("grid_radii", 0),
     ("grid_angles", 0), ("grid_angles", verify._MAX_GRID_POINTS // 64 + 1),
     ("r_max", 0.0), ("r_max", 1.0), ("tol", -1.0), ("tol", float("nan")),
+    ("tol", float("inf")),
 ])
 def test_config_checks_its_ranges(field, value):
     # the API refuses what the CLI refuses, before a series or grid exists
