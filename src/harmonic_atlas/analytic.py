@@ -67,8 +67,8 @@ cached series is safe to share: it is only read.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -240,15 +240,14 @@ class RatFunc:
         return RatFunc(divmod(self.num, g)[0], divmod(self.den, g)[0])
 
 
-class RationalTerm(NamedTuple):
-    c: GaussRational
-    num: Poly
-    den: Poly
+class RationalTerm(namedtuple("RationalTerm", "c num den")):
+    """The term c num/den: c a ``GaussRational``, num and den ``Poly``."""
+    __slots__ = ()
 
 
-class LogTerm(NamedTuple):
-    c: GaussRational
-    arg: Poly
+class LogTerm(namedtuple("LogTerm", "c arg")):
+    """The term c log(arg): c a ``GaussRational``, arg a ``Poly``."""
+    __slots__ = ()
 
 
 _ONE_GR = GaussRational(1)
@@ -447,18 +446,24 @@ class AnalyticExpr:
         Raises :class:`NearPole` when a point is within ``EPS_POLE`` of a
         denominator or log-argument root; the radius screen of the module
         doc skips only poles farther than that from every point.  ``memo``
-        carries values between calls at the same z (module doc).
+        carries values between calls at the same z (module doc).  A
+        denominator whose float value cancels to 0 farther out gives numpy's
+        inf or nan at a scalar point, as at an array.
         """
         if check and np.any(near_pole(z, self.pole_points)):
             raise NearPole(f"evaluation within {EPS_POLE} of a pole")
         if self._floats is None:
             self._floats = tuple(complex(t.c) for t in self.terms)
-        acc = 0j if not hasattr(z, "shape") else z * 0j
+        scalar = not hasattr(z, "shape")
+        acc = 0j if scalar else z * 0j
         # out of place, as in Poly.__call__: an in-place complex multiply can
         # round differently, and in-place sums measured slower on `verify all`
         for t, c in zip(self.terms, self._floats):
             if isinstance(t, RationalTerm):
-                acc = acc + c * _value(t.num, z, memo) / _value(t.den, z, memo)
+                num, den = _value(t.num, z, memo), _value(t.den, z, memo)
+                if scalar and den == 0:  # Python's complex division would raise
+                    den = np.complex128(den)
+                acc = acc + c * num / den
             else:
                 acc = acc + c * _value((t.arg,), z, memo)
         return acc

@@ -54,8 +54,8 @@ object per process, so the maps an entry caches are shared by every caller.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .analytic import AnalyticExpr
 from .errors import Frozen, UnknownId
@@ -78,7 +78,7 @@ def _surd(a, b=0) -> tuple[Fraction, Fraction]:
     return (F(a), F(b))
 
 
-class BoundaryDescriptor(NamedTuple):
+class BoundaryDescriptor(namedtuple("BoundaryDescriptor", "kind params", defaults=((),))):
     """Exact description of the image boundary, where one is on record.
 
     ``params`` holds (a, b) pairs meaning a + b*sqrt(3); their meaning is
@@ -89,8 +89,7 @@ class BoundaryDescriptor(NamedTuple):
       holds for the boundary values f(e^{i theta}) off the poles, not for
       the traces f(r e^{i theta}) at r < 1.
     """
-    kind: str
-    params: tuple = ()
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"kind": self.kind,
@@ -131,11 +130,10 @@ class FlagSet(Frozen):
         return out
 
 
-class ShearRecipe(NamedTuple):
-    """How a harmonic entry is produced: source id, omega = sign*z, axis."""
-    source_id: str
-    omega_sign: int
-    axis: str  # "real" | "imag"
+class ShearRecipe(namedtuple("ShearRecipe", "source_id omega_sign axis")):
+    """How a harmonic entry is produced: source id, omega = sign*z, axis
+    ("real" or "imag")."""
+    __slots__ = ()
 
 
 class CatalogEntry(Frozen):

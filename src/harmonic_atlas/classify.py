@@ -36,8 +36,8 @@ No tolerance and no floating point appear anywhere in this module.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .analytic import AnalyticExpr, Poly
 from .numkernel import GaussRational, Series
@@ -54,9 +54,11 @@ NEITHER = "neither"
 _WITNESS_ORDER = 1024
 
 
-class CoeffClassReport(NamedTuple):
-    klass: str
-    first_violation: tuple[int, GaussRational] | None = None
+class CoeffClassReport(namedtuple("CoeffClassReport", "klass first_violation",
+                                  defaults=(None,))):
+    """A class name and, for ``neither``, the first violation as
+    (index, ``GaussRational`` value)."""
+    __slots__ = ()
 
     @property
     def is_integer(self) -> bool:

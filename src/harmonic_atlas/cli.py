@@ -232,6 +232,11 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _proofs(summary: dict) -> str:
+    """The rows by proof kind, as "(exact 20, order 0, grid 0, asserted 0)"."""
+    return "(" + ", ".join(f"{k} {n}" for k, n in summary["proofs"].items()) + ")"
+
+
 def _cmd_verify(args) -> int:
     _keep_heap()
     config = _build_config(args)
@@ -242,13 +247,13 @@ def _cmd_verify(args) -> int:
         suites = report.get("suites", [report])
         for suite in suites:
             s = suite["summary"]
-            print(f"[{suite['theorem']}] matched {s['matched']}/{s['total']}")
+            print(f"[{suite['theorem']}] matched {s['matched']}/{s['total']} {_proofs(s)}")
             for row in suite["rows"]:
                 if not row["match"] and not row["asserted"]:
                     print(f"  MISMATCH {row['id']} {row['check']}: "
                           f"computed={row['computed']} expected={row['expected']}")
         s = report["summary"]
-        print(f"total matched {s['matched']}/{s['total']}")
+        print(f"total matched {s['matched']}/{s['total']} {_proofs(s)}")
     return 0 if report["summary"]["matched"] == report["summary"]["total"] else 1
 
 

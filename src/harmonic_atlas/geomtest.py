@@ -11,6 +11,12 @@ not refute it for the disk itself.  A probe that finds nothing proves
 nothing.  Certificates record the grid minimum and the witness point
 attaining it.
 
+``verify`` decides its distortion-class and Jacobian rows exactly on the
+closed forms where it can (all of the catalog's), and falls back to
+``u_class_margin`` and ``jacobian_min`` only where the exact test cannot
+tell; the tests hold the two verdicts equal on the default grid, so
+these two functions are the test oracle of those rows.
+
 The direction-convexity machinery:
 
 * ``rz_certificate`` evaluates Re{e^{i mu}(1 - 2 z e^{-i mu} cos nu
@@ -28,8 +34,8 @@ The direction-convexity machinery:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -119,12 +125,12 @@ class RZParams(Frozen):
         return hash((self.mu, self.nu))
 
 
-class Certificate(NamedTuple):
-    """Grid minimum of a defining quantity plus the point attaining it."""
-    kind: str
-    margin: float
-    witness: complex | None = None
-    params: RZParams | None = None
+class Certificate(namedtuple("Certificate", "kind margin witness params",
+                             defaults=(None, None))):
+    """Grid minimum of a defining quantity (a float ``margin``) plus the
+    point attaining it (complex ``witness``) and, for a slope criterion,
+    its ``RZParams``."""
+    __slots__ = ()
 
 
 def _min_certificate(kind, values, zs, params=None) -> Certificate:

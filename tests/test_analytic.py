@@ -158,6 +158,18 @@ def test_eval_raises_near_pole_exactly_within_eps(data, e, shape):
     assert np.array_equal(ok, ~want & np.isfinite(vals))
 
 
+def test_scalar_eval_where_the_denominator_cancels_to_zero():
+    # 1.65e-6 from f9_cv1's 5-fold pole at z = 1, beyond EPS_POLE, the
+    # expanded denominator evaluates to exactly 0 in Python's complex floats:
+    # the scalar point gives numpy's non-finite quotient, where it raised
+    # ZeroDivisionError
+    e = NEAR_POLE_EXPRS[4]
+    z = 0.9999990619561969 + 1.3726142541510247e-06j
+    assert abs(z - 1) > EPS_POLE and e.terms[0].den(z) == 0
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(e.eval(z))
+
+
 def test_pole_screen_allows_for_the_rounding_of_far_poles():
     # z lies 5e-7 from the pole q, but np.abs rounds |q| and |z| 2.4e-4
     # apart: a screen with a fixed 2 EPS_POLE slack would skip q

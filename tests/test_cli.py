@@ -367,7 +367,8 @@ def test_expand_128_tables_match_recorded_digests(capsys):
 def test_verify_t31_exit_0(capsys):
     code, out, _ = run(capsys, "verify", "T31")
     assert code == 0
-    assert "matched 20/20" in out
+    assert "[T31] matched 20/20 (exact 20, order 0, grid 0, asserted 0)" in out
+    assert "total matched 20/20 (exact 20, order 0, grid 0, asserted 0)" in out
 
 
 def test_verify_json_deterministic(capsys):
@@ -376,7 +377,7 @@ def test_verify_json_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     report = json.loads(out1)
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["theorem"] == "T31"
 
 

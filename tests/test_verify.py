@@ -11,6 +11,7 @@ from harmonic_atlas import (
     AnalyticExpr, CatalogEntry, FlagSet, Poly, catalog, catalog_ids, catalog_lookup, verify,
 )
 from harmonic_atlas import shear as shear_mod
+from harmonic_atlas.exprtext import parse_gauss
 from harmonic_atlas.shear import HarmonicMap
 from harmonic_atlas.verify import SUITES, VerifyConfig, report_json, run_suite
 
@@ -225,3 +226,144 @@ def test_mutated_dilatation_fails_its_row(monkeypatch, eid, row):
     # row (and the margin row it gates) fails
     _mutate_past_the_order(monkeypatch, eid, 0, _TINY)
     assert _failed(run_suite("REMARK", FAST)) == [row]
+
+
+# -- schema 2: the proof kind of every row, and the exact grid-free rows ------
+
+def _rows(report):
+    return {(r["id"], r["check"]): r for s in report.get("suites", [report])
+            for r in s["rows"]}
+
+
+@pytest.mark.parametrize("config", [FAST, VerifyConfig()], ids=["fast", "default"])
+def test_proof_ledger_counts(config):
+    # a change that moves a row between proof kinds must say so here
+    report = run_suite("all", config)
+    assert report["schema"] == 2
+    assert report["summary"]["proofs"] == {
+        "exact": 161, "order": 0, "grid": 46, "asserted": 2}
+    rows = _rows(report).values()
+    assert all(r["asserted"] == (r["proof"] == "asserted") for r in rows)
+    assert sum(s["summary"]["proofs"]["exact"] for s in report["suites"]) == 161
+
+
+def test_series_rows_below_their_witness_index_hold_to_the_order():
+    # at order 3 two shears without closed forms read as half-integer in
+    # their series, a yes that holds to that order only, and so does the
+    # count of them
+    report = run_suite("T41", VerifyConfig(order=3, grid_radii=16, grid_angles=64))
+    order_rows = sorted(k for k, r in _rows(report).items() if r["proof"] == "order")
+    assert order_rows == [("f13_cv1", "half_integer_coeffs"),
+                          ("f16_cv1", "half_integer_coeffs"),
+                          ("~cv1_half_integer_count", "count")]
+    assert report["summary"]["proofs"]["order"] == 3
+
+
+_U_CLASS_IDS = catalog_ids("S_Z") + catalog_ids("T2")
+_TWIN_IDS = catalog_ids("T4") + catalog_ids("T6")
+
+
+def test_the_19_exact_rows_agree_with_the_grid_checks():
+    grid = VerifyConfig().grid()
+    assert len(_U_CLASS_IDS) == 11 and len(_TWIN_IDS) == 8
+    for eid in _U_CLASS_IDS:
+        f = catalog_lookup(eid).h
+        in_class, witness = verify._u_class_exact(f, grid)
+        margin = verify.u_class_margin(f, grid).margin
+        assert in_class == (margin >= -1e-9) == catalog_lookup(eid).expected.u_class, eid
+        if not in_class:
+            # the float |R| at the exact witness exceeds 1, as the grid's does
+            z = complex(parse_gauss(witness["z"]))
+            r = f.derivative().eval(z) * (z / f.eval(z)) ** 2 - 1
+            assert abs(r) ** 2 == pytest.approx(float(Fraction(witness["abs2_R"])))
+            assert abs(z) < 1 < abs(r)
+    for eid in _TWIN_IDS:
+        entry = catalog_lookup(eid)
+        fm = entry.harmonic_map(entry.proof_order)
+        assert verify._jacobian_exact(fm) is not None, eid
+        assert verify.jacobian_min(fm, grid).margin > 0, eid
+
+
+def test_verify_all_runs_neither_grid_check_of_the_exact_rows(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid check called")
+
+    monkeypatch.setattr(verify, "u_class_margin", refuse)
+    monkeypatch.setattr(verify, "jacobian_min", refuse)
+    report = run_suite("all", FAST)
+    assert report["summary"]["matched"] == report["summary"]["total"] == 207
+    rows = [r for r in _rows(report).values()
+            if r["check"] in ("u_class_margin", "jacobian_positive")]
+    assert len(rows) == 19
+    assert all(r["proof"] == "exact" and r["witness"] for r in rows)
+    # a witness is exact text: strings only, no float anywhere
+    assert all(isinstance(v, str) for r in rows for v in r["witness"].values())
+
+
+def _replace_entry(monkeypatch, eid, h=None, **flags):
+    """Lookups of ``eid`` give a copy with h and the named flags replaced."""
+    entry = catalog_lookup(eid)
+    e = entry.expected
+    values = {name: getattr(e, name) for name in FlagSet.__slots__}
+    values.update(flags)
+    copy = CatalogEntry(entry.id, entry.family, h or entry.h, entry.g,
+                        FlagSet(**values), entry.recipe, entry.twin)
+    monkeypatch.setitem(catalog._INDEX, eid, copy)
+
+
+def test_undecided_u_class_row_falls_back_to_the_grid(monkeypatch):
+    # R = -z^2/(4 (1 + z/4)^2) for f = z + z^2/4: not a monomial, and
+    # |R| <= 1/9 leaves no witness, so the grid decides, as before
+    f = AnalyticExpr.rational(Fraction(1, 4), Poly([0, 4, 1]))
+    assert verify._u_class_exact(f, FAST.grid()) is None
+    _replace_entry(monkeypatch, "koebe", h=f)
+    row = _rows(run_suite("T31", FAST))["koebe", "u_class_margin"]
+    assert row["proof"] == "grid" and "witness" not in row
+    assert row["match"] and row["computed"] > 0
+
+
+def test_witness_outside_the_disk_is_rejected():
+    r = verify._u_class_quotient(catalog_lookup("hslits_wide_avg").h).reduced()
+    inside = parse_gauss("9/25+93/100 i")
+    assert verify._outside_witness(r, inside)["abs2_z"] == "1989/2000"
+    for z in ("1", "-1", "3/5+4/5 i", "1/2+9/10 i"):  # |z| >= 1
+        assert verify._outside_witness(r, parse_gauss(z)) is None
+    assert verify._outside_witness(r, parse_gauss("1/10")) is None  # |R| < 1 there
+
+
+def test_ring_point_rounding_out_of_the_disk_falls_back_to_the_grid():
+    # one angle: the ring is the point 0.999, which rounds to 1
+    report = run_suite("T31", VerifyConfig(order=16, grid_radii=16, grid_angles=1))
+    rows = _rows(report)
+    assert [rows[eid, "u_class_margin"]["proof"] for eid in catalog_ids("T2")] == [
+        "grid", "grid"]
+    assert rows["koebe", "u_class_margin"]["proof"] == "exact"
+
+
+def test_jacobian_row_with_h_prime_not_constant_falls_back_to_the_grid(monkeypatch):
+    # koebe's h' = (1 + z)/(1 - z)^3 has a numerator that is not constant
+    koebe = catalog_lookup("koebe").harmonic_map(4)
+    assert verify._jacobian_exact(koebe) is None
+    # a twin with c z^(N+2) added to h and g: its h' numerator is no
+    # longer constant, and the grid decides its row, as before
+    twin = "t4_re_koebe_im_halfplane"
+    _mutate_past_the_order(monkeypatch, twin, _TINY, _TINY)
+    rows = _rows(run_suite("T41", FAST))
+    assert rows[twin, "jacobian_positive"]["proof"] == "grid"
+    assert rows[twin, "jacobian_positive"]["match"]
+    assert rows["t4_conj_sq_plus", "jacobian_positive"]["proof"] == "exact"
+
+
+@pytest.mark.parametrize("eid, flag, check", [
+    ("koebe", "u_class", "u_class_margin"),
+    ("hslits_wide_avg", "u_class", "u_class_margin"),
+    ("koebe", "integer_coeffs", "integer_coeffs"),
+])
+def test_flipped_t31_flag_fails_its_row(monkeypatch, eid, flag, check):
+    # T31 emits its rows by family, whatever the flag says, so a flipped
+    # flag fails a row instead of removing it
+    _replace_entry(monkeypatch, eid, **{flag: not getattr(
+        catalog_lookup(eid).expected, flag)})
+    report = run_suite("T31", FAST)
+    assert report["summary"]["total"] == 20
+    assert _failed(report) == [(eid, check)]
