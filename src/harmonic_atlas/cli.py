@@ -5,8 +5,9 @@ Numbers the catalog pins exactly are always printed as exact rationals.
 
 Configuration is read from a key=value file named by --config or the
 HARMONIC_ATLAS_CONFIG environment variable; command-line flags win.
-Recognized keys: order, grid.radii, grid.angles, tol, r_max.  list and
-render read no config, so they refuse its flags (exit 2).
+Recognized keys (``_SETTINGS``): order, grid.radii, grid.angles.  verify
+reads all three; expand, shear and classify read order, but check the
+whole file.  list and render read no config, so they refuse its flags.
 
 Exit codes: 0 success / all rows matched; 1 verification mismatch;
 2 usage, config or input error; 3 I/O error.
@@ -48,7 +49,6 @@ from .render import RenderOptions, render_svg
 from .shear import HarmonicMap, shear_imag, shear_real
 from .verify import _MAX_ORDER, SUITES, VerifyConfig, report_json, run_suite
 
-_CONFIG_KEYS = {"order", "grid.radii", "grid.angles", "tol", "r_max"}
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
@@ -71,7 +71,7 @@ def _load_config_file(path: str) -> dict:
                     raise CliError(f"{path}:{line_no}: expected key=value")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in _CONFIG_KEYS:
+                if key not in _SETTINGS:
                     raise CliError(f"{path}:{line_no}: unknown key {key!r}")
                 values[key] = value.strip()
     except OSError as exc:
@@ -84,21 +84,18 @@ def _build_config(args) -> VerifyConfig:
     path = args.config or os.environ.get("HARMONIC_ATLAS_CONFIG")
     if path:
         values = _load_config_file(path)
-    default = VerifyConfig()
+    fields = {}
     try:
-        order = (args.order if args.order is not None
-                 else int(values.get("order", default.order)))
-        radii = (args.grid_radii if args.grid_radii is not None
-                 else int(values.get("grid.radii", default.grid_radii)))
-        angles = (args.grid_angles if args.grid_angles is not None
-                  else int(values.get("grid.angles", default.grid_angles)))
-        r_max = (args.r_max if args.r_max is not None
-                 else float(values.get("r_max", default.r_max)))
-        tol = args.tol if args.tol is not None else float(values.get("tol", default.tol))
+        for key, (flag, keywords) in _SETTINGS.items():
+            field = _dest(flag)
+            value = getattr(args, field, None)  # None: not given, or not declared
+            if value is None and key in values:
+                value = keywords["type"](values[key])
+            if value is not None:
+                fields[field] = value
     except ValueError as exc:
         raise CliError(f"bad config value: {exc}") from exc
-    return VerifyConfig(order=order, grid_radii=radii, grid_angles=angles,
-                        r_max=r_max, tol=tol)
+    return VerifyConfig(**fields)
 
 
 @functools.cache
@@ -276,15 +273,15 @@ _PROG = "harmonic-atlas"
 
 
 _JSON = ("--json", {"action": "store_true", "help": "JSON on stdout"})
-_CONFIG_FLAGS = (
-    ("--config", {"help": "key=value config file"}),
-    ("--order", {"type": int, "help": "series truncation order"}),
-    ("--grid-radii", {"type": int}),
-    ("--grid-angles", {"type": int}),
-    ("--r-max", {"type": float}),
-    ("--tol", {"type": float}),
-    _JSON,
-)
+# config key -> its flag, as (name, add_argument keywords); the flag's
+# attribute names the ``VerifyConfig`` field it sets
+_SETTINGS = {
+    "order": ("--order", {"type": int, "help": "series truncation order"}),
+    "grid.radii": ("--grid-radii", {"type": int}),
+    "grid.angles": ("--grid-angles", {"type": int}),
+}
+_CONFIG = ("--config", {"help": "key=value config file"})
+_ORDER_FLAGS = (_CONFIG, _SETTINGS["order"], _JSON)
 _TARGET = {"help": "catalog id or expression"}
 _RENDER = RenderOptions()  # the defaults of the render flags
 
@@ -294,17 +291,18 @@ _COMMANDS = {
     "expand": ("exact coefficient table", _cmd_expand, (
         ("target", _TARGET),
         ("count", {"type": int, "nargs": "?", "help": "highest coefficient index"}),
-        *_CONFIG_FLAGS)),
+        *_ORDER_FLAGS)),
     "shear": ("run the shear construction", _cmd_shear, (
         ("phi", {"help": "catalog id or expression for the conformal map"}),
         ("omega", {"help": "+z, -z, or an expression"}),
         ("axis", {"choices": ["real", "imag"]}),
         ("--show", {"type": int, "default": 12, "help": "coefficients to print"}),
-        *_CONFIG_FLAGS)),
+        *_ORDER_FLAGS)),
     "classify": ("exact coefficient classification", _cmd_classify, (
-        ("target", _TARGET), *_CONFIG_FLAGS)),
+        ("target", _TARGET), *_ORDER_FLAGS)),
     "verify": ("run a claim-table verification suite", _cmd_verify, (
-        ("theorem", {"choices": list(SUITES) + ["all"]}), *_CONFIG_FLAGS)),
+        ("theorem", {"choices": list(SUITES) + ["all"]}),
+        _CONFIG, *_SETTINGS.values(), _JSON)),
     "render": ("render a map's disk image as SVG", _cmd_render, (
         ("target", {"help": "catalog id"}),
         ("out", {"help": "output .svg path"}),

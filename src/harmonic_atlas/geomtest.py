@@ -50,7 +50,8 @@ __all__ = [
     "u_class_margin", "m_theta_check", "boundary_trace",
 ]
 
-TOL_MARGIN = 1e-9
+TOL_MARGIN = 1e-9  # how far below 0 a certificate's margin may fall
+R_MAX = 0.999  # the outer radius of the default grid and of the probe's circle
 DEADBAND = 1e-8
 
 
@@ -82,10 +83,6 @@ class Grid(Frozen):
         return hash((self.radii, self.angles_count))
 
     @property
-    def r_max(self) -> float:
-        return self.radii[-1]
-
-    @property
     def points(self) -> np.ndarray:
         return _grid_points(self.radii, self.angles_count)
 
@@ -99,7 +96,7 @@ def _grid_points(radii: tuple, angles_count: int) -> np.ndarray:
 
 
 def default_grid(radii_count: int = 64, angles: int = 256,
-                 r_max: float = 0.999) -> Grid:
+                 r_max: float = R_MAX) -> Grid:
     radii = tuple(r_max * (k + 1) / radii_count for k in range(radii_count))
     return Grid(radii, angles)
 
@@ -244,7 +241,7 @@ def _quantiles(values: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
-def direction_convexity_probe(F, direction: str, r: float = 0.999,
+def direction_convexity_probe(F, direction: str, r: float = R_MAX,
                               lines: int = 64, samples: int = 4096) -> bool:
     """Falsifier for convexity in the given direction.
 

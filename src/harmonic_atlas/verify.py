@@ -68,7 +68,7 @@ from .classify import _exact_class, classify_harmonic
 from .errors import Frozen
 from .exprtext import _format_poly
 from .geomtest import (
-    Grid, default_grid, direction_convexity_probe, jacobian_min,
+    R_MAX, TOL_MARGIN, Grid, default_grid, direction_convexity_probe, jacobian_min,
     m_theta_check, rz_search, starlike_derivative, u_class_margin,
 )
 from .numkernel import GaussRational
@@ -94,30 +94,30 @@ _SHEAR_TABLES = {
 
 
 class VerifyConfig(Frozen):
-    __slots__ = ("order", "grid_radii", "grid_angles", "r_max", "tol")
+    """The series order and the grid (radii x angles) of a run.  The grid's
+    outer radius ``R_MAX`` and the certificates' ``TOL_MARGIN`` are fixed:
+    other values check other claims.  ``to_json`` still writes both."""
+
+    __slots__ = ("order", "grid_radii", "grid_angles")
 
     def __init__(self, order: int = DEFAULT_ORDER, grid_radii: int = 64,
-                 grid_angles: int = 256, r_max: float = 0.999, tol: float = 1e-9):
+                 grid_angles: int = 256):
         if not (1 <= order <= _MAX_ORDER and grid_radii >= 1 and grid_angles >= 1
-                and 0 < r_max < 1 and 0 <= tol < math.inf
                 and grid_radii * grid_angles <= _MAX_GRID_POINTS):
             raise ValueError(
                 "config values out of range: need "
                 f"1 <= order <= {_MAX_ORDER}, radii and angles >= 1, "
-                f"radii x angles <= {_MAX_GRID_POINTS}, 0 < r_max < 1, finite tol >= 0")
+                f"radii x angles <= {_MAX_GRID_POINTS}")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "grid_radii", grid_radii)
         object.__setattr__(self, "grid_angles", grid_angles)
-        object.__setattr__(self, "r_max", r_max)
-        object.__setattr__(self, "tol", tol)
 
     def grid(self) -> Grid:
-        return default_grid(self.grid_radii, self.grid_angles, self.r_max)
+        return default_grid(self.grid_radii, self.grid_angles)
 
     def to_json(self) -> dict:
         return {"order": self.order, "grid_radii": self.grid_radii,
-                "grid_angles": self.grid_angles, "r_max": self.r_max,
-                "tol": self.tol}
+                "grid_angles": self.grid_angles, "r_max": R_MAX, "tol": TOL_MARGIN}
 
 
 PROOF_KINDS = ("exact", "order", "grid", "asserted")
@@ -143,21 +143,27 @@ class _Rows:
 
     def report(self, theorem: str, config: VerifyConfig) -> dict:
         rows = sorted(self.rows, key=lambda r: (r["id"], r["check"]))
-        counted = [r for r in rows if not r["asserted"]]
-        proofs = dict.fromkeys(PROOF_KINDS, 0)
-        for r in rows:
-            proofs[r["proof"]] += 1
         return {
             "schema": SCHEMA,
             "theorem": theorem,
             "config": config.to_json(),
             "rows": rows,
-            "summary": {
-                "total": len(counted),
-                "matched": sum(r["match"] for r in counted),
-                "proofs": proofs,
-            },
+            "summary": _summary(rows),
         }
+
+
+def _summary(rows) -> dict:
+    """The counted (not asserted) rows and those matched, and every row by
+    proof kind."""
+    counted = [r for r in rows if not r["asserted"]]
+    proofs = dict.fromkeys(PROOF_KINDS, 0)
+    for r in rows:
+        proofs[r["proof"]] += 1
+    return {
+        "total": len(counted),
+        "matched": sum(r["match"] for r in counted),
+        "proofs": proofs,
+    }
 
 
 def _map(entry, config):
@@ -200,13 +206,12 @@ def _direction_rows(rows, entry, config, directions=("real", "imag")):
         if expected is None:
             continue
         if expected:
-            cert = rz_search(entry.h, direction, grid, tol=config.tol)
+            cert = rz_search(entry.h, direction, grid)
             computed = None if cert is None else round(cert.margin, 15)
             rows.add(entry.id, f"cv_{direction}_certificate",
                      computed, "found", cert is not None, "grid")
         else:
-            verdict = direction_convexity_probe(
-                _map(entry, config), direction, r=config.r_max, lines=64)
+            verdict = direction_convexity_probe(_map(entry, config), direction)
             rows.add(entry.id, f"cv_{direction}_falsified",
                      not verdict, True, verdict is False, "grid")
 
@@ -350,7 +355,7 @@ def _jacobian_exact(F: HarmonicMap) -> dict | None:
     return {"omega": _rat_text(RatFunc(omega)), "h_prime": _rat_text(hp)}
 
 
-def _u_class_row(rows, entry, config, grid):
+def _u_class_row(rows, entry, grid):
     """T31's class row of a conformal entry: exact where ``_u_class_exact``
     decides, else the grid margin of ``u_class_margin``."""
     decided = _u_class_exact(entry.h, grid)
@@ -361,7 +366,7 @@ def _u_class_row(rows, entry, config, grid):
         return
     cert = u_class_margin(entry.h, grid)
     if want:
-        expected, match = f">= {-config.tol}", cert.margin >= -config.tol
+        expected, match = f">= {-TOL_MARGIN}", cert.margin >= -TOL_MARGIN
     else:
         expected, match = "< 0", cert.margin < 0
     rows.add(entry.id, "u_class_margin", cert.margin, expected, match, "grid")
@@ -386,7 +391,7 @@ def _suite_t31(config) -> dict:
         # Friedman's nine by family, so a changed flag fails its row
         if entry.family == "S_Z":
             _coeff_class_row(rows, entry, config, "integer_coeffs")
-        _u_class_row(rows, entry, config, grid)
+        _u_class_row(rows, entry, grid)
     return rows.report("T31", config)
 
 
@@ -487,17 +492,12 @@ def run_suite(name: str, config: VerifyConfig | None = None) -> dict:
     config = config or VerifyConfig()
     if name == "all":
         reports = [run_suite(s, config) for s in SUITES]
-        counted = [r["summary"] for r in reports]
         return {
             "schema": SCHEMA,
             "theorem": "all",
             "config": config.to_json(),
             "suites": reports,
-            "summary": {
-                "total": sum(s["total"] for s in counted),
-                "matched": sum(s["matched"] for s in counted),
-                "proofs": {k: sum(s["proofs"][k] for s in counted) for k in PROOF_KINDS},
-            },
+            "summary": _summary([row for r in reports for row in r["rows"]]),
         }
     if name not in _SUITE_FNS:
         raise KeyError(name)

@@ -135,8 +135,8 @@ def test_formula_starting_with_minus_is_a_positional(capsys, argv):
 
 
 def test_dash_arguments_that_keep_their_meaning(capsys):
-    args = cli._parse(["shear", "-z^2+z", "-z", "real", "--tol", "-1"])
-    assert (args.phi, args.omega, args.tol) == ("-z^2+z", "-z", -1.0)
+    args = cli._parse(["shear", "-z^2+z", "-z", "real", "--order", "-1"])
+    assert (args.phi, args.omega, args.order) == ("-z^2+z", "-z", -1)
     assert cli._parse(["expand", "--", "-z", "2"]).target == "-z"
     code, out, _ = run(capsys, "-h")
     assert code == 0 and (code, out) == run(capsys, "--help")[:2]
@@ -146,17 +146,18 @@ def test_dash_arguments_that_keep_their_meaning(capsys):
     code, out, err = run(capsys, "expand", "-h")
     assert code == 0 and out.startswith("usage: harmonic-atlas expand")
     # a negative value still reaches its range check
-    code, out, err = run(capsys, "verify", "all", "--tol", "-1")
-    assert code == 2 and out == "" and "tol >= 0" in err
+    code, out, err = run(capsys, "verify", "all", "--order", "-1")
+    assert code == 2 and out == "" and "1 <= order" in err
 
 
-@pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
-def test_verify_refuses_a_tol_that_is_not_finite(capsys, tol):
-    # an infinite tol matched every certificate row whatever its margin,
-    # and --json printed "tol": Infinity, which is not JSON
-    code, out, err = run(capsys, "verify", "T32", "--tol", tol, "--json")
-    assert (code, out) == (2, "")
-    assert "config values out of range" in err and "finite tol >= 0" in err
+@pytest.mark.parametrize("flag, value", [("--tol", "inf"), ("--tol", "-inf"),
+                                         ("--tol", "nan"), ("--tol", "0.1"),
+                                         ("--r-max", "0.5")])
+def test_verify_refuses_tol_and_r_max(capsys, flag, value):
+    # both are constants: an infinite tol matched every certificate row,
+    # and --r-max 0.3 checked the image of |z| < 0.3, not of the disk
+    code, out, err = run(capsys, "verify", "T32", flag, value, "--json")
+    assert (code, out) == (2, "") and f"unrecognized arguments: {flag}" in err
 
 
 @pytest.mark.parametrize("argv", [("expand", "-z^2+z", "3", "--json"),
@@ -539,6 +540,30 @@ def test_config_unknown_key_exit_2(tmp_path, capsys):
     assert "unknown key" in err
 
 
+_CONFIG_COMMANDS = {"expand": ("koebe", "3"), "shear": ("koebe", "+z", "real"),
+                    "classify": ("koebe",), "verify": ("REMARK",)}
+
+
+@pytest.mark.parametrize("line", ["tol = 1e-9", "r_max = 0.999", "grid.angles = x"],
+                         ids=["tol", "r_max", "grid.angles"])
+@pytest.mark.parametrize("command", _CONFIG_COMMANDS)
+def test_every_config_command_reads_the_whole_file(tmp_path, capsys, command, line):
+    # tol and r_max are constants, not keys; expand, shear and classify read
+    # only the order, but a bad grid value refuses the file everywhere
+    cfg = tmp_path / "atlas.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, command, *_CONFIG_COMMANDS[command], "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert ("bad config value" if line.startswith("grid") else "unknown key") in err
+
+
+def test_settings_table_names_each_config_field_once():
+    # key grid.radii, flag --grid-radii and field grid_radii name one setting
+    fields = [cli._dest(flag) for flag, _ in cli._SETTINGS.values()]
+    assert fields == [key.replace(".", "_") for key in cli._SETTINGS]
+    assert sorted(fields) == sorted(verify.VerifyConfig.__slots__)
+
+
 def test_render_writes_svg(tmp_path, capsys):
     out_path = tmp_path / "f3.svg"
     code, out, _ = run(capsys, "render", "f3_cv1", str(out_path),
@@ -687,9 +712,9 @@ def test_table_route_reads_every_declared_keyword():
 @pytest.mark.parametrize("argv", [
     ("expand", "koebe"), ("expand", "koebe", "5", "--json"), ("expand", "-z^2+z", "-5"),
     ("expand", "--order=7", "--order", "3", "koebe"), ("expand", "-", "--config="),
-    ("shear", "-z^2+z", "-z", "real", "--tol", "-1", "--show=0"),
+    ("shear", "-z^2+z", "-z", "real", "--order", "-1", "--show=0"),
     ("classify", "koebe", "--json", "--json", "--config", "-"),
-    ("verify", "all", "--r-max", "nan", "--grid-radii", " 4 "),
+    ("verify", "all", "--grid-angles", "-3", "--grid-radii", " 4 "),
     ("list",), ("list", "--family=", "--json"),
     ("render", "koebe", "k.svg", "--rmax", "1e-1", "--circles", "-3"),
     ("verify", "REMARK", "--config=--"),
@@ -778,8 +803,10 @@ def test_render_io_error_exit_3(tmp_path, capsys):
     assert code == 3
 
 
-IGNORED_FLAGS = [("--config", "x.cfg"), ("--order", "5"), ("--grid-radii", "4"),
-                 ("--grid-angles", "8"), ("--r-max", "0.5"), ("--tol", "0.1")]
+# the grid's flags, which only verify declares, and two no command declares
+OTHER_SETTING_FLAGS = [("--grid-radii", "4"), ("--grid-angles", "8"), ("--r-max", "0.5"),
+                       ("--tol", "0.1")]
+IGNORED_FLAGS = [("--config", "x.cfg"), ("--order", "5"), *OTHER_SETTING_FLAGS]
 
 
 @pytest.mark.parametrize("flag", IGNORED_FLAGS + [("--json",)], ids=lambda f: f[0])
@@ -794,4 +821,13 @@ def test_render_refuses_flags_it_does_not_read(tmp_path, capsys, flag):
 @pytest.mark.parametrize("flag", IGNORED_FLAGS, ids=lambda f: f[0])
 def test_list_refuses_config_flags(capsys, flag):
     code, out, err = run(capsys, "list", "--json", *flag)
+    assert code == 2 and f"unrecognized arguments: {flag[0]}" in err and not out
+
+
+@pytest.mark.parametrize("flag", OTHER_SETTING_FLAGS, ids=lambda f: f[0])
+@pytest.mark.parametrize("command", ["expand", "shear", "classify"])
+def test_order_commands_refuse_grid_flags(capsys, command, flag):
+    # `expand koebe 4 --tol 5 --r-max 0.01 --grid-radii 1` read none of them
+    # and exited 0
+    code, out, err = run(capsys, command, *_CONFIG_COMMANDS[command], *flag)
     assert code == 2 and f"unrecognized arguments: {flag[0]}" in err and not out

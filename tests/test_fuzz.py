@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic_atlas import catalog_build
-from harmonic_atlas.cli import _COMMANDS, _plain, build_parser, main
+from harmonic_atlas.cli import _COMMANDS, _SETTINGS, _plain, build_parser, main
 from oracles import GaussRational as G
 from oracles import gaussian_long_division
 from test_cli import _fields, _full_route
@@ -178,15 +178,17 @@ _NUMBERS = st.one_of(
     st.sampled_from(["0", "1025", "4097", "1000000000", "x", "", "1e3", "nan",
                      "-inf", "0.5", "0.999", "1", "-0"]),
 )
-_FLAGS = ("--order", "--grid-radii", "--grid-angles", "--r-max", "--tol")
-_KEYS = ("order", "grid.radii", "grid.angles", "r_max", "tol", "bogus", "")
+_KEYS = (*_SETTINGS, "bogus", "")
 
 
 @st.composite
-def config_args(draw, config_dir):
-    """Random config flags, and perhaps a random config file, as argv."""
+def config_args(draw, config_dir, command):
+    """Random values of the setting flags that ``command`` declares, and
+    perhaps a random config file, as argv."""
+    declared = dict(_COMMANDS[command][2])
+    flags = [flag for flag, _ in _SETTINGS.values() if flag in declared]
     argv = []
-    for flag in draw(st.lists(st.sampled_from(_FLAGS), max_size=3, unique=True)):
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=3, unique=True)):
         argv += [flag, draw(_NUMBERS)]
     if draw(st.booleans()):
         lines = draw(st.lists(st.one_of(
@@ -247,15 +249,15 @@ def test_expand_of_a_grammar_formula_is_its_long_division(formula, count):
 def test_cli_on_grammar_formulas_exits_0_or_2(data, formula, count):
     text, _ = formula
     with tempfile.TemporaryDirectory() as config_dir:
-        config = data.draw(config_args(config_dir))
         argv = ["expand", text] + ([] if count is None else [str(count)])
-        code, _, _ = _call(*argv, *config)
+        code, _, _ = _call(*argv, *data.draw(config_args(config_dir, "expand")))
         assert code in (0, 2), argv
-        code, _, _ = _call("classify", text, *config)
+        code, _, _ = _call("classify", text, *data.draw(config_args(config_dir, "classify")))
         assert code in (0, 2), text
         omega = data.draw(st.one_of(st.sampled_from(["+z", "-z", "z/2", "-z^2"]),
                                     formulas().map(lambda f: f[0])))
         axis = data.draw(st.sampled_from(["real", "imag"]))
+        config = data.draw(config_args(config_dir, "shear"))
         code, _, _ = _call("shear", text, omega, axis, *config)
         assert code in (0, 2), (text, omega)
 
@@ -278,7 +280,7 @@ def test_list_exits_2_exactly_for_an_unknown_family(family, as_json):
 def test_verify_with_random_config_exits_0_1_or_2(data):
     # 1 is the mismatch verdict: a coarse grid or a low order may miss rows
     with tempfile.TemporaryDirectory() as config_dir:
-        config = data.draw(config_args(config_dir))
+        config = data.draw(config_args(config_dir, "verify"))
         code, _, _ = _call("verify", "REMARK", *config)
     assert code in (0, 1, 2), config
 
@@ -336,7 +338,7 @@ def command_lines(draw, config_dir):
         positionals += draw(st.lists(_value("", {}, False), max_size=1))
     pairs = []
     if "--config" in dict(options) and draw(st.booleans()):
-        flat = draw(config_args(config_dir))
+        flat = draw(config_args(config_dir, command))
         pairs += list(zip(flat[::2], flat[1::2]))
     for name, keywords in draw(st.lists(st.sampled_from(options), max_size=4)):
         if keywords.get("action") == "store_true":

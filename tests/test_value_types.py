@@ -35,8 +35,7 @@ _CONSTRUCTORS = {
     HarmonicMap: [("h_series", _NONE), ("g_series", _NONE), ("omega", _NONE),
                   ("h_expr", None), ("g_expr", None), ("source", None),
                   ("axis", "real")],
-    VerifyConfig: [("order", 64), ("grid_radii", 64), ("grid_angles", 256),
-                   ("r_max", 0.999), ("tol", 1e-9)],
+    VerifyConfig: [("order", 64), ("grid_radii", 64), ("grid_angles", 256)],
 }
 
 
