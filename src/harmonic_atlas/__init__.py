@@ -3,8 +3,9 @@
 Construct the classical catalogs of univalent maps with integer or
 half-integer coefficients, run the shear construction on exact truncated
 series, classify coefficients exactly, and verify the geometric claims
-(direction convexity, starlikeness, boundary shapes) with grid-sampled
-certificates and falsifiers.
+(direction convexity, starlikeness, boundary shapes) with exact
+certificates where the closed forms allow and grid-sampled checks
+elsewhere.
 """
 
 from .analytic import AnalyticExpr, LogTerm, Poly, RationalTerm

@@ -9,9 +9,14 @@ exact division, log terms by integrating L'/L).
 Construction enforces the invariants the rest of the package relies on:
 
 * denominators and log arguments are zero-free on the open unit disk
-  (a numeric check rejects roots with |z| < 1 - ``_DISK_MARGIN`` =
-  1 - 1e-4, so a root closer to the circle passes; the roots are the
-  companion-matrix roots of the squarefree factors, see ``_poly_roots``);
+  (``_vanishes_in_disk``, once per distinct polynomial).  Where a float
+  root lies within ``_DISK_MARGIN`` = 1e-4 of the circle or inside it,
+  the exact Schur-Cohn count (``realalg.disk_zero_count``) decides, so a
+  root at 1 - 1e-30 is rejected.  Where that count is singular, as for
+  every polynomial with a root on the circle (each catalog denominator),
+  a float root below 1 - ``_DISK_MARGIN`` rejects, and a root of such a
+  polynomial in (1 - 1e-4, 1) still passes; the float roots are the
+  companion-matrix roots of the squarefree factors (``_poly_roots``);
 * rational terms are normalized so the denominator does not vanish at 0
   (common z^k factors cancel, otherwise ``PoleAtOrigin``);
 * log arguments satisfy L(0) = 1 exactly, so their series have constant
@@ -74,13 +79,16 @@ import numpy as np
 
 from .errors import InvalidExpression, NearPole, PoleAtOrigin
 from .numkernel import GaussRational, Series, coeff_product, gauss
+from .realalg import (
+    disk_zero_count, pderivative, pdivmod, pgcd, pscale, psub, ptrim, squarefree,
+)
 
 __all__ = ["Poly", "RatFunc", "RationalTerm", "LogTerm", "AnalyticExpr"]
 
 EPS_POLE = 1e-6
-# The inside-the-disk rejection's slack for rounded roots; the roots of
-# squarefree factors are accurate to about machine epsilon, so an exact
-# zero-free test can replace it.
+# How near the circle a float root must lie for the exact count to be
+# asked, and the float rejection's slack where that count is singular; the
+# roots of squarefree factors are accurate to about machine epsilon.
 _DISK_MARGIN = 1e-4
 
 
@@ -90,10 +98,7 @@ class Poly:
     __slots__ = ("coeffs", "_floats", "_hash")
 
     def __init__(self, coeffs):
-        cs = [gauss(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = ptrim(gauss(c) for c in coeffs)
         self._floats = None  # complex(c) of coeffs, highest degree first, on first call
         self._hash = None
 
@@ -142,8 +147,7 @@ class Poly:
         return Poly([self.coeff(k) + other.coeff(k) for k in range(n)])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(k) - other.coeff(k) for k in range(n)])
+        return Poly(psub(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "Poly":
         return Poly([-c for c in self.coeffs])
@@ -152,29 +156,19 @@ class Poly:
         return Poly(coeff_product(self.coeffs, other.coeffs, self.degree + other.degree))
 
     def scale(self, c) -> "Poly":
-        c = gauss(c)
-        return Poly([c * x for x in self.coeffs])
+        return Poly(pscale(self.coeffs, gauss(c)))
 
     def derivative(self) -> "Poly":
-        return Poly([self.coeffs[n] * n for n in range(1, len(self.coeffs))])
+        return Poly(pderivative(self.coeffs))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Quotient and remainder of the division by a nonzero polynomial."""
-        rem, top = list(self.coeffs), other.degree
-        inv = _ONE_GR / other.coeff(top)  # ZeroDivisionError for the zero poly
-        quot = [GaussRational(0)] * max(len(rem) - top, 0)
-        for k in range(len(quot) - 1, -1, -1):
-            c = quot[k] = rem[k + top] * inv
-            for i, o in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - c * o
-        return Poly(quot), Poly(rem[:top])
+        quot, rem = pdivmod(self.coeffs, other.coeffs)
+        return Poly(quot), Poly(rem)
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic gcd over Q(i) by Euclid's algorithm (zero for two zeros)."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, divmod(a, b)[1]
-        return a if a.is_zero else a.scale(_ONE_GR / a.coeffs[-1])
+        return Poly(pgcd(self.coeffs, other.coeffs))
 
     def to_series(self, order: int) -> Series:
         return Series(self.coeffs, order=order)
@@ -297,6 +291,13 @@ def _value(key, z, memo: dict | None):
     return v
 
 
+@lru_cache(maxsize=256)
+def _squarefree(p: Poly) -> tuple:
+    """Yun's squarefree factors (a, m) of p (``realalg.squarefree``), found
+    once for its roots and its disk test."""
+    return tuple(squarefree(p.coeffs)) if p.degree > 0 else ()
+
+
 @lru_cache(maxsize=256)  # the catalog's 311 denominators and log arguments are 13 polynomials
 def _poly_roots(p: Poly) -> np.ndarray:
     """The p.degree roots of p, each repeated by its multiplicity (read-only).
@@ -304,30 +305,33 @@ def _poly_roots(p: Poly) -> np.ndarray:
     Each root comes from a factor of Yun's squarefree factorization, whose
     roots are simple, so ``np.roots`` finds them to about machine epsilon;
     on p itself it scatters an m-fold root by about eps**(1/m).  A
-    squarefree p (gcd(p, p') = 1) is its own only factor, so Yun stops
-    after that first gcd; the factor is p made monic either way."""
-    def simple_roots(a: Poly) -> np.ndarray:
-        return np.roots([complex(c) for c in reversed(a.coeffs)])
-
+    squarefree p (gcd(p, p') = 1) is its own only factor, p made monic
+    (``_squarefree``)."""
     roots = [np.empty(0, dtype=complex)]
-    if p.degree > 0:
-        g = p.gcd(p.derivative())
-        if g.degree == 0:  # squarefree: p, made monic as gcd makes it, is the one factor
-            roots.append(simple_roots(p.gcd(Poly.zero())))
-        else:
-            b = divmod(p, g)[0]
-            d = divmod(p.derivative(), g)[0] - b.derivative()
-            m = 1
-            while b.degree > 0:  # b: the product of the factors of multiplicity >= m
-                a = b.gcd(d)  # the factor of multiplicity m
-                if a.degree > 0:
-                    roots += [simple_roots(a)] * m
-                b = divmod(b, a)[0]
-                d = divmod(d, a)[0] - b.derivative()
-                m += 1
+    for a, m in _squarefree(p):
+        roots += [np.roots([complex(c) for c in reversed(a)])] * m
     out = np.concatenate(roots)
     out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=256)
+def _vanishes_in_disk(p: Poly) -> bool:
+    """Whether p has a root in the open unit disk (module doc): no float
+    root within ``_DISK_MARGIN`` of the circle or inside it says no; else
+    the Schur-Cohn count of each squarefree factor decides where it is
+    regular, and where one is singular (every catalog denominator) a float
+    root below 1 - ``_DISK_MARGIN`` says yes.  The factors keep the count
+    small: on (1 - 20001 z/20000)^200 itself its coefficients grow past
+    any time limit."""
+    roots = _poly_roots(p)
+    if not roots.size:
+        return False
+    nearest = float(np.min(np.abs(roots)))
+    if nearest >= 1.0 + _DISK_MARGIN:
+        return False
+    counts = [disk_zero_count(a) for a, _ in _squarefree(p)]
+    return any(counts) or (None in counts and nearest < 1.0 - _DISK_MARGIN)
 
 
 @lru_cache(maxsize=64)  # the catalog's 46 log terms have 4 distinct arguments
@@ -385,8 +389,7 @@ class AnalyticExpr:
         return RationalTerm(t.c, num, den)
 
     def _validate(self):
-        roots = self.pole_points
-        if roots.size and np.min(np.abs(roots)) < 1.0 - _DISK_MARGIN:
+        if any(_vanishes_in_disk(p) for p in {t[-1] for t in self.terms}):
             raise InvalidExpression(
                 "denominator or log argument vanishes inside the unit disk"
             )

@@ -7,7 +7,8 @@ Configuration is read from a key=value file named by --config or the
 HARMONIC_ATLAS_CONFIG environment variable; command-line flags win.
 Recognized keys (``_SETTINGS``): order, grid.radii, grid.angles.  verify
 reads all three; expand, shear and classify read order, but check the
-whole file.  list and render read no config, so they refuse its flags.
+whole file.  expand's count is its order, so a count given with --order
+exits 2.  list and render read no config, so they refuse its flags.
 
 Exit codes: 0 success / all rows matched; 1 verification mismatch;
 2 usage, config or input error; 3 I/O error.
@@ -170,6 +171,8 @@ def _cmd_list(args) -> int:
 
 def _cmd_expand(args) -> int:
     config = _build_config(args)
+    if args.count is not None and args.order is not None:
+        raise CliError("give the count or --order, not both: the count is the order")
     order = args.count if args.count is not None else config.order
     if not 0 <= order <= _MAX_ORDER:
         raise CliError(f"count must be >= 0 and <= {_MAX_ORDER}, got {order}")

@@ -11,11 +11,13 @@ not refute it for the disk itself.  A probe that finds nothing proves
 nothing.  Certificates record the grid minimum and the witness point
 attaining it.
 
-``verify`` decides its distortion-class and Jacobian rows exactly on the
-closed forms where it can (all of the catalog's), and falls back to
-``u_class_margin`` and ``jacobian_min`` only where the exact test cannot
-tell; the tests hold the two verdicts equal on the default grid, so
-these two functions are the test oracle of those rows.
+``verify`` decides its distortion-class, Jacobian and slope-certificate
+rows exactly on the closed forms: the first two where it can (all of the
+catalog's), falling back to ``u_class_margin`` and ``jacobian_min`` where
+the exact test cannot tell, and every certificate row, which fails where
+no exact certificate is found.  The tests hold the verdicts equal on the
+default grid, so ``u_class_margin``, ``jacobian_min`` and ``rz_search``
+are the test oracle of those rows.  ``verify all`` runs none of them.
 
 The direction-convexity machinery:
 

@@ -5,8 +5,8 @@ Each suite re-derives one table of claims and reports a row per check:
 * T31    the nine integer-coefficient maps: exact integer class, plus the
          distortion class |f'(z)(z/f(z))^2 - 1| < 1 (held by the nine,
          refuted for the two non-close-to-convex half-integer maps);
-* T32    direction-convexity flags of the nine, by certificate search and
-         convexity probe;
+* T32    direction-convexity flags of the nine, by exact slope certificate
+         and convexity probe;
 * T41    the real-direction half-integer table: 21 catalog entries plus
          all 30 shears, exactly six of which are half-integer and equal
          the six non-conformal entries, each sense-preserving;
@@ -46,12 +46,19 @@ at index 3 or 4, and "no twin" by a coefficient that differs, so from
 order 4 on those rows are exact; below it two of them read as
 half-integer, rows of kind ``order``.
 
-The distortion-class rows of T31 and the Jacobian rows of T4 and T6 are
-decided exactly on the closed forms (``_u_class_exact``,
-``_jacobian_exact``), each with an exact witness; a row neither test
-decides reads ``geomtest.u_class_margin`` or ``jacobian_min`` instead.
-The other grid rows (certificates, falsifiers, margins) read closed forms
-only, at the config's grid.
+The distortion-class rows of T31, the Jacobian rows of T4 and T6 and the
+24 slope certificates of T32 and LEM42 are decided exactly on the closed
+forms (``_u_class_exact``, ``_jacobian_exact``, ``_rz_exact``), each with
+an exact witness, so they read the same at every config.  A distortion
+or Jacobian row these tests cannot decide (none in the catalog) reads
+``geomtest.u_class_margin`` or ``jacobian_min`` instead.  A certificate is
+the slope criterion of Royster & Ziegler at one of ten (mu, nu) pairs in
+Q(i): Re R >= 0 on the disk for a rational R, proved by a Sturm count on
+the circle and a Schur-Cohn count inside (``realalg``); a certificate row
+that no pair proves fails (none in the catalog).  ``geomtest.rz_search``,
+the float lattice search these rows ran before, stays as the test oracle.
+The other grid rows (falsifiers, REMARK's margins and starlike rows) read
+closed forms only, at the config's grid.
 """
 
 from __future__ import annotations
@@ -70,8 +77,9 @@ from .exprtext import _format_poly
 from .geomtest import (
     R_MAX, TOL_MARGIN, Grid, default_grid, direction_convexity_probe, jacobian_min,
     m_theta_check, rz_search, starlike_derivative, u_class_margin,
-)
-from .numkernel import GaussRational
+)  # no row calls rz_search; the benchmark's tests trace it as verify.rz_search
+from .numkernel import GaussRational, coeff_product
+from .realalg import cayley, disk_zero_count, nonnegative
 from .shear import HarmonicMap, dilatation_check
 
 __all__ = ["VerifyConfig", "run_suite", "SUITES", "report_json", "series_twins"]
@@ -198,22 +206,82 @@ def _entries(families):
 
 
 def _direction_rows(rows, entry, config, directions=("real", "imag")):
-    """Direction-convexity rows of a conformal entry: a slope certificate
-    for h where convexity is claimed, a falsifier where it is denied."""
-    grid = config.grid()
+    """Direction-convexity rows of a conformal entry: an exact slope
+    certificate for h where convexity is claimed (``_rz_exact``; the row
+    fails where no pair proves one), a falsifier where it is denied."""
     for direction in directions:
         expected = getattr(entry.expected, f"cv_{direction}")
         if expected is None:
             continue
         if expected:
-            cert = rz_search(entry.h, direction, grid)
-            computed = None if cert is None else round(cert.margin, 15)
-            rows.add(entry.id, f"cv_{direction}_certificate",
-                     computed, "found", cert is not None, "grid")
+            witness = _rz_exact(entry.h, direction)
+            found = witness is not None
+            rows.add(entry.id, f"cv_{direction}_certificate", "found" if found else None,
+                     "found", found, "exact", witness)
         else:
             verdict = direction_convexity_probe(_map(entry, config), direction)
             rows.add(entry.id, f"cv_{direction}_falsified",
                      not verdict, True, verdict is False, "grid")
+
+
+# The slope criterion's (mu, nu) with e^{i mu} and cos nu in Q(i), each
+# with its quadratic e - 2cz + conj(e) z^2.  A row tries the mu of its own
+# axis first (0 for real, pi/2 for imag), each mu with nu ascending: the
+# pairs where the catalog's certificates peak.
+_RZ_MU = {"0": GaussRational(1), "pi/2": GaussRational(0, 1)}
+_RZ_COS_NU = {"0": 1, "pi/3": Fraction(1, 2), "pi/2": 0, "2pi/3": Fraction(-1, 2), "pi": -1}
+_RZ_PAIRS = [(mu, nu, Poly((e, -2 * c, e.conjugate())))
+             for mu, e in _RZ_MU.items() for nu, c in _RZ_COS_NU.items()]
+# The screen: 192 points of the circle, none a root of unity of order 12
+# or less, where the catalog's poles and the zeros of the quadratics lie,
+# and the same angles at radius 0.9, where a pair whose R is imaginary on
+# the circle but negative inside (near a pole on the circle) shows.
+_RZ_SCREEN = np.exp(2j * np.pi * (np.arange(192) + 0.5) / 192) * np.array([[1.0], [0.9]])
+_RZ_QUAD_SCREEN = np.array([quad(_RZ_SCREEN) for _, _, quad in _RZ_PAIRS])
+
+
+def _rz_exact(phi: AnalyticExpr, axis: str) -> dict | None:
+    """The witness that phi is convex in the ``axis`` direction by the slope
+    criterion, decided exactly: the first pair of ``_RZ_PAIRS`` for which
+    ``_re_nonnegative`` proves Re R >= 0 on the disk, with R = k (e - 2cz
+    + conj(e) z^2) phi', e = e^{i mu}, c = cos nu and k = 1 (real) or -i
+    (imag), so that Re R is the quantity ``geomtest.rz_certificate``
+    samples.  A pair whose float Re R is negative at a point of
+    ``_RZ_SCREEN`` cannot be proved and is skipped: the screen only skips,
+    and each catalog row runs one proof.  None when no pair is proved."""
+    p = phi.derivative().rational_part()
+    k = GaussRational(1) if axis == "real" else GaussRational(0, -1)
+    # R |den|^2 at the screen's points, for every pair at once
+    v = _RZ_QUAD_SCREEN * (complex(k) * p.num(_RZ_SCREEN) * np.conj(p.den(_RZ_SCREEN)))
+    passed = np.all(v.real >= -1e-9 * np.abs(v), axis=(1, 2))
+    own = "0" if axis == "real" else "pi/2"
+    for i in sorted(np.flatnonzero(passed), key=lambda i: _RZ_PAIRS[i][0] != own):
+        mu, nu, quad = _RZ_PAIRS[i]
+        g = quad.gcd(p.den)
+        den = divmod(p.den, g)[0]
+        unit = GaussRational(1) / den.coeff(0)  # written with D(0) = 1
+        r = RatFunc((divmod(quad, g)[0] * p.num).scale(k * unit), den.scale(unit))
+        if _re_nonnegative(r):
+            return {"mu": mu, "nu": nu, "R": _rat_text(r)}
+    return None
+
+
+def _re_nonnegative(r: RatFunc) -> bool:
+    """Re R >= 0 on the open disk for R = A/D, proved: A + D has no zero in
+    the disk (``disk_zero_count``, regular) and Re(A conj D) >= 0 on the
+    circle (``cayley``, then ``nonnegative``).  Then Phi = (A - D)/(A + D)
+    is analytic in the disk with |Phi| <= 1 on the circle, where it is
+    bounded and so has no pole, hence |Phi| <= 1 in the disk, and R = (1 +
+    Phi)/(1 - Phi) has Re R = (1 - |Phi|^2)/|1 - Phi|^2 >= 0 there.  Poles
+    of R on the circle are allowed.  The circle alone is not enough: R may
+    be imaginary on the circle and negative inside."""
+    a, d = r.num, r.den
+    if disk_zero_count((a + d).coeffs) != 0:
+        return False
+    n = max(a.degree, d.degree)
+    conj_d = [c.conjugate() for c in cayley(d.coeffs, n)]
+    product = coeff_product(cayley(a.coeffs, n), conj_d, 2 * n)
+    return nonnegative([GaussRational(c.re) for c in product])
 
 
 def series_twins(fm, twin_maps: dict) -> list[str]:
@@ -344,8 +412,9 @@ def _jacobian_exact(F: HarmonicMap) -> dict | None:
     this test cannot tell: g' = omega h' exactly (``dilatation_check``),
     omega = c z^k with k >= 1 and |c| <= 1 (or 0), and h' = a/Q in lowest
     terms with a constant a.  Then J = |h'|^2 (1 - |omega|^2) > 0.  That Q
-    has no root in the disk rests on the float check of every closed form
-    (``AnalyticExpr._validate``) until an exact zero-free test lands."""
+    has no root in the disk rests on ``AnalyticExpr._validate``: the
+    catalog's Q have their roots on the circle, where its exact count is
+    singular, so on its float check."""
     if F.h_expr is None or F.omega.log_part():
         return None
     omega = _schwarz_monomial(F.omega.rational_part())

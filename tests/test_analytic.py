@@ -16,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import harmonic_atlas
+from harmonic_atlas import analytic, realalg
 from harmonic_atlas import (
     AnalyticExpr, GaussRational, InvalidExpression, NearPole, Poly,
-    PoleAtOrigin, Series, catalog_ids, catalog_lookup, default_grid, parse_any,
+    PoleAtOrigin, Series, catalog_build, catalog_ids, catalog_lookup, default_grid,
+    parse_any,
 )
 from harmonic_atlas.analytic import (
     EPS_POLE, LogTerm, RationalTerm, _poly_roots, near_pole,
@@ -54,6 +56,68 @@ def eval_masked(e, zs):
 def test_denominator_root_inside_disk_rejected():
     with pytest.raises(InvalidExpression):
         AnalyticExpr.rational(1, Z, P(1, -2))  # pole at 1/2
+
+
+TINY = F(1, 10**30)
+
+
+@pytest.mark.parametrize("den", [
+    P(1, F(-20001, 20000)),          # pole at 20000/20001, within 1e-4 of the circle
+    P(1, -1 / (1 - TINY)),           # pole at 1 - 1e-30, a float 1.0
+    P(1, -1 / (1 - TINY)) * P(1, 0, 4),  # and two more, at +-i/2
+])
+def test_root_near_the_circle_inside_rejected_by_the_exact_count(den):
+    assert realalg.disk_zero_count(den.coeffs) == 1 + 2 * (den.degree == 3)
+    with pytest.raises(InvalidExpression, match="vanishes inside the unit disk"):
+        AnalyticExpr.rational(1, Z, den)
+    with pytest.raises(InvalidExpression, match="vanishes inside the unit disk"):
+        AnalyticExpr.log(1, den)
+
+
+@pytest.mark.parametrize("den", [
+    P(1, F(-20000, 20001)),          # pole at 1.00005, within 1e-4 of the circle
+    P(1, -1 + TINY),                 # pole at 1 + 1e-30
+])
+def test_root_near_the_circle_outside_accepted_by_the_exact_count(den):
+    assert realalg.disk_zero_count(den.coeffs) == 0
+    AnalyticExpr.rational(1, Z, den)
+
+
+def test_singular_count_keeps_the_float_scan():
+    # a root on the circle makes the count singular: every catalog
+    # denominator, whose cyclotomic factors give |p(0)| = |a_n|; there
+    # the float roots decide, with the margin, so a root of such a
+    # polynomial in 1 - 1e-4 < |z| < 1 still passes
+    for p in {t[-1] for e in catalog_build() for part in (e.h, e.g)
+              if part is not None for t in part.terms}:
+        if p.degree > 0:
+            assert realalg.disk_zero_count(p.coeffs) is None, p
+    near = P(1, -1) * P(1, F(-20001, 20000))
+    assert realalg.disk_zero_count(near.coeffs) is None
+    AnalyticExpr.rational(1, Z, near)  # accepted, as before
+    with pytest.raises(InvalidExpression):
+        AnalyticExpr.rational(1, Z, P(1, -1) * P(1, -2))
+
+
+def test_disk_test_runs_once_per_polynomial(monkeypatch):
+    counted = Counter()
+    plain = analytic.disk_zero_count
+
+    def counting(cs):
+        counted[cs] += 1
+        return plain(cs)
+
+    monkeypatch.setattr(analytic, "disk_zero_count", counting)
+    analytic._vanishes_in_disk.cache_clear()
+    # one count per squarefree factor, made monic, of each polynomial
+    den = P(1, F(-20000, 20001)) * P(1, F(-20000, 20001))
+    factor = P(F(-20001, 20000), 1).coeffs
+    for _ in range(3):
+        AnalyticExpr.rational(1, Z, den)
+        AnalyticExpr.rational(2, Z * Z, den)
+    assert counted == Counter({factor: 1})
+    AnalyticExpr.rational(1, Z, P(1, F(-1, 3)))  # root 3: the float root decides
+    assert counted == Counter({factor: 1})
 
 
 def test_pole_at_origin_rejected_unless_cancelled():
@@ -301,20 +365,22 @@ def test_roots_of_products_of_circle_factors(powers):
 
 
 def test_squarefree_roots_come_from_one_gcd(monkeypatch):
-    # gcd(p, p') = 1 ends Yun's factorization: one gcd and no division;
-    # the roots are those of p made monic, as the full factorization gives
+    # gcd(p, p') = 1 ends Yun's factorization: one gcd and no division
+    # beyond Euclid's; the roots are those of p made monic, as the full
+    # factorization gives
     p = P(1, -1) * P(1, 0, 1) * P(1, 1, 1)
     calls = Counter()
-    for name in ("gcd", "__divmod__"):
-        def counting(self, other, name=name, fn=getattr(Poly, name)):
+    for name in ("pgcd", "pdivmod"):
+        def counting(a, b, name=name, fn=getattr(realalg, name)):
             calls[name] += 1
-            return fn(self, other)
-        monkeypatch.setattr(Poly, name, counting)
-    p.gcd(p.derivative())
+            return fn(a, b)
+        monkeypatch.setattr(realalg, name, counting)
+    realalg.pgcd(p.coeffs, p.derivative().coeffs)
     first = Counter(calls)  # Euclid's divisions
     calls.clear()
+    analytic._squarefree.cache_clear()
     roots = _poly_roots.__wrapped__(p)
-    assert calls == first + Counter(gcd=1)  # and gcd(p, 0): p made monic
+    assert calls == first
     monic = p.scale(GaussRational(1) / p.coeffs[-1])
     assert roots.tobytes() == np.roots([complex(c) for c in reversed(monic.coeffs)]).tobytes()
 

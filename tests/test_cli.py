@@ -71,6 +71,29 @@ def test_expand_f3(capsys):
     assert "g: 0 0 1/2 1 3/2" in out
 
 
+@pytest.mark.parametrize("text", [
+    "z/(1-20001z/20000)",  # a pole at 0.99995, within 1e-4 of the circle
+    "z/(1-1000000000000000000000000000000z/999999999999999999999999999999)",  # 1 - 1e-30
+    "z/(1-20001z/20000)^200",  # counted on its squarefree factor, not on the power
+])
+def test_expand_pole_just_inside_the_disk_exit_2(capsys, text):
+    code, out, err = run(capsys, "expand", text, "3")
+    assert (code, out) == (2, "")
+    assert "vanishes inside the unit disk" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "koebe", "5", "--order", "3"),
+    ("expand", "koebe", "0", "--order=3", "--json"),
+])
+def test_expand_refuses_a_count_with_order(capsys, argv):
+    # the count is the order: given both, --order was ignored (a count
+    # after the flags splits the positionals, which argparse refuses)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "give the count or --order, not both" in err
+
+
 def test_expand_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "expand", "q//", "4")
     assert code == 2

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic_atlas import (
-    AnalyticExpr, Grid, Poly, RZParams, Series, boundary_trace,
+    AnalyticExpr, GaussRational, Grid, Poly, RZParams, Series, boundary_trace,
     catalog_ids, catalog_lookup, default_grid, dilatation_check, direction_convexity_probe,
-    jacobian_min, m_theta_check, parse_formula, rz_certificate, rz_search,
+    jacobian_min, m_theta_check, parse_any, parse_formula, rz_certificate, rz_search,
     starlike_derivative, u_class_margin,
 )
-from harmonic_atlas import geomtest, verify
+from harmonic_atlas import geomtest, realalg, verify
+from harmonic_atlas.analytic import RatFunc
+from harmonic_atlas.numkernel import coeff_product
 from harmonic_atlas.shear import HarmonicMap
 from oracles import rz_search_bruteforce
 
@@ -103,6 +105,81 @@ def test_rz_reduced_form_identity(eid, mu, nu, axis, reduced):
     assert np.max(np.abs(want - got)) <= 1e-12
 
 
+# the reduced forms above, exactly
+PAPER_RZ_EXACT = {
+    "hslits_real": "(1-z^2)/(1+z^2)",
+    "hslits_wide_real": "(1-z^2)/(1-z+z^2)",
+    "cardioid_r_real": "1-z^3",
+    "halfplane_avg_real": "(1+(1-z)^2)/2",
+    "halfplane_avg_imag": "(1-z^2+(1+z)/(1-z))/2",
+    "vslits_avg_imag": "(1-z^2+(1+z^2)/(1-z^2))/2",
+    "parabola_real": "1/(1-z)",
+}
+MU_NU_TEXT = {"0": 0.0, "pi/3": math.pi / 3, "pi/2": math.pi / 2,
+              "2pi/3": 2 * math.pi / 3, "pi": math.pi}
+
+
+def _same_quotient(a, b):
+    p, q = a.rational_part(), b.rational_part()
+    return p.num * q.den == q.num * p.den
+
+
+@pytest.mark.parametrize("eid,mu,nu,axis,reduced", PAPER_RZ_CASES,
+                         ids=[c[0] + "_" + c[3] for c in PAPER_RZ_CASES])
+def test_exact_certificate_is_the_reduced_form_on_record(eid, mu, nu, axis, reduced):
+    # verify proves each case at its (mu, nu) on record, and the witness R
+    # is the reduced form, exactly
+    witness = verify._rz_exact(catalog_lookup(eid).h, axis)
+    assert (MU_NU_TEXT[witness["mu"]], MU_NU_TEXT[witness["nu"]]) == (mu, nu)
+    assert _same_quotient(parse_any(witness["R"]),
+                          parse_formula(PAPER_RZ_EXACT[f"{eid}_{axis}"]))
+
+
+def test_exact_certificates_agree_with_the_float_oracle(verify_rz_calls):
+    # every proved pair reads a margin >= -TOL_MARGIN on the default grid,
+    # the witness R is the slope quantity there, and the lattice search
+    # peaks at the same pair
+    grid = default_grid()
+    for phi, axis, _, _ in verify_rz_calls:
+        witness = verify._rz_exact(phi, axis)
+        params = RZParams(MU_NU_TEXT[witness["mu"]], MU_NU_TEXT[witness["nu"]])
+        cert = rz_certificate(phi, params, axis, grid)
+        assert cert.margin >= -geomtest.TOL_MARGIN, (axis, witness)
+        r = parse_any(witness["R"]).eval(cert.witness)
+        assert r.real == pytest.approx(cert.margin, rel=1e-9, abs=1e-12)
+        assert rz_search(phi, axis, grid).params == params
+
+
+def test_no_exact_certificate_for_a_direction_the_catalog_denies(catalog):
+    # the 18 falsified directions of verify (and every other entry's): no
+    # pair proves the slope criterion where the map is not convex
+    denied = [(e.h, axis) for e in catalog if e.is_conformal
+              for axis in ("real", "imag") if getattr(e.expected, f"cv_{axis}") is False]
+    assert len(denied) >= 18
+    assert all(verify._rz_exact(h, axis) is None for h, axis in denied)
+
+
+def test_hslits_trap_is_not_certified():
+    # at (pi/2, pi/2) on the real axis R = i (1 - z^2)^2/(1 + z^2)^2 is
+    # i w^2 with Re w > 0 on the disk: imaginary on the circle, so the
+    # circle sign passes, but unbounded below inside (about -1,055 on the
+    # default grid).  A + D has zeros in the disk, so the pair is not
+    # proved, and the certificate is the one at (0, pi/2)
+    h = catalog_lookup("hslits").h
+    p = h.derivative().rational_part()
+    quad = Poly([GaussRational(0, 1), 0, GaussRational(0, -1)])
+    r = RatFunc(quad * p.num, p.den)
+    n = max(r.num.degree, r.den.degree)
+    on_circle = coeff_product(realalg.cayley(r.num.coeffs, n),
+                              [c.conjugate() for c in realalg.cayley(r.den.coeffs, n)], 2 * n)
+    assert realalg.nonnegative([GaussRational(c.re) for c in on_circle])
+    assert not verify._re_nonnegative(r)
+    cert = rz_certificate(h, RZParams(math.pi / 2, math.pi / 2), "real", default_grid())
+    assert cert.margin < -1000
+    assert verify._rz_exact(h, "real")["nu"] == "pi/2"
+    assert verify._rz_exact(h, "real")["mu"] == "0"
+
+
 def test_rz_search_finds_on_record_choice(grid):
     h = catalog_lookup("hslits_wide").h
     cert = rz_search(h, "real", grid)
@@ -148,23 +225,22 @@ def same_certificate(got, want):
     return margin and (got.witness, got.params.mu, got.params.nu) == want[1:]
 
 
+# the families of T32 and LEM42, whose conformal entries' h carry the
+# slope certificates of ``verify all``
+CERTIFIED_FAMILIES = ("S_Z", "T1", "T2")
+
+
 @pytest.fixture(scope="module")
 def verify_rz_calls():
-    """(phi, axis, grid, kwargs) of every rz_search call of ``verify all``
-    at order 16 on a 16x64 grid."""
-    calls = []
-    real = verify.rz_search
-
-    def recording(phi, axis, grid, **kwargs):
-        calls.append((phi, axis, grid, kwargs))
-        return real(phi, axis, grid, **kwargs)
-
-    verify.rz_search = recording
-    try:
-        verify.run_suite("all", verify.VerifyConfig(order=16, grid_radii=16,
-                                                    grid_angles=64))
-    finally:
-        verify.rz_search = real
+    """(phi, axis, grid, kwargs) of the 24 slope certificates of ``verify
+    all`` at order 16 on a 16x64 grid, in its order: h of each entry of
+    T32's and LEM42's families, on each axis its flag calls convex.
+    ``verify`` decides them exactly; the tests search these as its float
+    oracle."""
+    grid = verify.VerifyConfig(order=16, grid_radii=16, grid_angles=64).grid()
+    calls = [(e.h, axis, grid, {}) for family in CERTIFIED_FAMILIES
+             for e in map(catalog_lookup, catalog_ids(family))
+             for axis in ("real", "imag") if getattr(e.expected, f"cv_{axis}")]
     assert len(calls) == 24
     return calls
 

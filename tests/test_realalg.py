@@ -1,0 +1,163 @@
+"""Exact real algebra: the sign on the line, the Cayley map and the Schur-Cohn count."""
+
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import harmonic_atlas
+from harmonic_atlas import realalg
+from harmonic_atlas.numkernel import GaussRational, coeff_product
+
+F = Fraction
+G = GaussRational
+ONE = (G(1),)
+
+
+def from_roots(roots, lead=G(1)):
+    """lead * prod (z - r), coefficients ascending."""
+    p = (lead,)
+    for r in roots:
+        p = tuple(coeff_product(p, (-gauss(r), G(1)), len(p)))
+    return p
+
+
+def gauss(x):
+    return x if isinstance(x, GaussRational) else G(x)
+
+
+def at(p, x):
+    acc = G(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+gaussian = st.builds(G, small, small)
+
+
+# -- Schur-Cohn --------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(roots=st.lists(gaussian, min_size=1, max_size=7), lead=gaussian)
+def test_disk_zero_count_against_np_roots(roots, lead):
+    # roots at least 1e-3 from the circle; a regular count is exact, and a
+    # singular one (as for a pair r, 1/conj r) says so
+    assume(not lead.is_zero)
+    assume(all(abs(abs(complex(r)) - 1) >= 1e-3 for r in roots))
+    p = from_roots(roots, lead)
+    count = realalg.disk_zero_count(p)
+    floats = np.roots([complex(c) for c in reversed(p)])
+    if count is not None:
+        assert count == int(np.sum(np.abs(floats) < 1))
+        assert count == sum(r.abs2() < 1 for r in roots)
+
+
+def test_disk_zero_count_examples():
+    assert realalg.disk_zero_count(ONE) == 0
+    assert realalg.disk_zero_count((G(0), G(1))) == 1  # z
+    assert realalg.disk_zero_count(from_roots([F(1, 2), F(1, 3), 4])) == 2
+    assert realalg.disk_zero_count(from_roots([G(0, F(1, 2)), G(F(-1, 2), F(1, 2))])) == 2
+    # 1 - z^2/4 and z^3 (1 - z/5): no zero inside, and three at 0
+    assert realalg.disk_zero_count(from_roots([2, -2])) == 0
+    assert realalg.disk_zero_count(from_roots([0, 0, 0, 5])) == 3
+
+
+@pytest.mark.parametrize("p", [
+    (), from_roots([1]), from_roots([G(0, 1), F(1, 2)]), from_roots([F(1, 2), 2]),
+    (G(1), G(0), G(1)), from_roots([-1, -1, F(1, 3)]), from_roots([F(1, 2), F(1, 3), 3]),
+])
+def test_disk_zero_count_singular(p):
+    # the zero polynomial, a root on the circle, or gamma = 0 on the way
+    # (a pair r, 1/conj r: the last p has 1/3 and 3)
+    assert realalg.disk_zero_count(p) is None
+
+
+# -- the sign on the real line -----------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(roots=st.lists(st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                                st.integers(1, 3)), max_size=4),
+       lead=st.sampled_from([F(-2), F(1, 3), F(5)]),
+       complex_pair=st.booleans())
+def test_nonnegative_against_a_rational_scan(roots, lead, complex_pair):
+    # repeated roots of every multiplicity up to 3, and the sign scanned at
+    # every root as well as between and beyond them, on a 1/24 grid
+    p = (G(lead),)
+    for r, m in roots:
+        p = tuple(coeff_product(p, from_roots([r] * m), len(p) + m - 1))
+    if complex_pair:  # t^2 + 1: no real root
+        p = tuple(coeff_product(p, (G(1), G(0), G(1)), len(p) + 1))
+    grid = {F(k, 24) for k in range(-5 * 24, 5 * 24 + 1)} | {r for r, _ in roots}
+    scanned = all(at(p, x).re >= 0 for x in grid)
+    assert realalg.nonnegative(p) == scanned
+
+
+def test_nonnegative_examples():
+    square = from_roots([F(1, 2), F(1, 2), -1, -1])
+    assert realalg.nonnegative(square)
+    assert realalg.nonnegative(())  # 0 >= 0
+    assert realalg.nonnegative((G(3),))
+    assert not realalg.nonnegative((G(-3),))
+    assert not realalg.nonnegative(from_roots([F(1, 2), F(1, 2), F(1, 2)]))
+    assert not realalg.nonnegative(tuple(-c for c in square))
+    # two simple roots 1e-6 apart, between which p dips below 0 by 2.5e-13
+    assert not realalg.nonnegative(from_roots([F(1, 3), F(1, 3) + F(1, 10**6)]))
+
+
+# -- Cayley ------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.lists(gaussian, max_size=6), extra=st.integers(0, 2),
+       t=st.fractions(min_value=-5, max_value=5, max_denominator=7))
+def test_cayley_is_p_on_the_circle(p, extra, t):
+    n = len(p) - 1 + extra if p else extra
+    got = at(realalg.cayley(p, n), t)
+    z = G(1, t) / G(1, -t)
+    assert got == G(1, -t) ** n * at(p, z)
+    assert z.abs2() == 1
+
+
+def test_cayley_refuses_a_short_degree():
+    with pytest.raises(ValueError):
+        realalg.cayley(from_roots([1, 2]), 1)
+
+
+# -- division and squarefree factors -------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(factors=st.lists(st.tuples(st.lists(gaussian, min_size=1, max_size=2),
+                                  st.integers(1, 3)), min_size=1, max_size=3))
+def test_squarefree_factors_multiply_back(factors):
+    p = ONE
+    for roots, m in factors:
+        for _ in range(m):
+            p = tuple(coeff_product(p, from_roots(roots), len(p) + len(roots) - 1))
+    back = ONE
+    for a, m in realalg.squarefree(p):
+        assert realalg.pgcd(a, tuple(c * n for n, c in enumerate(a) if n)) == ONE
+        for _ in range(m):
+            back = tuple(coeff_product(back, a, len(back) + len(a) - 2))
+    assert back == p  # p is monic, and so is every factor
+
+
+def test_module_imports_no_numpy():
+    # loaded without the package's __init__, which imports numpy
+    package = str(Path(harmonic_atlas.__file__).resolve().parent)
+    script = "\n".join((
+        "import sys, types",
+        "package = types.ModuleType('harmonic_atlas')",
+        "package.__path__ = [sys.argv[1]]",
+        "sys.modules['harmonic_atlas'] = package",
+        "import harmonic_atlas.realalg",
+        "print('numpy' in sys.modules)",
+    ))
+    out = subprocess.run([sys.executable, "-c", script, package], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -238,10 +238,10 @@ def test_proof_ledger_counts(config):
     report = run_suite("all", config)
     assert report["schema"] == 2
     assert report["summary"]["proofs"] == {
-        "exact": 161, "order": 0, "grid": 46, "asserted": 2}
+        "exact": 185, "order": 0, "grid": 22, "asserted": 2}
     rows = _rows(report).values()
     assert all(r["asserted"] == (r["proof"] == "asserted") for r in rows)
-    assert sum(s["summary"]["proofs"]["exact"] for s in report["suites"]) == 161
+    assert sum(s["summary"]["proofs"]["exact"] for s in report["suites"]) == 185
 
 
 def test_series_rows_below_their_witness_index_hold_to_the_order():
@@ -297,6 +297,24 @@ def test_verify_all_runs_neither_grid_check_of_the_exact_rows(monkeypatch):
     assert all(isinstance(v, str) for r in rows for v in r["witness"].values())
 
 
+def test_verify_all_runs_no_certificate_search(monkeypatch):
+    # the 24 slope certificates are decided exactly, each with its (mu, nu)
+    # and R, and read the same at FAST and at the default config
+    def refuse(*args, **kwargs):
+        raise AssertionError("rz_search called")
+
+    monkeypatch.setattr(verify, "rz_search", refuse)
+    report = run_suite("all", FAST)
+    assert report["summary"]["matched"] == report["summary"]["total"] == 207
+    rows = {k: r for k, r in _rows(report).items() if r["check"].endswith("_certificate")}
+    assert len(rows) == 24
+    assert all(r["proof"] == "exact" and r["computed"] == "found" for r in rows.values())
+    assert all(set(r["witness"]) == {"mu", "nu", "R"} and all(
+        isinstance(v, str) for v in r["witness"].values()) for r in rows.values())
+    default = _rows(json.loads(DEFAULT_RECORDING.read_text(encoding="ascii")))
+    assert all(default[k] == r for k, r in rows.items())
+
+
 def _replace_entry(monkeypatch, eid, h=None, **flags):
     """Lookups of ``eid`` give a copy with h and the named flags replaced."""
     entry = catalog_lookup(eid)
@@ -349,6 +367,17 @@ def test_jacobian_row_with_h_prime_not_constant_falls_back_to_the_grid(monkeypat
     assert rows[twin, "jacobian_positive"]["proof"] == "grid"
     assert rows[twin, "jacobian_positive"]["match"]
     assert rows["t4_conj_sq_plus", "jacobian_positive"]["proof"] == "exact"
+
+
+def test_flipped_direction_flag_fails_its_row(monkeypatch):
+    # vslits is not convex in the real direction: claimed convex, no pair
+    # proves it, so the row fails with no witness
+    _replace_entry(monkeypatch, "vslits", cv_real=True)
+    report = run_suite("T32", FAST)
+    assert report["summary"]["total"] == 18
+    assert _failed(report) == [("vslits", "cv_real_certificate")]
+    row = _rows(report)["vslits", "cv_real_certificate"]
+    assert row["computed"] is None and row["proof"] == "exact" and "witness" not in row
 
 
 @pytest.mark.parametrize("eid, flag, check", [
