@@ -43,7 +43,7 @@ import sys
 import types
 
 from .catalog import catalog_ids, catalog_lookup, export_atlas
-from .classify import classify_harmonic, coeff_class
+from .classify import classify_harmonic
 from .errors import HarmonicAtlasError, UnknownId
 from .exprtext import parse_any
 from .render import RenderOptions, render_svg

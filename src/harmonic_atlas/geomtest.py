@@ -12,12 +12,10 @@ nothing.  Certificates record the grid minimum and the witness point
 attaining it.
 
 ``verify`` decides its distortion-class, Jacobian and slope-certificate
-rows exactly on the closed forms: the first two where it can (all of the
-catalog's), falling back to ``u_class_margin`` and ``jacobian_min`` where
-the exact test cannot tell, and every certificate row, which fails where
-no exact certificate is found.  The tests hold the verdicts equal on the
-default grid, so ``u_class_margin``, ``jacobian_min`` and ``rz_search``
-are the test oracle of those rows.  ``verify all`` runs none of them.
+rows exactly on the closed forms, with no fallback: a row the exact test
+cannot decide fails.  ``u_class_margin``, ``jacobian_min`` and
+``rz_search`` are only the test oracle of those rows (the tests hold the
+verdicts equal on the default grid); ``verify`` runs none of them.
 
 The direction-convexity machinery:
 

@@ -85,10 +85,12 @@ def pdivmod(a, b) -> tuple[tuple, tuple]:
 
 
 def pgcd(a, b) -> tuple:
-    """Monic gcd by Euclid's algorithm (empty for two zeros)."""
+    """Monic gcd by Euclid's algorithm (empty for two zeros).  Each remainder
+    is made monic before it divides, which keeps the coefficients small."""
     a, b = ptrim(a), ptrim(b)
     while b:
-        a, b = b, pdivmod(a, b)[1]
+        r = pdivmod(a, b)[1]
+        a, b = b, _monic(r) if r else r
     return _monic(a) if a else a
 
 

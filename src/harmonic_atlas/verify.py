@@ -49,16 +49,15 @@ half-integer, rows of kind ``order``.
 The distortion-class rows of T31, the Jacobian rows of T4 and T6 and the
 24 slope certificates of T32 and LEM42 are decided exactly on the closed
 forms (``_u_class_exact``, ``_jacobian_exact``, ``_rz_exact``), each with
-an exact witness, so they read the same at every config.  A distortion
-or Jacobian row these tests cannot decide (none in the catalog) reads
-``geomtest.u_class_margin`` or ``jacobian_min`` instead.  A certificate is
-the slope criterion of Royster & Ziegler at one of ten (mu, nu) pairs in
-Q(i): Re R >= 0 on the disk for a rational R, proved by a Sturm count on
-the circle and a Schur-Cohn count inside (``realalg``); a certificate row
-that no pair proves fails (none in the catalog).  ``geomtest.rz_search``,
-the float lattice search these rows ran before, stays as the test oracle.
-The other grid rows (falsifiers, REMARK's margins and starlike rows) read
-closed forms only, at the config's grid.
+an exact witness, so they read the same at every config; a row its test
+cannot decide (none in the catalog) fails, with no value and no witness.
+A certificate is the slope criterion of Royster & Ziegler at one of ten
+(mu, nu) pairs in Q(i): Re R >= 0 on the disk for a rational R, proved by
+a Sturm count on the circle and a Schur-Cohn count inside (``realalg``).
+``geomtest.u_class_margin``, ``jacobian_min`` and ``rz_search`` stay as
+the test oracle of these rows.  The other grid rows (falsifiers, REMARK's
+margins and starlike rows) read closed forms only, and REMARK's two
+M(theta) margins alone read the config's grid.  No row reads ``tol``.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ from .classify import _exact_class, classify_harmonic
 from .errors import Frozen
 from .exprtext import _format_poly
 from .geomtest import (
-    R_MAX, TOL_MARGIN, Grid, default_grid, direction_convexity_probe, jacobian_min,
-    m_theta_check, rz_search, starlike_derivative, u_class_margin,
+    R_MAX, TOL_MARGIN, Grid, default_grid, direction_convexity_probe, m_theta_check,
+    rz_search, starlike_derivative,
 )  # no row calls rz_search; the benchmark's tests trace it as verify.rz_search
 from .numkernel import GaussRational, coeff_product
 from .realalg import cayley, disk_zero_count, nonnegative
@@ -102,9 +101,10 @@ _SHEAR_TABLES = {
 
 
 class VerifyConfig(Frozen):
-    """The series order and the grid (radii x angles) of a run.  The grid's
-    outer radius ``R_MAX`` and the certificates' ``TOL_MARGIN`` are fixed:
-    other values check other claims.  ``to_json`` still writes both."""
+    """The series order and the grid (radii x angles) of a run; only REMARK's
+    two M(theta) margins read the grid.  Its outer radius ``R_MAX`` is fixed,
+    and so is ``TOL_MARGIN``, which no row reads; ``to_json`` still writes
+    both, for the schema."""
 
     __slots__ = ("order", "grid_radii", "grid_angles")
 
@@ -384,13 +384,18 @@ def _outside_witness(r: RatFunc, z: GaussRational) -> dict | None:
             "abs2_R": str(value)}
 
 
-def _u_class_exact(f: AnalyticExpr, grid: Grid) -> tuple[bool, dict] | None:
+# The ring |z| = R_MAX at 256 angles, bit for bit the default grid's outer
+# ring, where the witness that f is not in the class is looked for.
+_U_RING = R_MAX * np.exp(2j * np.pi * np.arange(256) / 256)
+
+
+def _u_class_exact(f: AnalyticExpr) -> tuple[bool, dict] | None:
     """Membership of f in the class |f'(z)(z/f(z))^2 - 1| < 1, decided on
     R = f'(z/f)^2 - 1: (True, witness) when R is 0 or c z^k with k >= 1
-    and |c| <= 1; (False, witness) when the grid's outer-ring point of
-    largest float |R| (by the maximum modulus principle the whole grid's
-    worst), rounded to hundredths, is a z1 with |z1| < 1 and |R(z1)| > 1,
-    both exact; None when neither decides."""
+    and |c| <= 1; (False, witness) when the point of ``_U_RING`` of
+    largest float |R| (by the maximum modulus principle the worst of the
+    disk |z| <= R_MAX, up to sampling), rounded to hundredths, is a z1 with
+    |z1| < 1 and |R(z1)| > 1, both exact; None when neither decides."""
     r = _u_class_quotient(f)
     if r is None:
         return None
@@ -398,10 +403,9 @@ def _u_class_exact(f: AnalyticExpr, grid: Grid) -> tuple[bool, dict] | None:
     if m is not None:
         return True, {"R": _rat_text(RatFunc(m))}
     r = r.reduced()
-    ring = grid.points[-grid.angles_count:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        size = np.nan_to_num(np.abs(r.num(ring) / r.den(ring)), nan=0.0)
-    z = complex(ring[int(np.argmax(size))])
+        size = np.nan_to_num(np.abs(r.num(_U_RING) / r.den(_U_RING)), nan=0.0)
+    z = complex(_U_RING[int(np.argmax(size))])
     z1 = GaussRational(Fraction(round(z.real * 100), 100), Fraction(round(z.imag * 100), 100))
     witness = _outside_witness(r, z1)
     return None if witness is None else (False, witness)
@@ -424,43 +428,15 @@ def _jacobian_exact(F: HarmonicMap) -> dict | None:
     return {"omega": _rat_text(RatFunc(omega)), "h_prime": _rat_text(hp)}
 
 
-def _u_class_row(rows, entry, grid):
-    """T31's class row of a conformal entry: exact where ``_u_class_exact``
-    decides, else the grid margin of ``u_class_margin``."""
-    decided = _u_class_exact(entry.h, grid)
-    want = entry.expected.u_class
-    if decided is not None:
-        got, witness = decided
-        rows.add(entry.id, "u_class_margin", got, want, got == want, "exact", witness)
-        return
-    cert = u_class_margin(entry.h, grid)
-    if want:
-        expected, match = f">= {-TOL_MARGIN}", cert.margin >= -TOL_MARGIN
-    else:
-        expected, match = "< 0", cert.margin < 0
-    rows.add(entry.id, "u_class_margin", cert.margin, expected, match, "grid")
-
-
-def _jacobian_row(rows, entry, fm, grid):
-    """J > 0 on the disk for a T4 or T6 map: exact where ``_jacobian_exact``
-    decides (a verdict that inherits ``AnalyticExpr._validate``'s float
-    pole check), else the grid minimum of ``jacobian_min``."""
-    witness = _jacobian_exact(fm)
-    if witness is not None:
-        rows.add(entry.id, "jacobian_positive", True, True, True, "exact", witness)
-        return
-    cert = jacobian_min(fm, grid)
-    rows.add(entry.id, "jacobian_positive", cert.margin, "> 0", cert.margin > 0, "grid")
-
-
 def _suite_t31(config) -> dict:
     rows = _Rows()
-    grid = config.grid()
     for entry in _entries(("S_Z", "T2")):
         # Friedman's nine by family, so a changed flag fails its row
         if entry.family == "S_Z":
             _coeff_class_row(rows, entry, config, "integer_coeffs")
-        _u_class_row(rows, entry, grid)
+        got, witness = _u_class_exact(entry.h) or (None, None)  # undecided: fails
+        want = entry.expected.u_class
+        rows.add(entry.id, "u_class_margin", got, want, got == want, "exact", witness)
     return rows.report("T31", config)
 
 
@@ -483,7 +459,6 @@ def _suite_shears(config, axis: str) -> dict:
     theorem, tag, families, total, expect_half = _SHEAR_TABLES[axis]
     twin_family = families[-1]
     rows = _Rows()
-    grid = config.grid()
     members = _entries(families)
     rows.add("~family_total", "count", len(members), total, len(members) == total, "exact")
     twin_maps = {}
@@ -491,7 +466,9 @@ def _suite_shears(config, axis: str) -> dict:
         _coeff_class_row(rows, entry, config, "half_integer_coeffs")
         if entry.family == twin_family:
             fm = twin_maps[entry.id] = _map(entry, config)
-            _jacobian_row(rows, entry, fm, grid)
+            witness = _jacobian_exact(fm)  # J > 0; an undecided row fails
+            rows.add(entry.id, "jacobian_positive", True if witness else None, True,
+                     witness is not None, "exact", witness)
     half_count, count_proof = 0, "exact"
     for entry in _entries((f"PROOF_{tag.upper()}",)):
         got, proof = _coeff_class_row(rows, entry, config, "half_integer_coeffs")

@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,22 @@ def test_expand_pole_just_inside_the_disk_exit_2(capsys, text):
     code, out, err = run(capsys, "expand", text, "3")
     assert (code, out) == (2, "")
     assert "vanishes inside the unit disk" in err
+
+
+def test_expand_many_poles_near_the_circle_is_fast(capsys):
+    # z / prod (1 - c_k z), c_k = (20000+k)/(20001+k): the gcd of the
+    # denominator and its derivative kept its remainders unnormalized, and
+    # their coefficients exploded (about 13 s for 24 factors)
+    cs = [Fraction(20000 + k, 20001 + k) for k in range(1, 25)]
+    text = "z/(" + "".join(f"(1-{c.numerator}z/{c.denominator})" for c in cs) + ")"
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "expand", text, "3")
+    assert time.perf_counter() - start < 5.0
+    # h_n is the complete symmetric polynomial of degree n - 1 in the c_k
+    h2 = sum(cs)
+    h3 = sum(ci * cj for i, ci in enumerate(cs) for cj in cs[i:])
+    assert code == 0
+    assert f"h: 0 1 {h2} {h3}" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,12 +5,15 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from harmonic_atlas import (
     AnalyticExpr, CatalogEntry, FlagSet, Poly, catalog, catalog_ids, catalog_lookup, verify,
 )
+from harmonic_atlas import geomtest
 from harmonic_atlas import shear as shear_mod
+from harmonic_atlas.cli import main
 from harmonic_atlas.exprtext import parse_gauss
 from harmonic_atlas.shear import HarmonicMap
 from harmonic_atlas.verify import SUITES, VerifyConfig, report_json, run_suite
@@ -103,6 +106,21 @@ def test_report_matches_recording():
     # the full report at FAST, byte for byte: a refactor must leave every
     # row, value and key order as recorded
     assert report_json(run_suite("all", FAST)) == RECORDING.read_text(encoding="ascii")
+
+
+def test_fast_and_default_recordings_differ_only_in_config():
+    # no row reads the config but REMARK's two M(theta) margins, whose
+    # verdicts agree: the two reports carry the same suites, rows and
+    # summaries, and differ only in ``config``
+    fast, default = (json.loads(p.read_text(encoding="ascii"))
+                     for p in (RECORDING, DEFAULT_RECORDING))
+    assert fast["config"] != default["config"]
+    assert fast["summary"] == default["summary"]
+    assert [s["theorem"] for s in fast["suites"]] == [s["theorem"] for s in default["suites"]]
+    for a, b in zip(fast["suites"], default["suites"]):
+        assert a["config"] == fast["config"] and b["config"] == default["config"]
+        assert {k: v for k, v in a.items() if k != "config"} == {
+            k: v for k, v in b.items() if k != "config"}
 
 
 def test_default_report_matches_recording():
@@ -202,7 +220,10 @@ def test_mutated_twin_fails_its_rows(monkeypatch):
     twin = "t4_re_koebe_im_halfplane"
     _mutate_past_the_order(monkeypatch, twin, _TINY, _TINY)
     report = run_suite("T41", FAST)
-    assert _failed(report) == [("f3_cv1", "series_twin"), (twin, "half_integer_coeffs")]
+    # its h' no longer has a constant numerator, so its Jacobian row is
+    # undecided and fails too
+    assert _failed(report) == [("f3_cv1", "series_twin"), (twin, "half_integer_coeffs"),
+                               (twin, "jacobian_positive")]
 
 
 def test_mutated_t4_g_fails_its_rows(monkeypatch):
@@ -211,7 +232,9 @@ def test_mutated_t4_g_fails_its_rows(monkeypatch):
     twin = "t4_conj_sq_plus"
     _mutate_past_the_order(monkeypatch, twin, 0, _TINY)
     report = run_suite("T41", FAST)
-    assert _failed(report) == [("f17_cv1", "series_twin"), (twin, "half_integer_coeffs")]
+    # and g' = omega h', so its Jacobian row, undecided, fails
+    assert _failed(report) == [("f17_cv1", "series_twin"), (twin, "half_integer_coeffs"),
+                               (twin, "jacobian_positive")]
 
 
 @pytest.mark.parametrize("eid, row", [
@@ -261,12 +284,13 @@ _TWIN_IDS = catalog_ids("T4") + catalog_ids("T6")
 
 
 def test_the_19_exact_rows_agree_with_the_grid_checks():
+    # the float checks in geomtest are the oracle of the exact rows
     grid = VerifyConfig().grid()
     assert len(_U_CLASS_IDS) == 11 and len(_TWIN_IDS) == 8
     for eid in _U_CLASS_IDS:
         f = catalog_lookup(eid).h
-        in_class, witness = verify._u_class_exact(f, grid)
-        margin = verify.u_class_margin(f, grid).margin
+        in_class, witness = verify._u_class_exact(f)
+        margin = geomtest.u_class_margin(f, grid).margin
         assert in_class == (margin >= -1e-9) == catalog_lookup(eid).expected.u_class, eid
         if not in_class:
             # the float |R| at the exact witness exceeds 1, as the grid's does
@@ -278,15 +302,22 @@ def test_the_19_exact_rows_agree_with_the_grid_checks():
         entry = catalog_lookup(eid)
         fm = entry.harmonic_map(entry.proof_order)
         assert verify._jacobian_exact(fm) is not None, eid
-        assert verify.jacobian_min(fm, grid).margin > 0, eid
+        assert geomtest.jacobian_min(fm, grid).margin > 0, eid
+
+
+def test_the_witness_ring_is_the_default_grids_outer_ring():
+    grid = VerifyConfig().grid()
+    assert np.array_equal(verify._U_RING, grid.points[-grid.angles_count:])
 
 
 def test_verify_all_runs_neither_grid_check_of_the_exact_rows(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("grid check called")
 
-    monkeypatch.setattr(verify, "u_class_margin", refuse)
-    monkeypatch.setattr(verify, "jacobian_min", refuse)
+    # verify binds neither check, and neither runs where it is defined
+    assert not hasattr(verify, "u_class_margin") and not hasattr(verify, "jacobian_min")
+    monkeypatch.setattr(geomtest, "u_class_margin", refuse)
+    monkeypatch.setattr(geomtest, "jacobian_min", refuse)
     report = run_suite("all", FAST)
     assert report["summary"]["matched"] == report["summary"]["total"] == 207
     rows = [r for r in _rows(report).values()
@@ -326,15 +357,15 @@ def _replace_entry(monkeypatch, eid, h=None, **flags):
     monkeypatch.setitem(catalog._INDEX, eid, copy)
 
 
-def test_undecided_u_class_row_falls_back_to_the_grid(monkeypatch):
+def test_undecided_u_class_row_fails(monkeypatch):
     # R = -z^2/(4 (1 + z/4)^2) for f = z + z^2/4: not a monomial, and
-    # |R| <= 1/9 leaves no witness, so the grid decides, as before
+    # |R| <= 1/9 leaves no witness, so the row fails with no value
     f = AnalyticExpr.rational(Fraction(1, 4), Poly([0, 4, 1]))
-    assert verify._u_class_exact(f, FAST.grid()) is None
+    assert verify._u_class_exact(f) is None
     _replace_entry(monkeypatch, "koebe", h=f)
     row = _rows(run_suite("T31", FAST))["koebe", "u_class_margin"]
-    assert row["proof"] == "grid" and "witness" not in row
-    assert row["match"] and row["computed"] > 0
+    assert not row["match"] and row["computed"] is None
+    assert row["proof"] == "exact" and "witness" not in row
 
 
 def test_witness_outside_the_disk_is_rejected():
@@ -346,26 +377,31 @@ def test_witness_outside_the_disk_is_rejected():
     assert verify._outside_witness(r, parse_gauss("1/10")) is None  # |R| < 1 there
 
 
-def test_ring_point_rounding_out_of_the_disk_falls_back_to_the_grid():
-    # one angle: the ring is the point 0.999, which rounds to 1
-    report = run_suite("T31", VerifyConfig(order=16, grid_radii=16, grid_angles=1))
-    rows = _rows(report)
-    assert [rows[eid, "u_class_margin"]["proof"] for eid in catalog_ids("T2")] == [
-        "grid", "grid"]
-    assert rows["koebe", "u_class_margin"]["proof"] == "exact"
+@pytest.mark.parametrize("angles", ["1", "2", "3", "5", "100"])
+def test_t31_reads_the_same_at_every_grid(capsys, angles):
+    # T31 reads no grid: its witnesses lie on a fixed ring, so no angle
+    # count turns a row into a grid row or loses a witness
+    code = main(["verify", "T31", "--grid-angles", angles, "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["summary"]["matched"] == report["summary"]["total"] == 20
+    assert report["summary"]["proofs"]["exact"] == 20
+    default = _rows(json.loads(DEFAULT_RECORDING.read_text(encoding="ascii")))
+    assert all(default[k] == r for k, r in _rows(report).items())
 
 
-def test_jacobian_row_with_h_prime_not_constant_falls_back_to_the_grid(monkeypatch):
+def test_undecided_jacobian_row_fails(monkeypatch):
     # koebe's h' = (1 + z)/(1 - z)^3 has a numerator that is not constant
     koebe = catalog_lookup("koebe").harmonic_map(4)
     assert verify._jacobian_exact(koebe) is None
     # a twin with c z^(N+2) added to h and g: its h' numerator is no
-    # longer constant, and the grid decides its row, as before
+    # longer constant, so its row fails with no value
     twin = "t4_re_koebe_im_halfplane"
     _mutate_past_the_order(monkeypatch, twin, _TINY, _TINY)
     rows = _rows(run_suite("T41", FAST))
-    assert rows[twin, "jacobian_positive"]["proof"] == "grid"
-    assert rows[twin, "jacobian_positive"]["match"]
+    row = rows[twin, "jacobian_positive"]
+    assert not row["match"] and row["computed"] is None
+    assert row["proof"] == "exact" and "witness" not in row
     assert rows["t4_conj_sq_plus", "jacobian_positive"]["proof"] == "exact"
 
 
