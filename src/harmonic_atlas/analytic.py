@@ -11,12 +11,12 @@ Construction enforces the invariants the rest of the package relies on:
 * denominators and log arguments are zero-free on the open unit disk
   (``_vanishes_in_disk``, once per distinct polynomial).  Where a float
   root lies within ``_DISK_MARGIN`` = 1e-4 of the circle or inside it,
-  the exact Schur-Cohn count (``realalg.disk_zero_count``) decides, so a
-  root at 1 - 1e-30 is rejected.  Where that count is singular, as for
-  every polynomial with a root on the circle (each catalog denominator),
-  a float root below 1 - ``_DISK_MARGIN`` rejects, and a root of such a
-  polynomial in (1 - 1e-4, 1) still passes; the float roots are the
-  companion-matrix roots of the squarefree factors (``_poly_roots``);
+  the exact count (``realalg.disk_zero_count``) decides, so a root at
+  1 - 1e-30 is rejected, also beside roots on the circle (where every
+  catalog polynomial has its roots).  Only where that count is singular,
+  as for (z - 2)(z - i/2), a float root below 1 - ``_DISK_MARGIN``
+  rejects and one in (1 - 1e-4, 1) passes; the float roots are those of
+  the squarefree factors (``_poly_roots``);
 * rational terms are normalized so the denominator does not vanish at 0
   (common z^k factors cancel, otherwise ``PoleAtOrigin``);
 * log arguments satisfy L(0) = 1 exactly, so their series have constant
@@ -87,7 +87,7 @@ __all__ = ["Poly", "RatFunc", "RationalTerm", "LogTerm", "AnalyticExpr"]
 
 EPS_POLE = 1e-6
 # How near the circle a float root must lie for the exact count to be
-# asked, and the float rejection's slack where that count is singular; the
+# asked, and the float fallback's slack where that count is singular; the
 # roots of squarefree factors are accurate to about machine epsilon.
 _DISK_MARGIN = 1e-4
 
@@ -319,11 +319,10 @@ def _poly_roots(p: Poly) -> np.ndarray:
 def _vanishes_in_disk(p: Poly) -> bool:
     """Whether p has a root in the open unit disk (module doc): no float
     root within ``_DISK_MARGIN`` of the circle or inside it says no; else
-    the Schur-Cohn count of each squarefree factor decides where it is
-    regular, and where one is singular (every catalog denominator) a float
-    root below 1 - ``_DISK_MARGIN`` says yes.  The factors keep the count
-    small: on (1 - 20001 z/20000)^200 itself its coefficients grow past
-    any time limit."""
+    the exact count of each squarefree factor decides, and where one is
+    singular (no catalog polynomial), a float root below 1 -
+    ``_DISK_MARGIN``.  The factors keep the count small: on (1 - 20001
+    z/20000)^200 itself its coefficients grow past any time limit."""
     roots = _poly_roots(p)
     if not roots.size:
         return False

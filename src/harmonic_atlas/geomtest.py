@@ -24,9 +24,7 @@ The direction-convexity machinery:
   factor -i e^{i mu} (imaginary direction); nonnegativity on the disk is
   the classical slope criterion for convexity in that direction.
 * ``rz_search`` scans a (mu, nu) lattice, 4 x 6 by default, for the best
-  margin.  It scans a lattice point on the whole grid only if its minimum
-  over the outer ring |z| = r_max beats the best margin so far; the result
-  is exactly that of scanning every point.
+  margin, one ``rz_certificate`` per lattice point.
 * ``direction_convexity_probe`` traces the image of a near-boundary circle
   and counts sign changes of the coordinate orthogonal to test lines.
 """
@@ -154,23 +152,19 @@ def _phi_prime(phi: AnalyticExpr, grid: Grid) -> np.ndarray:
     return pp
 
 
-def _rz_parts(phi: AnalyticExpr, axis: str, grid: Grid):
-    """Arrays a, b, c with the slope quantity at (mu, nu) equal to
-    cos(mu) a + sin(mu) b - 2 cos(nu) c."""
+def rz_certificate(phi: AnalyticExpr, p: RZParams, axis: str,
+                   grid: Grid) -> Certificate:
+    """Slope-criterion margin for one (mu, nu) choice: the grid minimum of
+    cos(mu) a + sin(mu) b - 2 cos(nu) c, with a, b and c read off phi',
+    z phi' and z^2 phi'."""
     if axis not in ("real", "imag"):
         raise ValueError("axis must be 'real' or 'imag'")
     zs, pp = grid.points, _phi_prime(phi, grid)
     p0, p1, p2 = pp, zs * pp, zs * zs * pp
     if axis == "real":
-        return p0.real + p2.real, p2.imag - p0.imag, p1.real
-    return p0.imag + p2.imag, p0.real - p2.real, p1.imag
-
-
-def rz_certificate(phi: AnalyticExpr, p: RZParams, axis: str,
-                   grid: Grid) -> Certificate:
-    """Slope-criterion margin for one (mu, nu) choice."""
-    zs = grid.points
-    a, b, c = _rz_parts(phi, axis, grid)
+        a, b, c = p0.real + p2.real, p2.imag - p0.imag, p1.real
+    else:
+        a, b, c = p0.imag + p2.imag, p0.real - p2.real, p1.imag
     vals = math.cos(p.mu) * a + math.sin(p.mu) * b - 2 * math.cos(p.nu) * c
     return _min_certificate(f"rz_{axis}", vals, zs, p)
 
@@ -178,8 +172,8 @@ def rz_certificate(phi: AnalyticExpr, p: RZParams, axis: str,
 def rz_search(phi: AnalyticExpr, axis: str, grid: Grid,
               mu_steps: int = 4, nu_steps: int = 6,
               tol: float = TOL_MARGIN) -> Certificate | None:
-    """Scan the (mu, nu) lattice; return the best-margin certificate if its
-    margin clears -tol, else None.
+    """Scan the (mu, nu) lattice with ``rz_certificate``; return the
+    best-margin certificate if its margin clears -tol, else None.
 
     The lattice has ``mu_steps`` points on [0, 2pi) and ``nu_steps``
     intervals on [0, pi] (endpoints included).  The default 4 x 6 lattice
@@ -187,38 +181,18 @@ def rz_search(phi: AnalyticExpr, axis: str, grid: Grid,
     2pi/3, pi}, where every catalog certificate peaks; it is a subset of
     the finer 96 x 48 lattice, float for float, so it never certifies more.
     Lattice points are visited mu-major and a later point replaces the
-    best only with a strictly larger margin.
-
-    Ring bound.  The first point is always scanned on the whole grid; a
-    NaN margin there stays the best, so the result is None.  A later
-    point is scanned on the whole grid only if its minimum over the outer
-    ring |z| = r_max (the grid's last ``angles_count`` points, in the full
-    scan's float operations) exceeds the best margin: otherwise its grid
-    minimum cannot either.  So the result is that of scanning every point.
-    An explicit 96 x 48 lattice stays exact, but the ring bound alone lets
-    up to a quarter of its 4,704 points through to a full scan, over ten
-    times the time of the default lattice on the default grid.
+    best only with a strictly larger margin, so a NaN margin at the first
+    point stays the best and the result is None.
     """
     if mu_steps < 1 or nu_steps < 1:
         raise ValueError("mu_steps and nu_steps must be at least 1")
-    zs = grid.points
-    a, b, c = _rz_parts(phi, axis, grid)
-    nus = [math.pi * j / nu_steps for j in range(nu_steps + 1)]
-    twice_cos = np.array([2 * math.cos(nu) for nu in nus])
-    ring = slice(-grid.angles_count, None)  # |z| = r_max
     best = None
     for i in range(mu_steps):
-        mu = 2 * math.pi * i / mu_steps
-        base = math.cos(mu) * a + math.sin(mu) * b
-        ring_min = np.min(base[ring] - twice_cos[:, None] * c[ring], axis=1)
-        for j, nu in enumerate(nus):
-            if best is not None and not ring_min[j] > best.margin:
-                continue
-            vals = base - twice_cos[j] * c
-            k = int(np.argmin(vals))
-            if best is None or vals[k] > best.margin:
-                best = Certificate(f"rz_{axis}", float(vals[k]),
-                                   complex(zs[k]), RZParams(mu, nu))
+        for j in range(nu_steps + 1):
+            p = RZParams(2 * math.pi * i / mu_steps, math.pi * j / nu_steps)
+            cert = rz_certificate(phi, p, axis, grid)
+            if best is None or cert.margin > best.margin:
+                best = cert
     return best if best.margin >= -tol else None
 
 

@@ -1,6 +1,6 @@
 """Exact polynomial algebra: arithmetic, division, squarefree factors, the
-sign on the real line, the Cayley map and the Schur-Cohn count of zeros in
-the unit disk.
+sign on the real line, the Cayley map, the count of zeros in the unit disk
+and the test Re(a/d) >= 0 there.
 
 A polynomial here is its coefficient sequence over Q(i), lowest degree
 first, as ``analytic.Poly`` holds it (``Poly.coeffs``); ``Poly``'s
@@ -15,20 +15,21 @@ Every result is exact, and the module imports no numpy.
 * ``cayley(p, n)`` is (1 - it)^n p((1 + it)/(1 - it)), a polynomial in t
   for n >= deg p.  As t runs over the real line, z = (1 + it)/(1 - it)
   runs over the unit circle but z = -1, and |1 - it|^2 = 1 + t^2 > 0.
+* ``re_nonnegative(a, d)`` is Re(a/d) >= 0 on the open disk, that is
+  |(a - d)/(a + d)| <= 1: ``verify``'s slope certificates and ``shear``'s
+  bound |omega| < 1 both ask it.
 * ``disk_zero_count(p)`` is the number of zeros of p in the open unit
-  disk, with multiplicity, by the Schur-Cohn recursion (Basu, Pollack &
-  Roy, ch. 2; Henrici vol. 1, 6.8), or None where the recursion is
-  singular.  With p* (z) = z^n conj(p(1/conj z)) and n = deg p, the Schur
-  transform Tp = conj(p(0)) p - a_n p* has degree below n and Tp(0) =
-  |p(0)|^2 - |a_n|^2 = gamma.  On the circle |p*| = |p|, so for gamma > 0
-  Rouche gives p and Tp the same count, and for gamma < 0 it gives Tp the
-  count of p*, which is n less that of p.  A zero of p on the circle is
-  one of p* and so of every transform; the recursion ends in a nonzero
-  constant only if no gamma is 0, so a regular run also shows that p has
-  no zero on the circle.  Every polynomial whose zeros all lie on the
-  circle (each catalog denominator) is singular at once: |p(0)| = |a_n|.
-  Each transform is made monic before the next step: T(cp) = |c|^2 Tp, so
-  the count is unchanged and the coefficients stay small.
+  disk, with multiplicity.  With n = deg p and p*(z) = z^n conj(p(1/conj
+  z)), g = gcd(p, p*) holds the zeros on the circle, counted by a Sturm
+  count of the Cayley image of each squarefree factor of g, and the pairs
+  alpha, 1/conj alpha, half of them inside.  p/g goes to the Schur-Cohn
+  recursion (Basu, Pollack & Roy, ch. 2; Henrici vol. 1, 6.8): Tp =
+  conj(p(0)) p - a_n p* has degree below n and Tp(0) = |p(0)|^2 - |a_n|^2
+  = gamma.  On the circle |p*| = |p|, so for gamma > 0 Rouche gives p and
+  Tp the same count, and for gamma < 0 it gives Tp the count of p*, n
+  less that of p.  A gamma of 0, as for (z - 2)(z - i/2), leaves the
+  count None.  Each transform is made monic: T(cp) = |c|^2 Tp, so the
+  count is unchanged and the coefficients stay small.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from functools import lru_cache
 from .numkernel import GaussRational, coeff_product
 
 __all__ = ["ptrim", "psub", "pscale", "pderivative", "pdivmod", "pgcd", "squarefree",
-           "nonnegative", "cayley", "disk_zero_count"]
+           "nonnegative", "cayley", "re_nonnegative", "disk_zero_count"]
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
@@ -116,8 +117,7 @@ def squarefree(p) -> list[tuple[tuple, int]]:
 
 
 def _sign(c: GaussRational) -> int:
-    re = c.re
-    return (re > 0) - (re < 0)
+    return (c._a > 0) - (c._a < 0)  # Re c = a/d with d > 0; no Fraction built
 
 
 def _sturm_variations(q) -> int:
@@ -172,24 +172,52 @@ def cayley(p, n: int) -> tuple:
     return ptrim(out)
 
 
+def re_nonnegative(a, d) -> bool:
+    """Re(a/d) >= 0 on the open disk, proved: a + d has no zero in the disk
+    (``disk_zero_count``) and Re(a conj d) >= 0 on the circle (``cayley``,
+    then ``nonnegative``).  Then Phi = (a - d)/(a + d) is analytic in the
+    disk with |Phi| <= 1 on the circle, where it is bounded and so has no
+    pole, hence |Phi| <= 1 in the disk, and a/d = (1 + Phi)/(1 - Phi) has
+    Re = (1 - |Phi|^2)/|1 - Phi|^2 >= 0 there.  Poles of a/d on the circle
+    are allowed.  The circle alone is not enough: a/d may be imaginary on
+    the circle and negative inside."""
+    if disk_zero_count(psub(a, [-c for c in d])) != 0:
+        return False
+    n = max(len(a), len(d)) - 1
+    conj_d = [c.conjugate() for c in cayley(d, n)]
+    product = coeff_product(cayley(a, n), conj_d, 2 * n)
+    return nonnegative([c + c.conjugate() for c in product])  # 2 Re, exactly
+
+
 def disk_zero_count(p) -> int | None:
     """The number of zeros of p in the open unit disk, with multiplicity,
-    or None where the Schur-Cohn recursion is singular (module doc): p is
-    0, or some transform has gamma = 0, as when p has a zero on the
-    circle."""
+    or None where it cannot tell (module doc): p is 0, or the Schur-Cohn
+    recursion on p/gcd(p, p*) meets gamma = 0."""
     p = ptrim(p)
     if not p:
         return None
-    steps = []  # (gamma > 0, degree) of each polynomial of the recursion
+    g = pgcd(p, tuple(c.conjugate() for c in reversed(p)))
+    paired = sum(m * _paired_count(a) for a, m in squarefree(g))
+    p, steps = pdivmod(p, g)[0], []  # (gamma > 0, degree) of each step
     while len(p) > 1:
         n = len(p) - 1
-        gamma = p[0].abs2() - p[n].abs2()
-        if gamma == 0:
-            return None
         head, lead = p[0].conjugate(), p[n]
+        gamma = _sign(p[0] * head - lead * lead.conjugate())  # |p(0)|^2 - |a_n|^2
+        if not gamma:
+            return None
         steps.append((gamma > 0, n))
         p = _monic(ptrim(head * p[k] - lead * p[n - k].conjugate() for k in range(n)))
     count = 0  # a nonzero constant has no zeros
     for same, n in reversed(steps):
         count = count if same else n - count
-    return count
+    return paired + count
+
+
+def _paired_count(a) -> int:
+    """The zeros in the open disk of a squarefree a whose zeros lie on the
+    circle or in pairs alpha, 1/conj alpha: half of those off the circle.
+    Those on it are the real roots of cayley(a), real once divided by a
+    coefficient, and -1 where cayley(a) loses degree."""
+    t = cayley(a, len(a) - 1)
+    on_circle = _sturm_variations(tuple(c / t[-1] for c in t)) + len(a) - len(t)
+    return (len(a) - 1 - on_circle) // 2

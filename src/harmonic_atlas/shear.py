@@ -26,16 +26,16 @@ need M <= 13 (``proof_order``; ``verify`` builds each of them at its M).
 A g written as s (source - h) term for term, as every proof shear's is,
 is proved with h and not checked apart: its series is s (source - h) at
 every order.  Only the 8 hand-typed g of T4 and T6 have their own check.
-Without a source (conformal or hand-built maps), or with a log term in
-omega, the check compares to the map's order N.
+Without a source (conformal or hand-built maps), the check compares to
+the map's order N.
 
-What is decided for every n: the closed forms of a map with a source and
-a log-free omega (above), and ``dilatation_check`` on a map with closed
-forms for h and g and a log-free omega (g' = omega h' on the derivatives,
-exactly).  A map without closed forms, such as the 8 catalog shears that
-have none or any map the ``shear`` command builds, has only its order-N
-series: its identities and classes hold to N.  |omega| < 1 is sampled on
-``_OMEGA_GRID``, once per omega object.
+omega is rational (``HarmonicMap`` refuses a log term in it), and a shear
+decides |omega| < 1 on the disk exactly, once per omega object
+(``_omega_bounded``).  Also decided for every n: the closed forms of a map
+with a source (above), and ``dilatation_check`` on a map with closed forms
+for h and g.  A map without closed forms, such as the 8 catalog shears
+that have none or any map the ``shear`` command builds, has only its
+order-N series: its identities and classes hold to N.
 
 Values of h and g come from closed forms only.  A truncated series is
 wrong well inside the disk: at order 32 the catalog shear f7_cvi is off by
@@ -54,30 +54,29 @@ import numpy as np
 
 from .analytic import EPS_POLE, AnalyticExpr, LogTerm, near_pole
 from .errors import (
-    DilatationTooLarge, Frozen, NearPole, NoClosedForm, NotNormalized, SeriesMismatch,
+    DilatationTooLarge, Frozen, InvalidExpression, NearPole, NoClosedForm, NotNormalized,
+    SeriesMismatch,
 )
 from .numkernel import Series
+from .realalg import re_nonnegative
 
 __all__ = ["HarmonicMap", "shear_real", "shear_imag", "dilatation_check", "proof_order"]
 
 _BLOCK = 4096  # points per block of eval_masked: 64 KiB of complex
-# the |omega| < 1 sampling grid of every shear: 16 radii x 64 angles
-_OMEGA_GRID = (np.linspace(0.999 / 16, 0.999, 16)[:, None]
-               * np.exp(2j * np.pi * np.arange(64) / 64)[None, :]).ravel()
-_OMEGA_GRID.flags.writeable = False
 
 
 class HarmonicMap(Frozen):
     """Pair (h, g) with dilatation omega; f = h + conj(g).
 
+    omega is rational: one with a log term raises ``InvalidExpression``.
     ``source`` holds the conformal map the shear was built from (phi for
     axis="real", psi for axis="imag") when the map came out of a shear.
     Only ``_shear`` sets it, and a map with a source carries that recipe's
     series: h' = source'/(1 + s omega) and g = s (source - h), s = -1 for
     axis="real", +1 for "imag".  A closed form for h or g is checked
     against its series at the order that proves it for every n (module
-    doc), at most the map's order N; without a source, or with a log term
-    in omega, at N; a g that is s (source - h) term for term goes with h
+    doc), at most the map's order N; without a source, at N; a g that is
+    s (source - h) term for term goes with h
     (``_proofs``).  ``replace`` builds a new map and checks it the same
     way.  One that keeps both series and the source and swaps omega for
     one of the same degrees (REMARK's g' = +-z h' identities, the
@@ -94,6 +93,7 @@ class HarmonicMap(Frozen):
             raise NotNormalized("h must satisfy h(0)=0, h'(0)=1")
         if g_series.coeff(0) != 0:
             raise NotNormalized("g must satisfy g(0)=0")
+        _rational(omega)
         n = h_series.order
         for name, expr, m in _proofs(h_expr, g_expr, source, omega, axis):
             m = n if m is None else min(n, m)
@@ -238,18 +238,16 @@ def _proof_order(expr: AnalyticExpr, w: AnalyticExpr | None,
 def _proofs(h_expr, g_expr, source, omega, axis) -> list:
     """(name, closed form, M) for each closed form a map checks: agreement
     with its series at order M proves it for every n (module doc); M is
-    None where only the map's order can be read (no source, or a log term
-    in omega).  A g that is s (source - h) term for term is not listed:
-    it is proved with h."""
-    bounded = source is not None and not any(isinstance(t, LogTerm) for t in omega.terms)
+    None where only the map's order can be read (no source).  A g that is
+    s (source - h) term for term is not listed: it is proved with h."""
     out = []
     if h_expr is not None:
         out.append(("h", h_expr, _proof_order(h_expr, None, source, omega)
-                    if bounded else None))
+                    if source is not None else None))
     if g_expr is not None and not (h_expr is not None and source is not None
                                    and g_expr.terms == _g_terms(h_expr, source, axis)):
         out.append(("g", g_expr, _proof_order(g_expr, omega, source, omega)
-                    if bounded else None))
+                    if source is not None else None))
     return out
 
 
@@ -262,16 +260,27 @@ def _g_terms(h_expr: AnalyticExpr, source: AnalyticExpr, axis: str) -> tuple:
 
 def proof_order(h_expr, g_expr, source, omega, axis) -> int | None:
     """The lowest order at which the shear of ``source`` by ``omega`` along
-    ``axis`` proves ``h_expr`` and ``g_expr`` for every n; None where no
-    order does (a log term in omega) or there is no closed form."""
+    ``axis`` proves ``h_expr`` and ``g_expr`` for every n; None where
+    there is no closed form."""
     orders = [m for _, _, m in _proofs(h_expr, g_expr, source, omega, axis)]
     return None if not orders or None in orders else max(orders)
 
 
+def _rational(omega: AnalyticExpr):
+    """omega's rational part; a log term in omega raises ``InvalidExpression``."""
+    if omega.log_part():
+        raise InvalidExpression("omega must be rational: it has a log term")
+    return omega.rational_part()
+
+
 @lru_cache(maxsize=64)  # the catalog's shears have two: +z and -z
-def _omega_peak(omega: AnalyticExpr) -> float:
-    """max |omega| on ``_OMEGA_GRID``, sampled once per omega object."""
-    return float(np.max(np.abs(omega.eval(_OMEGA_GRID))))
+def _omega_bounded(omega: AnalyticExpr) -> bool:
+    """|omega| < 1 on the open disk for omega(0) = 0, exactly: with omega =
+    P/Q in lowest terms, Re((Q + P)/(Q - P)) >= 0 on the disk
+    (``realalg.re_nonnegative``) is |omega| <= 1 there, and by the maximum
+    modulus principle an omega with omega(0) = 0 stays below 1."""
+    w = _rational(omega).reduced()
+    return re_nonnegative((w.den + w.num).coeffs, (w.den - w.num).coeffs)
 
 
 def _check_shear_inputs(conformal: AnalyticExpr, omega: AnalyticExpr, order: int):
@@ -283,8 +292,8 @@ def _check_shear_inputs(conformal: AnalyticExpr, omega: AnalyticExpr, order: int
     om = omega.series(order - 1 if order > 1 else 0)
     if om.coeff(0) != 0:
         raise NotNormalized("dilatation must satisfy omega(0)=0")
-    if _omega_peak(omega) >= 1 - 1e-9:
-        raise DilatationTooLarge("|omega| reaches 1 on the sampling grid")
+    if not _omega_bounded(omega):
+        raise DilatationTooLarge("|omega| < 1 fails on the unit disk")
     return s
 
 
@@ -317,14 +326,14 @@ def shear_imag(psi: AnalyticExpr, omega: AnalyticExpr, order: int = 64) -> Harmo
 def dilatation_check(F: HarmonicMap) -> bool:
     """g' = omega h', exactly.  The truncated series decide first, and a
     coefficient that differs is a no for every n.  With closed forms for h
-    and g and a log-free omega, the identity is then decided for every n:
+    and g, the identity is then decided for every n:
     h', g' (rational, ``AnalyticExpr.derivative``) and omega, each summed
     into one quotient, are compared cross-multiplied.  Otherwise the series
     are the answer, to the map's order."""
     n1 = max(min(F.h_series.order, F.g_series.order) - 1, 0)
     lhs = F.g_series.derivative().truncate(n1)
     rhs = F.omega.series(n1) * F.h_series.derivative().truncate(n1)
-    if lhs != rhs or F.h_expr is None or F.g_expr is None or F.omega.log_part():
+    if lhs != rhs or F.h_expr is None or F.g_expr is None:
         return lhs == rhs
     dh, dg = F.h_expr.derivative().rational_part(), F.g_expr.derivative().rational_part()
     om = F.omega.rational_part()

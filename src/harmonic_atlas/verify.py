@@ -53,7 +53,7 @@ an exact witness, so they read the same at every config; a row its test
 cannot decide (none in the catalog) fails, with no value and no witness.
 A certificate is the slope criterion of Royster & Ziegler at one of ten
 (mu, nu) pairs in Q(i): Re R >= 0 on the disk for a rational R, proved by
-a Sturm count on the circle and a Schur-Cohn count inside (``realalg``).
+``realalg.re_nonnegative``, the test that also bounds a shear's |omega|.
 ``geomtest.u_class_margin``, ``jacobian_min`` and ``rz_search`` stay as
 the test oracle of these rows.  The other grid rows (falsifiers, REMARK's
 margins and starlike rows) read closed forms only, and REMARK's two
@@ -77,8 +77,8 @@ from .geomtest import (
     R_MAX, TOL_MARGIN, Grid, default_grid, direction_convexity_probe, m_theta_check,
     rz_search, starlike_derivative,
 )  # no row calls rz_search; the benchmark's tests trace it as verify.rz_search
-from .numkernel import GaussRational, coeff_product
-from .realalg import cayley, disk_zero_count, nonnegative
+from .numkernel import GaussRational
+from .realalg import re_nonnegative
 from .shear import HarmonicMap, dilatation_check
 
 __all__ = ["VerifyConfig", "run_suite", "SUITES", "report_json", "series_twins"]
@@ -243,9 +243,9 @@ _RZ_QUAD_SCREEN = np.array([quad(_RZ_SCREEN) for _, _, quad in _RZ_PAIRS])
 def _rz_exact(phi: AnalyticExpr, axis: str) -> dict | None:
     """The witness that phi is convex in the ``axis`` direction by the slope
     criterion, decided exactly: the first pair of ``_RZ_PAIRS`` for which
-    ``_re_nonnegative`` proves Re R >= 0 on the disk, with R = k (e - 2cz
-    + conj(e) z^2) phi', e = e^{i mu}, c = cos nu and k = 1 (real) or -i
-    (imag), so that Re R is the quantity ``geomtest.rz_certificate``
+    ``realalg.re_nonnegative`` proves Re R >= 0 on the disk, with R = k (e
+    - 2cz + conj(e) z^2) phi', e = e^{i mu}, c = cos nu and k = 1 (real)
+    or -i (imag), so that Re R is the quantity ``geomtest.rz_certificate``
     samples.  A pair whose float Re R is negative at a point of
     ``_RZ_SCREEN`` cannot be proved and is skipped: the screen only skips,
     and each catalog row runs one proof.  None when no pair is proved."""
@@ -261,27 +261,9 @@ def _rz_exact(phi: AnalyticExpr, axis: str) -> dict | None:
         den = divmod(p.den, g)[0]
         unit = GaussRational(1) / den.coeff(0)  # written with D(0) = 1
         r = RatFunc((divmod(quad, g)[0] * p.num).scale(k * unit), den.scale(unit))
-        if _re_nonnegative(r):
+        if re_nonnegative(r.num.coeffs, r.den.coeffs):
             return {"mu": mu, "nu": nu, "R": _rat_text(r)}
     return None
-
-
-def _re_nonnegative(r: RatFunc) -> bool:
-    """Re R >= 0 on the open disk for R = A/D, proved: A + D has no zero in
-    the disk (``disk_zero_count``, regular) and Re(A conj D) >= 0 on the
-    circle (``cayley``, then ``nonnegative``).  Then Phi = (A - D)/(A + D)
-    is analytic in the disk with |Phi| <= 1 on the circle, where it is
-    bounded and so has no pole, hence |Phi| <= 1 in the disk, and R = (1 +
-    Phi)/(1 - Phi) has Re R = (1 - |Phi|^2)/|1 - Phi|^2 >= 0 there.  Poles
-    of R on the circle are allowed.  The circle alone is not enough: R may
-    be imaginary on the circle and negative inside."""
-    a, d = r.num, r.den
-    if disk_zero_count((a + d).coeffs) != 0:
-        return False
-    n = max(a.degree, d.degree)
-    conj_d = [c.conjugate() for c in cayley(d.coeffs, n)]
-    product = coeff_product(cayley(a.coeffs, n), conj_d, 2 * n)
-    return nonnegative([GaussRational(c.re) for c in product])
 
 
 def series_twins(fm, twin_maps: dict) -> list[str]:
@@ -416,10 +398,9 @@ def _jacobian_exact(F: HarmonicMap) -> dict | None:
     this test cannot tell: g' = omega h' exactly (``dilatation_check``),
     omega = c z^k with k >= 1 and |c| <= 1 (or 0), and h' = a/Q in lowest
     terms with a constant a.  Then J = |h'|^2 (1 - |omega|^2) > 0.  That Q
-    has no root in the disk rests on ``AnalyticExpr._validate``: the
-    catalog's Q have their roots on the circle, where its exact count is
-    singular, so on its float check."""
-    if F.h_expr is None or F.omega.log_part():
+    has no root in the disk rests on ``AnalyticExpr._validate``, whose
+    exact count decides every catalog Q."""
+    if F.h_expr is None:
         return None
     omega = _schwarz_monomial(F.omega.rational_part())
     hp = F.h_expr.derivative().rational_part().reduced()

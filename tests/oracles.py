@@ -3,11 +3,12 @@
 These deliberately avoid the package's Series/AnalyticExpr code paths:
 plain Fraction lists and textbook recurrences only, so that an agreement
 between a library result and an oracle value is a genuine cross-check.
-The numeric oracles are references that a faster route must reproduce
-exactly: ``rz_search_bruteforce``, the plain lattice scan behind the pruned
-``rz_search``, ``path_data_reference``, the per-point loop behind the
-run-at-a-time SVG path formatter, and ``pole_mask_bruteforce``, the
-every-pole test behind the radius-screened pole guard.  They import numpy only when called, so
+The numeric oracles are references that the package's route must
+reproduce exactly: ``rz_search_bruteforce``, the lattice scan that
+``rz_search`` makes with ``rz_certificate``, written apart;
+``path_data_reference``, the per-point loop behind the run-at-a-time SVG
+path formatter; and ``pole_mask_bruteforce``, the every-pole test behind
+the radius-screened pole guard.  They import numpy only when called, so
 importing this module (as perfbench does at set-up) loads neither numpy nor
 the package.  ``GaussRational`` here is the Fraction-pair class the package
 used before its integer-triple representation, kept as the reference the
@@ -104,8 +105,8 @@ def gaussian_long_division(num, den, order):
 
 def rz_search_bruteforce(phi, axis, grid, mu_steps=96, nu_steps=48,
                          tol=1e-9):
-    """The unpruned slope-criterion lattice scan: every (mu, nu) point is
-    evaluated on the whole grid.  Returns (margin, witness, mu, nu) of the
+    """The slope-criterion lattice scan: every (mu, nu) point is evaluated
+    on the whole grid.  Returns (margin, witness, mu, nu) of the
     best margin if it clears -tol, else None."""
     import numpy as np
 

@@ -84,19 +84,24 @@ def test_root_near_the_circle_outside_accepted_by_the_exact_count(den):
 
 
 def test_singular_count_keeps_the_float_scan():
-    # a root on the circle makes the count singular: every catalog
-    # denominator, whose cyclotomic factors give |p(0)| = |a_n|; there
-    # the float roots decide, with the margin, so a root of such a
-    # polynomial in 1 - 1e-4 < |z| < 1 still passes
+    # every catalog denominator and log argument has its roots on the
+    # circle, and is counted exactly: 0.  A pole inside beside a root on
+    # the circle is refused.  Only a count that stays singular, as for
+    # (1 - z/r)(1 - z/s) with |r s| = 1 and no pair, keeps the float scan
+    # with its margin, so its root r = 0.99995 still passes
     for p in {t[-1] for e in catalog_build() for part in (e.h, e.g)
               if part is not None for t in part.terms}:
         if p.degree > 0:
-            assert realalg.disk_zero_count(p.coeffs) is None, p
+            assert realalg.disk_zero_count(p.coeffs) == 0, p
     near = P(1, -1) * P(1, F(-20001, 20000))
-    assert realalg.disk_zero_count(near.coeffs) is None
-    AnalyticExpr.rational(1, Z, near)  # accepted, as before
+    assert realalg.disk_zero_count(near.coeffs) == 1
+    with pytest.raises(InvalidExpression, match="vanishes inside the unit disk"):
+        AnalyticExpr.rational(1, Z, near)
     with pytest.raises(InvalidExpression):
         AnalyticExpr.rational(1, Z, P(1, -1) * P(1, -2))
+    unpaired = P(1, F(-20001, 20000)) * P(1, GaussRational(0, F(20000, 20001)))
+    assert realalg.disk_zero_count(unpaired.coeffs) is None
+    AnalyticExpr.rational(1, Z, unpaired)  # accepted: the leftover case
 
 
 def test_disk_test_runs_once_per_polynomial(monkeypatch):

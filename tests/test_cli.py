@@ -76,6 +76,7 @@ def test_expand_f3(capsys):
     "z/(1-20001z/20000)",  # a pole at 0.99995, within 1e-4 of the circle
     "z/(1-1000000000000000000000000000000z/999999999999999999999999999999)",  # 1 - 1e-30
     "z/(1-20001z/20000)^200",  # counted on its squarefree factor, not on the power
+    "z/((1-z)(1-20001z/20000))",  # beside a pole on the circle
 ])
 def test_expand_pole_just_inside_the_disk_exit_2(capsys, text):
     code, out, err = run(capsys, "expand", text, "3")
@@ -312,6 +313,22 @@ def test_shear_dilatation_error_exit_2(capsys):
     code, _, err = run(capsys, "shear", "z", "z(1+z)", "real")
     assert code == 2
     assert "DilatationTooLarge" in err
+
+
+@pytest.mark.parametrize("omega, error", [
+    ("10001z/10000", "DilatationTooLarge"),  # |omega| > 1 for |z| > 0.9999 only
+    ("log(1/8; 1,1)", "InvalidExpression"),  # unbounded at z = -1
+])
+def test_shear_omega_out_of_the_disk_exit_2(capsys, omega, error):
+    code, out, err = run(capsys, "shear", "z", omega, "real")
+    assert (code, out) == (2, "")
+    assert error in err
+
+
+@pytest.mark.parametrize("omega", ["z/(2-z)", "(z+z^2)/2"])
+def test_shear_omega_reaching_1_on_the_circle_exit_0(capsys, omega):
+    code, _, _ = run(capsys, "shear", "z", omega, "real")
+    assert code == 0
 
 
 def test_classify(capsys):

@@ -47,8 +47,8 @@ gaussian = st.builds(G, small, small)
 @settings(max_examples=150, deadline=None)
 @given(roots=st.lists(gaussian, min_size=1, max_size=7), lead=gaussian)
 def test_disk_zero_count_against_np_roots(roots, lead):
-    # roots at least 1e-3 from the circle; a regular count is exact, and a
-    # singular one (as for a pair r, 1/conj r) says so
+    # roots at least 1e-3 from the circle; a count is exact, pairs r,
+    # 1/conj r included, and a singular one says so
     assume(not lead.is_zero)
     assume(all(abs(abs(complex(r)) - 1) >= 1e-3 for r in roots))
     p = from_roots(roots, lead)
@@ -57,6 +57,24 @@ def test_disk_zero_count_against_np_roots(roots, lead):
     if count is not None:
         assert count == int(np.sum(np.abs(floats) < 1))
         assert count == sum(r.abs2() < 1 for r in roots)
+
+
+inner = st.fractions(min_value=F(-2, 3), max_value=F(2, 3), max_denominator=6)
+in_disk = st.builds(G, inner, inner)  # |r| <= 0.95
+
+
+@settings(max_examples=150, deadline=None)
+@given(inside=st.lists(in_disk, max_size=3), paired=st.lists(in_disk, max_size=2),
+       circle=st.lists(st.sampled_from([1, -1, G(0, 1), G(0, -1), G(F(3, 5), F(4, 5)),
+                                        G(F(-5, 13), F(12, 13))]), max_size=3))
+def test_disk_zero_count_with_roots_on_the_circle(inside, paired, circle):
+    # roots on the circle (repeated or not) and pairs r, 1/conj r beside
+    # roots inside: gcd(p, p*) holds the first two, and the rest, all
+    # inside, is regular for Schur-Cohn, so every such p is counted
+    assume(all(not r.is_zero for r in paired))
+    p = from_roots(inside + paired + [G(1) / r.conjugate() for r in paired] + circle)
+    count = realalg.disk_zero_count(p)
+    assert count == len(inside) + len(paired)
 
 
 def test_disk_zero_count_examples():
@@ -69,14 +87,40 @@ def test_disk_zero_count_examples():
     assert realalg.disk_zero_count(from_roots([0, 0, 0, 5])) == 3
 
 
-@pytest.mark.parametrize("p", [
-    (), from_roots([1]), from_roots([G(0, 1), F(1, 2)]), from_roots([F(1, 2), 2]),
-    (G(1), G(0), G(1)), from_roots([-1, -1, F(1, 3)]), from_roots([F(1, 2), F(1, 3), 3]),
-])
-def test_disk_zero_count_singular(p):
-    # the zero polynomial, a root on the circle, or gamma = 0 on the way
-    # (a pair r, 1/conj r: the last p has 1/3 and 3)
-    assert realalg.disk_zero_count(p) is None
+@pytest.mark.parametrize("p, count", [
+    ((), None), (from_roots([1]), 0), (from_roots([G(0, 1), F(1, 2)]), 1),
+    (from_roots([F(1, 2), 2]), 1), ((G(1), G(0), G(1)), 0), (from_roots([-1, -1, F(1, 3)]), 1),
+    (from_roots([F(1, 2), F(1, 3), 3]), 2),
+], ids=[f"p{k}" for k in range(7)])
+def test_disk_zero_count_singular(p, count):
+    # the polynomials on which the Schur-Cohn recursion alone is singular:
+    # a root on the circle, or gamma = 0 on the way (a pair r, 1/conj r:
+    # the last p has 1/3 and 3).  gcd(p, p*) takes them apart, so only
+    # the zero polynomial is left without a count
+    assert realalg.disk_zero_count(p) == count
+
+
+def test_disk_zero_count_leaves_an_unpaired_gamma_0_singular():
+    # (z - 2)(z - i/2): |p(0)| = |a_2| with no root on the circle and no
+    # pair, so gcd(p, p*) = 1 and the recursion stops at once
+    assert realalg.disk_zero_count(from_roots([2, G(0, F(1, 2))])) is None
+    assert realalg.disk_zero_count(from_roots([2, G(0, F(1, 2)), 1, 1])) is None
+
+
+# -- Re(a/d) >= 0 on the disk --------------------------------------------------
+
+def test_re_nonnegative_examples():
+    # (1 + z)/(1 - z) maps the disk onto the right half-plane, with a pole
+    # on the circle, and -(1 + z)/(1 - z) onto the left one; 1 + 2z is
+    # negative near z = -1
+    one_plus, one_minus = (G(1), G(1)), (G(1), G(-1))
+    assert realalg.re_nonnegative(one_plus, one_minus)
+    assert not realalg.re_nonnegative((G(-1), G(-1)), one_minus)
+    assert realalg.re_nonnegative(one_plus, ONE)
+    assert not realalg.re_nonnegative((G(1), G(2)), ONE)
+    # i (1 + z)/(1 - z) is imaginary on the circle, and so is i itself
+    assert not realalg.re_nonnegative((G(0, 1), G(0, 1)), one_minus)
+    assert realalg.re_nonnegative((G(0, 1),), ONE)
 
 
 # -- the sign on the real line -----------------------------------------------

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic_atlas import (
-    AnalyticExpr, DilatationTooLarge, GaussRational, NearPole, NoClosedForm, NotNormalized,
-    Poly, Series, SeriesMismatch, catalog_lookup, dilatation_check, parse_any,
+    AnalyticExpr, DilatationTooLarge, GaussRational, InvalidExpression, NearPole, NoClosedForm,
+    NotNormalized, Poly, Series, SeriesMismatch, catalog_lookup, dilatation_check, parse_any,
     parse_expr_text, parse_formula, shear_imag, shear_real,
 )
 from harmonic_atlas import catalog_ids, numkernel
@@ -145,10 +145,12 @@ def test_expansion_cost_grows_linearly(monkeypatch):
 
     # fresh expressions each run, so no series cache is warm; the shear
     # source is hslits_wide's conformal map.  Every denominator here has
-    # constant term 1, so division spends no products on 1/d_0.
+    # constant term 1, so division spends no products on 1/d_0.  The
+    # shear's exact |omega| < 1 proof of its fresh omega costs one
+    # product at every order.
     for run, pinned in ((lambda n: parse_any("z/(1-z)^2").series(n), (399, 783)),
                         (lambda n: shear_real(parse_formula("z/(1-z+z^2)"),
-                                              parse_formula("z"), n), (397, 780))):
+                                              parse_formula("z"), n), (398, 781))):
         small, large = products(lambda: run(128)), products(lambda: run(256))
         assert (small, large) == pinned
         assert large / small < 2.5, (small, large)
@@ -286,11 +288,13 @@ def test_check_compares_at_the_proof_order_only_where_it_is_one(monkeypatch):
     assert _check_orders(monkeypatch, lambda: HarmonicMap(
         Series([0, 1], order=8), Series.zero(8), AnalyticExpr.zero(),
         h_expr=Z_EXPR, g_expr=AnalyticExpr.zero())) == [8, 8]
-    # omega with a log term: its h' is not rational, so no degree bound
+    # omega with a log term is refused, by the shear and by the map
     log_omega = parse_expr_text("log(1/8; 1,1)")
-    fm = shear_real(Z_EXPR, log_omega, 12)
-    assert _check_orders(monkeypatch, lambda: fm.replace(
-        h_expr=Z_EXPR, g_expr=AnalyticExpr.zero())) == [12]
+    with pytest.raises(InvalidExpression, match="omega must be rational"):
+        shear_real(Z_EXPR, log_omega, 12)
+    fm = shear_real(Z_EXPR, Z_EXPR, 12)
+    with pytest.raises(InvalidExpression, match="omega must be rational"):
+        fm.replace(omega=log_omega)
 
 
 @settings(max_examples=120, deadline=None)
@@ -328,6 +332,28 @@ def test_not_normalized_rejected():
 def test_dilatation_too_large_rejected():
     with pytest.raises(DilatationTooLarge):
         shear_real(parse_formula("z"), parse_formula("z(1+z)"), 8)
+    # |omega| > 1 only for |z| > 0.9999, beyond any float grid to 0.999
+    with pytest.raises(DilatationTooLarge):
+        shear_real(parse_formula("z"), parse_formula("10001z/10000"), 8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(num=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=3),
+       pole=st.tuples(st.integers(-9, 9), st.integers(-9, 9)), scale=st.integers(1, 6))
+def test_omega_verdict_agrees_with_a_float_sample(num, pole, scale):
+    # omega = z P(z)/(scale (1 - q z)) with |q| <= 0.9: the exact verdict
+    # is the sampled peak of |omega| on |z| = 0.9999 against 1, wherever
+    # that peak is 1e-3 or more away from 1
+    q = GaussRational(F(pole[0], 10), F(pole[1], 10))
+    if q.abs2() > F(81, 100):
+        return
+    p = Poly([0] + [GaussRational(F(a, 4), F(b, 4)) for a, b in num])
+    omega = AnalyticExpr.rational(F(1, scale), p, Poly([1, -q]))
+    zs = 0.9999 * np.exp(2j * np.pi * np.arange(4096) / 4096)
+    peak = float(np.max(np.abs(omega.eval(zs))))
+    if abs(peak - 1) < 1e-3:
+        return
+    assert shear_mod._omega_bounded(omega) == (peak < 1), peak
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -455,12 +481,13 @@ def test_dilatation_check_decides_past_the_series():
 
 
 def test_omega_is_sampled_once_per_object():
-    shear_mod._omega_peak.cache_clear()
+    # |omega| < 1 is decided exactly, once per omega object
+    shear_mod._omega_bounded.cache_clear()
     phi = catalog_lookup("koebe").h
     for order in (4, 8, 16):
         shear_real(phi, Z_EXPR, order)
         shear_imag(phi, NEG_Z, order)
-    assert shear_mod._omega_peak.cache_info().misses == 2
+    assert shear_mod._omega_bounded.cache_info().misses == 2
 
 
 def test_conformal_maps_share_one_zero_expression():

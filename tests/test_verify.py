@@ -164,9 +164,9 @@ def test_config_accepts_its_range_ends():
 def test_verify_all_shears_closed_forms_at_their_proof_orders(monkeypatch):
     # a cold `verify all` at the default config integrates the 8 shears
     # without closed forms at order 64 and the other 48 at the orders that
-    # prove their closed forms; |omega| < 1 is sampled for +z and -z only
+    # prove their closed forms; |omega| < 1 is decided for +z and -z only
     monkeypatch.setattr(catalog, "_INDEX", {})
-    shear_mod._omega_peak.cache_clear()
+    shear_mod._omega_bounded.cache_clear()
     orders = Counter()
     real = shear_mod._shear
 
@@ -183,7 +183,7 @@ def test_verify_all_shears_closed_forms_at_their_proof_orders(monkeypatch):
     assert orders == want
     assert orders[64] == sum(e.h is None for e in shears) == 8
     assert set(orders) - {64} <= set(range(2, 14))
-    assert shear_mod._omega_peak.cache_info().misses == 2
+    assert shear_mod._omega_bounded.cache_info().misses == 2
 
 
 _TINY = Fraction(1, 10**12)
