@@ -28,8 +28,8 @@ class NotNormalized(HarmonicAtlasError):
 
 
 class DilatationTooLarge(HarmonicAtlasError):
-    """Grid maximum of |omega| reaches 1; the shear would not be
-    sense-preserving."""
+    """|omega| < 1 fails on the disk, or is not proved; the shear would not
+    be sense-preserving."""
 
 
 class UnknownId(HarmonicAtlasError, KeyError):

@@ -11,11 +11,9 @@ not refute it for the disk itself.  A probe that finds nothing proves
 nothing.  Certificates record the grid minimum and the witness point
 attaining it.
 
-``verify`` decides its distortion-class, Jacobian and slope-certificate
-rows exactly on the closed forms, with no fallback: a row the exact test
-cannot decide fails.  ``u_class_margin``, ``jacobian_min`` and
-``rz_search`` are only the test oracle of those rows (the tests hold the
-verdicts equal on the default grid); ``verify`` runs none of them.
+``u_class_margin``, ``jacobian_min`` and ``rz_search`` are only the test
+oracle of ``verify``'s exact rows of the same quantities, which run none
+of them.
 
 The direction-convexity machinery:
 

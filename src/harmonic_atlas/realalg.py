@@ -1,6 +1,6 @@
-"""Exact polynomial algebra: arithmetic, division, squarefree factors, the
-sign on the real line, the Cayley map, the count of zeros in the unit disk
-and the test Re(a/d) >= 0 there.
+"""Exact polynomial algebra: arithmetic, division, evaluation, squarefree
+factors, the sign on the real line, the Cayley map, the count of zeros in
+the unit disk and the tests Re(a/d) >= 0 and |p/q| <= 1 there.
 
 A polynomial here is its coefficient sequence over Q(i), lowest degree
 first, as ``analytic.Poly`` holds it (``Poly.coeffs``); ``Poly``'s
@@ -16,8 +16,9 @@ Every result is exact, and the module imports no numpy.
   for n >= deg p.  As t runs over the real line, z = (1 + it)/(1 - it)
   runs over the unit circle but z = -1, and |1 - it|^2 = 1 + t^2 > 0.
 * ``re_nonnegative(a, d)`` is Re(a/d) >= 0 on the open disk, that is
-  |(a - d)/(a + d)| <= 1: ``verify``'s slope certificates and ``shear``'s
-  bound |omega| < 1 both ask it.
+  |(a - d)/(a + d)| <= 1, for ``verify``'s slope certificates, and
+  ``bounded_by_one(p, q)`` is |p/q| <= 1 there, for ``shear``'s |omega| <
+  1 and ``verify``'s distortion class, with a point where it fails.
 * ``disk_zero_count(p)`` is the number of zeros of p in the open unit
   disk, with multiplicity.  With n = deg p and p*(z) = z^n conj(p(1/conj
   z)), g = gcd(p, p*) holds the zeros on the circle, counted by a Sturm
@@ -34,12 +35,14 @@ Every result is exact, and the module imports no numpy.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .numkernel import GaussRational, coeff_product
 
-__all__ = ["ptrim", "psub", "pscale", "pderivative", "pdivmod", "pgcd", "squarefree",
-           "nonnegative", "cayley", "re_nonnegative", "disk_zero_count"]
+__all__ = ["ptrim", "psub", "pscale", "pderivative", "pdivmod", "pgcd", "squarefree", "peval",
+           "nonnegative", "cayley", "re_nonnegative", "bounded_by_one", "disk_zero_count"]
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
@@ -172,21 +175,49 @@ def cayley(p, n: int) -> tuple:
     return ptrim(out)
 
 
+def peval(p, z: GaussRational) -> GaussRational:
+    """p(z), exactly (Horner): the one exact evaluation."""
+    acc = _ZERO
+    for c in reversed(p):
+        acc = acc * z + c
+    return acc
+
+
 def re_nonnegative(a, d) -> bool:
-    """Re(a/d) >= 0 on the open disk, proved: a + d has no zero in the disk
-    (``disk_zero_count``) and Re(a conj d) >= 0 on the circle (``cayley``,
-    then ``nonnegative``).  Then Phi = (a - d)/(a + d) is analytic in the
-    disk with |Phi| <= 1 on the circle, where it is bounded and so has no
-    pole, hence |Phi| <= 1 in the disk, and a/d = (1 + Phi)/(1 - Phi) has
-    Re = (1 - |Phi|^2)/|1 - Phi|^2 >= 0 there.  Poles of a/d on the circle
-    are allowed.  The circle alone is not enough: a/d may be imaginary on
-    the circle and negative inside."""
-    if disk_zero_count(psub(a, [-c for c in d])) != 0:
-        return False
-    n = max(len(a), len(d)) - 1
-    conj_d = [c.conjugate() for c in cayley(d, n)]
-    product = coeff_product(cayley(a, n), conj_d, 2 * n)
-    return nonnegative([c + c.conjugate() for c in product])  # 2 Re, exactly
+    """Re(a/d) >= 0 on the open disk, proved as |Phi| <= 1 there for Phi =
+    (a - d)/(a + d) (``bounded_by_one``): a/d = (1 + Phi)/(1 - Phi) has Re
+    = (1 - |Phi|^2)/|1 - Phi|^2.  Poles of a/d on the circle are allowed."""
+    return bounded_by_one(psub(a, d), psub(a, [-c for c in d]))[0]
+
+
+def bounded_by_one(p, q) -> tuple[bool, GaussRational | None]:
+    """|p/q| <= 1 on the open disk, for q != 0, proved: q has no zero in the
+    disk (``disk_zero_count``) and 2 (|q|^2 - |p|^2) = 2 Re((q + p) conj(q
+    - p)) >= 0 on the circle (``cayley``, then ``nonnegative``); so p/q is
+    analytic in the disk, bounded on the circle and so pole-free there, and
+    at most 1 (maximum modulus).  Returns (True, None), or (False, z1) with
+    |z1| < 1 and |p(z1)| > |q(z1)| > 0: z = (1 + it)/(1 - it) at the first
+    t of a scan where the circle polynomial is negative, pulled in to (1 -
+    2^-k) z; or (False, None) where neither is found."""
+    n = max(len(p), len(q)) - 1
+    a, d = cayley(psub(q, [-c for c in p]), n), cayley(psub(q, p), n)
+    circle = [c + c.conjugate() for c in coeff_product(a, [c.conjugate() for c in d], 2 * n)]
+    if not q or nonnegative(circle):  # a count of None for q = 0
+        return disk_zero_count(q) == 0, None
+    # t = 0 (z = 1), then -+m/2^k and +-2^k/m for odd m <= 2^k, k = 0..10
+    # (z = -i, i, ...): up to k, the points are 2^(1 - k) apart in angle
+    scan = chain([0], (Fraction(u, v) for k in range(11) for m in range(1, 2**k + 1, 2)
+                       for u, v in ((-m, 2**k), (m, 2**k), (2**k, m), (-2**k, m))))
+    t = next((t for t in scan if _sign(peval(circle, t)) < 0), None)
+    if t is None:
+        return False, None
+    z, rho = GaussRational(1, t) / GaussRational(1, -t), Fraction(1, 2)
+    while True:  # |p| > |q| at z, so at rho z for rho = 1 - 2^-k near enough 1
+        z1 = z * rho
+        below = peval(q, z1).abs2()
+        if below and peval(p, z1).abs2() > below:
+            return False, z1
+        rho = (1 + rho) / 2
 
 
 def disk_zero_count(p) -> int | None:

@@ -31,11 +31,12 @@ the map's order N.
 
 omega is rational (``HarmonicMap`` refuses a log term in it), and a shear
 decides |omega| < 1 on the disk exactly, once per omega object
-(``_omega_bounded``).  Also decided for every n: the closed forms of a map
-with a source (above), and ``dilatation_check`` on a map with closed forms
-for h and g.  A map without closed forms, such as the 8 catalog shears
-that have none or any map the ``shear`` command builds, has only its
-order-N series: its identities and classes hold to N.
+(``_omega_bounded``); a refusal names a point z1 of the disk where
+|omega(z1)| > 1.  Also decided for every n: the closed forms of a map with
+a source (above), and ``dilatation_check`` on a map with closed forms for
+h and g.  A map without closed forms, such as the 8 catalog shears that
+have none or any map the ``shear`` command builds, has only its order-N
+series: its identities and classes hold to N.
 
 Values of h and g come from closed forms only.  A truncated series is
 wrong well inside the disk: at order 32 the catalog shear f7_cvi is off by
@@ -57,8 +58,8 @@ from .errors import (
     DilatationTooLarge, Frozen, InvalidExpression, NearPole, NoClosedForm, NotNormalized,
     SeriesMismatch,
 )
-from .numkernel import Series
-from .realalg import re_nonnegative
+from .numkernel import GaussRational, Series
+from .realalg import bounded_by_one, peval
 
 __all__ = ["HarmonicMap", "shear_real", "shear_imag", "dilatation_check", "proof_order"]
 
@@ -274,13 +275,12 @@ def _rational(omega: AnalyticExpr):
 
 
 @lru_cache(maxsize=64)  # the catalog's shears have two: +z and -z
-def _omega_bounded(omega: AnalyticExpr) -> bool:
-    """|omega| < 1 on the open disk for omega(0) = 0, exactly: with omega =
-    P/Q in lowest terms, Re((Q + P)/(Q - P)) >= 0 on the disk
-    (``realalg.re_nonnegative``) is |omega| <= 1 there, and by the maximum
-    modulus principle an omega with omega(0) = 0 stays below 1."""
+def _omega_bounded(omega: AnalyticExpr) -> tuple[bool, GaussRational | None]:
+    """``realalg.bounded_by_one`` on omega = P/Q in lowest terms: |omega| <=
+    1 on the open disk, below 1 there as omega(0) = 0 (maximum modulus),
+    or the point z1 that refutes it."""
     w = _rational(omega).reduced()
-    return re_nonnegative((w.den + w.num).coeffs, (w.den - w.num).coeffs)
+    return bounded_by_one(w.num.coeffs, w.den.coeffs)
 
 
 def _check_shear_inputs(conformal: AnalyticExpr, omega: AnalyticExpr, order: int):
@@ -292,8 +292,13 @@ def _check_shear_inputs(conformal: AnalyticExpr, omega: AnalyticExpr, order: int
     om = omega.series(order - 1 if order > 1 else 0)
     if om.coeff(0) != 0:
         raise NotNormalized("dilatation must satisfy omega(0)=0")
-    if not _omega_bounded(omega):
-        raise DilatationTooLarge("|omega| < 1 fails on the unit disk")
+    bounded, z1 = _omega_bounded(omega)
+    if not bounded:
+        w = _rational(omega)
+        raise DilatationTooLarge(
+            "|omega| < 1 is not proved on the unit disk" if z1 is None else
+            "|omega| < 1 fails on the unit disk: |omega(z1)|^2 = "
+            f"{(peval(w.num.coeffs, z1) / peval(w.den.coeffs, z1)).abs2()} at z1 = {z1}")
     return s
 
 

@@ -48,16 +48,18 @@ half-integer, rows of kind ``order``.
 
 The distortion-class rows of T31, the Jacobian rows of T4 and T6 and the
 24 slope certificates of T32 and LEM42 are decided exactly on the closed
-forms (``_u_class_exact``, ``_jacobian_exact``, ``_rz_exact``), each with
-an exact witness, so they read the same at every config; a row its test
-cannot decide (none in the catalog) fails, with no value and no witness.
-A certificate is the slope criterion of Royster & Ziegler at one of ten
-(mu, nu) pairs in Q(i): Re R >= 0 on the disk for a rational R, proved by
-``realalg.re_nonnegative``, the test that also bounds a shear's |omega|.
-``geomtest.u_class_margin``, ``jacobian_min`` and ``rz_search`` stay as
-the test oracle of these rows.  The other grid rows (falsifiers, REMARK's
-margins and starlike rows) read closed forms only, and REMARK's two
-M(theta) margins alone read the config's grid.  No row reads ``tol``.
+forms by the disk tests of ``realalg``, each with an exact witness, so
+they read the same at every config; a row its test cannot decide (none in
+the catalog) fails, with no value and no witness.  A certificate
+(``_rz_exact``) is the slope criterion of Royster & Ziegler at one of ten
+(mu, nu) pairs in Q(i), Re R >= 0 on the disk for a rational R; the
+distortion class (``_u_class_exact``) is |R| <= 1 for R = f'(z/f)^2 - 1,
+a no shown at a point z1; J > 0 (``_jacobian_exact``) rests on g' = omega
+h', |omega| < 1 and no zero of h'.  Only the certificates' screen
+(``_RZ_SCREEN``) reads floats, to skip pairs it cannot prove; ``geomtest``
+holds the float oracle of these rows.  The other grid rows (falsifiers,
+REMARK's margins and starlike rows) read closed forms only, and REMARK's
+two M(theta) margins alone read the config's grid.  No row reads ``tol``.
 """
 
 from __future__ import annotations
@@ -78,8 +80,8 @@ from .geomtest import (
     rz_search, starlike_derivative,
 )  # no row calls rz_search; the benchmark's tests trace it as verify.rz_search
 from .numkernel import GaussRational
-from .realalg import re_nonnegative
-from .shear import HarmonicMap, dilatation_check
+from .realalg import bounded_by_one, disk_zero_count, peval, re_nonnegative
+from .shear import HarmonicMap, _omega_bounded, dilatation_check
 
 __all__ = ["VerifyConfig", "run_suite", "SUITES", "report_json", "series_twins"]
 
@@ -101,10 +103,10 @@ _SHEAR_TABLES = {
 
 
 class VerifyConfig(Frozen):
-    """The series order and the grid (radii x angles) of a run; only REMARK's
-    two M(theta) margins read the grid.  Its outer radius ``R_MAX`` is fixed,
-    and so is ``TOL_MARGIN``, which no row reads; ``to_json`` still writes
-    both, for the schema."""
+    """The series order and the grid (radii x angles) of a run: only the 8
+    shears without closed forms read the order, only REMARK's two M(theta)
+    margins the grid.  Its outer radius ``R_MAX`` is fixed, and so is
+    ``TOL_MARGIN``, which no row reads; ``to_json`` writes both."""
 
     __slots__ = ("order", "grid_radii", "grid_angles")
 
@@ -312,101 +314,64 @@ def _same_function(a: AnalyticExpr, b: AnalyticExpr) -> bool | None:
     return p.num * q.den == q.num * p.den
 
 
-def _at(p: Poly, z: GaussRational) -> GaussRational:
-    """p(z), exactly (Horner)."""
-    acc = GaussRational(0)
-    for c in reversed(p.coeffs):
-        acc = acc * z + c
-    return acc
-
-
 def _rat_text(q: RatFunc) -> str:
     """q as one ``rat`` term of the atlas text (``exprtext``)."""
     return f"rat(1; {_format_poly(q.num)}; {_format_poly(q.den)})"
 
 
-def _schwarz_monomial(q: RatFunc) -> Poly | None:
-    """q as the polynomial c z^k when it is one with k >= 1 and |c| <= 1,
-    or 0, so that |q| <= |z|^k < 1 on the disk; None otherwise.  Read as
-    num = c z^k den, so q need not be in lowest terms."""
-    num, den = q.num, q.den
-    if num.is_zero:
-        return num
-    v = den.valuation()
-    k = num.valuation() - v
-    if k < 1:
-        return None
-    c = num.coeffs[k + v] / den.coeffs[v]
-    m = Poly([0] * k + [c])
-    return m if c.abs2() <= 1 and num == den * m else None
-
-
 def _u_class_quotient(f: AnalyticExpr) -> RatFunc | None:
-    """R = f'(z) (z/f(z))^2 - 1, not reduced, or None where f has a log
-    part or is 0 (R is then not a quotient of polynomials)."""
+    """R = f'(z) (z/f(z))^2 - 1 in lowest terms, z/f = Q/U for f = zU/Q; None
+    where f has a log part or is not normalized (f(0) = 0, f'(0) = 1)."""
     if f.log_part():
         return None
     p, d = f.rational_part(), f.derivative().rational_part()
-    if p.num.is_zero:
+    if not p.num.coeff(0).is_zero or p.num.coeff(1) != p.den.coeff(0):
         return None
-    fz2 = p.num * p.num
-    return RatFunc(d.num * Poly((0, 0, 1)) * p.den * p.den - d.den * fz2, d.den * fz2)
+    u = p.num.shift_down(1)
+    du2 = d.den * u * u
+    return RatFunc(d.num * p.den * p.den - du2, du2).reduced()
 
 
 def _outside_witness(r: RatFunc, z: GaussRational) -> dict | None:
     """The witness that |R| < 1 fails on the disk: z with |z|^2 < 1 and
     |R(z)|^2 > 1, both exact; None where z does not show it."""
-    den = _at(r.den, z)
+    den = peval(r.den.coeffs, z)
     if z.abs2() >= 1 or den.is_zero:
         return None
-    value = (_at(r.num, z) / den).abs2()
+    value = (peval(r.num.coeffs, z) / den).abs2()
     if value <= 1:
         return None
     return {"R": _rat_text(r), "z": z.literal(), "abs2_z": str(z.abs2()),
             "abs2_R": str(value)}
 
 
-# The ring |z| = R_MAX at 256 angles, bit for bit the default grid's outer
-# ring, where the witness that f is not in the class is looked for.
-_U_RING = R_MAX * np.exp(2j * np.pi * np.arange(256) / 256)
-
-
 def _u_class_exact(f: AnalyticExpr) -> tuple[bool, dict] | None:
     """Membership of f in the class |f'(z)(z/f(z))^2 - 1| < 1, decided on
-    R = f'(z/f)^2 - 1: (True, witness) when R is 0 or c z^k with k >= 1
-    and |c| <= 1; (False, witness) when the point of ``_U_RING`` of
-    largest float |R| (by the maximum modulus principle the worst of the
-    disk |z| <= R_MAX, up to sampling), rounded to hundredths, is a z1 with
-    |z1| < 1 and |R(z1)| > 1, both exact; None when neither decides."""
+    R = f'(z/f)^2 - 1 in lowest terms by ``realalg.bounded_by_one``: (True,
+    witness R) where |R| <= 1 is proved, strict as R(0) = 0; (False,
+    witness) with a point z1 of the disk where |R(z1)| > 1; else None."""
     r = _u_class_quotient(f)
     if r is None:
         return None
-    m = _schwarz_monomial(r)
-    if m is not None:
-        return True, {"R": _rat_text(RatFunc(m))}
-    r = r.reduced()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        size = np.nan_to_num(np.abs(r.num(_U_RING) / r.den(_U_RING)), nan=0.0)
-    z = complex(_U_RING[int(np.argmax(size))])
-    z1 = GaussRational(Fraction(round(z.real * 100), 100), Fraction(round(z.imag * 100), 100))
-    witness = _outside_witness(r, z1)
+    proved, z = bounded_by_one(r.num.coeffs, r.den.coeffs)
+    if proved:
+        return True, {"R": _rat_text(r)}
+    witness = None if z is None else _outside_witness(r, z)
     return None if witness is None else (False, witness)
 
 
 def _jacobian_exact(F: HarmonicMap) -> dict | None:
-    """The witness that J = |h'|^2 - |g'|^2 > 0 on the disk, or None where
-    this test cannot tell: g' = omega h' exactly (``dilatation_check``),
-    omega = c z^k with k >= 1 and |c| <= 1 (or 0), and h' = a/Q in lowest
-    terms with a constant a.  Then J = |h'|^2 (1 - |omega|^2) > 0.  That Q
-    has no root in the disk rests on ``AnalyticExpr._validate``, whose
-    exact count decides every catalog Q."""
-    if F.h_expr is None:
+    """The witness that J = |h'|^2 (1 - |omega|^2) > 0 on the disk, or None
+    where this test cannot tell: g' = omega h' (``dilatation_check``),
+    |omega| < 1 (``shear._omega_bounded``) and h' = P/Q in lowest terms
+    with an exact count of 0 zeros of P Q in the disk (a count of None
+    proves nothing), so that h' is analytic and zero-free there."""
+    if F.h_expr is None or not dilatation_check(F) or not _omega_bounded(F.omega)[0]:
         return None
-    omega = _schwarz_monomial(F.omega.rational_part())
     hp = F.h_expr.derivative().rational_part().reduced()
-    if omega is None or hp.num.degree != 0 or not dilatation_check(F):
+    if disk_zero_count((hp.num * hp.den).coeffs) != 0:
         return None
-    return {"omega": _rat_text(RatFunc(omega)), "h_prime": _rat_text(hp)}
+    return {"omega": _rat_text(F.omega.rational_part().reduced()), "h_prime": _rat_text(hp)}
 
 
 def _suite_t31(config) -> dict:

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,7 +20,9 @@ from harmonic_atlas import catalog, cli, verify
 from harmonic_atlas import shear as shear_mod
 from harmonic_atlas.catalog import catalog_ids
 from harmonic_atlas.cli import _COMMANDS, _plain, _run, build_parser, main
-from harmonic_atlas.exprtext import _MAX_DEPTH
+from harmonic_atlas.exprtext import _MAX_DEPTH, parse_gauss
+from harmonic_atlas.numkernel import GaussRational
+from harmonic_atlas.realalg import peval
 from harmonic_atlas.render import RenderOptions
 
 ATLAS = Path(__file__).parent / "data" / "atlas.json"
@@ -309,10 +312,22 @@ def test_shear_imag_log(capsys):
     assert "h: 0 1 -1/2 1/3 -1/4" in out
 
 
+def _refusal_point(err: str, omega: str) -> GaussRational:
+    """The z1 a ``DilatationTooLarge`` message names, with |z1| < 1 and the
+    |omega(z1)|^2 > 1 it states, both re-checked exactly."""
+    m = re.search(r"\|omega\(z1\)\|\^2 = (\S+) at z1 = (.+)$", err.strip())
+    value, z1 = Fraction(m[1]), parse_gauss(m[2])
+    w = harmonic_atlas.parse_formula(omega).rational_part()
+    assert (peval(w.num.coeffs, z1) / peval(w.den.coeffs, z1)).abs2() == value
+    assert z1.abs2() < 1 < value
+    return z1
+
+
 def test_shear_dilatation_error_exit_2(capsys):
     code, _, err = run(capsys, "shear", "z", "z(1+z)", "real")
     assert code == 2
     assert "DilatationTooLarge" in err
+    assert _refusal_point(err, "z(1+z)") == parse_gauss("3/4")
 
 
 @pytest.mark.parametrize("omega, error", [
@@ -323,6 +338,8 @@ def test_shear_omega_out_of_the_disk_exit_2(capsys, omega, error):
     code, out, err = run(capsys, "shear", "z", omega, "real")
     assert (code, out) == (2, "")
     assert error in err
+    if error == "DilatationTooLarge":  # found at z = 1, pulled in to |z1| > 0.9999
+        assert _refusal_point(err, omega) == parse_gauss("16383/16384")
 
 
 @pytest.mark.parametrize("omega", ["z/(2-z)", "(z+z^2)/2"])

@@ -123,6 +123,25 @@ def test_re_nonnegative_examples():
     assert realalg.re_nonnegative((G(0, 1),), ONE)
 
 
+def test_peval_is_horner():
+    p = (G(1), G(0, 2), G(F(1, 3)))  # 1 + 2i z + z^2/3
+    z = G(F(1, 2), -1)
+    assert realalg.peval(p, z) == G(1) + G(0, 2) * z + z * z / 3
+    assert realalg.peval((), z) == 0
+
+
+@pytest.mark.parametrize("p, q, result", [
+    ((G(0), G(1)), ONE, (True, None)),  # |z| <= 1
+    ((G(0), G(1)), (G(2), G(-1)), (True, None)),  # z/(2 - z): 1 at z = 1 only
+    ((G(0), G(F(10001, 10000))), ONE, (False, G(F(16383, 16384)))),  # found at z = 1
+    ((G(0), G(1), G(1)), ONE, (False, G(F(3, 4)))),  # z (1 + z)
+    ((G(0), G(0), G(-1)), ONE, (True, None)),  # -z^2: 1 on the whole circle
+    ((G(0), G(F(1, 4))), (G(1), G(-2)), (False, None)),  # pole at 1/2, |p| < |q| on the circle
+])
+def test_bounded_by_one_examples(p, q, result):
+    assert realalg.bounded_by_one(p, q) == result
+
+
 # -- the sign on the real line -----------------------------------------------
 
 @settings(max_examples=200, deadline=None)

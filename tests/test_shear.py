@@ -17,6 +17,7 @@ from harmonic_atlas import (
 from harmonic_atlas import catalog_ids, numkernel
 from harmonic_atlas import shear as shear_mod
 from harmonic_atlas.analytic import EPS_POLE, RationalTerm
+from harmonic_atlas.realalg import peval
 from harmonic_atlas.shear import HarmonicMap
 from oracles import compose_linear, pole_mask_bruteforce
 
@@ -343,7 +344,8 @@ def test_dilatation_too_large_rejected():
 def test_omega_verdict_agrees_with_a_float_sample(num, pole, scale):
     # omega = z P(z)/(scale (1 - q z)) with |q| <= 0.9: the exact verdict
     # is the sampled peak of |omega| on |z| = 0.9999 against 1, wherever
-    # that peak is 1e-3 or more away from 1
+    # that peak is 1e-3 or more away from 1, and a no comes with its point
+    # z1: |z1| < 1 and |omega(z1)| > 1, exactly
     q = GaussRational(F(pole[0], 10), F(pole[1], 10))
     if q.abs2() > F(81, 100):
         return
@@ -353,7 +355,12 @@ def test_omega_verdict_agrees_with_a_float_sample(num, pole, scale):
     peak = float(np.max(np.abs(omega.eval(zs))))
     if abs(peak - 1) < 1e-3:
         return
-    assert shear_mod._omega_bounded(omega) == (peak < 1), peak
+    bounded, z1 = shear_mod._omega_bounded(omega)
+    assert bounded == (peak < 1), peak
+    if not bounded:
+        w = omega.rational_part()
+        assert z1.abs2() < 1
+        assert peval(w.num.coeffs, z1).abs2() > peval(w.den.coeffs, z1).abs2()
 
 
 # -- evaluation -------------------------------------------------------------------

@@ -5,16 +5,16 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from harmonic_atlas import (
     AnalyticExpr, CatalogEntry, FlagSet, Poly, catalog, catalog_ids, catalog_lookup, verify,
 )
-from harmonic_atlas import geomtest
+from harmonic_atlas import geomtest, realalg
 from harmonic_atlas import shear as shear_mod
 from harmonic_atlas.cli import main
 from harmonic_atlas.exprtext import parse_gauss
+from harmonic_atlas.numkernel import GaussRational
 from harmonic_atlas.shear import HarmonicMap
 from harmonic_atlas.verify import SUITES, VerifyConfig, report_json, run_suite
 
@@ -220,8 +220,8 @@ def test_mutated_twin_fails_its_rows(monkeypatch):
     twin = "t4_re_koebe_im_halfplane"
     _mutate_past_the_order(monkeypatch, twin, _TINY, _TINY)
     report = run_suite("T41", FAST)
-    # its h' no longer has a constant numerator, so its Jacobian row is
-    # undecided and fails too
+    # h' and g' both gain the term and omega h' does not, so g' = omega h'
+    # breaks: its Jacobian row is undecided and fails too
     assert _failed(report) == [("f3_cv1", "series_twin"), (twin, "half_integer_coeffs"),
                                (twin, "jacobian_positive")]
 
@@ -232,7 +232,7 @@ def test_mutated_t4_g_fails_its_rows(monkeypatch):
     twin = "t4_conj_sq_plus"
     _mutate_past_the_order(monkeypatch, twin, 0, _TINY)
     report = run_suite("T41", FAST)
-    # and g' = omega h', so its Jacobian row, undecided, fails
+    # and breaks g' = omega h', so its Jacobian row, undecided, fails
     assert _failed(report) == [("f17_cv1", "series_twin"), (twin, "half_integer_coeffs"),
                                (twin, "jacobian_positive")]
 
@@ -284,20 +284,28 @@ _TWIN_IDS = catalog_ids("T4") + catalog_ids("T6")
 
 
 def test_the_19_exact_rows_agree_with_the_grid_checks():
-    # the float checks in geomtest are the oracle of the exact rows
+    # the float checks in geomtest are the oracle of the exact rows, and of
+    # the exact test on T1's 10 maps, which have no flag and no row: 6 in
+    # the class, 4 out
     grid = VerifyConfig().grid()
-    assert len(_U_CLASS_IDS) == 11 and len(_TWIN_IDS) == 8
-    for eid in _U_CLASS_IDS:
+    t1 = catalog_ids("T1")
+    assert len(_U_CLASS_IDS) == 11 and len(_TWIN_IDS) == 8 and len(t1) == 10
+    verdicts = {}
+    for eid in _U_CLASS_IDS + t1:
         f = catalog_lookup(eid).h
-        in_class, witness = verify._u_class_exact(f)
+        in_class, witness = verdicts[eid] = verify._u_class_exact(f)
         margin = geomtest.u_class_margin(f, grid).margin
-        assert in_class == (margin >= -1e-9) == catalog_lookup(eid).expected.u_class, eid
+        assert in_class == (margin >= -1e-9), eid
+        if eid in _U_CLASS_IDS:
+            assert in_class == catalog_lookup(eid).expected.u_class, eid
         if not in_class:
             # the float |R| at the exact witness exceeds 1, as the grid's does
             z = complex(parse_gauss(witness["z"]))
             r = f.derivative().eval(z) * (z / f.eval(z)) ** 2 - 1
             assert abs(r) ** 2 == pytest.approx(float(Fraction(witness["abs2_R"])))
             assert abs(z) < 1 < abs(r)
+    assert sorted(eid for eid in t1 if verdicts[eid][0]) == [
+        "cardioid", "cardioid_r", "halfplane_avg", "halfplane_avg_r", "parabola", "parabola_r"]
     for eid in _TWIN_IDS:
         entry = catalog_lookup(eid)
         fm = entry.harmonic_map(entry.proof_order)
@@ -305,9 +313,9 @@ def test_the_19_exact_rows_agree_with_the_grid_checks():
         assert geomtest.jacobian_min(fm, grid).margin > 0, eid
 
 
-def test_the_witness_ring_is_the_default_grids_outer_ring():
-    grid = VerifyConfig().grid()
-    assert np.array_equal(verify._U_RING, grid.points[-grid.angles_count:])
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used")
 
 
 def test_verify_all_runs_neither_grid_check_of_the_exact_rows(monkeypatch):
@@ -326,6 +334,12 @@ def test_verify_all_runs_neither_grid_check_of_the_exact_rows(monkeypatch):
     assert all(r["proof"] == "exact" and r["witness"] for r in rows)
     # a witness is exact text: strings only, no float anywhere
     assert all(isinstance(v, str) for r in rows for v in r["witness"].values())
+    # and the suites of these rows take no float step: with verify's numpy
+    # refused, T31, T41 and T42 still give their recorded rows
+    monkeypatch.setattr(verify, "np", _NoNumpy())
+    recorded = json.loads(DEFAULT_RECORDING.read_text(encoding="ascii"))["suites"]
+    for suite in ("T31", "T41", "T42"):
+        assert run_suite(suite, FAST)["rows"] == recorded[SUITES.index(suite)]["rows"]
 
 
 def test_verify_all_runs_no_certificate_search(monkeypatch):
@@ -358,9 +372,12 @@ def _replace_entry(monkeypatch, eid, h=None, **flags):
 
 
 def test_undecided_u_class_row_fails(monkeypatch):
-    # R = -z^2/(4 (1 + z/4)^2) for f = z + z^2/4: not a monomial, and
-    # |R| <= 1/9 leaves no witness, so the row fails with no value
+    # R = -z^2/(16 (1 + z/4)^2) for f = z + z^2/4 is no monomial, and |R|
+    # <= 1/9 on the disk is proved; f = -log(1 - z) has a log part, so R is
+    # no quotient of polynomials: that row fails with no value
     f = AnalyticExpr.rational(Fraction(1, 4), Poly([0, 4, 1]))
+    assert verify._u_class_exact(f) == (True, {"R": "rat(1; 0,0,-1/16; 1,1/2,1/16)"})
+    f = AnalyticExpr.log(-1, Poly([1, -1]))
     assert verify._u_class_exact(f) is None
     _replace_entry(monkeypatch, "koebe", h=f)
     row = _rows(run_suite("T31", FAST))["koebe", "u_class_margin"]
@@ -379,7 +396,7 @@ def test_witness_outside_the_disk_is_rejected():
 
 @pytest.mark.parametrize("angles", ["1", "2", "3", "5", "100"])
 def test_t31_reads_the_same_at_every_grid(capsys, angles):
-    # T31 reads no grid: its witnesses lie on a fixed ring, so no angle
+    # T31 reads no grid: its proofs and witnesses are exact, so no angle
     # count turns a row into a grid row or loses a witness
     code = main(["verify", "T31", "--grid-angles", angles, "--json"])
     report = json.loads(capsys.readouterr().out)
@@ -391,11 +408,12 @@ def test_t31_reads_the_same_at_every_grid(capsys, angles):
 
 
 def test_undecided_jacobian_row_fails(monkeypatch):
-    # koebe's h' = (1 + z)/(1 - z)^3 has a numerator that is not constant
+    # koebe's h' = (1 + z)/(1 - z)^3 vanishes only at -1, on the circle
     koebe = catalog_lookup("koebe").harmonic_map(4)
-    assert verify._jacobian_exact(koebe) is None
-    # a twin with c z^(N+2) added to h and g: its h' numerator is no
-    # longer constant, so its row fails with no value
+    assert verify._jacobian_exact(koebe) == {
+        "omega": "rat(1; 0; 1)", "h_prime": "rat(1; -1,-1; -1,3,-3,1)"}
+    # a twin with c z^(N+2) added to h and g breaks g' = omega h', so its
+    # row fails with no value
     twin = "t4_re_koebe_im_halfplane"
     _mutate_past_the_order(monkeypatch, twin, _TINY, _TINY)
     rows = _rows(run_suite("T41", FAST))
@@ -403,6 +421,16 @@ def test_undecided_jacobian_row_fails(monkeypatch):
     assert not row["match"] and row["computed"] is None
     assert row["proof"] == "exact" and "witness" not in row
     assert rows["t4_conj_sq_plus", "jacobian_positive"]["proof"] == "exact"
+
+
+def test_a_count_of_none_never_passes_a_jacobian_row():
+    # h = z + (b - a) z^2/2 - ab z^3/3, so h' = (1 - az)(1 + bz) vanishes at
+    # 20000/20001, inside the disk; the exact count is singular (None)
+    a, b = Fraction(20001, 20000), GaussRational(0, Fraction(20000, 20001))
+    h = AnalyticExpr.rational(1, Poly([0, 1, (b - a) / 2, -a * b / 3]))
+    hp = h.derivative().rational_part()
+    assert realalg.disk_zero_count((hp.num * hp.den).coeffs) is None
+    assert verify._jacobian_exact(HarmonicMap.conformal(h, 4)) is None
 
 
 def test_flipped_direction_flag_fails_its_row(monkeypatch):
