@@ -8,15 +8,11 @@ exact division, log terms by integrating L'/L).
 
 Construction enforces the invariants the rest of the package relies on:
 
-* denominators and log arguments are zero-free on the open unit disk
-  (``_vanishes_in_disk``, once per distinct polynomial).  Where a float
-  root lies within ``_DISK_MARGIN`` = 1e-4 of the circle or inside it,
-  the exact count (``realalg.disk_zero_count``) decides, so a root at
-  1 - 1e-30 is rejected, also beside roots on the circle (where every
-  catalog polynomial has its roots).  Only where that count is singular,
-  as for (z - 2)(z - i/2), a float root below 1 - ``_DISK_MARGIN``
-  rejects and one in (1 - 1e-4, 1) passes; the float roots are those of
-  the squarefree factors (``_poly_roots``);
+* denominators and log arguments are zero-free on the open unit disk,
+  by the exact count of each squarefree factor
+  (``realalg.disk_zero_count``; ``_vanishes_in_disk``, once per distinct
+  polynomial), so a root at 1 - 1e-30 is rejected and one at 1 + 1e-30
+  accepted, with no float step;
 * rational terms are normalized so the denominator does not vanish at 0
   (common z^k factors cancel, otherwise ``PoleAtOrigin``);
 * log arguments satisfy L(0) = 1 exactly, so their series have constant
@@ -86,10 +82,6 @@ from .realalg import (
 __all__ = ["Poly", "RatFunc", "RationalTerm", "LogTerm", "AnalyticExpr"]
 
 EPS_POLE = 1e-6
-# How near the circle a float root must lie for the exact count to be
-# asked, and the float fallback's slack where that count is singular; the
-# roots of squarefree factors are accurate to about machine epsilon.
-_DISK_MARGIN = 1e-4
 
 
 class Poly:
@@ -300,7 +292,8 @@ def _squarefree(p: Poly) -> tuple:
 
 @lru_cache(maxsize=256)  # the catalog's 311 denominators and log arguments are 13 polynomials
 def _poly_roots(p: Poly) -> np.ndarray:
-    """The p.degree roots of p, each repeated by its multiplicity (read-only).
+    """The p.degree roots of p, each repeated by its multiplicity
+    (read-only), for ``pole_points`` and ``_meets_branch_cut``.
 
     Each root comes from a factor of Yun's squarefree factorization, whose
     roots are simple, so ``np.roots`` finds them to about machine epsilon;
@@ -317,20 +310,11 @@ def _poly_roots(p: Poly) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _vanishes_in_disk(p: Poly) -> bool:
-    """Whether p has a root in the open unit disk (module doc): no float
-    root within ``_DISK_MARGIN`` of the circle or inside it says no; else
-    the exact count of each squarefree factor decides, and where one is
-    singular (no catalog polynomial), a float root below 1 -
-    ``_DISK_MARGIN``.  The factors keep the count small: on (1 - 20001
-    z/20000)^200 itself its coefficients grow past any time limit."""
-    roots = _poly_roots(p)
-    if not roots.size:
-        return False
-    nearest = float(np.min(np.abs(roots)))
-    if nearest >= 1.0 + _DISK_MARGIN:
-        return False
-    counts = [disk_zero_count(a) for a, _ in _squarefree(p)]
-    return any(counts) or (None in counts and nearest < 1.0 - _DISK_MARGIN)
+    """Whether p has a root in the open unit disk: the exact count of each
+    squarefree factor (module doc).  The factors keep the count small: on
+    (1 - 20001 z/20000)^200 itself its coefficients grow past any time
+    limit."""
+    return any(disk_zero_count(a) for a, _ in _squarefree(p))
 
 
 @lru_cache(maxsize=64)  # the catalog's 46 log terms have 4 distinct arguments

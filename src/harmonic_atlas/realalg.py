@@ -20,17 +20,16 @@ Every result is exact, and the module imports no numpy.
   ``bounded_by_one(p, q)`` is |p/q| <= 1 there, for ``shear``'s |omega| <
   1 and ``verify``'s distortion class, with a point where it fails.
 * ``disk_zero_count(p)`` is the number of zeros of p in the open unit
-  disk, with multiplicity.  With n = deg p and p*(z) = z^n conj(p(1/conj
-  z)), g = gcd(p, p*) holds the zeros on the circle, counted by a Sturm
-  count of the Cayley image of each squarefree factor of g, and the pairs
-  alpha, 1/conj alpha, half of them inside.  p/g goes to the Schur-Cohn
-  recursion (Basu, Pollack & Roy, ch. 2; Henrici vol. 1, 6.8): Tp =
-  conj(p(0)) p - a_n p* has degree below n and Tp(0) = |p(0)|^2 - |a_n|^2
-  = gamma.  On the circle |p*| = |p|, so for gamma > 0 Rouche gives p and
-  Tp the same count, and for gamma < 0 it gives Tp the count of p*, n
-  less that of p.  A gamma of 0, as for (z - 2)(z - i/2), leaves the
-  count None.  Each transform is made monic: T(cp) = |c|^2 Tp, so the
-  count is unchanged and the coefficients stay small.
+  disk, with multiplicity, for every p but 0.  q = ``cayley(p, deg p)``,
+  made monic, has a zero with Im t > 0 for each zero of p in the disk, a
+  real zero for each on the circle but -1, and loses a degree for each at
+  -1.  With q = (A + iB)/2 for real A and B, deg B < deg A, one signed
+  remainder sequence of (A, B) gives the Cauchy index Ind(B/A) (Basu,
+  Pollack & Roy, ch. 2) and, as its last member, g = gcd(A, B): the real
+  zeros of q and its pairs t, conj t (from the pairs alpha, 1/conj alpha
+  of p).  On q/g the argument principle counts (deg A - deg g - Ind)/2
+  zeros with Im t > 0, and g, real, has half of its non-real zeros there:
+  for each squarefree factor (f, m), m (deg f - its real roots)/2.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ __all__ = ["ptrim", "psub", "pscale", "pderivative", "pdivmod", "pgcd", "squaref
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
+_I = GaussRational(0, 1)
 
 
 def ptrim(cs) -> tuple:
@@ -123,24 +123,26 @@ def _sign(c: GaussRational) -> int:
     return (c._a > 0) - (c._a < 0)  # Re c = a/d with d > 0; no Fraction built
 
 
-def _sturm_variations(q) -> int:
-    """V(-inf) - V(+inf) over the Sturm sequence of a squarefree q: its
-    number of real roots.  Each member is scaled by a positive constant,
-    which keeps its signs; a sign at an infinite end is that of the
-    leading coefficient, flipped at -inf for an odd degree."""
-    seq = [q, pderivative(q)]
-    while len(seq[-1]) > 1:
-        r = pdivmod(seq[-2], seq[-1])[1]
-        if not r:
-            break
-        lead = r[-1] if _sign(r[-1]) > 0 else -r[-1]
-        seq.append(tuple(-c / lead for c in r))
+def _sturm_variations(f, g) -> tuple[int, tuple]:
+    """V(-inf) - V(+inf) over the signed remainder sequence of real f and
+    g, deg g < deg f: the Cauchy index of g/f on the real line, and the
+    sequence's last member, a gcd of f and g.  For g = f' the index is the
+    number of distinct real roots of f.  Each remainder is scaled by a
+    positive constant, which keeps its signs; a sign at an infinite end is
+    that of the leading coefficient, flipped at -inf for an odd degree."""
+    seq, r = [f], g
+    while r:
+        seq.append(r)
+        r = pdivmod(seq[-2], r)[1]
+        if r:
+            lead = r[-1] if _sign(r[-1]) > 0 else -r[-1]
+            r = tuple(-c / lead for c in r)
 
     def variations(lower):
-        signs = [_sign(f[-1]) * (-1 if lower and len(f) % 2 == 0 else 1) for f in seq if f]
+        signs = [_sign(h[-1]) * (-1 if lower and len(h) % 2 == 0 else 1) for h in seq]
         return sum(s != t for s, t in zip(signs, signs[1:]))
 
-    return variations(True) - variations(False)
+    return variations(True) - variations(False), seq[-1]
 
 
 def nonnegative(p) -> bool:
@@ -150,13 +152,14 @@ def nonnegative(p) -> bool:
         return True
     if _sign(p[-1]) < 0:
         return False
-    return all(_sturm_variations(a) == 0 for a, m in squarefree(p) if m % 2)
+    return all(_sturm_variations(a, pderivative(a))[0] == 0
+               for a, m in squarefree(p) if m % 2)
 
 
 @lru_cache(maxsize=16)
 def _cayley_basis(n: int) -> tuple:
     """(1 + it)^k (1 - it)^(n - k) in t, for k = 0..n."""
-    plus, minus = (_ONE, GaussRational(0, 1)), (_ONE, GaussRational(0, -1))
+    plus, minus = (_ONE, _I), (_ONE, -_I)
     rise, fall = [(_ONE,)], [(_ONE,)]
     for j in range(1, n + 1):
         rise.append(tuple(coeff_product(rise[-1], plus, j)))
@@ -222,33 +225,15 @@ def bounded_by_one(p, q) -> tuple[bool, GaussRational | None]:
 
 def disk_zero_count(p) -> int | None:
     """The number of zeros of p in the open unit disk, with multiplicity,
-    or None where it cannot tell (module doc): p is 0, or the Schur-Cohn
-    recursion on p/gcd(p, p*) meets gamma = 0."""
+    by the Cauchy index on the Cayley image (module doc); None for p = 0."""
     p = ptrim(p)
     if not p:
         return None
-    g = pgcd(p, tuple(c.conjugate() for c in reversed(p)))
-    paired = sum(m * _paired_count(a) for a, m in squarefree(g))
-    p, steps = pdivmod(p, g)[0], []  # (gamma > 0, degree) of each step
-    while len(p) > 1:
-        n = len(p) - 1
-        head, lead = p[0].conjugate(), p[n]
-        gamma = _sign(p[0] * head - lead * lead.conjugate())  # |p(0)|^2 - |a_n|^2
-        if not gamma:
-            return None
-        steps.append((gamma > 0, n))
-        p = _monic(ptrim(head * p[k] - lead * p[n - k].conjugate() for k in range(n)))
-    count = 0  # a nonzero constant has no zeros
-    for same, n in reversed(steps):
-        count = count if same else n - count
-    return paired + count
-
-
-def _paired_count(a) -> int:
-    """The zeros in the open disk of a squarefree a whose zeros lie on the
-    circle or in pairs alpha, 1/conj alpha: half of those off the circle.
-    Those on it are the real roots of cayley(a), real once divided by a
-    coefficient, and -1 where cayley(a) loses degree."""
-    t = cayley(a, len(a) - 1)
-    on_circle = _sturm_variations(tuple(c / t[-1] for c in t)) + len(a) - len(t)
-    return (len(a) - 1 - on_circle) // 2
+    q = _monic(cayley(p, len(p) - 1))
+    a = tuple(c + c.conjugate() for c in q)
+    b = ptrim(_I * (c.conjugate() - c) for c in q)
+    index, g = _sturm_variations(a, b)
+    count = len(a) - len(g) - index
+    for f, m in squarefree(g):
+        count += m * (len(f) - 1 - _sturm_variations(f, pderivative(f))[0])
+    return count // 2

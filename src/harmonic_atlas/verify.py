@@ -364,8 +364,8 @@ def _jacobian_exact(F: HarmonicMap) -> dict | None:
     """The witness that J = |h'|^2 (1 - |omega|^2) > 0 on the disk, or None
     where this test cannot tell: g' = omega h' (``dilatation_check``),
     |omega| < 1 (``shear._omega_bounded``) and h' = P/Q in lowest terms
-    with an exact count of 0 zeros of P Q in the disk (a count of None
-    proves nothing), so that h' is analytic and zero-free there."""
+    with an exact count of 0 zeros of P Q in the disk, so that h' is
+    analytic and zero-free there."""
     if F.h_expr is None or not dilatation_check(F) or not _omega_bounded(F.omega)[0]:
         return None
     hp = F.h_expr.derivative().rational_part().reduced()

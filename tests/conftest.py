@@ -16,3 +16,15 @@ def catalog():
 @pytest.fixture(scope="session")
 def grid():
     return default_grid()
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used")
+
+
+@pytest.fixture
+def refuse_numpy(monkeypatch):
+    """refuse_numpy(module) replaces the module's ``np`` with a stub that
+    raises on any attribute, for a route that must take no float step."""
+    return lambda module: monkeypatch.setattr(module, "np", _NoNumpy())

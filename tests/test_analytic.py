@@ -83,12 +83,12 @@ def test_root_near_the_circle_outside_accepted_by_the_exact_count(den):
     AnalyticExpr.rational(1, Z, den)
 
 
-def test_singular_count_keeps_the_float_scan():
+def test_unpaired_gamma_0_count_rejects_its_root_inside():
     # every catalog denominator and log argument has its roots on the
     # circle, and is counted exactly: 0.  A pole inside beside a root on
-    # the circle is refused.  Only a count that stays singular, as for
-    # (1 - z/r)(1 - z/s) with |r s| = 1 and no pair, keeps the float scan
-    # with its margin, so its root r = 0.99995 still passes
+    # the circle is refused, and so is one in (1 - z/r)(1 - z/s) with |r
+    # s| = 1 and no pair, where a Schur-Cohn recursion is singular: its
+    # root r = 0.99995 is counted exactly
     for p in {t[-1] for e in catalog_build() for part in (e.h, e.g)
               if part is not None for t in part.terms}:
         if p.degree > 0:
@@ -100,8 +100,23 @@ def test_singular_count_keeps_the_float_scan():
     with pytest.raises(InvalidExpression):
         AnalyticExpr.rational(1, Z, P(1, -1) * P(1, -2))
     unpaired = P(1, F(-20001, 20000)) * P(1, GaussRational(0, F(20000, 20001)))
-    assert realalg.disk_zero_count(unpaired.coeffs) is None
-    AnalyticExpr.rational(1, Z, unpaired)  # accepted: the leftover case
+    assert realalg.disk_zero_count(unpaired.coeffs) == 1
+    with pytest.raises(InvalidExpression, match="vanishes inside the unit disk"):
+        AnalyticExpr.rational(1, Z, unpaired)
+
+
+def test_validating_a_rational_expression_takes_no_float_step(refuse_numpy):
+    # the disk test is exact: with numpy gone from analytic, rational
+    # terms are still accepted or refused
+    refuse_numpy(analytic)
+    analytic._vanishes_in_disk.cache_clear()
+    analytic._squarefree.cache_clear()
+    for den in (P(1, F(-1, 3)), P(1, -1) * P(1, 1, 1), P(1, F(-20000, 20001))):
+        AnalyticExpr.rational(1, Z, den)
+    unpaired = P(1, F(-20001, 20000)) * P(1, GaussRational(0, F(20000, 20001)))
+    for den in (P(1, -2), unpaired):
+        with pytest.raises(InvalidExpression, match="vanishes inside the unit disk"):
+            AnalyticExpr.rational(1, Z, den)
 
 
 def test_disk_test_runs_once_per_polynomial(monkeypatch):
@@ -121,8 +136,9 @@ def test_disk_test_runs_once_per_polynomial(monkeypatch):
         AnalyticExpr.rational(1, Z, den)
         AnalyticExpr.rational(2, Z * Z, den)
     assert counted == Counter({factor: 1})
-    AnalyticExpr.rational(1, Z, P(1, F(-1, 3)))  # root 3: the float root decides
-    assert counted == Counter({factor: 1})
+    for _ in range(2):
+        AnalyticExpr.rational(1, Z, P(1, F(-1, 3)))  # root 3: counted exactly, once
+    assert counted == Counter({factor: 1, P(-3, 1).coeffs: 1})
 
 
 def test_pole_at_origin_rejected_unless_cancelled():
@@ -391,9 +407,10 @@ def test_squarefree_roots_come_from_one_gcd(monkeypatch):
 
 
 def test_import_finds_each_root_set_and_branch_cut_once():
-    # the catalog's 311 denominators and log arguments are 13 polynomials,
-    # and its 46 log terms have 4 arguments: importing the package roots
-    # each polynomial once and samples each argument's branch cut once
+    # the catalog's 46 log terms have 4 arguments: importing the package
+    # roots each argument once, for its branch cut, and samples the cut
+    # once; the disk test of its 13 denominators and log arguments roots
+    # none
     script = "\n".join((
         "import harmonic_atlas.cli",
         "from harmonic_atlas import analytic",
@@ -404,7 +421,7 @@ def test_import_finds_each_root_set_and_branch_cut_once():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["13", "4"]
+    assert out.stdout.split() == ["4", "4"]
 
 
 def test_eval_pole_check_builds_no_points_by_poles_array():

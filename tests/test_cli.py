@@ -80,6 +80,7 @@ def test_expand_f3(capsys):
     "z/(1-1000000000000000000000000000000z/999999999999999999999999999999)",  # 1 - 1e-30
     "z/(1-20001z/20000)^200",  # counted on its squarefree factor, not on the power
     "z/((1-z)(1-20001z/20000))",  # beside a pole on the circle
+    "z/((1-20001z/20000)(1+20000iz/20001))",  # beside a pole at 1.00005 i: |r s| = 1
 ])
 def test_expand_pole_just_inside_the_disk_exit_2(capsys, text):
     code, out, err = run(capsys, "expand", text, "3")

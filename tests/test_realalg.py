@@ -1,4 +1,5 @@
-"""Exact real algebra: the sign on the line, the Cayley map and the Schur-Cohn count."""
+"""Exact real algebra: the sign on the line, the Cayley map and the zero count
+in the disk (a Cauchy index on the Cayley image)."""
 
 import subprocess
 import sys
@@ -42,39 +43,44 @@ small = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 gaussian = st.builds(G, small, small)
 
 
-# -- Schur-Cohn --------------------------------------------------------------
+# -- the zero count in the disk ----------------------------------------------
 
 @settings(max_examples=150, deadline=None)
 @given(roots=st.lists(gaussian, min_size=1, max_size=7), lead=gaussian)
 def test_disk_zero_count_against_np_roots(roots, lead):
-    # roots at least 1e-3 from the circle; a count is exact, pairs r,
-    # 1/conj r included, and a singular one says so
+    # roots at least 1e-3 from the circle, pairs r, 1/conj r included:
+    # every count is exact
     assume(not lead.is_zero)
     assume(all(abs(abs(complex(r)) - 1) >= 1e-3 for r in roots))
     p = from_roots(roots, lead)
     count = realalg.disk_zero_count(p)
     floats = np.roots([complex(c) for c in reversed(p)])
-    if count is not None:
-        assert count == int(np.sum(np.abs(floats) < 1))
-        assert count == sum(r.abs2() < 1 for r in roots)
+    assert count == int(np.sum(np.abs(floats) < 1))
+    assert count == sum(r.abs2() < 1 for r in roots)
 
 
 inner = st.fractions(min_value=F(-2, 3), max_value=F(2, 3), max_denominator=6)
 in_disk = st.builds(G, inner, inner)  # |r| <= 0.95
+outer = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=6)
+out_disk = st.builds(G, outer, outer).filter(lambda r: r.abs2() > 1)
+CIRCLE = [1, -1, G(0, 1), G(0, -1), G(F(3, 5), F(4, 5)), G(F(-5, 13), F(12, 13))]
 
 
 @settings(max_examples=150, deadline=None)
 @given(inside=st.lists(in_disk, max_size=3), paired=st.lists(in_disk, max_size=2),
-       circle=st.lists(st.sampled_from([1, -1, G(0, 1), G(0, -1), G(F(3, 5), F(4, 5)),
-                                        G(F(-5, 13), F(12, 13))]), max_size=3))
-def test_disk_zero_count_with_roots_on_the_circle(inside, paired, circle):
-    # roots on the circle (repeated or not) and pairs r, 1/conj r beside
-    # roots inside: gcd(p, p*) holds the first two, and the rest, all
-    # inside, is regular for Schur-Cohn, so every such p is counted
-    assume(all(not r.is_zero for r in paired))
-    p = from_roots(inside + paired + [G(1) / r.conjugate() for r in paired] + circle)
-    count = realalg.disk_zero_count(p)
-    assert count == len(inside) + len(paired)
+       circle=st.lists(st.sampled_from(CIRCLE), max_size=3),
+       outside=st.lists(out_disk, max_size=2),
+       unpaired=st.lists(st.tuples(in_disk, st.sampled_from(CIRCLE[1:])), max_size=2))
+def test_disk_zero_count_with_roots_on_the_circle(inside, paired, circle, outside, unpaired):
+    # roots on the circle (repeated or not), pairs r, 1/conj r, roots
+    # outside, and unpaired r, u/conj r with u on the circle but 1 (|p(0)|
+    # = |a_n| for each such factor, the singular case of a Schur-Cohn
+    # recursion) beside roots inside: every such p is counted
+    assume(all(not r.is_zero for r in paired + [r for r, _ in unpaired]))
+    roots = inside + paired + [G(1) / r.conjugate() for r in paired] + circle + outside
+    roots += [x for r, u in unpaired for x in (r, u / r.conjugate())]
+    count = realalg.disk_zero_count(from_roots(roots))
+    assert count == sum(gauss(r).abs2() < 1 for r in roots)
 
 
 def test_disk_zero_count_examples():
@@ -93,18 +99,19 @@ def test_disk_zero_count_examples():
     (from_roots([F(1, 2), F(1, 3), 3]), 2),
 ], ids=[f"p{k}" for k in range(7)])
 def test_disk_zero_count_singular(p, count):
-    # the polynomials on which the Schur-Cohn recursion alone is singular:
-    # a root on the circle, or gamma = 0 on the way (a pair r, 1/conj r:
-    # the last p has 1/3 and 3).  gcd(p, p*) takes them apart, so only
+    # the polynomials on which a Schur-Cohn recursion alone is singular: a
+    # root on the circle, or gamma = 0 on the way (a pair r, 1/conj r: the
+    # last p has 1/3 and 3).  The Cauchy index counts them all, and only
     # the zero polynomial is left without a count
     assert realalg.disk_zero_count(p) == count
 
 
-def test_disk_zero_count_leaves_an_unpaired_gamma_0_singular():
+def test_disk_zero_count_counts_an_unpaired_gamma_0():
     # (z - 2)(z - i/2): |p(0)| = |a_2| with no root on the circle and no
-    # pair, so gcd(p, p*) = 1 and the recursion stops at once
-    assert realalg.disk_zero_count(from_roots([2, G(0, F(1, 2))])) is None
-    assert realalg.disk_zero_count(from_roots([2, G(0, F(1, 2)), 1, 1])) is None
+    # pair, where a Schur-Cohn recursion stops at once; counted exactly,
+    # also beside a double root on the circle
+    assert realalg.disk_zero_count(from_roots([2, G(0, F(1, 2))])) == 1
+    assert realalg.disk_zero_count(from_roots([2, G(0, F(1, 2)), 1, 1])) == 1
 
 
 # -- Re(a/d) >= 0 on the disk --------------------------------------------------

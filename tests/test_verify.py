@@ -313,12 +313,7 @@ def test_the_19_exact_rows_agree_with_the_grid_checks():
         assert geomtest.jacobian_min(fm, grid).margin > 0, eid
 
 
-class _NoNumpy:
-    def __getattr__(self, name):
-        raise AssertionError(f"np.{name} used")
-
-
-def test_verify_all_runs_neither_grid_check_of_the_exact_rows(monkeypatch):
+def test_verify_all_runs_neither_grid_check_of_the_exact_rows(monkeypatch, refuse_numpy):
     def refuse(*args, **kwargs):
         raise AssertionError("grid check called")
 
@@ -336,7 +331,7 @@ def test_verify_all_runs_neither_grid_check_of_the_exact_rows(monkeypatch):
     assert all(isinstance(v, str) for r in rows for v in r["witness"].values())
     # and the suites of these rows take no float step: with verify's numpy
     # refused, T31, T41 and T42 still give their recorded rows
-    monkeypatch.setattr(verify, "np", _NoNumpy())
+    refuse_numpy(verify)
     recorded = json.loads(DEFAULT_RECORDING.read_text(encoding="ascii"))["suites"]
     for suite in ("T31", "T41", "T42"):
         assert run_suite(suite, FAST)["rows"] == recorded[SUITES.index(suite)]["rows"]
@@ -423,13 +418,15 @@ def test_undecided_jacobian_row_fails(monkeypatch):
     assert rows["t4_conj_sq_plus", "jacobian_positive"]["proof"] == "exact"
 
 
-def test_a_count_of_none_never_passes_a_jacobian_row():
+def test_a_zero_of_h_prime_inside_never_passes_a_jacobian_row():
     # h = z + (b - a) z^2/2 - ab z^3/3, so h' = (1 - az)(1 + bz) vanishes at
-    # 20000/20001, inside the disk; the exact count is singular (None)
+    # 20000/20001, inside the disk; |h'(0)| = 1 = |ab|, the modulus of its
+    # leading coefficient, where a Schur-Cohn recursion is singular, and
+    # the exact count is 1
     a, b = Fraction(20001, 20000), GaussRational(0, Fraction(20000, 20001))
     h = AnalyticExpr.rational(1, Poly([0, 1, (b - a) / 2, -a * b / 3]))
     hp = h.derivative().rational_part()
-    assert realalg.disk_zero_count((hp.num * hp.den).coeffs) is None
+    assert realalg.disk_zero_count((hp.num * hp.den).coeffs) == 1
     assert verify._jacobian_exact(HarmonicMap.conformal(h, 4)) is None
 
 
