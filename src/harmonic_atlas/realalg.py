@@ -188,9 +188,18 @@ def peval(p, z: GaussRational) -> GaussRational:
 
 def re_nonnegative(a, d) -> bool:
     """Re(a/d) >= 0 on the open disk, proved as |Phi| <= 1 there for Phi =
-    (a - d)/(a + d) (``bounded_by_one``): a/d = (1 + Phi)/(1 - Phi) has Re
-    = (1 - |Phi|^2)/|1 - Phi|^2.  Poles of a/d on the circle are allowed."""
-    return bounded_by_one(psub(a, d), psub(a, [-c for c in d]))[0]
+    (a - d)/(a + d) by ``bounded_by_one``'s proof, with no witness search:
+    a/d = (1 + Phi)/(1 - Phi) has Re = (1 - |Phi|^2)/|1 - Phi|^2.  Poles
+    of a/d on the circle are allowed."""
+    return nonnegative(_circle(a, d)) and disk_zero_count(psub(a, [-c for c in d])) == 0
+
+
+def _circle(a, d) -> tuple:
+    """2 Re(a conj d) on the circle, in t (``cayley``)."""
+    n = max(len(a), len(d)) - 1
+    a, d = cayley(a, n), cayley(d, n)
+    return tuple(c + c.conjugate()
+                 for c in coeff_product(a, [c.conjugate() for c in d], 2 * n))
 
 
 def bounded_by_one(p, q) -> tuple[bool, GaussRational | None]:
@@ -202,9 +211,7 @@ def bounded_by_one(p, q) -> tuple[bool, GaussRational | None]:
     |z1| < 1 and |p(z1)| > |q(z1)| > 0: z = (1 + it)/(1 - it) at the first
     t of a scan where the circle polynomial is negative, pulled in to (1 -
     2^-k) z; or (False, None) where neither is found."""
-    n = max(len(p), len(q)) - 1
-    a, d = cayley(psub(q, [-c for c in p]), n), cayley(psub(q, p), n)
-    circle = [c + c.conjugate() for c in coeff_product(a, [c.conjugate() for c in d], 2 * n)]
+    circle = _circle(psub(q, [-c for c in p]), psub(q, p))
     if not q or nonnegative(circle):  # a count of None for q = 0
         return disk_zero_count(q) == 0, None
     # t = 0 (z = 1), then -+m/2^k and +-2^k/m for odd m <= 2^k, k = 0..10
@@ -227,8 +234,8 @@ def disk_zero_count(p) -> int | None:
     """The number of zeros of p in the open unit disk, with multiplicity,
     by the Cauchy index on the Cayley image (module doc); None for p = 0."""
     p = ptrim(p)
-    if not p:
-        return None
+    if len(p) < 2:  # a constant has no zero
+        return 0 if p else None
     q = _monic(cayley(p, len(p) - 1))
     a = tuple(c + c.conjugate() for c in q)
     b = ptrim(_I * (c.conjugate() - c) for c in q)

@@ -6,7 +6,7 @@ Each suite re-derives one table of claims and reports a row per check:
          distortion class |f'(z)(z/f(z))^2 - 1| < 1 (held by the nine,
          refuted for the two non-close-to-convex half-integer maps);
 * T32    direction-convexity flags of the nine, by exact slope certificate
-         and convexity probe;
+         and exact falsifier;
 * T41    the real-direction half-integer table: 21 catalog entries plus
          all 30 shears, exactly six of which are half-integer and equal
          the six non-conformal entries, each sense-preserving;
@@ -55,11 +55,16 @@ the catalog) fails, with no value and no witness.  A certificate
 (mu, nu) pairs in Q(i), Re R >= 0 on the disk for a rational R; the
 distortion class (``_u_class_exact``) is |R| <= 1 for R = f'(z/f)^2 - 1,
 a no shown at a point z1; J > 0 (``_jacobian_exact``) rests on g' = omega
-h', |omega| < 1 and no zero of h'.  Only the certificates' screen
-(``_RZ_SCREEN``) reads floats, to skip pairs it cannot prove; ``geomtest``
-holds the float oracle of these rows.  The other grid rows (falsifiers,
-REMARK's margins and starlike rows) read closed forms only, and REMARK's
-two M(theta) margins alone read the config's grid.  No row reads ``tol``.
+h', |omega| < 1 and no zero of h'.  14 of the 18 falsifiers are exact too,
+by a point of the disk (``_falsifier_exact``, which assumes f univalent,
+as the paper does), and so are REMARK's two starlike rows, by 2 Re(Df/f)
+of f3 as one rational function on the circle (``_starlike_on_circle``).
+Only the certificates' screen (``_RZ_SCREEN``) reads floats, to skip pairs
+it cannot prove; ``geomtest`` holds the float oracle of these rows.  Six
+grid rows are left: the convexity probe of the real direction of
+offset_vslits, offset_vslits_r, hslits_wide_avg and hslits_wide_avg_r
+(f(|z| < 0.999) only), and REMARK's two M(theta) margins, which alone read
+the grid.  No row reads ``tol``.
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ from .errors import Frozen
 from .exprtext import _format_poly
 from .geomtest import (
     R_MAX, TOL_MARGIN, Grid, default_grid, direction_convexity_probe, m_theta_check,
-    rz_search, starlike_derivative,
+    rz_search,
 )  # no row calls rz_search; the benchmark's tests trace it as verify.rz_search
 from .numkernel import GaussRational
 from .realalg import bounded_by_one, disk_zero_count, peval, re_nonnegative
@@ -209,8 +214,10 @@ def _entries(families):
 
 def _direction_rows(rows, entry, config, directions=("real", "imag")):
     """Direction-convexity rows of a conformal entry: an exact slope
-    certificate for h where convexity is claimed (``_rz_exact``; the row
-    fails where no pair proves one), a falsifier where it is denied."""
+    certificate for h where convexity is claimed (``_rz_exact``), a
+    falsifier where it is denied, exact for the imaginary direction and an
+    odd h (``_falsifier_exact``), else the convexity probe.  An exact row
+    fails where its test finds no witness."""
     for direction in directions:
         expected = getattr(entry.expected, f"cv_{direction}")
         if expected is None:
@@ -220,10 +227,58 @@ def _direction_rows(rows, entry, config, directions=("real", "imag")):
             found = witness is not None
             rows.add(entry.id, f"cv_{direction}_certificate", "found" if found else None,
                      "found", found, "exact", witness)
+        elif direction == "imag" or _is_odd(entry.h):
+            witness = _falsifier_exact(entry.h, direction)
+            rows.add(entry.id, f"cv_{direction}_falsified", True if witness else None,
+                     True, witness is not None, "exact", witness)
         else:
             verdict = direction_convexity_probe(_map(entry, config), direction)
             rows.add(entry.id, f"cv_{direction}_falsified",
                      not verdict, True, verdict is False, "grid")
+
+
+# (a + bi)/m in the disk, b > 0 and m = 2, 4, 8, each once: by m, outer first
+_FALSIFIER_POINTS = sorted(
+    (GaussRational(Fraction(a, m), Fraction(b, m)) for m in (2, 4, 8) for a in range(1 - m, m)
+     for b in range(1, m) if a * a + b * b < m * m and (a % 2 or b % 2)),
+    key=lambda z: (z.denominator, -z.abs2()))
+
+
+def _is_odd(f: AnalyticExpr) -> bool:
+    """f(-z) = -f(z) for a rational f: in lowest terms P is odd, Q even."""
+    r = f.rational_part().reduced()
+    return not (f.log_part() or any(r.num.coeffs[::2]) or any(r.den.coeffs[1::2]))
+
+
+def _rat_at(p, q, z: GaussRational) -> GaussRational | None:
+    """p(z)/q(z), exactly; None where q(z) = 0."""
+    d = peval(q, z)
+    return peval(p, z) / d if d else None
+
+
+def _falsifier_exact(f: AnalyticExpr, direction: str) -> dict | None:
+    """The witness that f(D) is not convex in ``direction``, f = P/Q univalent
+    with real coefficients and f'(0) > 0 (odd for "real"): f increases on
+    (-1, 1), and f(D) meets the real axis in f((-1, 1)), between the limits
+    at -1 and 1.  So where x = Re f(z) lies outside it, z in
+    ``_FALSIFIER_POINTS``, the line Re w = x meets f(D) at f(z) and its
+    conjugate but not at x.  For "real", the same on phi(s) = -i f(is) (f(D)
+    = i phi(D)); z = i s and x = Im f(z).  None where no point shows it, or
+    f is no such P/Q."""
+    turn = GaussRational(1) if direction == "imag" else GaussRational(0, 1)
+    r = f.rational_part().reduced()
+    p = [c * turn ** k * turn.conjugate() for k, c in enumerate(r.num.coeffs)]
+    q = [c * turn ** k for k, c in enumerate(r.den.coeffs)]
+    slope = r.num.coeff(1) * r.den.coeff(0) - r.num.coeff(0) * r.den.coeff(1)  # f'(0) Q(0)^2
+    if f.log_part() or not all(c.is_real for c in p + q) or slope.re <= 0:
+        return None
+    lo, hi = (e * math.inf if v is None else v.re
+              for e in (-1, 1) for v in [_rat_at(p, q, GaussRational(e))])
+    for z in _FALSIFIER_POINTS:
+        v = _rat_at(p, q, z)
+        if v is not None and not lo < v.re < hi:
+            return {"z": (turn * z).literal(), "x": str(v.re), "interval": f"({lo}, {hi})"}
+    return None
 
 
 # The slope criterion's (mu, nu) with e^{i mu} and cos nu in Q(i), each
@@ -335,12 +390,10 @@ def _u_class_quotient(f: AnalyticExpr) -> RatFunc | None:
 def _outside_witness(r: RatFunc, z: GaussRational) -> dict | None:
     """The witness that |R| < 1 fails on the disk: z with |z|^2 < 1 and
     |R(z)|^2 > 1, both exact; None where z does not show it."""
-    den = peval(r.den.coeffs, z)
-    if z.abs2() >= 1 or den.is_zero:
+    value = _rat_at(r.num.coeffs, r.den.coeffs, z)
+    if z.abs2() >= 1 or value is None or value.abs2() <= 1:
         return None
-    value = (peval(r.num.coeffs, z) / den).abs2()
-    if value <= 1:
-        return None
+    value = value.abs2()
     return {"R": _rat_text(r), "z": z.literal(), "abs2_z": str(z.abs2()),
             "abs2_R": str(value)}
 
@@ -434,23 +487,51 @@ def _suite_shears(config, axis: str) -> dict:
     return rows.report(theorem, config)
 
 
+# f3's 2 Re(Df/f) on the circle, 4 cos t/(cos 2t - 3) at z = e^{it}, and a
+# point there (cos t = 3/5) where it is negative
+_F3_STARLIKE = RatFunc(Poly([0, 4, 0, 4]), Poly([1, 0, -6, 0, 1]))
+_F3_STARLIKE_POINT = GaussRational(Fraction(3, 5), Fraction(4, 5))
+
+
+def _reflected(r: RatFunc) -> RatFunc:
+    """conj r(1/conj z), conj r(z) on the circle: num and den reversed to
+    their higher degree n, each coefficient conjugated."""
+    n = max(r.num.degree, r.den.degree)
+    return RatFunc(*(Poly([p.coeff(n - k).conjugate() for k in range(n + 1)])
+                     for p in (r.num, r.den)))
+
+
+def _starlike_on_circle(F: HarmonicMap) -> RatFunc | None:
+    """2 Re(Df/f), Df = z h' - conj(z g'), on the unit circle as one
+    rational function of z in lowest terms (denominator's lowest term 1),
+    for h and g rational: there conj u = u* for u* = ``_reflected(u)``, so
+    f = h + g* and, with w = Df/f, it is w + w*.  None for any other F."""
+    if any(e is None or e.log_part() for e in (F.h_expr, F.g_expr)):
+        return None
+    h, hp, g, gp = (e.rational_part() for x in (F.h_expr, F.g_expr)
+                    for e in (x, x.derivative()))
+    z = RatFunc(Poly.var())
+    w = (z * hp + -_reflected(z * gp)) / (h + _reflected(g))
+    s = (w + _reflected(w)).reduced()
+    unit = GaussRational(1) / next(c for c in s.den.coeffs if c)
+    return RatFunc(s.num.scale(unit), s.den.scale(unit))
+
+
 def _suite_remark(config) -> dict:
     rows = _Rows()
     grid = config.grid()
     f3_entry = catalog_lookup("t4_re_koebe_im_halfplane")
     f3 = _map(f3_entry, config)
-    ts = np.linspace(-math.pi / 2 + 0.1, math.pi / 2 - 0.1, 32)
-    worst = 0.0
-    all_negative = True
-    for t in ts:
-        v = starlike_derivative(f3, float(t), 0.9999)
-        ref = 2 * math.cos(t) / (-3 + math.cos(2 * t))
-        worst = max(worst, abs(v - ref))
-        all_negative = all_negative and v < 0
-    rows.add("f3", "starlike_derivative_formula", worst, "<= 1e-3", worst <= 1e-3, "grid")
-    refuted = not f3_entry.expected.starlike
-    rows.add("f3", "starlike_refuted", all_negative, refuted, all_negative == refuted,
-             "grid")
+    s = _starlike_on_circle(f3)  # None: both rows fail
+    same = s is not None and s.num * _F3_STARLIKE.den == _F3_STARLIKE.num * s.den
+    rows.add("f3", "starlike_derivative_formula", 0 if same else None, "<= 1e-3", same,
+             "exact", {"two_re_Df_f": _rat_text(s), "formula": _rat_text(_F3_STARLIKE)}
+             if same else None)
+    z = _F3_STARLIKE_POINT
+    v = None if s is None else _rat_at(s.num.coeffs, s.den.coeffs, z)
+    negative, refuted = None if v is None else v.re < 0, not f3_entry.expected.starlike
+    rows.add("f3", "starlike_refuted", negative, refuted, negative == refuted, "exact",
+             None if v is None else {"z": z.literal(), "re_Df_f": str(v.re / 2)})
     # the M(0) identity g' = z h' (b_n = a_{n-1} (n-1)/n, exact) gates f3's
     # margin row; the M(pi) identity g' = -z h' of f9 is a row of its own
     in_m0 = dilatation_check(f3.replace(omega=AnalyticExpr.rational(1, Poly.var())))

@@ -130,6 +130,30 @@ def test_re_nonnegative_examples():
     assert realalg.re_nonnegative((G(0, 1),), ONE)
 
 
+def test_re_nonnegative_runs_no_witness_scan(monkeypatch):
+    # the proof alone: where the circle sign fails, bounded_by_one scans the
+    # circle with peval for a point, re_nonnegative evaluates nothing
+    def refuse(*args):
+        raise AssertionError("peval called")
+
+    cases = [((G(1), G(2)), ONE), ((G(0, 1), G(0, 1)), (G(1), G(-1))),
+             ((G(1), G(1)), (G(1), G(-1))), ((G(0, 1),), ONE)]
+    want = [realalg.bounded_by_one(realalg.psub(a, d), realalg.psub(a, [-c for c in d]))[0]
+            for a, d in cases]
+    monkeypatch.setattr(realalg, "peval", refuse)
+    assert [realalg.re_nonnegative(a, d) for a, d in cases] == want == [
+        False, False, True, True]
+    with pytest.raises(AssertionError, match="peval"):
+        realalg.bounded_by_one((G(1), G(2)), ONE)
+
+
+def test_disk_zero_count_of_a_constant_builds_no_cayley_image(monkeypatch):
+    monkeypatch.setattr(realalg, "cayley", None)
+    assert [realalg.disk_zero_count(p) for p in [ONE, (G(0, F(-2, 3)),), (G(5), G(0))]] == [
+        0, 0, 0]
+    assert realalg.disk_zero_count(()) is None and realalg.disk_zero_count((G(0),)) is None
+
+
 def test_peval_is_horner():
     p = (G(1), G(0, 2), G(F(1, 3)))  # 1 + 2i z + z^2/3
     z = G(F(1, 2), -1)

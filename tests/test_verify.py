@@ -1,10 +1,13 @@
 """Claim-table driver: suite contents and summary bookkeeping."""
 
+import cmath
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from harmonic_atlas import (
@@ -13,10 +16,12 @@ from harmonic_atlas import (
 from harmonic_atlas import geomtest, realalg
 from harmonic_atlas import shear as shear_mod
 from harmonic_atlas.cli import main
+from harmonic_atlas.analytic import RatFunc
 from harmonic_atlas.exprtext import parse_gauss
 from harmonic_atlas.numkernel import GaussRational
 from harmonic_atlas.shear import HarmonicMap
 from harmonic_atlas.verify import SUITES, VerifyConfig, report_json, run_suite
+from oracles import real_roots_between
 
 FAST = VerifyConfig(order=16, grid_radii=16, grid_angles=64)
 RECORDING = Path(__file__).parent / "data" / "verify_all_fast.json"
@@ -243,9 +248,11 @@ def test_mutated_t4_g_fails_its_rows(monkeypatch):
 ])
 def test_mutated_dilatation_fails_its_row(monkeypatch, eid, row):
     # g' = +-z h' holds to the map's order but not past it: the identity
-    # row (and the margin row it gates) fails
+    # row (and the margin row it gates) fails; so does f3's starlike
+    # identity, which reads the changed g exactly
     _mutate_past_the_order(monkeypatch, eid, 0, _TINY)
-    assert _failed(run_suite("REMARK", FAST)) == [row]
+    starlike = [("f3", "starlike_derivative_formula")] if row[0] == "f3" else []
+    assert _failed(run_suite("REMARK", FAST)) == sorted([row] + starlike)
 
 
 # -- schema 2: the proof kind of every row, and the exact grid-free rows ------
@@ -261,10 +268,15 @@ def test_proof_ledger_counts(config):
     report = run_suite("all", config)
     assert report["schema"] == 2
     assert report["summary"]["proofs"] == {
-        "exact": 185, "order": 0, "grid": 22, "asserted": 2}
+        "exact": 201, "order": 0, "grid": 6, "asserted": 2}
     rows = _rows(report).values()
     assert all(r["asserted"] == (r["proof"] == "asserted") for r in rows)
-    assert sum(s["summary"]["proofs"]["exact"] for s in report["suites"]) == 185
+    assert sum(s["summary"]["proofs"]["exact"] for s in report["suites"]) == 201
+    # the grid rows left: 4 probed falsifiers and REMARK's 2 M(theta) margins
+    assert sorted((r["id"], r["check"]) for r in rows if r["proof"] == "grid") == [
+        ("f3", "m_theta_0_margin"), ("f9", "m_theta_pi_margin"),
+        ("hslits_wide_avg", "cv_real_falsified"), ("hslits_wide_avg_r", "cv_real_falsified"),
+        ("offset_vslits", "cv_real_falsified"), ("offset_vslits_r", "cv_real_falsified")]
 
 
 def test_series_rows_below_their_witness_index_hold_to_the_order():
@@ -454,3 +466,147 @@ def test_flipped_t31_flag_fails_its_row(monkeypatch, eid, flag, check):
     report = run_suite("T31", FAST)
     assert report["summary"]["total"] == 20
     assert _failed(report) == [(eid, check)]
+
+
+# -- the exact falsifiers and REMARK's starlike rows ---------------------------
+
+_DENIED = [(eid, axis) for family in ("S_Z", "T1", "T2") for eid in catalog_ids(family)
+           for axis in ("real", "imag")
+           if getattr(catalog_lookup(eid).expected, f"cv_{axis}") is False]
+_PROBED = [("hslits_wide_avg", "real"), ("hslits_wide_avg_r", "real"),
+           ("offset_vslits", "real"), ("offset_vslits_r", "real")]
+
+
+def test_the_probe_and_the_exact_falsifier_agree_on_all_18_rows():
+    # every denied direction is refuted by the probe on |z| = 0.999, and the
+    # 14 of the imaginary direction and of the odd maps by an exact witness;
+    # the 4 real rows of maps that are not odd keep the probe
+    report = run_suite("all", FAST)
+    rows = _rows(report)
+    assert len(_DENIED) == 18
+    for eid, axis in _DENIED:
+        entry = catalog_lookup(eid)
+        assert geomtest.direction_convexity_probe(entry.harmonic_map(1), axis) is False, eid
+        row = rows[eid, f"cv_{axis}_falsified"]
+        assert row["computed"] is True and row["match"]
+        if (eid, axis) in _PROBED:
+            assert row["proof"] == "grid" and "witness" not in row
+            assert axis == "real" and not verify._is_odd(entry.h)
+        else:
+            assert row["proof"] == "exact"
+            assert row["witness"] == verify._falsifier_exact(entry.h, axis)
+            assert set(row["witness"]) == {"z", "x", "interval"}
+
+
+def test_koebe_witness():
+    # z = (-1 + i)/2: koebe(z) = -7/25 + 24i/25, left of koebe((-1, 1)) =
+    # (-1/4, inf), the real points of the image
+    assert verify._falsifier_exact(catalog_lookup("koebe").h, "imag") == {
+        "z": "-1/2+1/2 i", "x": "-7/25", "interval": "(-1/4, inf)"}
+
+
+@pytest.mark.parametrize("h", [
+    AnalyticExpr.rational(-1, Poly([0, 1])),  # -z: decreasing on (-1, 1)
+    AnalyticExpr.rational(-1, Poly([0, 1]), Poly([1, -2, 1])),  # -koebe
+    AnalyticExpr.log(-1, Poly([1, -1])),  # a log part
+    AnalyticExpr.rational(1, Poly([0, 1, GaussRational(0, 1)])),  # z + i z^2
+])
+def test_the_falsifier_refuses_what_its_argument_does_not_cover(h):
+    # the interval of f((-1, 1)) needs f real and increasing there: -koebe
+    # would be "refuted" at every point if f'(0) < 0 went unchecked
+    assert verify._falsifier_exact(h, "imag") is None
+
+
+def test_falsifier_witnesses_against_a_sturm_count():
+    # each witness: |z| < 1, x is Re f(z) (Im f(z) for the real direction),
+    # and P - xQ, for f = P/Q or for phi(s) = -i f(is), has no root in
+    # (-1, 1), so no point of (-1, 1) maps to x (Sturm, on Fractions)
+    rows = _rows(json.loads(DEFAULT_RECORDING.read_text(encoding="ascii")))
+    checked = 0
+    for eid, axis in _DENIED:
+        witness = rows[eid, f"cv_{axis}_falsified"].get("witness")
+        if witness is None:
+            continue
+        h = catalog_lookup(eid).h
+        r = h.rational_part()
+        p = [c.re for c in r.num.coeffs]
+        q = [c.re for c in r.den.coeffs]
+        assert all(c.is_real for c in r.num.coeffs + r.den.coeffs)
+        if axis == "real":  # phi's coefficients: p_k i^(k - 1), q_k i^k
+            assert all(c == 0 for c in p[::2]) and all(c == 0 for c in q[1::2])
+            p = [c * (-1) ** ((k - 1) // 2) if k % 2 else c for k, c in enumerate(p)]
+            q = [c * (-1) ** (k // 2) for k, c in enumerate(q)]
+        x = Fraction(witness["x"])
+        z = complex(parse_gauss(witness["z"]))
+        value = h.eval(z)
+        assert abs(z) < 1
+        assert (value.real if axis == "imag" else value.imag) == pytest.approx(float(x))
+        n = max(len(p), len(q))
+        pad = [Fraction(0)] * n
+        diff = [a - x * b for a, b in zip(p + pad, (q + pad)[:n])][:n]
+        assert real_roots_between(diff, -1, 1) == 0, (eid, axis)
+        checked += 1
+    assert checked == 14
+
+
+def test_a_witness_moved_inside_fails_its_row(monkeypatch):
+    # at z = i/8 every map of T32 takes a real part inside f((-1, 1)), so
+    # no point shows a falsifier: the 6 rows fail with no value, none probed
+    z = parse_gauss("1/8 i")
+    koebe = catalog_lookup("koebe").h
+    assert verify._falsifier_exact(koebe, "imag") is not None
+    monkeypatch.setattr(verify, "_FALSIFIER_POINTS", [z])
+    assert verify._falsifier_exact(koebe, "imag") is None
+    monkeypatch.setattr(verify, "direction_convexity_probe", None)
+    report = run_suite("T32", FAST)
+    falsifiers = [(r["id"], r["check"]) for r in report["rows"] if "falsified" in r["check"]]
+    assert len(falsifiers) == 6 and _failed(report) == sorted(falsifiers)
+    for key in falsifiers:
+        row = _rows(report)[key]
+        assert row["computed"] is None and row["proof"] == "exact" and "witness" not in row
+
+
+def test_verify_all_probes_4_rows_and_samples_no_starlike_derivative(monkeypatch):
+    probed = []
+    probe = verify.direction_convexity_probe
+    monkeypatch.setattr(verify, "direction_convexity_probe",
+                        lambda F, d: probed.append(d) or probe(F, d))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("starlike_derivative called")
+
+    assert not hasattr(verify, "starlike_derivative")
+    monkeypatch.setattr(geomtest, "starlike_derivative", refuse)
+    report = run_suite("all", FAST)
+    assert report["summary"]["matched"] == report["summary"]["total"] == 207
+    assert probed == ["real"] * 4
+
+
+def test_perturbed_starlike_formula_fails_its_row(monkeypatch):
+    # 2 cos t/(cos 2t - 2) in place of 2 cos t/(cos 2t - 3): 4z(z^2 + 1)/(z^4
+    # - 4z^2 + 1) on the circle is not f3's 2 Re(Df/f)
+    monkeypatch.setattr(verify, "_F3_STARLIKE", RatFunc(Poly([0, 4, 0, 4]),
+                                                        Poly([1, 0, -4, 0, 1])))
+    report = run_suite("REMARK", FAST)
+    assert _failed(report) == [("f3", "starlike_derivative_formula")]
+    row = _rows(report)["f3", "starlike_derivative_formula"]
+    assert row["computed"] is None and row["proof"] == "exact" and "witness" not in row
+
+
+def test_starlike_rows_agree_with_the_float_samples():
+    # the 32 float samples the rows read before, at r = 0.9999: within 1e-3
+    # of 2 cos t/(cos 2t - 3), as the exact identity says, and negative;
+    # at z = (3 + 4i)/5 near the circle, about the exact -15/41
+    entry = catalog_lookup("t4_re_koebe_im_halfplane")
+    fm = entry.harmonic_map(entry.proof_order)
+    s = verify._starlike_on_circle(fm)
+    assert s.num * verify._F3_STARLIKE.den == verify._F3_STARLIKE.num * s.den
+    for t in np.linspace(-math.pi / 2 + 0.1, math.pi / 2 - 0.1, 32):
+        v = geomtest.starlike_derivative(fm, float(t), 0.9999)
+        exact = s.num(cmath.exp(1j * t)) / s.den(cmath.exp(1j * t)) / 2
+        assert abs(v - 2 * math.cos(t) / (math.cos(2 * t) - 3)) <= 1e-3
+        assert abs(v - exact.real) <= 1e-3 and abs(exact.imag) < 1e-12 and v < 0
+    rows = _rows(json.loads(DEFAULT_RECORDING.read_text(encoding="ascii")))
+    assert rows["f3", "starlike_refuted"]["witness"] == {"z": "3/5+4/5 i", "re_Df_f": "-15/41"}
+    t = math.atan2(4, 3)
+    assert geomtest.starlike_derivative(fm, t, 0.9999) == pytest.approx(-15 / 41, abs=1e-3)
