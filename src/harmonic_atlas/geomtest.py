@@ -11,11 +11,11 @@ not refute it for the disk itself.  A probe that finds nothing proves
 nothing.  Certificates record the grid minimum and the witness point
 attaining it.
 
-``u_class_margin``, ``jacobian_min``, ``rz_search`` and
-``starlike_derivative`` are only the test oracle of ``verify``'s exact
-rows of the same quantities, which run none of them (``perfbench/spans.py``
-binds ``starlike_derivative``, which keeps it).  The probe decides 4 rows:
-the real direction of the four maps that are not odd.
+``u_class_margin``, ``jacobian_min``, ``rz_search``,
+``starlike_derivative`` and ``direction_convexity_probe`` decide no row:
+each is only the test oracle of ``verify``'s exact rows of the same
+quantity, and stays here because ``perfbench/spans.py`` binds it by name.
+Only ``m_theta_check`` decides rows (REMARK's two M(theta) margins).
 
 The direction-convexity machinery:
 

@@ -41,7 +41,8 @@ from itertools import chain
 from .numkernel import GaussRational, coeff_product
 
 __all__ = ["ptrim", "psub", "pscale", "pderivative", "pdivmod", "pgcd", "squarefree", "peval",
-           "nonnegative", "cayley", "re_nonnegative", "bounded_by_one", "disk_zero_count"]
+           "pqeval", "nonnegative", "cayley", "re_nonnegative", "bounded_by_one",
+           "disk_zero_count"]
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
@@ -184,6 +185,12 @@ def peval(p, z: GaussRational) -> GaussRational:
     for c in reversed(p):
         acc = acc * z + c
     return acc
+
+
+def pqeval(p, q, z: GaussRational) -> GaussRational | None:
+    """p(z)/q(z), exactly; None where q(z) = 0."""
+    d = peval(q, z)
+    return peval(p, z) / d if d else None
 
 
 def re_nonnegative(a, d) -> bool:

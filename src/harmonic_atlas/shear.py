@@ -59,7 +59,7 @@ from .errors import (
     SeriesMismatch,
 )
 from .numkernel import GaussRational, Series
-from .realalg import bounded_by_one, peval
+from .realalg import bounded_by_one, pqeval
 
 __all__ = ["HarmonicMap", "shear_real", "shear_imag", "dilatation_check", "proof_order"]
 
@@ -298,7 +298,7 @@ def _check_shear_inputs(conformal: AnalyticExpr, omega: AnalyticExpr, order: int
         raise DilatationTooLarge(
             "|omega| < 1 is not proved on the unit disk" if z1 is None else
             "|omega| < 1 fails on the unit disk: |omega(z1)|^2 = "
-            f"{(peval(w.num.coeffs, z1) / peval(w.den.coeffs, z1)).abs2()} at z1 = {z1}")
+            f"{pqeval(w.num.coeffs, w.den.coeffs, z1).abs2()} at z1 = {z1}")
     return s
 
 

@@ -29,7 +29,7 @@ identities included.
 
 Every row says how it was decided (``proof``, schema 2): ``exact`` (for
 every n, or by a witness), ``order`` (exact to the config's order only: a
-yes read in a series), ``grid`` (a float grid or probe) or ``asserted``
+yes read in a series), ``grid`` (a float grid) or ``asserted``
 (taken from the construction, not checked here, and excluded from the
 match count).  Each summary counts its rows by kind (``proofs``).
 
@@ -55,22 +55,20 @@ the catalog) fails, with no value and no witness.  A certificate
 (mu, nu) pairs in Q(i), Re R >= 0 on the disk for a rational R; the
 distortion class (``_u_class_exact``) is |R| <= 1 for R = f'(z/f)^2 - 1,
 a no shown at a point z1; J > 0 (``_jacobian_exact``) rests on g' = omega
-h', |omega| < 1 and no zero of h'.  14 of the 18 falsifiers are exact too,
-by a point of the disk (``_falsifier_exact``, which assumes f univalent,
-as the paper does), and so are REMARK's two starlike rows, by 2 Re(Df/f)
-of f3 as one rational function on the circle (``_starlike_on_circle``).
-Only the certificates' screen (``_RZ_SCREEN``) reads floats, to skip pairs
-it cannot prove; ``geomtest`` holds the float oracle of these rows.  Six
-grid rows are left: the convexity probe of the real direction of
-offset_vslits, offset_vslits_r, hslits_wide_avg and hslits_wide_avg_r
-(f(|z| < 0.999) only), and REMARK's two M(theta) margins, which alone read
-the grid.  No row reads ``tol``.
+h', |omega| < 1 and no zero of h'.  The 18 falsifiers are exact too, each
+by three zero counts that put two points of one line in f(D) and the point
+between them outside (``_falsifier_exact``, which assumes neither
+univalence nor real coefficients), and so are REMARK's two starlike rows,
+by 2 Re(Df/f) of f3 as one rational function on the circle
+(``_starlike_on_circle``).  Only the certificates' screen (``_RZ_SCREEN``)
+reads floats, to skip pairs it cannot prove; ``geomtest`` holds the float
+oracle of these rows.  Two grid rows are left: REMARK's two M(theta)
+margins, which alone read the grid.  No row reads ``tol``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -81,11 +79,10 @@ from .classify import _exact_class, classify_harmonic
 from .errors import Frozen
 from .exprtext import _format_poly
 from .geomtest import (
-    R_MAX, TOL_MARGIN, Grid, default_grid, direction_convexity_probe, m_theta_check,
-    rz_search,
+    R_MAX, TOL_MARGIN, Grid, default_grid, m_theta_check, rz_search,
 )  # no row calls rz_search; the benchmark's tests trace it as verify.rz_search
 from .numkernel import GaussRational
-from .realalg import bounded_by_one, disk_zero_count, peval, re_nonnegative
+from .realalg import bounded_by_one, disk_zero_count, pqeval, pscale, psub, re_nonnegative
 from .shear import HarmonicMap, _omega_bounded, dilatation_check
 
 __all__ = ["VerifyConfig", "run_suite", "SUITES", "report_json", "series_twins"]
@@ -212,13 +209,12 @@ def _entries(families):
             for cid in catalog_ids(family)]
 
 
-def _direction_rows(rows, entry, config, directions=("real", "imag")):
+def _direction_rows(rows, entry):
     """Direction-convexity rows of a conformal entry: an exact slope
-    certificate for h where convexity is claimed (``_rz_exact``), a
-    falsifier where it is denied, exact for the imaginary direction and an
-    odd h (``_falsifier_exact``), else the convexity probe.  An exact row
-    fails where its test finds no witness."""
-    for direction in directions:
+    certificate for h where convexity is claimed (``_rz_exact``), an exact
+    falsifier where it is denied (``_falsifier_exact``).  A row fails where
+    its test finds no witness."""
+    for direction in ("real", "imag"):
         expected = getattr(entry.expected, f"cv_{direction}")
         if expected is None:
             continue
@@ -227,57 +223,43 @@ def _direction_rows(rows, entry, config, directions=("real", "imag")):
             found = witness is not None
             rows.add(entry.id, f"cv_{direction}_certificate", "found" if found else None,
                      "found", found, "exact", witness)
-        elif direction == "imag" or _is_odd(entry.h):
+        else:
             witness = _falsifier_exact(entry.h, direction)
             rows.add(entry.id, f"cv_{direction}_falsified", True if witness else None,
                      True, witness is not None, "exact", witness)
-        else:
-            verdict = direction_convexity_probe(_map(entry, config), direction)
-            rows.add(entry.id, f"cv_{direction}_falsified",
-                     not verdict, True, verdict is False, "grid")
 
 
-# (a + bi)/m in the disk, b > 0 and m = 2, 4, 8, each once: by m, outer first
-_FALSIFIER_POINTS = sorted(
-    (GaussRational(Fraction(a, m), Fraction(b, m)) for m in (2, 4, 8) for a in range(1 - m, m)
-     for b in range(1, m) if a * a + b * b < m * m and (a % 2 or b % 2)),
-    key=lambda z: (z.denominator, -z.abs2()))
-
-
-def _is_odd(f: AnalyticExpr) -> bool:
-    """f(-z) = -f(z) for a rational f: in lowest terms P is odd, Q even."""
-    r = f.rational_part().reduced()
-    return not (f.log_part() or any(r.num.coeffs[::2]) or any(r.den.coeffs[1::2]))
-
-
-def _rat_at(p, q, z: GaussRational) -> GaussRational | None:
-    """p(z)/q(z), exactly; None where q(z) = 0."""
-    d = peval(q, z)
-    return peval(p, z) / d if d else None
+# Rational points of the unit circle: -1, 1, -i, i, then (a + bi)/c for the
+# Pythagorean triples (3, 4, 5) and (5, 12, 13), with every sign and order
+_CIRCLE = [GaussRational(x, y) for x, y in ((-1, 0), (1, 0), (0, -1), (0, 1))] + [
+    GaussRational(Fraction(sa * a, c), Fraction(sb * b, c))
+    for u, v, c in ((3, 4, 5), (5, 12, 13)) for a, b in ((u, v), (v, u))
+    for sa in (-1, 1) for sb in (-1, 1)]
+_STEP = {"real": GaussRational(Fraction(1, 2)), "imag": GaussRational(0, Fraction(1, 2))}
 
 
 def _falsifier_exact(f: AnalyticExpr, direction: str) -> dict | None:
-    """The witness that f(D) is not convex in ``direction``, f = P/Q univalent
-    with real coefficients and f'(0) > 0 (odd for "real"): f increases on
-    (-1, 1), and f(D) meets the real axis in f((-1, 1)), between the limits
-    at -1 and 1.  So where x = Re f(z) lies outside it, z in
-    ``_FALSIFIER_POINTS``, the line Re w = x meets f(D) at f(z) and its
-    conjugate but not at x.  For "real", the same on phi(s) = -i f(is) (f(D)
-    = i phi(D)); z = i s and x = Im f(z).  None where no point shows it, or
-    f is no such P/Q."""
-    turn = GaussRational(1) if direction == "imag" else GaussRational(0, 1)
-    r = f.rational_part().reduced()
-    p = [c * turn ** k * turn.conjugate() for k, c in enumerate(r.num.coeffs)]
-    q = [c * turn ** k for k, c in enumerate(r.den.coeffs)]
-    slope = r.num.coeff(1) * r.den.coeff(0) - r.num.coeff(0) * r.den.coeff(1)  # f'(0) Q(0)^2
-    if f.log_part() or not all(c.is_real for c in p + q) or slope.re <= 0:
+    """The witness that f(D) is not convex in ``direction``, for f = P/Q in
+    lowest terms.  A point v lies in f(D) exactly when P - vQ has a zero in
+    the disk (``disk_zero_count``).  At w = f(zeta), for the first zeta of
+    ``_CIRCLE`` with Q(zeta) != 0 where P - (w -+ s)Q each have one and P -
+    wQ has none (s = ``_STEP[direction]``), the line through w parallel to
+    the direction meets f(D) at w - s and w + s but not at w.  None where
+    no zeta shows it or f has a log part; a constant f shows none (P - wQ =
+    0 has no count)."""
+    if f.log_part():
         return None
-    lo, hi = (e * math.inf if v is None else v.re
-              for e in (-1, 1) for v in [_rat_at(p, q, GaussRational(e))])
-    for z in _FALSIFIER_POINTS:
-        v = _rat_at(p, q, z)
-        if v is not None and not lo < v.re < hi:
-            return {"z": (turn * z).literal(), "x": str(v.re), "interval": f"({lo}, {hi})"}
+    r = f.rational_part().reduced()
+    p, q = r.num.coeffs, r.den.coeffs
+    s = _STEP[direction]
+
+    def hits(v):  # the zeros of P - vQ in the disk; None for P - vQ = 0
+        return disk_zero_count(psub(p, pscale(q, v)))
+
+    for zeta in _CIRCLE:
+        w = pqeval(p, q, zeta)
+        if w is not None and hits(w - s) and hits(w + s) and hits(w) == 0:
+            return {"zeta": zeta.literal(), "w": w.literal(), "step": s.literal()}
     return None
 
 
@@ -390,7 +372,7 @@ def _u_class_quotient(f: AnalyticExpr) -> RatFunc | None:
 def _outside_witness(r: RatFunc, z: GaussRational) -> dict | None:
     """The witness that |R| < 1 fails on the disk: z with |z|^2 < 1 and
     |R(z)|^2 > 1, both exact; None where z does not show it."""
-    value = _rat_at(r.num.coeffs, r.den.coeffs, z)
+    value = pqeval(r.num.coeffs, r.den.coeffs, z)
     if z.abs2() >= 1 or value is None or value.abs2() <= 1:
         return None
     value = value.abs2()
@@ -442,7 +424,7 @@ def _suite_t31(config) -> dict:
 def _suite_directions(config, theorem: str, families: tuple[str, ...]) -> dict:
     rows = _Rows()
     for entry in _entries(families):
-        _direction_rows(rows, entry, config)
+        _direction_rows(rows, entry)
     return rows.report(theorem, config)
 
 
@@ -528,7 +510,7 @@ def _suite_remark(config) -> dict:
              "exact", {"two_re_Df_f": _rat_text(s), "formula": _rat_text(_F3_STARLIKE)}
              if same else None)
     z = _F3_STARLIKE_POINT
-    v = None if s is None else _rat_at(s.num.coeffs, s.den.coeffs, z)
+    v = None if s is None else pqeval(s.num.coeffs, s.den.coeffs, z)
     negative, refuted = None if v is None else v.re < 0, not f3_entry.expected.starlike
     rows.add("f3", "starlike_refuted", negative, refuted, negative == refuted, "exact",
              None if v is None else {"z": z.literal(), "re_Df_f": str(v.re / 2)})

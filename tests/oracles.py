@@ -8,8 +8,9 @@ reproduce exactly: ``rz_search_bruteforce``, the lattice scan that
 ``rz_search`` makes with ``rz_certificate``, written apart;
 ``path_data_reference``, the per-point loop behind the run-at-a-time SVG
 path formatter; and ``pole_mask_bruteforce``, the every-pole test behind
-the radius-screened pole guard.  ``real_roots_between`` is a Sturm count
-on plain Fraction lists, the check of the exact falsifiers' witnesses.
+the radius-screened pole guard.  ``disk_preimage_count`` counts the roots
+of P - wQ inside the disk with ``np.roots``, the float check of the exact
+falsifiers' witnesses.
 They import numpy only when called, so importing this module (as perfbench
 does at set-up) loads neither numpy nor the package.  ``GaussRational``
 here is the Fraction-pair class the package used before its integer-triple
@@ -105,48 +106,16 @@ def gaussian_long_division(num, den, order):
     return list(zip(re, im))
 
 
-def real_roots_between(p, a, b):
-    """The distinct real roots of p (Fraction coefficients, ascending) in
-    the open interval (a, b), by Sturm's theorem.  Roots at a and b are
-    divided out first, so that neither end is a root of the sequence's
-    first member."""
-    def value(p, x):
-        acc = Fraction(0)
-        for c in reversed(p):
-            acc = acc * x + c
-        return acc
+def disk_preimage_count(p, q, w, margin=1e-6):
+    """The roots of P - wQ with |z| < 1 - margin, by ``np.roots``: the
+    points of the disk that f = P/Q maps to w, counted in floats.  p and q
+    are complex coefficient lists, lowest degree first; a root within
+    margin of the circle is not counted."""
+    import numpy as np
 
-    def remainder(p, q):
-        p = list(p)
-        while len(p) >= len(q):
-            c = p[-1] / q[-1]
-            for k in range(len(q)):
-                p[len(p) - len(q) + k] -= c * q[k]
-            p.pop()
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    p = [Fraction(c) for c in p]
-    while p and p[-1] == 0:
-        p.pop()
-    assert p, "the zero polynomial"
-    for r in (Fraction(a), Fraction(b)):
-        while len(p) > 1 and value(p, r) == 0:  # synthetic division by z - r
-            quot = [p[-1]]
-            for c in reversed(p[1:-1]):
-                quot.append(c + r * quot[-1])
-            p = quot[::-1]
-    seq = [p, [k * c for k, c in enumerate(p)][1:]]
-    while seq[-1]:
-        seq.append([-c for c in remainder(seq[-2], seq[-1])])
-    seq.pop()
-
-    def variations(x):
-        signs = [v > 0 for v in (value(q, x) for q in seq) if v != 0]
-        return sum(s != t for s, t in zip(signs, signs[1:]))
-
-    return variations(Fraction(a)) - variations(Fraction(b))
+    c = np.polysub(np.array(p[::-1], dtype=complex), w * np.array(q[::-1], dtype=complex))
+    assert np.any(c), "the zero polynomial"
+    return int(np.sum(np.abs(np.roots(c)) < 1 - margin))
 
 
 def rz_search_bruteforce(phi, axis, grid, mu_steps=96, nu_steps=48,

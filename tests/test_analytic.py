@@ -619,14 +619,15 @@ def test_series_of_a_term_sum_matches_the_oracles(rationals, logs, order, data):
 
 
 def test_cold_verify_all_inverts_once_per_expansion():
-    # A cold `verify all` at the default config expands 116 expressions,
+    # A cold `verify all` at the default config expands 114 expressions,
     # each as one quotient P/Q (its rational terms summed) times 1/Q, and
     # 12 (log argument L, order) pairs through 1/L: one Series.reciprocal
-    # each, 128 in all.  Every map with closed forms is built at the order
+    # each, 126 in all.  Every map with closed forms is built at the order
     # that proves them (`CatalogEntry.proof_order`): 1 for a conformal map
-    # and 2 to 13 for a shear (`shear` module doc).  So 24 expansions are
-    # at order 1 (the 21 conformal h, the zero expression, and +z and -z
-    # for the two shears built at order 2), 86 and all 12 pairs at the
+    # and 2 to 13 for a shear (`shear` module doc).  So 22 expansions are
+    # at order 1 (19 conformal h, the zero expression, and +z and -z for
+    # the two shears built at order 2; no row builds the maps of T2's two
+    # entries, whose rows read h alone), 86 and all 12 pairs at the
     # orders 2 to 13, and only the 4 sources and 2 omegas of the 8 shears
     # without closed forms at 64 or 63.  The zero expression, the g and
     # omega of every conformal map, is one object, expanded once per
@@ -652,7 +653,7 @@ def test_cold_verify_all_inverts_once_per_expansion():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert tuple(map(int, out.stdout.split())) == (128, 116, 12), out.stdout
+    assert tuple(map(int, out.stdout.split())) == (126, 114, 12), out.stdout
 
 
 # -- derivative/series consistency across a family of expressions ----------------

@@ -151,8 +151,8 @@ def test_exact_certificates_agree_with_the_float_oracle(verify_rz_calls):
 
 
 def test_no_exact_certificate_for_a_direction_the_catalog_denies(catalog):
-    # the 18 falsified directions of verify (14 refuted by an exact witness,
-    # verify._falsifier_exact, and 4 by the probe) and every other entry's:
+    # the 18 falsified directions of verify (each refuted by an exact
+    # witness, verify._falsifier_exact) and every other entry's:
     # no pair proves the slope criterion where the map is not convex
     denied = [(e.h, axis) for e in catalog if e.is_conformal
               for axis in ("real", "imag") if getattr(e.expected, f"cv_{axis}") is False]

@@ -3,12 +3,15 @@
 import cmath
 import json
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from harmonic_atlas import (
     AnalyticExpr, CatalogEntry, FlagSet, Poly, catalog, catalog_ids, catalog_lookup, verify,
@@ -21,7 +24,7 @@ from harmonic_atlas.exprtext import parse_gauss
 from harmonic_atlas.numkernel import GaussRational
 from harmonic_atlas.shear import HarmonicMap
 from harmonic_atlas.verify import SUITES, VerifyConfig, report_json, run_suite
-from oracles import real_roots_between
+from oracles import disk_preimage_count
 
 FAST = VerifyConfig(order=16, grid_radii=16, grid_angles=64)
 RECORDING = Path(__file__).parent / "data" / "verify_all_fast.json"
@@ -268,15 +271,13 @@ def test_proof_ledger_counts(config):
     report = run_suite("all", config)
     assert report["schema"] == 2
     assert report["summary"]["proofs"] == {
-        "exact": 201, "order": 0, "grid": 6, "asserted": 2}
+        "exact": 205, "order": 0, "grid": 2, "asserted": 2}
     rows = _rows(report).values()
     assert all(r["asserted"] == (r["proof"] == "asserted") for r in rows)
-    assert sum(s["summary"]["proofs"]["exact"] for s in report["suites"]) == 201
-    # the grid rows left: 4 probed falsifiers and REMARK's 2 M(theta) margins
+    assert sum(s["summary"]["proofs"]["exact"] for s in report["suites"]) == 205
+    # the grid rows left: REMARK's 2 M(theta) margins
     assert sorted((r["id"], r["check"]) for r in rows if r["proof"] == "grid") == [
-        ("f3", "m_theta_0_margin"), ("f9", "m_theta_pi_margin"),
-        ("hslits_wide_avg", "cv_real_falsified"), ("hslits_wide_avg_r", "cv_real_falsified"),
-        ("offset_vslits", "cv_real_falsified"), ("offset_vslits_r", "cv_real_falsified")]
+        ("f3", "m_theta_0_margin"), ("f9", "m_theta_pi_margin")]
 
 
 def test_series_rows_below_their_witness_index_hold_to_the_order():
@@ -325,14 +326,10 @@ def test_the_19_exact_rows_agree_with_the_grid_checks():
         assert geomtest.jacobian_min(fm, grid).margin > 0, eid
 
 
-def test_verify_all_runs_neither_grid_check_of_the_exact_rows(monkeypatch, refuse_numpy):
-    def refuse(*args, **kwargs):
-        raise AssertionError("grid check called")
-
-    # verify binds neither check, and neither runs where it is defined
+def test_verify_all_runs_neither_grid_check_of_the_exact_rows(refuse_numpy):
+    # verify binds neither check (that neither runs is
+    # test_the_float_oracles_stay_off_the_verdict_path)
     assert not hasattr(verify, "u_class_margin") and not hasattr(verify, "jacobian_min")
-    monkeypatch.setattr(geomtest, "u_class_margin", refuse)
-    monkeypatch.setattr(geomtest, "jacobian_min", refuse)
     report = run_suite("all", FAST)
     assert report["summary"]["matched"] == report["summary"]["total"] == 207
     rows = [r for r in _rows(report).values()
@@ -473,14 +470,11 @@ def test_flipped_t31_flag_fails_its_row(monkeypatch, eid, flag, check):
 _DENIED = [(eid, axis) for family in ("S_Z", "T1", "T2") for eid in catalog_ids(family)
            for axis in ("real", "imag")
            if getattr(catalog_lookup(eid).expected, f"cv_{axis}") is False]
-_PROBED = [("hslits_wide_avg", "real"), ("hslits_wide_avg_r", "real"),
-           ("offset_vslits", "real"), ("offset_vslits_r", "real")]
 
 
 def test_the_probe_and_the_exact_falsifier_agree_on_all_18_rows():
-    # every denied direction is refuted by the probe on |z| = 0.999, and the
-    # 14 of the imaginary direction and of the odd maps by an exact witness;
-    # the 4 real rows of maps that are not odd keep the probe
+    # every denied direction is refuted by the probe on |z| = 0.999, and
+    # every row is exact, with the falsifier's witness as text
     report = run_suite("all", FAST)
     rows = _rows(report)
     assert len(_DENIED) == 18
@@ -488,76 +482,123 @@ def test_the_probe_and_the_exact_falsifier_agree_on_all_18_rows():
         entry = catalog_lookup(eid)
         assert geomtest.direction_convexity_probe(entry.harmonic_map(1), axis) is False, eid
         row = rows[eid, f"cv_{axis}_falsified"]
-        assert row["computed"] is True and row["match"]
-        if (eid, axis) in _PROBED:
-            assert row["proof"] == "grid" and "witness" not in row
-            assert axis == "real" and not verify._is_odd(entry.h)
-        else:
-            assert row["proof"] == "exact"
-            assert row["witness"] == verify._falsifier_exact(entry.h, axis)
-            assert set(row["witness"]) == {"z", "x", "interval"}
+        assert row["computed"] is True and row["match"] and row["proof"] == "exact"
+        assert row["witness"] == verify._falsifier_exact(entry.h, axis)
+        assert set(row["witness"]) == {"zeta", "w", "step"}
+        assert all(isinstance(v, str) for v in row["witness"].values())
 
 
 def test_koebe_witness():
-    # z = (-1 + i)/2: koebe(z) = -7/25 + 24i/25, left of koebe((-1, 1)) =
-    # (-1/4, inf), the real points of the image
+    # zeta = -1: koebe(-1) = -1/4, the tip of the slit (-inf, -1/4]; the
+    # vertical line through it meets the image at -1/4 -+ i/2, not at -1/4
     assert verify._falsifier_exact(catalog_lookup("koebe").h, "imag") == {
-        "z": "-1/2+1/2 i", "x": "-7/25", "interval": "(-1/4, inf)"}
+        "zeta": "-1", "w": "-1/4", "step": "1/2 i"}
 
 
 @pytest.mark.parametrize("h", [
-    AnalyticExpr.rational(-1, Poly([0, 1])),  # -z: decreasing on (-1, 1)
-    AnalyticExpr.rational(-1, Poly([0, 1]), Poly([1, -2, 1])),  # -koebe
+    AnalyticExpr.rational(-1, Poly([0, 1])),  # -z: a disk
+    AnalyticExpr.rational(1, Poly([0, 1]), Poly([1, -1])),  # z/(1 - z): a half-plane
     AnalyticExpr.log(-1, Poly([1, -1])),  # a log part
-    AnalyticExpr.rational(1, Poly([0, 1, GaussRational(0, 1)])),  # z + i z^2
+    AnalyticExpr.rational(1, Poly([1])),  # a constant: P - wQ = 0 has no count
 ])
 def test_the_falsifier_refuses_what_its_argument_does_not_cover(h):
-    # the interval of f((-1, 1)) needs f real and increasing there: -koebe
-    # would be "refuted" at every point if f'(0) < 0 went unchecked
+    # a convex image has no witness in either direction, and a log part
+    # or a constant none at all
+    assert verify._falsifier_exact(h, "real") is None
     assert verify._falsifier_exact(h, "imag") is None
 
 
-def test_falsifier_witnesses_against_a_sturm_count():
-    # each witness: |z| < 1, x is Re f(z) (Im f(z) for the real direction),
-    # and P - xQ, for f = P/Q or for phi(s) = -i f(is), has no root in
-    # (-1, 1), so no point of (-1, 1) maps to x (Sturm, on Fractions)
+def test_minus_koebe_is_refuted_in_the_imaginary_direction():
+    # -koebe maps the disk onto C minus [1/4, inf), convex in the real
+    # direction only; the route needs no sign of f'(0)
+    h = AnalyticExpr.rational(-1, Poly([0, 1]), Poly([1, -2, 1]))
+    assert verify._falsifier_exact(h, "imag") == {"zeta": "-1", "w": "1/4", "step": "1/2 i"}
+    assert verify._falsifier_exact(h, "real") is None
+
+
+def _float_coeffs(h):
+    """P and Q of h's rational part in lowest terms, as complex lists."""
+    r = h.rational_part().reduced()
+    return [complex(c) for c in r.num.coeffs], [complex(c) for c in r.den.coeffs]
+
+
+def _witness_holds(p, q, w, s):
+    """The float check of a falsifier's witness: P - wQ has no root in the
+    disk, and P - (w - s)Q and P - (w + s)Q at least one each."""
+    return (disk_preimage_count(p, q, w) == 0 and disk_preimage_count(p, q, w - s) >= 1
+            and disk_preimage_count(p, q, w + s) >= 1)
+
+
+def test_falsifier_witnesses_against_a_float_root_count():
+    # each recorded witness: zeta on the circle exactly, w = f(zeta) in
+    # floats, and the three root counts of np.roots; w moved by s/4 along
+    # the line is no witness
     rows = _rows(json.loads(DEFAULT_RECORDING.read_text(encoding="ascii")))
-    checked = 0
     for eid, axis in _DENIED:
-        witness = rows[eid, f"cv_{axis}_falsified"].get("witness")
-        if witness is None:
-            continue
-        h = catalog_lookup(eid).h
-        r = h.rational_part()
-        p = [c.re for c in r.num.coeffs]
-        q = [c.re for c in r.den.coeffs]
-        assert all(c.is_real for c in r.num.coeffs + r.den.coeffs)
-        if axis == "real":  # phi's coefficients: p_k i^(k - 1), q_k i^k
-            assert all(c == 0 for c in p[::2]) and all(c == 0 for c in q[1::2])
-            p = [c * (-1) ** ((k - 1) // 2) if k % 2 else c for k, c in enumerate(p)]
-            q = [c * (-1) ** (k // 2) for k, c in enumerate(q)]
-        x = Fraction(witness["x"])
-        z = complex(parse_gauss(witness["z"]))
-        value = h.eval(z)
-        assert abs(z) < 1
-        assert (value.real if axis == "imag" else value.imag) == pytest.approx(float(x))
-        n = max(len(p), len(q))
-        pad = [Fraction(0)] * n
-        diff = [a - x * b for a, b in zip(p + pad, (q + pad)[:n])][:n]
-        assert real_roots_between(diff, -1, 1) == 0, (eid, axis)
-        checked += 1
-    assert checked == 14
+        witness = rows[eid, f"cv_{axis}_falsified"]["witness"]
+        assert parse_gauss(witness["zeta"]).abs2() == 1
+        p, q = _float_coeffs(catalog_lookup(eid).h)
+        zeta, w, s = (complex(parse_gauss(witness[k])) for k in ("zeta", "w", "step"))
+        assert np.polyval(p[::-1], zeta) / np.polyval(q[::-1], zeta) == pytest.approx(w)
+        assert _witness_holds(p, q, w, s), (eid, axis)
+        assert not _witness_holds(p, q, w + s / 4, s), (eid, axis)
+
+
+# rational points of the closed disk: x + y (1 - |x|) i, in |x| + |y| <= 1,
+# or a rational point of the circle
+_DISK_POINTS = st.one_of(
+    st.tuples(st.fractions(-1, 1, max_denominator=12), st.fractions(-1, 1, max_denominator=12))
+    .map(lambda t: GaussRational(t[0], t[1] * (1 - abs(t[0])))),
+    st.sampled_from(verify._CIRCLE))
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=_DISK_POINTS)
+def test_the_falsifier_finds_no_witness_on_a_convex_image(c):
+    # z/(1 - cz) maps the disk onto a disk (z for c = 0), or onto a
+    # half-plane for |c| = 1
+    h = AnalyticExpr.rational(1, Poly([0, 1]), Poly([1, -c]))
+    assert verify._falsifier_exact(h, "real") is None
+    assert verify._falsifier_exact(h, "imag") is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_DISK_POINTS, b=_DISK_POINTS, axis=st.sampled_from(["real", "imag"]))
+def test_every_falsifier_witness_passes_the_float_count(a, b, axis):
+    # z/((1 - az)(1 - bz)): a witness found must pass np.roots' counts,
+    # unless a root lies too near the circle for floats to place it (zeta
+    # itself, a root of P - wQ, aside)
+    h = AnalyticExpr.rational(1, Poly([0, 1]), Poly([1, -a]) * Poly([1, -b]))
+    witness = verify._falsifier_exact(h, axis)
+    if witness is None:
+        return
+    p, q = _float_coeffs(h)
+    zeta, w, s = (complex(parse_gauss(witness[k])) for k in ("zeta", "w", "step"))
+    for v in (w - s, w, w + s):
+        roots = np.roots(np.polysub(p[::-1], v * np.array(q[::-1])))
+        assume(all(abs(abs(r) - 1) >= 1e-6 or abs(r - zeta) < 1e-3 for r in roots))
+    assert _witness_holds(p, q, w, s)
+
+
+def test_a_boundary_value_inside_the_image_is_no_witness():
+    # z + z^2 is not univalent: f(-1) = 0 = f(0), so the horizontal line
+    # through w = 0 meets f(D) at 0 as well as at -+1/2, and zeta = -1
+    # shows nothing; its witness in the imaginary direction passes the
+    # float counts
+    h = AnalyticExpr.rational(1, Poly([0, 1, 1]))
+    assert verify._falsifier_exact(h, "real") is None
+    witness = verify._falsifier_exact(h, "imag")
+    p, q = _float_coeffs(h)
+    assert _witness_holds(p, q, *(complex(parse_gauss(witness[k])) for k in ("w", "step")))
 
 
 def test_a_witness_moved_inside_fails_its_row(monkeypatch):
-    # at z = i/8 every map of T32 takes a real part inside f((-1, 1)), so
-    # no point shows a falsifier: the 6 rows fail with no value, none probed
-    z = parse_gauss("1/8 i")
+    # with no point of the circle to try, no falsifier shows: the 6 rows of
+    # T32 fail with no value and no witness
     koebe = catalog_lookup("koebe").h
     assert verify._falsifier_exact(koebe, "imag") is not None
-    monkeypatch.setattr(verify, "_FALSIFIER_POINTS", [z])
+    monkeypatch.setattr(verify, "_CIRCLE", [])
     assert verify._falsifier_exact(koebe, "imag") is None
-    monkeypatch.setattr(verify, "direction_convexity_probe", None)
     report = run_suite("T32", FAST)
     falsifiers = [(r["id"], r["check"]) for r in report["rows"] if "falsified" in r["check"]]
     assert len(falsifiers) == 6 and _failed(report) == sorted(falsifiers)
@@ -566,20 +607,29 @@ def test_a_witness_moved_inside_fails_its_row(monkeypatch):
         assert row["computed"] is None and row["proof"] == "exact" and "witness" not in row
 
 
-def test_verify_all_probes_4_rows_and_samples_no_starlike_derivative(monkeypatch):
-    probed = []
-    probe = verify.direction_convexity_probe
-    monkeypatch.setattr(verify, "direction_convexity_probe",
-                        lambda F, d: probed.append(d) or probe(F, d))
+# the float checks that decide no row, each only the oracle of an exact one
+_FLOAT_ORACLES = ("direction_convexity_probe", "starlike_derivative", "rz_search",
+                  "u_class_margin", "jacobian_min")
 
+
+def test_the_float_oracles_stay_off_the_verdict_path(monkeypatch):
+    # each oracle replaced by a stub that raises, wherever the package binds
+    # it: verify all still gives the default recording byte for byte.
+    # m_theta_check is the one float check left on the verdict path
     def refuse(*args, **kwargs):
-        raise AssertionError("starlike_derivative called")
+        raise AssertionError("float check called")
 
-    assert not hasattr(verify, "starlike_derivative")
-    monkeypatch.setattr(geomtest, "starlike_derivative", refuse)
-    report = run_suite("all", FAST)
-    assert report["summary"]["matched"] == report["summary"]["total"] == 207
-    assert probed == ["real"] * 4
+    modules = [m for name, m in list(sys.modules.items())
+               if name == "harmonic_atlas" or name.startswith("harmonic_atlas.")]
+    for name in _FLOAT_ORACLES:
+        bound = [m for m in modules if getattr(m, name, None) is getattr(geomtest, name)]
+        assert geomtest in bound, name
+        for m in bound:
+            monkeypatch.setattr(m, name, refuse)
+    assert report_json(run_suite("all")) == DEFAULT_RECORDING.read_text(encoding="ascii")
+    monkeypatch.setattr(verify, "m_theta_check", refuse)
+    with pytest.raises(AssertionError, match="float check called"):
+        run_suite("REMARK")
 
 
 def test_perturbed_starlike_formula_fails_its_row(monkeypatch):
