@@ -5,31 +5,37 @@ the unit disk and the tests Re(a/d) >= 0 and |p/q| <= 1 there.
 A polynomial here is its coefficient sequence over Q(i), lowest degree
 first, as ``analytic.Poly`` holds it (``Poly.coeffs``); ``Poly``'s
 trimming, subtraction, scaling, derivative, division and gcd are the
-functions here.  "Real" means every coefficient has imaginary part 0.
-Every result is exact, and the module imports no numpy.
+functions here, on Q(i), since ``analytic`` needs the factors themselves.
+"Real" means every coefficient has imaginary part 0.  Every result is
+exact, and the module imports no numpy.
 
-* ``nonnegative(p)`` is p >= 0 on the real line, for a real p: a positive
-  leading coefficient and no real root of odd multiplicity (the
-  odd-multiplicity factors of ``squarefree``, each with no sign variation
-  between its Sturm sequence's ends at -inf and +inf).
-* ``cayley(p, n)`` is (1 - it)^n p((1 + it)/(1 - it)), a polynomial in t
-  for n >= deg p.  As t runs over the real line, z = (1 + it)/(1 - it)
-  runs over the unit circle but z = -1, and |1 - it|^2 = 1 + t^2 > 0.
-* ``re_nonnegative(a, d)`` is Re(a/d) >= 0 on the open disk, that is
-  |(a - d)/(a + d)| <= 1, for ``verify``'s slope certificates, and
-  ``bounded_by_one(p, q)`` is |p/q| <= 1 there, for ``shear``'s |omega| <
-  1 and ``verify``'s distortion class, with a point where it fails.
+The sign tests need only signs on the real line, so they run on integer
+lists: p enters as the real and imaginary parts of L p, L > 0 the lcm of
+its denominators, and every later rescaling is by a positive integer,
+which moves no sign, root or Cauchy index.  The signed remainder sequence
+takes |lc g|^k rem(f, g), negated and divided by its content, for -rem(f,
+g).  The gcd chain h_0 = h, h_(k+1) = gcd(h_k, h_k') divides nothing: the
+sequence of (h_k, h_k') has as its index n_k, the number of distinct real
+roots of h of multiplicity > k, and as its last member h_(k+1).  So h has
+sum n_k real roots with multiplicity, sum (-1)^k n_k of odd multiplicity.
+
+* ``nonnegative(p)``, p >= 0 on the real line for a real p, is a positive
+  lead and no real root of odd multiplicity.
+* ``cayley(p, n)`` is (1 - it)^n p((1 + it)/(1 - it)) in t, n >= deg p:
+  for real t, z = (1 + it)/(1 - it) runs over the unit circle but -1.
+* ``re_nonnegative(a, d)`` is Re(a/d) >= 0 on the open disk (``verify``'s
+  slope certificates), and ``bounded_by_one(p, q)`` is |p/q| <= 1 there
+  (``shear``'s |omega| < 1, ``verify``'s distortion class) or a witness.
 * ``disk_zero_count(p)`` is the number of zeros of p in the open unit
-  disk, with multiplicity, for every p but 0.  q = ``cayley(p, deg p)``,
-  made monic, has a zero with Im t > 0 for each zero of p in the disk, a
-  real zero for each on the circle but -1, and loses a degree for each at
-  -1.  With q = (A + iB)/2 for real A and B, deg B < deg A, one signed
-  remainder sequence of (A, B) gives the Cauchy index Ind(B/A) (Basu,
-  Pollack & Roy, ch. 2) and, as its last member, g = gcd(A, B): the real
-  zeros of q and its pairs t, conj t (from the pairs alpha, 1/conj alpha
-  of p).  On q/g the argument principle counts (deg A - deg g - Ind)/2
-  zeros with Im t > 0, and g, real, has half of its non-real zeros there:
-  for each squarefree factor (f, m), m (deg f - its real roots)/2.
+  disk, with multiplicity, for every p but 0.  q = ``cayley(p, deg p)``
+  times conj(lc q) has a positive lead, a zero with Im t > 0 for each zero
+  of p in the disk, a real one for each on the circle but -1, and one
+  degree less for each at -1.  For q = A + iB, A and B real, one signed
+  remainder sequence gives the Cauchy index Ind(B/A) (Basu, Pollack & Roy,
+  ch. 2) and g = gcd(A, B): the real zeros of q and its pairs t, conj t
+  (from the pairs alpha, 1/conj alpha of p).  q/g has (deg A - deg g -
+  Ind)/2 zeros with Im t > 0 (argument principle), and the real g half of
+  its non-real ones: (deg A - Ind - sum n_k)/2 in all, n_k of g.
 """
 
 from __future__ import annotations
@@ -37,8 +43,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from math import comb, gcd, lcm
 
-from .numkernel import GaussRational, coeff_product
+from .numkernel import GaussRational
 
 __all__ = ["ptrim", "psub", "pscale", "pderivative", "pdivmod", "pgcd", "squarefree", "peval",
            "pqeval", "nonnegative", "cayley", "re_nonnegative", "bounded_by_one",
@@ -46,13 +53,12 @@ __all__ = ["ptrim", "psub", "pscale", "pderivative", "pdivmod", "pgcd", "squaref
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
-_I = GaussRational(0, 1)
 
 
 def ptrim(cs) -> tuple:
     """The coefficients without trailing zeros."""
     cs = list(cs)
-    while cs and cs[-1].is_zero:
+    while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
@@ -120,65 +126,6 @@ def squarefree(p) -> list[tuple[tuple, int]]:
     return out
 
 
-def _sign(c: GaussRational) -> int:
-    return (c._a > 0) - (c._a < 0)  # Re c = a/d with d > 0; no Fraction built
-
-
-def _sturm_variations(f, g) -> tuple[int, tuple]:
-    """V(-inf) - V(+inf) over the signed remainder sequence of real f and
-    g, deg g < deg f: the Cauchy index of g/f on the real line, and the
-    sequence's last member, a gcd of f and g.  For g = f' the index is the
-    number of distinct real roots of f.  Each remainder is scaled by a
-    positive constant, which keeps its signs; a sign at an infinite end is
-    that of the leading coefficient, flipped at -inf for an odd degree."""
-    seq, r = [f], g
-    while r:
-        seq.append(r)
-        r = pdivmod(seq[-2], r)[1]
-        if r:
-            lead = r[-1] if _sign(r[-1]) > 0 else -r[-1]
-            r = tuple(-c / lead for c in r)
-
-    def variations(lower):
-        signs = [_sign(h[-1]) * (-1 if lower and len(h) % 2 == 0 else 1) for h in seq]
-        return sum(s != t for s, t in zip(signs, signs[1:]))
-
-    return variations(True) - variations(False), seq[-1]
-
-
-def nonnegative(p) -> bool:
-    """p >= 0 on the whole real line, for a real p."""
-    p = ptrim(p)
-    if not p:
-        return True
-    if _sign(p[-1]) < 0:
-        return False
-    return all(_sturm_variations(a, pderivative(a))[0] == 0
-               for a, m in squarefree(p) if m % 2)
-
-
-@lru_cache(maxsize=16)
-def _cayley_basis(n: int) -> tuple:
-    """(1 + it)^k (1 - it)^(n - k) in t, for k = 0..n."""
-    plus, minus = (_ONE, _I), (_ONE, -_I)
-    rise, fall = [(_ONE,)], [(_ONE,)]
-    for j in range(1, n + 1):
-        rise.append(tuple(coeff_product(rise[-1], plus, j)))
-        fall.append(tuple(coeff_product(fall[-1], minus, j)))
-    return tuple(tuple(coeff_product(rise[k], fall[n - k], n)) for k in range(n + 1))
-
-
-def cayley(p, n: int) -> tuple:
-    """(1 - it)^n p((1 + it)/(1 - it)) in t, for n >= deg p."""
-    p = ptrim(p)
-    if len(p) > n + 1:
-        raise ValueError("n must be at least the degree")
-    out = [_ZERO] * (n + 1)
-    for c, basis in zip(p, _cayley_basis(n)):
-        out = [o + c * b for o, b in zip(out, basis)]
-    return ptrim(out)
-
-
 def peval(p, z: GaussRational) -> GaussRational:
     """p(z), exactly (Horner): the one exact evaluation."""
     acc = _ZERO
@@ -193,20 +140,115 @@ def pqeval(p, q, z: GaussRational) -> GaussRational | None:
     return peval(p, z) / d if d else None
 
 
+def _cleared(p) -> tuple[list, list]:
+    """The real and imaginary parts of L p, for L the lcm of p's denominators."""
+    m = lcm(*(c._d for c in p))
+    return [c._a * (m // c._d) for c in p], [c._b * (m // c._d) for c in p]
+
+
+def _sturm_variations(f: list, g: list) -> tuple[int, list]:
+    """V(-inf) - V(+inf) over the signed remainder sequence of real f and
+    g, deg g < deg f: the Cauchy index of g/f on the real line, and the
+    sequence's last member, a gcd of f and g.  For g = f' the index is the
+    number of distinct real roots of f.  Each pseudo-division step takes
+    |lc g| r - sign(lc g) lc(r) g.  A sign at an infinite end is that of the
+    leading coefficient, flipped at -inf for an odd degree."""
+    seq, r = [f], g
+    while r:
+        seq.append(r)
+        g, r, top = r, list(seq[-2]), len(r) - 1
+        scale, sign = abs(g[-1]), (g[-1] > 0) - (g[-1] < 0)
+        for k in range(len(r) - 1 - top, -1, -1):
+            c = r.pop() * sign
+            if c:
+                r = [scale * x for x in r]
+                for i in range(top):
+                    r[k + i] -= c * g[i]
+        content = gcd(*r)  # 0 for r = 0
+        r = ptrim(-x // content for x in r) if content else ()
+
+    def variations(lower):
+        signs = [(h[-1] > 0) != (lower and len(h) % 2 == 0) for h in seq]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(True) - variations(False), seq[-1]
+
+
+def _root_counts(h: list) -> list:
+    """n_k, the number of distinct real roots of h of multiplicity > k, for
+    k = 0, 1, ... up to the largest such multiplicity (module doc)."""
+    counts = []
+    while len(h) > 1:
+        n, h = _sturm_variations(h, [k * h[k] for k in range(1, len(h))])
+        counts.append(n)
+    return counts
+
+
+def _nonnegative(p: list) -> bool:
+    counts = _root_counts(p)  # n_0 - n_1 + ...: the real roots of odd multiplicity
+    return not p or p[-1] > 0 and sum(counts[::2]) == sum(counts[1::2])
+
+
+def nonnegative(p) -> bool:
+    """p >= 0 on the whole real line, for a real p (else ValueError)."""
+    re, im = _cleared(ptrim(p))
+    if any(im):
+        raise ValueError("the sign on the real line needs a real polynomial")
+    return _nonnegative(re)
+
+
+@lru_cache(maxsize=16)
+def _cayley_basis(n: int) -> tuple:
+    """s_k with (1 + it)^k (1 - it)^(n - k) = sum_j s_k[j] (it)^j, k = 0..n."""
+    return tuple([sum((-1) ** (j - a) * comb(k, a) * comb(n - k, j - a) for a in range(j + 1))
+                  for j in range(n + 1)] for k in range(n + 1))
+
+
+def _int_cayley(p, n: int) -> tuple[list, list]:
+    """``cayley`` of L p (``_cleared``): the integer lists of the real and
+    imaginary parts of its coefficients 0..n."""
+    x, y = [0] * (n + 1), [0] * (n + 1)
+    for u, v, s in zip(*_cleared(p), _cayley_basis(n)):
+        for j, c in enumerate(s):
+            x[j] += u * c
+            y[j] += v * c
+    turns = list(enumerate(zip(x, y)))  # times i^j
+    return ([(a, -b, -a, b)[j % 4] for j, (a, b) in turns],
+            [(b, a, -b, -a)[j % 4] for j, (a, b) in turns])
+
+
+def cayley(p, n: int) -> tuple:
+    """(1 - it)^n p((1 + it)/(1 - it)) in t, for n >= deg p."""
+    if len(ptrim(p)) > n + 1:
+        raise ValueError("n must be at least the degree")
+    m = lcm(*(c._d for c in p))
+    return ptrim(GaussRational(x, y) / m for x, y in zip(*_int_cayley(p, n)))
+
+
 def re_nonnegative(a, d) -> bool:
     """Re(a/d) >= 0 on the open disk, proved as |Phi| <= 1 there for Phi =
     (a - d)/(a + d) by ``bounded_by_one``'s proof, with no witness search:
     a/d = (1 + Phi)/(1 - Phi) has Re = (1 - |Phi|^2)/|1 - Phi|^2.  Poles
     of a/d on the circle are allowed."""
-    return nonnegative(_circle(a, d)) and disk_zero_count(psub(a, [-c for c in d])) == 0
+    return _nonnegative(_circle(a, d)) and disk_zero_count(psub(a, [-c for c in d])) == 0
 
 
-def _circle(a, d) -> tuple:
-    """2 Re(a conj d) on the circle, in t (``cayley``)."""
+def _circle(a, d) -> list:
+    """Re(a conj d) on the circle, in t (``cayley``), times a positive
+    integer."""
     n = max(len(a), len(d)) - 1
-    a, d = cayley(a, n), cayley(d, n)
-    return tuple(c + c.conjugate()
-                 for c in coeff_product(a, [c.conjugate() for c in d], 2 * n))
+    (ar, ai), (dr, di) = _int_cayley(a, n), _int_cayley(d, n)
+    out = [0] * max(len(ar) + len(dr) - 1, 0)
+    for i, (u, w) in enumerate(zip(ar, ai)):
+        for j, (v, s) in enumerate(zip(dr, di)):
+            out[i + j] += u * v + w * s
+    return ptrim(out)
+
+
+def _sign_at(p: list, u: int, v: int) -> int:
+    """The sign of p(u/v) for v > 0: that of v^deg p p(u/v), in integers."""
+    acc = sum(c * u**j * v**(len(p) - 1 - j) for j, c in enumerate(p))
+    return (acc > 0) - (acc < 0)
 
 
 def bounded_by_one(p, q) -> tuple[bool, GaussRational | None]:
@@ -219,16 +261,16 @@ def bounded_by_one(p, q) -> tuple[bool, GaussRational | None]:
     t of a scan where the circle polynomial is negative, pulled in to (1 -
     2^-k) z; or (False, None) where neither is found."""
     circle = _circle(psub(q, [-c for c in p]), psub(q, p))
-    if not q or nonnegative(circle):  # a count of None for q = 0
+    if not q or _nonnegative(circle):  # a count of None for q = 0
         return disk_zero_count(q) == 0, None
     # t = 0 (z = 1), then -+m/2^k and +-2^k/m for odd m <= 2^k, k = 0..10
     # (z = -i, i, ...): up to k, the points are 2^(1 - k) apart in angle
-    scan = chain([0], (Fraction(u, v) for k in range(11) for m in range(1, 2**k + 1, 2)
-                       for u, v in ((-m, 2**k), (m, 2**k), (2**k, m), (-2**k, m))))
-    t = next((t for t in scan if _sign(peval(circle, t)) < 0), None)
+    scan = chain([(0, 1)], ((u, v) for k in range(11) for m in range(1, 2**k + 1, 2)
+                            for u, v in ((-m, 2**k), (m, 2**k), (2**k, m), (-2**k, m))))
+    t = next((t for t in scan if _sign_at(circle, *t) < 0), None)
     if t is None:
         return False, None
-    z, rho = GaussRational(1, t) / GaussRational(1, -t), Fraction(1, 2)
+    z, rho = GaussRational(t[1], t[0]) / GaussRational(t[1], -t[0]), Fraction(1, 2)
     while True:  # |p| > |q| at z, so at rho z for rho = 1 - 2^-k near enough 1
         z1 = z * rho
         below = peval(q, z1).abs2()
@@ -243,11 +285,8 @@ def disk_zero_count(p) -> int | None:
     p = ptrim(p)
     if len(p) < 2:  # a constant has no zero
         return 0 if p else None
-    q = _monic(cayley(p, len(p) - 1))
-    a = tuple(c + c.conjugate() for c in q)
-    b = ptrim(_I * (c.conjugate() - c) for c in q)
-    index, g = _sturm_variations(a, b)
-    count = len(a) - len(g) - index
-    for f, m in squarefree(g):
-        count += m * (len(f) - 1 - _sturm_variations(f, pderivative(f))[0])
-    return count // 2
+    qr, qi = _int_cayley(p, len(p) - 1)
+    x, y = next((u, v) for u, v in zip(qr[::-1], qi[::-1]) if u or v)  # times conj(lc q)
+    a = ptrim([u * x + v * y for u, v in zip(qr, qi)])
+    index, g = _sturm_variations(a, ptrim([v * x - u * y for u, v in zip(qr, qi)]))
+    return (len(a) - 1 - index - sum(_root_counts(g))) // 2

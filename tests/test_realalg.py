@@ -3,6 +3,7 @@ in the disk (a Cauchy index on the Cayley image)."""
 
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -106,6 +107,31 @@ def test_disk_zero_count_singular(p, count):
     assert realalg.disk_zero_count(p) == count
 
 
+@settings(max_examples=150, deadline=None)
+@given(roots=st.lists(st.tuples(st.one_of(in_disk, out_disk, st.sampled_from(CIRCLE)),
+                                st.integers(1, 3)), min_size=1, max_size=4),
+       lead=gaussian.filter(bool))
+def test_disk_zero_count_with_repeated_roots(roots, lead):
+    # roots of multiplicity up to 3 inside, on and outside the circle: each
+    # counts with its multiplicity, those on the circle through the gcd
+    # chain of g = gcd(A, B)
+    p = from_roots([r for r, m in roots for _ in range(m)], lead)
+    assert realalg.disk_zero_count(p) == sum(m for r, m in roots if gauss(r).abs2() < 1)
+
+
+def test_disk_zero_count_keeps_its_coefficients_small():
+    # prod (1 - c_k z), c_k = (20000+k)/(20001+k): 24 zeros just outside the
+    # circle, with 5-digit numerators and denominators.  Each remainder is
+    # divided by its content; without that the pseudo-remainders' digits
+    # multiply at each step, and the count takes over a minute
+    p = ONE
+    for k in range(1, 25):
+        p = tuple(coeff_product(p, (G(1), -G(F(20000 + k, 20001 + k))), len(p)))
+    start = time.perf_counter()
+    assert realalg.disk_zero_count(p) == 0
+    assert time.perf_counter() - start < 2.0
+
+
 def test_disk_zero_count_counts_an_unpaired_gamma_0():
     # (z - 2)(z - i/2): |p(0)| = |a_2| with no root on the circle and no
     # pair, where a Schur-Cohn recursion stops at once; counted exactly,
@@ -132,23 +158,24 @@ def test_re_nonnegative_examples():
 
 def test_re_nonnegative_runs_no_witness_scan(monkeypatch):
     # the proof alone: where the circle sign fails, bounded_by_one scans the
-    # circle with peval for a point, re_nonnegative evaluates nothing
+    # circle polynomial's sign with _sign_at for a point, re_nonnegative
+    # evaluates nothing
     def refuse(*args):
-        raise AssertionError("peval called")
+        raise AssertionError("_sign_at called")
 
     cases = [((G(1), G(2)), ONE), ((G(0, 1), G(0, 1)), (G(1), G(-1))),
              ((G(1), G(1)), (G(1), G(-1))), ((G(0, 1),), ONE)]
     want = [realalg.bounded_by_one(realalg.psub(a, d), realalg.psub(a, [-c for c in d]))[0]
             for a, d in cases]
-    monkeypatch.setattr(realalg, "peval", refuse)
+    monkeypatch.setattr(realalg, "_sign_at", refuse)
     assert [realalg.re_nonnegative(a, d) for a, d in cases] == want == [
         False, False, True, True]
-    with pytest.raises(AssertionError, match="peval"):
+    with pytest.raises(AssertionError, match="_sign_at"):
         realalg.bounded_by_one((G(1), G(2)), ONE)
 
 
 def test_disk_zero_count_of_a_constant_builds_no_cayley_image(monkeypatch):
-    monkeypatch.setattr(realalg, "cayley", None)
+    monkeypatch.setattr(realalg, "_int_cayley", None)
     assert [realalg.disk_zero_count(p) for p in [ONE, (G(0, F(-2, 3)),), (G(5), G(0))]] == [
         0, 0, 0]
     assert realalg.disk_zero_count(()) is None and realalg.disk_zero_count((G(0),)) is None
@@ -191,6 +218,30 @@ def test_nonnegative_against_a_rational_scan(roots, lead, complex_pair):
     grid = {F(k, 24) for k in range(-5 * 24, 5 * 24 + 1)} | {r for r, _ in roots}
     scanned = all(at(p, x).re >= 0 for x in grid)
     assert realalg.nonnegative(p) == scanned
+
+
+@settings(max_examples=200, deadline=None)
+@given(roots=st.lists(st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=5),
+                                st.integers(1, 4)), max_size=4, unique_by=lambda rm: rm[0]),
+       lead=st.sampled_from([F(-3), F(-1, 2), F(1, 7), F(2)]),
+       complex_pair=st.booleans())
+def test_nonnegative_is_a_positive_lead_and_even_multiplicities(roots, lead, complex_pair):
+    # prod (t - r_j)^m_j for distinct rational r_j, m_j <= 4 of both
+    # parities, times t^2 + 1 or not: the alternating sum of the gcd
+    # chain's counts is the number of real roots of odd multiplicity
+    p = (G(lead),)
+    for r, m in roots:
+        p = tuple(coeff_product(p, from_roots([r] * m), len(p) + m - 1))
+    if complex_pair:
+        p = tuple(coeff_product(p, (G(1), G(0), G(1)), len(p) + 1))
+    assert realalg.nonnegative(p) == (lead > 0 and all(m % 2 == 0 for _, m in roots))
+
+
+def test_nonnegative_refuses_a_non_real_polynomial():
+    # 1 + i t and i/3: their real parts alone, 1 and 0, are nonnegative
+    for p in [(G(1), G(0, 1)), (G(0, F(1, 3)),)]:
+        with pytest.raises(ValueError, match="real polynomial"):
+            realalg.nonnegative(p)
 
 
 def test_nonnegative_examples():
