@@ -83,9 +83,15 @@ __all__ = ["Poly", "RatFunc", "RationalTerm", "LogTerm", "AnalyticExpr"]
 
 EPS_POLE = 1e-6
 
+_ONE_GR = GaussRational(1)
+_UNIT = (_ONE_GR,)  # the coefficients of the polynomial 1
+
 
 class Poly:
-    """Dense univariate polynomial over Q(i), coefficients in ascending degree."""
+    """Dense univariate polynomial over Q(i), coefficients in ascending degree.
+    Immutable, so an operand may be the result: a product by 1 or 0, a sum
+    with 0, a division by 1 and ``scale(1)`` compute nothing.  Results built
+    from trimmed ``GaussRational``s skip coercion and trimming (``_of``)."""
 
     __slots__ = ("coeffs", "_floats", "_hash")
 
@@ -93,6 +99,13 @@ class Poly:
         self.coeffs = ptrim(gauss(c) for c in coeffs)
         self._floats = None  # complex(c) of coeffs, highest degree first, on first call
         self._hash = None
+
+    @classmethod
+    def _of(cls, coeffs: tuple) -> "Poly":
+        """A polynomial over a trimmed tuple of GaussRationals, as it is."""
+        p = object.__new__(cls)
+        p.coeffs, p._floats, p._hash = coeffs, None, None
+        return p
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -135,32 +148,44 @@ class Poly:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(k) + other.coeff(k) for k in range(n)])
+        xs, ys = self.coeffs, other.coeffs
+        if not ys or not xs:
+            return self if not ys else other
+        if len(xs) < len(ys):
+            xs, ys = ys, xs
+        return Poly._of(ptrim([x + y for x, y in zip(xs, ys)] + list(xs[len(ys):])))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return Poly(psub(self.coeffs, other.coeffs))
+        return Poly._of(psub(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly._of(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        return Poly(coeff_product(self.coeffs, other.coeffs, self.degree + other.degree))
+        xs, ys = self.coeffs, other.coeffs
+        if ys == _UNIT or not xs:
+            return self
+        if xs == _UNIT or not ys:
+            return other
+        return Poly._of(tuple(coeff_product(xs, ys, len(xs) + len(ys) - 2)))
 
     def scale(self, c) -> "Poly":
-        return Poly(pscale(self.coeffs, gauss(c)))
+        c = gauss(c)
+        return self if c == _ONE_GR else Poly._of(pscale(self.coeffs, c))
 
     def derivative(self) -> "Poly":
-        return Poly(pderivative(self.coeffs))
+        return Poly._of(pderivative(self.coeffs))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Quotient and remainder of the division by a nonzero polynomial."""
+        if other.coeffs == _UNIT:
+            return self, Poly._of(())
         quot, rem = pdivmod(self.coeffs, other.coeffs)
-        return Poly(quot), Poly(rem)
+        return Poly._of(quot), Poly._of(rem)
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd over Q(i) by Euclid's algorithm (zero for two zeros)."""
-        return Poly(pgcd(self.coeffs, other.coeffs))
+        """Monic gcd (zero for two zeros), by ``realalg.pgcd``."""
+        return Poly._of(pgcd(self.coeffs, other.coeffs))
 
     def to_series(self, order: int) -> Series:
         return Series(self.coeffs, order=order)
@@ -198,7 +223,8 @@ class RatFunc:
     """Quotient num/den of polynomials, den nonzero.  ``+ * /`` and ``-x``
     leave the result unreduced: a sum adds the numerators over an equal
     denominator and cross-multiplies otherwise.  :meth:`reduced` divides
-    num and den by their monic gcd."""
+    num and den by their monic gcd, so den keeps its leading coefficient,
+    and returns ``self`` where the gcd is 1."""
 
     __slots__ = ("num", "den")
 
@@ -223,6 +249,8 @@ class RatFunc:
 
     def reduced(self) -> "RatFunc":
         g = self.num.gcd(self.den)
+        if g.coeffs == _UNIT:
+            return self
         return RatFunc(divmod(self.num, g)[0], divmod(self.den, g)[0])
 
 
@@ -235,8 +263,6 @@ class LogTerm(namedtuple("LogTerm", "c arg")):
     """The term c log(arg): c a ``GaussRational``, arg a ``Poly``."""
     __slots__ = ()
 
-
-_ONE_GR = GaussRational(1)
 
 # Sampling used for the construction-time branch-cut assertion on log args:
 # _BRANCH_ANGLES points on each circle, all circles in one array.

@@ -5,7 +5,11 @@ the unit disk and the tests Re(a/d) >= 0 and |p/q| <= 1 there.
 A polynomial here is its coefficient sequence over Q(i), lowest degree
 first, as ``analytic.Poly`` holds it (``Poly.coeffs``); ``Poly``'s
 trimming, subtraction, scaling, derivative, division and gcd are the
-functions here, on Q(i), since ``analytic`` needs the factors themselves.
+functions here, since ``analytic`` needs the factors themselves; all but
+the gcd run on Q(i).  The gcd runs the subresultant remainder sequence
+(Collins, J. ACM 1967; Brown & Traub, J. ACM 1971) on Gaussian integers:
+each pseudo-remainder divides exactly in Z[i], so the coefficients grow
+only polynomially, and the last is made monic once, the unique monic gcd.
 "Real" means every coefficient has imaginary part 0.  Every result is
 exact, and the module imports no numpy.
 
@@ -95,14 +99,39 @@ def pdivmod(a, b) -> tuple[tuple, tuple]:
     return ptrim(quot), ptrim(rem[:top])
 
 
+def _gprem(f: list, g: list) -> list:
+    """lc(g)^(deg f - deg g + 1) f mod g, trimmed, for f and g lists of
+    Gaussian integers as (re, im) pairs, deg f >= deg g >= 1."""
+    r, top, (u, v) = list(f), len(g) - 1, g[-1]
+    for k in range(len(f) - 1 - top, -1, -1):
+        c, e = r.pop()  # r = lc(g) r - c z^k g, in length k + top
+        r = [(u * x - v * y, u * y + v * x) for x, y in r]
+        r[k:] = [(s - c * x + e * y, t - c * y - e * x) for (s, t), (x, y) in zip(r[k:], g)]
+    while r and r[-1] == (0, 0):
+        r.pop()
+    return r
+
+
 def pgcd(a, b) -> tuple:
-    """Monic gcd by Euclid's algorithm (empty for two zeros).  Each remainder
-    is made monic before it divides, which keeps the coefficients small."""
+    """Monic gcd (empty for two zeros); past a zero or constant operand, by
+    the subresultant sequence (module doc) on the cleared operands: each
+    pseudo-remainder of f by g is divided by lc h^delta, delta = deg f - deg
+    g, then lc becomes g's lead and h lc^delta/h^(delta - 1); both start at 1."""
     a, b = ptrim(a), ptrim(b)
-    while b:
-        r = pdivmod(a, b)[1]
-        a, b = b, _monic(r) if r else r
-    return _monic(a) if a else a
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) < 2:  # gcd(a, 0) is a made monic, and gcd(a, c) = 1 for a constant c != 0
+        return (_ONE,) if b else _monic(a) if a else a
+    f, g = (list(zip(*_cleared(p))) for p in (a, b))
+    lc = h = _ONE
+    while len(r := _gprem(f, g)) > 1:  # else g divides f, or the gcd is 1
+        delta = len(f) - len(g)
+        d = lc * h ** delta  # a Gaussian integer, as lc and h are
+        u, v, n = d._a, d._b, d._a ** 2 + d._b ** 2
+        f, g = g, [((x * u + y * v) // n, (y * u - x * v) // n) for x, y in r]
+        lc = GaussRational(*f[-1])
+        h = lc ** delta / h ** (delta - 1) if delta else h
+    return (_ONE,) if r else _monic(tuple(GaussRational(x, y) for x, y in g))
 
 
 def squarefree(p) -> list[tuple[tuple, int]]:
@@ -118,10 +147,10 @@ def squarefree(p) -> list[tuple[tuple, int]]:
     out, m = [], 1
     while len(b) > 1:  # b: the product of the factors of multiplicity >= m
         a = pgcd(b, d)
-        if len(a) > 1:
+        if len(a) > 1:  # else a = 1, and b and d stay
             out.append((a, m))
-        b = pdivmod(b, a)[0]
-        d = psub(pdivmod(d, a)[0], pderivative(b))
+            b, d = pdivmod(b, a)[0], pdivmod(d, a)[0]
+        d = psub(d, pderivative(b))
         m += 1
     return out
 

@@ -10,7 +10,9 @@ reproduce exactly: ``rz_search_bruteforce``, the lattice scan that
 path formatter; and ``pole_mask_bruteforce``, the every-pole test behind
 the radius-screened pole guard.  ``disk_preimage_count`` counts the roots
 of P - wQ inside the disk with ``np.roots``, the float check of the exact
-falsifiers' witnesses.
+falsifiers' witnesses.  ``monic_gcd`` is Euclid's algorithm over a
+field, each remainder made monic: the package's gcd before it ran the
+subresultant sequence on Gaussian integers.
 They import numpy only when called, so importing this module (as perfbench
 does at set-up) loads neither numpy nor the package.  ``GaussRational``
 here is the Fraction-pair class the package used before its integer-triple
@@ -104,6 +106,36 @@ def gaussian_long_division(num, den, order):
     re = long_division_series([a for a, _ in top], [a for a, _ in real_den], order)
     im = long_division_series([b for _, b in top], [a for a, _ in real_den], order)
     return list(zip(re, im))
+
+
+def monic_gcd(a, b):
+    """The monic gcd of two polynomials over a field (coefficient sequences,
+    lowest degree first, of Fractions or the package's GaussRationals),
+    empty for two zeros: Euclid's algorithm, each remainder made monic
+    before it divides."""
+    def trim(p):
+        p = list(p)
+        while p and not p[-1]:
+            p.pop()
+        return p
+
+    def monic(p):
+        inv = 1 / p[-1]
+        return [c * inv for c in p]
+
+    def rem(a, b):
+        a, inv = list(a), 1 / b[-1]
+        for k in range(len(a) - len(b), -1, -1):
+            c = a[k + len(b) - 1] * inv
+            for i, o in enumerate(b):
+                a[k + i] = a[k + i] - c * o
+        return trim(a[:len(b) - 1])
+
+    a, b = trim(a), trim(b)
+    while b:
+        r = rem(a, b)
+        a, b = b, monic(r) if r else r
+    return tuple(monic(a)) if a else ()
 
 
 def disk_preimage_count(p, q, w, margin=1e-6):

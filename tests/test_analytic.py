@@ -23,7 +23,7 @@ from harmonic_atlas import (
     parse_any,
 )
 from harmonic_atlas.analytic import (
-    EPS_POLE, LogTerm, RationalTerm, _poly_roots, near_pole,
+    EPS_POLE, LogTerm, RationalTerm, RatFunc, _poly_roots, near_pole,
 )
 from harmonic_atlas.shear import _BLOCK, HarmonicMap
 from oracles import long_division_series, pole_mask_bruteforce, quotient_rule
@@ -532,6 +532,68 @@ def test_gcd_divides_both_and_leaves_coprime_quotients(p, q, r):
     if not b.is_zero:
         quot, rem = divmod(a, b)
         assert quot * b + rem == a and rem.degree < b.degree
+
+
+def test_trivial_operands_come_back_as_they_are():
+    # Poly is immutable, so a product by 1, a sum with 0, scale(1) and a
+    # division by 1 return an operand itself, and a product by 0 the zero
+    # polynomial
+    p, one, zero = P(1, F(1, 2), GaussRational(0, 3)), Poly.one(), Poly.zero()
+    assert p * one is p and one * p is p and p + zero is p and zero + p is p
+    quot, rem = divmod(p, one)
+    assert quot is p and rem.is_zero
+    assert p.scale(1) is p and (p * zero).is_zero and (zero * p).is_zero
+    assert p + P(0, F(-1, 2), GaussRational(1, -3)) == P(1, 0, 1)
+    assert P(2, 1) + P(-2, -1) == zero and P(1) + p == P(2, F(1, 2), GaussRational(0, 3))
+    r = RatFunc(p, P(1, -1))
+    assert r.reduced() is r
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, polys, polys)
+def test_reduced_cancels_a_planted_factor_and_keeps_the_lead_of_den(p, q, c):
+    # (P C)/(Q C) in lowest terms: num and den coprime, the same function,
+    # and den/g for the monic gcd g, so the lead of den stays, as the
+    # verify witnesses read it
+    if q.is_zero or c.is_zero:
+        return
+    num, den = p * c, q * c
+    r = RatFunc(num, den).reduced()
+    assert r.num.gcd(r.den) == Poly.one()
+    assert r.num * den == num * r.den
+    assert r.den.coeffs[-1] == den.coeffs[-1]
+
+
+def test_cold_verify_all_makes_no_trivial_products_or_divisions():
+    # no Poly product reaches the kernel with the operand 1 or 0, and no
+    # division (Poly's, RatFunc.reduced's or realalg.squarefree's) is by
+    # the polynomial 1.  A fresh process is cold
+    script = "\n".join((
+        "from harmonic_atlas import analytic, realalg",
+        "from harmonic_atlas.verify import VerifyConfig, run_suite",
+        "n = {'products': 0, 'trivial': 0, 'divisions': 0, 'by_one': 0}",
+        "one = (analytic.GaussRational(1),)",
+        "product, pdivmod = analytic.coeff_product, realalg.pdivmod",
+        "def counting_product(xs, ys, m):",
+        "    n['products'] += 1",
+        "    n['trivial'] += any(tuple(p) in (one, ()) for p in (xs, ys))",
+        "    return product(xs, ys, m)",
+        "def counting_pdivmod(a, b):",
+        "    n['divisions'] += 1",
+        "    n['by_one'] += tuple(b) == one",
+        "    return pdivmod(a, b)",
+        "analytic.coeff_product = counting_product",
+        "analytic.pdivmod = realalg.pdivmod = counting_pdivmod",
+        "run_suite('all', VerifyConfig())",
+        "print(n['products'], n['trivial'], n['divisions'], n['by_one'])",
+    ))
+    src = str(Path(harmonic_atlas.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    products, trivial, divisions, by_one = map(int, out.stdout.split())
+    assert products > 0 and divisions > 0, out.stdout
+    assert (trivial, by_one) == (0, 0), out.stdout
 
 
 # -- expr_series ----------------------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import harmonic_atlas
 from harmonic_atlas import realalg
 from harmonic_atlas.numkernel import GaussRational, coeff_product
+from oracles import monic_gcd
 
 F = Fraction
 G = GaussRational
@@ -290,6 +291,51 @@ def test_squarefree_factors_multiply_back(factors):
         for _ in range(m):
             back = tuple(coeff_product(back, a, len(back) + len(a) - 2))
     assert back == p  # p is monic, and so is every factor
+
+
+def times(*ps):
+    out = ONE
+    for p in ps:
+        out = tuple(coeff_product(out, p, len(out) + len(p) - 2)) if p and out else ()
+    return out
+
+
+non_real = st.builds(G, small, small.filter(bool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(common=st.lists(st.tuples(st.one_of(gaussian, non_real), st.integers(1, 3)), max_size=3),
+       lead=non_real, x=st.lists(gaussian, max_size=5), y=st.lists(gaussian, max_size=4),
+       repeated=st.lists(non_real, max_size=2))
+def test_pgcd_against_euclid(common, lead, x, y, repeated):
+    # a planted common factor lead * prod (z - r)^m with non-real
+    # coefficients, times cofactors that may be zero, a constant or of
+    # another degree, one of them with repeated roots of its own: the
+    # subresultant sequence gives the monic gcd Euclid's algorithm gives
+    c = from_roots([r for r, m in common for _ in range(m)], lead)
+    a = times(c, tuple(x), from_roots(repeated * 2))
+    b = times(c, tuple(y))
+    want = monic_gcd(a, b)
+    assert realalg.pgcd(a, b) == want == realalg.pgcd(b, a)
+    assert realalg.pgcd(a, ()) == monic_gcd(a, ()) and realalg.pgcd((), ()) == ()
+    if a and b:
+        assert realalg.pdivmod(want, c)[1] == ()  # c divides the gcd
+
+
+def test_pgcd_keeps_its_coefficients_small():
+    # two products of degree 24, of non-real roots with denominators up to
+    # 47, that share a cubic factor.  The subresultant sequence keeps
+    # the coefficients of its remainders polynomial in size; dividing each
+    # remainder by its integer content alone does not, and the gcd then
+    # takes minutes
+    cubic = from_roots([G(F(1, 2), F(1, 3)), G(F(-2, 5), F(3, 7)), G(F(3, 4), F(-1, 5))],
+                       G(F(2, 3), -1))
+    a = times(cubic, from_roots([G(F(k, k + 7), F(3, 2 * k + 5)) for k in range(1, 22)]))
+    b = times(cubic, from_roots([G(F(-k, k + 5), F(2 * k + 1, 11)) for k in range(1, 22)],
+                                G(1, 2)))
+    start = time.perf_counter()
+    assert realalg.pgcd(a, b) == realalg.pscale(cubic, G(1) / cubic[-1])
+    assert time.perf_counter() - start < 2.0
 
 
 def test_module_imports_no_numpy():
