@@ -58,12 +58,13 @@ An expression is its rational part, the rational terms summed into one
 unreduced :class:`RatFunc` P/Q (``rational_part``, kept), plus its log
 part, c log L for each distinct L with c summed over its terms
 (``log_part``).  A series multiplies P by 1/Q (what perfbench times as
-``numkernel.mul`` and ``numkernel.reciprocal``) and adds each c log L, the
-integral of L'/L, whose series ``_log_series`` keeps by (L, order) for the
-life of the process (the catalog has 4 distinct L; the orders are those at
-which maps are built and checked).  Each expression keeps its series by
-order (``_series_cache``).  ``Poly`` and ``Series`` are immutable, so a
-cached series is safe to share: it is only read.
+``numkernel.mul`` and ``numkernel.reciprocal``), or expands P alone where
+Q is 1 (a polynomial plus logs, the zero expression), and adds each c log
+L, the integral of L'/L, whose series ``_log_series`` keeps by (L, order)
+for the life of the process (the catalog has 4 distinct L; the orders are
+those at which maps are built and checked).  Each expression keeps its
+series by order (``_series_cache``).  ``Poly`` and ``Series`` are
+immutable, so a cached series is safe to share: it is only read.
 """
 
 from __future__ import annotations
@@ -522,13 +523,16 @@ class AnalyticExpr:
 
     def series(self, order: int) -> Series:
         """Exact Taylor coefficients to the given order: ``rational_part()``
-        expanded once, plus c log L for each entry of ``log_part()``, kept
-        in ``_series_cache`` (see the module doc)."""
+        expanded once (P times 1/Q, or P alone for Q = 1), plus c log L for
+        each entry of ``log_part()``, kept in ``_series_cache`` (see the
+        module doc)."""
         cached = self._series_cache.get(order)
         if cached is not None:
             return cached
         q = self.rational_part()
-        acc = q.num.to_series(order) * q.den.to_series(order).reciprocal()
+        acc = q.num.to_series(order)
+        if q.den.coeffs != _UNIT:
+            acc = acc * q.den.to_series(order).reciprocal()
         for arg, c in self.log_part().items():
             acc = acc + _log_series(arg, order).scale(c)
         self._series_cache[order] = acc

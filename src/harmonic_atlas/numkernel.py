@@ -13,8 +13,11 @@ with one gcd, however many products it sums.  They touch only nonzero
 coefficients: a product (:func:`coeff_product`, also behind
 ``analytic.Poly``) costs O(nonzero pairs) and a quotient O(N * nonzeros of
 the denominator), so expanding a rational function P/Q to order N costs
-O(N * deg Q).  Floating point enters only through the explicit
-``complex()`` conversions used by callers that sample values numerically.
+O(N * deg Q).  A product by z^k alone is a shift, O(N) with nothing
+multiplied, and a sum or difference hands out the other coefficient
+wherever one side is zero.  Floating point enters only through the
+explicit ``complex()`` conversions used by callers that sample values
+numerically.
 """
 
 from __future__ import annotations
@@ -308,11 +311,15 @@ def _convolve(terms, seq, n: int, heads=None, inv=None) -> list:
 def coeff_product(xs, ys, n: int) -> list:
     """Coefficients 0..n of the product of the coefficient sequences xs and
     ys (GaussRationals, index = degree), as :func:`_convolve` sums them over
-    the nonzero terms of the sparser one: O(nonzero pairs)."""
+    the nonzero terms of the sparser one: O(nonzero pairs).  A sparser one
+    that is z^k alone shifts the other and multiplies nothing."""
     a, b = _nonzero_terms(xs), _nonzero_terms(ys)
     terms, seq = (a, ys) if len(a) <= len(b) else (b, xs)
     if len(seq) <= n:
         seq = list(seq) + [_ZERO] * (n + 1 - len(seq))
+    if len(terms) == 1 and terms[0][1] == _ONE:
+        k = terms[0][0]
+        return [_ZERO] * min(k, n + 1) + list(seq[: max(n + 1 - k, 0)])
     return _convolve(terms, seq, n)
 
 
@@ -384,14 +391,16 @@ class Series:
     def __add__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        n = min(self.order, other.order)
-        return Series._of([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
+        # zip stops at the smaller order; where one side is zero, the sum
+        # is the other coefficient itself
+        return Series._of([x if not (y._a or y._b) else y if not (x._a or x._b)
+                           else x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        n = min(self.order, other.order)
-        return Series._of([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
+        return Series._of([x if not (y._a or y._b) else -y if not (x._a or x._b)
+                           else x - y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
         return Series._of([-c for c in self.coeffs])

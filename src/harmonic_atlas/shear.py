@@ -8,8 +8,12 @@ map that is convex in one direction plus a dilatation omega = g'/h':
 
 The integration is carried out on exact truncated series, so the returned
 map satisfies h - g = phi (resp. h + g = psi) and g' = omega * h' exactly
-to the working order.  Closed forms for h and g are attached afterwards
-where they are known, and ``HarmonicMap`` checks each against its series.
+to the working order.  With omega = P/Q (``rational_part``) and s = -1
+(real) or +1 (imag), h' = source' Q/(Q + s P): one division by a
+polynomial, O(N * deg), where dividing by the series 1 + s omega would
+cost O(N^2) and grow its coefficients; omega is never expanded.  Closed
+forms for h and g are attached afterwards where they are known, and
+``HarmonicMap`` checks each against its series.
 
 That check is a proof at an order set by degrees, not by N.  With s = -1
 (real) or +1 (imag), the shear's h' = source'/(1 + s omega) and g' =
@@ -53,7 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic import EPS_POLE, AnalyticExpr, LogTerm, near_pole
+from .analytic import _UNIT, EPS_POLE, AnalyticExpr, LogTerm, near_pole
 from .errors import (
     DilatationTooLarge, Frozen, InvalidExpression, NearPole, NoClosedForm, NotNormalized,
     SeriesMismatch,
@@ -289,8 +293,8 @@ def _check_shear_inputs(conformal: AnalyticExpr, omega: AnalyticExpr, order: int
     s = conformal.series(order)
     if s.coeff(0) != 0 or s.coeff(1) != 1:
         raise NotNormalized("conformal input must satisfy f(0)=0, f'(0)=1")
-    om = omega.series(order - 1 if order > 1 else 0)
-    if om.coeff(0) != 0:
+    # omega(0) = P(0)/Q(0), as log L(0) = 0 and Q(0) != 0
+    if omega.rational_part().num.coeff(0) != 0:
         raise NotNormalized("dilatation must satisfy omega(0)=0")
     bounded, z1 = _omega_bounded(omega)
     if not bounded:
@@ -303,11 +307,17 @@ def _check_shear_inputs(conformal: AnalyticExpr, omega: AnalyticExpr, order: int
 
 
 def _shear(source: AnalyticExpr, omega: AnalyticExpr, order: int, s: int) -> HarmonicMap:
-    """h' = source'/(1 + s omega) and g = s (source - h), for s = -1 or +1."""
+    """h' = source'/(1 + s omega) and g = s (source - h), for s = -1 or +1.
+    With omega = P/Q (``rational_part``), h' = source' Q/(Q + s P): one
+    division by a polynomial, O(N * deg) (``Series.__truediv__``), and no
+    product for Q = 1.  Q + s P has constant term Q(0) != 0, as P(0) = 0."""
     src = _check_shear_inputs(source, omega, order)
     n1 = order - 1
-    om = omega.series(n1)
-    h = (src.derivative() / (Series.one(n1) + (om if s > 0 else -om))).antiderivative()
+    w = _rational(omega)
+    quot = src.derivative()
+    if w.den.coeffs != _UNIT:
+        quot = quot * w.den.to_series(n1)
+    h = (quot / (w.den + (w.num if s > 0 else -w.num)).to_series(n1)).antiderivative()
     g = src - h if s > 0 else h - src
     return HarmonicMap(h, g, omega, source=source, axis="imag" if s > 0 else "real")
 
@@ -315,7 +325,8 @@ def _shear(source: AnalyticExpr, omega: AnalyticExpr, order: int, s: int) -> Har
 def shear_real(phi: AnalyticExpr, omega: AnalyticExpr, order: int = 64) -> HarmonicMap:
     """Shear along the real direction: h - g = phi, g' = omega h'.
 
-    h is the exact series antiderivative of phi'/(1 - omega); g = h - phi.
+    h is the exact series antiderivative of phi'/(1 - omega) = phi' Q/(Q - P)
+    for omega = P/Q, one division by a polynomial, O(N * deg); g = h - phi.
     """
     return _shear(phi, omega, order, -1)
 
@@ -323,7 +334,8 @@ def shear_real(phi: AnalyticExpr, omega: AnalyticExpr, order: int = 64) -> Harmo
 def shear_imag(psi: AnalyticExpr, omega: AnalyticExpr, order: int = 64) -> HarmonicMap:
     """Shear along the imaginary direction: h + g = psi, g' = omega h'.
 
-    h is the exact series antiderivative of psi'/(1 + omega); g = psi - h.
+    h is the exact series antiderivative of psi'/(1 + omega) = psi' Q/(Q + P)
+    for omega = P/Q, one division by a polynomial, O(N * deg); g = psi - h.
     """
     return _shear(psi, omega, order, +1)
 

@@ -8,7 +8,9 @@ reproduce exactly: ``rz_search_bruteforce``, the lattice scan that
 ``rz_search`` makes with ``rz_certificate``, written apart;
 ``path_data_reference``, the per-point loop behind the run-at-a-time SVG
 path formatter; and ``pole_mask_bruteforce``, the every-pole test behind
-the radius-screened pole guard.  ``disk_preimage_count`` counts the roots
+the radius-screened pole guard.  ``shear_series_reference`` shears by
+long division on the series of 1 + s omega, the route the package took
+before it divided by a polynomial.  ``disk_preimage_count`` counts the roots
 of P - wQ inside the disk with ``np.roots``, the float check of the exact
 falsifiers' witnesses.  ``monic_gcd`` is Euclid's algorithm over a
 field, each remainder made monic: the package's gcd before it ran the
@@ -69,6 +71,28 @@ def quotient_rule(num, den):
     num = [Fraction(c) for c in num]
     den = [Fraction(c) for c in den]
     return sub(mul(deriv(num), den), mul(num, deriv(den))), mul(den, den)
+
+
+def shear_series_reference(source, omega, s):
+    """(h, g) of the shear of ``source`` by ``omega``: h the antiderivative
+    of source'/(1 + s omega), by long division on the series, and g =
+    s (source - h), for s = -1 (real) or +1 (imag).  The shear's route
+    before it divided by the polynomial Q + s P of omega = P/Q.
+
+    source: coefficients 0..N; omega: coefficients 0..N-1 with omega[0] =
+    0.  Any exact coefficients with ``+ - * /`` (Fractions, the package's
+    GaussRationals) will do.
+    """
+    deriv = [k * c for k, c in enumerate(source) if k]
+    den = [1 + s * omega[0]] + [s * w for w in omega[1:]]
+    quot = []
+    for n, c in enumerate(deriv):
+        for k in range(1, n + 1):
+            c = c - den[k] * quot[n - k]
+        quot.append(c / den[0])
+    h = [0 * source[0]] + [c / (n + 1) for n, c in enumerate(quot)]
+    g = [s * (a - b) for a, b in zip(source, h)]
+    return h, g
 
 
 def compose_linear(coeffs, c):

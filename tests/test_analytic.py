@@ -1,6 +1,7 @@
 """Closed-form expressions: evaluation, derivative, series."""
 
 import cmath
+import json
 import math
 import os
 import subprocess
@@ -681,19 +682,21 @@ def test_series_of_a_term_sum_matches_the_oracles(rationals, logs, order, data):
 
 
 def test_cold_verify_all_inverts_once_per_expansion():
-    # A cold `verify all` at the default config expands 114 expressions,
-    # each as one quotient P/Q (its rational terms summed) times 1/Q, and
-    # 12 (log argument L, order) pairs through 1/L: one Series.reciprocal
-    # each, 126 in all.  Every map with closed forms is built at the order
-    # that proves them (`CatalogEntry.proof_order`): 1 for a conformal map
-    # and 2 to 13 for a shear (`shear` module doc).  So 22 expansions are
-    # at order 1 (19 conformal h, the zero expression, and +z and -z for
-    # the two shears built at order 2; no row builds the maps of T2's two
-    # entries, whose rows read h alone), 86 and all 12 pairs at the
-    # orders 2 to 13, and only the 4 sources and 2 omegas of the 8 shears
-    # without closed forms at 64 or 63.  The zero expression, the g and
-    # omega of every conformal map, is one object, expanded once per
-    # order.  A fresh process is cold.
+    # A cold `verify all` at the default config expands 102 expressions,
+    # each as one quotient P/Q (its rational terms summed), times 1/Q
+    # unless Q is 1, and 12 (log argument L, order) pairs through 1/L: one
+    # Series.reciprocal each but for the 26 expansions whose Q is 1 (the
+    # zero expression and 25 sums of a polynomial and logs), which invert
+    # nothing: 88 in all.  Every map with closed forms is built at the order that
+    # proves them (`CatalogEntry.proof_order`): 1 for a conformal map and
+    # 2 to 13 for a shear (`shear` module doc).  So 20 expansions are at
+    # order 1 (19 conformal h and the zero expression; no row builds the
+    # maps of T2's two entries, whose rows read h alone), 78 and all 12
+    # pairs at the orders 2 to 13, and only the 4 sources of the 8 shears
+    # without closed forms at 64.  A shear divides by Q + s P from omega =
+    # P/Q and does not expand omega.  The zero expression, the g and omega
+    # of every conformal map, is one object, expanded once per order.  A
+    # fresh process is cold.
     script = "\n".join((
         "from harmonic_atlas import analytic",
         "from harmonic_atlas.numkernel import Series",
@@ -715,7 +718,66 @@ def test_cold_verify_all_inverts_once_per_expansion():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert tuple(map(int, out.stdout.split())) == (126, 114, 12), out.stdout
+    assert tuple(map(int, out.stdout.split())) == (88, 102, 12), out.stdout
+
+
+_SHORT_CUT_SCRIPT = "\n".join((
+    "import contextlib, io, json, sys",
+    "from harmonic_atlas import catalog_lookup, cli, numkernel",
+    "from harmonic_atlas.numkernel import Series",
+    "log = {'inverted': [], 'convolved': 0, 'zero_pairs': 0, 'kept': 0}",
+    "reciprocal, convolve = Series.reciprocal, numkernel._convolve",
+    "def logging_reciprocal(self):",
+    "    unit = self.coeffs == Series.one(self.order).coeffs",
+    "    log['inverted'].append('1' if unit else [str(c) for c in self.coeffs[:4]])",
+    "    return reciprocal(self)",
+    "def counting_convolve(*args):",
+    "    log['convolved'] += 1",
+    "    return convolve(*args)",
+    "def keeping(op):",
+    "    def wrapped(self, other):",
+    "        out = op(self, other)",
+    "        for x, y, z in zip(self.coeffs, other.coeffs, out.coeffs):",
+    "            if not y:",
+    "                log['zero_pairs'] += 1",
+    "                log['kept'] += z is x",
+    "        return out",
+    "    return wrapped",
+    "Series.reciprocal = logging_reciprocal",
+    "numkernel._convolve = counting_convolve",
+    "Series.__add__, Series.__sub__ = keeping(Series.__add__), keeping(Series.__sub__)",
+    "with contextlib.redirect_stdout(io.StringIO()):",
+    "    assert cli.main(['expand', sys.argv[1], '128']) == 0",
+    "omega = catalog_lookup(sys.argv[1]).omega",
+    "log['omega_expanded'] = omega is not None and bool(omega._series_cache)",
+    "print(json.dumps(log))",
+))
+
+
+def _cold_expand_log(target: str) -> dict:
+    src = str(Path(harmonic_atlas.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _SHORT_CUT_SCRIPT, target],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    return json.loads(out.stdout)
+
+
+def test_cold_expand_skips_unit_and_zero_operands():
+    # koebe = z/(1-z)^2 inverts (1-z)^2 once and multiplies that by z as a
+    # shift: one _convolve in all, and no inverse for its zero g (Q = 1).
+    # The shear f9_cv1 (omega = z) inverts no unit series and divides by
+    # the polynomial Q + s P without expanding omega.  Its g = h - phi, and
+    # the log terms f3_cvi's closed forms add to their rational part, keep
+    # the coefficient whose partner is zero, itself.
+    koebe = _cold_expand_log("koebe")
+    assert koebe["inverted"] == [["1", "-2", "1", "0"]]
+    assert koebe["convolved"] == 1
+    shear = _cold_expand_log("f9_cv1")
+    assert "1" not in shear["inverted"]
+    assert not shear["omega_expanded"]
+    logs = _cold_expand_log("f3_cvi")
+    for run in (shear, logs):
+        assert run["kept"] == run["zero_pairs"] > 0
 
 
 # -- derivative/series consistency across a family of expressions ----------------

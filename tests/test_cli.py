@@ -270,6 +270,17 @@ def test_formula_nesting_refused_beyond_the_cap(capsys, command, levels):
         assert f"InvalidExpression: parentheses nested deeper than {_MAX_DEPTH}" in err
 
 
+def test_dense_omega_shear_at_the_largest_order(capsys):
+    # omega = z/(2 - z) expands to a dense series 1 - omega; the shear
+    # divides by the polynomial 2 - 2z instead, so the largest order is fast
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "shear", "hslits_wide", "z/(2-z)", "real",
+                       "--order", str(cli._MAX_ORDER))
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out.startswith("h: 0 1 5/4 1/2 -5/8")
+
+
 def test_largest_order_accepted(capsys):
     code, out, _ = run(capsys, "expand", "koebe", str(cli._MAX_ORDER))
     assert code == 0

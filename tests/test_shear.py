@@ -19,7 +19,7 @@ from harmonic_atlas import shear as shear_mod
 from harmonic_atlas.analytic import EPS_POLE, RationalTerm
 from harmonic_atlas.realalg import peval
 from harmonic_atlas.shear import HarmonicMap
-from oracles import compose_linear, pole_mask_bruteforce
+from oracles import compose_linear, pole_mask_bruteforce, shear_series_reference
 
 F = Fraction
 
@@ -109,16 +109,44 @@ def test_imag_shear_decomposition_exact():
 
 def test_shear_with_dense_dilatation():
     # omega = z/(2 - z) has every coefficient nonzero and |omega| < 1 on the
-    # disk, so 1 -/+ omega is a dense divisor
+    # disk, so 1 -/+ omega is a dense series; the shear divides by the
+    # polynomial 2 - z -/+ z instead
     phi = catalog_lookup("hslits_wide").h
     omega = parse_formula("z/(2-z)")
     for shear, sign in ((shear_real, -1), (shear_imag, 1)):
         fm = shear(phi, omega, 40)
         assert dilatation_check(fm)
         assert fm.h_series + fm.g_series.scale(sign) == phi.series(40)
-        divisor = Series.one(39) + omega.series(39).scale(sign)
-        old = (phi.series(40).derivative() * divisor.reciprocal()).antiderivative()
-        assert fm.h_series == old
+        h, g = shear_series_reference(phi.series(40).coeffs, omega.series(39).coeffs, sign)
+        assert (list(fm.h_series.coeffs), list(fm.g_series.coeffs)) == (h, g)
+
+
+_SOURCES = sorted({catalog_lookup(eid).recipe.source_id for eid in catalog_ids()
+                   if catalog_lookup(eid).recipe is not None})
+_GAUSS_INTS = st.builds(GaussRational, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=st.sampled_from(_SOURCES), n=st.integers(1, 40), real=st.booleans(),
+       nums=st.lists(st.lists(_GAUSS_INTS, min_size=1, max_size=3), min_size=1, max_size=2),
+       dens=st.lists(st.tuples(st.integers(9, 16), _GAUSS_INTS, _GAUSS_INTS),
+                     min_size=2, max_size=2))
+def test_shear_matches_long_division_on_series(source, n, real, nums, dens):
+    # omega = sum of z P_j/Q_j, Q_j = d0 + d1 z + d2 z^2 with |d1| + |d2| < d0
+    # (zero-free on the closed disk), one or two terms so that omega's P/Q
+    # is unreduced at times; those |omega| < 1 proves are sheared, and h and
+    # g are the long division of source' by the series 1 + s omega
+    omega = AnalyticExpr.zero()
+    for p, q in zip(nums, dens):
+        omega = omega + AnalyticExpr.rational(1, Poly([0, *p]), Poly(q))
+    if not shear_mod._omega_bounded(omega)[0]:
+        return
+    phi = catalog_lookup(source).h
+    sign = -1 if real else 1
+    fm = (shear_real if real else shear_imag)(phi, omega, n)
+    h, g = shear_series_reference(phi.series(n).coeffs,
+                                  omega.series(max(n - 1, 0)).coeffs, sign)
+    assert (list(fm.h_series.coeffs), list(fm.g_series.coeffs)) == (h, g)
 
 
 def test_expansion_cost_grows_linearly(monkeypatch):
@@ -126,8 +154,8 @@ def test_expansion_cost_grows_linearly(monkeypatch):
     # the order should about double the work (an O(N^2) path would about
     # quadruple it).  Every product and quotient, of series and of
     # polynomials, multiplies in numkernel._convolve (pairs of a term (k, x)
-    # with k <= m and a nonzero seq[m - k]), but for a polynomial product
-    # by 1 or 0, which ``Poly`` returns without multiplying.
+    # with k <= m and a nonzero seq[m - k]), but for a product by 1, 0 or
+    # z^k, which ``Poly`` and ``coeff_product`` return without multiplying.
     counted = {"n": 0}
     convolve = numkernel._convolve
 
@@ -149,10 +177,14 @@ def test_expansion_cost_grows_linearly(monkeypatch):
     # source is hslits_wide's conformal map.  Every denominator here has
     # constant term 1, so division spends no products on 1/d_0.  The
     # shear's exact |omega| < 1 proof of its fresh omega runs on plain
-    # integers (``realalg``) and multiplies nothing here.
-    for run, pinned in ((lambda n: parse_any("z/(1-z)^2").series(n), (387, 771)),
-                        (lambda n: shear_real(parse_formula("z/(1-z+z^2)"),
-                                              parse_formula("z"), n), (386, 769))):
+    # integers (``realalg``) and multiplies nothing here.  A shear by the
+    # dense omega = z/(2 - z) divides by the polynomial Q + s P = 2 - 2z;
+    # a division by the dense series 1 - omega would grow as N^2.
+    def shear(omega):
+        return lambda n: shear_real(parse_formula("z/(1-z+z^2)"), parse_formula(omega), n)
+
+    for run, pinned in ((lambda n: parse_any("z/(1-z)^2").series(n), (259, 515)),
+                        (shear("z"), (298, 596)), (shear("z/(2-z)"), (469, 937))):
         small, large = products(lambda: run(128)), products(lambda: run(256))
         assert (small, large) == pinned
         assert large / small < 2.5, (small, large)
