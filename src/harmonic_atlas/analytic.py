@@ -274,8 +274,8 @@ _BRANCH_POINTS = np.outer(
 ).ravel()
 
 
-# keys (L, order): the catalog's 4 distinct L at the orders of the maps that
-# hold them (in `verify`, the proof orders 2 to 13 of their closed forms)
+# keys (L, order): the catalog's 4 distinct L at the orders of the series
+# that hold them (in `verify`, only where a shear has no closed form)
 @lru_cache(maxsize=64)
 def _log_series(arg: Poly, order: int) -> Series:
     """Series of log(arg), the integral of arg'/arg."""

@@ -39,9 +39,8 @@ is flagged half-integer exactly when it has a twin.  The other shears
 carry a closed form for h where a hand integration is on record; the
 eight without one keep only their series and recipe.  Where a shear has
 h, its g is h - source (real direction) or source - h (imaginary
-direction), so the check that proves h proves g (``shear`` module doc).
-``CatalogEntry.proof_order`` is the order at which an entry's map proves
-its closed forms for every n; ``verify`` builds the maps there.
+direction), so the identity that proves h proves g (``shear`` module
+doc), at whatever order the map is built.
 
 Entries are built on lookup.  ``catalog_lookup`` builds and indexes only
 the entry it is asked for, and for a proof shear its twin; a shear's source
@@ -60,7 +59,7 @@ from fractions import Fraction
 from .analytic import AnalyticExpr
 from .errors import Frozen, UnknownId
 from .exprtext import format_expr, parse_expr_text
-from .shear import HarmonicMap, proof_order, shear_imag, shear_real
+from .shear import HarmonicMap, shear_imag, shear_real
 
 __all__ = [
     "BoundaryDescriptor", "FlagSet", "ShearRecipe", "CatalogEntry",
@@ -138,10 +137,9 @@ class ShearRecipe(namedtuple("ShearRecipe", "source_id omega_sign axis")):
 
 class CatalogEntry(Frozen):
     """One (family, function) pair of the catalog.  ``_cache`` holds its
-    maps by order, ``_proof_order`` the ``proof_order`` once read."""
+    maps by order."""
 
-    __slots__ = ("id", "family", "h", "g", "expected", "recipe", "twin",
-                 "_cache", "_proof_order")
+    __slots__ = ("id", "family", "h", "g", "expected", "recipe", "twin", "_cache")
 
     def __init__(self, id: str, family: str, h: AnalyticExpr | None,
                  g: AnalyticExpr | None, expected: FlagSet,
@@ -164,32 +162,12 @@ class CatalogEntry(Frozen):
     def is_conformal(self) -> bool:
         return self.recipe is None
 
-    @property
-    def proof_order(self) -> int | None:
-        """The lowest order whose map proves the entry's closed forms for
-        every n: 1 for a conformal entry, whose series is its closed
-        form's; a shear's ``shear.proof_order``; None for the 8 shears
-        without closed forms."""
-        try:
-            return self._proof_order
-        except AttributeError:  # not read yet
-            pass
-        if self.is_conformal:
-            order = 1
-        elif self.h is None:
-            order = None
-        else:
-            order = proof_order(self.h, self.g, catalog_lookup(self.recipe.source_id).h,
-                                self.omega, self.recipe.axis)
-        object.__setattr__(self, "_proof_order", order)
-        return order
-
     def harmonic_map(self, order: int = DEFAULT_ORDER) -> HarmonicMap:
         """Materialize the entry as a HarmonicMap at the given order.
 
         Conformal entries get g = 0 and omega = 0; every other entry carries
-        a shear recipe, is sheared on demand and is cross-checked against
-        any closed forms.
+        a shear recipe, is sheared on demand, and its closed forms, if any,
+        are proved by the shear's identity.
         """
         cached = self._cache.get(order)
         if cached is not None:

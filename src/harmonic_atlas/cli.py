@@ -122,17 +122,15 @@ def _keep_heap() -> bool:
             and mallopt(_M_TRIM_THRESHOLD, 64 << 20) != 0)
 
 
-def _resolve_map(text: str, order: int, proved: bool = False):
-    """Catalog id first, then expression text; returns a HarmonicMap.  With
-    ``proved``, an entry with closed forms is built at the order that
-    proves them for every n (``CatalogEntry.proof_order``), not ``order``."""
+def _resolve_map(text: str, order: int):
+    """Catalog id first, then expression text; returns a HarmonicMap at
+    ``order``.  A catalog map's closed forms hold for every n at any order
+    (``shear`` module doc)."""
     try:
         entry = catalog_lookup(text)
     except UnknownId:
         pass
     else:
-        if proved and entry.proof_order is not None:
-            order = entry.proof_order
         return entry.harmonic_map(order)
     try:
         expr = parse_any(text)
@@ -221,7 +219,7 @@ def _cmd_shear(args) -> int:
 
 def _cmd_classify(args) -> int:
     config = _build_config(args)
-    fm = _resolve_map(args.target, config.order, proved=True)
+    fm = _resolve_map(args.target, config.order)
     rh, rg = classify_harmonic(fm)
     if args.json:
         print(json.dumps({"target": args.target, "h": rh.to_json(),

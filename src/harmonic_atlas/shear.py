@@ -13,25 +13,21 @@ to the working order.  With omega = P/Q (``rational_part``) and s = -1
 polynomial, O(N * deg), where dividing by the series 1 + s omega would
 cost O(N^2) and grow its coefficients; omega is never expanded.  Closed
 forms for h and g are attached afterwards where they are known, and
-``HarmonicMap`` checks each against its series.
+``HarmonicMap`` proves each of them.
 
-That check is a proof at an order set by degrees, not by N.  With s = -1
-(real) or +1 (imag), the shear's h' = source'/(1 + s omega) and g' =
-omega h', so a closed form E of h or g is right for every n exactly when
-R = E' (1 + s omega) - w source' vanishes, w = 1 for h and omega for g.
-With omega free of logs, R is rational: over the product D of the distinct
-denominators of its terms (Q^2 for (P/Q)', L for (log L)'), its numerator
-has degree at most K = deg D + e, where e bounds deg P - deg Q term by
-term (``_degrees``).  If E agrees with the series to order M = K + 1, the
-first K + 1 coefficients of R, hence of R D, vanish; a polynomial of
-degree <= K with K + 1 zero coefficients is 0, so R = 0 and, as E(0) = 0,
-E is the series to every order.  The catalog's 48 closed-form shears
-need M <= 13 (``proof_order``; ``verify`` builds each of them at its M).
-A g written as s (source - h) term for term, as every proof shear's is,
-is proved with h and not checked apart: its series is s (source - h) at
-every order.  Only the 8 hand-typed g of T4 and T6 have their own check.
-Without a source (conformal or hand-built maps), the check compares to
-the map's order N.
+That proof is one rational identity, with no series.  The shear's h' =
+source'/(1 + s omega) and g' = omega h', so a closed form E of h or g is
+right for every n exactly when E(0) = 0 and E' (1 + s omega) = w source',
+w = 1 for h and omega for g; times Q, E' (Q + s P) = W source' with W = Q
+for h and P for g.  E' and source' are rational, as (c log L)' = c L'/L;
+each is built as one unreduced quotient, once per expression object
+(``_derivative``), and the identity is compared cross-multiplied
+(``_identity``).  A g written as
+s (source - h) term for term, as every proof shear's is, is proved with h
+and not checked apart: it is the shear's g whenever h is the shear's h.
+Only the 8 hand-typed g of T4 and T6 have their own identity.  Without a
+source (conformal or hand-built maps), the check compares to the map's
+order-N series.
 
 omega is rational (``HarmonicMap`` refuses a log term in it), and a shear
 decides |omega| < 1 on the disk exactly, once per omega object
@@ -52,12 +48,11 @@ which is exact everywhere in the disk.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 
-from .analytic import _UNIT, EPS_POLE, AnalyticExpr, LogTerm, near_pole
+from .analytic import _UNIT, EPS_POLE, AnalyticExpr, LogTerm, Poly, RatFunc, near_pole
 from .errors import (
     DilatationTooLarge, Frozen, InvalidExpression, NearPole, NoClosedForm, NotNormalized,
     SeriesMismatch,
@@ -65,7 +60,7 @@ from .errors import (
 from .numkernel import GaussRational, Series
 from .realalg import bounded_by_one, pqeval
 
-__all__ = ["HarmonicMap", "shear_real", "shear_imag", "dilatation_check", "proof_order"]
+__all__ = ["HarmonicMap", "shear_real", "shear_imag", "dilatation_check"]
 
 _BLOCK = 4096  # points per block of eval_masked: 64 KiB of complex
 
@@ -78,15 +73,13 @@ class HarmonicMap(Frozen):
     axis="real", psi for axis="imag") when the map came out of a shear.
     Only ``_shear`` sets it, and a map with a source carries that recipe's
     series: h' = source'/(1 + s omega) and g = s (source - h), s = -1 for
-    axis="real", +1 for "imag".  A closed form for h or g is checked
-    against its series at the order that proves it for every n (module
-    doc), at most the map's order N; without a source, at N; a g that is
-    s (source - h) term for term goes with h
-    (``_proofs``).  ``replace`` builds a new map and checks it the same
-    way.  One that keeps both series and the source and swaps omega for
-    one of the same degrees (REMARK's g' = +-z h' identities, the
-    M(theta) tests) keeps the contract: the proof order reads only
-    degrees, so the check is the one the recipe's omega proved.
+    axis="real", +1 for "imag".  A closed form for h or g of a map with a
+    source is proved for every n by the shear's identity (module doc); a
+    g that is s (source - h) term for term goes with h.  Without a source
+    a closed form is compared with its series at the map's order N.
+    ``replace`` builds a new map and checks it the same way, so an omega
+    other than the recipe's fails the identity: a map given another omega
+    drops its source.
     """
 
     __slots__ = ("h_series", "g_series", "omega", "h_expr", "g_expr", "source", "axis")
@@ -98,13 +91,16 @@ class HarmonicMap(Frozen):
             raise NotNormalized("h must satisfy h(0)=0, h'(0)=1")
         if g_series.coeff(0) != 0:
             raise NotNormalized("g must satisfy g(0)=0")
-        _rational(omega)
-        n = h_series.order
-        for name, expr, m in _proofs(h_expr, g_expr, source, omega, axis):
-            m = n if m is None else min(n, m)
-            series = h_series if name == "h" else g_series
-            if expr.series(m) != (series if m == n else series.truncate(m)):
-                raise SeriesMismatch(f"closed form for {name} disagrees with its series")
+        w = _rational(omega)
+        for name, expr, series in (("h", h_expr, h_series), ("g", g_expr, g_series)):
+            if expr is None or (name == "g" and source is not None and h_expr is not None
+                                and expr.terms == _g_terms(h_expr, source, axis)):
+                continue
+            if source is None:
+                if expr.series(h_series.order) != series:
+                    raise SeriesMismatch(f"closed form for {name} disagrees with its series")
+            elif not _identity(expr, w.den if name == "h" else w.num, source, w, axis):
+                raise SeriesMismatch(f"closed form for {name} is not the shear's {name}")
         object.__setattr__(self, "h_series", h_series)
         object.__setattr__(self, "g_series", g_series)
         object.__setattr__(self, "omega", omega)
@@ -211,51 +207,6 @@ class HarmonicMap(Frozen):
         return 1 + z * d1.derivative().eval(z) / d1.eval(z)
 
 
-def _degrees(expr: AnalyticExpr, derived: bool = True) -> tuple[Counter, int]:
-    """(D, e): expr' (expr if not derived) times prod p^D[p] is a polynomial
-    of degree at most deg D + e.  (c P/Q)' = c (P'Q - PQ')/Q^2 and (c log
-    L)' = c L'/L; a sum takes each p to its highest power and e to its
-    largest term's, a product adds both."""
-    den, e = Counter(), 0
-    for t in expr.terms:
-        if isinstance(t, LogTerm):
-            p, k, x = t.arg, 1, -1
-        else:
-            p, k, x = t.den, 1 + derived, t.num.degree - t.den.degree - derived
-        den[p], e = max(den[p], k), max(e, x)
-    return den, e
-
-
-@lru_cache(maxsize=256)  # by object: a catalog map's check and its entry's proof_order
-def _proof_order(expr: AnalyticExpr, w: AnalyticExpr | None,
-                 source: AnalyticExpr, omega: AnalyticExpr) -> int:
-    """The order M = K + 1 at which agreement of expr with its shear series
-    proves expr' (1 + s omega) = w source' (w = 1 for h, omega for g), so
-    that expr is the series for every n (module doc).  omega has no log."""
-    de, ee = _degrees(expr)
-    dw, ew = _degrees(omega, derived=False)
-    ds, es = _degrees(source)
-    dv, ev = _degrees(w, derived=False) if w is not None else (Counter(), 0)
-    den = (de + dw) | (dv + ds)
-    return sum(k * p.degree for p, k in den.items()) + max(ee + max(ew, 0), ev + es) + 1
-
-
-def _proofs(h_expr, g_expr, source, omega, axis) -> list:
-    """(name, closed form, M) for each closed form a map checks: agreement
-    with its series at order M proves it for every n (module doc); M is
-    None where only the map's order can be read (no source).  A g that is
-    s (source - h) term for term is not listed: it is proved with h."""
-    out = []
-    if h_expr is not None:
-        out.append(("h", h_expr, _proof_order(h_expr, None, source, omega)
-                    if source is not None else None))
-    if g_expr is not None and not (h_expr is not None and source is not None
-                                   and g_expr.terms == _g_terms(h_expr, source, axis)):
-        out.append(("g", g_expr, _proof_order(g_expr, omega, source, omega)
-                    if source is not None else None))
-    return out
-
-
 def _g_terms(h_expr: AnalyticExpr, source: AnalyticExpr, axis: str) -> tuple:
     """The terms of h - source (axis="real") or source - h, as ``-`` writes
     them: the first operand's, then the second's with negated c."""
@@ -263,12 +214,30 @@ def _g_terms(h_expr: AnalyticExpr, source: AnalyticExpr, axis: str) -> tuple:
     return first.terms + tuple(t._replace(c=-t.c) for t in second.terms)
 
 
-def proof_order(h_expr, g_expr, source, omega, axis) -> int | None:
-    """The lowest order at which the shear of ``source`` by ``omega`` along
-    ``axis`` proves ``h_expr`` and ``g_expr`` for every n; None where
-    there is no closed form."""
-    orders = [m for _, _, m in _proofs(h_expr, g_expr, source, omega, axis)]
-    return None if not orders or None in orders else max(orders)
+@lru_cache(maxsize=256)  # by object: a source serves each of its shears
+def _derivative(expr: AnalyticExpr) -> RatFunc:
+    """expr' as one unreduced quotient: (P'Q - PQ')/Q^2 for the rational
+    part P/Q, plus c L'/L for each log term (``log_part``).  Unlike
+    ``AnalyticExpr.derivative`` it takes no gcd: an identity compared
+    cross-multiplied does not need lowest terms."""
+    q = expr.rational_part()
+    d = RatFunc(q.num.derivative() * q.den - q.num * q.den.derivative(), q.den * q.den)
+    for arg, c in expr.log_part().items():
+        d = d + RatFunc(arg.derivative().scale(c), arg)
+    return d
+
+
+def _identity(expr: AnalyticExpr, w: Poly, source: AnalyticExpr, omega: RatFunc,
+              axis: str) -> bool:
+    """Whether expr(0) = 0 and expr' (Q + s P) = w source', for omega = P/Q
+    and s = -1 (axis="real") or +1, compared cross-multiplied: expr is the
+    shear's h (w = Q) or g (w = P) for every n (module doc).  expr(0) is
+    the rational part's P(0)/Q(0), as log L(0) = 0."""
+    if not expr.rational_part().num.coeff(0).is_zero:
+        return False
+    de, ds = _derivative(expr), _derivative(source)
+    shear = omega.den + (omega.num if axis == "imag" else -omega.num)
+    return de.num * shear * ds.den == ds.num * de.den * w
 
 
 def _rational(omega: AnalyticExpr):
@@ -341,18 +310,18 @@ def shear_imag(psi: AnalyticExpr, omega: AnalyticExpr, order: int = 64) -> Harmo
 
 
 def dilatation_check(F: HarmonicMap) -> bool:
-    """g' = omega h', exactly.  The truncated series decide first, and a
-    coefficient that differs is a no for every n.  With closed forms for h
-    and g, the identity is then decided for every n:
-    h', g' (rational, ``AnalyticExpr.derivative``) and omega, each summed
-    into one quotient, are compared cross-multiplied.  Otherwise the series
-    are the answer, to the map's order."""
+    """g' = omega h', exactly.  The truncated series decide first, as g' Q =
+    P h' for omega = P/Q (``rational_part``; Q(0) != 0, so the two agree to
+    the same order): two products by a polynomial, O(N * deg), and omega is
+    never expanded.  A coefficient that differs is a no for every n.  With
+    closed forms for h and g, the identity is then decided for every n, on
+    h' and g' as unreduced quotients (``_derivative``), cross-multiplied.
+    Otherwise the series are the answer, to the map's order."""
     n1 = max(min(F.h_series.order, F.g_series.order) - 1, 0)
-    lhs = F.g_series.derivative().truncate(n1)
-    rhs = F.omega.series(n1) * F.h_series.derivative().truncate(n1)
+    w = F.omega.rational_part()
+    lhs = F.g_series.derivative().truncate(n1) * w.den.to_series(n1)
+    rhs = F.h_series.derivative().truncate(n1) * w.num.to_series(n1)
     if lhs != rhs or F.h_expr is None or F.g_expr is None:
         return lhs == rhs
-    dh, dg = F.h_expr.derivative().rational_part(), F.g_expr.derivative().rational_part()
-    om = F.omega.rational_part()
-    return dg.num * om.den * dh.den == om.num * dh.num * dg.den
-
+    dh, dg = _derivative(F.h_expr), _derivative(F.g_expr)
+    return dg.num * w.den * dh.den == w.num * dh.num * dg.den

@@ -34,11 +34,12 @@ yes read in a series), ``grid`` (a float grid) or ``asserted``
 match count).  Each summary counts its rows by kind (``proofs``).
 
 What is decided for every n: each map with closed forms (93 of the 101
-entries) is built at the order that proves them (``_map``; 1 for a
-conformal map, 2 to 13 for a shear), and its class rows, twin rows, the
-two half-integer counts and REMARK's identity rows read the closed forms
-(``classify.expr_class``, ``series_twins``, ``shear.dilatation_check``);
-a "neither" or "no twin" also rests on a coefficient that differs.  Only
+entries) proves them when it is built, at any order (``shear`` module
+doc; ``_map`` builds it at ``_CLOSED_ORDER``), and its class rows, twin
+rows, the two half-integer counts and REMARK's identity rows read the
+closed forms (``classify.expr_class``, ``series_twins``,
+``shear.dilatation_check``); a "neither" or "no twin" also rests on a
+coefficient that differs.  Only
 the 8 shears without closed forms (f13 to f16, f25 and f26 ``_cv1``; f7
 and f8 ``_cvi``) are built at the config's order, and their class and
 twin rows read that order-N series.  Each is "neither" by a coefficient
@@ -178,11 +179,21 @@ def _summary(rows) -> dict:
     }
 
 
+# The order of every map with closed forms.  Its rows read the closed
+# forms, which the map proves for every n at any order.  Only
+# ``expr_class`` reads the series, for a log part's first violation, and
+# it expands to ``classify._WITNESS_ORDER`` where the map's series shows
+# none.  Each catalog log part has its first violation at index 3 or 4, so
+# at 4 no witness search runs; below 4 it does, and at 1 a cold ``verify
+# all`` took about 9 times as long.
+_CLOSED_ORDER = 4
+
+
 def _map(entry, config):
-    """The entry's map at the order that proves its closed forms
-    (``CatalogEntry.proof_order``); a shear without them at the config's
-    order, the only maps whose rows read an order-N series."""
-    return entry.harmonic_map(entry.proof_order or config.order)
+    """The entry's map: at ``_CLOSED_ORDER`` where it has closed forms, and
+    at the config's order for the 8 shears without them, the only maps
+    whose rows read an order-N series."""
+    return entry.harmonic_map(config.order if entry.h is None else _CLOSED_ORDER)
 
 
 def _coeff_class_row(rows, entry, config, check) -> tuple[bool, str]:

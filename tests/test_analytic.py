@@ -27,6 +27,7 @@ from harmonic_atlas.analytic import (
     EPS_POLE, LogTerm, RationalTerm, RatFunc, _poly_roots, near_pole,
 )
 from harmonic_atlas.shear import _BLOCK, HarmonicMap
+from harmonic_atlas.verify import VerifyConfig
 from oracles import long_division_series, pole_mask_bruteforce, quotient_rule
 
 F = Fraction
@@ -682,43 +683,41 @@ def test_series_of_a_term_sum_matches_the_oracles(rationals, logs, order, data):
 
 
 def test_cold_verify_all_inverts_once_per_expansion():
-    # A cold `verify all` at the default config expands 102 expressions,
+    # A cold `verify all` at the default config expands 24 expressions,
     # each as one quotient P/Q (its rational terms summed), times 1/Q
-    # unless Q is 1, and 12 (log argument L, order) pairs through 1/L: one
-    # Series.reciprocal each but for the 26 expansions whose Q is 1 (the
-    # zero expression and 25 sums of a polynomial and logs), which invert
-    # nothing: 88 in all.  Every map with closed forms is built at the order that
-    # proves them (`CatalogEntry.proof_order`): 1 for a conformal map and
-    # 2 to 13 for a shear (`shear` module doc).  So 20 expansions are at
-    # order 1 (19 conformal h and the zero expression; no row builds the
-    # maps of T2's two entries, whose rows read h alone), 78 and all 12
-    # pairs at the orders 2 to 13, and only the 4 sources of the 8 shears
-    # without closed forms at 64.  A shear divides by Q + s P from omega =
-    # P/Q and does not expand omega.  The zero expression, the g and omega
-    # of every conformal map, is one object, expanded once per order.  A
-    # fresh process is cold.
+    # unless Q is 1: one Series.reciprocal each but for the zero expression
+    # and 3 polynomials, 20 in all.  A map with closed forms proves them by
+    # the shear's identity, with no series (`shear` module doc), and is
+    # built at `verify._CLOSED_ORDER`: so 20 expansions are at order 4 (19
+    # conformal h and the zero expression) and only the 4 sources of the 8
+    # shears without closed forms at 64.  No log series is expanded: no
+    # conformal h has a log term, and each shear's series comes from its
+    # division by Q + s P.  No expansion goes past the config's order, so
+    # no witness search to `classify._WITNESS_ORDER` runs.  A fresh process
+    # is cold.
     script = "\n".join((
         "from harmonic_atlas import analytic",
         "from harmonic_atlas.numkernel import Series",
         "from harmonic_atlas.verify import VerifyConfig, run_suite",
-        "n = {'inverses': 0, 'exprs': 0}",
+        "n = {'inverses': 0, 'exprs': 0, 'top': 0}",
         "reciprocal, series = Series.reciprocal, analytic.AnalyticExpr.series",
         "def counting_reciprocal(self):",
         "    n['inverses'] += 1",
         "    return reciprocal(self)",
         "def counting_series(self, order):",
         "    n['exprs'] += order not in self._series_cache",
+        "    n['top'] = max(n['top'], order)",
         "    return series(self, order)",
         "Series.reciprocal = counting_reciprocal",
         "analytic.AnalyticExpr.series = counting_series",
         "run_suite('all', VerifyConfig())",
-        "print(n['inverses'], n['exprs'], analytic._log_series.cache_info().misses)",
+        "print(n['inverses'], n['exprs'], analytic._log_series.cache_info().misses, n['top'])",
     ))
     src = str(Path(harmonic_atlas.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert tuple(map(int, out.stdout.split())) == (88, 102, 12), out.stdout
+    assert tuple(map(int, out.stdout.split())) == (20, 24, 0, VerifyConfig().order), out.stdout
 
 
 _SHORT_CUT_SCRIPT = "\n".join((

@@ -373,8 +373,8 @@ _CLASSIFY_DIGEST = "094b1d3bcd8db029ee80bd3fb722bb66f4280b6d633483a69714dfb91849
 
 
 def test_classify_outputs_at_the_proof_order_are_pinned(capsys):
-    # a catalog id is classified on its map at CatalogEntry.proof_order;
-    # the text and JSON of all 104 ids and aliases are those of order 64
+    # a catalog id is classified on its map at the config's order 64; the
+    # text and JSON of all 104 ids and aliases are pinned
     digest = hashlib.sha256()
     for target in catalog_ids() + sorted(catalog._ALIASES):
         for flags in ((), ("--json",)):
@@ -384,16 +384,18 @@ def test_classify_outputs_at_the_proof_order_are_pinned(capsys):
     assert digest.hexdigest() == _CLASSIFY_DIGEST
     code, out, _ = run(capsys, "classify", "f3_cv1")
     assert (code, out) == (0, "h: {'class': 'half_integer'}\ng: {'class': 'half_integer'}\n")
-    # f1_cv1's h is -log(1 - z), proved at order 3, where its witness 1/3 lies
+    # f1_cv1's h is -log(1 - z), whose witness 1/3 lies at index 3
     code, out, _ = run(capsys, "classify", "f1_cv1", "--json")
     violation = {"class": "neither", "first_violation": {"index": 3, "value": "1/3"}}
     assert out == json.dumps({"g": violation, "h": violation, "target": "f1_cv1"},
                              indent=1) + "\n"
 
 
-def test_classify_shears_at_the_proof_order(capsys, monkeypatch):
-    # f3_cv1 is proved at order 8, so classify shears it there and not at
-    # the config's 64; a shear without closed forms keeps the config order
+def test_classify_shears_at_the_config_order(capsys, monkeypatch):
+    # classify builds every map at the config's order, as expand does: a
+    # catalog map proves its closed forms at any order.  At order 2, f1_cv1's
+    # h = -log(1 - z) still shows its witness at index 3, read past the
+    # map's series
     orders = []
     shear = shear_mod._shear
 
@@ -404,9 +406,13 @@ def test_classify_shears_at_the_proof_order(capsys, monkeypatch):
     monkeypatch.setattr(shear_mod, "_shear", spy)
     monkeypatch.setattr(catalog, "_INDEX", {})  # fresh entries, no cached maps
     assert run(capsys, "classify", "f3_cv1")[0] == 0
-    assert orders == [8] == [catalog.catalog_lookup("f3_cv1").proof_order]
+    assert orders == [64]
     assert run(capsys, "classify", "f13_cv1", "--order", "20")[0] == 0
-    assert orders == [8, 20]
+    assert orders == [64, 20]
+    code, out, _ = run(capsys, "classify", "f1_cv1", "--order", "2", "--json")
+    assert (code, orders) == (0, [64, 20, 2])
+    violation = {"class": "neither", "first_violation": {"index": 3, "value": "1/3"}}
+    assert json.loads(out)["h"] == violation
 
 
 def test_list_family(capsys):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -286,37 +287,38 @@ def _check_orders(monkeypatch, build) -> list:
 
 
 def test_closed_form_shears_are_proved_below_every_built_order():
-    # M <= 17 < 32, the lowest order the package builds a map at (render),
-    # so every shear's check is the proof; each closed form then equals a
-    # fresh shear's series far past the order it was checked at
+    # the identity proves each closed form for every n at whatever order
+    # its map is built, order 1 included: each then equals a fresh shear's
+    # series far past that order
     assert len(_CLOSED_SHEARS) == 48
     for eid in _CLOSED_SHEARS:
-        fm = catalog_lookup(eid).harmonic_map(32)
-        orders = [shear_mod._proof_order(fm.h_expr, None, fm.source, fm.omega),
-                  shear_mod._proof_order(fm.g_expr, fm.omega, fm.source, fm.omega)]
-        assert max(orders) <= 17, (eid, orders)
+        fm = catalog_lookup(eid).harmonic_map(1)
         deep = _fresh_shear(eid, 256)
         assert fm.h_expr.series(256) == deep.h_series, eid
         assert fm.g_expr.series(256) == deep.g_series, eid
 
 
-def test_check_compares_at_the_proof_order_only_where_it_is_one(monkeypatch):
-    # a proof shear's g is s (source - h) term for term, so it is proved
-    # with h; only the 8 hand-typed g of T4 and T6 are checked apart
+def test_a_map_with_a_source_expands_no_closed_form(monkeypatch):
+    # a closed form of a map with a source is proved by the shear's
+    # identity, with no series; a proof shear's g is s (source - h) term
+    # for term, so it is proved with h, and only the 8 hand-typed g of T4
+    # and T6 run their own identity
     own_g = [eid for eid in _CLOSED_SHEARS if catalog_lookup(eid).family in ("T4", "T6")]
     assert len(own_g) == 8
-    for n in (32, 64, 128):
+    proved, identity = [], shear_mod._identity
+
+    def spy(expr, *args):
+        proved.append(expr)
+        return identity(expr, *args)
+
+    monkeypatch.setattr(shear_mod, "_identity", spy)
+    for n in (4, 64):
         for eid in _CLOSED_SHEARS:
             fm = catalog_lookup(eid).harmonic_map(n)
-            want = [shear_mod._proof_order(fm.h_expr, None, fm.source, fm.omega)]
-            if eid in own_g:
-                want.append(shear_mod._proof_order(fm.g_expr, fm.omega, fm.source, fm.omega))
-            assert _check_orders(monkeypatch, fm.replace) == want
-            assert catalog_lookup(eid).proof_order == max(want)
-    # below M: f13_cvi needs 13
-    fm = catalog_lookup("f13_cvi").harmonic_map(8)
-    assert _check_orders(monkeypatch, fm.replace) == [8]
-    # no source: conformal and hand-built maps
+            proved.clear()
+            assert _check_orders(monkeypatch, fm.replace) == []
+            assert proved == ([fm.h_expr, fm.g_expr] if eid in own_g else [fm.h_expr]), eid
+    # no source: conformal and hand-built maps compare at their order
     koebe = catalog_lookup("koebe").harmonic_map(64)
     assert _check_orders(monkeypatch, koebe.replace) == [64, 64]
     assert _check_orders(monkeypatch, lambda: HarmonicMap(
@@ -331,27 +333,21 @@ def test_check_compares_at_the_proof_order_only_where_it_is_one(monkeypatch):
         fm.replace(omega=log_omega)
 
 
-@settings(max_examples=120, deadline=None)
-@given(eid=st.sampled_from(_CLOSED_SHEARS), n=st.sampled_from((4, 8, 16, 32)),
-       data=st.data())
-def test_bounded_check_decides_what_the_order_n_check_decided(eid, n, data):
-    # a wrong term c z^k/Q in h, or in h and g, is caught exactly when
-    # the order-N series see it
-    fm = catalog_lookup(eid).harmonic_map(n)
-    k = data.draw(st.integers(0, 2 * n), label="k")
-    den = data.draw(st.sampled_from(_CATALOG_DENS), label="Q")
-    c = data.draw(st.sampled_from((F(1, 7), F(-1, 7), GaussRational(0, F(1, 3)),
-                                   GaussRational(0, F(-1, 3)))), label="c")
-    extra = AnalyticExpr.rational(c, Poly([0] * k + [1]), den)
-    both = data.draw(st.booleans(), label="both")
-    h = fm.h_expr + extra
-    g = fm.g_expr + extra if both else fm.g_expr
-    wrong = h.series(n) != fm.h_series or g.series(n) != fm.g_series
-    if wrong:
-        with pytest.raises(SeriesMismatch):
-            fm.replace(h_expr=h, g_expr=g)
-    else:
-        fm.replace(h_expr=h, g_expr=g)
+def test_a_perturbed_closed_form_fails_at_every_order():
+    # a wrong term c z^k/Q in h, or in h and g, is refused at every order N
+    # the map is built at, also for k past N and for k = 40, past every
+    # coefficient any check at these orders could read: the identity holds
+    # for every n or not at all.  k = 0 breaks h(0) = 0 alone.
+    cs = (F(1, 7), F(-1, 7), GaussRational(0, F(1, 3)), GaussRational(0, F(-1, 3)))
+    for i, eid in enumerate(_CLOSED_SHEARS):
+        for n in (1, 4, 16):
+            fm = catalog_lookup(eid).harmonic_map(n)
+            for j, k in enumerate((0, n + 1, 40)):
+                extra = AnalyticExpr.rational(cs[(i + j) % 4], Poly([0] * k + [1]),
+                                              _CATALOG_DENS[(i + n + j) % len(_CATALOG_DENS)])
+                g = fm.g_expr + extra if (i + j) % 2 else fm.g_expr
+                with pytest.raises(SeriesMismatch):
+                    fm.replace(h_expr=fm.h_expr + extra, g_expr=g)
 
 
 # -- preconditions and errors ----------------------------------------------------
@@ -511,13 +507,27 @@ def test_dilatation_check_counterexample():
 def test_dilatation_check_decides_past_the_series():
     # f3's closed forms satisfy g' = z h' for every n.  An omega that is z
     # plus a term past the map's order agrees with every coefficient its
-    # series hold; the closed forms refute it, and without them the series
-    # can only answer to their order
+    # series hold.  With its source kept, the map refuses that omega: its
+    # closed forms are not that shear's.  Without the source the closed
+    # forms refute it, and without them the series can only answer to
+    # their order
     fm = catalog_lookup("t4_re_koebe_im_halfplane").harmonic_map(8)
     off = Z_EXPR + AnalyticExpr.rational(F(1, 7), Poly([0] * 10 + [1]))
     assert dilatation_check(fm.replace(omega=Z_EXPR))
-    assert not dilatation_check(fm.replace(omega=off))
-    assert dilatation_check(fm.replace(omega=off, h_expr=None, g_expr=None))
+    with pytest.raises(SeriesMismatch):
+        fm.replace(omega=off)
+    assert not dilatation_check(fm.replace(omega=off, source=None))
+    assert dilatation_check(fm.replace(omega=off, source=None, h_expr=None, g_expr=None))
+
+
+def test_dilatation_check_of_a_dense_omega_takes_products_by_polynomials():
+    # omega = z/(2 - z) is dense; the series side compares g' (2 - z) with
+    # z h', O(N * deg), where a product by omega's series is O(N^2) with
+    # growing coefficients
+    fm = shear_real(catalog_lookup("hslits_wide").h, parse_formula("z/(2-z)"), 512)
+    start = time.perf_counter()
+    assert dilatation_check(fm)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_omega_is_sampled_once_per_object():

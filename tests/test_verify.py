@@ -167,12 +167,13 @@ def test_config_accepts_its_range_ends():
     VerifyConfig(order=1, grid_radii=verify._MAX_GRID_POINTS, grid_angles=1)
 
 
-# -- exact rows: maps at their proof orders, closed forms compared exactly ------
+# -- exact rows: maps at one order, closed forms compared exactly ---------------
 
-def test_verify_all_shears_closed_forms_at_their_proof_orders(monkeypatch):
+def test_verify_all_shears_closed_forms_at_one_order(monkeypatch):
     # a cold `verify all` at the default config integrates the 8 shears
-    # without closed forms at order 64 and the other 48 at the orders that
-    # prove their closed forms; |omega| < 1 is decided for +z and -z only
+    # without closed forms at order 64 and the other 48 at
+    # verify._CLOSED_ORDER, which proves their closed forms as any order
+    # does; |omega| < 1 is decided for +z and -z only
     monkeypatch.setattr(catalog, "_INDEX", {})
     shear_mod._omega_bounded.cache_clear()
     orders = Counter()
@@ -186,11 +187,9 @@ def test_verify_all_shears_closed_forms_at_their_proof_orders(monkeypatch):
     assert run_suite("all", VerifyConfig())["summary"]["matched"] == 207
     shears = [catalog_lookup(eid) for eid in catalog_ids()]
     shears = [e for e in shears if e.recipe is not None]
-    want = Counter(64 if e.h is None else e.proof_order for e in shears)
     assert len(shears) == sum(orders.values()) == 56
-    assert orders == want
-    assert orders[64] == sum(e.h is None for e in shears) == 8
-    assert set(orders) - {64} <= set(range(2, 14))
+    assert orders == {64: sum(e.h is None for e in shears), verify._CLOSED_ORDER: 48}
+    assert orders[64] == 8
     assert shear_mod._omega_bounded.cache_info().misses == 2
 
 
@@ -321,7 +320,7 @@ def test_the_19_exact_rows_agree_with_the_grid_checks():
         "cardioid", "cardioid_r", "halfplane_avg", "halfplane_avg_r", "parabola", "parabola_r"]
     for eid in _TWIN_IDS:
         entry = catalog_lookup(eid)
-        fm = entry.harmonic_map(entry.proof_order)
+        fm = verify._map(entry, VerifyConfig())
         assert verify._jacobian_exact(fm) is not None, eid
         assert geomtest.jacobian_min(fm, grid).margin > 0, eid
 
@@ -648,7 +647,7 @@ def test_starlike_rows_agree_with_the_float_samples():
     # of 2 cos t/(cos 2t - 3), as the exact identity says, and negative;
     # at z = (3 + 4i)/5 near the circle, about the exact -15/41
     entry = catalog_lookup("t4_re_koebe_im_halfplane")
-    fm = entry.harmonic_map(entry.proof_order)
+    fm = verify._map(entry, VerifyConfig())
     s = verify._starlike_on_circle(fm)
     assert s.num * verify._F3_STARLIKE.den == verify._F3_STARLIKE.num * s.den
     for t in np.linspace(-math.pi / 2 + 0.1, math.pi / 2 - 0.1, 32):
