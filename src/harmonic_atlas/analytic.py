@@ -57,20 +57,22 @@ result is bit for bit that of evaluating alone, which keeps nothing.
 An expression is its rational part, the rational terms summed into one
 unreduced :class:`RatFunc` P/Q (``rational_part``, kept), plus its log
 part, c log L for each distinct L with c summed over its terms
-(``log_part``).  A series multiplies P by 1/Q (what perfbench times as
-``numkernel.mul`` and ``numkernel.reciprocal``), or expands P alone where
-Q is 1 (a polynomial plus logs, the zero expression), and adds each c log
-L, the integral of L'/L, whose series ``_log_series`` keeps by (L, order)
-for the life of the process (the catalog has 4 distinct L; the orders are
-those at which maps are built and checked).  Each expression keeps its
-series by order (``_series_cache``).  ``Poly`` and ``Series`` are
-immutable, so a cached series is safe to share: it is only read.
+(``log_part``, kept read-only).  A series multiplies P by 1/Q (what
+perfbench times as ``numkernel.mul`` and ``numkernel.reciprocal``), or
+expands P alone where Q is 1 (a polynomial plus logs, the zero
+expression), and adds each c log L, the integral of L'/L, whose series
+``_log_series`` keeps by (L, order) for the life of the process (the
+catalog has 4 distinct L; the orders are those at which maps are built
+and checked).  Each expression keeps its series by order
+(``_series_cache``).  ``Poly`` and ``Series`` are immutable, so a cached
+series is safe to share: it is only read.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -359,7 +361,8 @@ def _meets_branch_cut(arg: Poly) -> bool:
 class AnalyticExpr:
     """Finite sum of rational and logarithmic closed-form terms."""
 
-    __slots__ = ("terms", "_pole_points", "_deriv", "_series_cache", "_floats", "_rational")
+    __slots__ = ("terms", "_pole_points", "_deriv", "_series_cache", "_floats", "_rational",
+                 "_logs")
 
     def __init__(self, terms, validate: bool = True):
         normalized = []
@@ -378,6 +381,7 @@ class AnalyticExpr:
         self._series_cache = {}
         self._floats = None  # complex(t.c) of each term, on the first eval
         self._rational = None  # rational_part(), on first use
+        self._logs = None  # log_part(), on first use
         if validate:
             self._validate()
 
@@ -511,15 +515,17 @@ class AnalyticExpr:
             self._rational = q
         return self._rational
 
-    def log_part(self) -> dict:
+    def log_part(self) -> MappingProxyType:
         """The summed coefficient of each log argument, L -> c, where c is
         nonzero and L is not 1: the expression is ``rational_part()`` plus
-        the sum of c log L."""
-        out = {}
-        for t in self.terms:
-            if isinstance(t, LogTerm) and t.arg.degree > 0:
-                out[t.arg] = out.get(t.arg, GaussRational(0)) + t.c
-        return {arg: c for arg, c in out.items() if not c.is_zero}
+        the sum of c log L.  Kept, as a read-only mapping."""
+        if self._logs is None:
+            out = {}
+            for t in self.terms:
+                if isinstance(t, LogTerm) and t.arg.degree > 0:
+                    out[t.arg] = out.get(t.arg, GaussRational(0)) + t.c
+            self._logs = MappingProxyType({arg: c for arg, c in out.items() if not c.is_zero})
+        return self._logs
 
     def series(self, order: int) -> Series:
         """Exact Taylor coefficients to the given order: ``rational_part()``

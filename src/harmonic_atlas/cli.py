@@ -140,7 +140,9 @@ def _resolve_map(text: str, order: int):
 
 
 def _coeff_table(series, upto):
-    return [str(series.coeff(n)) for n in range(upto + 1)]
+    """The texts of coefficients 0..upto (upto <= the order), each read off
+    its triple by ``GaussRational.literal``."""
+    return [c.literal() for c in series.coeffs[:upto + 1]]
 
 
 def _cmd_list(args) -> int:

@@ -237,10 +237,11 @@ class GaussRational:
 
     def literal(self) -> str:
         """Exact text form: ``p/q``, ``r/s i`` or ``p/q+r/s i``, each part
-        written as ``str(Fraction)`` writes it."""
+        written as ``str(Fraction)`` writes it.  A real integer (b = 0, d =
+        1), half of a catalog table, is ``str(a)`` with no gcd."""
         a, b, d = self._a, self._b, self._d
         if not b:
-            return _ratio(a, d)
+            return str(a) if d == 1 else _ratio(a, d)
         imag = "i" if abs(b) == d else f"{_ratio(abs(b), d)} i"
         if not a:
             return "-" + imag if b < 0 else imag

@@ -288,7 +288,15 @@ def bounded_by_one(p, q) -> tuple[bool, GaussRational | None]:
     at most 1 (maximum modulus).  Returns (True, None), or (False, z1) with
     |z1| < 1 and |p(z1)| > |q(z1)| > 0: z = (1 + it)/(1 - it) at the first
     t of a scan where the circle polynomial is negative, pulled in to (1 -
-    2^-k) z; or (False, None) where neither is found."""
+    2^-k) z; or (False, None) where neither is found.
+
+    A monomial over a nonzero constant, p = c z^k and q = q0, has |p/q| =
+    |c/q0| |z|^k, so the answer is yes when |c|^2 <= |q0|^2, compared on
+    the integer triples; a no takes the proof above for its witness."""
+    if len(q) == 1 and q[0] and p and not any(p[:-1]):
+        c, q0 = p[-1], q[0]
+        if (c._a ** 2 + c._b ** 2) * q0._d ** 2 <= (q0._a ** 2 + q0._b ** 2) * c._d ** 2:
+            return True, None
     circle = _circle(psub(q, [-c for c in p]), psub(q, p))
     if not q or _nonnegative(circle):  # a count of None for q = 0
         return disk_zero_count(q) == 0, None

@@ -79,7 +79,7 @@ class HarmonicMap(Frozen):
     a closed form is compared with its series at the map's order N.
     ``replace`` builds a new map and checks it the same way, so an omega
     other than the recipe's fails the identity: a map given another omega
-    drops its source.
+    drops its source.  A map given another series drops it by itself.
     """
 
     __slots__ = ("h_series", "g_series", "omega", "h_expr", "g_expr", "source", "axis")
@@ -110,8 +110,13 @@ class HarmonicMap(Frozen):
         object.__setattr__(self, "axis", axis)
 
     def replace(self, **changes) -> "HarmonicMap":
-        """This map with the fields in ``changes`` replaced, checked anew."""
+        """This map with the fields in ``changes`` replaced, checked anew.
+        A replaced series is no longer the recipe's, so unless ``source`` is
+        given too the source is dropped, and the closed forms are compared
+        with the new series at their order."""
         fields = {name: getattr(self, name) for name in self.__slots__}
+        if changes.keys() & {"h_series", "g_series"}:
+            fields["source"] = None
         fields.update(changes)
         return HarmonicMap(**fields)
 

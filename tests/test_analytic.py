@@ -779,6 +779,21 @@ def test_cold_expand_skips_unit_and_zero_operands():
         assert run["kept"] == run["zero_pairs"] > 0
 
 
+def test_log_part_is_kept_read_only():
+    # built once per expression, as rational_part is, and shared by every
+    # caller: so it cannot be changed in place
+    up, down = P(1, 1), P(1, -1)
+    e = (AnalyticExpr.log(F(1, 2), up) + AnalyticExpr.log(F(1, 2), up)
+         + AnalyticExpr.log(-1, down) + KOEBE)
+    logs = e.log_part()
+    assert logs is e.log_part() and logs == {up: 1, down: -1}
+    with pytest.raises(TypeError):
+        logs[up] = 2
+    assert e.log_part() == {up: 1, down: -1}
+    assert not (AnalyticExpr.log(1, up) + AnalyticExpr.log(-1, up)).log_part()
+    assert not KOEBE.log_part()
+
+
 # -- derivative/series consistency across a family of expressions ----------------
 
 def test_series_of_derivative_equals_derivative_of_series():

@@ -496,6 +496,43 @@ def _fresh(script, *args):
                           env={**os.environ, "PYTHONPATH": src}).stdout
 
 
+def test_cold_expand_runs_no_disk_proof_for_omega_and_reads_no_coeff():
+    # f9_cv1's omega is z: |z| <= 1 is read off its coefficient, with no
+    # Cayley image and no Sturm sequence, and the table formats each
+    # coefficient of the tuple without a Series.coeff call
+    script = "\n".join((
+        "import contextlib, io, json",
+        "from harmonic_atlas import cli, realalg, shear",
+        "from harmonic_atlas.numkernel import Series",
+        "log = dict.fromkeys(('omega', 'table', 'cayley', 'sturm', 'coeff'), 0)",
+        "active = set()",
+        "def during(key, fn):",
+        "    def wrapped(*args):",
+        "        log[key] += 1",
+        "        active.add(key)",
+        "        try:",
+        "            return fn(*args)",
+        "        finally:",
+        "            active.discard(key)",
+        "    return wrapped",
+        "def counted(key, within, fn):",
+        "    def wrapped(*args):",
+        "        log[key] += within in active",
+        "        return fn(*args)",
+        "    return wrapped",
+        "shear._omega_bounded = during('omega', shear._omega_bounded)",
+        "cli._coeff_table = during('table', cli._coeff_table)",
+        "realalg._int_cayley = counted('cayley', 'omega', realalg._int_cayley)",
+        "realalg._sturm_variations = counted('sturm', 'omega', realalg._sturm_variations)",
+        "Series.coeff = counted('coeff', 'table', Series.coeff)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['expand', 'f9_cv1', '128']) == 0",
+        "print(json.dumps(log))",
+    ))
+    assert json.loads(_fresh(script)) == {"omega": 1, "table": 2, "cayley": 0, "sturm": 0,
+                                          "coeff": 0}
+
+
 def test_plain_command_line_does_not_import_argparse():
     # only the full parser, for help and usage errors, needs argparse
     script = "\n".join((

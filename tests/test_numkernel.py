@@ -186,10 +186,11 @@ def test_gauss_triple_edge_cases():
 
 
 # literal() writes (a, b, d) as the Fraction formula of the reference writes
-# its two parts; d = 1, a = 0, b = +-d (printed "i") and signs drawn often
+# its two parts; d = 1 and 2, a = 0, b = +-d (printed "i") and signs drawn
+# often.  A real integer, half of a catalog table, is str(a) alone
 @st.composite
 def triples(draw):
-    d = draw(st.one_of(st.just(1), st.integers(1, 60), st.integers(1, BIG)))
+    d = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 60), st.integers(1, BIG)))
     a = draw(st.one_of(st.just(0), st.integers(-60, 60), st.integers(-BIG, BIG)))
     b = draw(st.one_of(st.just(0), st.sampled_from([d, -d]),
                        st.integers(-60, 60), st.integers(-BIG, BIG)))
@@ -202,6 +203,8 @@ def test_literal_matches_fraction_formula(t):
     a, b, d = t
     z = GaussRational(F(a, d), F(b, d))
     assert z.literal() == FractionPair(F(a, d), F(b, d)).literal() == str(z)
+    if not b and a % d == 0:
+        assert z.literal() == str(a // d)
 
 
 # ---------------------------------------------------------------------------

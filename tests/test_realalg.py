@@ -6,6 +6,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -199,6 +200,50 @@ def test_peval_is_horner():
 ])
 def test_bounded_by_one_examples(p, q, result):
     assert realalg.bounded_by_one(p, q) == result
+
+
+_UNITS = (G(1), G(-1), G(0, 1), G(0, -1))
+
+
+@st.composite
+def monomials(draw):
+    """(c, k, q0) for p = c z^k over q = q0, |c| = |q0| drawn often."""
+    def nonzero(big):
+        d = draw(st.sampled_from([1, 2, 3, 7]) | st.integers(1, big))
+        a, b = draw(st.integers(-big, big)), draw(st.just(0) | st.integers(-big, big))
+        assume(a or b)
+        return G(F(a, d), F(b, d))
+
+    q0 = nonzero(draw(st.sampled_from([12, 2 ** 70])))
+    c = q0 * draw(st.sampled_from(_UNITS)) if draw(st.booleans()) else nonzero(12)
+    return c, draw(st.integers(0, 5)), q0
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomials())
+def test_bounded_by_one_of_a_monomial_agrees_with_the_proof(t):
+    # q0 with a trailing zero coefficient is not read as a constant, so it
+    # takes the Cayley image and the witness scan; the monomial reads |c|
+    # and |q0| off their triples, and a refusal goes on to the same scan
+    c, k, q0 = t
+    p = (G(0),) * k + (c,)
+    calls = {"n": 0}
+    circle = realalg._circle
+
+    def counting_circle(*args):
+        calls["n"] += 1
+        return circle(*args)
+
+    with mock.patch.object(realalg, "_circle", counting_circle):
+        fast = realalg.bounded_by_one(p, (q0,))
+        fast_calls, calls["n"] = calls["n"], 0
+        slow = realalg.bounded_by_one(p, (q0, G(0)))
+    assert calls["n"] == 1 and fast_calls == (0 if fast[0] else 1)
+    assert fast == slow
+    assert fast[0] == (c.abs2() <= q0.abs2())
+    if not fast[0]:
+        z1 = fast[1]
+        assert z1.abs2() < 1 and realalg.peval(p, z1).abs2() > q0.abs2()
 
 
 # -- the sign on the real line -----------------------------------------------

@@ -255,6 +255,21 @@ def test_closed_form_disagreeing_with_its_series_raises():
         fm.replace(g_expr=fm.g_expr + extra)
 
 
+def test_replacing_a_series_drops_the_source():
+    # f3_cv1's closed forms are its shear's for every n, so with its source
+    # kept they would be proved by the identity and never read the series
+    # put in; without it they are compared with f4_cv1's series and fail
+    fm, other = (catalog_lookup(eid).harmonic_map(8) for eid in ("f3_cv1", "f4_cv1"))
+    assert fm.h_expr.series(8) != other.h_series
+    with pytest.raises(SeriesMismatch, match="disagrees with its series"):
+        fm.replace(h_series=other.h_series, g_series=other.g_series)
+    with pytest.raises(SeriesMismatch, match="for g"):
+        fm.replace(g_series=other.g_series)
+    assert fm.replace(h_series=fm.h_series).source is None
+    assert fm.replace(h_series=fm.h_series, source=fm.source).source is fm.source
+    assert fm.replace(omega=fm.omega).source is fm.source
+
+
 _CLOSED_SHEARS = [eid for eid in catalog_ids()
                   if catalog_lookup(eid).recipe is not None
                   and catalog_lookup(eid).h is not None]
