@@ -42,12 +42,14 @@ h, its g is h - source (real direction) or source - h (imaginary
 direction), so the identity that proves h proves g (``shear`` module
 doc), at whatever order the map is built.
 
-Entries are built on lookup.  ``catalog_lookup`` builds and indexes only
-the entry it is asked for, and for a proof shear its twin; a shear's source
-is looked up when its map is first made.  ``catalog_build`` looks up every
-id, in catalog order; ``catalog_ids`` reads the families from the id
-table and builds nothing.  Whichever call comes first, each id has one entry
-object per process, so the maps an entry caches are shared by every caller.
+An id is decoded from its shape; no lookup writes out every id.  Past the
+bare conformal ids it is ``s1_``/``t3_``/``t5_`` and a conformal id of that
+family, ``t4_``/``t6_`` and a T4/T6 suffix, or ``f<k>_cv1``/``f<k>_cvi``, k
+in ASCII digits, no leading zero, at most twice the axis's source count.
+``catalog_lookup`` builds that entry, and a proof shear's twin; a source
+comes with its shear's map.  ``catalog_ids`` writes every id out once and
+builds nothing, and ``catalog_build`` looks each up.  Whichever comes
+first, each id has one entry object per process, shared by every caller.
 """
 
 from __future__ import annotations
@@ -250,9 +252,9 @@ _S1 = _convex_ids(("S_Z",), "real")
 _T3 = _convex_ids(("T1",), "real")
 _T5 = _convex_ids(("S_Z", "T1"), "imag")
 
-# shear sources, in case-analysis order: 15 real-direction, 9 imaginary-direction
-_CV1_SOURCES = _S1 + _T3
-_CVI_SOURCES = _T5
+# proof shear id tag -> (family, axis, shear sources in case-analysis order: 15
+# real-direction, 9 imaginary-direction); id f<k> + tag, 1 <= k <= 2 len(sources)
+_SHEARS = {"_cv1": ("PROOF_CV1", "real", _S1 + _T3), "_cvi": ("PROOF_CVI", "imag", _T5)}
 
 # The non-conformal half-integer maps, each stated once.  T4 (convex in the
 # real direction): id suffix -> (h as a conformal id, g, shear source, omega
@@ -334,23 +336,28 @@ _ALIASES = {
 }
 
 
-def _nonconformal_entry(family, axis, suffix, h_id, src, sign, cv_imag,
-                        starlike) -> CatalogEntry:
+def _nonconformal_entry(entry_id, family, suffix) -> CatalogEntry:
     """A T4 row, or a T6 row with the h and g of its T4 namesake."""
+    h_id, _, src, sign, cv_imag, starlike = _T4[suffix]
+    if family == "T6":
+        (src, sign), cv_imag, starlike = _T6[suffix], True, None
     return CatalogEntry(
-        id=f"{family.lower()}_{suffix}", family=family, h=_H[h_id], g=_T4_G[suffix],
+        id=entry_id, family=family, h=_H[h_id], g=_T4_G[suffix],
         expected=FlagSet(False, True, cv_real=True, cv_imag=cv_imag,
                          starlike=starlike),
-        recipe=ShearRecipe(src, sign, axis),
+        recipe=ShearRecipe(src, sign, "real" if family == "T4" else "imag"),
     )
 
 
-def _proof_entry(entry_id, family, k, source_id, sign, axis, twin_id) -> CatalogEntry:
-    """Shear number ``k`` of the case analysis along ``axis``.
+def _proof_entry(entry_id, family, k) -> CatalogEntry:
+    """Shear number ``k`` of the case analysis along the id's axis.
 
-    A shear whose recipe is that of a T4/T6 entry, ``twin_id``, is that
-    map: it takes the twin's h and expected flags.
+    A shear whose recipe is that of a T4/T6 entry, its twin, is that map:
+    it takes the twin's h and expected flags.
     """
+    _, axis, sources = _SHEARS[entry_id[-4:]]
+    source_id, sign = sources[(k - 1) // 2], (1 if k % 2 else -1)
+    twin_id = _TWINS.get((source_id, sign, axis))
     twin = None if twin_id is None else catalog_lookup(twin_id)
     h = twin.h if twin is not None else _SHEAR_H[axis].get(k)
     g = None
@@ -363,7 +370,7 @@ def _proof_entry(entry_id, family, k, source_id, sign, axis, twin_id) -> Catalog
                         recipe=ShearRecipe(source_id, sign, axis), twin=twin_id)
 
 
-def _conformal_entry(cid, prefix="", family=None) -> CatalogEntry:
+def _conformal_entry(entry_id, family, cid) -> CatalogEntry:
     _, base_family, cv_r, cv_i, boundary = _CONFORMAL[cid]
     in_sz = base_family == "S_Z"
     flags = FlagSet(
@@ -375,37 +382,46 @@ def _conformal_entry(cid, prefix="", family=None) -> CatalogEntry:
         u_class=True if in_sz else (False if base_family == "T2" else None),
         boundary=boundary,
     )
-    return CatalogEntry(id=prefix + cid, family=family or base_family, h=_H[cid],
-                        g=_ZERO, expected=flags)
+    return CatalogEntry(id=entry_id, family=family, h=_H[cid], g=_ZERO, expected=flags)
+
+
+# The ids past the bare conformal ones, in catalog order: prefix -> (family,
+# suffixes, builder); then the proof shears of ``_SHEARS``.
+_PREFIXED = {"s1_": ("S1", _S1, _conformal_entry), "t3_": ("T3", _T3, _conformal_entry),
+             "t5_": ("T5", _T5, _conformal_entry),
+             "t4_": ("T4", _T4, _nonconformal_entry), "t6_": ("T6", _T6, _nonconformal_entry)}
+# each T4/T6 recipe (source, sign, axis) -> its id
+_TWINS = ({(row[2], row[3], "real"): "t4_" + suffix for suffix, row in _T4.items()}
+          | {(src, sign, "imag"): "t6_" + suffix for suffix, (src, sign) in _T6.items()})
+
+
+def _decode(entry_id: str) -> tuple:
+    """(builder, family, key) of an id, read off its shape; ``UnknownId``
+    for a string of no shape."""
+    row = _CONFORMAL.get(entry_id)
+    if row is not None:
+        return _conformal_entry, row[1], entry_id
+    family, suffixes, make = _PREFIXED.get(entry_id[:3], (None, (), None))
+    if entry_id[3:] in suffixes:
+        return make, family, entry_id[3:]
+    family, _, sources = _SHEARS.get(entry_id[-4:], (None, None, ()))
+    digits, top = entry_id[1:-4], 2 * len(sources)
+    # k in ASCII digits, no leading zero, 1 <= k <= top; int() reads no long numeral
+    if (entry_id[:1] == "f" and len(digits) <= len(str(top)) and digits.isascii()
+            and digits.isdigit() and digits[0] != "0" and int(digits) <= top):
+        return _proof_entry, family, int(digits)
+    raise UnknownId(entry_id)
 
 
 @functools.cache
-def _makers() -> dict:
-    """Every id in catalog order, with its family and the call that builds
-    its entry: id -> (family, make, *args)."""
-    makers = {cid: (row[1], _conformal_entry, cid) for cid, row in _CONFORMAL.items()}
-    for family, cids in (("S1", _S1), ("T3", _T3), ("T5", _T5)):
-        prefix = family.lower() + "_"
-        makers.update({prefix + cid: (family, _conformal_entry, cid, prefix, family)
-                       for cid in cids})
-    rows = [("T4", "real", suffix, row[0], *row[2:]) for suffix, row in _T4.items()]
-    rows += [("T6", "imag", suffix, _T4[suffix][0], src, sign, True, None)
-             for suffix, (src, sign) in _T6.items()]
-    twins = {}  # each T4/T6 recipe (source, sign, axis) -> its id
-    for row in rows:
-        family, axis, suffix, _, src, sign, _, _ = row
-        twins[src, sign, axis] = entry_id = f"{family.lower()}_{suffix}"
-        makers[entry_id] = (family, _nonconformal_entry, *row)
-    for axis, tag, sources in (("real", "cv1", _CV1_SOURCES),
-                               ("imag", "cvi", _CVI_SOURCES)):
-        family = f"PROOF_{tag.upper()}"
-        for idx, source_id in enumerate(sources):
-            for sign in (+1, -1):
-                k = 2 * idx + (1 if sign > 0 else 2)
-                makers[f"f{k}_{tag}"] = (family, _proof_entry, f"f{k}_{tag}", family,
-                                         k, source_id, sign, axis,
-                                         twins.get((source_id, sign, axis)))
-    return makers
+def _families() -> dict:
+    """Every id ``_decode`` reads, in catalog order: id -> family."""
+    ids = {cid: row[1] for cid, row in _CONFORMAL.items()}
+    for prefix, (family, suffixes, _) in _PREFIXED.items():
+        ids.update((prefix + suffix, family) for suffix in suffixes)
+    for tag, (family, _, sources) in _SHEARS.items():
+        ids.update((f"f{k}{tag}", family) for k in range(1, 2 * len(sources) + 1))
+    return ids
 
 
 _INDEX: dict[str, CatalogEntry] = {}  # every entry built so far, by id
@@ -413,29 +429,28 @@ _INDEX: dict[str, CatalogEntry] = {}  # every entry built so far, by id
 
 def catalog_build() -> tuple[CatalogEntry, ...]:
     """The full immutable catalog, in catalog order: every id looked up."""
-    return tuple(map(catalog_lookup, _makers()))
+    return tuple(map(catalog_lookup, _families()))
 
 
 def catalog_lookup(entry_id: str) -> CatalogEntry:
-    """The entry of an id or alias, built and indexed on its first lookup."""
+    """The entry of an id or alias, built and indexed on its first lookup:
+    the id is decoded from its shape (module doc); else ``UnknownId``."""
     entry_id = _ALIASES.get(entry_id, entry_id)
     entry = _INDEX.get(entry_id)
     if entry is None:
-        try:
-            _, make, *args = _makers()[entry_id]
-        except KeyError:
-            raise UnknownId(entry_id) from None
-        entry = _INDEX[entry_id] = make(*args)
+        make, family, key = _decode(entry_id)
+        entry = _INDEX[entry_id] = make(entry_id, family, key)
     return entry
 
 
 def catalog_ids(family: str | None = None) -> list[str]:
-    """Ids in catalog order, of one family if given; builds no entry.
-    ``ValueError`` names the known families when the id table has none
-    of ``family``."""
-    ids = [eid for eid, (fam, *_) in _makers().items() if family is None or fam == family]
+    """Ids in catalog order, of one family if given; builds no entry.  The
+    ids the lookup decodes are written out once, on the first call.
+    ``ValueError`` names the known families when no id is of ``family``."""
+    families = _families()
+    ids = [eid for eid, fam in families.items() if family is None or fam == family]
     if not ids:
-        known = ", ".join(dict.fromkeys(fam for fam, *_ in _makers().values()))
+        known = ", ".join(dict.fromkeys(families.values()))
         raise ValueError(f"unknown family {family!r}; known families: {known}")
     return ids
 

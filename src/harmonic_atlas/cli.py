@@ -337,8 +337,9 @@ def build_parser():
         or an option's value, not an option: a formula such as -z or
         -z^2+z, or a negative number (every option but -h starts with
         "--"), as in ``_plain``.  It reaches the command, and every message,
-        as typed.  An option's explicit value "--" (``--name=--``) is kept
-        as its value, where argparse would strip it and leave none.
+        as typed.  A value "--" is kept, where argparse would strip it and
+        leave none: an option's explicit one (``--name=--``), or a
+        positional's written after the separator "--".
         ``_parse_optional`` and ``_get_values`` are the argparse hooks that
         sort one argument and convert an action's values."""
 
@@ -349,7 +350,7 @@ def build_parser():
             return super()._parse_optional(arg_string)
 
         def _get_values(self, action, arg_strings):
-            if action.option_strings and arg_strings == ["--"]:
+            if action.nargs is None and arg_strings == ["--"]:
                 value = self._get_value(action, "--")
                 self._check_value(action, value)
                 return value

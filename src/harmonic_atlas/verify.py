@@ -115,12 +115,15 @@ class VerifyConfig(Frozen):
 
     def __init__(self, order: int = DEFAULT_ORDER, grid_radii: int = 64,
                  grid_angles: int = 256):
-        if not (1 <= order <= _MAX_ORDER and grid_radii >= 1 and grid_angles >= 1
-                and grid_radii * grid_angles <= _MAX_GRID_POINTS):
-            raise ValueError(
-                "config values out of range: need "
-                f"1 <= order <= {_MAX_ORDER}, radii and angles >= 1, "
-                f"radii x angles <= {_MAX_GRID_POINTS}")
+        if not 1 <= order <= _MAX_ORDER:
+            raise ValueError(f"order out of range: need 1 <= order <= {_MAX_ORDER}, "
+                             f"got {order}")
+        for name, value in (("grid_radii", grid_radii), ("grid_angles", grid_angles)):
+            if value < 1:
+                raise ValueError(f"{name} out of range: need {name} >= 1, got {value}")
+        if grid_radii * grid_angles > _MAX_GRID_POINTS:
+            raise ValueError(f"grid out of range: need grid_radii x grid_angles <= "
+                             f"{_MAX_GRID_POINTS}, got {grid_radii} x {grid_angles}")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "grid_radii", grid_radii)
         object.__setattr__(self, "grid_angles", grid_angles)

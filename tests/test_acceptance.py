@@ -60,8 +60,7 @@ def test_criterion_01_cardinalities(monkeypatch):
 
 def _run_fresh_shears(axis):
     from harmonic_atlas import parse_formula
-    sources = (catalog_module._CV1_SOURCES if axis == "real"
-               else catalog_module._CVI_SOURCES)
+    sources = catalog_module._SHEARS["_cv1" if axis == "real" else "_cvi"][2]
     construct = shear_real if axis == "real" else shear_imag
     omegas = (parse_formula("z"), parse_formula("-z"))
     out = []

@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import harmonic_atlas.catalog as catalog_module
 from harmonic_atlas import (
@@ -304,6 +306,98 @@ def test_lookup_builds_only_what_it_needs(monkeypatch, capsys, tmp_path):
     assert len(catalog_module._INDEX) == 4
     assert main(["render", "no_such_entry", str(tmp_path / "x.svg")]) == 2
     assert "unknown catalog id 'no_such_entry'" in capsys.readouterr().err
+
+
+# id -> family, as pinned in the atlas recording; the names are its ids and the aliases
+_PINNED = {row["id"]: row["family"]
+           for row in json.loads(ATLAS.read_text(encoding="utf-8"))["entries"]}
+_NAMES = sorted(_PINNED) + sorted(catalog_module._ALIASES)
+_CHARS = sorted(set("".join(_NAMES))) + ["0", "T", "S", "F", " ", "\n", "\u0669", "\u00b2"]
+
+
+def _edited(name, at, char, how):
+    return {"replace": name[:at] + char + name[at + 1:], "insert": name[:at] + char + name[at:],
+            "delete": name[:at] + name[at + 1:]}[how]
+
+
+def _assert_lookup_reads_only_catalog_ids(text):
+    eid = catalog_module._ALIASES.get(text, text)
+    if eid in _PINNED:
+        entry = catalog_lookup(text)
+        assert (entry.id, entry.family) == (eid, _PINNED[eid])
+    else:
+        with pytest.raises(UnknownId):
+            catalog_lookup(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.sampled_from(_NAMES),
+    st.text(st.sampled_from(_CHARS), max_size=30),
+    st.builds(_edited, st.sampled_from(_NAMES), st.integers(0, 30), st.sampled_from(_CHARS),
+              st.sampled_from(["replace", "insert", "delete"])),
+))
+def test_lookup_decodes_exactly_the_catalog_ids(text):
+    # an id, an alias, an id one character off, or any string of the ids'
+    # characters: the lookup finds exactly the pinned ids and aliases
+    assert catalog_ids() == list(_PINNED)
+    _assert_lookup_reads_only_catalog_ids(text)
+
+
+# one character or one digit off an id: a leading zero, a non-ASCII digit,
+# k = 0, k past the last source, an unknown tag, a conformal id outside the
+# prefix's family, an empty suffix, a capital prefix, padding, and a numeral
+# too long for int() to read
+NEAR_IDS = ["f09_cv1", "f\u0669_cv1", "f0_cv1", "f31_cv1", "f19_cvi", "f9_cv2",
+            "s1_cardioid", "t4_", "T4_re_koebe_im_halfplane", " koebe", "koebe ",
+            "f9_cv1\n", "\tt6_re_halfplane_im_koebe", "f+9_cv1", "f1_0_cv1",
+            "f" + "9" * 5000 + "_cv1"]
+
+
+@pytest.mark.parametrize("text", NEAR_IDS, ids=range(len(NEAR_IDS)))
+def test_near_ids_are_unknown(capsys, tmp_path, text):
+    _assert_lookup_reads_only_catalog_ids(text)
+    assert text not in _PINNED
+    assert main(["expand", text, "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: not a catalog id and not parseable: {text!r} ("), err
+    assert main(["render", text, str(tmp_path / "x.svg")]) == 2
+    assert capsys.readouterr().err == f"error: unknown catalog id {text!r}\n"
+
+
+def test_cold_commands_write_out_no_id_list():
+    # a lookup decodes its id: with the one id list refused, four cold
+    # commands still run, and they build only the entries they name and the
+    # sources and twins those read
+    script = "\n".join((
+        "import contextlib, io",
+        "from harmonic_atlas import catalog",
+        "from harmonic_atlas.cli import main",
+        "def refuse():",
+        "    raise RuntimeError('the id list was written out')",
+        "catalog._families = refuse",
+        "try:",
+        "    catalog.catalog_ids()",
+        "except RuntimeError:",
+        "    pass",
+        "else:",
+        "    raise AssertionError('catalog_ids did not read the refused list')",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for argv in (['expand', 'koebe', '128'], ['expand', 'f9_cv1', '128'],",
+        "                 ['expand', 'f3_cvi', '128'],",
+        "                 ['classify', 't4_re_koebe_im_halfplane']):",
+        "        assert main(argv) == 0, argv",
+        "print(*sorted(catalog._INDEX))",
+    ))
+    src = str(Path(catalog_module.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    # f9_cv1 and f3_cvi are sheared from koebe and halfplane, and have no
+    # twin; the T4 entry is sheared from halfplane, and its h is parabola's
+    # expression, not an entry
+    assert out.stdout.split() == ["f3_cvi", "f9_cv1", "halfplane", "koebe",
+                                  "t4_re_koebe_im_halfplane"]
 
 
 def test_boundary_descriptors_present():

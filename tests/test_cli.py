@@ -253,6 +253,27 @@ def test_oversized_order_or_grid_exit_2_before_allocating(capsys, argv, cap):
     assert peak < 1_000_000, peak
 
 
+_ORDER_NEED = f"need 1 <= order <= {cli._MAX_ORDER}"
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (("expand", "koebe", "--order", "0"), None, f"order out of range: {_ORDER_NEED}, got 0"),
+    (("shear", "koebe", "z", "real", "--order", "2000"), None,
+     f"order out of range: {_ORDER_NEED}, got 2000"),
+    (("verify", "T31", "--grid-angles", "0"), None,
+     "grid_angles out of range: need grid_angles >= 1, got 0"),
+    (("classify", "koebe"), "order = 0\n", f"order out of range: {_ORDER_NEED}, got 0"),
+], ids=["expand", "shear", "verify", "config"])
+def test_out_of_range_setting_is_named_alone(capsys, tmp_path, argv, config, message):
+    # the refusal names the one setting out of range and its bound, not the
+    # grid settings that expand, shear and classify do not take
+    if config is not None:
+        path = tmp_path / "atlas.cfg"
+        path.write_text(config)
+        argv += ("--config", str(path))
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("levels", [_MAX_DEPTH, _MAX_DEPTH + 1, 10_000])
 @pytest.mark.parametrize("command", ["expand", "classify", "shear"])
 def test_formula_nesting_refused_beyond_the_cap(capsys, command, levels):
@@ -885,6 +906,17 @@ def test_explicit_double_dash_value_exit_2(capsys, tmp_path, monkeypatch, argv, 
     code, out, err = table
     assert code == 2 and not out and message in err and err.count("error:") == 1, err
     assert not (tmp_path / "k.svg").exists()
+
+
+def test_positional_double_dash_after_the_separator_is_kept(capsys, tmp_path, monkeypatch):
+    # argparse stripped a positional's "--" written after the separator "--",
+    # leaving the value []: render raised a TypeError traceback
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "render", "koebe", "--", "--") == (0, "wrote --\n", "")
+    assert run(capsys, "render", "koebe", "k.svg") == (0, "wrote k.svg\n", "")
+    assert (tmp_path / "--").read_bytes() == (tmp_path / "k.svg").read_bytes()
+    code, out, err = run(capsys, "shear", "koebe", "--", "--", "real")
+    assert (code, out) == (2, "") and err.count("error:") == 1, err
 
 
 def _full_route(argv):
