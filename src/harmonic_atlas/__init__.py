@@ -13,7 +13,7 @@ from .catalog import (
     BoundaryDescriptor, CatalogEntry, FlagSet, ShearRecipe,
     catalog_build, catalog_ids, catalog_lookup, export_atlas,
 )
-from .classify import CoeffClassReport, b2_bound_check, classify_harmonic, coeff_class
+from .classify import CoeffClassReport, classify_harmonic, coeff_class
 from .errors import (
     DilatationTooLarge, HarmonicAtlasError, InvalidExpression, NearPole,
     NoClosedForm, NotNormalized, PoleAtOrigin, SeriesMismatch, UnknownId, ZeroConstantTerm,
@@ -35,7 +35,7 @@ __all__ = [
     "AnalyticExpr", "LogTerm", "Poly", "RationalTerm",
     "BoundaryDescriptor", "CatalogEntry", "FlagSet", "ShearRecipe",
     "catalog_build", "catalog_ids", "catalog_lookup", "export_atlas",
-    "CoeffClassReport", "b2_bound_check", "classify_harmonic", "coeff_class",
+    "CoeffClassReport", "classify_harmonic", "coeff_class",
     "DilatationTooLarge", "HarmonicAtlasError", "InvalidExpression", "NearPole",
     "NoClosedForm", "NotNormalized", "PoleAtOrigin", "SeriesMismatch", "UnknownId",
     "ZeroConstantTerm", "ZeroValue",

@@ -70,6 +70,10 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 64
+# The largest order a map is built at: every command's cap (``VerifyConfig``)
+# and the order a log part's witness is searched to (``classify``), well
+# above the benchmark's order 128.
+_MAX_ORDER = 1024
 
 F = Fraction
 

@@ -1,4 +1,4 @@
-"""Exact coefficient classification and the |b2| necessary condition.
+"""Exact coefficient classification.
 
 A series is integer class when every coefficient is a rational integer,
 half-integer class when every doubled coefficient is.  ``coeff_class``
@@ -24,7 +24,7 @@ A closed form is classified for every n (``expr_class``), on the terms:
   the circle.  By the Polya-Carlson theorem (on its real and imaginary
   parts; a radius above 1 makes them polynomials) it would be rational,
   and so would f.  So f is ``neither``; its witness is read in the
-  series, to ``_WITNESS_ORDER`` where N shows none;
+  series, to the order cap ``catalog._MAX_ORDER`` where N shows none;
 * anything else (Q not over the Gaussian integers, a nonlinear or larger
   log argument) falls back to ``coeff_class`` of the order-N series.
 
@@ -37,21 +37,17 @@ No tolerance and no floating point appear anywhere in this module.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .analytic import AnalyticExpr, Poly
+from .catalog import _MAX_ORDER
 from .numkernel import GaussRational, Series
 from .shear import HarmonicMap
 
-__all__ = ["CoeffClassReport", "coeff_class", "expr_class", "classify_harmonic",
-           "b2_bound_check"]
+__all__ = ["CoeffClassReport", "coeff_class", "expr_class", "classify_harmonic"]
 
 INTEGER = "integer"
 HALF_INTEGER = "half_integer"
 NEITHER = "neither"
-# The order a log part's witness is searched to past a series that shows
-# none: the CLI's cap on orders.
-_WITNESS_ORDER = 1024
 
 
 class CoeffClassReport(namedtuple("CoeffClassReport", "klass first_violation",
@@ -130,7 +126,7 @@ def expr_class(expr: AnalyticExpr, series: Series) -> CoeffClassReport:
     ``series`` is expr's series to some order N, a map's for instance.  A
     ``neither`` class comes with its first violation, read in ``series``
     and, past N, in the closed form's series: at the index the rational
-    part gives, or for a log part the first one to ``_WITNESS_ORDER``
+    part gives, or for a log part the first one to the order cap
     (none if it lies further).  Outside the exact rules the class is
     ``coeff_class(series)``."""
     klass, index = _exact_class(expr)
@@ -142,8 +138,8 @@ def expr_class(expr: AnalyticExpr, series: Series) -> CoeffClassReport:
         s = series if index <= series.order else expr.series(index)
         return CoeffClassReport(NEITHER, (index, s.coeff(index)))
     report = coeff_class(series)
-    if report.klass != NEITHER and series.order < _WITNESS_ORDER:
-        report = coeff_class(expr.series(_WITNESS_ORDER))
+    if report.klass != NEITHER and series.order < _MAX_ORDER:
+        report = coeff_class(expr.series(_MAX_ORDER))
     return CoeffClassReport(NEITHER, report.first_violation)
 
 
@@ -157,15 +153,3 @@ def classify_harmonic(F: HarmonicMap):
     """
     return tuple(coeff_class(s) if e is None else expr_class(e, s)
                  for e, s in ((F.h_expr, F.h_series), (F.g_expr, F.g_series)))
-
-
-def b2_bound_check(F: HarmonicMap) -> Fraction:
-    """|b2|^2 as an exact rational; compare against 1/4.
-
-    Sense-preserving normalized maps satisfy |b2| <= 1/2, with equality
-    exactly for linear-in-z dilatations, so a value above 1/4 refutes
-    membership in the normalized sense-preserving class.
-    """
-    if F.g_series.order < 2:
-        return Fraction(0)
-    return F.g_series.coeff(2).abs2()

@@ -7,8 +7,9 @@ Configuration is read from a key=value file named by --config or the
 HARMONIC_ATLAS_CONFIG environment variable; command-line flags win.
 Recognized keys (``_SETTINGS``): order, grid.radii, grid.angles.  verify
 reads all three; expand, shear and classify read order, but check the
-whole file.  expand's count is its order, so a count given with --order
-exits 2.  list and render read no config, so they refuse its flags.
+whole file.  expand's count is its order, in its range, so a count given
+with --order exits 2.  list and render read no config, so they refuse its
+flags.
 
 Exit codes: 0 success / all rows matched; 1 verification mismatch;
 2 usage, config or input error; 3 I/O error.
@@ -48,7 +49,7 @@ from .errors import HarmonicAtlasError, UnknownId
 from .exprtext import parse_any
 from .render import RenderOptions, render_svg
 from .shear import HarmonicMap, shear_imag, shear_real
-from .verify import _MAX_ORDER, SUITES, VerifyConfig, report_json, run_suite
+from .verify import SUITES, VerifyConfig, report_json, run_suite
 
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -170,13 +171,12 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    config = _build_config(args)
-    if args.count is not None and args.order is not None:
-        raise CliError("give the count or --order, not both: the count is the order")
-    order = args.count if args.count is not None else config.order
-    if not 0 <= order <= _MAX_ORDER:
-        raise CliError(f"count must be >= 0 and <= {_MAX_ORDER}, got {order}")
-    fm = _resolve_map(args.target, max(order, 1))
+    if args.count is not None:
+        if args.order is not None:
+            raise CliError("give the count or --order, not both: the count is the order")
+        args.order = args.count
+    order = _build_config(args).order
+    fm = _resolve_map(args.target, order)
     h = _coeff_table(fm.h_series, order)
     g = _coeff_table(fm.g_series, order)
     if args.json:

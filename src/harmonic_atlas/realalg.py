@@ -21,22 +21,22 @@ takes |lc g|^k rem(f, g), negated and divided by its content, for -rem(f,
 g).  The gcd chain h_0 = h, h_(k+1) = gcd(h_k, h_k') divides nothing: the
 sequence of (h_k, h_k') has as its index n_k, the number of distinct real
 roots of h of multiplicity > k, and as its last member h_(k+1).  So h has
-sum n_k real roots with multiplicity, sum (-1)^k n_k of odd multiplicity.
+sum n_k real roots with multiplicity, sum (-1)^k n_k of odd multiplicity,
+and h >= 0 on the real line (``_nonnegative``) is a positive lead and none
+of odd multiplicity.  The Cayley image (1 - it)^n p((1 + it)/(1 - it)), n
+>= deg p, comes as such a pair of lists (``_int_cayley``): for real t, z =
+(1 + it)/(1 - it) runs over the unit circle but -1.
 
-* ``nonnegative(p)``, p >= 0 on the real line for a real p, is a positive
-  lead and no real root of odd multiplicity.
-* ``cayley(p, n)`` is (1 - it)^n p((1 + it)/(1 - it)) in t, n >= deg p:
-  for real t, z = (1 + it)/(1 - it) runs over the unit circle but -1.
 * ``re_nonnegative(a, d)`` is Re(a/d) >= 0 on the open disk (``verify``'s
   slope certificates), and ``bounded_by_one(p, q)`` is |p/q| <= 1 there
   (``shear``'s |omega| < 1, ``verify``'s distortion class) or a witness.
 * ``disk_zero_count(p)`` is the number of zeros of p in the open unit
-  disk, with multiplicity, for every p but 0.  q = ``cayley(p, deg p)``
-  times conj(lc q) has a positive lead, a zero with Im t > 0 for each zero
-  of p in the disk, a real one for each on the circle but -1, and one
-  degree less for each at -1.  For q = A + iB, A and B real, one signed
-  remainder sequence gives the Cauchy index Ind(B/A) (Basu, Pollack & Roy,
-  ch. 2) and g = gcd(A, B): the real zeros of q and its pairs t, conj t
+  disk, with multiplicity, for every p but 0.  q, its Cayley image for n =
+  deg p, times conj(lc q) has a positive lead, a zero with Im t > 0 for
+  each zero of p in the disk, a real one for each on the circle but -1,
+  and one degree less for each at -1.  For q = A + iB, A and B real, one
+  signed remainder sequence gives the Cauchy index Ind(B/A) (Basu, Pollack
+  & Roy, ch. 2) and g = gcd(A, B): the real zeros of q and its pairs t, conj t
   (from the pairs alpha, 1/conj alpha of p).  q/g has (deg A - deg g -
   Ind)/2 zeros with Im t > 0 (argument principle), and the real g half of
   its non-real ones: (deg A - Ind - sum n_k)/2 in all, n_k of g.
@@ -52,8 +52,7 @@ from math import comb, gcd, lcm
 from .numkernel import GaussRational
 
 __all__ = ["ptrim", "psub", "pscale", "pderivative", "pdivmod", "pgcd", "squarefree", "peval",
-           "pqeval", "nonnegative", "cayley", "re_nonnegative", "bounded_by_one",
-           "disk_zero_count"]
+           "pqeval", "re_nonnegative", "bounded_by_one", "disk_zero_count"]
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
@@ -214,16 +213,9 @@ def _root_counts(h: list) -> list:
 
 
 def _nonnegative(p: list) -> bool:
+    """p >= 0 on the whole real line, for an integer list p."""
     counts = _root_counts(p)  # n_0 - n_1 + ...: the real roots of odd multiplicity
     return not p or p[-1] > 0 and sum(counts[::2]) == sum(counts[1::2])
-
-
-def nonnegative(p) -> bool:
-    """p >= 0 on the whole real line, for a real p (else ValueError)."""
-    re, im = _cleared(ptrim(p))
-    if any(im):
-        raise ValueError("the sign on the real line needs a real polynomial")
-    return _nonnegative(re)
 
 
 @lru_cache(maxsize=16)
@@ -234,8 +226,9 @@ def _cayley_basis(n: int) -> tuple:
 
 
 def _int_cayley(p, n: int) -> tuple[list, list]:
-    """``cayley`` of L p (``_cleared``): the integer lists of the real and
-    imaginary parts of its coefficients 0..n."""
+    """(1 - it)^n (L p)((1 + it)/(1 - it)) in t, for n >= deg p and L p as
+    ``_cleared`` takes it: the integer lists of the real and imaginary
+    parts of its coefficients 0..n."""
     x, y = [0] * (n + 1), [0] * (n + 1)
     for u, v, s in zip(*_cleared(p), _cayley_basis(n)):
         for j, c in enumerate(s):
@@ -244,14 +237,6 @@ def _int_cayley(p, n: int) -> tuple[list, list]:
     turns = list(enumerate(zip(x, y)))  # times i^j
     return ([(a, -b, -a, b)[j % 4] for j, (a, b) in turns],
             [(b, a, -b, -a)[j % 4] for j, (a, b) in turns])
-
-
-def cayley(p, n: int) -> tuple:
-    """(1 - it)^n p((1 + it)/(1 - it)) in t, for n >= deg p."""
-    if len(ptrim(p)) > n + 1:
-        raise ValueError("n must be at least the degree")
-    m = lcm(*(c._d for c in p))
-    return ptrim(GaussRational(x, y) / m for x, y in zip(*_int_cayley(p, n)))
 
 
 def re_nonnegative(a, d) -> bool:
@@ -263,7 +248,7 @@ def re_nonnegative(a, d) -> bool:
 
 
 def _circle(a, d) -> list:
-    """Re(a conj d) on the circle, in t (``cayley``), times a positive
+    """Re(a conj d) on the circle, in t (``_int_cayley``), times a positive
     integer."""
     n = max(len(a), len(d)) - 1
     (ar, ai), (dr, di) = _int_cayley(a, n), _int_cayley(d, n)
@@ -283,7 +268,7 @@ def _sign_at(p: list, u: int, v: int) -> int:
 def bounded_by_one(p, q) -> tuple[bool, GaussRational | None]:
     """|p/q| <= 1 on the open disk, for q != 0, proved: q has no zero in the
     disk (``disk_zero_count``) and 2 (|q|^2 - |p|^2) = 2 Re((q + p) conj(q
-    - p)) >= 0 on the circle (``cayley``, then ``nonnegative``); so p/q is
+    - p)) >= 0 on the circle (``_circle``, then ``_nonnegative``); so p/q is
     analytic in the disk, bounded on the circle and so pole-free there, and
     at most 1 (maximum modulus).  Returns (True, None), or (False, z1) with
     |z1| < 1 and |p(z1)| > |q(z1)| > 0: z = (1 + it)/(1 - it) at the first

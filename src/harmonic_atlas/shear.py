@@ -126,10 +126,6 @@ class HarmonicMap(Frozen):
         return cls(h.series(order), Series.zero(order), AnalyticExpr.zero(),
                    h_expr=h, g_expr=AnalyticExpr.zero())
 
-    @property
-    def order(self) -> int:
-        return self.h_series.order
-
     # -- evaluation routes --------------------------------------------------
 
     def _closed(self, name: str) -> AnalyticExpr:

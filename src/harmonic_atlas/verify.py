@@ -75,7 +75,7 @@ from fractions import Fraction
 import numpy as np
 
 from .analytic import AnalyticExpr, Poly, RatFunc
-from .catalog import DEFAULT_ORDER, catalog_ids, catalog_lookup
+from .catalog import _MAX_ORDER, DEFAULT_ORDER, catalog_ids, catalog_lookup
 from .classify import _exact_class, classify_harmonic
 from .errors import Frozen
 from .exprtext import _format_poly
@@ -92,9 +92,8 @@ __all__ = ["VerifyConfig", "run_suite", "SUITES", "report_json", "series_twins"]
 # "witness", and every summary counts the rows by proof kind ("proofs")
 SCHEMA = 2
 
-# The largest series order and grid (radii x angles) a config may ask for:
-# well above the benchmark's order 128 and 64 x 1024 grid.
-_MAX_ORDER = 1024
+# The largest grid (radii x angles) a config may ask for: well above the
+# benchmark's 64 x 1024 grid.
 _MAX_GRID_POINTS = 2**20
 
 # axis -> (theorem, tag, member families with the twin family last,
@@ -185,10 +184,10 @@ def _summary(rows) -> dict:
 # The order of every map with closed forms.  Its rows read the closed
 # forms, which the map proves for every n at any order.  Only
 # ``expr_class`` reads the series, for a log part's first violation, and
-# it expands to ``classify._WITNESS_ORDER`` where the map's series shows
-# none.  Each catalog log part has its first violation at index 3 or 4, so
-# at 4 no witness search runs; below 4 it does, and at 1 a cold ``verify
-# all`` took about 9 times as long.
+# it expands to the order cap ``catalog._MAX_ORDER`` where the map's
+# series shows none.  Each catalog log part has its first violation at
+# index 3 or 4, so at 4 no witness search runs; below 4 it does, and at 1
+# a cold ``verify all`` took about 9 times as long.
 _CLOSED_ORDER = 4
 
 

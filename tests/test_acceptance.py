@@ -28,7 +28,7 @@ import pytest
 
 import harmonic_atlas.catalog as catalog_module
 from harmonic_atlas import (
-    GaussRational, RZParams, b2_bound_check, boundary_trace, catalog_build,
+    GaussRational, RZParams, boundary_trace, catalog_build,
     catalog_lookup, classify_harmonic, default_grid,
     direction_convexity_probe, rz_certificate, shear_imag, shear_real,
     starlike_derivative, u_class_margin,
@@ -140,7 +140,7 @@ def test_criterion_05_second_coefficient_bound():
     for e in catalog_build():
         if e.omega is None:
             continue
-        v = b2_bound_check(e.harmonic_map(8))
+        v = e.harmonic_map(8).g_series.coeff(2).abs2()  # |b2|^2, exactly
         if v > quarter:
             ok = False
         if e.family in ("T4", "T6") and v != quarter:

@@ -693,8 +693,8 @@ def test_cold_verify_all_inverts_once_per_expansion():
     # shears without closed forms at 64.  No log series is expanded: no
     # conformal h has a log term, and each shear's series comes from its
     # division by Q + s P.  No expansion goes past the config's order, so
-    # no witness search to `classify._WITNESS_ORDER` runs.  A fresh process
-    # is cold.
+    # no witness search to the order cap `catalog._MAX_ORDER` runs.  A
+    # fresh process is cold.
     script = "\n".join((
         "from harmonic_atlas import analytic",
         "from harmonic_atlas.numkernel import Series",

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic_atlas import (
-    AnalyticExpr, GaussRational, LogTerm, Poly, Series, b2_bound_check, catalog_lookup,
+    AnalyticExpr, GaussRational, LogTerm, Poly, Series, catalog_lookup,
     classify_harmonic, coeff_class, parse_any,
 )
 from harmonic_atlas.classify import expr_class
@@ -89,23 +89,29 @@ def test_classify_identity_map():
 
 
 # -- |b2| bound -----------------------------------------------------------------
+# A sense-preserving normalized map has |b2| <= 1/2, with equality exactly
+# for a dilatation linear in z: |b2|^2 > 1/4 refutes the class.
+
+def _b2_squared(fm):
+    return fm.g_series.coeff(2).abs2()
+
 
 def test_b2_equality_for_linear_dilatation():
     fm = catalog_lookup("f3_cv1").harmonic_map(8)
-    assert b2_bound_check(fm) == F(1, 4)
+    assert _b2_squared(fm) == F(1, 4)
     fm17 = catalog_lookup("t4_conj_sq_plus").harmonic_map(8)
-    assert b2_bound_check(fm17) == F(1, 4)
+    assert _b2_squared(fm17) == F(1, 4)
 
 
 def test_b2_zero_for_conformal():
-    assert b2_bound_check(catalog_lookup("identity").harmonic_map(8)) == 0
+    assert _b2_squared(catalog_lookup("identity").harmonic_map(8)) == 0
 
 
 def test_b2_bound_all_harmonic_entries(catalog):
     for entry in catalog:
         if entry.omega is None:
             continue
-        assert b2_bound_check(entry.harmonic_map(8)) <= F(1, 4)
+        assert _b2_squared(entry.harmonic_map(8)) <= F(1, 4)
 
 
 # -- exact classes of closed forms ------------------------------------------------

@@ -165,7 +165,9 @@ def test_expand_log_crossing_branch_cut_exit_2(capsys):
 def test_negative_count_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert "must be >= 0" in err
+    # expand's count is its order, refused as --order is
+    assert ("--show must be >= 0" if argv[0] == "shear" else f"order out of range: "
+            f"{_ORDER_NEED}, got -1") in err
 
 
 @pytest.mark.parametrize("argv", [("expand", "-z^2+z", "3"), ("classify", "-z^2+z"),
@@ -231,11 +233,11 @@ def test_formula_ending_early_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, cap", [
-    (("expand", "koebe", "100000000"), cli._MAX_ORDER),
-    (("expand", "koebe", "--order", "100000000"), cli._MAX_ORDER),
-    (("classify", "z/(1-z)^2", "--order", "100000000"), cli._MAX_ORDER),
-    (("shear", "koebe", "+z", "real", "--order", "100000000"), cli._MAX_ORDER),
-    (("verify", "all", "--order", "100000"), cli._MAX_ORDER),
+    (("expand", "koebe", "100000000"), catalog._MAX_ORDER),
+    (("expand", "koebe", "--order", "100000000"), catalog._MAX_ORDER),
+    (("classify", "z/(1-z)^2", "--order", "100000000"), catalog._MAX_ORDER),
+    (("shear", "koebe", "+z", "real", "--order", "100000000"), catalog._MAX_ORDER),
+    (("verify", "all", "--order", "100000"), catalog._MAX_ORDER),
     (("verify", "all", "--grid-angles", "100000000"), verify._MAX_GRID_POINTS),
 ])
 def test_oversized_order_or_grid_exit_2_before_allocating(capsys, argv, cap):
@@ -253,7 +255,7 @@ def test_oversized_order_or_grid_exit_2_before_allocating(capsys, argv, cap):
     assert peak < 1_000_000, peak
 
 
-_ORDER_NEED = f"need 1 <= order <= {cli._MAX_ORDER}"
+_ORDER_NEED = f"need 1 <= order <= {catalog._MAX_ORDER}"
 
 
 @pytest.mark.parametrize("argv, config, message", [
@@ -296,23 +298,30 @@ def test_dense_omega_shear_at_the_largest_order(capsys):
     # divides by the polynomial 2 - 2z instead, so the largest order is fast
     start = time.perf_counter()
     code, out, _ = run(capsys, "shear", "hslits_wide", "z/(2-z)", "real",
-                       "--order", str(cli._MAX_ORDER))
+                       "--order", str(catalog._MAX_ORDER))
     assert time.perf_counter() - start < 2.0
     assert code == 0
     assert out.startswith("h: 0 1 5/4 1/2 -5/8")
 
 
 def test_largest_order_accepted(capsys):
-    code, out, _ = run(capsys, "expand", "koebe", str(cli._MAX_ORDER))
+    code, out, _ = run(capsys, "expand", "koebe", str(catalog._MAX_ORDER))
     assert code == 0
-    assert out.splitlines()[1].endswith(f" {cli._MAX_ORDER}")
+    assert out.splitlines()[1].endswith(f" {catalog._MAX_ORDER}")
+
+
+def test_expand_count_has_the_order_range(capsys):
+    # the count is the order: `expand koebe 0` printed index 0 and exited 0,
+    # while `expand koebe --order 0` exited 2
+    for count in ("0", str(catalog._MAX_ORDER + 1)):
+        want = f"error: order out of range: {_ORDER_NEED}, got {count}\n"
+        assert run(capsys, "expand", "koebe", count) == (2, "", want)
+        assert run(capsys, "expand", "koebe", count, "--json") == (2, "", want)
+        assert run(capsys, "expand", "koebe", "--order", count) == (2, "", want)
+    assert run(capsys, "expand", "koebe", "1") == (0, "n: 0 1\nh: 0 1\n", "")
 
 
 def test_zero_count_prints_index_0(capsys):
-    assert run(capsys, "expand", "koebe", "0") == (0, "n: 0\nh: 0\n", "")
-    code, out, _ = run(capsys, "expand", "koebe", "0", "--json")
-    assert code == 0
-    assert json.loads(out) == {"target": "koebe", "order": 0, "h": ["0"]}
     code, out, _ = run(capsys, "shear", "koebe", "+z", "real", "--show", "0",
                        "--json")
     assert code == 0

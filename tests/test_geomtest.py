@@ -16,7 +16,6 @@ from harmonic_atlas import (
 )
 from harmonic_atlas import geomtest, realalg, verify
 from harmonic_atlas.analytic import RatFunc
-from harmonic_atlas.numkernel import coeff_product
 from harmonic_atlas.shear import HarmonicMap
 from oracles import rz_search_bruteforce
 
@@ -170,10 +169,7 @@ def test_hslits_trap_is_not_certified():
     p = h.derivative().rational_part()
     quad = Poly([GaussRational(0, 1), 0, GaussRational(0, -1)])
     r = RatFunc(quad * p.num, p.den)
-    n = max(r.num.degree, r.den.degree)
-    on_circle = coeff_product(realalg.cayley(r.num.coeffs, n),
-                              [c.conjugate() for c in realalg.cayley(r.den.coeffs, n)], 2 * n)
-    assert realalg.nonnegative([GaussRational(c.re) for c in on_circle])
+    assert realalg._nonnegative(realalg._circle(r.num.coeffs, r.den.coeffs))
     assert not realalg.re_nonnegative(r.num.coeffs, r.den.coeffs)
     cert = rz_certificate(h, RZParams(math.pi / 2, math.pi / 2), "real", default_grid())
     assert cert.margin < -1000

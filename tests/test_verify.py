@@ -153,7 +153,7 @@ def test_unknown_suite():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("order", 0), ("order", verify._MAX_ORDER + 1), ("grid_radii", 0),
+    ("order", 0), ("order", catalog._MAX_ORDER + 1), ("grid_radii", 0),
     ("grid_angles", 0), ("grid_angles", verify._MAX_GRID_POINTS // 64 + 1),
 ])
 def test_config_checks_its_ranges(field, value):
@@ -163,7 +163,7 @@ def test_config_checks_its_ranges(field, value):
 
 
 def test_config_accepts_its_range_ends():
-    VerifyConfig(order=verify._MAX_ORDER, grid_radii=1, grid_angles=verify._MAX_GRID_POINTS)
+    VerifyConfig(order=catalog._MAX_ORDER, grid_radii=1, grid_angles=verify._MAX_GRID_POINTS)
     VerifyConfig(order=1, grid_radii=verify._MAX_GRID_POINTS, grid_angles=1)
 
 
@@ -209,7 +209,7 @@ def _mutate_past_the_order(monkeypatch, eid, h_c, g_c):
             return fm
 
         def extra(c):
-            return AnalyticExpr.rational(c, Poly([0] * (fm.order + 2) + [1]))
+            return AnalyticExpr.rational(c, Poly([0] * (fm.h_series.order + 2) + [1]))
         return HarmonicMap(fm.h_series, fm.g_series, fm.omega,
                            h_expr=fm.h_expr + extra(h_c), g_expr=fm.g_expr + extra(g_c))
 
