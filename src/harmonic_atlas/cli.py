@@ -6,10 +6,11 @@ Numbers the catalog pins exactly are always printed as exact rationals.
 Configuration is read from a key=value file named by --config or the
 HARMONIC_ATLAS_CONFIG environment variable; command-line flags win.
 Recognized keys (``_SETTINGS``): order, grid.radii, grid.angles.  verify
-reads all three; expand, shear and classify read order, but check the
-whole file.  expand's count is its order, in its range, so a count given
-with --order exits 2.  list and render read no config, so they refuse its
-flags.
+echoes all three in its report, but only REMARK's two M(theta) margins
+read the grid, and no row reads the order; expand, shear and classify
+read order, but check the whole file.  expand's count is its order, in
+its range, so a count given with --order exits 2.  list and render read
+no config, so they refuse its flags.
 
 Exit codes: 0 success / all rows matched; 1 verification mismatch;
 2 usage, config or input error; 3 I/O error.

@@ -113,15 +113,16 @@ def _gprem(f: list, g: list) -> list:
 
 def pgcd(a, b) -> tuple:
     """Monic gcd (empty for two zeros); past a zero or constant operand, by
-    the subresultant sequence (module doc) on the cleared operands: each
-    pseudo-remainder of f by g is divided by lc h^delta, delta = deg f - deg
-    g, then lc becomes g's lead and h lc^delta/h^(delta - 1); both start at 1."""
+    the subresultant sequence (module doc) on the cleared operands, each
+    freed of its integer content (``_primitive``).  Each pseudo-remainder
+    of f by g is divided by lc h^delta, delta = deg f - deg g, then lc
+    becomes g's lead and h lc^delta/h^(delta - 1); both start at 1."""
     a, b = ptrim(a), ptrim(b)
     if len(a) < len(b):
         a, b = b, a
     if len(b) < 2:  # gcd(a, 0) is a made monic, and gcd(a, c) = 1 for a constant c != 0
         return (_ONE,) if b else _monic(a) if a else a
-    f, g = (list(zip(*_cleared(p))) for p in (a, b))
+    f, g = (_primitive(p) for p in (a, b))
     lc = h = _ONE
     while len(r := _gprem(f, g)) > 1:  # else g divides f, or the gcd is 1
         delta = len(f) - len(g)
@@ -172,6 +173,15 @@ def _cleared(p) -> tuple[list, list]:
     """The real and imaginary parts of L p, for L the lcm of p's denominators."""
     m = lcm(*(c._d for c in p))
     return [c._a * (m // c._d) for c in p], [c._b * (m // c._d) for c in p]
+
+
+def _primitive(p) -> list:
+    """p cleared (``_cleared``) and divided by the integer gcd of all its
+    parts, as (re, im) pairs: a nonzero scaling moves no monic gcd, and a
+    large content would grow with every pseudo-remainder."""
+    re, im = _cleared(p)
+    c = gcd(*re, *im)
+    return [(x // c, y // c) for x, y in zip(re, im)]
 
 
 def _sturm_variations(f: list, g: list) -> tuple[int, list]:

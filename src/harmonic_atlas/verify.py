@@ -28,24 +28,23 @@ changed flag fails a row (T31's class rows are those of S_Z).
 identities included.
 
 Every row says how it was decided (``proof``, schema 2): ``exact`` (for
-every n, or by a witness), ``order`` (exact to the config's order only: a
+every n, or by a witness), ``order`` (exact to the series' order only: a
 yes read in a series), ``grid`` (a float grid) or ``asserted``
 (taken from the construction, not checked here, and excluded from the
 match count).  Each summary counts its rows by kind (``proofs``).
 
-What is decided for every n: each map with closed forms (93 of the 101
-entries) proves them when it is built, at any order (``shear`` module
-doc; ``_map`` builds it at ``_CLOSED_ORDER``), and its class rows, twin
-rows, the two half-integer counts and REMARK's identity rows read the
-closed forms (``classify.expr_class``, ``series_twins``,
-``shear.dilatation_check``); a "neither" or "no twin" also rests on a
-coefficient that differs.  Only
-the 8 shears without closed forms (f13 to f16, f25 and f26 ``_cv1``; f7
-and f8 ``_cvi``) are built at the config's order, and their class and
-twin rows read that order-N series.  Each is "neither" by a coefficient
-at index 3 or 4, and "no twin" by a coefficient that differs, so from
-order 4 on those rows are exact; below it two of them read as
-half-integer, rows of kind ``order``.
+What is decided for every n: every map is built at one order,
+``_ORDER`` (4), whatever the config's.  Each map with closed forms (93 of
+the 101 entries) proves them when it is built, at any order (``shear``
+module doc), and its class rows, twin rows, the two half-integer counts
+and REMARK's identity rows read the closed forms
+(``classify.expr_class``, ``series_twins``, ``shear.dilatation_check``);
+a "neither" or "no twin" also rests on a coefficient that differs.  The 8
+shears without closed forms (f13 to f16, f25 and f26 ``_cv1``; f7 and f8
+``_cvi``) have only their series, and each is "neither" by a coefficient
+at index 3 or 4 and "no twin" by a coefficient that differs, so at order
+4 their rows are exact too.  A yes read in a series alone (none in the
+catalog) is a row of kind ``order``.
 
 The distortion-class rows of T31, the Jacobian rows of T4 and T6 and the
 24 slope certificates of T32 and LEM42 are decided exactly on the closed
@@ -105,10 +104,11 @@ _SHEAR_TABLES = {
 
 
 class VerifyConfig(Frozen):
-    """The series order and the grid (radii x angles) of a run: only the 8
-    shears without closed forms read the order, only REMARK's two M(theta)
-    margins the grid.  Its outer radius ``R_MAX`` is fixed, and so is
-    ``TOL_MARGIN``, which no row reads; ``to_json`` writes both."""
+    """The series order and the grid (radii x angles) of a run.  No verify
+    row reads the order, which ``to_json`` echoes (every map is built at
+    ``_ORDER``); only REMARK's two M(theta) margins read the grid.  Its
+    outer radius ``R_MAX`` is fixed, and so is ``TOL_MARGIN``, which no row
+    reads; ``to_json`` writes both."""
 
     __slots__ = ("order", "grid_radii", "grid_angles")
 
@@ -156,15 +156,11 @@ class _Rows:
             row["witness"] = witness
         self.rows.append(row)
 
-    def report(self, theorem: str, config: VerifyConfig) -> dict:
+    def report(self, theorem: str) -> dict:
+        """The suite's report; ``run_suite`` adds its ``config``."""
         rows = sorted(self.rows, key=lambda r: (r["id"], r["check"]))
-        return {
-            "schema": SCHEMA,
-            "theorem": theorem,
-            "config": config.to_json(),
-            "rows": rows,
-            "summary": _summary(rows),
-        }
+        return {"schema": SCHEMA, "theorem": theorem, "rows": rows,
+                "summary": _summary(rows)}
 
 
 def _summary(rows) -> dict:
@@ -181,30 +177,24 @@ def _summary(rows) -> dict:
     }
 
 
-# The order of every map with closed forms.  Its rows read the closed
-# forms, which the map proves for every n at any order.  Only
+# The order of every map verify builds.  A map with closed forms proves
+# them for every n at any order, and its rows read them.  Only
 # ``expr_class`` reads the series, for a log part's first violation, and
 # it expands to the order cap ``catalog._MAX_ORDER`` where the map's
 # series shows none.  Each catalog log part has its first violation at
-# index 3 or 4, so at 4 no witness search runs; below 4 it does, and at 1
-# a cold ``verify all`` took about 9 times as long.
-_CLOSED_ORDER = 4
+# index 3 or 4, so at 4 no witness search runs.  Each of the 8 shears
+# without closed forms is "neither" by a coefficient at index 3 or 4 and
+# "no twin" by a coefficient that differs, so at 4 its rows are exact too.
+_ORDER = 4
 
 
-def _map(entry, config):
-    """The entry's map: at ``_CLOSED_ORDER`` where it has closed forms, and
-    at the config's order for the 8 shears without them, the only maps
-    whose rows read an order-N series."""
-    return entry.harmonic_map(config.order if entry.h is None else _CLOSED_ORDER)
-
-
-def _coeff_class_row(rows, entry, config, check) -> tuple[bool, str]:
+def _coeff_class_row(rows, entry, check) -> tuple[bool, str]:
     """The row ``check`` ("integer_coeffs" or "half_integer_coeffs") of an
     entry: the exact class of h and g against the entry's flag.  Returns
     the computed class and the row's proof kind: a no rests on a
     coefficient, so it is exact; a yes is exact where ``expr_class``
     decides both closed forms, else it holds to the series' order."""
-    fm = _map(entry, config)
+    fm = entry.harmonic_map(_ORDER)
     rh, rg = classify_harmonic(fm)
     is_class = f"is_{check.removesuffix('_coeffs')}"
     got = getattr(rh, is_class) and getattr(rg, is_class)
@@ -321,12 +311,11 @@ def _rz_exact(phi: AnalyticExpr, axis: str) -> dict | None:
 def series_twins(fm, twin_maps: dict) -> list[str]:
     """Ids in ``twin_maps`` whose h and g equal those of ``fm``.
 
-    For h and for g, the series to the lower of the two orders screen: a
-    coefficient that differs is a no for every n.  Two closed forms are
-    then compared exactly (``_same_function``).  Where that cannot decide
-    (a map without closed forms, or a log argument that is not linear),
-    the series are compared to the higher order, a closed form expanded
-    there."""
+    For h and for g, the series screen: a coefficient that differs is a no
+    for every n.  Two closed forms are then compared exactly
+    (``_same_function``).  Where that cannot decide (a map without closed
+    forms, or a log argument that is not linear), equal series count, to
+    their common order (``_twin_proof``)."""
     return [tid for tid, tm in twin_maps.items()
             if all(_same_part(getattr(fm, f"{p}_series"), getattr(fm, f"{p}_expr"),
                               getattr(tm, f"{p}_series"), getattr(tm, f"{p}_expr"))
@@ -334,17 +323,13 @@ def series_twins(fm, twin_maps: dict) -> list[str]:
 
 
 def _same_part(x, ex, y, ey) -> bool:
-    """Series x with closed form ex (or None) equals series y with ey."""
+    """Series x with closed form ex (or None) equals series y with ey: no
+    where a coefficient differs, else as ``_same_function`` decides the
+    closed forms; yes where it cannot decide."""
     n = min(x.order, y.order)
     if x.coeffs[:n + 1] != y.coeffs[:n + 1]:
         return False
-    same = None if ex is None or ey is None else _same_function(ex, ey)
-    if same is not None:
-        return same
-    n = max(x.order, y.order)
-    x, y = (s if e is None or s.order >= n else e.series(n) for s, e in ((x, ex), (y, ey)))
-    n = min(x.order, y.order)
-    return x.coeffs[:n + 1] == y.coeffs[:n + 1]
+    return ex is None or ey is None or _same_function(ex, ey) is not False
 
 
 def _same_function(a: AnalyticExpr, b: AnalyticExpr) -> bool | None:
@@ -422,23 +407,23 @@ def _jacobian_exact(F: HarmonicMap) -> dict | None:
     return {"omega": _rat_text(F.omega.rational_part().reduced()), "h_prime": _rat_text(hp)}
 
 
-def _suite_t31(config) -> dict:
+def _suite_t31() -> dict:
     rows = _Rows()
     for entry in _entries(("S_Z", "T2")):
         # Friedman's nine by family, so a changed flag fails its row
         if entry.family == "S_Z":
-            _coeff_class_row(rows, entry, config, "integer_coeffs")
+            _coeff_class_row(rows, entry, "integer_coeffs")
         got, witness = _u_class_exact(entry.h) or (None, None)  # undecided: fails
         want = entry.expected.u_class
         rows.add(entry.id, "u_class_margin", got, want, got == want, "exact", witness)
-    return rows.report("T31", config)
+    return rows.report("T31")
 
 
-def _suite_directions(config, theorem: str, families: tuple[str, ...]) -> dict:
+def _suite_directions(theorem: str, families: tuple[str, ...]) -> dict:
     rows = _Rows()
     for entry in _entries(families):
         _direction_rows(rows, entry)
-    return rows.report(theorem, config)
+    return rows.report(theorem)
 
 
 def _twin_proof(fm, tm) -> str:
@@ -449,7 +434,7 @@ def _twin_proof(fm, tm) -> str:
     return "exact" if exact else "order"
 
 
-def _suite_shears(config, axis: str) -> dict:
+def _suite_shears(axis: str) -> dict:
     theorem, tag, families, total, expect_half = _SHEAR_TABLES[axis]
     twin_family = families[-1]
     rows = _Rows()
@@ -457,19 +442,19 @@ def _suite_shears(config, axis: str) -> dict:
     rows.add("~family_total", "count", len(members), total, len(members) == total, "exact")
     twin_maps = {}
     for entry in members:
-        _coeff_class_row(rows, entry, config, "half_integer_coeffs")
+        _coeff_class_row(rows, entry, "half_integer_coeffs")
         if entry.family == twin_family:
-            fm = twin_maps[entry.id] = _map(entry, config)
+            fm = twin_maps[entry.id] = entry.harmonic_map(_ORDER)
             witness = _jacobian_exact(fm)  # J > 0; an undecided row fails
             rows.add(entry.id, "jacobian_positive", True if witness else None, True,
                      witness is not None, "exact", witness)
     half_count, count_proof = 0, "exact"
     for entry in _entries((f"PROOF_{tag.upper()}",)):
-        got, proof = _coeff_class_row(rows, entry, config, "half_integer_coeffs")
+        got, proof = _coeff_class_row(rows, entry, "half_integer_coeffs")
         half_count += got
         if proof != "exact":
             count_proof = proof
-        fm = _map(entry, config)
+        fm = entry.harmonic_map(_ORDER)
         match_id = next(iter(series_twins(fm, twin_maps)), None)
         proof = "exact" if match_id is None else _twin_proof(fm, twin_maps[match_id])
         rows.add(entry.id, "series_twin", match_id, entry.twin,
@@ -479,7 +464,7 @@ def _suite_shears(config, axis: str) -> dict:
     rows.add(f"~{tag}_shears", f"convex_in_{axis}_direction",
              "by shear construction from certified sources", "asserted",
              True, "asserted")
-    return rows.report(theorem, config)
+    return rows.report(theorem)
 
 
 # f3's 2 Re(Df/f) on the circle, 4 cos t/(cos 2t - 3) at z = e^{it}, and a
@@ -512,11 +497,10 @@ def _starlike_on_circle(F: HarmonicMap) -> RatFunc | None:
     return RatFunc(s.num.scale(unit), s.den.scale(unit))
 
 
-def _suite_remark(config) -> dict:
+def _suite_remark(grid: Grid) -> dict:
     rows = _Rows()
-    grid = config.grid()
     f3_entry = catalog_lookup("t4_re_koebe_im_halfplane")
-    f3 = _map(f3_entry, config)
+    f3 = f3_entry.harmonic_map(_ORDER)
     s = _starlike_on_circle(f3)  # None: both rows fail
     same = s is not None and s.num * _F3_STARLIKE.den == _F3_STARLIKE.num * s.den
     rows.add("f3", "starlike_derivative_formula", 0 if same else None, "<= 1e-3", same,
@@ -532,7 +516,7 @@ def _suite_remark(config) -> dict:
     in_m0 = dilatation_check(f3.replace(omega=AnalyticExpr.rational(1, Poly.var())))
     c0 = m_theta_check(f3, grid)
     rows.add("f3", "m_theta_0_margin", c0.margin, "> 0", in_m0 and c0.margin > 0, "grid")
-    f9 = _map(catalog_lookup("t6_re_halfplane_im_koebe"), config)
+    f9 = catalog_lookup("t6_re_halfplane_im_koebe").harmonic_map(_ORDER)
     cpi = m_theta_check(f9, grid)
     rows.add("f9", "m_theta_pi_margin", cpi.margin, "> 0", cpi.margin > 0, "grid")
     ok = dilatation_check(f9.replace(omega=AnalyticExpr.rational(-1, Poly.var())))
@@ -541,18 +525,18 @@ def _suite_remark(config) -> dict:
     closed = f9.h_expr is not None and f9.g_expr is not None
     rows.add("f9", "m_pi_coefficient_identity", ok, True, ok,
              "exact" if not ok or closed else "order")
-    return rows.report("REMARK", config)
+    return rows.report("REMARK")
 
 
+# the suites that read no config; REMARK, the last, reads its grid
 _SUITE_FNS = {
     "T31": _suite_t31,
-    "T32": lambda config: _suite_directions(config, "T32", ("S_Z",)),
-    "T41": lambda config: _suite_shears(config, "real"),
-    "T42": lambda config: _suite_shears(config, "imag"),
-    "LEM42": lambda config: _suite_directions(config, "LEM42", ("T1", "T2")),
-    "REMARK": _suite_remark,
+    "T32": lambda: _suite_directions("T32", ("S_Z",)),
+    "T41": lambda: _suite_shears("real"),
+    "T42": lambda: _suite_shears("imag"),
+    "LEM42": lambda: _suite_directions("LEM42", ("T1", "T2")),
 }
-SUITES = tuple(_SUITE_FNS)
+SUITES = (*_SUITE_FNS, "REMARK")
 
 
 def run_suite(name: str, config: VerifyConfig | None = None) -> dict:
@@ -567,9 +551,8 @@ def run_suite(name: str, config: VerifyConfig | None = None) -> dict:
             "suites": reports,
             "summary": _summary([row for r in reports for row in r["rows"]]),
         }
-    if name not in _SUITE_FNS:
-        raise KeyError(name)
-    return _SUITE_FNS[name](config)
+    report = _suite_remark(config.grid()) if name == "REMARK" else _SUITE_FNS[name]()
+    return {**report, "config": config.to_json()}
 
 
 def report_json(report: dict) -> str:

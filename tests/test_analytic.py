@@ -683,18 +683,18 @@ def test_series_of_a_term_sum_matches_the_oracles(rationals, logs, order, data):
 
 
 def test_cold_verify_all_inverts_once_per_expansion():
-    # A cold `verify all` at the default config expands 24 expressions,
+    # A cold `verify all` at the default config expands 20 expressions,
     # each as one quotient P/Q (its rational terms summed), times 1/Q
     # unless Q is 1: one Series.reciprocal each but for the zero expression
-    # and 3 polynomials, 20 in all.  A map with closed forms proves them by
-    # the shear's identity, with no series (`shear` module doc), and is
-    # built at `verify._CLOSED_ORDER`: so 20 expansions are at order 4 (19
-    # conformal h and the zero expression) and only the 4 sources of the 8
-    # shears without closed forms at 64.  No log series is expanded: no
+    # and 3 polynomials, 16 in all.  A map with closed forms proves them by
+    # the shear's identity, with no series (`shear` module doc), and every
+    # map is built at `verify._ORDER`: so all 20 expansions are at order 4
+    # (19 conformal h, the 4 sources of the 8 shears without closed forms
+    # among them, and the zero expression).  No log series is expanded: no
     # conformal h has a log term, and each shear's series comes from its
-    # division by Q + s P.  No expansion goes past the config's order, so
-    # no witness search to the order cap `catalog._MAX_ORDER` runs.  A
-    # fresh process is cold.
+    # division by Q + s P.  No expansion goes past order 4, so no witness
+    # search to the order cap `catalog._MAX_ORDER` runs.  A fresh process
+    # is cold.
     script = "\n".join((
         "from harmonic_atlas import analytic",
         "from harmonic_atlas.numkernel import Series",
@@ -717,7 +717,7 @@ def test_cold_verify_all_inverts_once_per_expansion():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert tuple(map(int, out.stdout.split())) == (20, 24, 0, VerifyConfig().order), out.stdout
+    assert tuple(map(int, out.stdout.split())) == (16, 20, 0, 4), out.stdout
 
 
 _SHORT_CUT_SCRIPT = "\n".join((

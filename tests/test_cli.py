@@ -507,7 +507,8 @@ def test_verify_json_deterministic(capsys):
 @pytest.mark.parametrize("theorem", ["all", "T32"])
 def test_verify_does_not_import_numpy_ma(theorem):
     # np.quantile and np.unique import numpy.ma, about 15 ms in a fresh
-    # process; the convexity probe's levels come from one sort instead
+    # process; verify's path calls neither (no row runs the convexity
+    # probe, which calls np.quantile)
     script = "\n".join((
         "import contextlib, io, sys",
         "from harmonic_atlas.cli import main",
@@ -667,10 +668,22 @@ def test_heap_policy_stops_when_glibc_refuses(monkeypatch):
     assert calls == [(cli._M_MMAP_THRESHOLD, 32 << 20)]
 
 
-def test_verify_low_order_exit_1(capsys):
-    code, out, _ = run(capsys, "verify", "T41", "--order", "3")
+def test_verify_mismatch_exit_1(capsys, monkeypatch):
+    # one flipped catalog flag fails its row: f13_cv1 is "neither", and a
+    # flag that records half-integer coefficients mismatches
+    entry = catalog.catalog_lookup("f13_cv1")
+    e = entry.expected
+    assert e.half_integer_coeffs is False
+    flipped = catalog.CatalogEntry(
+        entry.id, entry.family, entry.h, entry.g,
+        catalog.FlagSet(e.integer_coeffs, True, e.cv_real, e.cv_imag, e.starlike,
+                        e.u_class, e.boundary),
+        entry.recipe, entry.twin)
+    monkeypatch.setitem(catalog._INDEX, entry.id, flipped)
+    code, out, _ = run(capsys, "verify", "T41")
     assert code == 1
-    assert "MISMATCH" in out
+    assert "  MISMATCH f13_cv1 half_integer_coeffs: " in out
+    assert out.count("MISMATCH") == 1
 
 
 def test_verify_bad_theorem_exit_2(capsys):

@@ -405,42 +405,6 @@ def test_probe_falsifies_t4_imag_and_t2_both():
             assert direction_convexity_probe(entry_map(eid), d, r=0.999) is False
 
 
-def test_probe_levels_are_numpys_linear_quantiles():
-    # sizes 1-4096 with ties, NaN, +-inf and signed zeros; bit for bit but
-    # for the sign of a zero level, which the sort and np.quantile's
-    # partition may take from different tied zeros
-    rng = np.random.default_rng(26)
-    for trial in range(600):
-        n = int(rng.integers(1, 4097))
-        values = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
-        picks = rng.integers(0, n, size=max(1, n // 50))
-        kind = trial % 6
-        if kind == 1:
-            values = np.round(values)
-        elif kind == 2:
-            values[picks] = np.nan
-        elif kind == 3:
-            values[picks] = np.inf
-        elif kind == 4:
-            values[picks] = -np.inf
-            values[picks[0]] = np.inf
-        elif kind == 5:
-            values = np.where(rng.random(n) < 0.5, -0.0, 0.0)
-        lines = int(rng.choice([1, 2, 3, 7, 64, 100]))
-        qs = (np.arange(lines) + 0.5) / lines
-        with np.errstate(invalid="ignore"):
-            want, got = np.quantile(values, qs), geomtest._quantiles(values, qs)
-        assert np.array_equal(np.isnan(got), np.isnan(want)), trial
-        want, got = want + 0.0, got + 0.0  # -0.0 + 0.0 is 0.0
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), trial
-    for values in ([-0.0], [np.inf], [1.0, np.inf], [-np.inf, 2.0], [5.0]):
-        qs = np.array([0.0, 0.25, 0.5, 1.0])
-        with np.errstate(invalid="ignore"):
-            want = np.quantile(np.array(values), qs)
-            got = geomtest._quantiles(np.array(values), qs)
-        assert np.array_equal(got, want, equal_nan=True), values
-
-
 # -- starlikeness ------------------------------------------------------------------
 
 def test_starlike_derivative_identity():

@@ -381,6 +381,31 @@ def test_pgcd_keeps_its_coefficients_small():
     assert time.perf_counter() - start < 2.0
 
 
+def _bits(pairs) -> int:
+    return max(max(abs(x).bit_length(), abs(y).bit_length()) for x, y in pairs)
+
+
+def test_pgcd_frees_each_operand_of_its_content(monkeypatch):
+    # z 20000^200 and (20000 - 20001z)^200, z/(1 - 20001z/20000)^200 over
+    # the integers: each pseudo-remainder step multiplied by the lead
+    # 20000^200 of the first, 200 times over (574,000 bits, and 7 s).
+    # Freed of its content the first is z, and no remainder outgrows its
+    # operands
+    num = (G(0), G(20000**200))
+    den = tuple(G(math.comb(200, k) * 20000**(200 - k) * (-20001)**k) for k in range(201))
+    sizes = []
+    gprem = realalg._gprem
+
+    def spy(f, g):
+        r = gprem(f, g)
+        sizes.append((_bits(f + g), _bits(r)))
+        return r
+
+    monkeypatch.setattr(realalg, "_gprem", spy)
+    assert realalg.pgcd(num, den) == ONE
+    assert sizes and all(out <= size for size, out in sizes), sizes
+
+
 def test_module_imports_no_numpy():
     # loaded without the package's __init__, which imports numpy
     package = str(Path(harmonic_atlas.__file__).resolve().parent)

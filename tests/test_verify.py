@@ -170,10 +170,10 @@ def test_config_accepts_its_range_ends():
 # -- exact rows: maps at one order, closed forms compared exactly ---------------
 
 def test_verify_all_shears_closed_forms_at_one_order(monkeypatch):
-    # a cold `verify all` at the default config integrates the 8 shears
-    # without closed forms at order 64 and the other 48 at
-    # verify._CLOSED_ORDER, which proves their closed forms as any order
-    # does; |omega| < 1 is decided for +z and -z only
+    # a cold `verify all` at the default config integrates all 56 shears at
+    # verify._ORDER, the 8 without closed forms too; the other 48 prove
+    # their closed forms there as at any order; |omega| < 1 is decided for
+    # +z and -z only
     monkeypatch.setattr(catalog, "_INDEX", {})
     shear_mod._omega_bounded.cache_clear()
     orders = Counter()
@@ -188,8 +188,8 @@ def test_verify_all_shears_closed_forms_at_one_order(monkeypatch):
     shears = [catalog_lookup(eid) for eid in catalog_ids()]
     shears = [e for e in shears if e.recipe is not None]
     assert len(shears) == sum(orders.values()) == 56
-    assert orders == {64: sum(e.h is None for e in shears), verify._CLOSED_ORDER: 48}
-    assert orders[64] == 8
+    assert sum(e.h is None for e in shears) == 8
+    assert orders == {verify._ORDER: 56} == {4: 56}
     assert shear_mod._omega_bounded.cache_info().misses == 2
 
 
@@ -279,11 +279,26 @@ def test_proof_ledger_counts(config):
         ("f3", "m_theta_0_margin"), ("f9", "m_theta_pi_margin")]
 
 
-def test_series_rows_below_their_witness_index_hold_to_the_order():
-    # at order 3 two shears without closed forms read as half-integer in
-    # their series, a yes that holds to that order only, and so does the
-    # count of them
-    report = run_suite("T41", VerifyConfig(order=3, grid_radii=16, grid_angles=64))
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 16, 64])
+def test_verify_all_reads_the_same_at_every_order(order):
+    # every map is built at verify._ORDER, so the order is only echoed in
+    # ``config``: with the default's config put back, the report is the
+    # default recording, byte for byte
+    report = run_suite("all", VerifyConfig(order=order))
+    echoed, default = VerifyConfig(order=order).to_json(), VerifyConfig().to_json()
+    assert echoed["order"] == order
+    for r in [report] + report["suites"]:
+        assert r["config"] == echoed
+        r["config"] = default
+    assert report_json(report) == DEFAULT_RECORDING.read_text(encoding="ascii")
+
+
+def test_series_rows_below_their_witness_index_hold_to_the_order(monkeypatch):
+    # with maps built at order 3, two shears without closed forms read as
+    # half-integer in their series, a yes that holds to that order only,
+    # and so does the count of them
+    monkeypatch.setattr(verify, "_ORDER", 3)
+    report = run_suite("T41", FAST)
     order_rows = sorted(k for k, r in _rows(report).items() if r["proof"] == "order")
     assert order_rows == [("f13_cv1", "half_integer_coeffs"),
                           ("f16_cv1", "half_integer_coeffs"),
@@ -320,7 +335,7 @@ def test_the_19_exact_rows_agree_with_the_grid_checks():
         "cardioid", "cardioid_r", "halfplane_avg", "halfplane_avg_r", "parabola", "parabola_r"]
     for eid in _TWIN_IDS:
         entry = catalog_lookup(eid)
-        fm = verify._map(entry, VerifyConfig())
+        fm = entry.harmonic_map(verify._ORDER)
         assert verify._jacobian_exact(fm) is not None, eid
         assert geomtest.jacobian_min(fm, grid).margin > 0, eid
 
@@ -647,7 +662,7 @@ def test_starlike_rows_agree_with_the_float_samples():
     # of 2 cos t/(cos 2t - 3), as the exact identity says, and negative;
     # at z = (3 + 4i)/5 near the circle, about the exact -15/41
     entry = catalog_lookup("t4_re_koebe_im_halfplane")
-    fm = verify._map(entry, VerifyConfig())
+    fm = entry.harmonic_map(verify._ORDER)
     s = verify._starlike_on_circle(fm)
     assert s.num * verify._F3_STARLIKE.den == verify._F3_STARLIKE.num * s.den
     for t in np.linspace(-math.pi / 2 + 0.1, math.pi / 2 - 0.1, 32):
