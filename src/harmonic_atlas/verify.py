@@ -291,7 +291,7 @@ def _rz_exact(phi: AnalyticExpr, axis: str) -> dict | None:
     samples.  A pair whose float Re R is negative at a point of
     ``_RZ_SCREEN`` cannot be proved and is skipped: the screen only skips,
     and each catalog row runs one proof.  None when no pair is proved."""
-    p = phi.derivative().rational_part()
+    p = phi.derivative().rational_part().reduced()
     k = GaussRational(1) if axis == "real" else GaussRational(0, -1)
     # R |den|^2 at the screen's points, for every pair at once
     v = _RZ_QUAD_SCREEN * (complex(k) * p.num(_RZ_SCREEN) * np.conj(p.den(_RZ_SCREEN)))

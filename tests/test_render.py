@@ -17,7 +17,7 @@ from harmonic_atlas import (
     GaussRational, NoClosedForm, Poly, RenderOptions, catalog_lookup, render_svg,
 )
 from harmonic_atlas.analytic import LogTerm
-from harmonic_atlas.render import _grid, _path_texts
+from harmonic_atlas.render import _coords, _grid, _layout, _texts
 from oracles import path_data_reference
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -30,6 +30,14 @@ EXPECTED = json.loads(
 def render(eid, **kw):
     entry = catalog_lookup(eid)
     return render_svg(entry.harmonic_map(32), RenderOptions(**kw))
+
+
+def _path_texts(vals, ok, sizes, close):
+    """Polyline path data of consecutive curves, ASCII bytes per curve, by
+    the route ``render_svg`` takes: curve k is the next ``sizes[k]``
+    entries of ``vals`` and ``ok``, a masked-out point breaks its line, and
+    ``close[k]`` repeats the curve's first point at its end."""
+    return _texts(*_coords(vals, ok, _layout(sizes, close)))
 
 
 def _path_data(vals, ok, close):
@@ -162,7 +170,7 @@ def test_log_memo_serves_later_renders(monkeypatch):
     monkeypatch.undo()
     for eid in CLOSED_FORM_IDS:
         render_svg(catalog_lookup(eid).harmonic_map(32))
-    zs, memo = _grid(8, 16, 0.95, 512)
+    zs, memo, _ = _grid(8, 16, 0.95, 512)
     i = GaussRational(0, 1)
     assert set(memo) == {Poly((1, -1)), Poly((1, 1)), Poly((1, -i)), Poly((1, i))}
     for arg, values in memo.items():
@@ -172,6 +180,52 @@ def test_log_memo_serves_later_renders(monkeypatch):
 
 CLOSED_FORM_IDS = [eid for eid in EXPECTED["render_ids"]
                    if EXPECTED["ops"][f"render {eid}"]["sha256"] is not None]
+
+
+def test_warm_unmasked_render_reads_its_layout_from_the_grid(monkeypatch):
+    # the path layout is built with the grid: a later render with no point
+    # masked computes no index array of it
+    fm = catalog_lookup("f9_cv1").harmonic_map(32)
+    _grid.cache_clear()
+    first = render_svg(fm)
+    calls = Counter()
+    for name in ("searchsorted", "repeat", "cumsum"):
+        plain = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _f=plain, _n=name, **kw:
+                            calls.update([_n]) or _f(*a, **kw))
+    assert render_svg(fm) == first
+    assert calls == Counter()
+    # a warm render with masked points selects its rows from the layout
+    near = RenderOptions(r_max=0.99999999)
+    render_svg(fm, near)
+    calls.clear()
+    render_svg(fm, near)
+    assert calls == Counter(["searchsorted"])
+
+
+def test_layout_is_kept_read_only_with_its_grid():
+    _grid.cache_clear()
+    render_svg(catalog_lookup("koebe").harmonic_map(32))
+    zs, _, layout = _grid(8, 16, 0.95, 512)
+    take, rows, words = layout
+    assert take.size == zs.size + 9 and rows.size == 26 and words.size == 2 * take.size
+    assert not any(a.flags.writeable for a in layout)
+    with pytest.raises(ValueError):
+        words[0] = 0
+
+
+def test_the_grid_slot_swaps_with_the_options():
+    # default options, then the near-circle options below (points masked,
+    # other curves), then the default again: each document is its first
+    near = RenderOptions(circles=3, rays=5, r_max=0.99999999, samples_per_curve=37)
+    maps = [catalog_lookup(eid).harmonic_map(32) for eid in ("f28_cv1", "f4_cv1", "koebe")]
+    _grid.cache_clear()
+    first = {}
+    for opts in (RenderOptions(), near, RenderOptions(), near):
+        for k, fm in enumerate(maps):
+            doc = render_svg(fm, opts)
+            assert first.setdefault((opts.r_max, k), doc) == doc
+    assert len(first) == 6
 
 
 @pytest.mark.parametrize("eid", CLOSED_FORM_IDS)
@@ -251,11 +305,12 @@ def test_path_data_empty(close):
 
 # exact ties k/128; 1 ulp either side of 0.0000015; x*1e6 rounded onto a
 # tie that x is not on; either side of x*1e6 rounding to 1e10, where the
-# integer digits outgrow their word; too wide for the 16-byte row; rounding
-# to -0.000000; not finite
+# integer digits outgrow their word, the clamp 9999.9999995 and the float
+# below it; too wide for the 16-byte row; rounding to -0.000000; not finite
 HARD_COORDS = [0.0078125, 0.0234375,
                math.nextafter(0.0000015, 0.0), math.nextafter(0.0000015, 1.0), 3.5e-6,
-               9999.9999994, 9999.9999996, 1e4, -9999.9999994, -9999.9999996, -1e4,
+               9999.9999994, 9999.9999995, math.nextafter(9999.9999995, 0.0), 9999.9999996,
+               1e4, -9999.9999994, -9999.9999996, -1e4,
                999999.9999995, 1e8, 1e16, 1e308,
                -1e-9, math.nan, math.inf, -math.inf]
 
@@ -289,10 +344,12 @@ _CURVE = st.tuples(st.lists(st.tuples(_COORDS, _COORDS, st.booleans()), max_size
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_CURVE, min_size=1, max_size=30))
-def test_path_texts_match_reference_curve_by_curve(curves):
+@given(st.lists(_CURVE, min_size=1, max_size=30), st.booleans())
+def test_path_texts_match_reference_curve_by_curve(curves, every_point_drawn):
+    # every_point_drawn: no point masked, so the layout is read as it is built
     vals = [np.array([complex(x, y) for x, y, _ in pts], dtype=complex) for pts, _ in curves]
-    oks = [np.array([good for _, _, good in pts], dtype=bool) for pts, _ in curves]
+    oks = [np.array([good or every_point_drawn for _, _, good in pts], dtype=bool)
+           for pts, _ in curves]
     closes = [close for _, close in curves]
     got = _path_texts(np.concatenate(vals), np.concatenate(oks),
                       [v.size for v in vals], closes)

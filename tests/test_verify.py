@@ -509,6 +509,15 @@ def test_koebe_witness():
         "zeta": "-1", "w": "-1/4", "step": "1/2 i"}
 
 
+def test_slope_certificate_reads_phi_prime_in_lowest_terms():
+    # h - g of f9_cv1 is koebe written as z (1 - z)^3 / (1 - z)^5; its
+    # phi' is koebe's once reduced, so it has koebe's certificate
+    fm = catalog_lookup("f9_cv1").harmonic_map(verify._ORDER)
+    want = verify._rz_exact(catalog_lookup("koebe").h, "real")
+    assert want == {"mu": "0", "nu": "0", "R": "rat(1; 1,1; 1,-1)"}
+    assert verify._rz_exact(fm.h_expr - fm.g_expr, "real") == want
+
+
 @pytest.mark.parametrize("h", [
     AnalyticExpr.rational(-1, Poly([0, 1])),  # -z: a disk
     AnalyticExpr.rational(1, Poly([0, 1]), Poly([1, -1])),  # z/(1 - z): a half-plane
